@@ -1,13 +1,13 @@
 """Newton lifting of approximate series solutions, linear factorization
 through polynomial algebras, and the module-isomorphism equation systems.
 
-The Newton step reuses the bordered-Jacobian trick: with H the Jacobian of a
-witnessed subsystem bordered by (0 | Id) and G = N*adj(H), the linearization
+The Newton step reuses the bordered-Jacobian trick of ``smooth``: the witness
+search (``smooth.best_witness``) picks a subsystem and a minor, and with H its
+Jacobian bordered by (0 | Id) and G = N*adj(H), the linearization
 H*delta = -f(y) is solved as delta = -G(y) f(y) / P(y), paying a fixed
 valuation cost of c per iteration.
 """
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (DomainError, PrecisionError, ResourceError,
@@ -15,7 +15,8 @@ from .errors import (DomainError, PrecisionError, ResourceError,
 from .groebner import kernel_basis
 from .poly import Polynomial
 from .series import TruncatedSeries, series_eval
-from .smooth import (jacobian, matrix_adjugate, matrix_det)
+from .smooth import (DEFAULT_SUBSET_BUDGET, AlgebraPresentation, best_witness,
+                     bordered_jacobian, matrix_det)
 
 MAX_NEWTON_ITERATIONS = 200
 
@@ -74,6 +75,7 @@ class LiftRequest:
     c: int
     target: int
     e: int = None
+    subset_budget: int = DEFAULT_SUBSET_BUDGET
 
     def __post_init__(self):
         self.yvars = tuple(self.yvars)
@@ -86,48 +88,6 @@ class LiftResult:
     values: dict                 # yvar -> TruncatedSeries at target precision
     trace: list                  # min order of f(y_k) per iteration
     iterations: int
-
-
-def _witness_search(system, base_var, yvars, assign, c):
-    """Subset/minor/witness with residue order <= c at the given point.
-
-    Same search order as the desingularization-data search, but the order
-    bound is checked at an approximate solution, so no morphism test.
-    """
-    from .groebner import IdealPresentation, buchberger, ideal_member, \
-        ideal_quotient
-    from .smooth import _subset_stream
-    ring = (base_var,) + tuple(yvars)
-    F = system[0].field
-    gens = [f.embed(ring) for f in system]
-    ideal = IdealPresentation(ring, F, gens)
-    ideal_gb = buchberger(ideal)
-    best = None
-    for subset in _subset_stream(len(gens), len(yvars)):
-        fs = [gens[i] for i in subset]
-        r = len(fs)
-        jac = jacobian(fs, yvars)
-        quot = ideal_quotient(IdealPresentation(ring, F, fs), ideal)
-        for cols in itertools.combinations(range(len(yvars)), r):
-            sub = [[row[j] for j in cols] for row in jac]
-            minor = matrix_det(sub)
-            if minor.is_zero():
-                continue
-            for witness in quot.generators:
-                pprime = minor * witness
-                if ideal.generators and ideal_member(pprime, ideal_gb):
-                    continue
-                val = series_eval(pprime, assign)
-                ordv = val.order()
-                if ordv is None or ordv > c:
-                    continue
-                if best is None or ordv < best[0]:
-                    best = (ordv, subset, cols, minor, witness)
-        if best is not None and best[0] == 0:
-            break
-    if best is None:
-        raise DomainError(f"no witness with residue order <= {c} at y0")
-    return best
 
 
 def newton_lift(req):
@@ -150,31 +110,33 @@ def newton_lift(req):
                 current[yv].truncate(prec)
         return out
 
-    residues = [series_eval(f, point()) for f in req.system]
+    # zero relations are dropped, so subset indices refer to B.relations
+    B = AlgebraPresentation(
+        base_var=req.base_var, variables=req.yvars,
+        field=req.system[0].field if req.system else F,
+        relations=list(req.system))
+    residues = [series_eval(f, point()) for f in B.relations]
     orders = [s.order() for s in residues]
     start = min((o for o in orders if o is not None), default=None)
     if start is not None and start < 2 * req.c + 1:
         raise DomainError(
             f"f(y0) has order {start}, need >= {2 * req.c + 1}")
-    _, subset, cols, minor, witness = _witness_search(
-        req.system, req.base_var, req.yvars, point(), req.c)
-    ring = (req.base_var,) + tuple(req.yvars)
-    fs = [req.system[i].embed(ring) for i in subset]
+    assign = point()
+    best = best_witness(B, lambda p: series_eval(p, assign),
+                        req.subset_budget)
+    if best is None or best[0] > req.c:
+        raise DomainError(f"no witness with residue order <= {req.c} at y0")
+    _, subset, cols, minor, witness, _ = best
+    fs = [B.relations[i] for i in subset]
     r, n = len(fs), len(req.yvars)
     perm = list(cols) + [j for j in range(n) if j not in cols]
     pvars = tuple(req.yvars[j] for j in perm)
-    H = jacobian(fs, pvars)
-    one = Polynomial.one(ring, F)
-    zero = Polynomial.zero(ring, F)
-    for i in range(r, n):
-        H.append([one if j == i else zero for j in range(n)])
-    G = [[witness.embed(ring) * entry for entry in row]
-         for row in matrix_adjugate(H)]
+    _, G = bordered_jacobian(fs, pvars, witness)
     P = minor * witness
 
     trace = []
     for it in range(MAX_NEWTON_ITERATIONS):
-        residues = [series_eval(f, point()) for f in req.system]
+        residues = [series_eval(f, point()) for f in B.relations]
         sub_res = [residues[i] for i in subset]
         orders = [s.order() for s in residues]
         finite = [o for o in orders if o is not None]
@@ -188,7 +150,7 @@ def newton_lift(req):
         # computing it there and padding with zeros keeps the quadratic
         # convergence while avoiding full-precision division early on
         dp = min(work, 2 * cur_ord + 1)
-        Pval = series_eval(P.embed(ring), point(dp))
+        Pval = series_eval(P, point(dp))
         if Pval.order() is None or Pval.order() > req.c:
             raise DomainError("witness residue degenerated during lifting")
         pad = [s.truncate(dp) for s in sub_res] + \
@@ -361,6 +323,9 @@ class SeriesPoly:
         one = TruncatedSeries.one(variables, field, precision)
         return cls(unknowns, variables, field, precision, {mono: one})
 
+    def is_zero(self):
+        return not self.terms
+
     def _zero_series(self):
         return TruncatedSeries.zero(self.variables, self.field,
                                     self.precision)
@@ -399,20 +364,6 @@ class SeriesPoly:
                     part = part * assignment[u]
             acc = acc + part
         return acc
-
-
-def _sp_det(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    det = None
-    for j in range(n):
-        sub = [[row[k] for k in range(n) if k != j] for row in M[1:]]
-        term = M[0][j] * _sp_det(sub)
-        if j % 2 == 1:
-            term = -term
-        det = term if det is None else det + term
-    return det
 
 
 @dataclass
@@ -484,7 +435,7 @@ def module_iso_system(u, v):
             equations.append(lhs - const(v[r][j]))
     # det(X) * W = 1
     xmat = [[var(sys.xname(i, j)) for j in range(n)] for i in range(n)]
-    det = _sp_det(xmat)
+    det = matrix_det(xmat)
     sys.detX = det
     one = TruncatedSeries.one(variables, F, prec)
     equations.append(det * var(sys.wname) - const(one))

@@ -13,7 +13,7 @@ from . import __version__
 from .approx import (LiftRequest, check_candidate, linear_factor,
                      module_iso_system, newton_lift)
 from .errors import DesingError, ParseError
-from .gnd import GndConfig, desingularize, verify_certificate
+from .gnd import desingularize, verify_certificate
 from .groebner import IdealPresentation, buchberger, ideal_quotient
 from .iofmt import (emit_certificate, emit_groebner, emit_ideal,
                     format_series, parse_certificate, parse_problem,
@@ -69,7 +69,7 @@ def run_gnd(pf, args):
     v = _morphism(pf)
     budget = args.subset_budget or pf.option_int("subset-budget",
                                                  DEFAULT_SUBSET_BUDGET)
-    cert = desingularize(B, v, GndConfig(subset_budget=budget))
+    cert = desingularize(B, v, budget)
     if args.verify:
         verify_certificate(cert, B, v)
     text = emit_certificate(cert)
@@ -97,9 +97,12 @@ def run_lift(pf, args):
     if not target:
         raise ParseError("lift needs a target precision "
                          "(option 'target' or --precision)")
+    budget = args.subset_budget or pf.option_int("subset-budget",
+                                                 DEFAULT_SUBSET_BUDGET)
     req = LiftRequest(system=list(pf.ideal), base_var=pf.base_var,
                       yvars=pf.algebra_vars, y0=dict(pf.start),
-                      c=pf.option_int("c", 0), target=target)
+                      c=pf.option_int("c", 0), target=target,
+                      subset_budget=budget)
     res = newton_lift(req)
     lines = ["[lift]"]
     for yv in req.yvars:

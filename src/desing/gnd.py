@@ -19,17 +19,10 @@ from .fields import SimpleExtension
 from .groebner import _fresh_name, ideal_member
 from .poly import Polynomial
 from .series import CompletionMorphism, TruncatedSeries, series_eval
-from .smooth import (AlgebraPresentation, DesingData, check_morphism,
-                     find_desing_data, identity_matrix, jacobian,
-                     matrix_adjugate, matrix_det, matrix_equal, matrix_mul,
-                     matrix_scale, reduce_until_nonvanishing,
-                     DEFAULT_SUBSET_BUDGET)
-
-
-@dataclass
-class GndConfig:
-    subset_budget: int = DEFAULT_SUBSET_BUDGET
-    reduction_cap: int = 5
+from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
+                     check_morphism, find_desing_data, identity_matrix,
+                     matrix_det, matrix_equal, matrix_mul, matrix_scale,
+                     reduce_until_nonvanishing, DEFAULT_SUBSET_BUDGET)
 
 
 @dataclass
@@ -246,21 +239,12 @@ def compute_s_b(fs, P, yassign, c, D):
 
 def build_H_G(fs, yvars, witness, minor):
     """H = Jacobian block over (0 | Id); G = N*adj(H); GH = HG = P*Id."""
-    r, n = len(fs), len(yvars)
-    ring = fs[0].variables
-    F = fs[0].field
-    H = jacobian(fs, yvars)
-    zero = Polynomial.zero(ring, F)
-    one = Polynomial.one(ring, F)
-    for i in range(r, n):
-        H.append([one if j == i else zero for j in range(n)])
-    det = matrix_det(H)
-    if det != minor:
+    H, G = bordered_jacobian(fs, yvars, witness)
+    if matrix_det(H) != minor:
         raise ConsistencyError("determinant of H differs from the minor")
-    adj = matrix_adjugate(H)
-    G = [[witness * entry for entry in row] for row in adj]
     P = minor * witness
-    target = matrix_scale(identity_matrix(n, ring, F), P)
+    target = matrix_scale(identity_matrix(len(yvars), fs[0].variables,
+                                          fs[0].field), P)
     if not (matrix_equal(matrix_mul(G, H), target)
             and matrix_equal(matrix_mul(H, G), target)):
         raise ConsistencyError("GH = HG = P*Id failed")
@@ -502,20 +486,6 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, yassign,
         Bprime=Bprime, wvar=W, t=t, hat_images=hat, precision=N)
 
 
-def _series_det(M, variables, F, precision):
-    n = len(M)
-    if n == 0:
-        return TruncatedSeries.one(variables, F, precision)
-    if n == 1:
-        return M[0][0]
-    det = TruncatedSeries.zero(variables, F, precision)
-    for j in range(n):
-        sub = [[row[k] for k in range(n) if k != j] for row in M[1:]]
-        term = M[0][j] * _series_det(sub, variables, F, precision)
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
 def verify_certificate(cert, B, v):
     """Re-run the six certificate checks; failures become report entries."""
     report = []
@@ -605,7 +575,8 @@ def verify_certificate(cert, B, v):
             dg = cert.g[i].derivative(cert.tvars[j])
             row.append(series_eval(dg, assign))
         mat.append(row)
-    det = _series_det(mat, (cert.base_var,), cert.series_field, prec4)
+    det = matrix_det(mat) if r else \
+        TruncatedSeries.one((cert.base_var,), cert.series_field, prec4)
     ok6 = det.order() == 0
     report.append(CheckResult("smoothness witness is a unit", ok6,
                               f"O({cert.base_var}^{prec4})"))
@@ -650,14 +621,13 @@ def _short_circuit_certificate(B, v, data, D):
     return cert
 
 
-def desingularize(B, v, config=None):
+def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Full pipeline; returns a certificate carrying its own verification."""
-    cfg = config or GndConfig()
     if B.field.characteristic() != 0:
         raise DomainError("pipeline requires characteristic zero")
     check_morphism(B, v)
-    B0 = reduce_until_nonvanishing(B, v, cfg.reduction_cap, cfg.subset_budget)
-    data = find_desing_data(B0, v, cfg.subset_budget)
+    B0 = reduce_until_nonvanishing(B, v, subset_budget=subset_budget)
+    data = find_desing_data(B0, v, subset_budget)
     D = make_D(v, B0.ring_variables())
     if data.c == 0:
         cert = _short_circuit_certificate(B0, v, data, D)

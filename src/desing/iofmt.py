@@ -308,26 +308,41 @@ CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "d", "s", "b",
                  "qpolys", "t", "hat", "bprime", "report"}
 
 
-def _meta_map(lines):
+class _Required(dict):
+    """Certificate sections or keys by name; a missing one is a ParseError."""
+
+    def __init__(self, items, what):
+        super().__init__(items)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ParseError(f"certificate has no {self.what} {key!r}")
+
+
+def _meta_map(sections, tag):
     out = {}
-    for lineno, line in lines:
+    for lineno, line in sections[tag]:
         parts = line.split(None, 1)
         out[parts[0]] = parts[1] if len(parts) > 1 else ""
-    return out
+    return _Required(out, f"[{tag}] key")
 
 
 def parse_certificate(text):
-    sections = split_sections(text, CERT_SECTIONS)
-    meta = _meta_map(sections["meta"])
-    F = parse_field(sections["field"][0][1])
-    Fs = parse_field(sections["series-field"][0][1])
+    sections = _Required(split_sections(text, CERT_SECTIONS), "section")
+
+    def line_of(tag):
+        return _single_line(tag, sections[tag], tag)[1]
+
+    meta = _meta_map(sections, "meta")
+    F = parse_field(line_of("field"))
+    Fs = parse_field(line_of("series-field"))
     base = meta["base"]
     ring = tuple(meta["ring"].split())
     yvars = tuple(meta["yvars"].split())
     tvars = tuple(meta["tvars"].split()) if meta["tvars"] != "-" else ()
     zvar = meta["zvar"] if meta["zvar"] != "-" else None
     wvar = meta["wvar"] if meta["wvar"] != "-" else None
-    dmeta = _meta_map(sections["D"])
+    dmeta = _meta_map(sections, "D")
     if dmeta.get("ext", "-") != "-":
         U = dmeta["ext"]
         mu = parse_polynomial(dmeta["mu"], (U,), QQ)
@@ -342,7 +357,7 @@ def parse_certificate(text):
     def ser(s):
         return parse_series(s, (base,), Fs)
 
-    data_meta = _meta_map(sections["data"])
+    data_meta = _meta_map(sections, "data")
     data = DesingData(
         subset=tuple(int(i) for i in data_meta["subset"].split()),
         columns=tuple(int(i) for i in data_meta["columns"].split()),
@@ -364,8 +379,8 @@ def parse_certificate(text):
     def polyseq(tag):
         return [poly(line) for _, line in sections.get(tag, [])]
 
-    dline = sections["d"][0][1]
-    sline = sections["s"][0][1]
+    dline = line_of("d")
+    sline = line_of("s")
     bprime_lines = sections["bprime"]
     bvars = tuple(bprime_lines[0][1].split(None, 1)[1].split())
     brels = [parse_polynomial(line, (base,) + bvars, F)

@@ -6,7 +6,8 @@ unit tests on constant terms, so all ideal computations happen in k[x, Y].
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field as dc_field
 
 from .errors import (DomainError, PrecisionError, ResourceError,
                      StructuralError)
@@ -37,7 +38,8 @@ def matrix_mul(A, B):
 
 
 def matrix_det(A):
-    """Determinant by Laplace expansion along the first row."""
+    """Determinant by Laplace expansion along the first row, over any ring
+    element type with +, -, * and is_zero(): polynomials and series alike."""
     n = len(A)
     if n == 0:
         raise StructuralError("determinant of an empty matrix")
@@ -45,15 +47,16 @@ def matrix_det(A):
         raise StructuralError("determinant of a non-square matrix")
     if n == 1:
         return A[0][0]
-    sample = A[0][0]
-    det = Polynomial.zero(sample.variables, sample.field)
+    det = None
     for j in range(n):
         if A[0][j].is_zero():
             continue
         sub = [[row[k] for k in range(n) if k != j] for row in A[1:]]
         term = A[0][j] * matrix_det(sub)
-        det = det + term if j % 2 == 0 else det - term
-    return det
+        if j % 2:
+            term = -term
+        det = term if det is None else det + term
+    return A[0][0] if det is None else det
 
 
 def matrix_adjugate(A):
@@ -97,6 +100,9 @@ class AlgebraPresentation:
     variables: tuple          # the algebra variables Y
     field: object
     relations: list
+    # one SubsetRow per generator subset visited so far, see subset_table
+    _rows: list = dc_field(default_factory=list, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
@@ -121,6 +127,33 @@ class AlgebraPresentation:
     def ideal(self):
         return IdealPresentation(self.ring_variables(), self.field,
                                  list(self.relations))
+
+    def subset_table(self, subset_budget=DEFAULT_SUBSET_BUDGET):
+        """Yield one SubsetRow per generator subset f, in search order.
+
+        Rows are computed on first demand and kept on the presentation, so
+        the smoothing ideal and the witness search share every minor and
+        every ((f):I).  Using more than ``subset_budget`` subsets raises.
+        """
+        stream = _subset_stream(len(self.relations), len(self.variables))
+        for k, subset in enumerate(stream):
+            if k >= subset_budget:
+                raise ResourceError(
+                    f"subset budget exhausted after {k} subsets")
+            if k == len(self._rows):
+                fs = [self.relations[i] for i in subset]
+                minors = jacobian_minors(fs, self.variables)
+                quotient = ideal_quotient(
+                    IdealPresentation(self.ring_variables(), self.field, fs),
+                    self.ideal()).generators if minors else []
+                self._rows.append(SubsetRow(subset, minors, quotient))
+            yield self._rows[k]
+
+
+# One generator subset f (indices into the relation list), its nonzero
+# Jacobian minors as (columns, minor) pairs, and the generators of ((f):I),
+# left empty when no minor is nonzero.
+SubsetRow = namedtuple("SubsetRow", "subset minors quotient")
 
 
 @dataclass
@@ -149,24 +182,47 @@ def jacobian(relations, variables):
     return [[f.derivative(v) for v in variables] for f in relations]
 
 
+def jacobian_minors(relations, variables):
+    """(columns, minor) for every nonzero r x r minor of the Jacobian in Y."""
+    r = len(relations)
+    jac = jacobian(relations, variables)
+    out = []
+    for cols in itertools.combinations(range(len(variables)), r):
+        m = matrix_det([[row[j] for j in cols] for row in jac])
+        if not m.is_zero():
+            out.append((cols, m))
+    return out
+
+
+def bordered_jacobian(fs, yvars, witness):
+    """H = the Jacobian of fs in yvars over (0 | Id), and G = N·adj(H).
+
+    With the first r columns carrying the minor M, det(H) = M and
+    GH = HG = M·N·Id.
+    """
+    r, n = len(fs), len(yvars)
+    ring, F = fs[0].variables, fs[0].field
+    one, zero = Polynomial.one(ring, F), Polynomial.zero(ring, F)
+    H = jacobian(fs, yvars)
+    for i in range(r, n):
+        H.append([one if j == i else zero for j in range(n)])
+    G = [[witness * entry for entry in row] for row in matrix_adjugate(H)]
+    return H, G
+
+
 def minor_ideal(relations, variables, ring_variables=None, fld=None):
     """Ideal generated by all r x r minors of the Jacobian in Y."""
     r, n = len(relations), len(variables)
     if r > n:
         raise StructuralError(f"{r} rows but only {n} minor columns")
-    if relations:
-        ring_variables = relations[0].variables
-        fld = relations[0].field
-    elif ring_variables is None:
-        raise StructuralError("empty system needs an explicit ring")
-    jac = jacobian(relations, variables)
-    gens = []
-    for cols in itertools.combinations(range(n), r):
-        sub = [[row[j] for j in cols] for row in jac]
-        m = matrix_det(sub) if r else Polynomial.one(ring_variables, fld)
-        if not m.is_zero():
-            gens.append(m)
-    return IdealPresentation(ring_variables, fld, gens)
+    if not relations:
+        if ring_variables is None:
+            raise StructuralError("empty system needs an explicit ring")
+        return IdealPresentation(ring_variables, fld,
+                                 [Polynomial.one(ring_variables, fld)])
+    return IdealPresentation(
+        relations[0].variables, relations[0].field,
+        [m for _, m in jacobian_minors(relations, variables)])
 
 
 def _subset_stream(count, n_vars):
@@ -183,23 +239,12 @@ def smoothing_ideal(B, subset_budget=DEFAULT_SUBSET_BUDGET):
     The zero ideal presents a polynomial algebra and yields the unit ideal.
     """
     ring = B.ring_variables()
-    ideal = B.ideal()
-    if not ideal.generators:
+    if not B.relations:
         return IdealPresentation(ring, B.field, [Polynomial.one(ring, B.field)])
-    gens = list(ideal.generators)
-    processed = 0
-    for subset in _subset_stream(len(ideal.generators), len(B.variables)):
-        if processed >= subset_budget:
-            raise ResourceError(
-                f"subset budget exhausted after {processed} subsets")
-        processed += 1
-        fs = [ideal.generators[i] for i in subset]
-        minors = minor_ideal(fs, B.variables)
-        if not minors.generators:
-            continue
-        quot = ideal_quotient(IdealPresentation(ring, B.field, fs), ideal)
-        for q in quot.generators:
-            for m in minors.generators:
+    gens = list(B.relations)
+    for row in B.subset_table(subset_budget):
+        for q in row.quotient:
+            for _, m in row.minors:
                 prod = q * m
                 if not prod.is_zero():
                     gens.append(prod)
@@ -232,56 +277,51 @@ def check_morphism(B, v):
                 f"{v.precision}")
 
 
-def find_desing_data(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
-    """Deterministic search for the witness with minimal vanishing order c.
+def best_witness(B, evaluate, subset_budget=DEFAULT_SUBSET_BUDGET):
+    """The candidate P' = M·N of least order(evaluate(P')), or None.
 
-    Candidates are P' = M·N with M a minor of the Jacobian of a generator
-    subset and N a reduced-GB element of ((f):I); P' must lie outside I and
-    v(P') must not vanish to precision.  Smallest c = order(v(P')) wins,
-    ties broken by search order.
+    M runs over the nonzero minors of each generator subset f and N over
+    the reduced-GB generators of ((f):I); P' must lie outside I and its
+    value must not vanish to precision.  Ties go to the first in search
+    order; order 0 ends the search.  Returns
+    (order, subset, columns, M, N, value).
     """
-    check_morphism(B, v)
-    ring = B.ring_variables()
-    ideal = B.ideal()
-    if not ideal.generators:
-        # polynomial algebra: the empty system has unit minor
-        return _trivial_data(B, v)
-    ideal_gb = buchberger(ideal, DEGREVLEX)
+    ideal_gb = buchberger(B.ideal(), DEGREVLEX)
     best = None
-    processed = 0
-    for subset in _subset_stream(len(ideal.generators), len(B.variables)):
-        if processed >= subset_budget:
-            break
-        processed += 1
-        fs = [ideal.generators[i] for i in subset]
-        r = len(fs)
-        jac = jacobian(fs, B.variables)
-        quot = ideal_quotient(IdealPresentation(ring, B.field, fs), ideal)
-        for cols in itertools.combinations(range(len(B.variables)), r):
-            sub = [[row[j] for j in cols] for row in jac]
-            minor = matrix_det(sub)
-            if minor.is_zero():
-                continue
-            for witness in quot.generators:
+    for row in B.subset_table(subset_budget):
+        for cols, minor in row.minors:
+            for witness in row.quotient:
                 pprime = minor * witness
                 if ideal_member(pprime, ideal_gb):
                     continue
-                img = v.eval(pprime)
-                c = img.order()
+                value = evaluate(pprime)
+                c = value.order()
                 if c is None:
                     continue
                 if best is None or c < best[0]:
-                    best = (c, subset, cols, minor, witness, pprime, img)
+                    best = (c, row.subset, cols, minor, witness, value)
         if best is not None and best[0] == 0:
             break
+    return best
+
+
+def find_desing_data(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
+    """Deterministic search for the witness with minimal vanishing order c
+    = order(v(M·N)); see best_witness for the candidates and tie-break."""
+    check_morphism(B, v)
+    if not B.relations:
+        # polynomial algebra: the empty system has unit minor
+        return _trivial_data(B, v)
+    best = best_witness(B, v.eval, subset_budget)
     if best is None:
         raise DomainError(
             "smoothing ideal vanishes on the images to precision; "
             "try reduce_until_nonvanishing first")
-    c, subset, cols, minor, witness, pprime, img = best
+    c, subset, cols, minor, witness, img = best
     if v.precision < 10 * c:
         raise PrecisionError(
             f"need precision >= {10 * c} for c = {c}, have {v.precision}")
+    ring = B.ring_variables()
     dprime = Polynomial.variable(ring, B.field, B.base_var, c) if c else \
         Polynomial.one(ring, B.field)
     xc = TruncatedSeries(
@@ -309,6 +349,12 @@ def reduce_until_nonvanishing(B, v, cap=5,
         H = smoothing_ideal(current, subset_budget)
         if any(not v.eval(g).is_zero() for g in H.generators):
             return current
+        ideal_gb = buchberger(current.ideal(), DEGREVLEX)
+        if all(ideal_member(g, ideal_gb) for g in H.generators):
+            raise DomainError(
+                "smoothing ideal lies in I (no progress): the codimension "
+                f"may exceed MAX_SUBSET_SIZE = {MAX_SUBSET_SIZE} or I may "
+                "be non-reduced")
         if ideal_member(Polynomial.one(current.ring_variables(), current.field), H):
             raise DomainError("smoothing ideal is the unit ideal: "
                               "morphism image not approximable")

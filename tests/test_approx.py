@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from desing.approx import (LiftRequest, LinearFactorization, ModuleIsoSystem,
-                           check_candidate, linear_factor, module_iso_system,
-                           newton_lift, solve_linear, strong_approx_check)
-from desing.errors import DomainError
+                           SeriesPoly, check_candidate, linear_factor,
+                           module_iso_system, newton_lift, solve_linear,
+                           strong_approx_check)
+from desing.errors import DomainError, ResourceError
 from desing.fields import QQ
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import TruncatedSeries, parse_series, series_eval
+from desing.smooth import matrix_det
 
 BASE = ("x",)
 
@@ -108,6 +110,22 @@ def test_newton_positive_c():
     assert val.is_zero()
 
 
+def test_newton_zero_relation():
+    # the zero relation is dropped, so the witness subset index shifts
+    ring = ("x", "Y1", "Y2")
+    f = parse_polynomial("Y1*Y2 - x^2", ring, QQ)
+    y0 = {"Y1": sser("x + x^2 + O(x^4)"),
+          "Y2": sser("x - x^2 + O(x^4)")}
+    plain = newton_lift(LiftRequest(system=[f], base_var="x",
+                                    yvars=("Y1", "Y2"), y0=y0, c=1,
+                                    target=12))
+    padded = newton_lift(LiftRequest(
+        system=[Polynomial.zero(ring, QQ), f], base_var="x",
+        yvars=("Y1", "Y2"), y0=y0, c=1, target=12))
+    assert padded.values == plain.values
+    assert padded.trace == plain.trace
+
+
 def test_newton_rejects_bad_start():
     f = parse_polynomial("Y1*Y2 - x^2", ("x", "Y1", "Y2"), QQ)
     y0 = {"Y1": sser("x + O(x^4)"), "Y2": sser("x + x^2 + O(x^4)")}
@@ -117,6 +135,26 @@ def test_newton_rejects_bad_start():
     with pytest.raises(DomainError):
         newton_lift(LiftRequest(system=[f], base_var="x",
                                 yvars=("Y1", "Y2"), y0=y0, c=2, target=8))
+
+
+def test_newton_witness_order_above_c():
+    # both minors Y2 and Y1 have order 1 at (x, x), above c = 0
+    f = parse_polynomial("Y1*Y2 - x^2", ("x", "Y1", "Y2"), QQ)
+    y0 = {"Y1": sser("x + O(x^4)"), "Y2": sser("x + O(x^4)")}
+    with pytest.raises(DomainError, match="no witness"):
+        newton_lift(LiftRequest(system=[f], base_var="x",
+                                yvars=("Y1", "Y2"), y0=y0, c=0, target=8))
+
+
+def test_newton_subset_budget():
+    f = parse_polynomial("Y^2 - 1 - x", ("x", "Y"), QQ)
+    y0 = {"Y": sser("1 + O(x)")}
+    with pytest.raises(ResourceError, match="subset budget"):
+        newton_lift(LiftRequest(system=[f], base_var="x", yvars=("Y",),
+                                y0=y0, c=0, target=8, subset_budget=0))
+    res = newton_lift(LiftRequest(system=[f], base_var="x", yvars=("Y",),
+                                  y0=y0, c=0, target=8, subset_budget=1))
+    assert res.values["Y"].order() == 0
 
 
 def test_strong_approx_check():
@@ -207,6 +245,21 @@ def test_linear_factor_no_polynomial_particular():
 def ser_matrix(rows, precision=8):
     return [[TruncatedSeries.from_polynomial(xpoly(e), precision)
              for e in row] for row in rows]
+
+
+def test_matrix_det_series_poly():
+    names = ("A", "B", "C", "D")
+    xs = TruncatedSeries.variable(BASE, QQ, "x", 8)
+    one = TruncatedSeries.one(BASE, QQ, 8)
+
+    def var(name):
+        return SeriesPoly.unknown(names, BASE, QQ, 8, name)
+
+    M = [[var("A") * SeriesPoly.constant(names, xs), var("B")],
+         [var("C"), var("D")]]
+    det = matrix_det(M)
+    assert det.terms == {(1, 0, 0, 1): xs, (0, 1, 1, 0): -one}
+    assert SeriesPoly.constant(names, one - one).is_zero()
 
 
 def test_module_iso_identity_accepted():

@@ -120,6 +120,18 @@ def test_cli_verify_rejects_tampering(tmp_path):
     assert main(["verify", "--input", bad_path]) == 5
 
 
+def test_cli_verify_truncated_certificate(tmp_path):
+    inp = write(tmp_path, "in.problem", node_problem())
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    meta_only = open(cert_path).read().split("[field]", 1)[0]
+    assert meta_only.startswith("[meta]")
+    bad_path = write(tmp_path, "meta.txt", meta_only)
+    assert main(["verify", "--input", bad_path]) == 2
+    with pytest.raises(ParseError, match="section 'field'"):
+        parse_certificate(meta_only)
+
+
 def test_cli_gnd_deterministic(tmp_path):
     inp = write(tmp_path, "in.problem", node_problem())
     a = str(tmp_path / "a.txt")
@@ -156,6 +168,18 @@ def test_cli_lift(tmp_path):
     text = open(out).read()
     assert "Y = 1 + 1/2*x - 1/8*x^2" in text
     assert "iterations" in text
+
+
+def test_cli_lift_subset_budget(tmp_path):
+    text = ("[field]\nQ\n[variables]\nbase x\nalgebra Y\n"
+            "[ideal]\nY^2 - 1 - x\n[start]\nY = 1 + O(x)\n"
+            "[options]\ntarget 8\nc 0\n")
+    inp = write(tmp_path, "in.problem", text + "subset-budget 0\n")
+    assert main(["lift", "--input", inp]) == 4
+    inp = write(tmp_path, "in2.problem", text)
+    out = str(tmp_path / "out.txt")
+    assert main(["lift", "--input", inp, "--output", out,
+                 "--subset-budget", "1"]) == 0
 
 
 def test_cli_weierstrass(tmp_path):

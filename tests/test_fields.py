@@ -37,6 +37,24 @@ def test_prime_field_rejects_composite():
         PrimeField(1)
 
 
+def test_prime_field_miller_rabin():
+    import time
+
+    from desing.iofmt import parse_field
+
+    started = time.monotonic()
+    F = parse_field("GF 2305843009213693951")          # 2^61 - 1
+    assert time.monotonic() - started < 1.0
+    assert F.p == 2 ** 61 - 1
+    # a Carmichael number, 3 * 768614336404564651, and a strong
+    # pseudoprime to every prime base up to 23
+    for n in (561, 2 ** 61 + 1, 3825123056546413051):
+        with pytest.raises(DomainError):
+            PrimeField(n)
+    with pytest.raises(DomainError, match="machine word"):
+        PrimeField(2 ** 64 - 59)                       # prime, too wide
+
+
 def test_prime_field_equality():
     assert PrimeField(5) == PrimeField(5)
     assert PrimeField(5) != PrimeField(7)

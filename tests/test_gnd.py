@@ -4,7 +4,7 @@ import pytest
 
 from desing.errors import ConsistencyError, DomainError
 from desing.fields import QQ, PrimeField, SimpleExtension
-from desing.gnd import (GndConfig, border_step, build_H_G, build_h_g,
+from desing.gnd import (border_step, build_H_G, build_h_g,
                         congruence_holds, desingularize, make_D,
                         truncate_lift, verify_certificate)
 from desing.poly import Polynomial, parse_polynomial
@@ -227,3 +227,25 @@ def test_congruence_check_direct():
     for i, f in enumerate(fs):
         assert congruence_holds(f, i, cert.yprime, cert.yvars, cert.d,
                                 cert.s, cert.b, cert.g, cert.h, w, cert.p, D)
+
+
+def test_desingularize_one_quotient_per_subset(monkeypatch):
+    # chain k = 2: Y1*Y2 = x^2, Y3 = Y1^2 has three generator subsets
+    import desing.smooth as smooth
+
+    calls = []
+    real = smooth.ideal_quotient
+    monkeypatch.setattr(smooth, "ideal_quotient",
+                        lambda *a: calls.append(a) or real(*a))
+    ring = ("x", "Y1", "Y2", "Y3")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial("Y1*Y2 - x^2", ring, QQ),
+                   parse_polynomial("Y3 - Y1^2", ring, QQ)])
+    y1 = TruncatedSeries(("x",), QQ, {(1,): 1, (2,): 1}, 24)
+    v = CompletionMorphism(base_var="x", field=QQ,
+                           images={"Y1": y1, "Y2": node_morphism().images["Y2"],
+                                   "Y3": y1 * y1})
+    cert = desingularize(B, v)
+    assert cert.all_passed(), "\n".join(cert.report_lines())
+    assert 0 < len(calls) <= 3

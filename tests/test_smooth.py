@@ -7,9 +7,10 @@ from desing.errors import (DomainError, PrecisionError, ResourceError,
 from desing.fields import QQ
 from desing.groebner import IdealPresentation, ideal_equal, ideal_member
 from desing.poly import Polynomial, parse_polynomial
-from desing.series import CompletionMorphism, parse_series
-from desing.smooth import (AlgebraPresentation, check_morphism,
-                           find_desing_data, identity_matrix, is_smooth_at_point,
+from desing.series import CompletionMorphism, TruncatedSeries, parse_series
+from desing.smooth import (MAX_SUBSET_SIZE, AlgebraPresentation,
+                           check_morphism, find_desing_data, identity_matrix,
+                           is_smooth_at_point,
                            jacobian, matrix_adjugate, matrix_det, matrix_equal,
                            matrix_mul, matrix_scale, minor_ideal,
                            reduce_until_nonvanishing, smoothing_ideal)
@@ -48,6 +49,20 @@ def test_matrix_algebra():
     expect = matrix_scale(identity_matrix(2, RING, QQ), pp("x*Y2"))
     assert matrix_equal(prod, expect)
     assert matrix_equal(matrix_mul(adj, A), expect)
+
+
+def test_matrix_det_truncated_series():
+    def ser(*coeffs):
+        return TruncatedSeries(("x",), QQ, {(k,): Fraction(c)
+                                            for k, c in enumerate(coeffs)}, 6)
+
+    A = [[ser(1, 1), ser(2), ser(0, 1)],
+         [ser(0), ser(1, 0, 1), ser(3)],
+         [ser(1), ser(0), ser(2, 1)]]
+    # (1+x)((1+x^2)(2+x) - 0) - 2(0 - 3) + x(0 - (1+x^2))
+    #   = 2 + 3x + 3x^2 + 3x^3 + x^4 + 6 - x - x^3 = 8 + 2x + 3x^2 + 2x^3 + x^4
+    assert matrix_det(A) == ser(8, 2, 3, 2, 1)
+    assert matrix_det([[ser(0), ser(1)], [ser(0), ser(2)]]).is_zero()
 
 
 def test_matrix_det_shape_errors():
@@ -155,6 +170,11 @@ def test_find_desing_data_precision_guard():
         find_desing_data(B, v)
 
 
+def test_find_desing_data_budget():
+    with pytest.raises(ResourceError):
+        find_desing_data(node_algebra(), node_morphism(), subset_budget=0)
+
+
 def test_find_desing_data_smooth_case():
     B = AlgebraPresentation(base_var="x", variables=("Y1",), field=QQ,
                             relations=[parse_polynomial("Y1 - x^2",
@@ -198,6 +218,36 @@ def test_reduce_until_nonvanishing_one_step():
                         reduced.ideal())
     with pytest.raises(ResourceError):
         reduce_until_nonvanishing(B, v, cap=0)
+
+
+def test_reduce_until_nonvanishing_codimension_above_cap():
+    # Y1^2, ..., Y5^2 has codimension 5: every minor of at most
+    # MAX_SUBSET_SIZE rows times ((f):I) lies in I, so B/H = B
+    ring = ("x", "Y1", "Y2", "Y3", "Y4", "Y5")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial(f"{y}^2", ring, QQ) for y in ring[1:]])
+    v = CompletionMorphism(
+        base_var="x", field=QQ,
+        images={y: parse_series("O(x^12)", ("x",), QQ) for y in ring[1:]})
+    assert MAX_SUBSET_SIZE < 5
+    with pytest.raises(DomainError, match="MAX_SUBSET_SIZE"):
+        reduce_until_nonvanishing(B, v)
+
+
+def test_reduce_until_nonvanishing_fat_point():
+    # the fat point (Y1^2, Y1*Y2, Y2^2) has codimension 2, below the cap,
+    # but is non-reduced: every minor times ((f):I) still lies in I
+    ring = ("x", "Y1", "Y2")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial(f, ring, QQ)
+                   for f in ("Y1^2", "Y1*Y2", "Y2^2")])
+    v = CompletionMorphism(
+        base_var="x", field=QQ,
+        images={y: parse_series("O(x^12)", ("x",), QQ) for y in ring[1:]})
+    with pytest.raises(DomainError, match="non-reduced"):
+        reduce_until_nonvanishing(B, v)
 
 
 def test_algebra_presentation_validation():
