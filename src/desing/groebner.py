@@ -1,11 +1,17 @@
 """Groebner bases and the ideal operations the pipeline needs.
 
-Buchberger with the coprime and chain criteria, normal-strategy pair
-selection, and deterministic tie-breaking; reduced bases are the canonical
-form for ideal equality.  Module Groebner bases (position-over-term) supply
-kernels of polynomial matrices via the syzygy construction.
+Buchberger with the coprime and chain criteria and normal-strategy pair
+selection: the open pairs sit in one heap keyed on (order key of the lcm,
+i, j), so ties break deterministically.  Division holds the dividend as a
+term dict with a max-heap of its monomials and reduces it in place.
+Reduced bases are the canonical form for ideal equality.  ``ideal_quotient``
+skips the generators of J that already lie in I, whose quotient is (1).
+Module Groebner bases (position-over-term, the same pair heap led by the
+position) supply kernels of polynomial matrices via the syzygy
+construction.
 """
 
+import heapq
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DomainError, ResourceError, StructuralError
@@ -58,29 +64,55 @@ def division(f, basis, order, with_quotients=False):
     """Multivariate division of f by an ordered list of polynomials.
 
     Returns (quotients, remainder) if requested, else the remainder.  No
-    term of the remainder is divisible by any divisor's leading term.
+    term of the remainder is divisible by any divisor's leading term.  The
+    dividend is a term dict with a max-heap of its monomials; a monomial
+    cancelled after it was pushed is skipped when popped.  Each step cancels
+    the largest term against the first divisor whose leading monomial
+    divides it, or moves that term to the remainder.
     """
     F = f.field
-    quotients = [Polynomial.zero(f.variables, F) for _ in basis] \
-        if with_quotients else None
+    rkey = order.reverse_key
     leads = [g.leading(order) for g in basis]
+    tails = {}      # divisor index -> (1/lc, negated tail), on first use
+    terms = dict(f.terms)
+    heap = [(rkey(m), m) for m in terms]
+    heapq.heapify(heap)
+    quotients = [{} for _ in basis]
     rem_terms = {}
-    p = f
-    while not p.is_zero():
-        mono, coeff = p.leading(order)
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = terms.pop(mono, None)
+        if coeff is None:
+            continue
         for i, (lm, lc) in enumerate(leads):
             if monomial_divides(lm, mono):
-                factor = p.term_poly(monomial_div(mono, lm), F.div(coeff, lc))
-                p = p - factor * basis[i]
-                if with_quotients:
-                    quotients[i] = quotients[i] + factor
+                if i not in tails:
+                    tails[i] = (F.invert(lc), [(m, F.neg(c)) for m, c
+                                               in basis[i].terms.items()
+                                               if m != lm])
+                inv, tail = tails[i]
+                q = monomial_div(mono, lm)
+                qc = F.mul(coeff, inv)
+                quotients[i][q] = qc
+                for m, c in tail:
+                    m = monomial_mul(q, m)
+                    c = F.mul(qc, c)
+                    old = terms.get(m)
+                    if old is None:
+                        terms[m] = c
+                        heapq.heappush(heap, (rkey(m), m))
+                    else:
+                        c = F.add(old, c)
+                        if F.is_zero(c):
+                            del terms[m]
+                        else:
+                            terms[m] = c
                 break
         else:
             rem_terms[mono] = coeff
-            p = p - p.term_poly(mono, coeff)
     rem = Polynomial(f.variables, F, rem_terms)
     if with_quotients:
-        return quotients, rem
+        return [Polynomial(f.variables, F, q) for q in quotients], rem
     return rem
 
 
@@ -122,20 +154,20 @@ def buchberger(ideal, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
         return GroebnerBasis(order, [])
     G = [g.monic(order) for g in gens]
     leads = [g.leading(order)[0] for g in G]
+    pairs = []      # heap of (order key of the lcm, i, j, lcm)
 
-    def pair_key(pair):
-        i, j = pair
-        return (order.key(monomial_lcm(leads[i], leads[j])), i, j)
+    def add_pairs(k):
+        for i in range(k):
+            lcm = monomial_lcm(leads[i], leads[k])
+            heapq.heappush(pairs, (order.key(lcm), i, k, lcm))
 
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    for k in range(1, len(G)):
+        add_pairs(k)
     done = set()
     reductions = 0
     while pairs:
-        pair = min(pairs, key=pair_key)
-        pairs.discard(pair)
-        done.add(pair)
-        i, j = pair
-        lcm = monomial_lcm(leads[i], leads[j])
+        _, i, j, lcm = heapq.heappop(pairs)
+        done.add((i, j))
         if lcm == monomial_mul(leads[i], leads[j]):
             continue  # coprime leading terms
         if _chain_criterion(i, j, lcm, leads, done):
@@ -149,8 +181,7 @@ def buchberger(ideal, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
         r = r.monic(order)
         G.append(r)
         leads.append(r.leading(order)[0])
-        k = len(G) - 1
-        pairs.update((m, k) for m in range(k))
+        add_pairs(len(G) - 1)
     return GroebnerBasis(order, _reduce_basis(G, order))
 
 
@@ -257,11 +288,18 @@ def divide_exact_poly(f, g, order=DEGREVLEX):
 
 
 def ideal_quotient(I, J, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
-    """(I : J) as the intersection of the one-generator quotients (I : h)."""
+    """(I : J) as the intersection of the one-generator quotients (I : h).
+
+    A generator h that already lies in I has (I : h) = (1) and is skipped;
+    when every h lies in I, the quotient is (1).
+    """
     if not J.generators:
         raise DomainError("quotient by zero ideal is the unit ideal")
+    I_gb = buchberger(I, order, budget)
     result = None
     for h in J.generators:
+        if ideal_member(h, I_gb):
+            continue
         inter = ideal_intersection(
             I, IdealPresentation(I.variables, I.field, [h]), order, budget)
         gens = [divide_exact_poly(g, h, order) for g in inter.generators]
@@ -270,6 +308,8 @@ def ideal_quotient(I, J, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
             result = part
         else:
             result = ideal_intersection(result, part, order, budget)
+    if result is None:
+        return IdealPresentation(I.variables, I.field, [I.ring_one()])
     gb = buchberger(result, order, budget)
     return IdealPresentation(I.variables, I.field, gb.elements)
 
@@ -370,34 +410,34 @@ def module_groebner(vectors, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
     variables = G[0][0].variables
     field = G[0][0].field
     leads = [vec_leading(g, order) for g in G]
+    pairs = []      # heap of (position, order key of the lcm, i, j, lcm)
 
-    def pair_key(pair):
-        i, j = pair
-        return (leads[i][0], order.key(monomial_lcm(leads[i][1], leads[j][1])), i, j)
+    def add_pairs(k):
+        pk, mk, _ = leads[k]
+        for i in range(k):
+            if leads[i][0] == pk:
+                lcm = monomial_lcm(leads[i][1], mk)
+                heapq.heappush(pairs, (pk, order.key(lcm), i, k, lcm))
 
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
-             if leads[i][0] == leads[j][0]}
+    for k in range(1, len(G)):
+        add_pairs(k)
     reductions = 0
     while pairs:
-        pair = min(pairs, key=pair_key)
-        pairs.discard(pair)
-        i, j = pair
-        _, mi, _ = leads[i]
-        _, mj, _ = leads[j]
-        lcm = monomial_lcm(mi, mj)
+        _, _, i, j, lcm = heapq.heappop(pairs)
         reductions += 1
         if reductions > budget:
             raise ResourceError(f"module S-pair budget {budget} exceeded")
-        si = _vec_mul_term(G[i], variables, field, monomial_div(lcm, mi), field.one())
-        sj = _vec_mul_term(G[j], variables, field, monomial_div(lcm, mj), field.one())
+        si = _vec_mul_term(G[i], variables, field,
+                           monomial_div(lcm, leads[i][1]), field.one())
+        sj = _vec_mul_term(G[j], variables, field,
+                           monomial_div(lcm, leads[j][1]), field.one())
         r = module_normal_form(vec_sub(si, sj), G, order)
         if vec_is_zero(r):
             continue
         r = _vec_monic(r, order)
         G.append(r)
         leads.append(vec_leading(r, order))
-        k = len(G) - 1
-        pairs.update((m, k) for m in range(k) if leads[m][0] == leads[k][0])
+        add_pairs(len(G) - 1)
     return _reduce_module_basis(G, order)
 
 

@@ -327,6 +327,19 @@ def _meta_map(sections, tag):
     return _Required(out, f"[{tag}] key")
 
 
+def _int(text, what):
+    """An integer certificate value; anything else is a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, found {text!r}") \
+            from None
+
+
+def _ints(text, what):
+    return tuple(_int(t, what) for t in text.split())
+
+
 def parse_certificate(text):
     sections = _Required(split_sections(text, CERT_SECTIONS), "section")
 
@@ -359,15 +372,18 @@ def parse_certificate(text):
 
     data_meta = _meta_map(sections, "data")
     data = DesingData(
-        subset=tuple(int(i) for i in data_meta["subset"].split()),
-        columns=tuple(int(i) for i in data_meta["columns"].split()),
+        subset=_ints(data_meta["subset"], "[data] subset"),
+        columns=_ints(data_meta["columns"], "[data] columns"),
         minor=poly(data_meta["minor"]), witness=poly(data_meta["witness"]),
-        c=int(data_meta["c"]), dprime=poly(data_meta["dprime"]),
+        c=_int(data_meta["c"], "[data] c"), dprime=poly(data_meta["dprime"]),
         z=ser(data_meta["z"]), pprime=poly(data_meta["pprime"]))
 
     def named(tag, parse_one):
         out = {}
         for lineno, line in sections.get(tag, []):
+            if "=" not in line:
+                raise ParseError(f"[{tag}] line needs 'name = value'",
+                                 lineno, 1)
             name, rest = line.split("=", 1)
             out[name.strip()] = parse_one(rest.strip())
         return out
@@ -382,31 +398,44 @@ def parse_certificate(text):
     dline = line_of("d")
     sline = line_of("s")
     bprime_lines = sections["bprime"]
-    bvars = tuple(bprime_lines[0][1].split(None, 1)[1].split())
+    if not bprime_lines:
+        raise ParseError("section [bprime] is empty")
+    lineno, head = bprime_lines[0]
+    keyword, *rest = head.split(None, 1)
+    if keyword != "variables":
+        raise ParseError("[bprime] must start with a 'variables' line",
+                         lineno, 1)
+    bvars = tuple(rest[0].split()) if rest else ()
     brels = [parse_polynomial(line, (base,) + bvars, F)
              for _, line in bprime_lines[1:]]
     Bprime = AlgebraPresentation(base_var=base, variables=bvars, field=F,
                                  relations=brels)
     report = []
-    for _, line in sections.get("report", []):
-        status, precision, name, detail = line.split(";", 3)
+    for lineno, line in sections.get("report", []):
+        fields = line.split(";", 3)
+        if len(fields) != 4:
+            raise ParseError("[report] line needs four ';'-separated fields",
+                             lineno, 1)
+        status, precision, name, detail = fields
         report.append(_gnd.CheckResult(name=name, passed=status == "pass",
                                        precision=precision, detail=detail))
     return _gnd.GndCertificate(
         base_var=base, field=F, series_field=Fs, D=D, data=data,
-        c=int(meta["c"]), p=int(meta["p"]),
-        short_circuit=bool(int(meta["short-circuit"])), ring=ring,
-        yvars=yvars, tvars=tvars, zvar=zvar,
-        permutation=tuple(int(i) for i in meta["permutation"].split()),
+        c=_int(meta["c"], "[meta] c"), p=_int(meta["p"], "[meta] p"),
+        short_circuit=bool(_int(meta["short-circuit"],
+                                "[meta] short-circuit")),
+        ring=ring, yvars=yvars, tvars=tvars, zvar=zvar,
+        permutation=_ints(meta["permutation"], "[meta] permutation"),
         relations=polyseq("relations"),
-        subset=tuple(int(i) for i in meta["subset"].split()),
+        subset=_ints(meta["subset"], "[meta] subset"),
         d=poly(dline) if dline != "-" else None,
         s=poly(sline) if sline != "-" else None,
         b=polyseq("b"), yprime=named("yprime", poly),
         H=matrix("H"), G=matrix("G"), h=polyseq("hpolys"),
         g=polyseq("gpolys"), Q=polyseq("qpolys"), Bprime=Bprime, wvar=wvar,
         t=named("t", ser), hat_images=named("hat", ser),
-        precision=int(meta["precision"]), report=report)
+        precision=_int(meta["precision"], "[meta] precision"),
+        report=report)
 
 
 def original_problem(cert):

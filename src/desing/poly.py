@@ -5,6 +5,7 @@ variable list is ordered and explicit; moving a polynomial to a larger ring
 is an explicit ``embed``, never implicit.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,10 +32,22 @@ class MonomialOrder:
         if self.kind == "lex":
             return exps
         if self.kind == "degrevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
+            return (sum(exps), tuple(map(operator.neg, reversed(exps))))
         if self.kind == "block":
             return (self.inner[0].key(exps[:self.split]),
                     self.inner[1].key(exps[self.split:]))
+        raise StructuralError(f"unknown order kind {self.kind}")
+
+    def reverse_key(self, exps):
+        """``key`` with every integer negated: ascending reverse keys are
+        descending monomials, so a min-heap on them pops the largest."""
+        if self.kind == "lex":
+            return tuple(map(operator.neg, exps))
+        if self.kind == "degrevlex":
+            return (-sum(exps), exps[::-1])
+        if self.kind == "block":
+            return (self.inner[0].reverse_key(exps[:self.split]),
+                    self.inner[1].reverse_key(exps[self.split:]))
         raise StructuralError(f"unknown order kind {self.kind}")
 
     def __str__(self):
@@ -68,19 +81,19 @@ def compare(m1, m2, order):
 
 
 def monomial_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(operator.add, m1, m2))
 
 
 def monomial_divides(m1, m2):
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(operator.le, m1, m2))
 
 
 def monomial_div(m1, m2):
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(operator.sub, m1, m2))
 
 
 def monomial_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def monomial_degree(m):

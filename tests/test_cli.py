@@ -132,6 +132,65 @@ def test_cli_verify_truncated_certificate(tmp_path):
         parse_certificate(meta_only)
 
 
+def _edit_line(text, tag, key, edit):
+    """Apply ``edit`` to the first line of section [tag] that starts with
+    ``key`` (any line when ``key`` is empty)."""
+    lines = text.split("\n")
+    start = lines.index(f"[{tag}]") + 1
+    k = next(i for i in range(start, len(lines)) if lines[i].startswith(key))
+    lines[k] = edit(lines[k])
+    return "\n".join(lines)
+
+
+def _empty_bprime(text):
+    head, rest = text.split("[bprime]\n", 1)
+    return head + "[bprime]\n[report]\n" + rest.split("[report]\n", 1)[1]
+
+
+def _no_equals(tag):
+    return lambda text: _edit_line(text, tag, "", lambda l: l.replace("=", ""))
+
+
+def _value(tag, key, value):
+    return lambda text: _edit_line(text, tag, key + " ",
+                                   lambda l: f"{key} {value}")
+
+
+MALFORMED_CERTIFICATES = {
+    "empty-bprime": _empty_bprime,
+    "yprime-without-equals": _no_equals("yprime"),
+    "t-without-equals": _no_equals("t"),
+    "hat-without-equals": _no_equals("hat"),
+    "meta-c": _value("meta", "c", "one"),
+    "meta-p": _value("meta", "p", "2.5"),
+    "meta-precision": _value("meta", "precision", "x^2"),
+    "meta-subset": _value("meta", "subset", "0 a"),
+    "meta-permutation": _value("meta", "permutation", "0 2 one"),
+    "data-c": _value("data", "c", "1/2"),
+    "data-subset": _value("data", "subset", "0 b"),
+    "short-report-line": lambda text: _edit_line(
+        text, "report", "", lambda l: l.rsplit(";", 2)[0]),
+}
+
+
+@pytest.fixture(scope="module")
+def node_certificate(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cert")
+    cert_path = str(tmp / "cert.txt")
+    inp = write(tmp, "in.problem", node_problem())
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    return open(cert_path).read()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
+def test_cli_verify_malformed_certificate(tmp_path, node_certificate, case):
+    bad = MALFORMED_CERTIFICATES[case](node_certificate)
+    assert bad != node_certificate
+    with pytest.raises(ParseError):
+        parse_certificate(bad)
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
+
+
 def test_cli_gnd_deterministic(tmp_path):
     inp = write(tmp_path, "in.problem", node_problem())
     a = str(tmp_path / "a.txt")

@@ -2,16 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from desing import groebner
 from desing.errors import DomainError, ResourceError, StructuralError
 from desing.fields import QQ, PrimeField
 from desing.groebner import (DEGREVLEX, IdealPresentation, buchberger,
-                             division, eliminate, ideal_equal,
+                             divide_exact_poly, division, eliminate,
+                             ideal_equal,
                              ideal_intersection, ideal_member, ideal_quotient,
                              kernel_basis, module_groebner,
                              module_normal_form, normal_form, radical_member,
                              s_polynomial, saturate, vec_is_zero)
-from desing.poly import LEX, Polynomial, parse_polynomial
+from desing.poly import (LEX, Polynomial, block_order, monomial_div,
+                         monomial_divides, parse_polynomial)
 
 VARS = ("x", "y", "z")
 
@@ -39,6 +43,107 @@ def test_division_invariant():
         for b in basis:
             lead, _ = b.leading(DEGREVLEX)
             assert not all(a <= m for a, m in zip(lead, mono))
+
+
+def _textbook_division(f, basis, order):
+    """The plain division loop: take the leading term, subtract a multiple
+    of the first divisor whose leading monomial divides it."""
+    F = f.field
+    quotients = [Polynomial.zero(f.variables, F) for _ in basis]
+    leads = [g.leading(order) for g in basis]
+    rem = Polynomial.zero(f.variables, F)
+    p = f
+    while not p.is_zero():
+        mono, coeff = p.leading(order)
+        for i, (lm, lc) in enumerate(leads):
+            if monomial_divides(lm, mono):
+                factor = p.term_poly(monomial_div(mono, lm), F.div(coeff, lc))
+                p = p - factor * basis[i]
+                quotients[i] = quotients[i] + factor
+                break
+        else:
+            rem = rem + p.term_poly(mono, coeff)
+            p = p - p.term_poly(mono, coeff)
+    return quotients, rem
+
+
+_FIELDS = (PrimeField(32003), QQ)
+_ORDERS = (LEX, DEGREVLEX, block_order(1), block_order(2, LEX, DEGREVLEX))
+
+
+def _polys(field, min_terms):
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(VARS)),
+        st.integers(-7, 7).filter(bool).map(field.from_int),
+        min_size=min_terms, max_size=6)
+    return terms.map(lambda t: Polynomial(VARS, field, t))
+
+
+@st.composite
+def _division_cases(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    order = draw(st.sampled_from(_ORDERS))
+    f = draw(_polys(field, 0))
+    basis = draw(st.lists(_polys(field, 1), min_size=1, max_size=3))
+    return f, basis, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(_division_cases(), st.booleans())
+def test_division_matches_textbook_loop(case, with_quotients):
+    f, basis, order = case
+    quotients, rem = _textbook_division(f, basis, order)
+    out = division(f, basis, order, with_quotients=with_quotients)
+    if with_quotients:
+        assert out == (quotients, rem)
+    else:
+        assert out == rem
+    rebuilt = rem
+    for q, g in zip(quotients, basis):
+        rebuilt = rebuilt + q * g
+    assert rebuilt == f
+
+
+def _count_calls(monkeypatch, name):
+    """Record every call of ``groebner.<name>`` as (args, result)."""
+    calls = []
+    real = getattr(groebner, name)
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(groebner, name, counted)
+    return calls
+
+
+def test_buchberger_pair_order_pinned(monkeypatch):
+    # cyclic-4 mod 32003: 11 S-pairs reach reduction and 5 of them reduce
+    # to zero; a different pair order changes these counts
+    names = ("a", "b", "c", "d")
+    F = PrimeField(32003)
+    cyclic4 = [pp(t, names, F) for t in (
+        "a + b + c + d", "a*b + b*c + c*d + d*a",
+        "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1")]
+    spolys = _count_calls(monkeypatch, "s_polynomial")
+    divisions = _count_calls(monkeypatch, "division")
+    gb = buchberger(cyclic4)
+    reduced = {id(s) for _, s in spolys}
+    zeros = [r for (f, *_), r in divisions
+             if id(f) in reduced and r.is_zero()]
+    assert (len(spolys), len(zeros), len(gb.elements)) == (11, 5, 7)
+
+
+def test_module_groebner_pair_order_pinned(monkeypatch):
+    # every reduced S-vector and every tail reduction is one normal form
+    names = ("x", "y")
+    vectors = [tuple(pp(t, names) for t in row) for row in (
+        ("x^2 - y", "x*y", "1"), ("x*y + 1", "y^2", "x"),
+        ("y^2", "x - y", "y"), ("x", "y", "x*y - 1"))]
+    calls = _count_calls(monkeypatch, "module_normal_form")
+    gb = module_groebner(vectors)
+    assert (len(calls), len(gb)) == (28, 7)
 
 
 def test_buchberger_known_lex_basis():
@@ -113,6 +218,31 @@ def test_quotient_identities():
         assert ideal_member(g, Q)
     # known value: (x^2, xy) : (x) = (x, y)
     assert ideal_equal(Q, ideal("x", "y"))
+
+
+def test_quotient_of_ideal_by_itself_is_unit():
+    I = ideal("x^2 - y", "x*z")
+    Q = ideal_quotient(I, I)
+    assert Q.generators == [Polynomial.one(VARS, QQ)]
+
+
+def test_quotient_with_generators_inside_numerator():
+    # x^2*y and y*z^2 lie in I, so their quotients are (1); the result is
+    # still the intersection of all one-generator quotients (I ∩ (h)) / h
+    I = ideal("x^2*y", "y*z^2", "x*z - y")
+    J = ideal("x", "x^2*y", "z", "y*z^2")
+    assert [ideal_member(h, I) for h in J.generators] == [
+        False, True, False, True]
+    expected = None
+    for h in J.generators:
+        inter = ideal_intersection(I, IdealPresentation(VARS, QQ, [h]))
+        part = IdealPresentation(
+            VARS, QQ, [divide_exact_poly(g, h) for g in inter.generators])
+        expected = part if expected is None else \
+            ideal_intersection(expected, part)
+    Q = ideal_quotient(I, J)
+    assert ideal_equal(Q, expected)
+    assert Q.generators == buchberger(expected).elements
 
 
 def test_quotient_by_zero_ideal():
