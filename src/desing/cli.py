@@ -12,7 +12,7 @@ import time
 from . import __version__
 from .approx import (LiftRequest, check_candidate, linear_factor,
                      module_iso_system, newton_lift)
-from .errors import DesingError, ParseError
+from .errors import ConsistencyError, DesingError, ParseError
 from .gnd import desingularize, verify_certificate
 from .groebner import IdealPresentation, buchberger, ideal_quotient
 from .iofmt import (emit_certificate, emit_groebner, emit_ideal,
@@ -70,10 +70,20 @@ def run_gnd(pf, args):
     budget = args.subset_budget or pf.option_int("subset-budget",
                                                  DEFAULT_SUBSET_BUDGET)
     cert = desingularize(B, v, budget)
-    if args.verify:
-        verify_certificate(cert, B, v)
     text = emit_certificate(cert)
     code = 0 if cert.all_passed() else 5
+    if args.verify:
+        # check the text as emitted, against the problem as given
+        try:
+            emitted = parse_certificate(text)
+        except ParseError as exc:
+            raise ConsistencyError(
+                f"emitted certificate does not parse: {exc}") from exc
+        failed = [r.name for r in verify_certificate(emitted, B, v)
+                  if not r.passed]
+        if failed:
+            print("verify failed: " + ", ".join(failed), file=sys.stderr)
+            code = 5
     return text, code
 
 
@@ -169,7 +179,8 @@ def build_parser():
     parser.add_argument("--precision", type=int)
     parser.add_argument("--subset-budget", type=int, dest="subset_budget")
     parser.add_argument("--verify", action="store_true",
-                        help="re-run certificate verification after gnd")
+                        help="after gnd, verify the emitted certificate "
+                             "against the input problem")
     return parser
 
 

@@ -6,16 +6,17 @@ i, j), so ties break deterministically.  Division holds the dividend as a
 term dict with a max-heap of its monomials and reduces it in place.
 Reduced bases are the canonical form for ideal equality.  ``ideal_quotient``
 skips the generators of J that already lie in I, whose quotient is (1).
-Module Groebner bases (position-over-term, the same pair heap led by the
-position) supply kernels of polynomial matrices via the syzygy
-construction.
+Module Groebner bases come from the same ``buchberger``: a vector is a
+polynomial linear in fresh position variables, under a block order that is
+position-over-term.  They supply kernels of polynomial matrices via the
+syzygy construction.
 """
 
 import heapq
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DomainError, ResourceError, StructuralError
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial, block_order,
+from .poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial, block_order,
                    monomial_div, monomial_divides, monomial_lcm, monomial_mul)
 
 DEFAULT_SPAIR_BUDGET = 100000
@@ -343,23 +344,17 @@ def radical_member(f, I, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# module Groebner bases (position over term) and kernels of matrices
-
-def _vec_zero(n, variables, field):
-    return tuple(Polynomial.zero(variables, field) for _ in range(n))
-
+# module Groebner bases and kernels of matrices
+#
+# A vector (v_0, ..., v_{n-1}) over R is the polynomial sum of e_p * v_p in
+# R[e_0, ..., e_{n-1}], with fresh position variables e_p ahead of R's
+# variables.  Under block_order(n, LEX, order) a term's position dominates
+# and position 0 is largest: position-over-term.  The products e_i * e_j
+# added as generators make the part of the reduced ideal basis that is
+# linear in the e's the reduced module basis.
 
 def vec_is_zero(v):
     return all(c.is_zero() for c in v)
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_mul_term(v, variables, field, mono, coeff):
-    t = Polynomial(variables, field, {mono: coeff})
-    return tuple(c * t for c in v)
 
 
 def vec_leading(v, order):
@@ -371,101 +366,61 @@ def vec_leading(v, order):
     raise DomainError("zero vector has no leading term")
 
 
+def _position_ring(n, variables, order):
+    # e{p}_ and its fresh variants e{p}_{k} are distinct for distinct p
+    evars = tuple(_fresh_name(f"e{p}_", variables) for p in range(n))
+    return evars + tuple(variables), block_order(n, LEX, order)
+
+
+def _encode(v, work_vars):
+    n = len(v)
+    terms = {}
+    for p, c in enumerate(v):
+        unit = (0,) * p + (1,) + (0,) * (n - p - 1)
+        for m, coeff in c.terms.items():
+            terms[unit + m] = coeff
+    return Polynomial(work_vars, v[0].field, terms)
+
+
+def _decode(g, n, variables):
+    """The vector of a polynomial linear in the position variables, or None."""
+    comps = [{} for _ in range(n)]
+    for m, c in g.terms.items():
+        if sum(m[:n]) != 1:
+            return None
+        comps[m.index(1)][m[n:]] = c
+    return tuple(Polynomial(variables, g.field, t) for t in comps)
+
+
 def module_normal_form(v, basis, order):
     """Full reduction of a module element against a list of vectors."""
-    if vec_is_zero(v):
-        return v
-    variables = v[0].variables
-    field = v[0].field
-    leads = [vec_leading(b, order) for b in basis]
-    rem = _vec_zero(len(v), variables, field)
-    p = v
-    while not vec_is_zero(p):
-        pos, mono, coeff = vec_leading(p, order)
-        for i, (bp, bm, bc) in enumerate(leads):
-            if bp == pos and monomial_divides(bm, mono):
-                factor = _vec_mul_term(basis[i], variables, field,
-                                       monomial_div(mono, bm), field.div(coeff, bc))
-                p = vec_sub(p, factor)
-                break
-        else:
-            term = [Polynomial.zero(variables, field)] * len(v)
-            term[pos] = Polynomial(variables, field, {mono: coeff})
-            rem = tuple(r + t for r, t in zip(rem, term))
-            p = vec_sub(p, tuple(term))
-    return rem
-
-
-def _vec_monic(v, order):
-    _, _, c = vec_leading(v, order)
-    inv = v[0].field.invert(c)
-    return tuple(comp.scale(inv) for comp in v)
+    work_vars, work_order = _position_ring(len(v), v[0].variables, order)
+    rem = division(_encode(v, work_vars),
+                   [_encode(b, work_vars) for b in basis], work_order)
+    return _decode(rem, len(v), v[0].variables)
 
 
 def module_groebner(vectors, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
-    """Groebner basis of the submodule generated by ``vectors`` (POT order)."""
-    G = [_vec_monic(v, order) for v in vectors if not vec_is_zero(v)]
-    if not G:
+    """Reduced Groebner basis of the submodule generated by ``vectors``
+    (position-over-term), sorted by position, then leading monomial."""
+    vectors = [v for v in vectors if not vec_is_zero(v)]
+    if not vectors:
         return []
-    variables = G[0][0].variables
-    field = G[0][0].field
-    leads = [vec_leading(g, order) for g in G]
-    pairs = []      # heap of (position, order key of the lcm, i, j, lcm)
+    n, variables = len(vectors[0]), vectors[0][0].variables
+    F = vectors[0][0].field
+    work_vars, work_order = _position_ring(n, variables, order)
+    e = [Polynomial.variable(work_vars, F, name) for name in work_vars[:n]]
+    gens = [e[i] * e[j] for i in range(n) for j in range(i, n)]
+    gens += [_encode(v, work_vars) for v in vectors]
+    gb = buchberger(gens, work_order, budget)
+    basis = [v for v in (_decode(g, n, variables) for g in gb.elements)
+             if v is not None]
 
-    def add_pairs(k):
-        pk, mk, _ = leads[k]
-        for i in range(k):
-            if leads[i][0] == pk:
-                lcm = monomial_lcm(leads[i][1], mk)
-                heapq.heappush(pairs, (pk, order.key(lcm), i, k, lcm))
+    def pot_key(v):
+        pos, mono, _ = vec_leading(v, order)
+        return pos, order.key(mono)
 
-    for k in range(1, len(G)):
-        add_pairs(k)
-    reductions = 0
-    while pairs:
-        _, _, i, j, lcm = heapq.heappop(pairs)
-        reductions += 1
-        if reductions > budget:
-            raise ResourceError(f"module S-pair budget {budget} exceeded")
-        si = _vec_mul_term(G[i], variables, field,
-                           monomial_div(lcm, leads[i][1]), field.one())
-        sj = _vec_mul_term(G[j], variables, field,
-                           monomial_div(lcm, leads[j][1]), field.one())
-        r = module_normal_form(vec_sub(si, sj), G, order)
-        if vec_is_zero(r):
-            continue
-        r = _vec_monic(r, order)
-        G.append(r)
-        leads.append(vec_leading(r, order))
-        add_pairs(len(G) - 1)
-    return _reduce_module_basis(G, order)
-
-
-def _reduce_module_basis(G, order):
-    leads = [vec_leading(g, order) for g in G]
-    keep = []
-    for i in range(len(G)):
-        pi, mi, _ = leads[i]
-        redundant = False
-        for j in range(len(G)):
-            if j == i:
-                continue
-            pj, mj, _ = leads[j]
-            if pj == pi and monomial_divides(mj, mi) and (mj != mi or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    minimal = [G[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = module_normal_form(g, others, order) if others else g
-        if not vec_is_zero(r):
-            reduced.append(_vec_monic(r, order))
-    reduced.sort(key=lambda v: (vec_leading(v, order)[0],
-                                tuple(order.key(vec_leading(v, order)[1]))))
-    return reduced
+    return sorted(basis, key=pot_key)
 
 
 @dataclass

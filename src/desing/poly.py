@@ -104,7 +104,9 @@ def monomial_degree(m):
 # polynomials
 
 class Polynomial:
-    __slots__ = ("variables", "field", "terms")
+    # ``terms`` is never mutated after construction, so ``_lead`` can keep
+    # the last (order, leading term) that ``leading`` computed
+    __slots__ = ("variables", "field", "terms", "_lead")
 
     def __init__(self, variables, field, terms):
         self.variables = tuple(variables)
@@ -117,6 +119,7 @@ class Polynomial:
             if not field.is_zero(coeff):
                 clean[tuple(mono)] = coeff
         self.terms = clean
+        self._lead = None
 
     # -- constructors -------------------------------------------------------
 
@@ -164,10 +167,14 @@ class Polynomial:
 
     def leading(self, order):
         """(monomial, coefficient) of the order-largest term."""
+        lead = self._lead
+        if lead is not None and lead[0] == order:
+            return lead[1]
         if not self.terms:
             raise DomainError("zero polynomial has no leading term")
         mono = max(self.terms, key=order.key)
-        return mono, self.terms[mono]
+        self._lead = order, (mono, self.terms[mono])
+        return self._lead[1]
 
     def sorted_terms(self, order=DEGREVLEX, reverse=True):
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]),

@@ -198,15 +198,22 @@ def bordered_jacobian(fs, yvars, witness):
     """H = the Jacobian of fs in yvars over (0 | Id), and G = N·adj(H).
 
     With the first r columns carrying the minor M, det(H) = M and
-    GH = HG = M·N·Id.
+    GH = HG = M·N·Id.  H = [[A, C], [0, Id]] has
+    adj(H) = [[adj A, -adj(A)·C], [0, det(A)·Id]], so only the r x r
+    block A needs an adjugate.
     """
     r, n = len(fs), len(yvars)
     ring, F = fs[0].variables, fs[0].field
     one, zero = Polynomial.one(ring, F), Polynomial.zero(ring, F)
     H = jacobian(fs, yvars)
+    adj_A = matrix_adjugate([row[:r] for row in H])
+    adj_AC = matrix_mul(adj_A, [row[r:] for row in H])
+    det_A = matrix_mul([H[0][:r]], adj_A)[0][0]     # (A·adj A)[0][0]
+    adj = [a + [-e for e in c] for a, c in zip(adj_A, adj_AC)]
     for i in range(r, n):
         H.append([one if j == i else zero for j in range(n)])
-    G = [[witness * entry for entry in row] for row in matrix_adjugate(H)]
+        adj.append([det_A if j == i else zero for j in range(n)])
+    G = [[witness * entry for entry in row] for row in adj]
     return H, G
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from desing import cli
 from desing.cli import main
 from desing.errors import ParseError
 from desing.fields import QQ, PrimeField
@@ -107,6 +108,36 @@ def test_cli_gnd_verify_chain(tmp_path):
     cert_path = str(tmp_path / "cert.txt")
     assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
     assert main(["verify", "--input", cert_path]) == 0
+
+
+def test_cli_gnd_verify_flag(tmp_path):
+    inp = write(tmp_path, "in.problem", node_problem())
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path,
+                 "--verify"]) == 0
+    plain_path = str(tmp_path / "plain.txt")
+    assert main(["gnd", "--input", inp, "--output", plain_path]) == 0
+    assert open(cert_path).read() == open(plain_path).read()
+
+
+def test_cli_gnd_verify_checks_emitted_text(tmp_path, monkeypatch):
+    # the in-memory certificate is sound; only its text is corrupted
+    def corrupt(cert):
+        lines = cli_emit(cert).split("\n")
+        row = lines.index("[H]") + 1
+        entries = lines[row].split(" ; ")
+        entries[0] += " + 1"
+        lines[row] = " ; ".join(entries)
+        return "\n".join(lines)
+
+    cli_emit = cli.emit_certificate
+    monkeypatch.setattr(cli, "emit_certificate", corrupt)
+    inp = write(tmp_path, "in.problem", node_problem())
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    assert main(["gnd", "--input", inp, "--output", cert_path,
+                 "--verify"]) == 5
+    assert main(["verify", "--input", cert_path]) == 5
 
 
 def test_cli_verify_rejects_tampering(tmp_path):

@@ -13,9 +13,10 @@ from desing.groebner import (DEGREVLEX, IdealPresentation, buchberger,
                              ideal_intersection, ideal_member, ideal_quotient,
                              kernel_basis, module_groebner,
                              module_normal_form, normal_form, radical_member,
-                             s_polynomial, saturate, vec_is_zero)
+                             s_polynomial, saturate, vec_is_zero,
+                             vec_leading)
 from desing.poly import (LEX, Polynomial, block_order, monomial_div,
-                         monomial_divides, parse_polynomial)
+                         monomial_divides, monomial_lcm, parse_polynomial)
 
 VARS = ("x", "y", "z")
 
@@ -135,15 +136,23 @@ def test_buchberger_pair_order_pinned(monkeypatch):
     assert (len(spolys), len(zeros), len(gb.elements)) == (11, 5, 7)
 
 
-def test_module_groebner_pair_order_pinned(monkeypatch):
-    # every reduced S-vector and every tail reduction is one normal form
+def test_module_groebner_basis_pinned():
+    # the reduced basis of these four vectors, recorded from the module
+    # pair loop that position variables and ``buchberger`` replaced
     names = ("x", "y")
     vectors = [tuple(pp(t, names) for t in row) for row in (
         ("x^2 - y", "x*y", "1"), ("x*y + 1", "y^2", "x"),
         ("y^2", "x - y", "y"), ("x", "y", "x*y - 1"))]
-    calls = _count_calls(monkeypatch, "module_normal_form")
     gb = module_groebner(vectors)
-    assert (len(calls), len(gb)) == (28, 7)
+    assert [tuple(str(c) for c in v) for v in gb] == [
+        ("1", "0", "-x*y^2 + x + y"),
+        ("0", "y", "x^2*y^2 - x^2 - 1"),
+        ("0", "x", "-x^2 + x*y + 2*y - 1"),
+        ("0", "0", "x*y^3 + x^2*y - x*y - y^2 - x - 1"),
+        ("0", "0", "x^4 + 2*y^4 - 3*x^2*y + 2*x*y^2 - x^2 - 2*x + y"),
+        ("0", "0", "y^5 - 1/2*x^2*y^2 + 1/2*x^3 - x^2*y - y^3 + 1/2*x^2"
+                   " - x*y + 3/2*y^2 + 1/2*x + 1/2"),
+        ("0", "0", "x^3*y^2 - x^3 + x^2*y - x*y^2 - 2*y^2 - x + y")]
 
 
 def test_buchberger_known_lex_basis():
@@ -332,6 +341,116 @@ def test_kernel_completeness_random():
                                     Fraction(rng.randrange(1, 3))})
                     combo = tuple(c + m * comp for c, comp in zip(combo, v))
                 assert vec_is_zero(module_normal_form(combo, gb, DEGREVLEX))
+
+
+def _textbook_module_nf(v, basis, order):
+    """Reduce the leading term by the first basis vector at the same
+    position whose leading monomial divides it, else move it to the
+    remainder."""
+    F = v[0].field
+    zero = Polynomial.zero(v[0].variables, F)
+    leads = [vec_leading(b, order) for b in basis]
+    rem = [zero] * len(v)
+    p = list(v)
+    while not vec_is_zero(p):
+        pos, mono, coeff = vec_leading(p, order)
+        for b, (bp, bm, bc) in zip(basis, leads):
+            if bp == pos and monomial_divides(bm, mono):
+                t = p[0].term_poly(monomial_div(mono, bm), F.div(coeff, bc))
+                p = [a - t * c for a, c in zip(p, b)]
+                break
+        else:
+            t = p[0].term_poly(mono, coeff)
+            rem[pos] = rem[pos] + t
+            p[pos] = p[pos] - t
+    return tuple(rem)
+
+
+def _textbook_module_basis(vectors, order):
+    """Buchberger on vectors under position-over-term: same-position pairs
+    by least (position, lcm), no criteria, then minimize, tail-reduce and
+    sort."""
+    def monic(v):
+        inv = v[0].field.invert(vec_leading(v, order)[2])
+        return tuple(c.scale(inv) for c in v)
+
+    def pair_key(pair):
+        (pos, mu, _), (_, mw, _) = (vec_leading(G[k], order) for k in pair)
+        return pos, order.key(monomial_lcm(mu, mw)), pair
+
+    def s_vector(u, w):
+        (_, mu, _), (_, mw, _) = vec_leading(u, order), vec_leading(w, order)
+        lcm = monomial_lcm(mu, mw)
+        tu = u[0].term_poly(monomial_div(lcm, mu), u[0].field.one())
+        tw = w[0].term_poly(monomial_div(lcm, mw), w[0].field.one())
+        return tuple(tu * a - tw * b for a, b in zip(u, w))
+
+    def same_position(j):
+        return [(i, j) for i in range(j) if vec_leading(G[i], order)[0]
+                == vec_leading(G[j], order)[0]]
+
+    G = [monic(v) for v in vectors if not vec_is_zero(v)]
+    pairs = [p for j in range(len(G)) for p in same_position(j)]
+    while pairs:
+        i, j = min(pairs, key=pair_key)
+        pairs.remove((i, j))
+        r = _textbook_module_nf(s_vector(G[i], G[j]), G, order)
+        if not vec_is_zero(r):
+            G.append(monic(r))
+            pairs += same_position(len(G) - 1)
+    leads = [vec_leading(g, order)[:2] for g in G]
+    minimal = [g for i, g in enumerate(G) if not any(
+        j != i and leads[j][0] == leads[i][0]
+        and monomial_divides(leads[j][1], leads[i][1])
+        and (leads[j] != leads[i] or j < i) for j in range(len(G)))]
+    reduced = [monic(_textbook_module_nf(g, minimal[:i] + minimal[i + 1:],
+                                         order))
+               for i, g in enumerate(minimal)]
+    return sorted(reduced, key=lambda v: (vec_leading(v, order)[0],
+                                          order.key(vec_leading(v, order)[1])))
+
+
+_MODULE_VARS = ("x", "y")
+
+
+def _module_polys(field):
+    terms = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-3, 3).filter(bool).map(field.from_int), max_size=2)
+    return terms.map(lambda t: Polynomial(_MODULE_VARS, field, t))
+
+
+@st.composite
+def _module_cases(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    order = draw(st.sampled_from((LEX, DEGREVLEX)))
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    matrix = draw(st.lists(st.lists(_module_polys(field), min_size=cols,
+                                    max_size=cols),
+                           min_size=rows, max_size=rows))
+    return matrix, order
+
+
+@settings(max_examples=80, deadline=None)
+@given(_module_cases())
+def test_module_groebner_matches_textbook_loop(case):
+    matrix, order = case
+    F = matrix[0][0].field
+    one = Polynomial.one(_MODULE_VARS, F)
+    zero = Polynomial.zero(_MODULE_VARS, F)
+    # the rows of the matrix as vectors, and the kernel construction
+    expected = _textbook_module_basis([tuple(r) for r in matrix], order)
+    assert module_groebner([tuple(r) for r in matrix], order) == expected
+    for v in [tuple(r) for r in matrix]:
+        assert module_normal_form(v, expected, order) == \
+            _textbook_module_nf(v, expected, order)
+    rows, n = len(matrix), len(matrix[0])
+    columns = [tuple([matrix[i][j] for i in range(rows)]
+                     + [one if k == j else zero for k in range(n)])
+               for j in range(n)]
+    kernel = [v[rows:] for v in _textbook_module_basis(columns, order)
+              if vec_is_zero(v[:rows])]
+    assert kernel_basis(matrix, order).basis == kernel
 
 
 def test_module_groebner_normal_form_zero_on_generators():

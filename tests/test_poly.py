@@ -119,6 +119,16 @@ def test_leading_term():
     assert mono == (2, 0, 0)
 
 
+def test_leading_term_cached_per_order():
+    # the cached lead belongs to one order; asking under another recomputes
+    f = parse_polynomial("x^2 + 3*x*y^2 + y^4", VARS, QQ)
+    assert f.leading(LEX) == ((2, 0, 0), 1)
+    assert f.leading(DEGREVLEX) == ((0, 4, 0), 1)
+    assert f.leading(LEX) == ((2, 0, 0), 1)
+    assert f.leading(block_order(1, LEX, LEX)) == ((2, 0, 0), 1)
+    assert f.leading(DEGREVLEX) == ((0, 4, 0), 1)
+
+
 def test_parse_format_round_trip():
     rng = random.Random(31)
     for field in FIELDS:

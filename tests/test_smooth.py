@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
 from desing.errors import (DomainError, PrecisionError, ResourceError,
@@ -9,7 +11,7 @@ from desing.groebner import IdealPresentation, ideal_equal, ideal_member
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import CompletionMorphism, TruncatedSeries, parse_series
 from desing.smooth import (MAX_SUBSET_SIZE, AlgebraPresentation,
-                           check_morphism, find_desing_data, identity_matrix,
+                           bordered_jacobian, check_morphism, find_desing_data, identity_matrix,
                            is_smooth_at_point,
                            jacobian, matrix_adjugate, matrix_det, matrix_equal,
                            matrix_mul, matrix_scale, minor_ideal,
@@ -49,6 +51,25 @@ def test_matrix_algebra():
     expect = matrix_scale(identity_matrix(2, RING, QQ), pp("x*Y2"))
     assert matrix_equal(prod, expect)
     assert matrix_equal(matrix_mul(adj, A), expect)
+
+
+def test_bordered_jacobian_block_adjugate():
+    # G from the r x r block adjugate equals N·adj(H) over the whole of H
+    rng = random.Random(7)
+    for n in range(2, 5):
+        ring = ("x",) + tuple(f"Y{i + 1}" for i in range(n))
+        for r in range(1, n):
+            for _ in range(2):
+                fs = [Polynomial(ring, QQ, {
+                    tuple(rng.randrange(3) for _ in ring):
+                    Fraction(rng.randrange(-3, 4) or 1) for _ in range(3)})
+                    for _ in range(r)]
+                witness = Polynomial(ring, QQ, {
+                    tuple(rng.randrange(2) for _ in ring): Fraction(2)})
+                H, G = bordered_jacobian(fs, ring[1:], witness)
+                assert len(H) == n and all(len(row) == n for row in H)
+                full = matrix_scale(matrix_adjugate(H), witness)
+                assert matrix_equal(G, full)
 
 
 def test_matrix_det_truncated_series():
