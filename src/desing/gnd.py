@@ -5,9 +5,10 @@ truncated power-series ring.
 Pipeline: border the presentation so the square of the local parameter lies
 in the right ideal, truncate the series solution to an exact polynomial
 frame, then build the polynomials h and g whose localized quotient is
-standard smooth and factors the morphism.  Every algebraic identity the
-construction relies on is re-checked, exactly where possible and to a
-recorded precision otherwise.
+standard smooth and factors the morphism.  Each identity is checked once,
+by ``verify_certificate`` before ``desingularize`` returns: exactly where
+possible and to a recorded precision otherwise.  A construction fault shows
+as a FAIL in the report (``gnd`` exits 5).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -20,7 +21,7 @@ from .groebner import _fresh_name, ideal_member
 from .poly import Polynomial
 from .series import CompletionMorphism, TruncatedSeries, series_eval
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
-                     check_morphism, find_desing_data, identity_matrix,
+                     find_desing_data, identity_matrix,
                      matrix_det, matrix_equal, matrix_mul, matrix_scale,
                      reduce_until_nonvanishing, DEFAULT_SUBSET_BUDGET)
 
@@ -238,16 +239,10 @@ def compute_s_b(fs, P, yassign, c, D):
 
 
 def build_H_G(fs, yvars, witness, minor):
-    """H = Jacobian block over (0 | Id); G = N*adj(H); GH = HG = P*Id."""
+    """H = Jacobian block over (0 | Id), G = N*adj(H); checks det H = M."""
     H, G = bordered_jacobian(fs, yvars, witness)
     if matrix_det(H) != minor:
         raise ConsistencyError("determinant of H differs from the minor")
-    P = minor * witness
-    target = matrix_scale(identity_matrix(len(yvars), fs[0].variables,
-                                          fs[0].field), P)
-    if not (matrix_equal(matrix_mul(G, H), target)
-            and matrix_equal(matrix_mul(H, G), target)):
-        raise ConsistencyError("GH = HG = P*Id failed")
     return H, G
 
 
@@ -285,7 +280,7 @@ def build_h_g(fs, yassign, yvars, tvars, d, s, b, G, p, D):
     """h = s(Y - y') - d G(y')T; g_i = s^p b_i + s^p T_i + Q_i.
 
     Q_i collects the Taylor tail of order >= 2, with powers of s and d
-    arranged so that s^p f_i = d^2 g_i holds modulo (h).
+    arranged so that s^p f_i = d^2 g_i holds modulo (h) (verify check 2).
     """
     ring = s.variables
     F = s.field
@@ -333,10 +328,6 @@ def build_h_g(fs, yassign, yvars, tvars, d, s, b, G, p, D):
         gi = s_pow[p] * b[i] + s_pow[p] * tpolys[i] + Qi
         Q.append(Qi)
         g.append(D.reduce(gi))
-    for i, f in enumerate(fs):
-        if not congruence_holds(f, i, yassign, yvars, d, s, b, g, h, w, p, D):
-            raise ConsistencyError(
-                f"s^p f_{i} - d^2 g_{i} is not in (h)")
     return h, g, Q
 
 
@@ -460,18 +451,9 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, yassign,
         for k in range(len(yvars)):
             acc = acc + D.to_series(Hy[j][k], N) * deltas[k]
         t[tv] = acc.divide_exact(d2)
-    W = _fresh_name("W", ring)
-    bring = ring + (W,)
-    wpoly = Polynomial.variable(bring, D.field, W)
-    bprime_rels = [D.mu.embed(bring)] if D.ext_var else []
-    bprime_rels += [r.embed(bring) for r in step.algebra.relations]
-    bprime_rels += [q.embed(bring) for q in h]
-    bprime_rels += [q.embed(bring) for q in g]
-    bprime_rels.append(wpoly * s.embed(bring) - Polynomial.one(bring, D.field))
-    Bprime = AlgebraPresentation(base_var=step.algebra.base_var,
-                                 variables=bring[1:], field=D.field,
-                                 relations=bprime_rels)
     rels = [r.embed(ring) for r in B1.relations]
+    Bprime, W = bprime_presentation(ring, D.field, rels + h + g, s,
+                                    D.mu if D.ext_var else None)
     data = DesingData(subset=step.data.subset, columns=step.data.columns,
                       minor=step.data.minor.embed(ring),
                       witness=step.data.witness.embed(ring), c=c,
@@ -498,11 +480,8 @@ def verify_certificate(cert, B, v):
                                   "smooth short-circuit"))
         report.append(CheckResult("h and g vanish on (yhat, t)", True,
                                   "vacuous", "no h, g"))
-        ok = True
-        try:
-            check_morphism(B, v)
-        except DomainError:
-            ok = False
+        ok = _hat_is_v(cert, B, v, v.precision) and all(
+            v.eval(rel).is_zero() for rel in B.relations)
         report.append(CheckResult("composite factors v", ok,
                                   f"O({v.base_var}^{v.precision})"))
         img = v.eval(cert.data.pprime)
@@ -558,11 +537,9 @@ def verify_certificate(cert, B, v):
                               f"O({cert.base_var}^{prec4})"))
 
     # (5) the composite agrees with v
-    ok5 = True
-    for rel in B.relations:
-        img = series_eval(rel, {name: assign[name] for name in rel.variables})
-        if not img.is_zero():
-            ok5 = False
+    ok5 = _hat_is_v(cert, B, v, prec4) and all(
+        series_eval(rel, {name: assign[name] for name in rel.variables})
+        .is_zero() for rel in B.relations)
     report.append(CheckResult("composite factors v", ok5,
                               f"O({cert.base_var}^{prec4})"))
 
@@ -584,6 +561,15 @@ def verify_certificate(cert, B, v):
     return report
 
 
+def _hat_is_v(cert, B, v, precision):
+    """The certificate's image of every variable of B is v's, to precision."""
+    try:
+        return all(cert.hat_images[y].truncate(precision)
+                   == v.images[y].truncate(precision) for y in B.variables)
+    except (KeyError, DomainError):         # missing, or known too coarsely
+        return False
+
+
 def _series_assignment(cert, precision):
     """Series values for every working-ring variable at the given precision."""
     Fs = cert.series_field
@@ -600,16 +586,22 @@ def _series_assignment(cert, precision):
     return assign
 
 
+def bprime_presentation(ring, fld, relations, unit, mu=None):
+    """(B', W) with B' = k[ring, W]/(mu, relations, W*unit - 1) for a fresh
+    W: the relations with ``unit`` inverted; ring[0] is the base variable."""
+    W = _fresh_name("W", ring)
+    bring = tuple(ring) + (W,)
+    rels = [mu.embed(bring)] if mu is not None else []
+    rels += [r.embed(bring) for r in relations]
+    rels.append(Polynomial.variable(bring, fld, W) * unit.embed(bring)
+                - Polynomial.one(bring, fld))
+    return AlgebraPresentation(base_var=ring[0], variables=bring[1:],
+                               field=fld, relations=rels), W
+
+
 def _short_circuit_certificate(B, v, data, D):
     ring = B.ring_variables()
-    W = _fresh_name("W", ring)
-    bring = ring + (W,)
-    wpoly = Polynomial.variable(bring, B.field, W)
-    rels = [r.embed(bring) for r in B.relations]
-    rels.append(wpoly * data.pprime.embed(bring)
-                - Polynomial.one(bring, B.field))
-    Bprime = AlgebraPresentation(base_var=B.base_var, variables=bring[1:],
-                                 field=B.field, relations=rels)
+    Bprime, W = bprime_presentation(ring, B.field, B.relations, data.pprime)
     cert = GndCertificate(
         base_var=B.base_var, field=B.field, series_field=v.field, D=D,
         data=data, c=0, p=0, short_circuit=True, ring=ring,
@@ -625,7 +617,6 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Full pipeline; returns a certificate carrying its own verification."""
     if B.field.characteristic() != 0:
         raise DomainError("pipeline requires characteristic zero")
-    check_morphism(B, v)
     B0 = reduce_until_nonvanishing(B, v, subset_budget=subset_budget)
     data = find_desing_data(B0, v, subset_budget)
     D = make_D(v, B0.ring_variables())

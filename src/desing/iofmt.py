@@ -5,7 +5,7 @@ everything exact rational text; parse(emit(x)) reproduces x.
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ParseError, StructuralError
+from .errors import ConsistencyError, ParseError, StructuralError
 from .fields import QQ, PrimeField, SimpleExtension
 from .groebner import GroebnerBasis, IdealPresentation
 from .poly import (DEGREVLEX, Polynomial, format_polynomial,
@@ -419,7 +419,7 @@ def parse_certificate(text):
         status, precision, name, detail = fields
         report.append(_gnd.CheckResult(name=name, passed=status == "pass",
                                        precision=precision, detail=detail))
-    return _gnd.GndCertificate(
+    cert = _gnd.GndCertificate(
         base_var=base, field=F, series_field=Fs, D=D, data=data,
         c=_int(meta["c"], "[meta] c"), p=_int(meta["p"], "[meta] p"),
         short_circuit=bool(_int(meta["short-circuit"],
@@ -436,6 +436,45 @@ def parse_certificate(text):
         t=named("t", ser), hat_images=named("hat", ser),
         precision=_int(meta["precision"], "[meta] precision"),
         report=report)
+    _check_derived(cert)
+    return cert
+
+
+def _check_derived(cert):
+    """Sections that no verify check reads must be what the other sections
+    determine: the [data] subset, c and columns, pprime = minor*witness,
+    d = dprime^2, z = hat[zvar], g_i = s^p b_i + s^p T_i + Q_i and B'.
+    A mismatch is a ConsistencyError."""
+    data, D = cert.data, cert.D
+
+    def require(ok, what):
+        if not ok:
+            raise ConsistencyError(f"certificate {what}")
+
+    require(data.subset == cert.subset and data.c == cert.c,
+            "[data] subset or c differs from [meta]")
+    require(data.pprime == data.minor * data.witness,
+            "[data] pprime is not minor*witness")
+    require(cert.d == data.dprime * data.dprime, "[d] is not dprime^2")
+    if cert.short_circuit:
+        expected = _gnd.bprime_presentation(cert.ring, cert.field,
+                                            cert.relations, data.pprime)
+    else:
+        require(cert.permutation[:len(data.columns)] == data.columns,
+                "[data] columns do not lead the permutation")
+        require(cert.s is not None, "[s] is missing")
+        require(cert.hat_images.get(cert.zvar) == data.z,
+                "[data] z differs from the image of zvar in [hat]")
+        sp = cert.s ** cert.p
+        g = [D.reduce(sp * b + sp * Polynomial.variable(cert.ring, cert.field,
+                                                         t) + q)
+             for b, t, q in zip(cert.b, cert.tvars, cert.Q)]
+        require(g == cert.g, "[gpolys] is not s^p b + s^p T + Q")
+        expected = _gnd.bprime_presentation(
+            cert.ring, cert.field, cert.relations + cert.h + cert.g, cert.s,
+            D.mu if D.ext_var else None)
+    require(expected == (cert.Bprime, cert.wvar),
+            "[bprime] is not what the other sections determine")
 
 
 def original_problem(cert):

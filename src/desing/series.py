@@ -113,18 +113,21 @@ class TruncatedSeries:
         self._check(other)
         F = self.field
         prec = min(self.precision, other.precision)
+        # other's terms by degree: each row stops where the precision is hit
+        levels = sorted(other.graded_parts().items())
         terms = {}
         for m1, c1 in self.terms.items():
-            d1 = monomial_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + monomial_degree(m2) >= prec:
-                    continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                prod = F.mul(c1, c2)
-                if m in terms:
-                    terms[m] = F.add(terms[m], prod)
-                else:
-                    terms[m] = prod
+            room = prec - monomial_degree(m1)
+            for d2, part in levels:
+                if d2 >= room:
+                    break
+                for m2, c2 in part.items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    prod = F.mul(c1, c2)
+                    if m in terms:
+                        terms[m] = F.add(terms[m], prod)
+                    else:
+                        terms[m] = prod
         return TruncatedSeries(self.variables, F, terms, prec)
 
     def scale(self, c):
@@ -342,19 +345,6 @@ class WeierstrassData:
         return TruncatedSeries(self.variables, F, terms, self.precision)
 
 
-def _dict_mul(d1, d2, field, cut):
-    out = {}
-    for m1, c1 in d1.items():
-        deg1 = monomial_degree(m1)
-        for m2, c2 in d2.items():
-            if deg1 + monomial_degree(m2) >= cut:
-                continue
-            m = tuple(a + b for a, b in zip(m1, m2))
-            prod = field.mul(c1, c2)
-            out[m] = field.add(out.get(m, field.zero()), prod)
-    return {m: c for m, c in out.items() if not field.is_zero(c)}
-
-
 def weierstrass_prepare(f):
     """Weierstrass preparation of an x_m-regular truncated series.
 
@@ -372,54 +362,30 @@ def weierstrass_prepare(f):
     if not f0:
         raise DomainError("series is not regular in the last variable")
     p = min(mono[-1] for mono in f0)
-    # unit part of f(0,..,0,x_m) and its inverse as a level-0 series in x_m
-    e = {}
-    for mono, c in f0.items():
-        e[mono[:-1] + (mono[-1] - p,)] = c
-    inv0 = F.invert(e[(0,) * m])
-    e_inv = {(0,) * m: inv0}
-    zero_m = (0,) * m
-    for d in range(1, N):
-        acc = F.zero()
-        for j in range(1, d + 1):
-            aj = e.get(zero_m[:-1] + (j,))
-            bj = e_inv.get(zero_m[:-1] + (d - j,))
-            if aj is None or bj is None:
-                continue
-            acc = F.add(acc, F.mul(aj, bj))
-        if not F.is_zero(acc):
-            e_inv[zero_m[:-1] + (d,)] = F.neg(F.mul(inv0, acc))
 
-    u_parts = {0: e}
-    z_parts = {}
+    def series(terms):
+        return TruncatedSeries(f.variables, F, terms, N)
+
+    # unit part of f(0,..,0,x_m) and its inverse, series in x_m; level k of
+    # f is u_k x_m^p + sum_(j=1..k) u_(k-j) z_j, solved for z_k and u_k
+    e = series({mono[:-1] + (mono[-1] - p,): c for mono, c in f0.items()})
+    e_inv = e.invert()
+    u_parts, z_parts = [e], [None]
     for k in range(1, N):
-        R = dict(levels.get(k, {}))
+        R = series(levels.get(k, {}))
         for j in range(1, k):
-            prod = _dict_mul(u_parts.get(k - j, {}), z_parts.get(j, {}), F, N)
-            for mono, c in prod.items():
-                R[mono] = F.add(R.get(mono, F.zero()), F.neg(c))
-        w = _dict_mul(R, e_inv, F, N)
-        zk = {mono: c for mono, c in w.items() if mono[-1] < p}
-        wplus = {mono[:-1] + (mono[-1] - p,): c for mono, c in w.items()
-                 if mono[-1] >= p}
-        uk = _dict_mul(u_parts[0], wplus, F, N)
-        if zk:
-            z_parts[k] = zk
-        if uk:
-            u_parts[k] = uk
+            R = R - u_parts[k - j] * z_parts[j]
+        w = (R * e_inv).terms
+        z_parts.append(series({mono: c for mono, c in w.items()
+                               if mono[-1] < p}))
+        u_parts.append(e * series({mono[:-1] + (mono[-1] - p,): c
+                                   for mono, c in w.items() if mono[-1] >= p}))
 
-    unit_terms = {}
-    for part in u_parts.values():
-        unit_terms.update(part)
-    unit = TruncatedSeries(f.variables, F, unit_terms, N)
-    zs = []
-    for i in range(p):
-        zi = {}
-        for part in z_parts.values():
-            for mono, c in part.items():
-                if mono[-1] == i:
-                    zi[mono[:-1]] = c
-        zs.append(TruncatedSeries(f.variables[:-1], F, zi, N))
+    unit = series({m: c for u in u_parts for m, c in u.terms.items()})
+    z_terms = [(m, c) for z in z_parts[1:] for m, c in z.terms.items()]
+    zs = [TruncatedSeries(f.variables[:-1], F,
+                          {m[:-1]: c for m, c in z_terms if m[-1] == i}, N)
+          for i in range(p)]
     data = WeierstrassData(variables=f.variables, p=p, unit=unit,
                            zs=tuple(zs), precision=N)
     check = unit * data.wpoly()

@@ -349,15 +349,18 @@ def _trivial_data(B, v):
 
 def reduce_until_nonvanishing(B, v, cap=5,
                               subset_budget=DEFAULT_SUBSET_BUDGET):
-    """Replace B by B/(smoothing ideal) while its image under v vanishes."""
+    """Replace B by B/(smoothing ideal) while its image under v vanishes.
+    v kills I (checked first), so only generators outside I are evaluated."""
+    check_morphism(B, v)
     current = B
     iterations = 0
     while True:
         H = smoothing_ideal(current, subset_budget)
-        if any(not v.eval(g).is_zero() for g in H.generators):
-            return current
         ideal_gb = buchberger(current.ideal(), DEGREVLEX)
-        if all(ideal_member(g, ideal_gb) for g in H.generators):
+        outside = [g for g in H.generators if not ideal_member(g, ideal_gb)]
+        if any(not v.eval(g).is_zero() for g in outside):
+            return current
+        if not outside:
             raise DomainError(
                 "smoothing ideal lies in I (no progress): the codimension "
                 f"may exceed MAX_SUBSET_SIZE = {MAX_SUBSET_SIZE} or I may "

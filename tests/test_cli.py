@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
-from desing import cli
+from desing import cli, gnd
 from desing.cli import main
-from desing.errors import ParseError
+from desing.errors import ConsistencyError, ParseError
 from desing.fields import QQ, PrimeField
 from desing.iofmt import (emit_certificate, parse_certificate,
                           parse_ideal_output, parse_problem, split_sections)
@@ -220,6 +222,96 @@ def test_cli_verify_malformed_certificate(tmp_path, node_certificate, case):
     with pytest.raises(ParseError):
         parse_certificate(bad)
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
+
+
+def _plus_one(line):
+    return line + " + 1"
+
+
+def _bump_first_coefficient(line):
+    key, rest = line.split(" ", 1)
+    bumped = re.sub(r"(?<![\w^/])(\d+)(?![\w^/])",
+                    lambda m: str(int(m.group(1)) + 1), rest, count=1)
+    return f"{key} {bumped}"
+
+
+def _reversed_ints(line):
+    key, *ints = line.split()
+    return " ".join([key] + ints[::-1])
+
+
+# sections that no verify check reads, each bound to the others at parse time
+DERIVED_TAMPERING = {
+    "bprime": ("bprime", "-x^2", _plus_one),
+    "qpolys": ("qpolys", "", _plus_one),
+    "b": ("b", "", _plus_one),
+    "d": ("d", "", _plus_one),
+    "data-z": ("data", "z ", _bump_first_coefficient),
+    "data-pprime": ("data", "pprime ", _plus_one),
+    "data-dprime": ("data", "dprime ", _plus_one),
+    "data-c": ("data", "c ", lambda l: "c 2"),
+    "data-subset": ("data", "subset ", _reversed_ints),
+    "data-columns": ("data", "columns ", _reversed_ints),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DERIVED_TAMPERING))
+def test_cli_verify_rejects_inconsistent_sections(tmp_path, node_certificate,
+                                                  case):
+    tag, key, edit = DERIVED_TAMPERING[case]
+    bad = _edit_line(node_certificate, tag, key, edit)
+    assert bad != node_certificate
+    with pytest.raises(ConsistencyError):
+        parse_certificate(bad)
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+
+
+def test_cli_short_circuit_certificate_sections(tmp_path):
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
+                "[ideal]\nY1 - x^2\n[morphism]\nY1 = x^2 + O(x^12)\n"
+                "Y2 = x + O(x^12)\n")
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    text = open(cert_path).read()
+    assert parse_certificate(text).short_circuit
+    assert main(["verify", "--input", cert_path]) == 0
+    bad = _edit_line(text, "bprime", "W", _plus_one)
+    with pytest.raises(ConsistencyError, match="bprime"):
+        parse_certificate(bad)
+
+
+def _report(path):
+    return open(path).read().split("[report]\n", 1)[1].splitlines()
+
+
+def test_cli_gnd_reports_wrong_g(tmp_path, monkeypatch):
+    # a construction fault is caught once, by the verifier, as a FAIL
+    real = gnd.build_h_g
+
+    def wrong_g(*args):
+        h, g, Q = real(*args)
+        return h, [g[0] + g[0]] + g[1:], Q
+
+    monkeypatch.setattr(gnd, "build_h_g", wrong_g)
+    inp = write(tmp_path, "in.problem", node_problem())
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 5
+    assert _report(cert_path)[1].startswith("FAIL;exact;s^p f = d^2 g")
+
+
+def test_cli_gnd_reports_wrong_G(tmp_path, monkeypatch):
+    real = gnd.build_H_G
+
+    def wrong_G(*args):
+        H, G = real(*args)
+        return H, [[G[0][0] + G[0][0]] + G[0][1:]] + G[1:]
+
+    monkeypatch.setattr(gnd, "build_H_G", wrong_G)
+    inp = write(tmp_path, "in.problem", node_problem())
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 5
+    assert _report(cert_path)[0].startswith("FAIL;exact;GH = HG = P*Id")
 
 
 def test_cli_gnd_deterministic(tmp_path):

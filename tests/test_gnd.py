@@ -153,6 +153,40 @@ def test_verify_detects_tampering():
     assert "s^p f = d^2 g mod (h)" in failed
 
 
+def test_verify_check_5_compares_hat_with_v():
+    # Y1 = 2x, Y2 = x/2 also satisfies Y1*Y2 = x^2, but it is not the
+    # morphism the node certificate factors
+    B = node_algebra()
+    cert = desingularize(B, node_morphism())
+    other = CompletionMorphism(
+        base_var="x", field=QQ,
+        images={"Y1": parse_series("2*x + O(x^24)", ("x",), QQ),
+                "Y2": parse_series("1/2*x + O(x^24)", ("x",), QQ)})
+    failed = [r.name for r in verify_certificate(cert, B, other)
+              if not r.passed]
+    assert failed == ["composite factors v"]
+
+
+def test_verify_check_5_compares_hat_with_v_short_circuit():
+    ring = ("x", "Y1", "Y2")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial("Y1 - x^2", ring, QQ)])
+
+    def morphism(y2):
+        return CompletionMorphism(
+            base_var="x", field=QQ,
+            images={"Y1": parse_series("x^2 + O(x^12)", ("x",), QQ),
+                    "Y2": parse_series(y2, ("x",), QQ)})
+
+    cert = desingularize(B, morphism("x + O(x^12)"))
+    assert cert.short_circuit and cert.all_passed()
+    failed = [r.name for r in verify_certificate(cert, B,
+                                                 morphism("2*x + O(x^12)"))
+              if not r.passed]
+    assert failed == ["composite factors v"]
+
+
 def test_desingularize_smooth_short_circuit():
     B = AlgebraPresentation(
         base_var="x", variables=("Y1",), field=QQ,

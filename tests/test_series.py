@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from desing.errors import (DivisibilityError, DomainError, NonUnitError,
                            ParseError, StructuralError)
 from desing.fields import QQ, PrimeField
-from desing.poly import parse_polynomial
+from desing.poly import monomial_degree, parse_polynomial
 from desing.series import (CompletionMorphism, TruncatedSeries, format_series,
                            order_of, parse_series, series_eval,
                            weierstrass_prepare)
@@ -256,3 +257,120 @@ def test_weierstrass_overlap_between_precisions():
 def test_order_of_helper():
     assert order_of(sser("x^3 + O(x^8)")) == 3
     assert order_of(sser("O(x^8)")) is None
+
+
+# ---------------------------------------------------------------------------
+# the graded product and Weierstrass preparation against textbook loops
+
+def _textbook_mul(d1, d2, field, cut):
+    """Every pair of terms, keeping the products of degree below ``cut``."""
+    out = {}
+    for m1, c1 in d1.items():
+        for m2, c2 in d2.items():
+            if monomial_degree(m1) + monomial_degree(m2) >= cut:
+                continue
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = field.add(out.get(m, field.zero()), field.mul(c1, c2))
+    return {m: c for m, c in out.items() if not field.is_zero(c)}
+
+
+def _textbook_weierstrass(f):
+    """(p, unit terms, z_i terms): the level-by-level recurrence on term
+    dicts, with the inverse of the level-0 unit by its own recurrence."""
+    F, m, N = f.field, len(f.variables), f.precision
+    levels = {}
+    for mono, c in f.terms.items():
+        levels.setdefault(monomial_degree(mono[:m - 1]), {})[mono] = c
+    f0 = levels[0]
+    p = min(mono[-1] for mono in f0)
+    e = {mono[:-1] + (mono[-1] - p,): c for mono, c in f0.items()}
+    zero = (0,) * (m - 1)
+    inv0 = F.invert(e[zero + (0,)])
+    e_inv = {zero + (0,): inv0}
+    for d in range(1, N):
+        acc = F.zero()
+        for j in range(1, d + 1):
+            aj, bj = e.get(zero + (j,)), e_inv.get(zero + (d - j,))
+            if aj is not None and bj is not None:
+                acc = F.add(acc, F.mul(aj, bj))
+        if not F.is_zero(acc):
+            e_inv[zero + (d,)] = F.neg(F.mul(inv0, acc))
+    u_parts, z_parts = {0: e}, {}
+    for k in range(1, N):
+        R = dict(levels.get(k, {}))
+        for j in range(1, k):
+            prod = _textbook_mul(u_parts.get(k - j, {}), z_parts.get(j, {}),
+                                 F, N)
+            for mono, c in prod.items():
+                R[mono] = F.add(R.get(mono, F.zero()), F.neg(c))
+        w = _textbook_mul(R, e_inv, F, N)
+        zk = {mono: c for mono, c in w.items() if mono[-1] < p}
+        wplus = {mono[:-1] + (mono[-1] - p,): c for mono, c in w.items()
+                 if mono[-1] >= p}
+        uk = _textbook_mul(e, wplus, F, N)
+        if zk:
+            z_parts[k] = zk
+        if uk:
+            u_parts[k] = uk
+    unit = {}
+    for part in u_parts.values():
+        unit.update(part)
+    zs = [{mono[:-1]: c for part in z_parts.values()
+           for mono, c in part.items() if mono[-1] == i} for i in range(p)]
+    return p, unit, zs
+
+
+_SERIES_FIELDS = (QQ, PrimeField(32003))
+
+
+@st.composite
+def _series_pairs(draw):
+    field = draw(st.sampled_from(_SERIES_FIELDS))
+    n = draw(st.integers(1, 3))
+    variables = ("y", "z", "x")[3 - n:]
+
+    def one():
+        precision = draw(st.integers(1, 10))
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 9)] * n),
+            st.integers(-9, 9).filter(bool).map(field.from_int),
+            max_size=12))
+        return TruncatedSeries(variables, field, terms, precision)
+
+    return one(), one()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series_pairs())
+def test_mul_matches_textbook_loop(pair):
+    a, b = pair
+    prec = min(a.precision, b.precision)
+    assert (a * b).terms == _textbook_mul(a.terms, b.terms, a.field, prec)
+    assert (a * b).precision == prec
+
+
+@st.composite
+def _regular_series(draw):
+    field = draw(st.sampled_from(_SERIES_FIELDS))
+    n = draw(st.integers(2, 3))
+    variables = ("y", "z", "x")[3 - n:]
+    N = draw(st.integers(2, 12))
+    p = draw(st.integers(0, N - 1))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, N - 1)] * n),
+        st.integers(-9, 9).filter(bool).map(field.from_int), max_size=10))
+    # x-regular of order exactly p
+    terms = {m: c for m, c in terms.items() if any(m[:-1]) or m[-1] > p}
+    terms[(0,) * (n - 1) + (p,)] = field.from_int(draw(
+        st.integers(-9, 9).filter(bool)))
+    return TruncatedSeries(variables, field, terms, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_regular_series())
+def test_weierstrass_matches_textbook_recurrence(f):
+    p, unit, zs = _textbook_weierstrass(f)
+    data = weierstrass_prepare(f)
+    assert data.p == p
+    assert data.unit.terms == unit
+    assert [z.terms for z in data.zs] == zs

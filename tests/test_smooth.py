@@ -271,6 +271,41 @@ def test_reduce_until_nonvanishing_fat_point():
         reduce_until_nonvanishing(B, v)
 
 
+def test_reduce_until_nonvanishing_evaluates_only_outside_I(monkeypatch):
+    # chain k = 3: 33 generators of H, 4 of them outside I.  Evaluating H's
+    # generators in order until one is nonzero took 30 series evaluations,
+    # 29 of members of I; v kills I, so only the generators outside I are
+    # evaluated now, after one evaluation per relation of B
+    ring = ("x", "Y1", "Y2", "Y3", "Y4")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial(f, ring, QQ)
+                   for f in ("Y1*Y2 - x^2", "Y3 - Y1^2", "Y4 - Y3^2")])
+    v = node_morphism()
+    y1 = v.images["Y1"]
+    v = CompletionMorphism(base_var="x", field=QQ,
+                           images=dict(v.images, Y3=y1 ** 2, Y4=y1 ** 4))
+    evaluated = []
+    real = CompletionMorphism.eval
+    monkeypatch.setattr(CompletionMorphism, "eval",
+                        lambda self, f: evaluated.append(f) or real(self, f))
+    assert reduce_until_nonvanishing(B, v) is B
+    assert evaluated[:3] == B.relations           # check_morphism
+    H = smoothing_ideal(B).generators
+    outside = [g for g in evaluated[3:] if not ideal_member(g, B.ideal())]
+    assert evaluated[3:] == outside and len(outside) == 1
+    assert all(g in H for g in outside)
+
+
+def test_reduce_until_nonvanishing_checks_morphism():
+    v = CompletionMorphism(
+        base_var="x", field=QQ,
+        images={"Y1": parse_series("x + O(x^12)", ("x",), QQ),
+                "Y2": parse_series("x^2 + O(x^12)", ("x",), QQ)})
+    with pytest.raises(DomainError, match="images do not satisfy"):
+        reduce_until_nonvanishing(node_algebra(), v)
+
+
 def test_algebra_presentation_validation():
     with pytest.raises(StructuralError):
         AlgebraPresentation(base_var="Y1", variables=("Y1",), field=QQ,
