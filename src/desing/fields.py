@@ -305,26 +305,6 @@ def _int_poly_eval(coeffs, x):
     return acc
 
 
-def _rat_poly_divides(g, f):
-    """Exact division test for univariate rational polynomials (low-first)."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    while f and f[-1] == 0:
-        f.pop()
-    dg = len(g) - 1
-    while len(f) - 1 >= dg:
-        if f[-1] == 0:
-            f.pop()
-            continue
-        q = f[-1] / g[-1]
-        shift = len(f) - 1 - dg
-        for i, c in enumerate(g):
-            f[shift + i] -= q * c
-        while f and f[-1] == 0:
-            f.pop()
-    return not f
-
-
 def _kronecker_has_factor(coeffs, budget=200000):
     """Search for a nonconstant proper factor of a monic integer polynomial."""
     d = len(coeffs) - 1
@@ -357,7 +337,7 @@ def _kronecker_has_factor(coeffs, budget=200000):
                 for t in range(len(basis)):
                     cand[t] += yi * basis[t] / denom
             if cand[-1] != 0 and any(c != 0 for c in cand[1:]):
-                if _rat_poly_divides(cand, coeffs):
+                if not _rat_poly_divmod(coeffs, cand)[1]:
                     return True
             # advance the divisor-choice counter
             pos = 0

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .errors import (ConsistencyError, DomainError, PrecisionError,
                      StructuralError)
 from .fields import SimpleExtension
-from .groebner import _fresh_name, ideal_member
-from .poly import Polynomial
+from .groebner import _fresh_name, division, ideal_member
+from .poly import DEGREVLEX, Polynomial
 from .series import CompletionMorphism, TruncatedSeries, series_eval
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
                      find_desing_data, identity_matrix,
@@ -47,21 +47,7 @@ class DPresentation:
         """Normal form with the extension-generator degree below deg(mu)."""
         if self.ext_var is None or self.ext_var not in poly.variables:
             return poly
-        i = poly.variables.index(self.ext_var)
-        deg = self.mu.degree_in(self.ext_var)
-        mu = self.mu.embed(poly.variables)
-        while True:
-            worst = None
-            for m, c in poly.terms.items():
-                if m[i] >= deg:
-                    worst = (m, c)
-                    break
-            if worst is None:
-                return poly
-            m, c = worst
-            shift = list(m)
-            shift[i] -= deg
-            poly = poly - mu * poly.term_poly(tuple(shift), c)
+        return division(poly, [self.mu.embed(poly.variables)], DEGREVLEX)
 
     def coeff_to_poly(self, c, variables):
         """Rewrite a series-field coefficient as a polynomial in U."""
@@ -331,56 +317,37 @@ def build_h_g(fs, yassign, yvars, tvars, d, s, b, G, p, D):
     return h, g, Q
 
 
-def congruence_holds(f, i, yassign, yvars, d, s, b, g, h, w, p, D):
-    """Check s^p f - d^2 g in (h) by an explicit cofactor identity.
-
-    The Taylor expansion of f around y' telescopes the difference between
-    powers of a_j = s(Y_j - y') and b_j = d(G(y')T)_j into multiples of
-    h_j = a_j - b_j; equality of both sides is then an exact polynomial
-    identity (modulo the extension minimal polynomial when present).
-    """
-    ring = s.variables
-    F = s.field
-    n = len(yvars)
-    a_vec = [h[j] + d * w[j] for j in range(n)]      # s(Y_j - y'_j)
-    b_vec = [d * w[j] for j in range(n)]
-    s_pow = [Polynomial.one(ring, F)]
-    for _ in range(p):
-        s_pow.append(s_pow[-1] * s)
-    lhs = s_pow[p] * f.embed(ring) - d * d * g[i]
-    C = [Polynomial.zero(ring, F) for _ in range(n)]
-    partials = _taylor_partials(f, yvars)
-    for alpha, df in sorted(partials.items()):
-        m = sum(alpha)
-        if m < 1:
-            continue
-        base = D.reduce(df.substitute(yassign))
-        base = base.scale(_alpha_factorial_inverse(alpha, F))
-        base = base * s_pow[p - m]
-        for j in range(n):
-            if alpha[j] == 0:
-                continue
-            factor = Polynomial.one(ring, F)
-            for l in range(j):
-                for _ in range(alpha[l]):
-                    factor = factor * b_vec[l]
-            geom = Polynomial.zero(ring, F)
-            for u in range(alpha[j]):
-                term = Polynomial.one(ring, F)
-                for _ in range(u):
-                    term = term * a_vec[j]
-                for _ in range(alpha[j] - 1 - u):
-                    term = term * b_vec[j]
-                geom = geom + term
-            factor = factor * geom
-            for l in range(j + 1, n):
-                for _ in range(alpha[l]):
-                    factor = factor * a_vec[l]
-            C[j] = C[j] + base * factor
-    rhs = Polynomial.zero(ring, F)
-    for j in range(n):
-        rhs = rhs + C[j] * h[j]
-    return D.reduce(lhs - rhs).is_zero()
+def _substituted_power(f, yvars, sY, powers, s_pow, D):
+    """s^p f with every s*Y_j replaced by sY[j], where p = len(s_pow) - 1:
+    each term c*m*Y^beta (m free of Y) becomes c*m*s^(p-|beta|)*sY^beta.
+    ``powers[j]`` caches the powers of sY[j].  None when f has Y-degree
+    above p."""
+    ring, F = f.variables, f.field
+    p = len(s_pow) - 1
+    yidx = [ring.index(y) for y in yvars]
+    groups = {}                  # beta -> the Y-free terms of f at Y^beta
+    for m, c in f.terms.items():
+        beta = tuple(m[i] for i in yidx)
+        if sum(beta) > p:
+            return None
+        rest = list(m)
+        for i in yidx:
+            rest[i] = 0
+        groups.setdefault(beta, {})[tuple(rest)] = c
+    by_degree = {}               # |beta| -> sum of the terms' sY^beta parts
+    for beta, terms in groups.items():
+        part = Polynomial(ring, F, terms)
+        for j, e in enumerate(beta):
+            while len(powers[j]) <= e:
+                powers[j].append(D.reduce(powers[j][-1] * sY[j]))
+            if e:
+                part = powers[j][e] * part
+        k = sum(beta)
+        by_degree[k] = by_degree[k] + part if k in by_degree else part
+    phi = Polynomial.zero(ring, F)
+    for k, part in by_degree.items():
+        phi = phi + part * s_pow[p - k]
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +451,15 @@ def verify_certificate(cert, B, v):
             v.eval(rel).is_zero() for rel in B.relations)
         report.append(CheckResult("composite factors v", ok,
                                   f"O({v.base_var}^{v.precision})"))
+        # z v(pprime) = 1 shows v(pprime) is a unit and binds z, which
+        # find_desing_data computes as that inverse
         img = v.eval(cert.data.pprime)
-        report.append(CheckResult("smoothness witness is a unit",
-                                  img.order() == 0,
+        one = TruncatedSeries.one((v.base_var,), v.field, v.precision)
+        try:
+            ok6 = (cert.data.z * img).truncate(v.precision) == one
+        except DomainError:                 # z known too coarsely
+            ok6 = False
+        report.append(CheckResult("smoothness witness is a unit", ok6,
                                   f"O({v.base_var}^{v.precision})"))
         cert.report = report
         return report
@@ -501,21 +474,8 @@ def verify_certificate(cert, B, v):
            and matrix_equal(matrix_mul(cert.H, cert.G), target))
     report.append(CheckResult("GH = HG = P*Id", ok1, "exact"))
 
-    # (2) membership via the cofactor identity
-    fs = cert.subset_relations()
-    w = []
-    tpolys = [Polynomial.variable(ring, F, t) for t in cert.tvars]
-    Gy_at = [[D.reduce(entry.substitute(cert.yprime)) for entry in row]
-             for row in cert.G]
-    for j in range(n):
-        acc = Polynomial.zero(ring, F)
-        for k in range(n):
-            acc = acc + Gy_at[j][k] * tpolys[k]
-        w.append(acc)
-    ok2 = all(
-        congruence_holds(fs[i], i, cert.yprime, cert.yvars, cert.d, cert.s,
-                         cert.b, cert.g, cert.h, w, cert.p, D)
-        for i in range(len(fs)))
+    # (2) membership by substitution
+    ok2 = _check_membership(cert)
     report.append(CheckResult("s^p f = d^2 g mod (h)", ok2, "exact"))
 
     # (3) the frame solves the ideal modulo d^3
@@ -559,6 +519,46 @@ def verify_certificate(cert, B, v):
                               f"O({cert.base_var}^{prec4})"))
     cert.report = report
     return report
+
+
+def _check_membership(cert):
+    """Check 2: s^p f_i = d^2 g_i mod (h) for every subset relation f_i.
+
+    Each h_j must be exactly s(Y_j - y'_j) - d w_j with w = G(y')T, so that
+    s Y_j = s y'_j + d w_j mod (h).  A term c m Y^beta of f_i (m free of Y)
+    has |beta| <= p, so s^p c m Y^beta = c m s^(p-|beta|) (s Y)^beta, and
+    s^p f_i - Phi_i lies in (h), where Phi_i replaces every s Y_j by
+    s y'_j + d w_j.  The membership then holds when Phi_i - d^2 g_i
+    vanishes modulo mu.  A wrong number of h or g, or a missing y', fails.
+    """
+    ring, F, D = cert.ring, cert.field, cert.D
+    n = len(cert.yvars)
+    fs = cert.subset_relations()
+    if (len(cert.h) != n or len(cert.g) != len(fs)
+            or any(yv not in cert.yprime for yv in cert.yvars)):
+        return False
+    s, d = cert.s, cert.d
+    tpolys = [Polynomial.variable(ring, F, t) for t in cert.tvars]
+    sY = []
+    for row, yv, hj in zip(cert.G, cert.yvars, cert.h):
+        w = Polynomial.zero(ring, F)
+        for entry, tp in zip(row, tpolys):
+            w = w + D.reduce(entry.substitute(cert.yprime)) * tp
+        yp = cert.yprime[yv]
+        if hj != s * (Polynomial.variable(ring, F, yv) - yp) - d * w:
+            return False
+        sY.append(s * yp + d * w)
+    one = Polynomial.one(ring, F)
+    s_pow = [one]
+    for _ in range(cert.p):
+        s_pow.append(D.reduce(s_pow[-1] * s))
+    powers = [[one] for _ in sY]
+    d2 = d * d
+    for f, g in zip(fs, cert.g):
+        phi = _substituted_power(f, cert.yvars, sY, powers, s_pow, D)
+        if phi is None or not D.reduce(phi - d2 * g).is_zero():
+            return False
+    return True
 
 
 def _hat_is_v(cert, B, v, precision):

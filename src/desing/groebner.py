@@ -40,9 +40,6 @@ class IdealPresentation:
                 gens.append(g)
         self.generators = gens
 
-    def ring_zero(self):
-        return Polynomial.zero(self.variables, self.field)
-
     def ring_one(self):
         return Polynomial.one(self.variables, self.field)
 

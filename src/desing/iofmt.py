@@ -442,8 +442,10 @@ def parse_certificate(text):
 
 def _check_derived(cert):
     """Sections that no verify check reads must be what the other sections
-    determine: the [data] subset, c and columns, pprime = minor*witness,
-    d = dprime^2, z = hat[zvar], g_i = s^p b_i + s^p T_i + Q_i and B'.
+    determine: the [data] subset (which indexes [relations]), c and
+    columns, p = the degree of [relations], square H and G, pprime =
+    minor*witness, d = dprime^2, z = hat[zvar], g_i = s^p b_i + s^p T_i +
+    Q_i and B'.
     A mismatch is a ConsistencyError."""
     data, D = cert.data, cert.D
 
@@ -453,6 +455,12 @@ def _check_derived(cert):
 
     require(data.subset == cert.subset and data.c == cert.c,
             "[data] subset or c differs from [meta]")
+    require(all(0 <= i < len(cert.relations) for i in cert.subset),
+            "[meta] subset names a relation that [relations] lacks")
+    # p bounds every power of s that verify takes, so bind it before any
+    degree = max([0] + [r.total_degree() for r in cert.relations])
+    require(cert.p == (0 if cert.short_circuit else degree),
+            "[meta] p is not the degree of [relations]")
     require(data.pprime == data.minor * data.witness,
             "[data] pprime is not minor*witness")
     require(cert.d == data.dprime * data.dprime, "[d] is not dprime^2")
@@ -463,6 +471,11 @@ def _check_derived(cert):
         require(cert.permutation[:len(data.columns)] == data.columns,
                 "[data] columns do not lead the permutation")
         require(cert.s is not None, "[s] is missing")
+        n = len(cert.yvars)
+        require(len(cert.tvars) == n and all(
+            len(mat) == n and all(len(row) == n for row in mat)
+            for mat in (cert.H, cert.G)),
+            "[H] or [G] is not square in the yvars and tvars")
         require(cert.hat_images.get(cert.zvar) == data.z,
                 "[data] z differs from the image of zvar in [hat]")
         sp = cert.s ** cert.p

@@ -148,9 +148,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(monomial_degree(m) == 0 for m in self.terms)
-
     def constant_coefficient(self):
         return self.terms.get((0,) * len(self.variables), self.field.zero())
 

@@ -1,6 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 
 import pytest
+
+import desing
 
 from desing import cli, gnd
 from desing.cli import main
@@ -252,6 +257,7 @@ DERIVED_TAMPERING = {
     "data-c": ("data", "c ", lambda l: "c 2"),
     "data-subset": ("data", "subset ", _reversed_ints),
     "data-columns": ("data", "columns ", _reversed_ints),
+    "G-shape": ("G", "", lambda l: l.rsplit(" ; ", 1)[0]),
 }
 
 
@@ -279,6 +285,47 @@ def test_cli_short_circuit_certificate_sections(tmp_path):
     bad = _edit_line(text, "bprime", "W", _plus_one)
     with pytest.raises(ConsistencyError, match="bprime"):
         parse_certificate(bad)
+
+
+def test_cli_verify_huge_p_fails_fast(tmp_path, node_certificate):
+    # p is bound to the degree of [relations] before any power of s
+    bad = _edit_line(node_certificate, "meta", "p ", lambda l: "p 200000")
+    path = write(tmp_path, "bad.txt", bad)
+    src = os.path.dirname(os.path.dirname(desing.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "desing.cli", "verify",
+                          "--input", path], env=env, capture_output=True,
+                         text=True, timeout=10)
+    assert run.returncode == 5
+    assert "[meta] p" in run.stderr
+
+
+def test_cli_verify_subset_beyond_relations(tmp_path, node_certificate):
+    # drop the last relation from [relations] and [bprime] alike
+    bad = node_certificate.replace("Z*Y2 - x\n", "")
+    assert "Z*Y2 - x" not in bad
+    with pytest.raises(ConsistencyError, match="subset"):
+        parse_certificate(bad)
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+
+
+def test_cli_short_circuit_binds_z(tmp_path):
+    # z must satisfy z*v(pprime) = 1; the one check reading it is check 6
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
+                "[ideal]\nY1 - x^2\n[morphism]\nY1 = x^2 + O(x^12)\n"
+                "Y2 = x + O(x^12)\n")
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    text = open(cert_path).read()
+    assert "\nz 1 + O(x^12)\n" in text
+    for z in ("2 + O(x^12)", "1 + x + O(x^12)", "1 + O(x^5)"):
+        bad = text.replace("\nz 1 + O(x^12)\n", f"\nz {z}\n")
+        report = str(tmp_path / "report.txt")
+        assert main(["verify", "--input", write(tmp_path, "bad.txt", bad),
+                     "--output", report]) == 5
+        last = open(report).read().splitlines()[-1]
+        assert last == "failed: smoothness witness is a unit"
 
 
 def _report(path):

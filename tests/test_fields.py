@@ -96,6 +96,12 @@ def test_irreducibility_certificate():
     assert not is_irreducible_over_q([-4, 0, 1])
 
 
+def test_irreducibility_kronecker_path():
+    # (t^2 + 1)(t^2 + 2) is reducible modulo every prime, so no modular
+    # certificate exists and trial factorization must find t^2 + 2
+    assert not is_irreducible_over_q([2, 0, 3, 0, 1])
+
+
 def test_extension_characteristic_and_format():
     K = SimpleExtension(QQ, (-2, 0, 1), gen="s")
     assert K.characteristic() == 0

@@ -1,12 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from desing.errors import ConsistencyError, DomainError
 from desing.fields import QQ, PrimeField, SimpleExtension
-from desing.gnd import (border_step, build_H_G, build_h_g,
-                        congruence_holds, desingularize, make_D,
-                        truncate_lift, verify_certificate)
+from desing.gnd import (_alpha_factorial_inverse, _check_membership,
+                        _taylor_partials, border_step, build_H_G, build_h_g,
+                        desingularize, make_D, truncate_lift,
+                        verify_certificate)
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import CompletionMorphism, TruncatedSeries, parse_series
 from desing.smooth import AlgebraPresentation, find_desing_data
@@ -29,6 +32,20 @@ def node_morphism(precision=24):
     y2 = TruncatedSeries(("x",), QQ, geometric(precision), precision)
     return CompletionMorphism(base_var="x", field=QQ,
                               images={"Y1": y1, "Y2": y2})
+
+
+def chain_k2():
+    # Y1*Y2 = x^2, Y3 = Y1^2: three generator subsets
+    ring = ("x", "Y1", "Y2", "Y3")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial("Y1*Y2 - x^2", ring, QQ),
+                   parse_polynomial("Y3 - Y1^2", ring, QQ)])
+    y1 = TruncatedSeries(("x",), QQ, {(1,): 1, (2,): 1}, 24)
+    v = CompletionMorphism(base_var="x", field=QQ,
+                           images={"Y1": y1, "Y2": node_morphism().images["Y2"],
+                                   "Y3": y1 * y1})
+    return B, v
 
 
 # ---------------------------------------------------------------------------
@@ -242,44 +259,167 @@ def test_desingularize_rejects_positive_characteristic():
         desingularize(B, v)
 
 
-def test_congruence_check_direct():
-    # the node certificate satisfies the cofactor identity relation by relation
-    B = node_algebra()
-    v = node_morphism()
-    cert = desingularize(B, v)
-    fs = cert.subset_relations()
-    D = cert.D
+def test_membership_check_direct():
+    # the node certificate passes check 2; breaking the shape of one h, or
+    # dropping an h or a g, fails it
+    cert = desingularize(node_algebra(), node_morphism())
+    assert _check_membership(cert)
+    one = Polynomial.one(cert.ring, QQ)
+    for change in ({"h": [cert.h[0] + one] + cert.h[1:]},
+                   {"h": cert.h[:-1]}, {"g": cert.g[:-1]}):
+        assert not _check_membership(dataclasses.replace(cert, **change))
+
+
+def test_membership_check_degree_above_p():
+    cert = desingularize(node_algebra(), node_morphism())
+    assert cert.p == 2
     ring = cert.ring
-    tpolys = [Polynomial.variable(ring, QQ, t) for t in cert.tvars]
-    Gy = [[D.reduce(e.substitute(cert.yprime)) for e in row] for row in cert.G]
+    cubic = parse_polynomial("Y1^3", ring, QQ)
+    relations = [cert.relations[0] + cubic] + cert.relations[1:]
+    assert not _check_membership(dataclasses.replace(cert,
+                                                     relations=relations))
+
+
+# ---------------------------------------------------------------------------
+# check 2 against the Taylor-telescoping cofactor identity it replaced
+
+def reference_congruence_holds(f, i, yassign, yvars, d, s, b, g, h, w, p, D):
+    """Check s^p f - d^2 g in (h) by an explicit cofactor identity: the
+    Taylor expansion of f around y' telescopes the difference between
+    powers of a_j = s(Y_j - y') and b_j = d(G(y')T)_j into multiples of
+    h_j = a_j - b_j."""
+    ring = s.variables
+    F = s.field
+    n = len(yvars)
+    a_vec = [h[j] + d * w[j] for j in range(n)]
+    b_vec = [d * w[j] for j in range(n)]
+    s_pow = [Polynomial.one(ring, F)]
+    for _ in range(p):
+        s_pow.append(s_pow[-1] * s)
+    lhs = s_pow[p] * f.embed(ring) - d * d * g[i]
+    C = [Polynomial.zero(ring, F) for _ in range(n)]
+    for alpha, df in sorted(_taylor_partials(f, yvars).items()):
+        m = sum(alpha)
+        if m < 1:
+            continue
+        base = D.reduce(df.substitute(yassign))
+        base = base.scale(_alpha_factorial_inverse(alpha, F))
+        base = base * s_pow[p - m]
+        for j in range(n):
+            if alpha[j] == 0:
+                continue
+            factor = Polynomial.one(ring, F)
+            for l in range(j):
+                for _ in range(alpha[l]):
+                    factor = factor * b_vec[l]
+            geom = Polynomial.zero(ring, F)
+            for u in range(alpha[j]):
+                term = Polynomial.one(ring, F)
+                for _ in range(u):
+                    term = term * a_vec[j]
+                for _ in range(alpha[j] - 1 - u):
+                    term = term * b_vec[j]
+                geom = geom + term
+            factor = factor * geom
+            for l in range(j + 1, n):
+                for _ in range(alpha[l]):
+                    factor = factor * a_vec[l]
+            C[j] = C[j] + base * factor
+    rhs = Polynomial.zero(ring, F)
+    for j in range(n):
+        rhs = rhs + C[j] * h[j]
+    return D.reduce(lhs - rhs).is_zero()
+
+
+def reference_check_2(cert):
+    """(the cofactor identity holds, every h_j = s(Y_j - y'_j) - d w_j)"""
+    ring, D, n = cert.ring, cert.D, len(cert.yvars)
+    tpolys = [Polynomial.variable(ring, cert.field, t) for t in cert.tvars]
+    Gy = [[D.reduce(e.substitute(cert.yprime)) for e in row]
+          for row in cert.G]
     w = []
-    for j in range(len(cert.yvars)):
-        acc = Polynomial.zero(ring, QQ)
-        for k in range(len(cert.yvars)):
+    for j in range(n):
+        acc = Polynomial.zero(ring, cert.field)
+        for k in range(n):
             acc = acc + Gy[j][k] * tpolys[k]
         w.append(acc)
-    for i, f in enumerate(fs):
-        assert congruence_holds(f, i, cert.yprime, cert.yvars, cert.d,
-                                cert.s, cert.b, cert.g, cert.h, w, cert.p, D)
+    fs = cert.subset_relations()
+    identity = all(
+        reference_congruence_holds(fs[i], i, cert.yprime, cert.yvars, cert.d,
+                                   cert.s, cert.b, cert.g, cert.h, w, cert.p,
+                                   D)
+        for i in range(len(fs)))
+    shape = all(
+        h == cert.s * (Polynomial.variable(ring, cert.field, yv)
+                       - cert.yprime[yv]) - cert.d * wj
+        for h, yv, wj in zip(cert.h, cert.yvars, w))
+    return identity, shape
+
+
+HONEST = {"node": desingularize(node_algebra(), node_morphism()),
+          "chain-k2": desingularize(*chain_k2())}
+
+
+def _bump(poly, index, delta):
+    """poly with its index-th term's coefficient moved by delta."""
+    mono = sorted(poly.terms)[index % len(poly.terms)]
+    terms = dict(poly.terms)
+    terms[mono] += delta
+    return Polynomial(poly.variables, poly.field, terms)
+
+
+def _changed(cert, section, k, index, delta):
+    """cert with one coefficient of one polynomial of a section changed."""
+    if section == "s":
+        return dataclasses.replace(cert, s=_bump(cert.s, index, delta))
+    if section == "yprime":
+        yv = cert.yvars[k % len(cert.yvars)]
+        yprime = dict(cert.yprime, **{yv: _bump(cert.yprime[yv], index,
+                                                delta)})
+        return dataclasses.replace(cert, yprime=yprime)
+    if section == "G":
+        cells = [(j, l) for j, row in enumerate(cert.G)
+                 for l, e in enumerate(row) if not e.is_zero()]
+        j, l = cells[k % len(cells)]
+        G = [list(row) for row in cert.G]
+        G[j][l] = _bump(G[j][l], index, delta)
+        return dataclasses.replace(cert, G=G)
+    seq = list(getattr(cert, section))
+    seq[k % len(seq)] = _bump(seq[k % len(seq)], index, delta)
+    return dataclasses.replace(cert, **{section: seq})
+
+
+def test_membership_check_honest_certificates():
+    for cert in HONEST.values():
+        assert _check_membership(cert)
+        assert reference_check_2(cert) == (True, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(HONEST)),
+       st.sampled_from(["s", "yprime", "G", "h", "g"]),
+       st.integers(0, 20), st.integers(0, 200),
+       st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                        Fraction(1, 2), Fraction(-3, 7)]))
+def test_membership_check_agrees_with_cofactor_identity(name, section, k,
+                                                        index, delta):
+    cert = _changed(HONEST[name], section, k, index, delta)
+    identity, shape = reference_check_2(cert)
+    if section in ("s", "h", "g"):
+        assert _check_membership(cert) == identity
+    else:
+        # the identity never reads y' or G where Y_j enters f only
+        # linearly (Y3 of chain-k2); the shape test binds them to h
+        assert _check_membership(cert) == (identity and shape)
 
 
 def test_desingularize_one_quotient_per_subset(monkeypatch):
-    # chain k = 2: Y1*Y2 = x^2, Y3 = Y1^2 has three generator subsets
     import desing.smooth as smooth
 
     calls = []
     real = smooth.ideal_quotient
     monkeypatch.setattr(smooth, "ideal_quotient",
                         lambda *a: calls.append(a) or real(*a))
-    ring = ("x", "Y1", "Y2", "Y3")
-    B = AlgebraPresentation(
-        base_var="x", variables=ring[1:], field=QQ,
-        relations=[parse_polynomial("Y1*Y2 - x^2", ring, QQ),
-                   parse_polynomial("Y3 - Y1^2", ring, QQ)])
-    y1 = TruncatedSeries(("x",), QQ, {(1,): 1, (2,): 1}, 24)
-    v = CompletionMorphism(base_var="x", field=QQ,
-                           images={"Y1": y1, "Y2": node_morphism().images["Y2"],
-                                   "Y3": y1 * y1})
-    cert = desingularize(B, v)
+    cert = desingularize(*chain_k2())
     assert cert.all_passed(), "\n".join(cert.report_lines())
     assert 0 < len(calls) <= 3
