@@ -14,7 +14,7 @@ from .errors import (DomainError, PrecisionError, ResourceError,
                      StructuralError)
 from .groebner import kernel_basis
 from .poly import Polynomial
-from .series import TruncatedSeries, series_eval
+from .series import TruncatedSeries, series_eval, series_point
 from .smooth import (DEFAULT_SUBSET_BUDGET, AlgebraPresentation, best_witness,
                      bordered_jacobian, matrix_det)
 
@@ -74,13 +74,10 @@ class LiftRequest:
     y0: dict                     # yvar -> TruncatedSeries (terms taken exact)
     c: int
     target: int
-    e: int = None
     subset_budget: int = DEFAULT_SUBSET_BUDGET
 
     def __post_init__(self):
         self.yvars = tuple(self.yvars)
-        if self.e is None:
-            self.e = self.c
 
 
 @dataclass
@@ -103,26 +100,20 @@ def newton_lift(req):
     current = {yv: TruncatedSeries(base, F, dict(req.y0[yv].terms), work)
                for yv in req.yvars}
 
-    def point(prec=None):
-        out = {req.base_var: xs if prec is None else xs.truncate(prec)}
-        for yv in req.yvars:
-            out[yv] = current[yv] if prec is None else \
-                current[yv].truncate(prec)
-        return out
-
     # zero relations are dropped, so subset indices refer to B.relations
     B = AlgebraPresentation(
         base_var=req.base_var, variables=req.yvars,
         field=req.system[0].field if req.system else F,
         relations=list(req.system))
-    residues = [series_eval(f, point()) for f in B.relations]
+    # one point per iterate and one per correction, each shared by all
+    at_y = series_point({req.base_var: xs, **current})
+    residues = [series_eval(f, at_y) for f in B.relations]
     orders = [s.order() for s in residues]
     start = min((o for o in orders if o is not None), default=None)
     if start is not None and start < 2 * req.c + 1:
         raise DomainError(
             f"f(y0) has order {start}, need >= {2 * req.c + 1}")
-    assign = point()
-    best = best_witness(B, lambda p: series_eval(p, assign),
+    best = best_witness(B, lambda p: series_eval(p, at_y),
                         req.subset_budget)
     if best is None or best[0] > req.c:
         raise DomainError(f"no witness with residue order <= {req.c} at y0")
@@ -136,7 +127,9 @@ def newton_lift(req):
 
     trace = []
     for it in range(MAX_NEWTON_ITERATIONS):
-        residues = [series_eval(f, point()) for f in B.relations]
+        if it:
+            at_y = series_point({req.base_var: xs, **current})
+            residues = [series_eval(f, at_y) for f in B.relations]
         sub_res = [residues[i] for i in subset]
         orders = [s.order() for s in residues]
         finite = [o for o in orders if o is not None]
@@ -150,7 +143,9 @@ def newton_lift(req):
         # computing it there and padding with zeros keeps the quadratic
         # convergence while avoiding full-precision division early on
         dp = min(work, 2 * cur_ord + 1)
-        Pval = series_eval(P, point(dp))
+        at_dp = series_point({name: image.truncate(dp)
+                              for name, image in at_y.images.items()})
+        Pval = series_eval(P, at_dp)
         if Pval.order() is None or Pval.order() > req.c:
             raise DomainError("witness residue degenerated during lifting")
         pad = [s.truncate(dp) for s in sub_res] + \
@@ -158,7 +153,7 @@ def newton_lift(req):
         for j, yv in enumerate(pvars):
             num = TruncatedSeries.zero(base, F, dp)
             for i in range(n):
-                num = num + series_eval(G[j][i], point(dp)) * pad[i]
+                num = num + series_eval(G[j][i], at_dp) * pad[i]
             if num.is_zero():
                 continue
             delta = num.divide_exact(Pval)
@@ -173,8 +168,9 @@ def newton_lift(req):
 
 def strong_approx_check(system, assign, c):
     """True when every residue of the system at the point has order >= c."""
+    point = series_point(assign)
     for f in system:
-        val = series_eval(f, {name: assign[name] for name in f.variables})
+        val = series_eval(f, point)
         ordv = val.order()
         if ordv is None:
             ordv = val.precision
@@ -219,12 +215,12 @@ def linear_factor(a, b, yprime, base_var, slack=10):
     prec = min(s.precision for s in yprime)
     base = (base_var,)
     # consistency: a y' = b to precision
+    xpoint = series_point({base_var: TruncatedSeries.variable(
+        base, F, base_var, prec)})
     for i in range(r):
         acc = TruncatedSeries.zero(base, F, prec)
         for j in range(n):
-            acc = acc + series_eval(a[i][j],
-                                    {base_var: TruncatedSeries.variable(
-                                        base, F, base_var, prec)}) * yprime[j]
+            acc = acc + series_eval(a[i][j], xpoint) * yprime[j]
         bs = TruncatedSeries.from_polynomial(b[i].restrict(base), prec)
         if not (acc - bs).is_zero():
             raise DomainError("a*y' does not equal b to precision")

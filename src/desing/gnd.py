@@ -14,12 +14,12 @@ as a FAIL in the report (``gnd`` exits 5).
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import (ConsistencyError, DomainError, PrecisionError,
-                     StructuralError)
+from .errors import ConsistencyError, DomainError, PrecisionError
 from .fields import SimpleExtension
 from .groebner import _fresh_name, division, ideal_member
-from .poly import DEGREVLEX, Polynomial
-from .series import CompletionMorphism, TruncatedSeries, series_eval
+from .poly import DEGREVLEX, Polynomial, ring_substitution
+from .series import (CompletionMorphism, TruncatedSeries, series_eval,
+                     series_point)
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
                      find_desing_data, identity_matrix,
                      matrix_det, matrix_equal, matrix_mul, matrix_scale,
@@ -36,7 +36,6 @@ class DPresentation:
     series_field: object         # equals field, or a simple extension of it
     ext_var: str = None
     mu: Polynomial = None
-    muprime: Polynomial = None
 
     def ring_prefix(self):
         if self.ext_var is None:
@@ -63,28 +62,17 @@ class DPresentation:
                 terms[tuple(mono)] = Fraction(comp)
         return Polynomial(variables, F, terms)
 
-    def to_series(self, poly, precision):
-        """Map a polynomial in (x, U) to a series in x over the series field."""
-        Fs = self.series_field
-        xi = poly.variables.index(self.base_var)
-        ui = (poly.variables.index(self.ext_var)
-              if self.ext_var in (poly.variables if self.ext_var else ())
-              else None)
-        alpha = Fs.generator() if ui is not None else None
-        terms = {}
-        for m, c in poly.terms.items():
-            for k, e in enumerate(m):
-                if e and k not in (xi, ui):
-                    raise StructuralError(
-                        f"polynomial involves {poly.variables[k]!r}, "
-                        "expected only base and extension variables")
-            val = Fs.coerce(poly.field, c)
-            if ui is not None:
-                for _ in range(m[ui]):
-                    val = Fs.mul(val, alpha)
-            mono = (m[xi],)
-            terms[mono] = Fs.add(terms.get(mono, Fs.zero()), val)
-        return TruncatedSeries((self.base_var,), Fs, terms, precision)
+    def point(self, precision, images):
+        """The series point that sends x to itself, U to the generator of
+        the series field and each name of ``images`` to its series, all
+        truncated to ``precision``."""
+        Fs, x = self.series_field, self.base_var
+        out = {name: s.truncate(precision) for name, s in images.items()}
+        out[x] = TruncatedSeries.variable((x,), Fs, x, precision)
+        if self.ext_var:
+            out[self.ext_var] = TruncatedSeries.constant(
+                (x,), Fs, Fs.generator(), precision)
+        return series_point(out)
 
 
 def make_D(v, taken):
@@ -94,8 +82,7 @@ def make_D(v, taken):
         mu = Polynomial((U,), F.base,
                         {(i,): c for i, c in enumerate(F.mu) if c})
         return DPresentation(base_var=v.base_var, field=F.base,
-                             series_field=F, ext_var=U, mu=mu,
-                             muprime=mu.derivative(U))
+                             series_field=F, ext_var=U, mu=mu)
     return DPresentation(base_var=v.base_var, field=F, series_field=F)
 
 
@@ -169,17 +156,11 @@ def truncate_lift(v, c, D, names, ring):
             f"need precision >= {cut} to truncate, have {v.precision}")
     out = {}
     for name in names:
-        s = v.images[name]
         acc = Polynomial.zero(ring, D.field)
-        xi = ring.index(D.base_var)
-        for (e,), coeff in sorted(s.terms.items()):
-            if e >= cut:
-                continue
-            cp = D.coeff_to_poly(coeff, ring)
-            mono = [0] * len(ring)
-            mono[xi] = e
-            acc = acc + cp * Polynomial(ring, D.field,
-                                        {tuple(mono): D.field.one()})
+        for (e,), coeff in sorted(v.images[name].terms.items()):
+            if e < cut:
+                acc = acc + D.coeff_to_poly(coeff, ring) * \
+                    Polynomial.variable(ring, D.field, D.base_var, e)
         out[name] = acc
     return out
 
@@ -207,16 +188,16 @@ def _x_order(poly, xvar):
     return min(m[i] for m in poly.terms)
 
 
-def compute_s_b(fs, P, yassign, c, D):
+def compute_s_b(fs, P, ypoint, c, D):
     """s = P(y')/d with s = 1 mod d; b_i = f_i(y')/d^2 with b_i in (d)."""
     x = D.base_var
-    Pval = D.reduce(P.substitute(yassign))
+    Pval = D.reduce(P.substitute(ypoint))
     s = _x_shift(Pval, x, 2 * c, "P(y')")
     one = Polynomial.one(s.variables, s.field)
     _x_shift(s - one, x, 2 * c, "s - 1")
     b = []
     for f in fs:
-        fval = D.reduce(f.substitute(yassign))
+        fval = D.reduce(f.substitute(ypoint))
         bi = _x_shift(fval, x, 4 * c, "f_i(y')")
         if not bi.is_zero():
             _x_shift(bi, x, 2 * c, "b_i")
@@ -262,7 +243,7 @@ def _alpha_factorial_inverse(alpha, F):
     return F.from_fraction(Fraction(1, fact))
 
 
-def build_h_g(fs, yassign, yvars, tvars, d, s, b, G, p, D):
+def build_h_g(fs, ypoint, yvars, tvars, d, s, b, G, p, D):
     """h = s(Y - y') - d G(y')T; g_i = s^p b_i + s^p T_i + Q_i.
 
     Q_i collects the Taylor tail of order >= 2, with powers of s and d
@@ -271,7 +252,7 @@ def build_h_g(fs, yassign, yvars, tvars, d, s, b, G, p, D):
     ring = s.variables
     F = s.field
     n = len(yvars)
-    Gy = [[D.reduce(entry.substitute(yassign)) for entry in row] for row in G]
+    Gy = [[D.reduce(entry.substitute(ypoint)) for entry in row] for row in G]
     tpolys = [Polynomial.variable(ring, F, t) for t in tvars]
     w = []
     for j in range(n):
@@ -282,7 +263,7 @@ def build_h_g(fs, yassign, yvars, tvars, d, s, b, G, p, D):
     h = []
     for j, yv in enumerate(yvars):
         ypoly = Polynomial.variable(ring, F, yv)
-        h.append(s * (ypoly - yassign[yv]) - d * w[j])
+        h.append(s * (ypoly - ypoint.images[yv]) - d * w[j])
     s_pow = [Polynomial.one(ring, F)]
     for _ in range(p):
         s_pow.append(s_pow[-1] * s)
@@ -299,7 +280,7 @@ def build_h_g(fs, yassign, yvars, tvars, d, s, b, G, p, D):
                 raise ConsistencyError("generator degree exceeds p")
             while len(d_pow) <= m - 2:
                 d_pow.append(d_pow[-1] * d)
-            term = D.reduce(df.substitute(yassign))
+            term = D.reduce(df.substitute(ypoint))
             term = term.scale(_alpha_factorial_inverse(alpha, F))
             term = term * s_pow[p - m] * d_pow[m - 2]
             for j, a in enumerate(alpha):
@@ -396,7 +377,7 @@ class GndCertificate:
         return all(r.passed for r in self.report)
 
 
-def assemble_certificate(step, D, permutation, ring, yvars, tvars, yassign,
+def assemble_certificate(step, D, permutation, ring, yvars, tvars, ypoint,
                          s, b, H, G, h, g, Q, p):
     """Package the pipeline output and compute the series images of T."""
     B1 = step.algebra
@@ -404,19 +385,24 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, yassign,
     v1 = step.morphism
     N = v1.precision
     hat = {yv: v1.images[yv].truncate(N) for yv in yvars}
-    # t = H(y') (yhat - y') / d^2, entrywise exact series division
-    Hy = [[D.reduce(entry.substitute(yassign)) for entry in row] for row in H]
-    deltas = []
-    for yv in yvars:
-        yp = D.to_series(yassign[yv], N)
-        deltas.append(hat[yv] - yp)
+    yprime = {yv: ypoint.images[yv] for yv in yvars}
+    # t = H(y') (yhat - y') / d^2, entrywise exact series division, with
+    # y' and H(y') (polynomials in x [and U]) evaluated at one point
+    prefix, xpoint = D.ring_prefix(), D.point(N, {})
+
+    def at_x(poly):
+        return series_eval(poly.restrict(prefix), xpoint)
+
+    deltas = [hat[yv] - at_x(yprime[yv]) for yv in yvars]
+    Hy = [[at_x(D.reduce(entry.substitute(ypoint))) for entry in row]
+          for row in H]
     xF = v1.field
     d2 = TruncatedSeries((v1.base_var,), xF, {(4 * c,): xF.one()}, N)
     t = {}
     for j, tv in enumerate(tvars):
         acc = TruncatedSeries.zero((v1.base_var,), xF, N)
         for k in range(len(yvars)):
-            acc = acc + D.to_series(Hy[j][k], N) * deltas[k]
+            acc = acc + Hy[j][k] * deltas[k]
         t[tv] = acc.divide_exact(d2)
     rels = [r.embed(ring) for r in B1.relations]
     Bprime, W = bprime_presentation(ring, D.field, rels + h + g, s,
@@ -431,7 +417,7 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, yassign,
         data=data, c=c, p=p, short_circuit=False, ring=ring,
         yvars=yvars, tvars=tvars, zvar=step.zvar, permutation=permutation,
         relations=rels, subset=step.data.subset, d=step.d.embed(ring),
-        s=s, b=b, yprime=dict(yassign), H=H, G=G, h=h, g=g, Q=Q,
+        s=s, b=b, yprime=yprime, H=H, G=G, h=h, g=g, Q=Q,
         Bprime=Bprime, wvar=W, t=t, hat_images=hat, precision=N)
 
 
@@ -475,45 +461,36 @@ def verify_certificate(cert, B, v):
     report.append(CheckResult("GH = HG = P*Id", ok1, "exact"))
 
     # (2) membership by substitution
-    ok2 = _check_membership(cert)
+    ypoint = ring_substitution(ring, F, cert.yprime)
+    ok2 = _check_membership(cert, ypoint)
     report.append(CheckResult("s^p f = d^2 g mod (h)", ok2, "exact"))
 
     # (3) the frame solves the ideal modulo d^3
-    ok3 = True
-    for rel in cert.relations:
-        val = D.reduce(rel.substitute(cert.yprime))
-        ordv = _x_order(val, cert.base_var)
-        if ordv is not None and ordv < 6 * c:
-            ok3 = False
+    orders = [_x_order(D.reduce(rel.substitute(ypoint)), cert.base_var)
+              for rel in cert.relations]
+    ok3 = all(o is None or o >= 6 * c for o in orders)
     report.append(CheckResult("I(y') = 0 mod d^3", ok3, "exact"))
 
-    # (4) h and g vanish on the series point
+    # (4) h and g vanish on the series point (yhat, t), which checks 5
+    # and 6 share
     prec4 = min([cert.precision - 4 * c]
                 + [t.precision for t in cert.t.values()])
-    assign = _series_assignment(cert, prec4)
-    ok4 = all(series_eval(q, assign).is_zero() for q in cert.h) and \
-        all(series_eval(q, assign).is_zero() for q in cert.g)
+    point = D.point(prec4, {**cert.hat_images, **cert.t})
+    ok4 = all(series_eval(q, point).is_zero() for q in cert.h + cert.g)
     report.append(CheckResult("h and g vanish on (yhat, t)", ok4,
                               f"O({cert.base_var}^{prec4})"))
 
     # (5) the composite agrees with v
     ok5 = _hat_is_v(cert, B, v, prec4) and all(
-        series_eval(rel, {name: assign[name] for name in rel.variables})
-        .is_zero() for rel in B.relations)
+        series_eval(rel, point).is_zero() for rel in B.relations)
     report.append(CheckResult("composite factors v", ok5,
                               f"O({cert.base_var}^{prec4})"))
 
     # (6) det of the leading T-block of the Jacobian of g is a unit
-    r = len(cert.g)
-    mat = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            dg = cert.g[i].derivative(cert.tvars[j])
-            row.append(series_eval(dg, assign))
-        mat.append(row)
-    det = matrix_det(mat) if r else \
-        TruncatedSeries.one((cert.base_var,), cert.series_field, prec4)
+    tvars = cert.tvars[:len(cert.g)]
+    mat = [[series_eval(g.derivative(tv), point) for tv in tvars]
+           for g in cert.g]
+    det = matrix_det(mat) if mat else point.one
     ok6 = det.order() == 0
     report.append(CheckResult("smoothness witness is a unit", ok6,
                               f"O({cert.base_var}^{prec4})"))
@@ -521,7 +498,7 @@ def verify_certificate(cert, B, v):
     return report
 
 
-def _check_membership(cert):
+def _check_membership(cert, ypoint):
     """Check 2: s^p f_i = d^2 g_i mod (h) for every subset relation f_i.
 
     Each h_j must be exactly s(Y_j - y'_j) - d w_j with w = G(y')T, so that
@@ -530,6 +507,7 @@ def _check_membership(cert):
     s^p f_i - Phi_i lies in (h), where Phi_i replaces every s Y_j by
     s y'_j + d w_j.  The membership then holds when Phi_i - d^2 g_i
     vanishes modulo mu.  A wrong number of h or g, or a missing y', fails.
+    ``ypoint`` is the substitution Y -> y' that check 3 shares.
     """
     ring, F, D = cert.ring, cert.field, cert.D
     n = len(cert.yvars)
@@ -543,7 +521,7 @@ def _check_membership(cert):
     for row, yv, hj in zip(cert.G, cert.yvars, cert.h):
         w = Polynomial.zero(ring, F)
         for entry, tp in zip(row, tpolys):
-            w = w + D.reduce(entry.substitute(cert.yprime)) * tp
+            w = w + D.reduce(entry.substitute(ypoint)) * tp
         yp = cert.yprime[yv]
         if hj != s * (Polynomial.variable(ring, F, yv) - yp) - d * w:
             return False
@@ -568,22 +546,6 @@ def _hat_is_v(cert, B, v, precision):
                    == v.images[y].truncate(precision) for y in B.variables)
     except (KeyError, DomainError):         # missing, or known too coarsely
         return False
-
-
-def _series_assignment(cert, precision):
-    """Series values for every working-ring variable at the given precision."""
-    Fs = cert.series_field
-    base = (cert.base_var,)
-    assign = {cert.base_var:
-              TruncatedSeries.variable(base, Fs, cert.base_var, precision)}
-    if cert.D.ext_var:
-        assign[cert.D.ext_var] = TruncatedSeries.constant(
-            base, Fs, Fs.generator(), precision)
-    for yv in cert.yvars:
-        assign[yv] = cert.hat_images[yv].truncate(precision)
-    for tv in cert.tvars:
-        assign[tv] = cert.t[tv].truncate(precision)
-    return assign
 
 
 def bprime_presentation(ring, fld, relations, unit, mu=None):
@@ -637,14 +599,15 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     rels = [r.embed(ring) for r in B1.relations]
     fs = [rels[i] for i in step.data.subset]
     p = max(r.total_degree() for r in rels)
-    yassign = truncate_lift(v1, data.c, D, yvars, ring)
+    ypoint = ring_substitution(ring, D.field,
+                               truncate_lift(v1, data.c, D, yvars, ring))
     d = step.d.embed(ring)
     P = step.P.embed(ring)
-    s, b = compute_s_b(fs, P, yassign, data.c, D)
+    s, b = compute_s_b(fs, P, ypoint, data.c, D)
     H, G = build_H_G(fs, yvars, step.data.witness.embed(ring),
                      step.data.minor.embed(ring))
-    h, g, Q = build_h_g(fs, yassign, yvars, tvars, d, s, b, G, p, D)
+    h, g, Q = build_h_g(fs, ypoint, yvars, tvars, d, s, b, G, p, D)
     cert = assemble_certificate(step, D, permutation, ring, yvars, tvars,
-                                yassign, s, b, H, G, h, g, Q, p)
+                                ypoint, s, b, H, G, h, g, Q, p)
     verify_certificate(cert, B0, v)
     return cert

@@ -323,6 +323,8 @@ def _meta_map(sections, tag):
     out = {}
     for lineno, line in sections[tag]:
         parts = line.split(None, 1)
+        if parts[0] in out:
+            raise ParseError(f"[{tag}] repeats key {parts[0]!r}", lineno, 1)
         out[parts[0]] = parts[1] if len(parts) > 1 else ""
     return _Required(out, f"[{tag}] key")
 
@@ -360,7 +362,7 @@ def parse_certificate(text):
         U = dmeta["ext"]
         mu = parse_polynomial(dmeta["mu"], (U,), QQ)
         D = _gnd.DPresentation(base_var=base, field=F, series_field=Fs,
-                               ext_var=U, mu=mu, muprime=mu.derivative(U))
+                               ext_var=U, mu=mu)
     else:
         D = _gnd.DPresentation(base_var=base, field=F, series_field=Fs)
 
@@ -384,8 +386,10 @@ def parse_certificate(text):
             if "=" not in line:
                 raise ParseError(f"[{tag}] line needs 'name = value'",
                                  lineno, 1)
-            name, rest = line.split("=", 1)
-            out[name.strip()] = parse_one(rest.strip())
+            name, rest = (part.strip() for part in line.split("=", 1))
+            if name in out:
+                raise ParseError(f"[{tag}] repeats {name!r}", lineno, 1)
+            out[name] = parse_one(rest)
         return out
 
     def matrix(tag):
@@ -442,16 +446,23 @@ def parse_certificate(text):
 
 def _check_derived(cert):
     """Sections that no verify check reads must be what the other sections
-    determine: the [data] subset (which indexes [relations]), c and
-    columns, p = the degree of [relations], square H and G, pprime =
-    minor*witness, d = dprime^2, z = hat[zvar], g_i = s^p b_i + s^p T_i +
-    Q_i and B'.
+    determine: the names of [yprime], [hat] and [t] (the [meta] yvars, or
+    none for [yprime] in a short circuit, and tvars), the [data] subset
+    (which indexes [relations]), c and columns, p = the degree of
+    [relations], square H and G, pprime = minor*witness, d = dprime^2,
+    z = hat[zvar], g_i = s^p b_i + s^p T_i + Q_i and B'.
     A mismatch is a ConsistencyError."""
     data, D = cert.data, cert.D
 
     def require(ok, what):
         if not ok:
             raise ConsistencyError(f"certificate {what}")
+
+    for tag, named, names in (
+            ("yprime", cert.yprime, () if cert.short_circuit else cert.yvars),
+            ("hat", cert.hat_images, cert.yvars), ("t", cert.t, cert.tvars)):
+        require(sorted(named) == sorted(names),
+                f"[{tag}] does not name exactly {' '.join(names) or 'nothing'}")
 
     require(data.subset == cert.subset and data.c == cert.c,
             "[data] subset or c differs from [meta]")

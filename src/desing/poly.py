@@ -271,33 +271,15 @@ class Polynomial:
         return Polynomial(self.variables, F, terms)
 
     def substitute(self, assignment):
-        """Substitute polynomials (same ring) for variables; others pass through."""
-        for name, val in assignment.items():
-            self._index(name)
-            self._check(val)
-        images = []
-        for i, v in enumerate(self.variables):
-            if v in assignment:
-                images.append(assignment[v])
-            else:
-                images.append(Polynomial.variable(self.variables, self.field, v))
-        return self._compose(images)
-
-    def _compose(self, images):
-        F = self.field
-        result = Polynomial.zero(self.variables, F)
-        power_cache = [dict() for _ in images]
-        for m, c in self.sorted_terms():
-            part = Polynomial.constant(self.variables, F, c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                cache = power_cache[i]
-                if e not in cache:
-                    cache[e] = images[i] ** e
-                part = part * cache[e]
-            result = result + part
-        return result
+        """Substitute polynomials (same ring) for variables; others pass
+        through.  ``assignment`` is a dict or a ``ring_substitution``."""
+        if isinstance(assignment, Substitution):
+            self._check(assignment.one)
+        else:
+            assignment = ring_substitution(self.variables, self.field,
+                                           assignment)
+        return assignment.apply(self, Polynomial.zero(self.variables,
+                                                      self.field))
 
     def evaluate(self, point):
         """Evaluate at field values given for every variable."""
@@ -362,6 +344,52 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {format_polynomial(self)}>"
+
+
+class Substitution:
+    """A point: an image of each variable in a ring with ``scale``, ``*``,
+    ``+`` and ``**`` (polynomials or series), that ring's one, and the
+    (variable, exponent) powers computed so far, shared by every call."""
+
+    __slots__ = ("images", "one", "_powers")
+
+    def __init__(self, images, one):
+        self.images = images
+        self.one = one
+        self._powers = {}
+
+    def power(self, name, e):
+        key = (name, e)
+        if key not in self._powers:
+            image = self.images[name]
+            self._powers[key] = image if e == 1 else image ** e
+        return self._powers[key]
+
+    def apply(self, poly, acc):
+        """acc plus poly at the point: each term c*m becomes c times the
+        product of the powers in m, with c coerced into the target field."""
+        F = self.one.field
+        for mono, c in poly.terms.items():
+            part = None
+            for name, e in zip(poly.variables, mono):
+                if e:
+                    pw = self.power(name, e)
+                    part = pw if part is None else part * pw
+            part = self.one if part is None else part
+            acc = acc + part.scale(F.coerce(poly.field, c))
+        return acc
+
+
+def ring_substitution(variables, field, assignment):
+    """The point of k[variables] that sends each assigned variable to its
+    image, a polynomial of the same ring, and fixes the others."""
+    one = Polynomial.one(variables, field)
+    for name, val in assignment.items():
+        one._index(name)
+        one._check(val)
+    images = {v: assignment[v] if v in assignment else
+              Polynomial.variable(variables, field, v) for v in variables}
+    return Substitution(images, one)
 
 
 def format_monomial(variables, mono):

@@ -6,11 +6,12 @@ and exact division lowers precision by the valuation of the divisor.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import (ConsistencyError, DivisibilityError, DomainError,
                      NonUnitError, ParseError, StructuralError)
-from .poly import Polynomial, monomial_degree, parse_polynomial
+from .poly import (Polynomial, Substitution, monomial_degree,
+                   parse_polynomial)
 
 
 class TruncatedSeries:
@@ -244,79 +245,73 @@ def order_of(series):
     return series.order()
 
 
-def series_eval(poly, assignment, precision=None):
-    """Evaluate a polynomial on truncated series given for each variable.
-
-    Every variable of ``poly`` must be assigned; coefficients are coerced
-    into the series field (identity, or the embedding of Q into a simple
-    extension).
-    """
-    images = []
-    for v in poly.variables:
-        if v not in assignment:
-            raise StructuralError(f"no series assigned to variable {v!r}")
-        images.append(assignment[v])
-    first = images[0] if images else None
+def series_point(images):
+    """The point sending each variable to its truncated series; the images
+    share one ring, and the point's one has their largest precision."""
+    first = next(iter(images.values()), None)
     if first is None:
+        raise StructuralError("no series assigned")
+    for s in images.values():
+        if s.variables != first.variables or s.field != first.field:
+            raise StructuralError("assigned series live in different rings")
+    top = max(s.precision for s in images.values())
+    return Substitution(images, TruncatedSeries.one(first.variables,
+                                                    first.field, top))
+
+
+def series_eval(poly, assignment, precision=None):
+    """Evaluate a polynomial on truncated series, a dict or a
+    ``series_point``, given for each variable; the result has the least
+    precision of their images, capped by ``precision``.  Coefficients are
+    coerced into the series field (identity, or Q into an extension)."""
+    point = assignment if isinstance(assignment, Substitution) else None
+    images = assignment if point is None else point.images
+    if not poly.variables:
         raise StructuralError("polynomial has no variables")
-    variables, field = first.variables, first.field
-    prec = min(s.precision for s in images)
+    for v in poly.variables:
+        if v not in images:
+            raise StructuralError(f"no series assigned to variable {v!r}")
+    prec = min(images[v].precision for v in poly.variables)
     if precision is not None:
         prec = min(prec, precision)
-    for s in images:
-        if s.variables != variables or s.field != field:
-            raise StructuralError("assigned series live in different rings")
-    result = TruncatedSeries.zero(variables, field, prec)
-    cache = [dict() for _ in images]
-    for mono, coeff in poly.terms.items():
-        c = field.coerce(poly.field, coeff)
-        part = TruncatedSeries.constant(variables, field, c, prec)
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            if e not in cache[i]:
-                cache[i][e] = images[i].truncate(prec) ** e
-            part = part * cache[i][e]
-        result = result + part
-    return result
+    if point is None:
+        point = series_point({v: images[v].truncate(prec)
+                              for v in poly.variables})
+    one = point.one
+    return point.apply(poly, TruncatedSeries.zero(one.variables, one.field,
+                                                  prec))
 
 
 @dataclass
 class CompletionMorphism:
     """Morphism into the truncated completion, given by series images of the
-    algebra variables over the base variable."""
+    algebra variables over the base variable; ``eval`` uses one point."""
 
     base_var: str
     field: object
     images: dict
     precision: int = 0
+    point: Substitution = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        precs = []
         for name, s in self.images.items():
             if s.variables != (self.base_var,):
                 raise StructuralError(
                     f"image of {name!r} must be a series in {self.base_var!r}")
             if s.field != self.field:
                 raise StructuralError("image series over the wrong field")
-            precs.append(s.precision)
         if not self.precision:
-            if not precs:
+            if not self.images:
                 raise StructuralError("morphism needs at least one image")
-            self.precision = min(precs)
-
-    def base_series(self):
-        return TruncatedSeries.variable((self.base_var,), self.field,
-                                        self.base_var, self.precision)
-
-    def assignment(self):
-        out = {self.base_var: self.base_series()}
+            self.precision = min(s.precision for s in self.images.values())
+        images = {self.base_var: TruncatedSeries.variable(
+            (self.base_var,), self.field, self.base_var, self.precision)}
         for name, s in self.images.items():
-            out[name] = s.truncate(min(s.precision, self.precision))
-        return out
+            images[name] = s.truncate(min(s.precision, self.precision))
+        self.point = series_point(images)
 
     def eval(self, poly):
-        return series_eval(poly, self.assignment())
+        return series_eval(poly, self.point)
 
 
 # ---------------------------------------------------------------------------

@@ -260,15 +260,11 @@ def smoothing_ideal(B, subset_budget=DEFAULT_SUBSET_BUDGET):
 
 def is_smooth_at_point(B, point, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Jacobian criterion at a rational point given as {var: field value}."""
-    ring = B.ring_variables()
-    vals = [point[v] for v in ring]
     for f in B.relations:
-        if not B.field.is_zero(f.evaluate(dict(zip(ring, vals)))):
+        if not B.field.is_zero(f.evaluate(point)):
             raise DomainError("point does not satisfy the relations")
     H = smoothing_ideal(B, subset_budget)
-    assignment = dict(zip(ring, vals))
-    return any(not B.field.is_zero(g.evaluate(assignment))
-               for g in H.generators)
+    return any(not B.field.is_zero(g.evaluate(point)) for g in H.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,46 @@ def test_cli_verify_rejects_inconsistent_sections(tmp_path, node_certificate,
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
 
 
+def _drop(tag, key):
+    # split_sections skips blank lines, so an emptied line is a dropped one
+    return lambda text: _edit_line(text, tag, key, lambda l: "")
+
+
+def _insert(tag, line):
+    return lambda text: _edit_line(text, tag, "", lambda l: f"{line}\n{l}")
+
+
+def _repeat(tag, key):
+    return lambda text: _edit_line(text, tag, key, lambda l: f"{l}\n{l}")
+
+
+# [yprime] and [hat] must name exactly the [meta] yvars and [t] the tvars,
+# each once; a key of [meta], [D] or [data] may not repeat
+NAMED_SECTION_MUTATIONS = {
+    "t-drops-T1": _drop("t", "T1 "),
+    "hat-drops-Y2": _drop("hat", "Y2 "),
+    "t-extra-name": _insert("t", "Q9 = x + O(x^19)"),
+    "hat-extra-name": _insert("hat", "Q9 = x + O(x^19)"),
+    "yprime-repeated": _repeat("yprime", ""),
+    "yprime-extra-name": _insert("yprime", "Q9 = x"),
+    "meta-repeated-key": _repeat("meta", "c "),
+    "D-repeated-key": _repeat("D", "ext "),
+    "data-repeated-key": _repeat("data", "c "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_SECTION_MUTATIONS))
+def test_cli_verify_binds_named_sections(tmp_path, capsys, node_certificate,
+                                         case):
+    bad = NAMED_SECTION_MUTATIONS[case](node_certificate)
+    assert bad != node_certificate
+    with pytest.raises((ParseError, ConsistencyError)):
+        parse_certificate(bad)
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) \
+        in (2, 5)
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_short_circuit_certificate_sections(tmp_path):
     inp = write(tmp_path, "in.problem",
                 "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
@@ -285,6 +325,11 @@ def test_cli_short_circuit_certificate_sections(tmp_path):
     bad = _edit_line(text, "bprime", "W", _plus_one)
     with pytest.raises(ConsistencyError, match="bprime"):
         parse_certificate(bad)
+    # a short circuit has no frame: its [yprime] and [t] stay empty
+    for tag, entry in (("yprime", "Y1 = x^2"), ("t", "T1 = x + O(x^5)")):
+        bad = text.replace(f"\n[{tag}]\n", f"\n[{tag}]\n{entry}\n")
+        with pytest.raises(ConsistencyError, match=tag):
+            parse_certificate(bad)
 
 
 def test_cli_verify_huge_p_fails_fast(tmp_path, node_certificate):

@@ -10,7 +10,7 @@ from desing.gnd import (_alpha_factorial_inverse, _check_membership,
                         _taylor_partials, border_step, build_H_G, build_h_g,
                         desingularize, make_D, truncate_lift,
                         verify_certificate)
-from desing.poly import Polynomial, parse_polynomial
+from desing.poly import Polynomial, parse_polynomial, ring_substitution
 from desing.series import CompletionMorphism, TruncatedSeries, parse_series
 from desing.smooth import AlgebraPresentation, find_desing_data
 
@@ -109,8 +109,9 @@ def test_build_h_g_linear_relation():
         images={"Y1": parse_series("x + O(x^12)", ("x",), QQ)})
     D = make_D(v, ring)
     one = Polynomial.one(ring, QQ)
-    yassign = {"Y1": parse_polynomial("x", ring, QQ)}
-    h, g, Q = build_h_g([f], yassign, ("Y1",), ("T1",), one, one,
+    ypoint = ring_substitution(ring, QQ,
+                               {"Y1": parse_polynomial("x", ring, QQ)})
+    h, g, Q = build_h_g([f], ypoint, ("Y1",), ("T1",), one, one,
                         [Polynomial.zero(ring, QQ)], [[one]], 1, D)
     assert h == [parse_polynomial("Y1 - x - T1", ring, QQ)]
     assert g == [parse_polynomial("T1", ring, QQ)]
@@ -259,15 +260,21 @@ def test_desingularize_rejects_positive_characteristic():
         desingularize(B, v)
 
 
+def check_2(cert):
+    """Check 2 at the substitution Y -> y' that verify shares with check 3."""
+    return _check_membership(
+        cert, ring_substitution(cert.ring, cert.field, cert.yprime))
+
+
 def test_membership_check_direct():
     # the node certificate passes check 2; breaking the shape of one h, or
     # dropping an h or a g, fails it
     cert = desingularize(node_algebra(), node_morphism())
-    assert _check_membership(cert)
+    assert check_2(cert)
     one = Polynomial.one(cert.ring, QQ)
     for change in ({"h": [cert.h[0] + one] + cert.h[1:]},
                    {"h": cert.h[:-1]}, {"g": cert.g[:-1]}):
-        assert not _check_membership(dataclasses.replace(cert, **change))
+        assert not check_2(dataclasses.replace(cert, **change))
 
 
 def test_membership_check_degree_above_p():
@@ -276,7 +283,7 @@ def test_membership_check_degree_above_p():
     ring = cert.ring
     cubic = parse_polynomial("Y1^3", ring, QQ)
     relations = [cert.relations[0] + cubic] + cert.relations[1:]
-    assert not _check_membership(dataclasses.replace(cert,
+    assert not check_2(dataclasses.replace(cert,
                                                      relations=relations))
 
 
@@ -391,7 +398,7 @@ def _changed(cert, section, k, index, delta):
 
 def test_membership_check_honest_certificates():
     for cert in HONEST.values():
-        assert _check_membership(cert)
+        assert check_2(cert)
         assert reference_check_2(cert) == (True, True)
 
 
@@ -406,11 +413,11 @@ def test_membership_check_agrees_with_cofactor_identity(name, section, k,
     cert = _changed(HONEST[name], section, k, index, delta)
     identity, shape = reference_check_2(cert)
     if section in ("s", "h", "g"):
-        assert _check_membership(cert) == identity
+        assert check_2(cert) == identity
     else:
         # the identity never reads y' or G where Y_j enters f only
         # linearly (Y3 of chain-k2); the shape test binds them to h
-        assert _check_membership(cert) == (identity and shape)
+        assert check_2(cert) == (identity and shape)
 
 
 def test_desingularize_one_quotient_per_subset(monkeypatch):
@@ -423,3 +430,20 @@ def test_desingularize_one_quotient_per_subset(monkeypatch):
     cert = desingularize(*chain_k2())
     assert cert.all_passed(), "\n".join(cert.report_lines())
     assert 0 < len(calls) <= 3
+
+
+def test_verify_computes_each_power_of_its_point_once(monkeypatch):
+    # checks 4-6 share one point: every (variable, exponent) power of it is
+    # computed once, however many of h, g, dg/dT and B's relations use it
+    calls = []
+    real = TruncatedSeries.__pow__
+
+    def counted(self, e):
+        calls.append((id(self), e))
+        return real(self, e)
+
+    cert = HONEST["chain-k2"]
+    monkeypatch.setattr(TruncatedSeries, "__pow__", counted)
+    report = verify_certificate(cert, *chain_k2())
+    assert all(r.passed for r in report)
+    assert calls and len(calls) == len(set(calls))

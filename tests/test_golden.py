@@ -1,0 +1,169 @@
+"""Golden bytes: the sha256 of CLI standard output on fixed problems.
+
+The digests pin certificates, verify reports, lifts and a Weierstrass
+preparation byte for byte, so a refactor that claims identical output is
+checked here.  A deliberate change of output must update a digest and say
+so in the changelog.
+"""
+
+import hashlib
+
+import pytest
+
+from desing.cli import main
+
+NODE = """\
+[field]
+Q
+[variables]
+base x
+algebra Y1 Y2
+[ideal]
+Y1*Y2 - x^2
+[morphism]
+Y1 = 2*x^2 + 2*x + O(x^24)
+Y2 = 1/2*x^23 - 1/2*x^22 + 1/2*x^21 - 1/2*x^20 + 1/2*x^19 - 1/2*x^18 + 1/2*x^17 - 1/2*x^16 + 1/2*x^15 - 1/2*x^14 + 1/2*x^13 - 1/2*x^12 + 1/2*x^11 - 1/2*x^10 + 1/2*x^9 - 1/2*x^8 + 1/2*x^7 - 1/2*x^6 + 1/2*x^5 - 1/2*x^4 + 1/2*x^3 - 1/2*x^2 + 1/2*x + O(x^24)
+"""
+
+CHAIN_K2 = """\
+[field]
+Q
+[variables]
+base x
+algebra Y1 Y2 Y3
+[ideal]
+Y1*Y2 - x^2
+Y3 - Y2^2
+[morphism]
+Y1 = 2*x^2 - 2*x + O(x^24)
+Y2 = -1/2*x^23 - 1/2*x^22 - 1/2*x^21 - 1/2*x^20 - 1/2*x^19 - 1/2*x^18 - 1/2*x^17 - 1/2*x^16 - 1/2*x^15 - 1/2*x^14 - 1/2*x^13 - 1/2*x^12 - 1/2*x^11 - 1/2*x^10 - 1/2*x^9 - 1/2*x^8 - 1/2*x^7 - 1/2*x^6 - 1/2*x^5 - 1/2*x^4 - 1/2*x^3 - 1/2*x^2 - 1/2*x + O(x^24)
+Y3 = 11/2*x^23 + 21/4*x^22 + 5*x^21 + 19/4*x^20 + 9/2*x^19 + 17/4*x^18 + 4*x^17 + 15/4*x^16 + 7/2*x^15 + 13/4*x^14 + 3*x^13 + 11/4*x^12 + 5/2*x^11 + 9/4*x^10 + 2*x^9 + 7/4*x^8 + 3/2*x^7 + 5/4*x^6 + x^5 + 3/4*x^4 + 1/2*x^3 + 1/4*x^2 + O(x^24)
+"""
+
+SQRT2_NODE = """\
+[field]
+Q
+[series-field]
+Q(r) r^2 - 2
+[variables]
+base x
+algebra Y1
+[ideal]
+Y1^2 - (8*x^4 + 16*x^3 + 8*x^2)
+[morphism]
+Y1 = 2*r*x^2 + 2*r*x + O(x^24)
+"""
+
+SMOOTH = """\
+[field]
+Q
+[variables]
+base x
+algebra Y1 Y2
+[ideal]
+Y1 - x^2
+[morphism]
+Y1 = x^2 + O(x^12)
+Y2 = x + O(x^12)
+"""
+
+LIFT_Q = """\
+[field]
+Q
+[variables]
+base x
+algebra Y
+[ideal]
+Y^2 - (1 + x - 2*x^2)
+[start]
+Y = 1 + O(x)
+[options]
+target 40
+c 0
+"""
+
+LIFT_NODE = """\
+[field]
+Q
+[variables]
+base x
+algebra Y
+[ideal]
+Y^2 - (x^2 + 2*x^3 - 2*x^4)
+[start]
+Y = x + x^2 + O(x^3)
+[options]
+target 32
+c 1
+"""
+
+LIFT_GF = """\
+[field]
+GF 32003
+[variables]
+base x
+algebra Y
+[ideal]
+Y^2 - (1 + 5*x + 7*x^3)
+[start]
+Y = 1 + O(x)
+[options]
+target 64
+c 0
+"""
+
+WEIERSTRASS = """\
+[field]
+Q
+[variables]
+ring y x
+[series]
+x^2 + y + x*y + x^3 - y^2*x + y^3 - 2*x^4*y + O(y^10)
+"""
+
+# (subcommand, problem) -> sha256 of standard output
+GOLDEN = {
+    ("gnd", "NODE"):
+        "cf035600ee7139fefc624e6604cc1d24492682c62ce6873e3c41c68c68e0298b",
+    ("gnd", "CHAIN_K2"):
+        "c55039a5eefef26b5ed019b5ab32c02eda68808476afeb16a89f73eec73a95d7",
+    ("gnd", "SQRT2_NODE"):
+        "2fe1eb1c5d7d9ffffe2e867a4b129f118a54bd680b44410a2bed80c0a2bdf1b5",
+    ("gnd", "SMOOTH"):
+        "041acad824c3acc370387f55008b1dec6fea81e713dc85886a5d6aadc5add8d5",
+    ("lift", "LIFT_Q"):
+        "1b0c01f97579ad1f495eaabedfb8458c944ee342a3e0161e2a3d2c1bb5091f45",
+    ("lift", "LIFT_NODE"):
+        "942873ba7d45377a787a152ef502da285f6d8c3d6bd05241bf4647578cb31e5e",
+    ("lift", "LIFT_GF"):
+        "aa3a4dc00e18965a826357ba87787fa091c13452882f7696aae7a5a2eaf406e5",
+    ("weierstrass", "WEIERSTRASS"):
+        "2034ccb07ad3301d59b4ac8a2c452747048b715b6793fa5e04448cf46a704fb5",
+}
+VERIFY_CHAIN_K2 = (
+    "836a5699ac2a9e81eafc5595695b5fcd790795a0a0e4fc497a242165aa471f24")
+
+
+def _stdout(capsys, tmp_path, subcommand, text):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([subcommand, "--input", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("subcommand,problem", sorted(GOLDEN))
+def test_golden_stdout(capsys, tmp_path, subcommand, problem):
+    out = _stdout(capsys, tmp_path, subcommand, globals()[problem])
+    assert _sha(out) == GOLDEN[subcommand, problem]
+
+
+def test_golden_verify_report(capsys, tmp_path):
+    cert = _stdout(capsys, tmp_path, "gnd", CHAIN_K2)
+    assert _sha(cert) == GOLDEN["gnd", "CHAIN_K2"]
+    report = _stdout(capsys, tmp_path, "verify", cert)
+    assert _sha(report) == VERIFY_CHAIN_K2
