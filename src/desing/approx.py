@@ -1,5 +1,6 @@
 """Newton lifting of approximate series solutions, linear factorization
-through polynomial algebras, and the module-isomorphism equation systems.
+through polynomial algebras, and the module-isomorphism equation systems,
+checked at a candidate by matrix arithmetic over truncated series.
 
 The Newton step reuses the bordered-Jacobian trick of ``smooth``: the witness
 search (``smooth.best_witness``) picks a subsystem and a minor, and with H its
@@ -8,7 +9,7 @@ H*delta = -f(y) is solved as delta = -G(y) f(y) / P(y), paying a fixed
 valuation cost of c per iteration.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import (DomainError, PrecisionError, ResourceError,
                      StructuralError)
@@ -16,7 +17,7 @@ from .groebner import kernel_basis
 from .poly import Polynomial
 from .series import TruncatedSeries, series_eval, series_point
 from .smooth import (DEFAULT_SUBSET_BUDGET, AlgebraPresentation, best_witness,
-                     bordered_jacobian, matrix_det)
+                     bordered_jacobian, matrix_det, matrix_mul)
 
 MAX_NEWTON_ITERATIONS = 200
 
@@ -141,8 +142,11 @@ def newton_lift(req):
             return LiftResult(values=values, trace=trace, iterations=it)
         # the correction is only meaningful below twice the residue order;
         # computing it there and padding with zeros keeps the quadratic
-        # convergence while avoiding full-precision division early on
-        dp = min(work, 2 * cur_ord + 1)
+        # convergence while avoiding full-precision division early on.
+        # dp never exceeds the precision of any image of the point: xs is
+        # known to work, and each division by P costs the iterate up to c.
+        dp = min([2 * cur_ord + 1]
+                 + [s.precision for s in at_y.images.values()])
         at_dp = series_point({name: image.truncate(dp)
                               for name, image in at_y.images.items()})
         Pval = series_eval(P, at_dp)
@@ -192,14 +196,40 @@ class LinearFactorization:
     precision: int
 
 
-def _poly_coeff(poly, xvar, d):
+def _x_coefficients(poly, xvar):
+    """Degree -> coefficient of the terms of poly that are powers of xvar."""
     i = poly.variables.index(xvar)
     F = poly.field
-    acc = F.zero()
+    out = {}
     for m, c in poly.terms.items():
-        if m[i] == d and all(e == 0 for k, e in enumerate(m) if k != i):
-            acc = F.add(acc, c)
-    return acc
+        if all(e == 0 for k, e in enumerate(m) if k != i):
+            out[m[i]] = F.add(out.get(m[i], F.zero()), c)
+    return out
+
+
+def _solve_by_degrees(matrix, targets, xvar, unknown_degrees, F):
+    """Coefficients of a vector c with matrix*c = targets, compared degree
+    by degree: c_j = sum of c_(j,d) x^d for d < unknown_degrees, and
+    targets[i] lists the x^0, x^1, ... coefficients the i-th row must meet.
+    Returns one term dict per c_j (free coefficients 0), or None when the
+    system is inconsistent."""
+    cols = len(matrix[0])
+    unknowns = [(j, d) for j in range(cols) for d in range(unknown_degrees)]
+    rows, rhs = [], []
+    for row, target in zip(matrix, targets):
+        coeffs = [_x_coefficients(entry, xvar) for entry in row]
+        for d, value in enumerate(target):
+            rows.append([coeffs[j].get(d - dd, F.zero()) if dd <= d
+                         else F.zero() for (j, dd) in unknowns])
+            rhs.append(value)
+    sol = solve_linear(rows, rhs, F)
+    if sol is None:
+        return None
+    terms = [{} for _ in range(cols)]
+    for (j, d), val in zip(unknowns, sol):
+        if not F.is_zero(val):
+            terms[j][(d,)] = val
+    return terms
 
 
 def linear_factor(a, b, yprime, base_var, slack=10):
@@ -211,6 +241,14 @@ def linear_factor(a, b, yprime, base_var, slack=10):
     """
     r = len(a)
     n = len(a[0])
+    if any(len(row) != n for row in a):
+        raise StructuralError("the matrix rows must have the same length")
+    if len(b) != r:
+        raise StructuralError(f"the right-hand side has {len(b)} entries "
+                              f"for {r} matrix rows")
+    if len(yprime) != n:
+        raise StructuralError(f"the solution has {len(yprime)} entries for "
+                              f"{n} matrix columns")
     F = a[0][0].field
     prec = min(s.precision for s in yprime)
     base = (base_var,)
@@ -228,64 +266,32 @@ def linear_factor(a, b, yprime, base_var, slack=10):
     degs = [p.total_degree() for row in a for p in row if not p.is_zero()]
     degs += [p.total_degree() for p in b if not p.is_zero()]
     bound = max(degs, default=0) + slack
-    unknowns = [(j, d) for j in range(n) for d in range(bound + 1)]
     eq_degree = bound + max(degs, default=0) + 1
-    rows, rhs = [], []
-    for i in range(r):
-        for d in range(eq_degree + 1):
-            row = []
-            for (j, dd) in unknowns:
-                if dd > d:
-                    row.append(F.zero())
-                else:
-                    row.append(_poly_coeff(a[i][j], base_var, d - dd))
-            rows.append(row)
-            rhs.append(_poly_coeff(b[i], base_var, d))
-    sol = solve_linear(rows, rhs, F)
-    if sol is None:
+    targets = []
+    for bi in b:
+        coeffs = _x_coefficients(bi, base_var)
+        targets.append([coeffs.get(d, F.zero()) for d in range(eq_degree + 1)])
+    terms = _solve_by_degrees(a, targets, base_var, bound + 1, F)
+    if terms is None:
         raise DomainError("no polynomial particular solution within the "
                           f"degree bound {bound}")
-    c_part = []
-    for j in range(n):
-        terms = {}
-        for (jj, d), val in zip(unknowns, sol):
-            if jj == j and not F.is_zero(val):
-                terms[(d,)] = val
-        c_part.append(Polynomial(base, F, terms))
+    c_part = [Polynomial(base, F, t) for t in terms]
     # kernel of a as a matrix over k[x]
     arow = [[entry.restrict(base) if entry.variables != base else entry
              for entry in row] for row in a]
     kb = kernel_basis(arow)
     gens = kb.basis
-    p = len(gens)
     # z coefficients: one exact linear system over all degrees below prec
-    targets = []
-    for j in range(n):
-        cp = TruncatedSeries.from_polynomial(c_part[j], prec)
-        targets.append(yprime[j] - cp)
-    unknowns_z = [(k, d) for k in range(p) for d in range(prec)]
-    rows, rhs = [], []
-    for j in range(n):
-        for d in range(prec):
-            row = []
-            for (k, dd) in unknowns_z:
-                if dd > d:
-                    row.append(F.zero())
-                else:
-                    row.append(_poly_coeff(gens[k][j], base_var, d - dd))
-            rows.append(row)
-            rhs.append(targets[j].coefficient((d,)))
-    sol = solve_linear(rows, rhs, F)
-    if sol is None:
+    rests = [y - TruncatedSeries.from_polynomial(cp, prec)
+             for y, cp in zip(yprime, c_part)]
+    terms = _solve_by_degrees(
+        [[g[j] for g in gens] for j in range(n)],
+        [[rest.coefficient((d,)) for d in range(prec)] for rest in rests],
+        base_var, prec, F)
+    if terms is None:
         raise DomainError("coefficient system unsolvable: the truncated "
                           "module is not flat enough")
-    z = []
-    for k in range(p):
-        terms = {}
-        for (kk, d), val in zip(unknowns_z, sol):
-            if kk == k and not F.is_zero(val):
-                terms[(d,)] = val
-        z.append(TruncatedSeries(base, F, terms, prec))
+    z = [TruncatedSeries(base, F, t, prec) for t in terms]
     return LinearFactorization(matrix=a, rhs=b, particular=c_part,
                                kernel=gens, z=z, precision=prec)
 
@@ -293,159 +299,61 @@ def linear_factor(a, b, yprime, base_var, slack=10):
 # ---------------------------------------------------------------------------
 # module isomorphism systems
 
-class SeriesPoly:
-    """Polynomial in named unknowns with truncated-series coefficients."""
-
-    __slots__ = ("unknowns", "variables", "field", "precision", "terms")
-
-    def __init__(self, unknowns, variables, field, precision, terms):
-        self.unknowns = tuple(unknowns)
-        self.variables = tuple(variables)
-        self.field = field
-        self.precision = precision
-        self.terms = {m: s for m, s in terms.items() if not s.is_zero()}
-
-    @classmethod
-    def constant(cls, unknowns, series):
-        mono = (0,) * len(unknowns)
-        return cls(unknowns, series.variables, series.field,
-                   series.precision, {mono: series})
-
-    @classmethod
-    def unknown(cls, unknowns, variables, field, precision, name):
-        mono = tuple(int(u == name) for u in unknowns)
-        if sum(mono) != 1:
-            raise StructuralError(f"unknown name {name!r} not declared")
-        one = TruncatedSeries.one(variables, field, precision)
-        return cls(unknowns, variables, field, precision, {mono: one})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _zero_series(self):
-        return TruncatedSeries.zero(self.variables, self.field,
-                                    self.precision)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for m, s in other.terms.items():
-            terms[m] = terms[m] + s if m in terms else s
-        return SeriesPoly(self.unknowns, self.variables, self.field,
-                          min(self.precision, other.precision), terms)
-
-    def __neg__(self):
-        return SeriesPoly(self.unknowns, self.variables, self.field,
-                          self.precision,
-                          {m: -s for m, s in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        terms = {}
-        for m1, s1 in self.terms.items():
-            for m2, s2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                prod = s1 * s2
-                terms[m] = terms[m] + prod if m in terms else prod
-        return SeriesPoly(self.unknowns, self.variables, self.field,
-                          min(self.precision, other.precision), terms)
-
-    def evaluate(self, assignment):
-        acc = self._zero_series()
-        for m, s in self.terms.items():
-            part = s
-            for u, e in zip(self.unknowns, m):
-                for _ in range(e):
-                    part = part * assignment[u]
-            acc = acc + part
-        return acc
-
-
 @dataclass
 class ModuleIsoSystem:
+    """u*X = Y*v, Z*(u*X) = v and det(X)*W = 1 in the unknowns X (n x n),
+    Y (t x p), Z (p x t) and W: a solution makes coker(u) and coker(v)
+    isomorphic through the basis change X."""
     u: list                      # t x n series matrix
     v: list                      # p x n series matrix
     n: int
     t: int
     p: int
     unknowns: tuple
-    equations: list = dc_field(default_factory=list)
-    detX: SeriesPoly = None
-    wname: str = "W"
+    equation_count: int
 
-    def xname(self, i, j):
-        return f"X{i + 1}_{j + 1}"
 
-    def yname(self, k, r):
-        return f"Y{k + 1}_{r + 1}"
-
-    def zname(self, r, k):
-        return f"Z{r + 1}_{k + 1}"
+def _names(letter, rows, cols):
+    return [[f"{letter}{i + 1}_{j + 1}" for j in range(cols)]
+            for i in range(rows)]
 
 
 def module_iso_system(u, v):
-    """Equations forcing coker(u) and coker(v) to be isomorphic via a basis
-    change X: the two substitution families plus the det(X)-unit relation."""
+    """The module-isomorphism system of the presentations u and v."""
     t, p = len(u), len(v)
     n = len(u[0])
     if any(len(row) != n for row in u) or any(len(row) != n for row in v):
         raise StructuralError("u and v must have the same column count")
-    sample = u[0][0]
-    variables, F, prec = sample.variables, sample.field, sample.precision
-    sys = ModuleIsoSystem(u=u, v=v, n=n, t=t, p=p, unknowns=())
-    names = [sys.xname(i, j) for i in range(n) for j in range(n)]
-    names += [sys.yname(k, r) for k in range(t) for r in range(p)]
-    names += [sys.zname(r, k) for r in range(p) for k in range(t)]
-    names.append(sys.wname)
-    sys.unknowns = tuple(names)
-
-    def const(series):
-        return SeriesPoly.constant(sys.unknowns, series)
-
-    def var(name):
-        return SeriesPoly.unknown(sys.unknowns, variables, F, prec, name)
-
-    equations = []
-    # family 1: u*X = Y*v, entry (k, j)
-    ux = {}
-    for k in range(t):
-        for j in range(n):
-            lhs = None
-            for i in range(n):
-                term = const(u[k][i]) * var(sys.xname(i, j))
-                lhs = term if lhs is None else lhs + term
-            ux[(k, j)] = lhs
-            rhs = None
-            for r in range(p):
-                term = var(sys.yname(k, r)) * const(v[r][j])
-                rhs = term if rhs is None else rhs + term
-            equations.append(lhs - rhs)
-    # family 2: Z*(u*X) = v, entry (r, j)
-    for r in range(p):
-        for j in range(n):
-            lhs = None
-            for k in range(t):
-                term = var(sys.zname(r, k)) * ux[(k, j)]
-                lhs = term if lhs is None else lhs + term
-            equations.append(lhs - const(v[r][j]))
-    # det(X) * W = 1
-    xmat = [[var(sys.xname(i, j)) for j in range(n)] for i in range(n)]
-    det = matrix_det(xmat)
-    sys.detX = det
-    one = TruncatedSeries.one(variables, F, prec)
-    equations.append(det * var(sys.wname) - const(one))
-    sys.equations = equations
-    return sys
+    blocks = _names("X", n, n) + _names("Y", t, p) + _names("Z", p, t)
+    unknowns = tuple(name for row in blocks for name in row) + ("W",)
+    return ModuleIsoSystem(u=u, v=v, n=n, t=t, p=p, unknowns=unknowns,
+                           equation_count=t * n + p * n + 1)
 
 
 def check_candidate(sys, candidate, precision):
-    """All equations vanish to precision and det(X) is a unit series."""
-    assign = {name: candidate[name].truncate(
-        min(precision, candidate[name].precision))
-        for name in sys.unknowns}
-    for eq in sys.equations:
-        if not eq.evaluate(assign).is_zero():
-            return False
-    det = sys.detX.evaluate(assign)
-    return det.order() == 0
+    """All equations vanish to precision and det(X) is a unit series.
+
+    Each candidate entry is truncated to the least of precision, its own
+    precision and that of u[0][0]; u and v keep their own precisions.
+    """
+    prec = min(precision, sys.u[0][0].precision)
+
+    def value(name):
+        s = candidate[name]
+        return s.truncate(min(prec, s.precision))
+
+    def block(letter, rows, cols):
+        return [[value(name) for name in row]
+                for row in _names(letter, rows, cols)]
+
+    X = block("X", sys.n, sys.n)
+    ux = matrix_mul(sys.u, X)
+    for lhs, rhs in ((ux, matrix_mul(block("Y", sys.t, sys.p), sys.v)),
+                     (matrix_mul(block("Z", sys.p, sys.t), ux), sys.v)):
+        for lrow, rrow in zip(lhs, rhs):
+            if any(not (a - b).is_zero() for a, b in zip(lrow, rrow)):
+                return False
+    det = matrix_det(X)
+    W = value("W")
+    one = TruncatedSeries.one(W.variables, W.field, prec)
+    return (det * W - one).is_zero() and det.order() == 0

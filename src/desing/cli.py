@@ -156,8 +156,15 @@ def run_module_iso(pf, args):
     sys_ = module_iso_system(pf.umatrix, pf.vmatrix)
     lines = ["[module-iso]",
              f"unknowns {len(sys_.unknowns)}",
-             f"equations {len(sys_.equations)}"]
+             f"equations {sys_.equation_count}"]
     if pf.candidate:
+        for name in sys_.unknowns:
+            if name not in pf.candidate:
+                raise ParseError(f"[candidate] lacks the unknown {name}")
+        for name in pf.candidate:
+            if name not in sys_.unknowns:
+                raise ParseError(f"[candidate] names {name}, which is not "
+                                 "an unknown of the system")
         prec = args.precision or min(s.precision
                                      for s in pf.candidate.values())
         ok = check_candidate(sys_, pf.candidate, prec)

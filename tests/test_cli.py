@@ -489,6 +489,42 @@ def test_cli_module_iso(tmp_path):
     assert "candidate accepted" in open(out).read()
 
 
+MODULE_ISO_1X1 = ("[field]\nQ\n[variables]\nbase x\n"
+                  "[umatrix]\nx + O(x^8)\n[vmatrix]\nx + O(x^8)\n"
+                  "[candidate]\nX1_1 = 1 + O(x^8)\nY1_1 = 1 + O(x^8)\n"
+                  "Z1_1 = 1 + O(x^8)\n")
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("", "lacks the unknown W"),
+    ("W = 1 + O(x^8)\nV = 1 + O(x^8)\n", "names V"),
+])
+def test_cli_module_iso_candidate_names(tmp_path, capsys, extra, message):
+    inp = write(tmp_path, "in.problem", MODULE_ISO_1X1 + extra)
+    assert main(["module-iso", "--input", inp]) == 2
+    assert message in capsys.readouterr().err
+
+
+LINEAR_FACTOR_1X2 = {"matrix": "x ; x^2", "rhs": "x",
+                     "solution": "1 + O(x^4)\n1 - x + O(x^4)"}
+
+
+@pytest.mark.parametrize("section,body,message", [
+    ("solution", "1 + O(x^4)", "solution has 1 entries for 2 matrix columns"),
+    ("rhs", None, "right-hand side has 0 entries for 1 matrix rows"),
+    ("rhs", "x\nx^2", "right-hand side has 2 entries for 1 matrix rows"),
+    ("matrix", "x ; x^2\nx", "same length"),
+])
+def test_cli_linear_factor_shapes(tmp_path, capsys, section, body, message):
+    sections = dict(LINEAR_FACTOR_1X2, **{section: body})
+    text = "[field]\nQ\n[variables]\nbase x\n" + "".join(
+        f"[{name}]\n{lines}\n" for name, lines in sections.items()
+        if lines is not None)
+    inp = write(tmp_path, "in.problem", text)
+    assert main(["linear-factor", "--input", inp]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_cli_unknown_subcommand():
     assert main(["frobnicate", "--input", "x"]) == 2
 

@@ -1,9 +1,10 @@
 """Golden bytes: the sha256 of CLI standard output on fixed problems.
 
-The digests pin certificates, verify reports, lifts and a Weierstrass
-preparation byte for byte, so a refactor that claims identical output is
-checked here.  A deliberate change of output must update a digest and say
-so in the changelog.
+The digests pin certificates, verify reports, lifts, a Weierstrass
+preparation, module-isomorphism verdicts and a linear factorization byte
+for byte, so a refactor that claims identical output is checked here.
+A deliberate change of output must update a digest and say so in the
+changelog.
 """
 
 import hashlib
@@ -121,6 +122,56 @@ ring y x
 x^2 + y + x*y + x^3 - y^2*x + y^3 - 2*x^4*y + O(y^10)
 """
 
+# u*X = Y*v with X = [[2 + x, 1], [1, 1]], v = M*u*X for M = [[1, x], [0, 1]],
+# Y = M^-1, Z = M and W = 1/det(X) = 1/(1 + x)
+MODULE_ISO = """\
+[field]
+Q
+[variables]
+base x
+[umatrix]
+x + O(x^8) ; 1 + x + O(x^8)
+x^2 + O(x^8) ; x + O(x^8)
+[vmatrix]
+x^4 + 2*x^3 + 2*x^2 + 3*x + 1 + O(x^8) ; x^3 + x^2 + 2*x + 1 + O(x^8)
+x^3 + 2*x^2 + x + O(x^8) ; x^2 + x + O(x^8)
+[candidate]
+X1_1 = 2 + x + O(x^8)
+X1_2 = 1 + O(x^8)
+X2_1 = 1 + O(x^8)
+X2_2 = 1 + O(x^8)
+Y1_1 = 1 + O(x^8)
+Y1_2 = -x + O(x^8)
+Y2_1 = 0 + O(x^8)
+Y2_2 = 1 + O(x^8)
+Z1_1 = 1 + O(x^8)
+Z1_2 = x + O(x^8)
+Z2_1 = 0 + O(x^8)
+Z2_2 = 1 + O(x^8)
+W = 1 - x + x^2 - x^3 + x^4 - x^5 + x^6 - x^7 + O(x^8)
+"""
+
+# Z1_2 = x + x^5 breaks Z*(u*X) = v from x^5 on
+MODULE_ISO_REJECTED = MODULE_ISO.replace("Z1_2 = x +", "Z1_2 = x + x^5 +")
+
+LINEAR_FACTOR = """\
+[field]
+Q
+[variables]
+base x
+[matrix]
+-2 ; 2*x + 1 ; -x + 1 ; -1
+x ; -2 ; x^2 ; x - 1
+[rhs]
+-3*x - 6
+-x^2 + 2*x + 3
+[solution]
+4*x^11 - 6*x^10 - 5*x^9 + 8*x^8 + 8*x^7 - 10*x^6 - 4*x^5 + 3*x^4 + 4*x^2 - 8*x + 5 + O(x^12)
+7*x^11 + 4*x^10 - 2*x^9 - 6*x^8 - 2*x^7 + 4*x^6 + 3*x^5 - 2*x^4 - 4*x^2 + x - 1 + O(x^12)
+-17*x^11 - x^10 + 14*x^9 + 12*x^8 - 12*x^7 - 23*x^6 + 6*x^5 + 12*x^4 + 4*x^3 + x^2 - 14*x + 4 + O(x^12)
+-9*x^11 - 3*x^10 - 2*x^9 - 2*x^8 + x^7 + x^6 + x^5 - 5*x^3 + 5*x^2 - 1 + O(x^12)
+"""
+
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
@@ -139,6 +190,12 @@ GOLDEN = {
         "aa3a4dc00e18965a826357ba87787fa091c13452882f7696aae7a5a2eaf406e5",
     ("weierstrass", "WEIERSTRASS"):
         "2034ccb07ad3301d59b4ac8a2c452747048b715b6793fa5e04448cf46a704fb5",
+    ("module-iso", "MODULE_ISO"):
+        "5ad74103a9031f0298583c9afea5435f888ab128fefbab0fe1a37815124cb609",
+    ("module-iso", "MODULE_ISO_REJECTED"):
+        "55a46f9ed24f03da7de57ef243e1d9bcee319df4749c323be951de64abaaea13",
+    ("linear-factor", "LINEAR_FACTOR"):
+        "adf6cd23bcb9501225669487d7d973a82c355831e6c04f880e9029ba7d350cf4",
 }
 VERIFY_CHAIN_K2 = (
     "836a5699ac2a9e81eafc5595695b5fcd790795a0a0e4fc497a242165aa471f24")
