@@ -167,13 +167,17 @@ def parse_problem(text):
                 raise ParseError(f"[{key}] lines look like 'name = series'",
                                  lineno, 1)
             name, rest = line.split("=", 1)
+            name = name.strip()
+            if name in target:
+                raise ParseError(f"[{key}] repeats {name!r}", lineno, 1)
             base = (pf.base_var or (pf.ring[0] if pf.ring else "x"),)
-            target[name.strip()] = parse_series(rest, base, pf.series_field,
-                                                lineno)
+            target[name] = parse_series(rest, base, pf.series_field, lineno)
     for lineno, line in sections.get("options", []):
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ParseError("options are 'key value' lines", lineno, 1)
+        if parts[0] in pf.options:
+            raise ParseError(f"[options] repeats key {parts[0]!r}", lineno, 1)
         pf.options[parts[0]] = parts[1].strip()
     if "series" in sections:
         lineno, line = _single_line("series", sections["series"], "series")

@@ -505,6 +505,27 @@ def test_cli_module_iso_candidate_names(tmp_path, capsys, extra, message):
     assert message in capsys.readouterr().err
 
 
+LIFT_1 = ("[field]\nQ\n[variables]\nbase x\nalgebra Y\n"
+          "[ideal]\nY^2 - 1 - x\n[start]\nY = 1 + O(x)\n"
+          "[options]\ntarget 8\nc 0\n")
+
+
+@pytest.mark.parametrize("subcommand,text,repeated", [
+    ("gnd", node_problem() + "Y1 = x + O(x^24)\n", "[morphism] repeats 'Y1'"),
+    ("lift", LIFT_1.replace("[options]", "Y = 7 + O(x)\n[options]"),
+     "[start] repeats 'Y'"),
+    ("module-iso", MODULE_ISO_1X1 + "X1_1 = 5 + O(x^8)\nW = 1 + O(x^8)\n",
+     "[candidate] repeats 'X1_1'"),
+    ("lift", LIFT_1 + "target 16\n", "[options] repeats key 'target'"),
+], ids=["morphism", "start", "candidate", "options"])
+def test_cli_repeated_name_is_parse_error(tmp_path, capsys, subcommand,
+                                          text, repeated):
+    inp = write(tmp_path, "in.problem", text)
+    assert main([subcommand, "--input", inp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repeated in err
+
+
 LINEAR_FACTOR_1X2 = {"matrix": "x ; x^2", "rhs": "x",
                      "solution": "1 + O(x^4)\n1 - x + O(x^4)"}
 

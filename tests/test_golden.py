@@ -113,6 +113,37 @@ target 64
 c 0
 """
 
+# the benchmark's seed-1 lifts: GF(32003) to x^1024 and Q to x^256
+LIFT_SQRT_GF_1024 = """\
+[field]
+GF 32003
+[variables]
+base x
+algebra Y
+[ideal]
+Y^2 - (26289*x^3 + 27769*x^2 + 18652*x + 1)
+[start]
+Y = 1 + O(x)
+[options]
+target 1024
+c 0
+"""
+
+LIFT_SQRT_Q_256 = """\
+[field]
+Q
+[variables]
+base x
+algebra Y
+[ideal]
+Y^2 - (-2*x^2 + x + 1)
+[start]
+Y = 1 + O(x)
+[options]
+target 256
+c 0
+"""
+
 WEIERSTRASS = """\
 [field]
 Q
@@ -188,6 +219,10 @@ GOLDEN = {
         "942873ba7d45377a787a152ef502da285f6d8c3d6bd05241bf4647578cb31e5e",
     ("lift", "LIFT_GF"):
         "aa3a4dc00e18965a826357ba87787fa091c13452882f7696aae7a5a2eaf406e5",
+    ("lift", "LIFT_SQRT_GF_1024"):
+        "923a0e8d4a1a349c8d8fc735476ed6b0f2e323885da0fc14daf3b3be3400b785",
+    ("lift", "LIFT_SQRT_Q_256"):
+        "f37ff09ceee74a503bec458abc9ee5507cfe071e4a7008244540b2d9b08b7797",
     ("weierstrass", "WEIERSTRASS"):
         "2034ccb07ad3301d59b4ac8a2c452747048b715b6793fa5e04448cf46a704fb5",
     ("module-iso", "MODULE_ISO"):

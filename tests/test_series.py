@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from desing.errors import (DivisibilityError, DomainError, NonUnitError,
                            ParseError, StructuralError)
-from desing.fields import QQ, PrimeField
+from desing.fields import QQ, PrimeField, SimpleExtension
 from desing.poly import monomial_degree, parse_polynomial
-from desing.series import (CompletionMorphism, TruncatedSeries, format_series,
-                           order_of, parse_series, series_eval,
-                           weierstrass_prepare)
+from desing.series import (PACKED_MIN_PAIRS, CompletionMorphism,
+                           TruncatedSeries, format_series, order_of,
+                           parse_series, series_eval, weierstrass_prepare)
 
 VARS = ("x", "y")
 
@@ -374,3 +374,140 @@ def test_weierstrass_matches_textbook_recurrence(f):
     assert data.p == p
     assert data.unit.terms == unit
     assert [z.terms for z in data.zs] == zs
+
+
+# ---------------------------------------------------------------------------
+# the packed product and Newton inversion against the textbook loop and the
+# graded recurrence
+
+GF = PrimeField(32003)
+SQRT2 = SimpleExtension(QQ, (-2, 0, 1), gen="r")
+
+
+def _recurrence_invert(s):
+    """The inverse of a unit series by the graded recurrence, degree by
+    degree: b_d = -b_0 * sum_(j=1..d) a_j b_(d-j)."""
+    F = s.field
+    inv0 = F.invert(s.constant_coefficient())
+    parts_a = s.graded_parts()
+    parts_b = {0: {(0,) * len(s.variables): inv0}}
+    for d in range(1, s.precision):
+        acc = {}
+        for j in range(1, d + 1):
+            for m1, c1 in parts_a.get(j, {}).items():
+                for m2, c2 in parts_b.get(d - j, {}).items():
+                    m = tuple(x + y for x, y in zip(m1, m2))
+                    acc[m] = F.add(acc.get(m, F.zero()), F.mul(c1, c2))
+        level = {m: F.neg(F.mul(inv0, c)) for m, c in acc.items()
+                 if not F.is_zero(c)}
+        if level:
+            parts_b[d] = level
+    return {m: c for level in parts_b.values() for m, c in level.items()}
+
+
+def _coefficients(field):
+    """Q: signed fractions of up to 40-digit numerators and 20-digit
+    denominators; GF(32003): any residue."""
+    if field == QQ:
+        return st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                         st.integers(1, 10 ** 20))
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def _univariate(draw, field, precision, max_terms=40):
+    """A series whose drawn terms may lie at or beyond the precision of
+    the product (the constructor drops those beyond its own)."""
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, precision + 4)),
+                                 _coefficients(field), max_size=max_terms))
+    return TruncatedSeries(("x",), field, terms, precision)
+
+
+@st.composite
+def _univariate_pairs(draw):
+    field = draw(st.sampled_from((QQ, GF)))
+    pa, pb = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    return draw(_univariate(field, pa)), draw(_univariate(field, pb))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_univariate_pairs())
+def test_packed_mul_matches_textbook_loop(pair):
+    a, b = pair
+    prec = min(a.precision, b.precision)
+    for x, y in ((a, b), (b, a)):
+        product = x * y
+        assert product.terms == _textbook_mul(x.terms, y.terms, x.field, prec)
+        assert product.precision == prec
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
+@pytest.mark.parametrize("shape", [(7, 9), (8, 8), (1, 64), (9, 9), (0, 90)])
+def test_mul_either_side_of_crossover(field, shape):
+    """Products with 63, 64 and 81 stored term pairs, on either side of
+    the crossover ``PACKED_MIN_PAIRS`` = 64, and a zero factor; over Q
+    with negative coefficients of large height, over GF(p) with p - 1."""
+    rng = random.Random(100 * shape[0] + shape[1])
+    top = Fraction(-10 ** 30 + 7, 3 ** 40) if field == QQ else field.p - 1
+    a = TruncatedSeries(("x",), field, {(2 * i,): top
+                                        for i in range(shape[0])}, 100)
+    b = TruncatedSeries(("x",), field, {(i,): field.from_int(
+        rng.choice((-1, 1)) * rng.randrange(1, 10 ** 4))
+        for i in range(shape[1])}, 95)
+    assert (len(a.terms), len(b.terms)) == shape
+    assert (a * b).terms == _textbook_mul(a.terms, b.terms, field, 95)
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
+def test_packed_mul_at_the_slot_bound(field):
+    """Dense factors of one repeated coefficient c make the middle
+    coefficient of the product +-n*c^2, the bound the slots are sized by;
+    over Q some of these bounds have a bit length that is a multiple of 8."""
+    cs = range(1, 13) if field == QQ else range(field.p - 12, field.p)
+    for n in (8, 11, 16, 23):
+        for c in cs:
+            a = TruncatedSeries(("x",), field, {(i,): field.from_int(c)
+                                                for i in range(n)}, 2 * n)
+            for b in (a, -a):
+                assert (a * b).terms == _textbook_mul(a.terms, b.terms,
+                                                      field, 2 * n)
+
+
+@st.composite
+def _units(draw):
+    field = draw(st.sampled_from((QQ, GF)))
+    s = draw(_univariate(field, draw(st.integers(1, 150)), max_terms=30))
+    c0 = draw(_coefficients(field).filter(lambda c: not field.is_zero(c)))
+    return s + TruncatedSeries(("x",), field, {(0,): c0}, s.precision)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_units())
+def test_newton_invert_matches_recurrence(u):
+    inverse = u.invert()
+    assert inverse.precision == u.precision
+    assert inverse.terms == _recurrence_invert(u)
+
+
+def test_graded_ring_products_match_reference():
+    """Q(sqrt 2) and two-variable series never pack; their products and
+    inverses still agree with the textbook loop and the recurrence."""
+    rng = random.Random(9)
+    for variables, field in ((("x",), SQRT2), (("y", "x"), QQ)):
+        n = len(variables)
+
+        def coeff():
+            c = Fraction(rng.randrange(-50, 51), 7)
+            return (c, Fraction(rng.randrange(-50, 51))) if field == SQRT2 \
+                else c
+
+        def series(precision):
+            terms = {tuple(rng.randrange(precision) for _ in range(n)):
+                     coeff() for _ in range(60)}
+            terms[(0,) * n] = field.one()
+            return TruncatedSeries(variables, field, terms, precision)
+
+        a, b = series(20), series(16)
+        assert len(a.terms) * len(b.terms) >= PACKED_MIN_PAIRS
+        assert (a * b).terms == _textbook_mul(a.terms, b.terms, field, 16)
+        assert a.invert().terms == _recurrence_invert(a)
