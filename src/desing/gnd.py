@@ -579,8 +579,10 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Full pipeline; returns a certificate carrying its own verification."""
     if B.field.characteristic() != 0:
         raise DomainError("pipeline requires characteristic zero")
-    B0 = reduce_until_nonvanishing(B, v, subset_budget=subset_budget)
-    data = find_desing_data(B0, v, subset_budget)
+    images = {}
+    B0 = reduce_until_nonvanishing(B, v, subset_budget=subset_budget,
+                                   images=images)
+    data = find_desing_data(B0, v, subset_budget, images)
     D = make_D(v, B0.ring_variables())
     if data.c == 0:
         cert = _short_circuit_certificate(B0, v, data, D)

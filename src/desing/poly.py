@@ -6,6 +6,7 @@ is an explicit ``embed``, never implicit.
 """
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -435,66 +436,54 @@ def format_polynomial(poly, order=DEGREVLEX, ascending=False):
 
 # ---------------------------------------------------------------------------
 # parser for the ASCII polynomial syntax
+#
+#   sum := [+|-] product {(+|-) product}    product := power {* power}
+#   power := atom [^ int]     atom := int [/ int] | name | ( sum ) | - atom
+# A product is read into one term and a sum into one dict: linear time.
 
-class _Tokens:
-    def __init__(self, text, line=1):
-        self.text = text
-        self.line = line
-        self.pos = 0
-        self.toks = []
-        self._lex()
-        self.i = 0
+_TOKEN = re.compile(r"\d+|[^\W\d]\w*|[-+*^()/]")
+_BAD = re.compile(r"[^\w \t+\-*^()/]")      # no token holds these
 
-    def _lex(self):
-        t, i = self.text, 0
-        while i < len(t):
-            ch = t[i]
-            if ch in " \t":
-                i += 1
-                continue
-            col = i + 1
-            if ch.isdigit():
-                j = i
-                while j < len(t) and t[j].isdigit():
-                    j += 1
-                self.toks.append(("int", t[i:j], col))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                    j += 1
-                self.toks.append(("name", t[i:j], col))
-                i = j
-            elif ch in "+-*^()/":
-                self.toks.append((ch, ch, col))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", self.line, col)
-        self.toks.append(("end", "", len(t) + 1))
 
-    def peek(self):
-        return self.toks[self.i]
+class _Text:
+    """A text to read: its tokens with "" at the end, and the ring."""
 
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+    def __init__(self, text, variables, field, line):
+        bad = _BAD.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", line,
+                             bad.start() + 1)
+        self.text, self.line = text, line
+        self.variables, self.field = variables, field
+        self.toks = _TOKEN.findall(text) + [""]
+        self.slots = {}         # name token -> the exponent slots it names
+        for p, v in enumerate(variables):
+            if _TOKEN.fullmatch(v) and (v[0].isalpha() or v[0] == "_"):
+                self.slots[v] = self.slots.get(v, ()) + (p,)
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", self.line, tok[2])
-        return tok
+    def error(self, message, i):
+        """A ParseError at token i; columns are found only for errors."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        col = starts[i] + 1 if i < len(starts) else len(self.text) + 1
+        return ParseError(message, self.line, col)
+
+    def integer(self, i):
+        if not self.toks[i].isdecimal():
+            raise self.error(f"expected int, found {self.toks[i]!r}", i)
+        return int(self.toks[i])
 
 
 def parse_polynomial(text, variables, field, line=1):
-    """Parse the ASCII syntax: identifiers, ^, *, +, -, rationals a/b."""
+    """Parse the ASCII syntax: identifiers, ^, *, +, -, rationals a/b.
+    Over Q(alpha) the text is read over Q with alpha as one more variable."""
     variables = tuple(variables)
-    if isinstance(field, SimpleExtension):
-        work_vars = variables + (field.gen,)
-        raw = _parse_expr_ring(text, work_vars, QQ, line)
-        return _fold_extension(raw, variables, field)
-    return _parse_expr_ring(text, variables, field, line)
+    ext = isinstance(field, SimpleExtension)
+    src = _Text(text, variables + (field.gen,) if ext else variables,
+                QQ if ext else field, line)
+    poly, i = _parse_sum(src, 0)
+    if src.toks[i]:
+        raise src.error(f"unexpected token {src.toks[i]!r}", i)
+    return _fold_extension(poly, variables, field) if ext else poly
 
 
 def _fold_extension(raw, variables, field):
@@ -510,66 +499,77 @@ def _fold_extension(raw, variables, field):
     return Polynomial(variables, field, terms)
 
 
-def _parse_expr_ring(text, variables, field, line):
-    toks = _Tokens(text, line)
-    poly = _parse_sum(toks, variables, field)
-    tok = toks.peek()
-    if tok[0] != "end":
-        raise ParseError(f"unexpected token {tok[1]!r}", line, tok[2])
-    return poly
+def _parse_sum(src, i):
+    """The sum from token i, and the token after it.  Its monomials keep the
+    order in which they first appear; a cancelled one leaves and re-enters."""
+    toks, F = src.toks, src.field
+    terms = {}
+    while True:
+        negate = toks[i] == "-"
+        if negate or toks[i] == "+":
+            i += 1
+        product, i = _parse_product(src, i)
+        for mono, c in product:
+            if negate:
+                c = F.neg(c)
+            if mono in terms:
+                c = F.add(terms[mono], c)
+            if not F.is_zero(c):
+                terms[mono] = c
+            elif mono in terms:
+                del terms[mono]
+        if toks[i] != "+" and toks[i] != "-":
+            return Polynomial(src.variables, F, terms), i
 
 
-def _parse_sum(toks, variables, field):
-    negate = False
-    if toks.peek()[0] in "+-":
-        negate = toks.next()[0] == "-"
-    acc = _parse_product(toks, variables, field)
-    if negate:
-        acc = -acc
-    while toks.peek()[0] in "+-":
-        op = toks.next()[0]
-        term = _parse_product(toks, variables, field)
-        acc = acc - term if op == "-" else acc + term
-    return acc
-
-
-def _parse_product(toks, variables, field):
-    acc = _parse_power(toks, variables, field)
-    while toks.peek()[0] == "*":
-        toks.next()
-        acc = acc * _parse_power(toks, variables, field)
-    return acc
-
-
-def _parse_power(toks, variables, field):
-    base = _parse_atom(toks, variables, field)
-    if toks.peek()[0] == "^":
-        toks.next()
-        exp = toks.expect("int")
-        base = base ** int(exp[1])
-    return base
-
-
-def _parse_atom(toks, variables, field):
-    tok = toks.next()
-    if tok[0] == "int":
-        num = int(tok[1])
-        if toks.peek()[0] == "/":
-            toks.next()
-            den = toks.expect("int")
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator", toks.line, den[2])
-            return Polynomial.constant(variables, field,
-                                       field.from_fraction(Fraction(num, int(den[1]))))
-        return Polynomial.constant(variables, field, field.from_int(num))
-    if tok[0] == "name":
-        if tok[1] not in variables:
-            raise ParseError(f"undeclared variable {tok[1]!r}", toks.line, tok[2])
-        return Polynomial.variable(variables, field, tok[1])
-    if tok[0] == "(":
-        inner = _parse_sum(toks, variables, field)
-        toks.expect(")")
-        return inner
-    if tok[0] == "-":
-        return -_parse_atom(toks, variables, field)
-    raise ParseError(f"unexpected token {tok[1]!r}", toks.line, tok[2])
+def _parse_product(src, i):
+    """The terms of the product from token i, and the token after it.  A
+    variable adds to the exponents of one term and a constant multiplies its
+    coefficient; a factor in parentheses or a power of a constant is a
+    Polynomial, and a product with one is that Polynomial times the term."""
+    toks, F, slots = src.toks, src.field, src.slots
+    coeff, sign, exps, poly = None, False, [0] * len(src.variables), None
+    while True:
+        negate, factor = False, None
+        while toks[i] == "-":                       # atom := - atom
+            negate, i = not negate, i + 1
+        tok, i = toks[i], i + 1
+        if tok in slots:
+            e, i = (src.integer(i + 1), i + 2) if toks[i] == "^" else (1, i)
+            for p in slots[tok]:
+                exps[p] += e
+            sign ^= negate and e % 2 == 1           # (-x)^e = (-1)^e x^e
+        elif tok.isdecimal():
+            if toks[i] != "/":
+                c = F.from_int(int(tok))
+            elif src.integer(i + 1) == 0:
+                raise src.error("zero denominator", i + 1)
+            else:
+                c = F.from_fraction(Fraction(int(tok), int(toks[i + 1])))
+                i += 2
+            c = F.neg(c) if negate else c
+            if toks[i] == "^":
+                factor = Polynomial.constant(src.variables, F, c)
+            else:
+                coeff = c if coeff is None else F.mul(coeff, c)
+        elif tok == "(":
+            factor, i = _parse_sum(src, i)
+            if toks[i] != ")":
+                raise src.error(f"expected ), found {toks[i]!r}", i)
+            factor, i = -factor if negate else factor, i + 1
+        elif tok[:1].isalpha() or tok[:1] == "_":
+            raise src.error(f"undeclared variable {tok!r}", i - 1)
+        else:
+            raise src.error(f"unexpected token {tok!r}", i - 1)
+        if factor is not None:
+            if toks[i] == "^":
+                factor, i = factor ** src.integer(i + 1), i + 2
+            poly = factor if poly is None else poly * factor
+        if toks[i] != "*":
+            break
+        i += 1
+    coeff = F.one() if coeff is None else coeff
+    terms = {tuple(exps): F.neg(coeff) if sign else coeff}
+    if poly is not None:
+        terms = (poly * Polynomial(src.variables, F, terms)).terms
+    return terms.items(), i

@@ -308,14 +308,21 @@ def best_witness(B, evaluate, subset_budget=DEFAULT_SUBSET_BUDGET):
     return best
 
 
-def find_desing_data(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
+def find_desing_data(B, v, subset_budget=DEFAULT_SUBSET_BUDGET, images=None):
     """Deterministic search for the witness with minimal vanishing order c
-    = order(v(M·N)); see best_witness for the candidates and tie-break."""
-    check_morphism(B, v)
+    = order(v(M·N)); see best_witness for the candidates and tie-break.
+
+    ``images`` is the dict that reduce_until_nonvanishing(B, v) filled: it
+    has checked that v kills I, so the check is not repeated, and a
+    candidate it evaluated is not evaluated again."""
+    if images is None:
+        check_morphism(B, v)
+        images = {}
     if not B.relations:
         # polynomial algebra: the empty system has unit minor
         return _trivial_data(B, v)
-    best = best_witness(B, v.eval, subset_budget)
+    best = best_witness(
+        B, lambda p: images[p] if p in images else v.eval(p), subset_budget)
     if best is None:
         raise DomainError(
             "smoothing ideal vanishes on the images to precision; "
@@ -343,19 +350,23 @@ def _trivial_data(B, v):
                       dprime=one, z=z)
 
 
-def reduce_until_nonvanishing(B, v, cap=5,
-                              subset_budget=DEFAULT_SUBSET_BUDGET):
+def reduce_until_nonvanishing(B, v, cap=5, subset_budget=DEFAULT_SUBSET_BUDGET,
+                              images=None):
     """Replace B by B/(smoothing ideal) while its image under v vanishes.
-    v kills I (checked first), so only generators outside I are evaluated."""
+    v kills I (checked first), so only generators outside I are evaluated;
+    their images go into the dict ``images`` when one is given."""
     check_morphism(B, v)
+    images = {} if images is None else images
     current = B
     iterations = 0
     while True:
         H = smoothing_ideal(current, subset_budget)
         ideal_gb = buchberger(current.ideal(), DEGREVLEX)
         outside = [g for g in H.generators if not ideal_member(g, ideal_gb)]
-        if any(not v.eval(g).is_zero() for g in outside):
-            return current
+        for g in outside:
+            images[g] = v.eval(g)
+            if not images[g].is_zero():
+                return current
         if not outside:
             raise DomainError(
                 "smoothing ideal lies in I (no progress): the codimension "

@@ -564,6 +564,29 @@ def test_certificate_round_trip(tmp_path):
     assert cert.all_passed()
 
 
+PERFBENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.mark.parametrize("name", ["node-c1", "node-c2", "node-c3",
+                                  "chain-k1", "chain-k2", "chain-k3",
+                                  "chain-k4", "sqrt2-node"])
+def test_certificate_bytes_round_trip_certify_seed_1(tmp_path, monkeypatch,
+                                                     name):
+    # the benchmark's seed-1 certify problems, whose certificates hold
+    # hundreds of polynomial lines: reading one and emitting it again gives
+    # back its bytes
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+    problem = workloads.certify(1, str(tmp_path)).files[
+        f"{tmp_path}/{name}.problem"]
+    inp = write(tmp_path, "in.problem", problem)
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    text = open(cert_path).read()
+    assert emit_certificate(parse_certificate(text)) == text
+
+
 def test_prime_field_problem_round_trip():
     pf = parse_problem("[field]\nGF 101\n[variables]\nring x y\n"
                        "[ideal]\nx^2 + 100*y\n")

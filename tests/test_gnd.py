@@ -205,6 +205,29 @@ def test_verify_check_5_compares_hat_with_v_short_circuit():
     assert failed == ["composite factors v"]
 
 
+def test_desingularize_evaluates_each_polynomial_once(monkeypatch):
+    # chain k = 3: reduce_until_nonvanishing checks that v kills I and
+    # evaluates the smoothing-ideal generator that ends the reduction;
+    # find_desing_data used to check I again and the witness search to
+    # evaluate that generator again, 12 evaluations in all
+    ring = ("x", "Y1", "Y2", "Y3", "Y4")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial(f, ring, QQ)
+                   for f in ("Y1*Y2 - x^2", "Y3 - Y2^2", "Y4 - Y3^2")])
+    v = node_morphism()
+    y2 = v.images["Y2"]
+    v = CompletionMorphism(base_var="x", field=QQ,
+                           images=dict(v.images, Y3=y2 ** 2, Y4=y2 ** 4))
+    evaluated = []
+    real = CompletionMorphism.eval
+    monkeypatch.setattr(CompletionMorphism, "eval",
+                        lambda self, f: evaluated.append(f) or real(self, f))
+    assert desingularize(B, v).all_passed()
+    assert evaluated[:3] == B.relations
+    assert len(set(evaluated)) == len(evaluated) == 8
+
+
 def test_desingularize_smooth_short_circuit():
     B = AlgebraPresentation(
         base_var="x", variables=("Y1",), field=QQ,

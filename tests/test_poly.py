@@ -1,12 +1,15 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from desing.errors import ParseError, StructuralError
+from desing.errors import DesingError, ParseError, StructuralError
 from desing.fields import QQ, PrimeField, SimpleExtension
-from desing.poly import (DEGREVLEX, LEX, Polynomial, block_order, compare,
-                         format_polynomial, monomial_degree, parse_polynomial)
+from desing.poly import (DEGREVLEX, LEX, Polynomial, _fold_extension,
+                         block_order, compare, format_polynomial,
+                         monomial_degree, parse_polynomial)
 
 VARS = ("x", "y", "z")
 
@@ -179,3 +182,274 @@ def test_total_degree_and_degree_in():
     assert f.total_degree() == 4
     assert f.degree_in("x") == 2
     assert f.degree_in("y") == 1
+
+
+# ---------------------------------------------------------------------------
+# the parser against a reference copy of the recursive-descent parser it
+# replaced, which built every sum and product with Polynomial + * and **
+
+class _RefTokens:
+    def __init__(self, text, line=1):
+        self.text = text
+        self.line = line
+        self.pos = 0
+        self.toks = []
+        self._lex()
+        self.i = 0
+
+    def _lex(self):
+        t, i = self.text, 0
+        while i < len(t):
+            ch = t[i]
+            if ch in " \t":
+                i += 1
+                continue
+            col = i + 1
+            if ch.isdigit():
+                j = i
+                while j < len(t) and t[j].isdigit():
+                    j += 1
+                self.toks.append(("int", t[i:j], col))
+                i = j
+            elif ch.isalpha() or ch == "_":
+                j = i
+                while j < len(t) and (t[j].isalnum() or t[j] == "_"):
+                    j += 1
+                self.toks.append(("name", t[i:j], col))
+                i = j
+            elif ch in "+-*^()/":
+                self.toks.append((ch, ch, col))
+                i += 1
+            else:
+                raise ParseError(f"unexpected character {ch!r}", self.line, col)
+        self.toks.append(("end", "", len(t) + 1))
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def next(self):
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", self.line, tok[2])
+        return tok
+
+
+def ref_parse_polynomial(text, variables, field, line=1):
+    variables = tuple(variables)
+    if isinstance(field, SimpleExtension):
+        work_vars = variables + (field.gen,)
+        raw = _ref_parse_expr_ring(text, work_vars, QQ, line)
+        return _fold_extension(raw, variables, field)
+    return _ref_parse_expr_ring(text, variables, field, line)
+
+
+def _ref_parse_expr_ring(text, variables, field, line):
+    toks = _RefTokens(text, line)
+    poly = _ref_parse_sum(toks, variables, field)
+    tok = toks.peek()
+    if tok[0] != "end":
+        raise ParseError(f"unexpected token {tok[1]!r}", line, tok[2])
+    return poly
+
+
+def _ref_parse_sum(toks, variables, field):
+    negate = False
+    if toks.peek()[0] in "+-":
+        negate = toks.next()[0] == "-"
+    acc = _ref_parse_product(toks, variables, field)
+    if negate:
+        acc = -acc
+    while toks.peek()[0] in "+-":
+        op = toks.next()[0]
+        term = _ref_parse_product(toks, variables, field)
+        acc = acc - term if op == "-" else acc + term
+    return acc
+
+
+def _ref_parse_product(toks, variables, field):
+    acc = _ref_parse_power(toks, variables, field)
+    while toks.peek()[0] == "*":
+        toks.next()
+        acc = acc * _ref_parse_power(toks, variables, field)
+    return acc
+
+
+def _ref_parse_power(toks, variables, field):
+    base = _ref_parse_atom(toks, variables, field)
+    if toks.peek()[0] == "^":
+        toks.next()
+        exp = toks.expect("int")
+        base = base ** int(exp[1])
+    return base
+
+
+def _ref_parse_atom(toks, variables, field):
+    tok = toks.next()
+    if tok[0] == "int":
+        num = int(tok[1])
+        if toks.peek()[0] == "/":
+            toks.next()
+            den = toks.expect("int")
+            if int(den[1]) == 0:
+                raise ParseError("zero denominator", toks.line, den[2])
+            return Polynomial.constant(variables, field,
+                                       field.from_fraction(Fraction(num, int(den[1]))))
+        return Polynomial.constant(variables, field, field.from_int(num))
+    if tok[0] == "name":
+        if tok[1] not in variables:
+            raise ParseError(f"undeclared variable {tok[1]!r}", toks.line, tok[2])
+        return Polynomial.variable(variables, field, tok[1])
+    if tok[0] == "(":
+        inner = _ref_parse_sum(toks, variables, field)
+        toks.expect(")")
+        return inner
+    if tok[0] == "-":
+        return -_ref_parse_atom(toks, variables, field)
+    raise ParseError(f"unexpected token {tok[1]!r}", toks.line, tok[2])
+
+
+K2 = SimpleExtension(QQ, (-2, 0, 1), gen="r")
+RINGS = [(QQ, VARS), (PrimeField(32003), VARS), (K2, ("x", "y"))]
+RING_IDS = ["Q", "F32003", "Q(sqrt2)"]
+MALFORMED = ["x + ^2", "x y", "x^2^3", "1/0", "x + w", "(x", "x)", "@", "",
+             "-", "x^", "x^y", "2/x", "x*", "x + (y", "1/2/3", "x\ty z",
+             "--", "+-+x", "3 + 4@", "()", "x*/2", "x^2^"]
+# pieces spliced into valid text to make it malformed (or not)
+JUNK = ["^", "^2", " y", "@", "(", ")", "/0", "1/0", "w", "+", "*", " x",
+        "/", "\t", "^^", "x y", "-", "#"]
+
+
+def outcome(parse, text, variables, field):
+    """The parsed polynomial with its term order, or the error raised."""
+    try:
+        poly = parse(text, variables, field, 3)
+    except DesingError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return poly, list(poly.terms.items())
+
+
+def expression(rng, names, depth=2):
+    """Random text of the grammar: signs, sums, products, powers, fractions,
+    parentheses, unary minus, repeated names and zero coefficients."""
+    def atom():
+        roll = rng.random()
+        if roll < 0.15 and depth:
+            return f"({expression(rng, names, depth - 1)})"
+        if roll < 0.25:
+            return "-" + atom()
+        if roll < 0.45:
+            return str(rng.choice([0, 1, 32003, 64006, rng.randrange(100),
+                                   rng.randrange(10 ** 30)]))
+        if roll < 0.55:
+            return f"{rng.randrange(100)}/{rng.randrange(1, 10 ** 12)}"
+        return rng.choice(names)
+
+    def product():
+        return "*".join(atom() + rng.choice(["", "", "^0", "^1", "^2", "^3"])
+                        for _ in range(rng.randrange(1, 4)))
+    text = rng.choice(["", "", "-", "+", "- "]) + product()
+    for _ in range(rng.randrange(4)):
+        text += rng.choice([" + ", " - ", "+", "-"]) + product()
+    return text
+
+
+@pytest.mark.parametrize("field,variables", RINGS, ids=RING_IDS)
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64))
+def test_parser_matches_reference(field, variables, seed):
+    rng = random.Random(seed)
+    names = list(variables) + ([field.gen] if field is K2 else [])
+    text = expression(rng, names)
+    if rng.random() < 0.4:
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice(JUNK) + text[at:]
+    # a cut can join digits into an exponent too large to expand
+    assume(not re.search(r"\^\d\d", text))
+    assert (outcome(parse_polynomial, text, variables, field)
+            == outcome(ref_parse_polynomial, text, variables, field)), text
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+@pytest.mark.parametrize("field,variables", RINGS, ids=RING_IDS)
+def test_parse_errors_match_reference(field, variables, text):
+    got = outcome(parse_polynomial, text, variables, field)
+    assert got == outcome(ref_parse_polynomial, text, variables, field)
+    assert got[0] is ParseError
+
+
+def test_parse_error_messages():
+    def error(text):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, VARS, QQ, 7)
+        return str(err.value)
+    assert error("x + ^2") == "line 7, column 5: unexpected token '^'"
+    assert error("x y") == "line 7, column 3: unexpected token 'y'"
+    assert error("x^2^3") == "line 7, column 4: unexpected token '^'"
+    assert error("1/0") == "line 7, column 3: zero denominator"
+    assert error("x + w") == "line 7, column 5: undeclared variable 'w'"
+    assert error("(x") == "line 7, column 3: expected ), found ''"
+    assert error("x)") == "line 7, column 2: unexpected token ')'"
+    assert error("x + @") == "line 7, column 5: unexpected character '@'"
+    assert error("w + @") == "line 7, column 5: unexpected character '@'"
+
+
+def test_parse_non_decimal_digit_is_parse_error():
+    # '²' is a digit to str.isdigit but not to int(); it used to escape as
+    # a ValueError
+    for text in ("x²", "2²", "x^²"):
+        with pytest.raises(ParseError):
+            parse_polynomial(text, VARS, QQ)
+
+
+def test_parse_atom_minus_binds_before_power():
+    # atom := - atom, so inside a product -x^2 is (-x)^2; a sum's leading
+    # sign applies to the whole product
+    assert parse_polynomial("2*-x^2", VARS, QQ) == \
+        parse_polynomial("2*x^2", VARS, QQ)
+    assert parse_polynomial("-x^2", VARS, QQ) == \
+        parse_polynomial("0 - x^2", VARS, QQ)
+    assert parse_polynomial("y*--x^3*-2^2", VARS, QQ) == \
+        parse_polynomial("4*x^3*y", VARS, QQ)
+
+
+def test_parse_cancelled_monomial_reenters_last():
+    # the term order of a parsed polynomial is the order of first
+    # appearance; a monomial that cancels and comes back goes to the end
+    f = parse_polynomial("x - x + y + x", VARS, QQ)
+    assert list(f.terms) == [(0, 1, 0), (1, 0, 0)]
+
+
+def test_parse_repeated_variable_name():
+    # a name listed twice fills both exponent slots, as Polynomial.variable
+    f = parse_polynomial("x^2*y", ("x", "y", "x"), PrimeField(7))
+    assert list(f.terms) == [(2, 1, 2)]
+
+
+def coefficients(field):
+    q = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                  st.integers(1, 10 ** 20))
+    if field == QQ:
+        return q
+    if isinstance(field, PrimeField):
+        return st.integers(0, field.p - 1)
+    return st.lists(q, min_size=field.degree,
+                    max_size=field.degree).map(field.from_coeffs)
+
+
+@pytest.mark.parametrize("field,variables", RINGS, ids=RING_IDS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_format_round_trip_large_heights(field, variables, data):
+    monos = st.tuples(*[st.integers(0, 6)] * len(variables))
+    f = Polynomial(variables, field, data.draw(
+        st.dictionaries(monos, coefficients(field), max_size=12)))
+    assert parse_polynomial(format_polynomial(f), variables, field) == f

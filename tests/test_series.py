@@ -171,6 +171,28 @@ def test_parse_format_round_trip():
             assert parse_series(format_series(s), VARS, field) == s
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003),
+                                   SimpleExtension(QQ, (-2, 0, 1), gen="r")],
+                         ids=["Q", "F32003", "Q(sqrt2)"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_format_round_trip_large_heights(field, data):
+    q = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                  st.integers(1, 10 ** 20))
+    if isinstance(field, PrimeField):
+        coeff = st.integers(0, field.p - 1)
+    elif isinstance(field, SimpleExtension):
+        coeff = st.lists(q, min_size=2, max_size=2).map(field.from_coeffs)
+    else:
+        coeff = q
+    variables = data.draw(st.sampled_from([("x",), VARS]))
+    precision = data.draw(st.integers(1, 30))
+    monos = st.tuples(*[st.integers(0, 30)] * len(variables))
+    s = TruncatedSeries(variables, field, data.draw(
+        st.dictionaries(monos, coeff, max_size=12)), precision)
+    assert parse_series(format_series(s), variables, field) == s
+
+
 def test_parse_requires_marker():
     with pytest.raises(ParseError):
         parse_series("1 + x", ("x",), QQ)
