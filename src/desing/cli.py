@@ -192,6 +192,22 @@ def build_parser():
 
 
 def main(argv=None):
+    # CPython refuses str <-> int conversions of more than 4300 digits (3.11
+    # and patched 3.10); the reader bounds literals itself, output
+    # coefficients may be longer, and the limit is restored for in-process
+    # callers
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _main(argv)
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,12 +1,18 @@
 """Coefficient fields: the rationals, small prime fields, and simple extensions.
 
-Field elements are plain Python values (Fraction, int, or tuple of Fraction)
-kept in canonical form, so ``==`` is semantic equality.  The field objects
-carry the arithmetic.
+Field elements are plain Python values kept in canonical form, so ``==`` is
+semantic equality.  The field objects carry the arithmetic.
+
+- Q: an ``int`` when the value is integral, a ``Fraction`` otherwise.  Most
+  coefficients are integers, and int arithmetic runs in C where Fraction's
+  runs in Python; ``Fraction(3) == 3``, the two hash alike and print alike.
+- GF(p): an ``int`` in [0, p).
+- Q(alpha): a tuple of Fractions, the coefficients of 1, alpha, alpha^2, ...
 """
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import index
 
 from .errors import DomainError, ResourceError, StructuralError
 
@@ -96,26 +102,33 @@ class Field:
         return True
 
 
+def _integral(r):
+    """The canonical Q element of the Fraction r: its numerator if integral."""
+    return r.numerator if r.denominator == 1 else r
+
+
 class RationalField(Field):
     kind = "rationals"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return index(n)
 
     def from_fraction(self, q):
-        return Fraction(q)
+        return _integral(Fraction(q))
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int else _integral(r)
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int else _integral(r)
 
     def neg(self, a):
         return -a
@@ -123,7 +136,7 @@ class RationalField(Field):
     def invert(self, a):
         if a == 0:
             raise DomainError("division by zero in Q")
-        return 1 / a
+        return _integral(Fraction(1) / a)
 
     def is_zero(self, a):
         return a == 0

@@ -59,7 +59,7 @@ class DPresentation:
             if comp:
                 mono = [0] * len(variables)
                 mono[i] = e
-                terms[tuple(mono)] = Fraction(comp)
+                terms[tuple(mono)] = F.from_fraction(comp)
         return Polynomial(variables, F, terms)
 
     def point(self, precision, images):
@@ -79,8 +79,8 @@ def make_D(v, taken):
     F = v.field
     if isinstance(F, SimpleExtension):
         U = _fresh_name("U", taken)
-        mu = Polynomial((U,), F.base,
-                        {(i,): c for i, c in enumerate(F.mu) if c})
+        mu = Polynomial((U,), F.base, {(i,): F.base.from_fraction(c)
+                                       for i, c in enumerate(F.mu) if c})
         return DPresentation(base_var=v.base_var, field=F.base,
                              series_field=F, ext_var=U, mu=mu)
     return DPresentation(base_var=v.base_var, field=F, series_field=F)

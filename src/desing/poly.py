@@ -122,6 +122,17 @@ class Polynomial:
         self.terms = clean
         self._lead = None
 
+    @classmethod
+    def _trusted(cls, variables, field, terms):
+        """A polynomial from terms that this module's arithmetic built, with
+        exponent tuples of the right length.  Only zero coefficients are
+        dropped; ``__init__`` checks terms from outside."""
+        p = object.__new__(cls)
+        p.variables, p.field, p._lead = variables, field, None
+        is_zero = field.is_zero
+        p.terms = {m: c for m, c in terms.items() if not is_zero(c)}
+        return p
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -200,16 +211,16 @@ class Polynomial:
         F = self.field
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = F.add(terms.get(m, F.zero()), c)
-        return Polynomial(self.variables, F, terms)
+            terms[m] = F.add(terms[m], c) if m in terms else c
+        return Polynomial._trusted(self.variables, F, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         F = self.field
-        return Polynomial(self.variables, F,
-                          {m: F.neg(c) for m, c in self.terms.items()})
+        return Polynomial._trusted(self.variables, F,
+                                   {m: F.neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
@@ -223,7 +234,7 @@ class Polynomial:
                     terms[m] = F.add(terms[m], prod)
                 else:
                     terms[m] = prod
-        return Polynomial(self.variables, F, terms)
+        return Polynomial._trusted(self.variables, F, terms)
 
     def __pow__(self, e):
         if e < 0:
@@ -239,8 +250,16 @@ class Polynomial:
 
     def scale(self, c):
         F = self.field
-        return Polynomial(self.variables, F,
-                          {m: F.mul(coeff, c) for m, coeff in self.terms.items()})
+        return Polynomial._trusted(
+            self.variables, F,
+            {m: F.mul(coeff, c) for m, coeff in self.terms.items()})
+
+    def add_scaled(self, pairs):
+        """self plus the sum of c*part over the (part, c) in ``pairs``,
+        built once."""
+        return Polynomial._trusted(self.variables, self.field,
+                                   add_scaled_terms(self.field, self.terms,
+                                                    pairs))
 
     def monic(self, order):
         _, lc = self.leading(order)
@@ -348,8 +367,8 @@ class Polynomial:
 
 
 class Substitution:
-    """A point: an image of each variable in a ring with ``scale``, ``*``,
-    ``+`` and ``**`` (polynomials or series), that ring's one, and the
+    """A point: an image of each variable in a ring with ``*``, ``**`` and
+    ``add_scaled`` (polynomials or series), that ring's one, and the
     (variable, exponent) powers computed so far, shared by every call."""
 
     __slots__ = ("images", "one", "_powers")
@@ -369,7 +388,9 @@ class Substitution:
     def apply(self, poly, acc):
         """acc plus poly at the point: each term c*m becomes c times the
         product of the powers in m, with c coerced into the target field."""
+        acc._check(self.one)
         F = self.one.field
+        pairs = []
         for mono, c in poly.terms.items():
             part = None
             for name, e in zip(poly.variables, mono):
@@ -377,8 +398,25 @@ class Substitution:
                     pw = self.power(name, e)
                     part = pw if part is None else part * pw
             part = self.one if part is None else part
-            acc = acc + part.scale(F.coerce(poly.field, c))
-        return acc
+            pairs.append((part, F.coerce(poly.field, c)))
+        return acc.add_scaled(pairs)
+
+
+def add_scaled_terms(F, terms, pairs):
+    """The terms of terms + sum of c*part over the (part, c) in ``pairs``,
+    zeros dropped.  A monomial whose sum cancels leaves the dict and
+    re-enters at its end, as it does in a chain of ``+``."""
+    terms = dict(terms)
+    for part, c in pairs:
+        for m, v in part.terms.items():
+            prod = F.mul(v, c)
+            if m in terms:
+                prod = F.add(terms[m], prod)
+                if F.is_zero(prod):
+                    del terms[m]
+                    continue
+            terms[m] = prod
+    return terms
 
 
 def ring_substitution(variables, field, assignment):
@@ -440,9 +478,22 @@ def format_polynomial(poly, order=DEGREVLEX, ascending=False):
 #   sum := [+|-] product {(+|-) product}    product := power {* power}
 #   power := atom [^ int]     atom := int [/ int] | name | ( sum ) | - atom
 # A product is read into one term and a sum into one dict: linear time.
+#
+# Input from outside must not make the reader run without end.  A literal
+# has at most _MAX_DIGITS digits.  A power of a constant or of a factor in
+# parentheses, and a product of such factors, is expanded only if its
+# coefficients have at most _MAX_BITS bits by the bound of ``_height``; a
+# power of a sum also has an exponent of at most _MAX_EXPONENT: (x + y)^e
+# has e + 1 terms of up to e bits, and takes about a second at that bound.
+# The work of a power is not bounded otherwise: (2/3*x + 5/7*y)^1000 takes
+# 20 s, and a sum in many variables or nested powers can take far longer.
 
 _TOKEN = re.compile(r"\d+|[^\W\d]\w*|[-+*^()/]")
 _BAD = re.compile(r"[^\w \t+\-*^()/]")      # no token holds these
+_MAX_DIGITS = 100_000
+_LONG = re.compile(r"(?<!\w)\d{%d}" % (_MAX_DIGITS + 1))
+_MAX_EXPONENT = 1000
+_MAX_BITS = 1 << 19
 
 
 class _Text:
@@ -453,6 +504,10 @@ class _Text:
         if bad:
             raise ParseError(f"unexpected character {bad.group()!r}", line,
                              bad.start() + 1)
+        long = _LONG.search(text)
+        if long:
+            raise ParseError(f"integer literal of more than {_MAX_DIGITS} "
+                             "digits", line, long.start() + 1)
         self.text, self.line = text, line
         self.variables, self.field = variables, field
         self.toks = _TOKEN.findall(text) + [""]
@@ -530,7 +585,7 @@ def _parse_product(src, i):
     toks, F, slots = src.toks, src.field, src.slots
     coeff, sign, exps, poly = None, False, [0] * len(src.variables), None
     while True:
-        negate, factor = False, None
+        negate, factor, start = False, None, i
         while toks[i] == "-":                       # atom := - atom
             negate, i = not negate, i + 1
         tok, i = toks[i], i + 1
@@ -563,8 +618,19 @@ def _parse_product(src, i):
             raise src.error(f"unexpected token {tok!r}", i - 1)
         if factor is not None:
             if toks[i] == "^":
-                factor, i = factor ** src.integer(i + 1), i + 2
-            poly = factor if poly is None else poly * factor
+                e = src.integer(i + 1)
+                n = len(factor.terms)
+                if (e * (_height(factor) + (n - 1).bit_length()) > _MAX_BITS
+                        or n > 1 and e > _MAX_EXPONENT):
+                    raise src.error("power too large to expand", i + 1)
+                factor, i = factor ** e, i + 2
+            if poly is not None:
+                if (_height(poly) + _height(factor) + (min(
+                        len(poly.terms), len(factor.terms)) - 1).bit_length()
+                        > _MAX_BITS):
+                    raise src.error("product too large to expand", start)
+                factor = poly * factor
+            poly = factor
         if toks[i] != "*":
             break
         i += 1
@@ -573,3 +639,12 @@ def _parse_product(src, i):
     if poly is not None:
         terms = (poly * Polynomial(src.variables, F, terms)).terms
     return terms.items(), i
+
+
+def _height(p):
+    """The bits of the largest numerator or denominator of p.  A coefficient
+    of p^e has at most e*(height + log2 of p's terms) bits, and one of p*q
+    at most height(p) + height(q) + log2 of the fewer terms: a bound over
+    the integers, and an estimate with denominators."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in p.terms.values()), default=0)

@@ -21,8 +21,8 @@ from math import lcm
 from .errors import (ConsistencyError, DivisibilityError, DomainError,
                      NonUnitError, ParseError, StructuralError)
 from .fields import PrimeField, RationalField
-from .poly import (Polynomial, Substitution, monomial_degree,
-                   parse_polynomial)
+from .poly import (Polynomial, Substitution, add_scaled_terms,
+                   monomial_degree, parse_polynomial)
 
 # Stored term pairs from which a product is packed.  A packed product
 # costs about 50 us however small (lcm, byte strings, big-int conversions).
@@ -49,6 +49,17 @@ class TruncatedSeries:
             if monomial_degree(mono) < precision and not field.is_zero(coeff):
                 clean[tuple(mono)] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, variables, field, terms, precision):
+        """A series from terms that this module's arithmetic built: exponent
+        tuples of the right length, every degree below ``precision``.  Only
+        zero coefficients are dropped; ``__init__`` checks terms from outside."""
+        s = object.__new__(cls)
+        s.variables, s.field, s.precision = variables, field, precision
+        is_zero = field.is_zero
+        s.terms = {m: c for m, c in terms.items() if not is_zero(c)}
+        return s
 
     # -- constructors -------------------------------------------------------
 
@@ -113,20 +124,23 @@ class TruncatedSeries:
     def __add__(self, other):
         self._check(other)
         F = self.field
+        prec = min(self.precision, other.precision)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = F.add(terms.get(m, F.zero()), c)
-        return TruncatedSeries(self.variables, F, terms,
-                               min(self.precision, other.precision))
+            terms[m] = F.add(terms[m], c) if m in terms else c
+        if self.precision != other.precision:
+            terms = {m: c for m, c in terms.items()
+                     if monomial_degree(m) < prec}
+        return TruncatedSeries._trusted(self.variables, F, terms, prec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         F = self.field
-        return TruncatedSeries(self.variables, F,
-                               {m: F.neg(c) for m, c in self.terms.items()},
-                               self.precision)
+        return TruncatedSeries._trusted(
+            self.variables, F, {m: F.neg(c) for m, c in self.terms.items()},
+            self.precision)
 
     def _packs(self, pairs):
         """True when a product with this many stored term pairs is packed."""
@@ -138,9 +152,9 @@ class TruncatedSeries:
         F = self.field
         prec = min(self.precision, other.precision)
         if self._packs(len(self.terms) * len(other.terms)):
-            return TruncatedSeries(self.variables, F,
-                                   _packed_product(F, self.terms,
-                                                   other.terms, prec), prec)
+            return TruncatedSeries._trusted(
+                self.variables, F,
+                _packed_product(F, self.terms, other.terms, prec), prec)
         # other's terms by degree: each row stops where the precision is hit
         levels = sorted(other.graded_parts().items())
         terms = {}
@@ -156,13 +170,25 @@ class TruncatedSeries:
                         terms[m] = F.add(terms[m], prod)
                     else:
                         terms[m] = prod
-        return TruncatedSeries(self.variables, F, terms, prec)
+        return TruncatedSeries._trusted(self.variables, F, terms, prec)
 
     def scale(self, c):
         F = self.field
-        return TruncatedSeries(self.variables, F,
-                               {m: F.mul(v, c) for m, v in self.terms.items()},
-                               self.precision)
+        return TruncatedSeries._trusted(
+            self.variables, F, {m: F.mul(v, c) for m, v in self.terms.items()},
+            self.precision)
+
+    def add_scaled(self, pairs):
+        """self plus the sum of c*part over the (part, c) in ``pairs``,
+        built once; the precision is the least of all of them."""
+        precisions = [self.precision] + [p.precision for p, _ in pairs]
+        prec = min(precisions)
+        terms = add_scaled_terms(self.field, self.terms, pairs)
+        if max(precisions) != prec:
+            terms = {m: c for m, c in terms.items()
+                     if monomial_degree(m) < prec}
+        return TruncatedSeries._trusted(self.variables, self.field, terms,
+                                        prec)
 
     def __pow__(self, e):
         if e < 0:
@@ -327,7 +353,8 @@ def _packed_product(F, a, b, prec):
               for i in range(0, width * size, width)]
     if rational:
         den = da * db
-        return {(e,): Fraction(c, den) for e, c in enumerate(coeffs) if c}
+        return {(e,): c // den if c % den == 0 else Fraction(c, den)
+                for e, c in enumerate(coeffs) if c}
     p = F.p
     return {(e,): c % p for e, c in enumerate(coeffs) if c % p}
 

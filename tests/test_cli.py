@@ -1,3 +1,4 @@
+import contextlib
 import os
 import re
 import subprocess
@@ -419,6 +420,62 @@ def test_cli_parse_error_exit(tmp_path):
     inp = write(tmp_path, "in.problem",
                 "[field]\nQ\n[variables]\nring x y\n[ideal]\nx + w\n")
     assert main(["groebner", "--input", inp]) == 2
+
+
+def _cli_subprocess(args, timeout):
+    src = os.path.dirname(os.path.dirname(desing.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "desing.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def _ideal_problem(text):
+    return f"[field]\nQ\n[variables]\nring x y\n[ideal]\n{text}\n"
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """Lift CPython's limit on int <-> str conversions, where it has one."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    saved = get() if get else None
+    if get:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if get:
+            sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("text", ["x + " + "7" * 5000, "x + 2^14300"],
+                         ids=["5000-digit-literal", "14300-bit-power"])
+def test_cli_integers_beyond_str_digit_limit(tmp_path, text):
+    inp = write(tmp_path, "in.problem", _ideal_problem(text))
+    out = tmp_path / "out.txt"
+    run = _cli_subprocess(["groebner", "--input", inp, "--output", str(out)],
+                          timeout=30)
+    assert run.returncode == 0, run.stderr
+    with _no_int_digit_limit():
+        constant = "7" * 5000 if "7" in text else str(2 ** 14300)
+    assert f"x + {constant}\n" in out.read_text()
+
+
+def test_cli_literal_above_bound_is_parse_error(tmp_path, capsys):
+    inp = write(tmp_path, "in.problem",
+                _ideal_problem("x + y - " + "7" * 100_001))
+    assert main(["groebner", "--input", inp]) == 2
+    err = capsys.readouterr().err
+    assert "line 6, column 9: integer literal of more than 100000" in err
+
+
+@pytest.mark.parametrize("text", ["(x + y)^3000", "x + 2^10000000000"])
+def test_cli_unbounded_power_fails_fast(tmp_path, text):
+    inp = write(tmp_path, "in.problem", _ideal_problem(text))
+    run = _cli_subprocess(["groebner", "--input", inp], timeout=5)
+    assert run.returncode in (2, 4)
+    assert "power too large to expand" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_cli_missing_file():

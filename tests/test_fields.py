@@ -1,9 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from desing.errors import DomainError
 from desing.fields import QQ, PrimeField, SimpleExtension, is_irreducible_over_q
+from desing.gnd import desingularize
+from desing.poly import Polynomial, parse_polynomial
+from desing.series import CompletionMorphism, TruncatedSeries
+from desing.smooth import AlgebraPresentation
 
 
 def test_rationals_basic():
@@ -108,3 +114,112 @@ def test_extension_characteristic_and_format():
     assert K.format(K.generator()) == "s"
     val = K.add(K.from_int(2), K.neg(K.generator()))
     assert K.format(val) == "2 - s"
+
+
+# ---------------------------------------------------------------------------
+# a Q element is an int when integral and a Fraction otherwise, never a float
+
+def _assert_canonical_q(value):
+    assert type(value) in (int, Fraction), repr(value)
+    assert type(value) is int or value.denominator != 1, repr(value)
+
+
+def _q_elements():
+    """Canonical Q elements: integers, and fractions whose small
+    denominators make many sums and products integral."""
+    small = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 4))
+    large = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                      st.integers(1, 10 ** 6))
+    return st.one_of(st.integers(-10 ** 30, 10 ** 30), small,
+                     large).map(QQ.from_fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_q_elements(), b=_q_elements(), n=st.integers(-10 ** 20, 10 ** 20),
+       num=st.integers(-10 ** 20, 10 ** 20), den=st.integers(1, 10 ** 3))
+def test_rational_results_are_int_or_fraction(a, b, n, num, den):
+    results = [QQ.zero(), QQ.one(), QQ.add(a, b), QQ.sub(a, b),
+               QQ.mul(a, b), QQ.neg(a), QQ.from_int(n),
+               QQ.from_fraction(Fraction(num, den)), QQ.from_fraction(n)]
+    if b != 0:
+        results += [QQ.invert(b), QQ.div(a, b)]
+    for r in results:
+        _assert_canonical_q(r)
+    assert QQ.from_int(n) == n and QQ.from_fraction(Fraction(num, den)) \
+        == Fraction(num, den)
+
+
+@st.composite
+def _q_series_pairs(draw):
+    """Two series over Q, univariate with enough terms that their product
+    packs, or in two variables, where it runs the graded loop."""
+    packed = draw(st.booleans())
+    variables = ("x",) if packed else ("y", "x")
+    size = st.integers(8, 20) if packed else st.integers(0, 8)
+
+    def one():
+        count = draw(size)
+        monos = st.tuples(*[st.integers(0, 30)] * len(variables))
+        terms = draw(st.dictionaries(monos, _q_elements(), min_size=count,
+                                     max_size=count))
+        return TruncatedSeries(variables, QQ, terms, draw(st.integers(1, 40)))
+
+    a, b = one(), one()
+    assume(not packed or a._packs(len(a.terms) * len(b.terms)))
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(_q_series_pairs())
+def test_series_product_coefficients_are_int_or_fraction(pair):
+    a, b = pair
+    results = [a * b, a + b, a - b]
+    if not QQ.is_zero(a.constant_coefficient()):
+        results.append(a.invert())
+    for s in results:
+        for c in s.terms.values():
+            _assert_canonical_q(c)
+
+
+def _q_coefficients(obj, seen):
+    """Every coefficient of a Polynomial or series over Q reachable from
+    obj through dataclass fields, lists, tuples and dicts."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (Polynomial, TruncatedSeries)):
+        if obj.field == QQ:
+            yield from obj.terms.values()
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _q_coefficients(getattr(obj, f.name), seen)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _q_coefficients(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _q_coefficients(value, seen)
+
+
+@settings(max_examples=8, deadline=None)
+@given(c=st.integers(1, 3), a=st.integers(-3, 3), sqrt2=st.booleans())
+def test_gnd_certificate_coefficients_are_int_or_fraction(c, a, sqrt2):
+    """Y1*Y2 - 2^k x^(2c) at Y1 = r^k x^c (1 + a x), Y2 = r^k x^c / (1 + a x),
+    with r = 1 over Q or r^2 = 2 over Q(sqrt 2) (k = 1)."""
+    N = 10 * c + 2
+    ring = ("x", "Y1", "Y2")
+    K = SimpleExtension(QQ, (-2, 0, 1), gen="r") if sqrt2 else QQ
+    r, lead = (K.generator(), 2) if sqrt2 else (1, 1)
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial(f"Y1*Y2 - {lead}*x^{2 * c}", ring, QQ)])
+    u = TruncatedSeries(("x",), K, {(0,): K.one(), (1,): K.from_int(a)}, N)
+    xc = TruncatedSeries(("x",), K, {(c,): r}, N)
+    v = CompletionMorphism(base_var="x", field=K,
+                           images={"Y1": xc * u, "Y2": xc * u.invert()})
+    cert = desingularize(B, v)
+    assert cert.all_passed()
+    coefficients = list(_q_coefficients(cert, set()))
+    assert coefficients
+    for coeff in coefficients:
+        _assert_canonical_q(coeff)

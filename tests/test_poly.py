@@ -428,6 +428,38 @@ def test_parse_cancelled_monomial_reenters_last():
     assert list(f.terms) == [(0, 1, 0), (1, 0, 0)]
 
 
+def test_parse_power_budget():
+    # a power of a constant or a parenthesised factor, or a product of such
+    # factors, is refused before it is expanded if the bound of _height
+    # puts its coefficients above 2^19 bits; a power of a sum also has an
+    # exponent of at most 1000
+    f = parse_polynomial("1 + x", VARS, QQ)
+    assert parse_polynomial("(1 + x)^1000", VARS, QQ) == f ** 1000
+    assert parse_polynomial("y + 3^200000", VARS, QQ).terms[(0, 0, 0)] \
+        == 3 ** 200000
+    product = "(1 + x)*(2^200000*y + 1)*(2^200000 + z)*(2^200000 + y)"
+    for text, column, what in (("(1 + x)^1001", 9, "power"),
+                               ("(x)^524289", 5, "power"),
+                               ("(x + y)^3000", 9, "power"),
+                               ("2^10000000000", 3, "power"),
+                               ("3^400000", 3, "power"),
+                               ("(2^200000 + x)^3", 16, "power"),
+                               (product, product.rindex("(") + 1,
+                                "product")):
+        with pytest.raises(ParseError, match=f"{what} too large") as err:
+            parse_polynomial(text, VARS, QQ)
+        assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_parse_literal_digit_bound():
+    # a literal of 100,001 digits is refused where it starts; the digits
+    # of a name do not count
+    text = f"x + y{'9' * 100_000} + 1{'0' * 100_000}"
+    with pytest.raises(ParseError, match="more than 100000 digits") as err:
+        parse_polynomial(text, VARS, QQ)
+    assert err.value.column == text.index(" + 1") + 4
+
+
 def test_parse_repeated_variable_name():
     # a name listed twice fills both exponent slots, as Polynomial.variable
     f = parse_polynomial("x^2*y", ("x", "y", "x"), PrimeField(7))
