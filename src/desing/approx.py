@@ -20,6 +20,7 @@ from .smooth import (DEFAULT_SUBSET_BUDGET, AlgebraPresentation, best_witness,
                      bordered_jacobian, matrix_det, matrix_mul)
 
 MAX_NEWTON_ITERATIONS = 200
+MAX_LIFT_TARGET = 1 << 16       # a GF(32003) lift this far takes about 6 s
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +47,14 @@ def solve_linear(rows, rhs, F):
         A[row], A[sel] = A[sel], A[row]
         inv = F.invert(A[row][col])
         A[row] = [F.mul(inv, x) for x in A[row]]
+        # x - factor*0 = x: only the pivot row's nonzero columns change
+        pivot = [(j, y) for j, y in enumerate(A[row]) if not F.is_zero(y)]
         for i in range(m):
-            if i != row and not F.is_zero(A[i][col]):
-                factor = A[i][col]
-                A[i] = [F.sub(x, F.mul(factor, y))
-                        for x, y in zip(A[i], A[row])]
+            factor = A[i][col]
+            if i != row and not F.is_zero(factor):
+                target = A[i]
+                for j, y in pivot:
+                    target[j] = F.sub(target[j], F.mul(factor, y))
         pivots.append(col)
         row += 1
         if row == m:
@@ -91,6 +95,9 @@ class LiftResult:
 def newton_lift(req):
     """Lift y0 to a solution modulo x^target; quadratic convergence up to
     the fixed loss 2c per step."""
+    if req.target > MAX_LIFT_TARGET:
+        raise ResourceError(f"lift target {req.target} is above "
+                            f"{MAX_LIFT_TARGET}")
     base = (req.base_var,)
     sample = next(iter(req.y0.values()))
     F = sample.field

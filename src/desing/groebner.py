@@ -1,23 +1,45 @@
 """Groebner bases and the ideal operations the pipeline needs.
 
 Buchberger with the coprime and chain criteria and normal-strategy pair
-selection: the open pairs sit in one heap keyed on (order key of the lcm,
-i, j), so ties break deterministically.  Division holds the dividend as a
-term dict with a max-heap of its monomials and reduces it in place.
-Reduced bases are the canonical form for ideal equality.  ``ideal_quotient``
-skips the generators of J that already lie in I, whose quotient is (1).
-Module Groebner bases come from the same ``buchberger``: a vector is a
-polynomial linear in fresh position variables, under a block order that is
-position-over-term.  They supply kernels of polynomial matrices via the
-syzygy construction.
+selection: the open pairs sit in one heap keyed on (lcm, i, j), so ties
+break deterministically.  Division holds the dividend as a term dict with a
+max-heap of its monomials and reduces it in place.  Reduced bases are the
+canonical form for ideal equality.  ``ideal_quotient`` skips the generators
+of J that already lie in I, whose quotient is (1).  Module Groebner bases
+come from the same ``buchberger``: a vector is a polynomial linear in fresh
+position variables, under a block order that is position-over-term.  They
+supply kernels of polynomial matrices via the syzygy construction.
+
+Packed monomials (Monagan-Pearce, "Sparse polynomial division using a
+heap", JSC 46, 2011).  Inside this module a monomial is one int whose
+integer order is the monomial order.  The layout is a list of slots, most
+significant first: lex has one slot per variable; degrevlex has a degree
+slot, then the variables in reverse order, each stored complemented as
+C - e; a block order puts the layouts of its two blocks one after the
+other.  Each slot holds ``width`` data bits with a guard bit above them,
+and C = 2^width - 1.  A monomial is CM + sum(e_i * W_i), where CM holds C
+in every complemented slot and W_i is the signed sum of the slots that
+variable i enters.  The product of a and b is a + b - CM; a divides b when
+d = (b ^ CM) - (a ^ CM) is nonnegative with no guard bit set; the leading
+term is the largest int.  ``buchberger`` packs its generators once and
+unpacks the reduced basis once; ``division`` and ``s_polynomial`` pack on
+entry and unpack on exit, except inside ``buchberger``, where they take
+and return packed polynomials.
+
+Overflow rule: slots start wide enough for the product of two monomials of
+the inputs (at least 15 bits).  A product or lcm whose exponent passes C
+sets a guard bit; the check runs once per divisor multiple, on the largest
+exponent of each slot, and the whole call then starts again on slots twice
+as wide.  A wide exponent costs a re-run, never a wrong result.
 """
 
+import functools
 import heapq
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from .errors import DomainError, ResourceError, StructuralError
-from .poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial, block_order,
-                   monomial_div, monomial_divides, monomial_lcm, monomial_mul)
+from .poly import DEGREVLEX, LEX, MonomialOrder, Polynomial, block_order
 
 DEFAULT_SPAIR_BUDGET = 100000
 
@@ -56,62 +78,207 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials (see the module docstring)
+
+_MIN_WIDTH = 15        # data bits of a slot, at the least
+
+
+class _Overflow(Exception):
+    """A packed exponent passed its slot."""
+
+
+def _slots(order, first, n):
+    """The slots of ``order`` on variables first, ..., first+n-1, most
+    significant first, as (variables, complemented)."""
+    if order.kind == "lex":
+        return [((i,), False) for i in range(first, first + n)]
+    if order.kind == "degrevlex":
+        return [(tuple(range(first, first + n)), False)] + [
+            ((i,), True) for i in reversed(range(first, first + n))]
+    if order.kind == "block":
+        k = min(order.split, n)
+        return (_slots(order.inner[0], first, k)
+                + _slots(order.inner[1], first + k, n - k))
+    raise StructuralError(f"unknown order kind {order.kind}")
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(order, n, width):
+    """(CM, guard bits, weights, shift of each variable's own slot)."""
+    cm = guard = 0
+    weights, shifts = [0] * n, [0] * n
+    for k, (variables, complemented) in enumerate(reversed(_slots(order, 0,
+                                                                  n))):
+        s = k * (width + 1)
+        guard |= 1 << (s + width)
+        if complemented:
+            cm |= ((1 << width) - 1) << s
+        for i in variables:
+            weights[i] += -(1 << s) if complemented else 1 << s
+        if len(variables) == 1:
+            shifts[variables[0]] = s
+    return cm, guard, tuple(weights), tuple(shifts)
+
+
+class _Ring:
+    """A layout, and the field of the coefficients."""
+
+    __slots__ = ("field", "width", "cm", "guard", "weights", "shifts")
+
+    def __init__(self, order, n, width, field):
+        self.field, self.width = field, width
+        self.cm, self.guard, self.weights, self.shifts = _layout(order, n,
+                                                                 width)
+
+    def pack_monomial(self, mono):
+        return self.cm + sum(map(operator.mul, mono, self.weights))
+
+    def unpack_monomial(self, m):
+        x, mask = m ^ self.cm, (1 << self.width) - 1
+        return tuple([x >> s & mask for s in self.shifts])
+
+    def pack(self, poly):
+        pm = self.pack_monomial
+        return _Packed(self, {pm(m): c for m, c in poly.terms.items()})
+
+    def unpack(self, terms, variables):
+        um = self.unpack_monomial
+        return Polynomial._trusted(variables, self.field,
+                                   {um(m): c for m, c in terms.items()})
+
+    def slot_max(self, monos):
+        """The largest exponent of ``monos`` in each slot, packed: a bound
+        on every slot of them, though not a monomial under a degree slot."""
+        cm, guard, width = self.cm, self.guard, self.width
+        top = 0
+        for m in monos:
+            x = m ^ cm
+            keep = ((top | guard) - x) & guard     # the slots where top >= x
+            keep -= keep >> width
+            top = top & keep | x & ~keep
+        return top ^ cm
+
+
+def _on_packed(order, polys, run):
+    """run(ring) on slots wide enough for products of two of ``polys``,
+    and again on slots twice as wide whenever a slot overflows."""
+    variables, field = polys[0].variables, polys[0].field
+    if any(p.variables != variables or p.field != field for p in polys):
+        raise StructuralError("polynomials live in different rings")
+    degree = max((sum(m) for p in polys for m in p.terms), default=0)
+    width = max(_MIN_WIDTH, (2 * degree).bit_length())
+    while True:
+        try:
+            return run(_Ring(order, len(variables), width, field))
+        except _Overflow:
+            width *= 2
+
+
+class _Packed:
+    """A polynomial on packed monomials, whose ``lead`` is its largest."""
+
+    __slots__ = ("ring", "terms", "lead", "_tail")
+
+    def __init__(self, ring, terms):
+        self.ring, self.terms = ring, terms
+        self.lead = max(terms) if terms else None
+        self._tail = None
+
+    def is_zero(self):
+        return not self.terms
+
+    def monic(self):
+        F = self.ring.field
+        inv = F.invert(self.terms[self.lead])
+        return _Packed(self.ring, {m: F.mul(c, inv)
+                                   for m, c in self.terms.items()})
+
+    def tail(self):
+        """(1/lc, slot_max of the tail, the tail negated), on first use."""
+        if self._tail is None:
+            F, lead = self.ring.field, self.lead
+            tail = [(m, F.neg(c)) for m, c in self.terms.items() if m != lead]
+            self._tail = (F.invert(self.terms[lead]),
+                          self.ring.slot_max(m for m, _ in tail), tail)
+        return self._tail
+
+
+# ---------------------------------------------------------------------------
 # division and normal forms
+
+def _divide(ring, terms, divisors, quotients=None):
+    """The remainder of the packed term dict ``terms``, which is reduced in
+    place, by the packed ``divisors``.  A max-heap holds the monomials of
+    ``terms``; one cancelled after it was pushed is skipped when popped.
+    Each step cancels the largest term against the first divisor whose
+    leading monomial divides it, or moves that term to the remainder.  With
+    ``quotients``, a dict for each divisor, the quotient terms go there."""
+    F = ring.field
+    mul, add, zero = F.mul, F.add, F.zero()    # F.add returns canonical
+    push, pop = heapq.heappush, heapq.heappop
+    cm, guard = ring.cm, ring.guard
+    leads = [(d.lead ^ cm, d, k) for k, d in enumerate(divisors)]
+    heap = [-m for m in terms]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        mono = -pop(heap)
+        coeff = terms.pop(mono, None)
+        if coeff is None:
+            continue
+        x = mono ^ cm
+        for lx, d, k in leads:
+            diff = x - lx
+            if diff < 0 or diff & guard:
+                continue
+            inv, top, tail = d.tail()
+            q = mono - d.lead           # the quotient, less the monomial 1
+            if (q + top) & guard:
+                raise _Overflow
+            qc = mul(coeff, inv)
+            if quotients is not None:
+                quotients[k][q + cm] = qc
+            for m, c in tail:
+                m += q
+                c = mul(qc, c)
+                old = terms.get(m)
+                if old is None:
+                    terms[m] = c
+                    push(heap, -m)
+                else:
+                    c = add(old, c)
+                    if c == zero:
+                        del terms[m]
+                    else:
+                        terms[m] = c
+            break
+        else:
+            rem[mono] = coeff
+    return rem
+
 
 def division(f, basis, order, with_quotients=False):
     """Multivariate division of f by an ordered list of polynomials.
 
     Returns (quotients, remainder) if requested, else the remainder.  No
-    term of the remainder is divisible by any divisor's leading term.  The
-    dividend is a term dict with a max-heap of its monomials; a monomial
-    cancelled after it was pushed is skipped when popped.  Each step cancels
-    the largest term against the first divisor whose leading monomial
-    divides it, or moves that term to the remainder.
+    term of the remainder is divisible by any divisor's leading term.  f and
+    the basis are packed on entry and the results unpacked on exit; inside
+    ``buchberger``, f and the basis are already packed and so is the
+    remainder.
     """
-    F = f.field
-    rkey = order.reverse_key
-    leads = [g.leading(order) for g in basis]
-    tails = {}      # divisor index -> (1/lc, negated tail), on first use
-    terms = dict(f.terms)
-    heap = [(rkey(m), m) for m in terms]
-    heapq.heapify(heap)
-    quotients = [{} for _ in basis]
-    rem_terms = {}
-    while heap:
-        mono = heapq.heappop(heap)[1]
-        coeff = terms.pop(mono, None)
-        if coeff is None:
-            continue
-        for i, (lm, lc) in enumerate(leads):
-            if monomial_divides(lm, mono):
-                if i not in tails:
-                    tails[i] = (F.invert(lc), [(m, F.neg(c)) for m, c
-                                               in basis[i].terms.items()
-                                               if m != lm])
-                inv, tail = tails[i]
-                q = monomial_div(mono, lm)
-                qc = F.mul(coeff, inv)
-                quotients[i][q] = qc
-                for m, c in tail:
-                    m = monomial_mul(q, m)
-                    c = F.mul(qc, c)
-                    old = terms.get(m)
-                    if old is None:
-                        terms[m] = c
-                        heapq.heappush(heap, (rkey(m), m))
-                    else:
-                        c = F.add(old, c)
-                        if F.is_zero(c):
-                            del terms[m]
-                        else:
-                            terms[m] = c
-                break
-        else:
-            rem_terms[mono] = coeff
-    rem = Polynomial(f.variables, F, rem_terms)
-    if with_quotients:
-        return [Polynomial(f.variables, F, q) for q in quotients], rem
-    return rem
+    if isinstance(f, _Packed):
+        return _Packed(f.ring, _divide(f.ring, dict(f.terms), basis))
+
+    def run(ring):
+        quotients = [{} for _ in basis] if with_quotients else None
+        rem = _divide(ring, ring.pack(f).terms,
+                      [ring.pack(g) for g in basis], quotients)
+        rem = ring.unpack(rem, f.variables)
+        if not with_quotients:
+            return rem
+        return [ring.unpack(q, f.variables) for q in quotients], rem
+
+    return _on_packed(order, [f, *basis], run)
 
 
 def normal_form(f, gb, order=None):
@@ -132,16 +299,37 @@ def normal_form(f, gb, order=None):
 
 
 def s_polynomial(f, g, order):
-    (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
-    lcm = monomial_lcm(mf, mg)
-    F = f.field
-    tf = f.term_poly(monomial_div(lcm, mf), F.invert(cf))
-    tg = g.term_poly(monomial_div(lcm, mg), F.invert(cg))
-    return tf * f - tg * g
+    """lcm/lt(f) * f - lcm/lt(g) * g for the lcm of the leading monomials.
+    Inside ``buchberger`` f and g are packed, and so is the result."""
+    if not isinstance(f, _Packed):
+        return _on_packed(order, [f, g], lambda ring: ring.unpack(
+            s_polynomial(ring.pack(f), ring.pack(g), order).terms,
+            f.variables))
+    ring, F = f.ring, f.ring.field
+    lcm = ring.pack_monomial(map(max, ring.unpack_monomial(f.lead),
+                                 ring.unpack_monomial(g.lead)))
+    (inv_f, top_f, tail_f), (inv_g, top_g, tail_g) = f.tail(), g.tail()
+    qf, qg = lcm - f.lead, lcm - g.lead
+    if (lcm | qf + top_f | qg + top_g) & ring.guard:
+        raise _Overflow
+    terms = {m + qg: F.mul(inv_g, c) for m, c in tail_g}
+    inv_f = F.neg(inv_f)
+    for m, c in tail_f:
+        m += qf
+        c = F.mul(inv_f, c)
+        if m in terms:
+            c = F.add(terms.pop(m), c)
+        if not F.is_zero(c):
+            terms[m] = c
+    return _Packed(ring, terms)
 
 
 def buchberger(ideal, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
-    """Reduced Groebner basis; deterministic for fixed input."""
+    """Reduced Groebner basis; deterministic for fixed input.
+
+    The generators are packed once; pair selection, reduction and
+    interreduction run on packed monomials, and the reduced basis is
+    unpacked once."""
     if isinstance(ideal, IdealPresentation):
         gens = ideal.generators
         if not ideal.variables:
@@ -150,25 +338,42 @@ def buchberger(ideal, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
         gens = [g for g in ideal if not g.is_zero()]
     if not gens:
         return GroebnerBasis(order, [])
-    G = [g.monic(order) for g in gens]
-    leads = [g.leading(order)[0] for g in G]
-    pairs = []      # heap of (order key of the lcm, i, j, lcm)
 
-    def add_pairs(k):
+    def run(ring):
+        basis = _buchberger([ring.pack(g).monic() for g in gens], order,
+                            budget)
+        return [ring.unpack(g.terms, gens[0].variables) for g in basis]
+
+    return GroebnerBasis(order, _on_packed(order, gens, run))
+
+
+def _buchberger(G, order, budget):
+    ring = G[0].ring
+    cm, guard = ring.cm, ring.guard
+    leads, plain, exps = [], [], []
+    pairs = []      # heap of (packed lcm, i, j)
+
+    def add(g):
+        k = len(leads)
+        leads.append(g.lead)
+        plain.append(g.lead ^ cm)
+        exps.append(ring.unpack_monomial(g.lead))
         for i in range(k):
-            lcm = monomial_lcm(leads[i], leads[k])
-            heapq.heappush(pairs, (order.key(lcm), i, k, lcm))
+            lcm = ring.pack_monomial(map(max, exps[i], exps[k]))
+            if lcm & guard:
+                raise _Overflow
+            heapq.heappush(pairs, (lcm, i, k))
 
-    for k in range(1, len(G)):
-        add_pairs(k)
+    for g in G:
+        add(g)
     done = set()
     reductions = 0
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
+        lcm, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        if lcm == monomial_mul(leads[i], leads[j]):
+        if lcm == leads[i] + leads[j] - cm:
             continue  # coprime leading terms
-        if _chain_criterion(i, j, lcm, leads, done):
+        if _chain_criterion(i, j, lcm ^ cm, plain, guard, done):
             continue
         reductions += 1
         if reductions > budget:
@@ -176,16 +381,18 @@ def buchberger(ideal, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
         r = division(s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero():
             continue
-        r = r.monic(order)
+        r = r.monic()
         G.append(r)
-        leads.append(r.leading(order)[0])
-        add_pairs(len(G) - 1)
-    return GroebnerBasis(order, _reduce_basis(G, order))
+        add(r)
+    return _reduce_basis(G)
 
 
-def _chain_criterion(i, j, lcm, leads, done):
-    for k in range(len(leads)):
-        if k in (i, j) or not monomial_divides(leads[k], lcm):
+def _chain_criterion(i, j, lcm, plain, guard, done):
+    """Whether some third lead divides the lcm and its pairs with i and j
+    are done; ``lcm`` and ``plain`` are XORed with CM."""
+    for k, lead in enumerate(plain):
+        d = lcm - lead
+        if d < 0 or d & guard or k == i or k == j:
             continue
         p1 = (min(i, k), max(i, k))
         p2 = (min(j, k), max(j, k))
@@ -194,25 +401,28 @@ def _chain_criterion(i, j, lcm, leads, done):
     return False
 
 
-def _reduce_basis(G, order):
+def _reduce_basis(G):
+    ring = G[0].ring
+    cm, guard = ring.cm, ring.guard
     # minimize: drop elements whose lead is divisible by another kept lead
-    leads = [g.leading(order)[0] for g in G]
+    plain = [g.lead ^ cm for g in G]
     minimal = []
     for i, g in enumerate(G):
         redundant = any(
-            j != i and monomial_divides(leads[j], leads[i])
-            and (leads[j] != leads[i] or j < i)
-            for j in range(len(G)))
+            j != i and plain[i] - lx >= 0 and not (plain[i] - lx) & guard
+            and (lx != plain[i] or j < i)
+            for j, lx in enumerate(plain))
         if not redundant:
             minimal.append(g)
     # tail-reduce each against the others
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = division(g, others, order) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
+        if others:
+            g = _Packed(ring, _divide(ring, dict(g.terms), others))
+        if not g.is_zero():
+            reduced.append(g.monic())
+    reduced.sort(key=lambda g: g.lead, reverse=True)
     return reduced
 
 

@@ -494,6 +494,19 @@ _MAX_DIGITS = 100_000
 _LONG = re.compile(r"(?<!\w)\d{%d}" % (_MAX_DIGITS + 1))
 _MAX_EXPONENT = 1000
 _MAX_BITS = 1 << 19
+_CHUNK = 4000       # digits: below CPython's default int/str limit (4300)
+
+
+def _decimal(digits):
+    """The int of a run of decimal digits, read chunk by chunk, so that no
+    single conversion meets the interpreter's int/str digit limit."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    value = 0
+    for k in range(0, len(digits), _CHUNK):
+        chunk = digits[k:k + _CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 class _Text:
@@ -525,7 +538,7 @@ class _Text:
     def integer(self, i):
         if not self.toks[i].isdecimal():
             raise self.error(f"expected int, found {self.toks[i]!r}", i)
-        return int(self.toks[i])
+        return _decimal(self.toks[i])
 
 
 def parse_polynomial(text, variables, field, line=1):
@@ -596,11 +609,12 @@ def _parse_product(src, i):
             sign ^= negate and e % 2 == 1           # (-x)^e = (-1)^e x^e
         elif tok.isdecimal():
             if toks[i] != "/":
-                c = F.from_int(int(tok))
+                c = F.from_int(_decimal(tok))
             elif src.integer(i + 1) == 0:
                 raise src.error("zero denominator", i + 1)
             else:
-                c = F.from_fraction(Fraction(int(tok), int(toks[i + 1])))
+                c = F.from_fraction(Fraction(_decimal(tok),
+                                             _decimal(toks[i + 1])))
                 i += 2
             c = F.neg(c) if negate else c
             if toks[i] == "^":

@@ -44,6 +44,52 @@ def test_solve_linear_free_unknowns_zero():
     assert sol == [Fraction(7), Fraction(0), Fraction(0)]
 
 
+def _dense_solve(rows, rhs, F):
+    """Gauss-Jordan that updates every column of a row: the reference for
+    the sparse row updates of solve_linear."""
+    m, n = len(rows), len(rows[0])
+    A = [list(r) + [v] for r, v in zip(rows, rhs)]
+    pivots, row = [], 0
+    for col in range(n):
+        sel = next((i for i in range(row, m) if not F.is_zero(A[i][col])),
+                   None)
+        if sel is None:
+            continue
+        A[row], A[sel] = A[sel], A[row]
+        inv = F.invert(A[row][col])
+        A[row] = [F.mul(inv, x) for x in A[row]]
+        for i in range(m):
+            if i != row and not F.is_zero(A[i][col]):
+                factor = A[i][col]
+                A[i] = [F.sub(x, F.mul(factor, y))
+                        for x, y in zip(A[i], A[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    if any(not F.is_zero(A[i][n]) for i in range(row, m)):
+        return None
+    x = [F.zero()] * n
+    for r, col in enumerate(pivots):
+        x[col] = A[r][n]
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((QQ, PrimeField(7))), st.integers(1, 5),
+       st.integers(1, 5), st.data())
+def test_solve_linear_matches_dense_elimination(F, m, n, data):
+    # mostly zero entries, so the sparse updates skip columns
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, 3)).map(F.from_int)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    rhs = data.draw(st.lists(entry, min_size=m, max_size=m))
+    got, want = solve_linear(rows, rhs, F), _dense_solve(rows, rhs, F)
+    assert got == want
+    if want is not None:
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
 # ---------------------------------------------------------------------------
 # Newton lifting
 

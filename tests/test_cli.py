@@ -513,6 +513,19 @@ def test_cli_lift_subset_budget(tmp_path):
                  "--subset-budget", "1"]) == 0
 
 
+def test_cli_lift_target_above_bound_fails_fast(tmp_path):
+    # a target far past what any output can hold is refused before any
+    # series is built: exit 4 at once, where it used to run until killed
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra Y\n"
+                "[ideal]\nY^2 - (1 + x)\n[start]\nY = 1 + O(x)\n"
+                "[options]\ntarget 100000000\nc 0\n")
+    run = _cli_subprocess(["lift", "--input", inp], timeout=10)
+    assert run.returncode == 4
+    assert "lift target 100000000 is above 65536" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_cli_weierstrass(tmp_path):
     inp = write(tmp_path, "in.problem",
                 "[field]\nQ\n[variables]\nring y x\n"

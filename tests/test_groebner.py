@@ -69,14 +69,21 @@ def _textbook_division(f, basis, order):
 
 
 _FIELDS = (PrimeField(32003), QQ)
-_ORDERS = (LEX, DEGREVLEX, block_order(1), block_order(2, LEX, DEGREVLEX))
+_ORDERS = (LEX, DEGREVLEX, block_order(1), block_order(2, LEX, DEGREVLEX),
+           block_order(2, block_order(1, LEX, DEGREVLEX), DEGREVLEX),
+           block_order(1, DEGREVLEX, block_order(1, LEX, DEGREVLEX)))
+# packed slots start at 15 bits; an exponent scaled by 2^16 + 1 is past
+# them, and scaling a variable keeps the divisibility of the small case
+_SCALES = st.tuples(*[st.sampled_from((1, (1 << 16) + 1))] * len(VARS))
 
 
-def _polys(field, min_terms):
+def _polys(field, min_terms, scales=(1,) * len(VARS), max_exp=3,
+           max_terms=6):
     terms = st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * len(VARS)),
+        st.tuples(*[st.integers(0, max_exp).map(lambda e, s=s: e * s)
+                    for s in scales]),
         st.integers(-7, 7).filter(bool).map(field.from_int),
-        min_size=min_terms, max_size=6)
+        min_size=min_terms, max_size=max_terms)
     return terms.map(lambda t: Polynomial(VARS, field, t))
 
 
@@ -84,8 +91,9 @@ def _polys(field, min_terms):
 def _division_cases(draw):
     field = draw(st.sampled_from(_FIELDS))
     order = draw(st.sampled_from(_ORDERS))
-    f = draw(_polys(field, 0))
-    basis = draw(st.lists(_polys(field, 1), min_size=1, max_size=3))
+    scales = draw(_SCALES)
+    f = draw(_polys(field, 0, scales))
+    basis = draw(st.lists(_polys(field, 1, scales), min_size=1, max_size=3))
     return f, basis, order
 
 
@@ -103,6 +111,88 @@ def test_division_matches_textbook_loop(case, with_quotients):
     for q, g in zip(quotients, basis):
         rebuilt = rebuilt + q * g
     assert rebuilt == f
+
+
+def _textbook_buchberger(gens, order):
+    """All pairs in the order they arise, no criteria, remainders by the
+    textbook loop; then minimize, tail-reduce, make monic and sort."""
+    def monic(g):
+        return g.monic(order)
+
+    def s_poly(f, g):
+        (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
+        lcm = monomial_lcm(mf, mg)
+        F = f.field
+        return (f.term_poly(monomial_div(lcm, mf), F.invert(cf)) * f
+                - g.term_poly(monomial_div(lcm, mg), F.invert(cg)) * g)
+
+    G = [monic(g) for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        r = _textbook_division(s_poly(G[i], G[j]), G, order)[1]
+        if not r.is_zero():
+            G.append(monic(r))
+            pairs += [(k, len(G) - 1) for k in range(len(G) - 1)]
+    leads = [g.leading(order)[0] for g in G]
+    minimal = [g for i, g in enumerate(G) if not any(
+        j != i and monomial_divides(leads[j], leads[i])
+        and (leads[j] != leads[i] or j < i) for j in range(len(G)))]
+    reduced = [monic(_textbook_division(g, minimal[:i] + minimal[i + 1:],
+                                        order)[1])
+               for i, g in enumerate(minimal)]
+    return sorted(reduced, key=lambda g: order.key(g.leading(order)[0]),
+                  reverse=True)
+
+
+@st.composite
+def _basis_cases(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    order = draw(st.sampled_from(_ORDERS))
+    scales = draw(_SCALES)
+    gens = draw(st.lists(_polys(field, 1, scales, max_exp=2, max_terms=3),
+                         min_size=1, max_size=3))
+    return gens, order
+
+
+@settings(max_examples=80, deadline=None)
+@given(_basis_cases())
+def test_buchberger_matches_textbook_loop(case):
+    gens, order = case
+    assert buchberger(gens, order).elements == \
+        _textbook_buchberger(gens, order)
+
+
+def test_wide_exponents_basis_pinned():
+    # 2*40000 passes the 15-bit slots a packed monomial starts with
+    names = ("x", "y")
+    F = PrimeField(32003)
+    gb = buchberger([pp("x^40000 - y", names, F), pp("y^2 - 1", names, F)])
+    assert [str(g) for g in gb.elements] == ["x^40000 + 32002*y",
+                                             "y^2 + 32002"]
+
+
+def test_slot_overflow_repacks_wider(monkeypatch):
+    # under lex, x^8 reduces to y^(8*65537) by x - y^65537: the slots sized
+    # for the inputs overflow, and the work runs again on slots twice as
+    # wide, to the same result as the textbook loop
+    names = ("x", "y")
+    widths = []
+
+    class Ring(groebner._Ring):
+        def __init__(self, order, n, width, field):
+            widths.append(width)
+            super().__init__(order, n, width, field)
+
+    monkeypatch.setattr(groebner, "_Ring", Ring)
+    f, g = pp("x^8 + x", names), pp("x - y^65537", names)
+    assert division(f, [g], LEX, with_quotients=True) == \
+        _textbook_division(f, [g], LEX)
+    assert widths == [18, 36]
+    del widths[:]
+    gb = buchberger([pp("x^8", names), g], LEX)
+    assert [str(h) for h in gb.elements] == ["-y^65537 + x", "y^524296"]
+    assert widths == [18, 36]
 
 
 def _count_calls(monkeypatch, name):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from desing.errors import DesingError, ParseError, StructuralError
 from desing.fields import QQ, PrimeField, SimpleExtension
+from desing.iofmt import parse_problem
 from desing.poly import (DEGREVLEX, LEX, Polynomial, _fold_extension,
                          block_order, compare, format_polynomial,
                          monomial_degree, parse_polynomial)
@@ -458,6 +459,25 @@ def test_parse_literal_digit_bound():
     with pytest.raises(ParseError, match="more than 100000 digits") as err:
         parse_polynomial(text, VARS, QQ)
     assert err.value.column == text.index(" + 1") + 4
+
+
+def test_parse_long_literals_without_cli():
+    # a literal past CPython's int/str digit limit (4,300 digits by default)
+    # reads the same in a library call as under cli.main, which lifts that
+    # limit; the expected values are built without any int/str conversion
+    sevens = 7 * (10 ** 5000 - 1) // 9
+    f = parse_polynomial("x + " + "7" * 5000, VARS, QQ)
+    assert f.terms == {(1, 0, 0): 1, (0, 0, 0): sevens}
+    g = parse_polynomial("9" * 100_000 + "/" + "7" * 5000 + "*y", VARS, QQ)
+    assert g.terms == {(0, 1, 0): Fraction(10 ** 100_000 - 1, sevens)}
+    h = parse_polynomial("z^" + "0" * 4999 + "3 - " + "7" * 5000,
+                         VARS, PrimeField(32003))
+    assert h.terms == {(0, 0, 3): 1, (0, 0, 0): -sevens % 32003}
+    pf = parse_problem("[field]\nQ\n[variables]\nring x y z\n[ideal]\n"
+                       "x + " + "7" * 5000 + "\n")
+    assert pf.ideal == [f]
+    with pytest.raises(ParseError, match="more than 100000 digits"):
+        parse_polynomial("x + " + "7" * 100_001, VARS, QQ)
 
 
 def test_parse_repeated_variable_name():
