@@ -102,6 +102,36 @@ class Field:
         return True
 
 
+# Decimal text of any size: CPython refuses int <-> str conversions of more
+# than 4300 digits by default, so both directions go 4000 digits at a time.
+_CHUNK = 4000
+_CHUNK_BASE = 10 ** _CHUNK
+_CHUNK_BITS = 13_000            # an int below 2^13000 has under 4000 digits
+
+
+def parse_decimal(digits):
+    """The int of a run of decimal digits, read chunk by chunk."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    value = 0
+    for k in range(0, len(digits), _CHUNK):
+        chunk = digits[k:k + _CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def format_decimal(n):
+    """str(n) for an int of any size, written chunk by chunk."""
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK_BASE:
+        n, low = divmod(n, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
 def _integral(r):
     """The canonical Q element of the Fraction r: its numerator if integral."""
     return r.numerator if r.denominator == 1 else r
@@ -142,7 +172,10 @@ class RationalField(Field):
         return a == 0
 
     def format(self, a):
-        return str(a)
+        if a.denominator == 1:
+            return format_decimal(a.numerator)
+        return (f"{format_decimal(a.numerator)}/"
+                f"{format_decimal(a.denominator)}")
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -496,7 +529,7 @@ class SimpleExtension(Field):
             if c == 0:
                 continue
             if i == 0:
-                parts.append(str(c))
+                parts.append(QQ.format(c))
             else:
                 mono = self.gen if i == 1 else f"{self.gen}^{i}"
                 if c == 1:
@@ -504,7 +537,7 @@ class SimpleExtension(Field):
                 elif c == -1:
                     parts.append(f"-{mono}")
                 else:
-                    parts.append(f"{c}*{mono}")
+                    parts.append(f"{QQ.format(c)}*{mono}")
         if not parts:
             return "0"
         out = parts[0]

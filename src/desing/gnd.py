@@ -17,7 +17,8 @@ from fractions import Fraction
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .fields import SimpleExtension
 from .groebner import _fresh_name, division, ideal_member
-from .poly import DEGREVLEX, Polynomial, ring_substitution
+from .poly import (DEGREVLEX, Polynomial, check_power_budget,
+                   ring_substitution)
 from .series import (CompletionMorphism, TruncatedSeries, series_eval,
                      series_point)
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
@@ -526,6 +527,7 @@ def _check_membership(cert, ypoint):
         if hj != s * (Polynomial.variable(ring, F, yv) - yp) - d * w:
             return False
         sY.append(s * yp + d * w)
+    check_power_budget(s, cert.p, "s^p")
     one = Polynomial.one(ring, F)
     s_pow = [one]
     for _ in range(cert.p):

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ConsistencyError, ParseError, StructuralError
 from .fields import QQ, PrimeField, SimpleExtension
 from .groebner import GroebnerBasis, IdealPresentation
-from .poly import (DEGREVLEX, Polynomial, format_polynomial,
-                   order_from_name, parse_polynomial)
+from .poly import (DEGREVLEX, Polynomial, check_power_budget,
+                   format_polynomial, order_from_name, parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
 from .smooth import AlgebraPresentation, DesingData
 from . import gnd as _gnd
@@ -493,6 +493,7 @@ def _check_derived(cert):
             "[H] or [G] is not square in the yvars and tvars")
         require(cert.hat_images.get(cert.zvar) == data.z,
                 "[data] z differs from the image of zvar in [hat]")
+        check_power_budget(cert.s, cert.p, "[s]^p")
         sp = cert.s ** cert.p
         g = [D.reduce(sp * b + sp * Polynomial.variable(cert.ring, cert.field,
                                                          t) + q)

@@ -10,8 +10,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ParseError, StructuralError
-from .fields import QQ, Field, SimpleExtension
+from .errors import DomainError, ParseError, ResourceError, StructuralError
+from .fields import QQ, Field, SimpleExtension, parse_decimal
 
 
 # ---------------------------------------------------------------------------
@@ -494,19 +494,6 @@ _MAX_DIGITS = 100_000
 _LONG = re.compile(r"(?<!\w)\d{%d}" % (_MAX_DIGITS + 1))
 _MAX_EXPONENT = 1000
 _MAX_BITS = 1 << 19
-_CHUNK = 4000       # digits: below CPython's default int/str limit (4300)
-
-
-def _decimal(digits):
-    """The int of a run of decimal digits, read chunk by chunk, so that no
-    single conversion meets the interpreter's int/str digit limit."""
-    if len(digits) <= _CHUNK:
-        return int(digits)
-    value = 0
-    for k in range(0, len(digits), _CHUNK):
-        chunk = digits[k:k + _CHUNK]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
 
 
 class _Text:
@@ -538,7 +525,7 @@ class _Text:
     def integer(self, i):
         if not self.toks[i].isdecimal():
             raise self.error(f"expected int, found {self.toks[i]!r}", i)
-        return _decimal(self.toks[i])
+        return parse_decimal(self.toks[i])
 
 
 def parse_polynomial(text, variables, field, line=1):
@@ -609,12 +596,12 @@ def _parse_product(src, i):
             sign ^= negate and e % 2 == 1           # (-x)^e = (-1)^e x^e
         elif tok.isdecimal():
             if toks[i] != "/":
-                c = F.from_int(_decimal(tok))
+                c = F.from_int(parse_decimal(tok))
             elif src.integer(i + 1) == 0:
                 raise src.error("zero denominator", i + 1)
             else:
-                c = F.from_fraction(Fraction(_decimal(tok),
-                                             _decimal(toks[i + 1])))
+                c = F.from_fraction(Fraction(parse_decimal(tok),
+                                             parse_decimal(toks[i + 1])))
                 i += 2
             c = F.neg(c) if negate else c
             if toks[i] == "^":
@@ -662,3 +649,16 @@ def _height(p):
     the integers, and an estimate with denominators."""
     return max((max(c.numerator.bit_length(), c.denominator.bit_length())
                 for c in p.terms.values()), default=0)
+
+
+def check_power_budget(base, e, what):
+    """Raise ResourceError unless base^e fits the budget of the reader's
+    ``^``: coefficients of at most _MAX_BITS bits by the bound of
+    ``_height``, and for a sum at most _MAX_EXPONENT + 1 terms, estimated as
+    e*deg(base) + 1 (the count for a sum in one variable, and that of
+    (x + y)^e)."""
+    n = len(base.terms)
+    if (e * (_height(base) + (n - 1).bit_length()) > _MAX_BITS
+            or n > 1 and e * base.total_degree() > _MAX_EXPONENT):
+        raise ResourceError(f"{what} with exponent {e} is too large to "
+                            "expand")

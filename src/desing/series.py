@@ -4,13 +4,25 @@ A series carries its own precision (all stored monomials have total degree
 below it); binary operations take the worst case of the operand precisions,
 and exact division lowers precision by the valuation of the divisor.
 
-A product of two series in one variable over Q or GF(p) with at least
-``PACKED_MIN_PAIRS`` stored term pairs is one big-integer multiply
-(Kronecker substitution): each factor's integer coefficients are packed
-into one int, in slots wide enough for every coefficient of the product.
-Every other product runs the graded loop.  ``invert`` doubles precision
-by Newton's iteration b <- b(2 - ab) where its products pack, and solves
-the graded recurrence elsewhere.
+Series in one variable over Q or GF(p) also compute packed (Kronecker
+substitution): the ring map Z[x]/(x^N) -> Z/2^(8wN), x -> 2^(8w), turns
+their arithmetic into big-int arithmetic, with one coefficient in each
+slot of w bytes, and one decoding at the end reads the coefficients back
+as balanced digits.  The width comes from an a-priori bound on every
+coefficient met on the way, plus a sign bit.
+
+- A product with at least ``PACKED_MIN_PAIRS`` stored term pairs is one
+  big-int multiply; every other product runs the graded loop.  ``invert``
+  doubles precision by Newton's iteration b <- b(2 - ab) where its
+  products pack, and solves the graded recurrence elsewhere.
+- ``series_eval`` at a point whose images are such series
+  (``SeriesPoint.eval``) scales each image to integer numerators and packs
+  it once; every power and every term is a big-int product modulo
+  2^(8wN), scaled by D / (its denominator) with D the lcm of the term
+  denominators, the terms are summed as ints, and the sum is decoded once
+  and divided by D.  The packed powers stay on the point for its later
+  calls.  Points over Q(alpha) or in several variables evaluate term by
+  term (``Substitution.apply``).
 """
 
 import re
@@ -142,10 +154,14 @@ class TruncatedSeries:
             self.variables, F, {m: F.neg(c) for m, c in self.terms.items()},
             self.precision)
 
+    def _packable(self):
+        """True for a series in one variable over Q or GF(p)."""
+        return (len(self.variables) == 1
+                and type(self.field) in (RationalField, PrimeField))
+
     def _packs(self, pairs):
         """True when a product with this many stored term pairs is packed."""
-        return (pairs >= PACKED_MIN_PAIRS and len(self.variables) == 1
-                and type(self.field) in (RationalField, PrimeField))
+        return pairs >= PACKED_MIN_PAIRS and self._packable()
 
     def __mul__(self, other):
         self._check(other)
@@ -310,16 +326,52 @@ def order_of(series):
     return series.order()
 
 
+# ---------------------------------------------------------------------------
+# packed coefficients: the ring map Z[x]/(x^N) -> Z/2^(8wN), x -> 2^(8w)
+#
+# A slot of w bytes holds one coefficient c with |c| < 2^(8w - 1).  The map
+# is a ring homomorphism, so sums, products and scalings of packed series
+# are big-int sums, products and scalings reduced modulo 2^(8wN); as long
+# as every coefficient of every value stays inside its slot, the balanced
+# digits of the result are its coefficients.
+
+def _offsets(width, size):
+    """The int whose ``size`` slots of ``width`` bytes each hold 2^(8w - 1)."""
+    half = 1 << (8 * width - 1)
+    return int.from_bytes(half.to_bytes(width, "little") * size, "little")
+
+
+def _pack(coeffs, width, size):
+    """Sum of c*2^(8we) over the (e, c) in ``coeffs``, every e below
+    ``size``: each slot is written as bytes, as c + 2^(8w - 1), and the
+    offsets are taken off once."""
+    half = 1 << (8 * width - 1)
+    slots = [half.to_bytes(width, "little")] * size
+    for e, c in coeffs:
+        slots[e] = (c + half).to_bytes(width, "little")
+    return (int.from_bytes(b"".join(slots), "little")
+            - _offsets(width, size))
+
+
+def _unpack(value, width, size):
+    """The balanced digits c_0 .. c_(size-1) of ``value`` modulo
+    2^(8w*size), each |c| < 2^(8w - 1): read from one byte string, so the
+    work is linear in ``size``."""
+    n = width * size
+    low = (value + _offsets(width, size)) & ((1 << (8 * n)) - 1)
+    digits = low.to_bytes(n, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(digits[i:i + width], "little") - half
+            for i in range(0, n, width)]
+
+
 def _packed_product(F, a, b, prec):
     """Terms below ``prec`` of the product of the univariate term dicts
     ``a`` and ``b`` over Q or GF(p), by one big-integer multiply.
 
     Over Q each factor is scaled by the lcm of its denominators to integer
-    coefficients.  A slot of w bytes holds one coefficient of the product,
-    whose absolute value is below h = 2^(8w - 1); packing c + h into each
-    slot and subtracting h from every slot of the packed int keeps signed
-    coefficients, and adding h to every slot of the product makes its
-    digits the coefficients plus h.
+    coefficients; the slots are wide enough for every coefficient of the
+    product.
     """
     a = {m[0]: c for m, c in a.items() if m[0] < prec}
     b = {m[0]: c for m, c in b.items() if m[0] < prec}
@@ -334,29 +386,158 @@ def _packed_product(F, a, b, prec):
     bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
              * min(len(a), len(b)))
     width = bound.bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    h = half.to_bytes(width, "little")
-
-    def offsets(slots):
-        return int.from_bytes(h * slots, "little")
-
-    def pack(terms):
-        slots = [h] * (max(terms) + 1)
-        for e, c in terms.items():
-            slots[e] = (c + half).to_bytes(width, "little")
-        return int.from_bytes(b"".join(slots), "little") - offsets(len(slots))
-
     size = min(prec, max(a) + max(b) + 1)
-    low = (pack(a) * pack(b) + offsets(size)) & ((1 << (8 * width * size)) - 1)
-    digits = low.to_bytes(width * size, "little")
-    coeffs = [int.from_bytes(digits[i:i + width], "little") - half
-              for i in range(0, width * size, width)]
-    if rational:
-        den = da * db
-        return {(e,): c // den if c % den == 0 else Fraction(c, den)
-                for e, c in enumerate(coeffs) if c}
-    p = F.p
-    return {(e,): c % p for e, c in enumerate(coeffs) if c % p}
+    coeffs = _unpack(_pack(a.items(), width, max(a) + 1)
+                     * _pack(b.items(), width, max(b) + 1), width, size)
+    return _decoded(F, coeffs, da * db if rational else 1)
+
+
+def _decoded(F, coeffs, den):
+    """The term dict of the series sum c_e x^e / den over Q or GF(p)."""
+    if type(F) is PrimeField:
+        p = F.p
+        return {(e,): c % p for e, c in enumerate(coeffs) if c % p}
+    if den == 1:
+        return {(e,): c for e, c in enumerate(coeffs) if c}
+    return {(e,): c // den if c % den == 0 else Fraction(c, den)
+            for e, c in enumerate(coeffs) if c}
+
+
+class SeriesPoint(Substitution):
+    """A point whose images are series in one variable over Q or GF(p):
+    ``eval`` runs packed.  Each image is scaled to integer numerators and
+    packed once, and the powers of the images stay packed, one per
+    (variable, exponent) and precision, for every later call."""
+
+    __slots__ = ("_packed",)
+
+    def __init__(self, images, one):
+        super().__init__(images, one)
+        self._packed = {}       # precision -> _PackedPowers
+
+    def eval(self, poly, precision):
+        """poly at the point modulo x^precision, by packed arithmetic.
+
+        With each image v = A_v / d_v (A_v integral) and each term
+        c*prod v^(e_v), D is the lcm of the term denominators
+        den(c)*prod d_v^(e_v), and D times the value is the integer series
+        sum_t C_t prod A_v^(e_v) with C_t = c*D / (its denominator).  A
+        coefficient of a product of factors of heights H_i and lengths L_i
+        is at most prod H_i times the product of all L_i but the largest,
+        so every coefficient of that sum, and of every partial product, is
+        at most sum_t |C_t| prod_v (L_v H_v)^(e_v) / max L_v: the slot
+        width is that bound and a sign bit.
+        """
+        F = self.one.field
+        rational = type(F) is RationalField
+        powers = self._packed.get(precision)
+        if powers is None:
+            powers = self._packed[precision] = _PackedPowers(
+                self.images, F, precision)
+        terms = []
+        for mono, c in poly.terms.items():
+            c = F.coerce(poly.field, c)
+            factors = [(name, e) for name, e in zip(poly.variables, mono) if e]
+            bits, longest, den = 0, 0, c.denominator if rational else 1
+            for name, e in factors:
+                image = powers.image(name)
+                if image is None:           # a zero image: the term is 0
+                    break
+                _, d, hbits, lbits = image
+                bits += e * (hbits + lbits)
+                longest = max(longest, lbits)
+                den *= d ** e
+            else:
+                terms.append((c, den, factors, bits - longest))
+        D = lcm(*(den for _, den, _, _ in terms))
+        scaled, top = [], 0
+        for c, den, factors, bits in terms:
+            if rational:
+                C = c.numerator * (D // den)
+            else:
+                C = c if 2 * c <= F.p else c - F.p
+            scaled.append((C, factors))
+            top = max(top, C.bit_length() + bits)
+        # every term is below 2^top, so the sum is below 2^(top + log2 n)
+        width = (top + len(scaled).bit_length()) // 8 + 1
+        powers.widen(width)
+        mask = powers.mask
+        acc = 0
+        for C, factors in scaled:
+            part = None
+            for key in factors:
+                pw = powers.power(key)
+                part = pw if part is None else part * pw & mask
+            acc += C if part is None else C * part
+        coeffs = _unpack(acc, powers.width, precision)
+        return TruncatedSeries._trusted(self.one.variables, F,
+                                        _decoded(F, coeffs, D), precision)
+
+
+class _PackedPowers:
+    """The packed powers of a point's images at one precision N, in slots
+    of ``width`` bytes; a wider call re-lays them out, digit by digit."""
+
+    __slots__ = ("series", "field", "size", "width", "mask", "images",
+                 "powers")
+
+    def __init__(self, series, field, size):
+        self.series, self.field, self.size = series, field, size
+        self.width, self.mask = 0, 0
+        self.images = {}    # name -> (numerators, den, bits, bits) or None
+        self.powers = {}    # (name, e) -> packed image^e modulo x^size
+
+    def image(self, name):
+        """The integer numerators of an image below x^size, their common
+        denominator and the bits of their height and of their number;
+        None for a zero image."""
+        if name in self.images:
+            return self.images[name]
+        F = self.field
+        terms = {m[0]: c for m, c in self.series[name].terms.items()
+                 if m[0] < self.size}
+        if not terms:
+            out = None
+        else:
+            if type(F) is RationalField:
+                den = lcm(*(c.denominator for c in terms.values()))
+                nums = {e: c.numerator * (den // c.denominator)
+                        for e, c in terms.items()}
+            else:
+                p, den = F.p, 1
+                nums = {e: c if 2 * c <= p else c - p
+                        for e, c in terms.items()}
+            out = (nums, den, max(map(abs, nums.values())).bit_length(),
+                   len(nums).bit_length())
+        self.images[name] = out
+        return out
+
+    def widen(self, width):
+        """Slots of at least ``width`` bytes for every power from here on."""
+        if width <= self.width:
+            return
+        old, size = self.width, self.size
+        for key, value in self.powers.items():
+            self.powers[key] = _pack(enumerate(_unpack(value, old, size)),
+                                     width, size)
+        self.width = width
+        self.mask = (1 << (8 * width * size)) - 1
+
+    def power(self, key):
+        """The packed image^e of key = (name, e), built once."""
+        value = self.powers.get(key)
+        if value is None:
+            value = self.powers[key] = self._build(key)
+        return value
+
+    def _build(self, key):
+        """image^e from the packed powers e // 2 and 1."""
+        name, e = key
+        if e == 1:
+            return _pack(self.image(name)[0].items(), self.width, self.size)
+        value = self.power((name, e // 2))
+        value = value * value & self.mask
+        return value * self.power((name, 1)) & self.mask if e & 1 else value
 
 
 def series_point(images):
@@ -369,15 +550,17 @@ def series_point(images):
         if s.variables != first.variables or s.field != first.field:
             raise StructuralError("assigned series live in different rings")
     top = max(s.precision for s in images.values())
-    return Substitution(images, TruncatedSeries.one(first.variables,
-                                                    first.field, top))
+    one = TruncatedSeries.one(first.variables, first.field, top)
+    return (SeriesPoint if one._packable() else Substitution)(images, one)
 
 
 def series_eval(poly, assignment, precision=None):
     """Evaluate a polynomial on truncated series, a dict or a
     ``series_point``, given for each variable; the result has the least
     precision of their images, capped by ``precision``.  Coefficients are
-    coerced into the series field (identity, or Q into an extension)."""
+    coerced into the series field (identity, or Q into an extension).
+    Images in one variable over Q or GF(p) evaluate packed
+    (``SeriesPoint.eval``), all others term by term (``apply``)."""
     point = assignment if isinstance(assignment, Substitution) else None
     images = assignment if point is None else point.images
     if not poly.variables:
@@ -391,6 +574,8 @@ def series_eval(poly, assignment, precision=None):
     if point is None:
         point = series_point({v: images[v].truncate(prec)
                               for v in poly.variables})
+    if isinstance(point, SeriesPoint):
+        return point.eval(poly, prec)
     one = point.one
     return point.apply(poly, TruncatedSeries.zero(one.variables, one.field,
                                                   prec))

@@ -346,6 +346,20 @@ def test_cli_verify_huge_p_fails_fast(tmp_path, node_certificate):
     assert "[meta] p" in run.stderr
 
 
+def test_cli_verify_huge_power_of_s_fails_fast(tmp_path, node_certificate):
+    # a relation of degree 200001 makes p = 200001 honest, and s^p would
+    # have two million terms: verify refuses to expand it, exit 4
+    bad = node_certificate.replace("\n-x^2 + Y1*Y2\n",
+                                   "\n-x^2 + Y1*Y2 + x^200000*Y1\n")
+    assert bad.count("x^200000*Y1") == 2        # [relations] and [bprime]
+    bad = _edit_line(bad, "meta", "p ", lambda l: "p 200001")
+    run = _cli_subprocess(["verify", "--input",
+                           write(tmp_path, "bad.txt", bad)], timeout=5)
+    assert run.returncode == 4
+    assert "[s]^p with exponent 200001 is too large to expand" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_cli_verify_subset_beyond_relations(tmp_path, node_certificate):
     # drop the last relation from [relations] and [bprime] alike
     bad = node_certificate.replace("Z*Y2 - x\n", "")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desing.errors import ConsistencyError, DomainError
+from desing.errors import ConsistencyError, DomainError, ResourceError
 from desing.fields import QQ, PrimeField, SimpleExtension
 from desing.gnd import (_alpha_factorial_inverse, _check_membership,
                         _taylor_partials, border_step, build_H_G, build_h_g,
@@ -443,6 +443,14 @@ def test_membership_check_agrees_with_cofactor_identity(name, section, k,
         assert check_2(cert) == (identity and shape)
 
 
+def test_membership_check_bounds_the_power_of_s():
+    # check 2 takes s^p only within the reader's power budget
+    cert = dataclasses.replace(HONEST["node"], p=200_001)
+    ypoint = ring_substitution(cert.ring, cert.field, cert.yprime)
+    with pytest.raises(ResourceError, match="s\\^p with exponent 200001"):
+        _check_membership(cert, ypoint)
+
+
 def test_desingularize_one_quotient_per_subset(monkeypatch):
     import desing.smooth as smooth
 
@@ -455,9 +463,25 @@ def test_desingularize_one_quotient_per_subset(monkeypatch):
     assert 0 < len(calls) <= 3
 
 
+def sqrt2_node():
+    """Y1*Y2 - 2x^2 at Y1 = r x (1 + x), Y2 = r x / (1 + x) over Q(r),
+    r^2 = 2: its series point does not pack, so verify takes ``apply``."""
+    K = SimpleExtension(QQ, (-2, 0, 1), gen="r")
+    ring = ("x", "Y1", "Y2")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial("Y1*Y2 - 2*x^2", ring, QQ)])
+    u = TruncatedSeries(("x",), K, {(0,): K.one(), (1,): K.one()}, 14)
+    rx = TruncatedSeries(("x",), K, {(1,): K.generator()}, 14)
+    return B, CompletionMorphism(base_var="x", field=K,
+                                 images={"Y1": rx * u, "Y2": rx * u.invert()})
+
+
 def test_verify_computes_each_power_of_its_point_once(monkeypatch):
     # checks 4-6 share one point: every (variable, exponent) power of it is
-    # computed once, however many of h, g, dg/dT and B's relations use it
+    # computed once, however many of h, g, dg/dT and B's relations use it.
+    # A point over Q(sqrt 2) is evaluated term by term, with the powers of
+    # TruncatedSeries; test_series counts the packed powers of Q points
     calls = []
     real = TruncatedSeries.__pow__
 
@@ -465,8 +489,19 @@ def test_verify_computes_each_power_of_its_point_once(monkeypatch):
         calls.append((id(self), e))
         return real(self, e)
 
-    cert = HONEST["chain-k2"]
+    cert = desingularize(*sqrt2_node())
     monkeypatch.setattr(TruncatedSeries, "__pow__", counted)
-    report = verify_certificate(cert, *chain_k2())
+    report = verify_certificate(cert, *sqrt2_node())
     assert all(r.passed for r in report)
     assert calls and len(calls) == len(set(calls))
+
+
+def test_verify_on_q_takes_the_packed_path(monkeypatch):
+    # the points of a Q certificate pack: no TruncatedSeries power is taken
+    calls = []
+    real = TruncatedSeries.__pow__
+    monkeypatch.setattr(TruncatedSeries, "__pow__",
+                        lambda self, e: calls.append(e) or real(self, e))
+    report = verify_certificate(HONEST["chain-k2"], *chain_k2())
+    assert all(r.passed for r in report)
+    assert calls == []

@@ -1,16 +1,19 @@
 import random
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from desing.errors import DesingError, ParseError, StructuralError
-from desing.fields import QQ, PrimeField, SimpleExtension
+from desing.errors import (DesingError, ParseError, ResourceError,
+                           StructuralError)
+from desing.fields import QQ, PrimeField, SimpleExtension, format_decimal
 from desing.iofmt import parse_problem
 from desing.poly import (DEGREVLEX, LEX, Polynomial, _fold_extension,
-                         block_order, compare, format_polynomial,
-                         monomial_degree, parse_polynomial)
+                         block_order, check_power_budget, compare,
+                         format_polynomial, monomial_degree, parse_polynomial)
 
 VARS = ("x", "y", "z")
 
@@ -478,6 +481,66 @@ def test_parse_long_literals_without_cli():
     assert pf.ideal == [f]
     with pytest.raises(ParseError, match="more than 100000 digits"):
         parse_polynomial("x + " + "7" * 100_001, VARS, QQ)
+
+
+@pytest.mark.parametrize("digits", [5000, 100_000])
+def test_format_long_coefficients_without_cli(digits):
+    # str() of a polynomial writes coefficients past CPython's int/str digit
+    # limit (left at its default here), and the reader reads them back: a
+    # numerator of 10^(digits-1) + 1 over 2^k, both of exactly ``digits``
+    # digits, an integer of that size and their negatives
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is not None:
+        assert 0 < limit() < digits
+    num = 10 ** (digits - 1) + 1
+    den = 2 ** (10 ** (digits - 1)).bit_length()
+    assert 10 ** (digits - 1) <= den < 10 ** digits
+    for c in (Fraction(num, den), Fraction(-num, den), num, -num):
+        p = Polynomial(VARS, QQ, {(1, 0, 0): QQ.from_fraction(c),
+                                  (0, 2, 0): QQ.from_fraction(c) * 3})
+        assert parse_polynomial(str(p), VARS, QQ) == p
+    K = SimpleExtension(QQ, (-2, 0, 1), gen="r")
+    c = K.from_coeffs([Fraction(num, den), Fraction(-num, 3)])
+    p = Polynomial(VARS, K, {(1, 0, 0): c, (0, 0, 0): c})
+    assert parse_polynomial(str(p), VARS, K) == p
+    # and the decimal writer agrees with str() on either side of its chunks
+    for n in (0, 7, -10 ** 3999, 10 ** 4000 - 1, 10 ** 4000, -(2 ** 13000),
+              2 ** 13001 + 12345):
+        with _no_digit_limit():
+            assert format_decimal(n) == str(n)
+
+
+@contextmanager
+def _no_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_power_budget_matches_the_reader():
+    # s^p in verify is held to the budget of the reader's ^: coefficient
+    # bits by _height, and for a sum e*deg + 1 terms at most 1001
+    R = ("x", "y")
+    x1 = parse_polynomial("x + 1", R, QQ)
+    check_power_budget(x1, 1000, "s^p")
+    with pytest.raises(ResourceError, match="s\\^p with exponent 1001"):
+        check_power_budget(x1, 1001, "s^p")
+    with pytest.raises(ResourceError):
+        check_power_budget(parse_polynomial("x^10 + 2*x^5 + 1", R, QQ),
+                           200_001, "s^p")
+    check_power_budget(parse_polynomial("x^10 + 2*x^5 + 1", R, QQ), 100, "")
+    check_power_budget(parse_polynomial("x^10", R, QQ), 200_001, "")
+    with pytest.raises(ResourceError):
+        check_power_budget(parse_polynomial("3*x^10", R, QQ), 400_000, "")
+    with pytest.raises(ParseError, match="power too large"):
+        parse_polynomial("(x + 1)^1001", R, QQ)
 
 
 def test_parse_repeated_variable_name():

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from desing.errors import (DivisibilityError, DomainError, NonUnitError,
                            ParseError, StructuralError)
 from desing.fields import QQ, PrimeField, SimpleExtension
-from desing.poly import monomial_degree, parse_polynomial
+from desing.poly import (Polynomial, Substitution, monomial_degree,
+                         parse_polynomial)
 from desing.series import (PACKED_MIN_PAIRS, CompletionMorphism,
-                           TruncatedSeries, format_series, order_of,
-                           parse_series, series_eval, weierstrass_prepare)
+                           SeriesPoint, TruncatedSeries, _PackedPowers,
+                           format_series, order_of, parse_series, series_eval,
+                           series_point, weierstrass_prepare)
 
 VARS = ("x", "y")
 
@@ -533,3 +535,101 @@ def test_graded_ring_products_match_reference():
         assert len(a.terms) * len(b.terms) >= PACKED_MIN_PAIRS
         assert (a * b).terms == _textbook_mul(a.terms, b.terms, field, 16)
         assert a.invert().terms == _recurrence_invert(a)
+
+
+# ---------------------------------------------------------------------------
+# packed evaluation against Substitution.apply
+
+EVAL_VARS = ("x", "Y1", "Y2")
+
+
+def _eval_coefficients(field):
+    """Q: signed integers and fractions, kept canonical; GF(32003): any
+    residue."""
+    if field == QQ:
+        return st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                         st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                                   st.integers(1, 10 ** 6))
+                         ).map(QQ.from_fraction)
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def _eval_cases(draw):
+    """A field, images of x, Y1 and Y2 (some of them zero, of precisions
+    1 to 30), two or three polynomials in those variables (some zero or
+    constant) and an optional precision cap, from 1 to above the images'."""
+    field = draw(st.sampled_from((QQ, GF)))
+    coeff = _eval_coefficients(field)
+    images = {}
+    for name in EVAL_VARS:
+        precision = draw(st.integers(1, 30))
+        terms = draw(st.dictionaries(st.tuples(st.integers(0, 34)), coeff,
+                                     max_size=draw(st.sampled_from((0, 3, 12)))))
+        images[name] = TruncatedSeries(("x",), field, terms, precision)
+    polys = []
+    for _ in range(draw(st.integers(2, 3))):
+        shape = draw(st.sampled_from(("zero", "constant", "sum")))
+        monos = st.tuples(*(st.integers(0, 4) for _ in EVAL_VARS))
+        if shape == "zero":
+            terms = {}
+        elif shape == "constant":
+            terms = {(0, 0, 0): draw(coeff)}
+        else:
+            terms = draw(st.dictionaries(monos, coeff, min_size=1, max_size=8))
+        polys.append(Polynomial(EVAL_VARS, field, terms))
+    cap = draw(st.one_of(st.none(), st.integers(1, 40)))
+    return field, images, polys, cap
+
+
+def _applied(poly, images, cap):
+    """poly at the images, term by term with ``Substitution.apply``."""
+    prec = min(images[v].precision for v in poly.variables)
+    prec = prec if cap is None else min(prec, cap)
+    one = TruncatedSeries.one(("x",), poly.field, prec)
+    point = Substitution(images, one)
+    return point.apply(poly, TruncatedSeries.zero(("x",), poly.field, prec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eval_cases())
+def test_packed_eval_matches_apply(case):
+    field, images, polys, cap = case
+    shared = series_point(images)
+    assert isinstance(shared, SeriesPoint)
+    for poly in polys:
+        want = _applied(poly, images, cap)
+        for got in (series_eval(poly, images, cap),
+                    series_eval(poly, shared, cap)):
+            assert got.terms == want.terms
+            assert got.precision == want.precision
+            if field == QQ:
+                assert all(type(c) is int or (type(c) is Fraction
+                                              and c.denominator != 1)
+                           for c in got.terms.values())
+
+
+def test_packed_eval_builds_each_power_once(monkeypatch):
+    # one point serves every polynomial: each (variable, exponent) power is
+    # packed or multiplied out once for each precision, and widening the
+    # slots for a later polynomial re-lays out the powers already built
+    built = []
+    real = _PackedPowers._build
+
+    def counted(self, key):
+        built.append((self.size,) + key)
+        return real(self, key)
+
+    monkeypatch.setattr(_PackedPowers, "_build", counted)
+    x = TruncatedSeries.variable(("x",), QQ, "x", 20)
+    y = TruncatedSeries(("x",), QQ, {(0,): Fraction(1, 3), (1,): -2}, 20)
+    point = series_point({"x": x, "Y1": y, "Y2": y})
+    polys = [parse_polynomial(text, EVAL_VARS, QQ)
+             for text in ("x^3*Y1^2 - 1", "Y1^4 + x^3", "1000000*Y1^9*Y2",
+                          "x^3*Y1^2 - 1")]
+    values = [series_eval(p, point) for p in polys]
+    values.append(series_eval(polys[1], point, 7))
+    for p, value in zip(polys + polys[1:2], values):
+        assert value == _applied(p, point.images, value.precision)
+    assert len(built) == len(set(built))
+    assert (20, "Y1", 4) in built and (7, "Y1", 4) in built
