@@ -4,19 +4,31 @@ A series carries its own precision (all stored monomials have total degree
 below it); binary operations take the worst case of the operand precisions,
 and exact division lowers precision by the valuation of the divisor.
 
-Series in one variable over Q or GF(p) also compute packed (Kronecker
-substitution): the ring map Z[x]/(x^N) -> Z/2^(8wN), x -> 2^(8w), turns
-their arithmetic into big-int arithmetic, with one coefficient in each
-slot of w bytes, and one decoding at the end reads the coefficients back
-as balanced digits.  The width comes from an a-priori bound on every
+Series over Q or GF(p) also compute packed (Kronecker substitution): the
+ring map Z[x]/(x^N) -> Z/2^(8wN), x -> 2^(8w), turns arithmetic in the
+last variable x into big-int arithmetic, with one coefficient in each slot
+of w bytes, and one decoding at the end reads the coefficients back as
+balanced digits.  The width comes from an a-priori bound on every
 coefficient met on the way, plus a sign bit.
 
-- A product with at least ``PACKED_MIN_PAIRS`` stored term pairs is one
-  big-int multiply; every other product runs the graded loop.  ``invert``
-  doubles precision by Newton's iteration b <- b(2 - ab) where its
-  products pack, and solves the graded recurrence elsewhere.
-- ``series_eval`` at a point whose images are such series
-  (``SeriesPoint.eval``) scales each image to integer numerators and packs
+- A product is laid out in rows: a row holds the terms that share a head
+  (the exponents of all variables but the last) and is packed into one
+  int, below x^(N - deg head).  All rows of a product share one slot
+  width, sized by max|a| * max|b| * min(#a, #b), a bound on every
+  coefficient of a*b.  Each pair of rows whose head degrees sum to less
+  than N is one big-int multiply, added into the row of the summed head,
+  and each result row is decoded once.  A series in one variable is a
+  single row.  A product packs when it has at least ``PACKED_MIN_PAIRS``
+  stored term pairs for each row of the factor with more rows; every
+  other product runs the graded loop.  ``invert`` doubles precision by
+  Newton's iteration b <- b(2 - ab) where its products pack (total-degree
+  truncation keeps the iteration valid in several variables), and solves
+  the graded recurrence elsewhere.
+- Weierstrass preparation solves its recurrence on rows: level k maps
+  each head of degree k to a row in the last variable, and the products
+  by the level-0 unit and its inverse are one-variable products.
+- ``series_eval`` at a point whose images are series in one variable over
+  Q or GF(p) (``SeriesPoint.eval``) scales each image to integer numerators and packs
   it once; every power and every term is a big-int product modulo
   2^(8wN), scaled by D / (its denominator) with D the lcm of the term
   denominators, the terms are summed as ints, and the sum is decoded once
@@ -29,6 +41,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .errors import (ConsistencyError, DivisibilityError, DomainError,
                      NonUnitError, ParseError, StructuralError)
@@ -41,6 +54,12 @@ from .poly import (Polynomial, Substitution, add_scaled_terms,
 # On the products of a certify pass over Q (2-vCPU host, best of 5), 8-23
 # pairs took 34-42 us graded, 32-127 pairs 120-175 us; any crossover from
 # 24 to 64 gave the pass 134-143 ms of product time, against 157 ms at 8.
+# In several variables the pairs are counted per row of the factor with
+# more rows (``_packs``): every row costs a pack and every result row a
+# decode, so random factors of 10-40 terms in 2-3 variables, at 10-40 pairs
+# a row, took 3-17 times as long packed as graded, and factors of 100-200
+# terms, at 320-360 pairs a row, 1.2-1.4 (GF(p)) and 2.5-5.5 (Q) times
+# less.
 PACKED_MIN_PAIRS = 64
 
 
@@ -129,7 +148,10 @@ class TruncatedSeries:
     def truncate(self, precision):
         if precision > self.precision:
             raise DomainError("cannot raise precision by truncation")
-        return TruncatedSeries(self.variables, self.field, self.terms, precision)
+        return TruncatedSeries._trusted(
+            self.variables, self.field,
+            {m: c for m, c in self.terms.items()
+             if monomial_degree(m) < precision}, precision)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -155,19 +177,28 @@ class TruncatedSeries:
             self.precision)
 
     def _packable(self):
-        """True for a series in one variable over Q or GF(p)."""
-        return (len(self.variables) == 1
-                and type(self.field) in (RationalField, PrimeField))
+        """True for a series over Q or GF(p)."""
+        return type(self.field) in (RationalField, PrimeField)
 
-    def _packs(self, pairs):
-        """True when a product with this many stored term pairs is packed."""
-        return pairs >= PACKED_MIN_PAIRS and self._packable()
+    def _packs(self, pairs, *factors):
+        """True when a product with this many stored term pairs is packed:
+        over Q or GF(p), with ``PACKED_MIN_PAIRS`` pairs or more for each
+        row of whichever of the term dicts ``factors`` has the most rows.
+        A row holds the terms of one head, the exponents of all variables
+        but the last, so a series in one variable is one row."""
+        if pairs < PACKED_MIN_PAIRS or not self._packable():
+            return False
+        if len(self.variables) == 1:
+            return True
+        rows = max(len({m[:-1] for m in terms}) for terms in factors)
+        return pairs >= PACKED_MIN_PAIRS * rows
 
     def __mul__(self, other):
         self._check(other)
         F = self.field
         prec = min(self.precision, other.precision)
-        if self._packs(len(self.terms) * len(other.terms)):
+        if self._packs(len(self.terms) * len(other.terms), self.terms,
+                       other.terms):
             return TruncatedSeries._trusted(
                 self.variables, F,
                 _packed_product(F, self.terms, other.terms, prec), prec)
@@ -246,14 +277,15 @@ class TruncatedSeries:
         inv0 = F.invert(a0)
         zero_mono = (0,) * len(self.variables)
         N = self.precision
-        if self._packs(len(self.terms) * N):
+        if self._packs(len(self.terms) * N, self.terms):
             # Newton, where the last product a*b packs: if b inverts a
             # modulo x^k, then b(2 - ab) inverts it modulo x^(2k)
             two = F.from_int(2)
-            b = TruncatedSeries(self.variables, F, {zero_mono: inv0}, 1)
+            b = TruncatedSeries._trusted(self.variables, F,
+                                         {zero_mono: inv0}, 1)
             while b.precision < N:
                 k = min(2 * b.precision, N)
-                b = TruncatedSeries(self.variables, F, b.terms, k)
+                b = TruncatedSeries._trusted(self.variables, F, b.terms, k)
                 b = b * (TruncatedSeries.constant(self.variables, F, two, k)
                          - self.truncate(k) * b)
             return b
@@ -278,7 +310,8 @@ class TruncatedSeries:
         terms = {}
         for level in parts_b.values():
             terms.update(level)
-        return TruncatedSeries(self.variables, F, terms, self.precision)
+        return TruncatedSeries._trusted(self.variables, F, terms,
+                                        self.precision)
 
     def divide_exact(self, other):
         """Exact quotient q with self = other * q; precision drops by ord(other)."""
@@ -301,6 +334,8 @@ class TruncatedSeries:
         if so is not None and so < k:
             raise DivisibilityError(
                 f"dividend has order {so} < divisor order {k}")
+        if self.precision <= k:
+            raise DomainError("precision must be positive")
         num = {}
         for m, c in self.terms.items():
             if not all(a <= b for a, b in zip(mono, m)):
@@ -308,8 +343,10 @@ class TruncatedSeries:
             num[tuple(a - b for a, b in zip(m, mono))] = c
         den = {tuple(a - b for a, b in zip(m, mono)): c
                for m, c in other.terms.items()}
-        a = TruncatedSeries(self.variables, self.field, num, self.precision - k)
-        b = TruncatedSeries(self.variables, self.field, den, other.precision - k)
+        a = TruncatedSeries._trusted(self.variables, self.field, num,
+                                     self.precision - k)
+        b = TruncatedSeries._trusted(self.variables, self.field, den,
+                                     other.precision - k)
         return a * b.invert()
 
     # -- formatting ---------------------------------------------------------
@@ -366,40 +403,93 @@ def _unpack(value, width, size):
 
 
 def _packed_product(F, a, b, prec):
-    """Terms below ``prec`` of the product of the univariate term dicts
-    ``a`` and ``b`` over Q or GF(p), by one big-integer multiply.
+    """Terms below ``prec`` of the product of the term dicts ``a`` and ``b``
+    over Q or GF(p), in any number of variables, by big-integer multiplies.
 
-    Over Q each factor is scaled by the lcm of its denominators to integer
-    coefficients; the slots are wide enough for every coefficient of the
-    product.
+    Each factor is cut to the precision and grouped into rows, one per head
+    (the exponents of all variables but the last); over Q it is scaled by
+    the lcm of its denominators to integer coefficients.  Every row is
+    packed once, in one slot width for all.  Each pair of rows whose head
+    degrees sum to less than ``prec`` is one multiply, added into the row of
+    the summed head, and each result row is read back below ``prec`` minus
+    the degree of its head.  A coefficient of the product is a sum of at
+    most min(#a, #b) products of coefficients, so max|a| * max|b| *
+    min(#a, #b), and a sign bit, size the slots.
     """
-    a = {m[0]: c for m, c in a.items() if m[0] < prec}
-    b = {m[0]: c for m, c in b.items() if m[0] < prec}
-    if not a or not b:
+    rows_a, da = _rows(F, a, prec)
+    rows_b, db = _rows(F, b, prec)
+    if not rows_a or not rows_b:
         return {}
-    rational = type(F) is RationalField
-    if rational:
-        da = lcm(*(c.denominator for c in a.values()))
-        db = lcm(*(c.denominator for c in b.values()))
-        a = {e: c.numerator * (da // c.denominator) for e, c in a.items()}
-        b = {e: c.numerator * (db // c.denominator) for e, c in b.items()}
-    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
-             * min(len(a), len(b)))
+    bound = (_height(rows_a) * _height(rows_b)
+             * min(_count(rows_a), _count(rows_b)))
     width = bound.bit_length() // 8 + 1
-    size = min(prec, max(a) + max(b) + 1)
-    coeffs = _unpack(_pack(a.items(), width, max(a) + 1)
-                     * _pack(b.items(), width, max(b) + 1), width, size)
-    return _decoded(F, coeffs, da * db if rational else 1)
+    packed_b = sorted(_packed_rows(rows_b, width))
+    acc = {}        # head -> packed row
+    for deg_a, head_a, A in _packed_rows(rows_a, width):
+        room = prec - deg_a
+        for deg_b, head_b, B in packed_b:
+            if deg_b >= room:
+                break
+            head = tuple(map(add, head_a, head_b))
+            acc[head] = acc.get(head, 0) + A * B
+    out = {}
+    for head, value in acc.items():
+        # a row whose top nonzero slot is k exceeds 2^(8wk - 1) in absolute
+        # value, so its bit length bounds the slots to read
+        size = min(prec - sum(head), value.bit_length() // (8 * width) + 1)
+        out.update(_decoded(F, _unpack(value, width, size), da * db, head))
+    return out
 
 
-def _decoded(F, coeffs, den):
-    """The term dict of the series sum c_e x^e / den over Q or GF(p)."""
+def _rows(F, terms, prec):
+    """The terms of degree below ``prec`` as rows (degree of the head, head,
+    {e: c}), e the exponent of the last variable, and a denominator D: over
+    Q the rows are scaled by D, the lcm of their denominators, to integers;
+    over GF(p) D is 1."""
+    grouped = {}
+    for m, c in terms.items():
+        try:
+            grouped[m[:-1]][m[-1]] = c
+        except KeyError:
+            grouped[m[:-1]] = {m[-1]: c}
+    rows = []
+    for head, row in grouped.items():
+        room = prec - sum(head)
+        if max(row) >= room:
+            row = {e: c for e, c in row.items() if e < room}
+        if row:
+            rows.append((prec - room, head, row))
+    if type(F) is not RationalField:
+        return rows, 1
+    den = lcm(*[c.denominator for _, _, row in rows for c in row.values()])
+    return [(deg, head, {e: c.numerator * (den // c.denominator)
+                         for e, c in row.items()})
+            for deg, head, row in rows], den
+
+
+def _height(rows):
+    return max([max(map(abs, row.values())) for _, _, row in rows])
+
+
+def _count(rows):
+    return sum([len(row) for _, _, row in rows])
+
+
+def _packed_rows(rows, width):
+    """(degree of the head, head, packed row) for each row."""
+    return [(deg, head, _pack(row.items(), width, max(row) + 1))
+            for deg, head, row in rows]
+
+
+def _decoded(F, coeffs, den, head=()):
+    """The term dict of the row sum c_e x^e / den over Q or GF(p), its
+    monomials ``head`` followed by e."""
     if type(F) is PrimeField:
         p = F.p
-        return {(e,): c % p for e, c in enumerate(coeffs) if c % p}
+        return {head + (e,): c % p for e, c in enumerate(coeffs) if c % p}
     if den == 1:
-        return {(e,): c for e, c in enumerate(coeffs) if c}
-    return {(e,): c // den if c % den == 0 else Fraction(c, den)
+        return {head + (e,): c for e, c in enumerate(coeffs) if c}
+    return {head + (e,): c // den if c % den == 0 else Fraction(c, den)
             for e, c in enumerate(coeffs) if c}
 
 
@@ -551,7 +641,8 @@ def series_point(images):
             raise StructuralError("assigned series live in different rings")
     top = max(s.precision for s in images.values())
     one = TruncatedSeries.one(first.variables, first.field, top)
-    return (SeriesPoint if one._packable() else Substitution)(images, one)
+    packed = len(one.variables) == 1 and one._packable()
+    return (SeriesPoint if packed else Substitution)(images, one)
 
 
 def series_eval(poly, assignment, precision=None):
@@ -643,42 +734,68 @@ def weierstrass_prepare(f):
     """Weierstrass preparation of an x_m-regular truncated series.
 
     Solves unit and distinguished-polynomial coefficients level by level in
-    the degree grading of the first m-1 variables; the product identity is
-    re-checked before returning.
+    the degree grading of the first m-1 variables.  Level k maps each head
+    of degree k (the exponents of the first m-1 variables) to its row, a
+    series in x_m below x_m^(N-k); the product identity is re-checked
+    before returning.
     """
     F = f.field
-    m = len(f.variables)
     N = f.precision
-    levels = {}
+    x = f.variables[-1:]
+    levels = [{} for _ in range(N)]
     for mono, c in f.terms.items():
-        levels.setdefault(monomial_degree(mono[:m - 1]), {})[mono] = c
-    f0 = levels.get(0, {})
+        head = mono[:-1]
+        levels[monomial_degree(head)].setdefault(head, {})[mono[-1]] = c
+    zero = (0,) * (len(f.variables) - 1)
+    f0 = levels[0].get(zero)
     if not f0:
         raise DomainError("series is not regular in the last variable")
-    p = min(mono[-1] for mono in f0)
+    p = min(f0)
 
-    def series(terms):
-        return TruncatedSeries(f.variables, F, terms, N)
+    def row(terms, length):
+        return TruncatedSeries._trusted(x, F, {(e,): c for e, c in
+                                               terms.items()}, length)
 
     # unit part of f(0,..,0,x_m) and its inverse, series in x_m; level k of
-    # f is u_k x_m^p + sum_(j=1..k) u_(k-j) z_j, solved for z_k and u_k
-    e = series({mono[:-1] + (mono[-1] - p,): c for mono, c in f0.items()})
+    # f is u_k x_m^p + sum_(j=1..k) u_(k-j) z_j, solved for z_k and u_k row
+    # by row, where each z_j row has fewer than p terms
+    e = row({i - p: c for i, c in f0.items()}, N)
     e_inv = e.invert()
-    u_parts, z_parts = [e], [None]
+    u_levels = [{zero: sorted((m[0], c) for m, c in e.terms.items())}]
+    z_levels = [{}]
     for k in range(1, N):
-        R = series(levels.get(k, {}))
+        length = N - k
+        R = {head: dict(r) for head, r in levels[k].items()}
         for j in range(1, k):
-            R = R - u_parts[k - j] * z_parts[j]
-        w = (R * e_inv).terms
-        z_parts.append(series({mono: c for mono, c in w.items()
-                               if mono[-1] < p}))
-        u_parts.append(e * series({mono[:-1] + (mono[-1] - p,): c
-                                   for mono, c in w.items() if mono[-1] >= p}))
+            for head_z, z in z_levels[j].items():
+                for head_u, u in u_levels[k - j].items():
+                    r = R.setdefault(tuple(map(add, head_u, head_z)), {})
+                    for s, c in z.items():
+                        c, room = F.neg(c), length - s
+                        for i, cu in u:
+                            if i >= room:
+                                break
+                            t, prod = i + s, F.mul(cu, c)
+                            r[t] = F.add(r[t], prod) if t in r else prod
+        u_level, z_level = {}, {}
+        for head, r in R.items():
+            w = (row(r, length) * e_inv).terms
+            z = {m[0]: c for m, c in w.items() if m[0] < p}
+            u = e * row({m[0] - p: c for m, c in w.items() if m[0] >= p},
+                        length)
+            if z:
+                z_level[head] = z
+            if u.terms:
+                u_level[head] = sorted((m[0], c) for m, c in u.terms.items())
+        u_levels.append(u_level)
+        z_levels.append(z_level)
 
-    unit = series({m: c for u in u_parts for m, c in u.terms.items()})
-    z_terms = [(m, c) for z in z_parts[1:] for m, c in z.terms.items()]
-    zs = [TruncatedSeries(f.variables[:-1], F,
-                          {m[:-1]: c for m, c in z_terms if m[-1] == i}, N)
+    unit = TruncatedSeries._trusted(
+        f.variables, F, {head + (i,): c for level in u_levels
+                         for head, u in level.items() for i, c in u}, N)
+    zs = [TruncatedSeries._trusted(
+        f.variables[:-1], F, {head: z[i] for level in z_levels
+                              for head, z in level.items() if i in z}, N)
           for i in range(p)]
     data = WeierstrassData(variables=f.variables, p=p, unit=unit,
                            zs=tuple(zs), precision=N)

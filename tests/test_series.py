@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from desing import series
 from desing.errors import (DivisibilityError, DomainError, NonUnitError,
                            ParseError, StructuralError)
 from desing.fields import QQ, PrimeField, SimpleExtension
@@ -349,40 +351,85 @@ _SERIES_FIELDS = (QQ, PrimeField(32003))
 
 @st.composite
 def _series_pairs(draw):
+    """Two series in one to three variables, of precision 1 to 20 and up to
+    40 terms each; over Q with integers of up to 31 digits and fractions.
+    The exponents of all variables but the last stay below 2, so that the
+    rows of several-variable factors are long enough to pack."""
     field = draw(st.sampled_from(_SERIES_FIELDS))
     n = draw(st.integers(1, 3))
     variables = ("y", "z", "x")[3 - n:]
 
     def one():
-        precision = draw(st.integers(1, 10))
-        terms = draw(st.dictionaries(
-            st.tuples(*[st.integers(0, 9)] * n),
-            st.integers(-9, 9).filter(bool).map(field.from_int),
-            max_size=12))
+        precision = draw(st.integers(1, 20))
+        monos = st.tuples(*[st.integers(0, 1)] * (n - 1),
+                          st.integers(0, precision))
+        size = min(draw(st.integers(0, 40)),
+                   2 ** (n - 1) * (precision + 1) * 3 // 4)
+        terms = draw(st.dictionaries(monos, _eval_coefficients(field),
+                                     min_size=size, max_size=40))
         return TruncatedSeries(variables, field, terms, precision)
 
     return one(), one()
 
 
-@settings(max_examples=200, deadline=None)
-@given(_series_pairs())
-def test_mul_matches_textbook_loop(pair):
-    a, b = pair
-    prec = min(a.precision, b.precision)
-    assert (a * b).terms == _textbook_mul(a.terms, b.terms, a.field, prec)
-    assert (a * b).precision == prec
+def test_mul_matches_textbook_loop(monkeypatch):
+    # every product agrees with the textbook loop, and in a share of the
+    # examples the packed kernel multiplies factors of several rows
+    rows = []
+    real = series._packed_product
+
+    def counted(F, a, b, prec):
+        rows.append(max(len({m[:-1] for m in t if sum(m) < prec})
+                        for t in (a, b)))
+        return real(F, a, b, prec)
+
+    monkeypatch.setattr(series, "_packed_product", counted)
+    several = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(_series_pairs())
+    def check(pair):
+        a, b = pair
+        prec = min(a.precision, b.precision)
+        start = len(rows)
+        for x, y in ((a, b), (b, a)):
+            product = x * y
+            assert product.terms == _textbook_mul(x.terms, y.terms, x.field,
+                                                  prec)
+            assert product.precision == prec
+        several.append(any(r > 1 for r in rows[start:]))
+
+    check()
+    assert sum(several) >= len(several) // 20
 
 
 @st.composite
 def _regular_series(draw):
-    field = draw(st.sampled_from(_SERIES_FIELDS))
+    """An x-regular series in two or three variables: sparse (up to 10
+    terms, N up to 12) over Q, GF(32003) or Q(sqrt 2), or dense (every
+    monomial below N, N up to 20) over GF(32003) or over Q with fractions."""
+    shape = draw(st.sampled_from(("sparse", "dense", "sqrt2")))
     n = draw(st.integers(2, 3))
     variables = ("y", "z", "x")[3 - n:]
-    N = draw(st.integers(2, 12))
+    if shape == "dense":
+        field = draw(st.sampled_from(_SERIES_FIELDS))
+        N = draw(st.integers(2, 20))
+        nums = st.integers(-9, 9)
+        coeff = (st.builds(Fraction, nums, st.integers(1, 4))
+                 .map(QQ.from_fraction) if field == QQ
+                 else nums.map(field.from_int))
+        monos = [m for m in itertools.product(range(N), repeat=n)
+                 if sum(m) < N]
+        terms = {m: draw(coeff) for m in monos}
+    else:
+        field = SQRT2 if shape == "sqrt2" else draw(
+            st.sampled_from(_SERIES_FIELDS))
+        N = draw(st.integers(2, 12))
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, N - 1)] * n),
+            st.integers(-9, 9).filter(bool).map(field.from_int),
+            max_size=10))
     p = draw(st.integers(0, N - 1))
-    terms = draw(st.dictionaries(
-        st.tuples(*[st.integers(0, N - 1)] * n),
-        st.integers(-9, 9).filter(bool).map(field.from_int), max_size=10))
     # x-regular of order exactly p
     terms = {m: c for m, c in terms.items() if any(m[:-1]) or m[-1] > p}
     terms[(0,) * (n - 1) + (p,)] = field.from_int(draw(
@@ -514,8 +561,9 @@ def test_newton_invert_matches_recurrence(u):
 
 
 def test_graded_ring_products_match_reference():
-    """Q(sqrt 2) and two-variable series never pack; their products and
-    inverses still agree with the textbook loop and the recurrence."""
+    """Q(sqrt 2) never packs, and a two-variable series packs by rows;
+    their products and inverses agree with the textbook loop and the
+    recurrence."""
     rng = random.Random(9)
     for variables, field in ((("x",), SQRT2), (("y", "x"), QQ)):
         n = len(variables)
