@@ -8,11 +8,16 @@ semantic equality.  The field objects carry the arithmetic.
   runs in Python; ``Fraction(3) == 3``, the two hash alike and print alike.
 - GF(p): an ``int`` in [0, p).
 - Q(alpha): a tuple of Fractions, the coefficients of 1, alpha, alpha^2, ...
+
+Bulk arithmetic over Q and GF(p) runs on plain ints: ``scaled_to_ints``
+clears the denominators of a batch of Q values with one lcm, and
+``read_back`` turns integer results into field elements once, as a
+quotient by that denominator over Q or a residue over GF(p).
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import index
+from math import gcd, isqrt, lcm
+from operator import attrgetter, index
 
 from .errors import DomainError, ResourceError, StructuralError
 
@@ -246,6 +251,32 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"GF({self.p})"
+
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def scaled_to_ints(values):
+    """(D, [c*D for c in values]) for Q values: D is the lcm of their
+    denominators, so every c*D is an int."""
+    den = lcm(*map(_denominator, values))
+    if den == 1:
+        return 1, list(map(_numerator, values))
+    return den, [c.numerator * (den // c.denominator) for c in values]
+
+
+def read_back(F, items, den=1):
+    """The dict of k: c/den over Q, or of k: c mod p over GF(p), for the
+    (k, c) in ``items``, c an int; zero values are left out and an integral
+    quotient is an int."""
+    if type(F) is PrimeField:
+        p = F.p
+        return {k: c % p for k, c in items if c % p}
+    if den == 1:
+        return {k: c for k, c in items if c}
+    return {k: c // den if c % den == 0 else Fraction(c, den)
+            for k, c in items if c}
 
 
 # ---------------------------------------------------------------------------

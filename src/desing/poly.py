@@ -3,15 +3,33 @@
 Terms are a dict mapping exponent tuples to nonzero field elements.  The
 variable list is ordered and explicit; moving a polynomial to a larger ring
 is an explicit ``embed``, never implicit.
+
+A product runs one loop over the term pairs for every field
+(``product_terms``):
+
+- Coefficients over Q and GF(p) are ints.  Each Q factor is scaled once by
+  the lcm of its denominators; the sums are read back once, as c // D or
+  Fraction(c, D) over Q and c mod p over GF(p).  Over Q(alpha) the loop
+  runs the field's mul and add.
+- A monomial is one int key with a slot of w bytes per variable, w the
+  fewest bytes that hold max exponent of a + max exponent of b, so the key
+  of a product is the sum of the keys.  Keys are packed and unpacked in C:
+  one byte per slot is ``bytes(m)``, 2, 4 or 8 bytes an ``array``; wider
+  slots, for exponents of 2^64 and more, are written one exponent at a
+  time.
 """
 
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from sys import byteorder
 
 from .errors import DomainError, ParseError, ResourceError, StructuralError
-from .fields import QQ, Field, SimpleExtension, parse_decimal
+from .fields import (QQ, Field, PrimeField, RationalField, SimpleExtension,
+                     parse_decimal, read_back, scaled_to_ints)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +99,6 @@ def compare(m1, m2, order):
     return (k1 > k2) - (k1 < k2)
 
 
-def monomial_mul(m1, m2):
-    return tuple(map(operator.add, m1, m2))
-
-
 def monomial_divides(m1, m2):
     return all(map(operator.le, m1, m2))
 
@@ -125,12 +139,17 @@ class Polynomial:
     @classmethod
     def _trusted(cls, variables, field, terms):
         """A polynomial from terms that this module's arithmetic built, with
-        exponent tuples of the right length.  Only zero coefficients are
-        dropped; ``__init__`` checks terms from outside."""
-        p = object.__new__(cls)
-        p.variables, p.field, p._lead = variables, field, None
+        distinct exponent tuples of the right length.  Only zero coefficients
+        are dropped; ``__init__`` checks terms from outside."""
         is_zero = field.is_zero
-        p.terms = {m: c for m, c in terms.items() if not is_zero(c)}
+        return cls._nonzero(variables, field, {m: c for m, c in terms.items()
+                                               if not is_zero(c)})
+
+    @classmethod
+    def _nonzero(cls, variables, field, terms):
+        """``_trusted`` for terms whose coefficients are all nonzero."""
+        p = object.__new__(cls)
+        p.variables, p.field, p.terms, p._lead = variables, field, terms, None
         return p
 
     # -- constructors -------------------------------------------------------
@@ -224,17 +243,9 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        F = self.field
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                prod = F.mul(c1, c2)
-                if m in terms:
-                    terms[m] = F.add(terms[m], prod)
-                else:
-                    terms[m] = prod
-        return Polynomial._trusted(self.variables, F, terms)
+        return Polynomial._nonzero(
+            self.variables, self.field,
+            product_terms(self.field, self.terms, other.terms))
 
     def __pow__(self, e):
         if e < 0:
@@ -288,7 +299,7 @@ class Polynomial:
             new = list(m)
             new[i] -= 1
             terms[tuple(new)] = F.mul(c, F.from_int(m[i]))
-        return Polynomial(self.variables, F, terms)
+        return Polynomial._trusted(self.variables, F, terms)
 
     def substitute(self, assignment):
         """Substitute polynomials (same ring) for variables; others pass
@@ -330,15 +341,14 @@ class Polynomial:
                 raise StructuralError(f"target ring lacks variable {v!r}")
             pos.append(new_variables.index(v))
         n = len(new_variables)
+        coerce = field != self.field
         terms = {}
         for m, c in self.terms.items():
             new = [0] * n
             for p, e in zip(pos, m):
                 new[p] = e
-            if field != self.field:
-                c = field.coerce(self.field, c)
-            terms[tuple(new)] = c
-        return Polynomial(new_variables, field, terms)
+            terms[tuple(new)] = field.coerce(self.field, c) if coerce else c
+        return Polynomial._trusted(new_variables, field, terms)
 
     def restrict(self, new_variables):
         """Move to a subring; errors if a dropped variable occurs."""
@@ -355,7 +365,7 @@ class Polynomial:
                     raise StructuralError(f"polynomial involves dropped variable {v!r}")
                 new[keep[v]] = e
             terms[tuple(new)] = c
-        return Polynomial(new_variables, self.field, terms)
+        return Polynomial._trusted(new_variables, self.field, terms)
 
     # -- formatting ---------------------------------------------------------
 
@@ -400,6 +410,79 @@ class Substitution:
             part = self.one if part is None else part
             pairs.append((part, F.coerce(poly.field, c)))
         return acc.add_scaled(pairs)
+
+
+def _key_codec(n, top):
+    """(pack, unpack) between exponent tuples of length n and int keys.
+    Each exponent fills a slot of w bytes, w the fewest bytes that hold
+    ``top``, so while no exponent of a product m1*m2 exceeds ``top`` its key
+    is key(m1) + key(m2).  Both directions run in C: slots of one byte are
+    ``bytes(m)``, slots of 2, 4 or 8 bytes an ``array``; wider slots, for
+    exponents of 2^64 and more, are written one exponent at a time."""
+    if top < 256:
+        return (lambda monos: map(int.from_bytes, map(bytes, monos),
+                                  repeat("big")),
+                lambda keys: map(tuple, map(int.to_bytes, keys, repeat(n),
+                                            repeat("big"))))
+    for code in "HIQ":
+        w = array(code).itemsize
+        if top >> (8 * w) == 0:
+            return (lambda monos: map(
+                        int.from_bytes,
+                        map(array.tobytes, map(array, repeat(code), monos)),
+                        repeat(byteorder)),
+                    lambda keys: map(tuple, map(
+                        array, repeat(code),
+                        map(int.to_bytes, keys, repeat(n * w),
+                            repeat(byteorder)))))
+    w = top.bit_length() // 8 + 1
+    return (lambda monos: (int.from_bytes(b"".join([e.to_bytes(w, "big")
+                                                    for e in m]), "big")
+                           for m in monos),
+            lambda keys: (tuple(int.from_bytes(d[i:i + w], "big")
+                                for i in range(0, n * w, w))
+                          for d in map(int.to_bytes, keys, repeat(n * w),
+                                       repeat("big"))))
+
+
+def product_terms(F, a, b):
+    """The terms of the product of the term dicts ``a`` and ``b`` over F.
+
+    One loop over the term pairs, ``a`` outer and ``b`` inner, on the int
+    keys of ``_key_codec`` with slots sized by max exponent of a + max
+    exponent of b.  Over Q and GF(p) the coefficients are ints: each factor
+    over Q is scaled by the lcm of its denominators, and every sum is read
+    back once (``read_back``).  Over any other field the loop runs F.mul
+    and F.add.  Monomials enter in the order in which they first appear,
+    and a sum that cancels keeps its place until the zeros are dropped at
+    the end: the terms and their order are those of the textbook loop.
+    """
+    if not a or not b:
+        return {}
+    n = len(next(iter(a)))
+    pack, unpack = _key_codec(n, max(map(max, a)) + max(map(max, b))
+                              if n else 0)
+    va, vb, den = a.values(), b.values(), 1
+    ints = type(F) in (RationalField, PrimeField)
+    if type(F) is RationalField:
+        da, va = scaled_to_ints(va)
+        db, vb = scaled_to_ints(vb)
+        den = da * db
+    mul, add = (operator.mul, operator.add) if ints else (F.mul, F.add)
+    rows = list(zip(pack(b), vb))
+    acc = {}
+    for ka, ca in zip(pack(a), va):
+        for kb, cb in rows:
+            k = ka + kb
+            if k in acc:
+                acc[k] = add(acc[k], mul(ca, cb))
+            else:
+                acc[k] = mul(ca, cb)
+    items = zip(unpack(acc), acc.values())
+    if ints:
+        return read_back(F, items, den)
+    is_zero = F.is_zero
+    return {m: c for m, c in items if not is_zero(c)}
 
 
 def add_scaled_terms(F, terms, pairs):

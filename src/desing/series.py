@@ -39,13 +39,12 @@ coefficient met on the way, plus a sign bit.
 
 import re
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import lcm
 from operator import add
 
 from .errors import (ConsistencyError, DivisibilityError, DomainError,
                      NonUnitError, ParseError, StructuralError)
-from .fields import PrimeField, RationalField
+from .fields import PrimeField, RationalField, read_back, scaled_to_ints
 from .poly import (Polynomial, Substitution, add_scaled_terms,
                    monomial_degree, parse_polynomial)
 
@@ -461,9 +460,11 @@ def _rows(F, terms, prec):
             rows.append((prec - room, head, row))
     if type(F) is not RationalField:
         return rows, 1
-    den = lcm(*[c.denominator for _, _, row in rows for c in row.values()])
-    return [(deg, head, {e: c.numerator * (den // c.denominator)
-                         for e, c in row.items()})
+    den, scaled = scaled_to_ints([c for _, _, row in rows
+                                  for c in row.values()])
+    # each row takes the next len(row) of the scaled values
+    scaled = iter(scaled)
+    return [(deg, head, dict(zip(row, scaled)))
             for deg, head, row in rows], den
 
 
@@ -484,13 +485,8 @@ def _packed_rows(rows, width):
 def _decoded(F, coeffs, den, head=()):
     """The term dict of the row sum c_e x^e / den over Q or GF(p), its
     monomials ``head`` followed by e."""
-    if type(F) is PrimeField:
-        p = F.p
-        return {head + (e,): c % p for e, c in enumerate(coeffs) if c % p}
-    if den == 1:
-        return {head + (e,): c for e, c in enumerate(coeffs) if c}
-    return {head + (e,): c // den if c % den == 0 else Fraction(c, den)
-            for e, c in enumerate(coeffs) if c}
+    return read_back(F, zip([head + (e,) for e in range(len(coeffs))],
+                            coeffs), den)
 
 
 class SeriesPoint(Substitution):
@@ -590,9 +586,8 @@ class _PackedPowers:
             out = None
         else:
             if type(F) is RationalField:
-                den = lcm(*(c.denominator for c in terms.values()))
-                nums = {e: c.numerator * (den // c.denominator)
-                        for e, c in terms.items()}
+                den, nums = scaled_to_ints(terms.values())
+                nums = dict(zip(terms, nums))
             else:
                 p, den = F.p, 1
                 nums = {e: c if 2 * c <= p else c - p

@@ -568,3 +568,120 @@ def test_parse_format_round_trip_large_heights(field, variables, data):
     f = Polynomial(variables, field, data.draw(
         st.dictionaries(monos, coefficients(field), max_size=12)))
     assert parse_polynomial(format_polynomial(f), variables, field) == f
+
+
+# -- the product kernel against the textbook loop ---------------------------
+
+PRODUCT_FIELDS = [QQ, PrimeField(5), PrimeField(32003),
+                  PrimeField(2 ** 61 - 1), K2]
+PRODUCT_IDS = ["Q", "F5", "F32003", "F(2^61-1)", "Q(sqrt2)"]
+# sums of two of these hit 255, 256, 2^16, 2^32, 2^64 and about 10^20: the
+# edges of every slot width of the key codec
+WIDE_EXPONENTS = [127, 128, 129, 255, 256, 2 ** 15, 2 ** 16, 2 ** 31,
+                  2 ** 32, 2 ** 63, 2 ** 64, 5 * 10 ** 19, 10 ** 20]
+
+
+def textbook_product(a, b):
+    """The terms of a*b by F.mul and F.add per term pair, with their types,
+    in dict order; a sum that cancels keeps its place until the end."""
+    F = a.field
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            prod = F.mul(c1, c2)
+            terms[m] = F.add(terms[m], prod) if m in terms else prod
+    return [(m, type(c), c) for m, c in terms.items() if not F.is_zero(c)]
+
+
+def product_coefficients(field):
+    if field == QQ:
+        big = st.integers(-2 ** 200, 2 ** 200)
+        return st.one_of(big.filter(bool), st.builds(
+            Fraction, big, st.integers(2, 2 ** 64)).filter(
+                lambda q: q.denominator > 1))
+    return coefficients(field)
+
+
+def product_polys(draw, field, variables):
+    exps = st.one_of(st.integers(0, 3), st.sampled_from(WIDE_EXPONENTS))
+    monos = st.tuples(*[exps] * len(variables))
+    coeffs = product_coefficients(field)
+    return [Polynomial(variables, field, draw(
+        st.dictionaries(monos, coeffs, max_size=8))) for _ in range(2)]
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_product_matches_textbook_loop(field, data):
+    variables = ("x", "y", "z", "w")[:data.draw(st.integers(0, 4))]
+    a, b = product_polys(data.draw, field, variables)
+    if data.draw(st.booleans()):
+        a, b = a + b, a - b     # the cross terms of (a + b)(a - b) cancel
+    got = a * b
+    assert [(m, type(c), c) for m, c in got.terms.items()] == \
+        textbook_product(a, b)
+
+
+@pytest.mark.parametrize("top", [254, 255, 256, 2 ** 16 - 1, 2 ** 16,
+                                 2 ** 32, 2 ** 64 - 1, 2 ** 64, 10 ** 20])
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
+def test_product_at_each_slot_width_edge(field, top):
+    # max exponent of a + max exponent of b is exactly top, in every variable
+    R = ("x", "y")
+    one = field.one()
+    h = top // 2
+    a = Polynomial(R, field, {(h, 0): one, (0, h): one, (1, 1): one})
+    b = Polynomial(R, field, {(top - h, top - h): one, (0, 0): field.neg(one),
+                              (top - h, 0): one})
+    assert [(m, type(c), c) for m, c in (a * b).terms.items()] == \
+        textbook_product(a, b)
+    assert max(max(m) for m in (a * b).terms) == top
+
+
+def test_product_cancels_to_zero_terms_and_zero_factors():
+    R = ("x", "y")
+    for field in PRODUCT_FIELDS:
+        x, y = (Polynomial.variable(R, field, v) for v in R)
+        assert (x + y) * (x - y) == x * x - y * y
+        assert list(((x + y) * (x - y)).terms) == [(2, 0), (0, 2)]
+        assert (x * Polynomial.zero(R, field)).is_zero()
+        assert (Polynomial.zero(R, field) * y).is_zero()
+        c = Polynomial.constant((), field, field.from_int(3))
+        assert (c * c).terms == {(): field.from_int(9)}
+
+
+def _count_field_calls(monkeypatch):
+    calls = []
+    for cls in (type(QQ), PrimeField, SimpleExtension):
+        for op in ("mul", "add"):
+            real = getattr(cls, op)
+            monkeypatch.setattr(
+                cls, op, lambda self, a, b, real=real, op=op:
+                calls.append(op) or real(self, a, b))
+    return calls
+
+
+def test_products_over_q_and_gf_p_run_on_ints(monkeypatch):
+    calls = _count_field_calls(monkeypatch)
+    for field in (QQ, PrimeField(32003)):
+        f = parse_polynomial("(x + 2*y - 3)^2", VARS, field)
+        g = parse_polynomial("x*y - 5*z^3 + 7", VARS, field)
+        del calls[:]
+        f * g
+        assert calls == []
+    f = parse_polynomial("(x + r*y - 3)^2", ("x", "y"), K2)
+    del calls[:]
+    f * f
+    assert "mul" in calls and "add" in calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_q_product_coefficients_are_int_or_fraction(data):
+    a, b = product_polys(data.draw, QQ, ("x", "y"))
+    for c in (a * b).terms.values():
+        assert type(c) in (int, Fraction)
+        if type(c) is Fraction:
+            assert c.denominator != 1
