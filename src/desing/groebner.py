@@ -3,12 +3,15 @@
 Buchberger with the coprime and chain criteria and normal-strategy pair
 selection: the open pairs sit in one heap keyed on (lcm, i, j), so ties
 break deterministically.  Division holds the dividend as a term dict with a
-max-heap of its monomials and reduces it in place.  Reduced bases are the
-canonical form for ideal equality.  ``ideal_quotient`` skips the generators
-of J that already lie in I, whose quotient is (1).  Module Groebner bases
-come from the same ``buchberger``: a vector is a polynomial linear in fresh
-position variables, under a block order that is position-over-term.  They
-supply kernels of polynomial matrices via the syzygy construction.
+max-heap of its monomials and reduces it in place, on ints over Q (content
+form: integer numerators over one denominator) and over GF(p) (each sum
+reduced mod p once, when its monomial is popped); see ``_divide``.  Reduced
+bases are the canonical form for ideal equality.  ``ideal_quotient`` skips
+the generators of J that already lie in I, whose quotient is (1).  Module
+Groebner bases come from the same ``buchberger``: a vector is a polynomial
+linear in fresh position variables, under a block order that is
+position-over-term.  They supply kernels of polynomial matrices via the
+syzygy construction.
 
 Packed monomials (Monagan-Pearce, "Sparse polynomial division using a
 heap", JSC 46, 2011).  Inside this module a monomial is one int whose
@@ -37,8 +40,11 @@ import functools
 import heapq
 import operator
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, ResourceError, StructuralError
+from .fields import PrimeField, RationalField, read_back, scaled_to_ints
 from .poly import DEGREVLEX, LEX, MonomialOrder, Polynomial, block_order
 
 DEFAULT_SPAIR_BUDGET = 100000
@@ -194,12 +200,23 @@ class _Packed:
                                    for m, c in self.terms.items()})
 
     def tail(self):
-        """(1/lc, slot_max of the tail, the tail negated), on first use."""
+        """(lead, slot_max of the tail, the tail negated), on first use.
+        Over Q they are the coprime ints of a multiple of the polynomial
+        whose lead is positive (so that ``_divide`` never scales by -1);
+        over other fields ``lead`` is 1/lc and the tail is in the field."""
         if self._tail is None:
-            F, lead = self.ring.field, self.lead
-            tail = [(m, F.neg(c)) for m, c in self.terms.items() if m != lead]
-            self._tail = (F.invert(self.terms[lead]),
-                          self.ring.slot_max(m for m, _ in tail), tail)
+            F, terms = self.ring.field, self.terms
+            if type(F) is RationalField:
+                terms = dict(zip(terms, scaled_to_ints(terms.values())[1]))
+                g = gcd(*terms.values())
+                g = g if terms[self.lead] > 0 else -g
+                lead = terms.pop(self.lead) // g
+                tail = [(m, -c // g) for m, c in terms.items()]
+            else:
+                lead = F.invert(terms[self.lead])
+                tail = [(m, F.neg(c)) for m, c in terms.items()
+                        if m != self.lead]
+            self._tail = lead, self.ring.slot_max(m for m, _ in tail), tail
         return self._tail
 
 
@@ -207,14 +224,28 @@ class _Packed:
 # division and normal forms
 
 def _divide(ring, terms, divisors, quotients=None):
-    """The remainder of the packed term dict ``terms``, which is reduced in
-    place, by the packed ``divisors``.  A max-heap holds the monomials of
-    ``terms``; one cancelled after it was pushed is skipped when popped.
-    Each step cancels the largest term against the first divisor whose
-    leading monomial divides it, or moves that term to the remainder.  With
-    ``quotients``, a dict for each divisor, the quotient terms go there."""
+    """The remainder of the packed term dict ``terms`` by the packed
+    ``divisors``.  A max-heap holds the monomials of ``terms``; one cancelled
+    after it was pushed is skipped when popped.  Each step cancels the
+    largest term against the first divisor whose leading monomial divides
+    it, or moves that term to the remainder.  With ``quotients``, a dict for
+    each divisor, the quotient terms go there.
+
+    Over Q and GF(p) the loop runs on ints.  Over GF(p) a sum stays
+    unreduced until its monomial is popped, and a sum that cancels is
+    skipped then like a stale entry.  Over Q the terms and the remainder are
+    ints over one denominator D (content form): before a popped numerator w
+    is cancelled against a divisor's integer lead L, the terms and D are
+    scaled by L / gcd(w, L).  The remainder is read back once.  Over any
+    other field the loop runs F.mul and F.add."""
     F = ring.field
-    mul, add, zero = F.mul, F.add, F.zero()    # F.add returns canonical
+    rational = type(F) is RationalField
+    p = F.p if type(F) is PrimeField else None
+    ints, zero, den = rational or p is not None, F.zero(), 1
+    mul, add = F.mul, F.add
+    if rational and Fraction in set(map(type, terms.values())):
+        den, values = scaled_to_ints(terms.values())
+        terms = dict(zip(terms, values))
     push, pop = heapq.heappush, heapq.heappop
     cm, guard = ring.cm, ring.guard
     leads = [(d.lead ^ cm, d, k) for k, d in enumerate(divisors)]
@@ -223,38 +254,59 @@ def _divide(ring, terms, divisors, quotients=None):
     rem = {}
     while heap:
         mono = -pop(heap)
-        coeff = terms.pop(mono, None)
-        if coeff is None:
+        w = terms.pop(mono, None)
+        if w is None:
+            continue
+        if p:
+            w %= p
+        if w == zero:
             continue
         x = mono ^ cm
         for lx, d, k in leads:
             diff = x - lx
             if diff < 0 or diff & guard:
                 continue
-            inv, top, tail = d.tail()
+            lead, top, tail = d.tail()
             q = mono - d.lead           # the quotient, less the monomial 1
             if (q + top) & guard:
                 raise _Overflow
-            qc = mul(coeff, inv)
-            if quotients is not None:
-                quotients[k][q + cm] = qc
-            for m, c in tail:
-                m += q
-                c = mul(qc, c)
-                old = terms.get(m)
-                if old is None:
-                    terms[m] = c
-                    push(heap, -m)
-                else:
-                    c = add(old, c)
-                    if c == zero:
-                        del terms[m]
+            if rational:
+                if quotients is not None:       # (w / D) / lc
+                    lc = d.terms[d.lead]
+                    quotients[k].update(read_back(F, [(
+                        q + cm, w * lc.denominator)], den * lc.numerator))
+                h = gcd(w, lead)
+                qc, s = w // h, lead // h
+                if s != 1:
+                    den *= s
+                    terms = {m: c * s for m, c in terms.items()}
+                    rem = {m: c * s for m, c in rem.items()}
+            else:
+                qc = w * lead % p if p else mul(w, lead)
+                if quotients is not None:
+                    quotients[k][q + cm] = qc
+            if ints:
+                for m, c in tail:
+                    m += q
+                    old = terms.get(m)
+                    if old is None:
+                        terms[m] = qc * c
+                        push(heap, -m)
                     else:
-                        terms[m] = c
+                        terms[m] = old + qc * c
+            else:
+                for m, c in tail:
+                    m += q
+                    old = terms.get(m)
+                    if old is None:
+                        terms[m] = mul(qc, c)
+                        push(heap, -m)
+                    else:
+                        terms[m] = add(old, mul(qc, c))
             break
         else:
-            rem[mono] = coeff
-    return rem
+            rem[mono] = w
+    return read_back(F, rem.items(), den) if ints else rem
 
 
 def division(f, basis, order, with_quotients=False):
@@ -308,20 +360,26 @@ def s_polynomial(f, g, order):
     ring, F = f.ring, f.ring.field
     lcm = ring.pack_monomial(map(max, ring.unpack_monomial(f.lead),
                                  ring.unpack_monomial(g.lead)))
-    (inv_f, top_f, tail_f), (inv_g, top_g, tail_g) = f.tail(), g.tail()
+    (mf, top_f, tail_f), (mg, top_g, tail_g) = f.tail(), g.tail()
     qf, qg = lcm - f.lead, lcm - g.lead
     if (lcm | qf + top_f | qg + top_g) & ring.guard:
         raise _Overflow
-    terms = {m + qg: F.mul(inv_g, c) for m, c in tail_g}
-    inv_f = F.neg(inv_f)
+    # over Q the tails are integral with leads mf and mg: scale by mf * mg
+    ints, den = type(F) in (RationalField, PrimeField), 1
+    if type(F) is RationalField:
+        mf, mg, den = mg, mf, mf * mg
+    mul, add = (operator.mul, operator.add) if ints else (F.mul, F.add)
+    terms = {m + qg: mul(mg, c) for m, c in tail_g}
+    mf = -mf if ints else F.neg(mf)
     for m, c in tail_f:
         m += qf
-        c = F.mul(inv_f, c)
+        c = mul(mf, c)
         if m in terms:
-            c = F.add(terms.pop(m), c)
-        if not F.is_zero(c):
-            terms[m] = c
-    return _Packed(ring, terms)
+            c = add(terms.pop(m), c)
+        terms[m] = c
+    if ints:
+        return _Packed(ring, read_back(F, terms.items(), den))
+    return _Packed(ring, {m: c for m, c in terms.items() if not F.is_zero(c)})
 
 
 def buchberger(ideal, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):

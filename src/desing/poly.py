@@ -333,21 +333,23 @@ class Polynomial:
 
     def embed(self, new_variables, field=None):
         """Explicit embedding into a ring with more (or reordered) variables."""
-        new_variables = tuple(new_variables)
+        new_variables, old = tuple(new_variables), self.variables
         field = field or self.field
-        pos = []
-        for v in self.variables:
+        for v in old:
             if v not in new_variables:
                 raise StructuralError(f"target ring lacks variable {v!r}")
-            pos.append(new_variables.index(v))
-        n = len(new_variables)
+        # the exponent of each new variable in m + (0,): a new variable
+        # reads the 0 past the old ones
+        src = [old.index(v) if v in old else len(old) for v in new_variables]
+        if len(src) > 1:
+            get = operator.itemgetter(*src)
+        else:       # itemgetter of one index returns the item, not a tuple
+            def get(m):
+                return tuple(m[i] for i in src)
         coerce = field != self.field
         terms = {}
         for m, c in self.terms.items():
-            new = [0] * n
-            for p, e in zip(pos, m):
-                new[p] = e
-            terms[tuple(new)] = field.coerce(self.field, c) if coerce else c
+            terms[get(m + (0,))] = field.coerce(self.field, c) if coerce else c
         return Polynomial._trusted(new_variables, field, terms)
 
     def restrict(self, new_variables):

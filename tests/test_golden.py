@@ -1,10 +1,10 @@
 """Golden bytes: the sha256 of CLI standard output on fixed problems.
 
 The digests pin certificates, verify reports, lifts, a Weierstrass
-preparation, module-isomorphism verdicts and a linear factorization byte
-for byte, so a refactor that claims identical output is checked here.
-A deliberate change of output must update a digest and say so in the
-changelog.
+preparation, module-isomorphism verdicts, a linear factorization and
+reduced Groebner bases over Q byte for byte, so a refactor that claims
+identical output is checked here.  A deliberate change of output must
+update a digest and say so in the changelog.
 """
 
 import hashlib
@@ -203,6 +203,46 @@ x ; -2 ; x^2 ; x - 1
 -9*x^11 - 3*x^10 - 2*x^9 - 2*x^8 + x^7 + x^6 + x^5 - 5*x^3 + 5*x^2 - 1 + O(x^12)
 """
 
+# reduced bases over Q, where a division kernel in content form (integer
+# numerators over one denominator) would show any growth or drift: katsura-5
+# and two systems with coprime fractional coefficients
+KATSURA5_Q = """\
+[field]
+Q
+[variables]
+ring u0 u1 u2 u3 u4 u5
+[ideal]
+u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 + 2*u5 - 1
+u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 + 2*u5^2 - u0
+2*u0*u1 + 2*u1*u2 + 2*u2*u3 + 2*u3*u4 + 2*u4*u5 - u1
+u1^2 + 2*u0*u2 + 2*u1*u3 + 2*u2*u4 + 2*u3*u5 - u2
+2*u1*u2 + 2*u0*u3 + 2*u1*u4 + 2*u2*u5 - u3
+u2^2 + 2*u1*u3 + 2*u0*u4 + 2*u1*u5 - u4
+"""
+
+FRACTIONAL_3 = """\
+[field]
+Q
+[variables]
+ring x y z
+[ideal]
+x^3 - 2/3*y*z + 1/5
+3/7*y^2 - 5/2*x*z + 2/11
+z^2 - 4/13*x*y + 7/3*x - 1/2
+"""
+
+FRACTIONAL_4 = """\
+[field]
+Q
+[variables]
+ring x y z w
+[ideal]
+x^2 - 2/3*y*z + 1/5*w
+3/7*y^2 - 5/2*x*w + 2/11
+z^2 - 4/13*x*y + 7/3*w - 1/2
+w^2 - 6/17*x*z + 3/19*y
+"""
+
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
@@ -231,6 +271,12 @@ GOLDEN = {
         "55a46f9ed24f03da7de57ef243e1d9bcee319df4749c323be951de64abaaea13",
     ("linear-factor", "LINEAR_FACTOR"):
         "adf6cd23bcb9501225669487d7d973a82c355831e6c04f880e9029ba7d350cf4",
+    ("groebner", "KATSURA5_Q"):
+        "22bd5bc270241a54f5b00a4ae816e57ae93a272186934ca4f5b1fda33a965548",
+    ("groebner", "FRACTIONAL_3"):
+        "554da4ed68400fa45ccd620a7ae8250b324cf72b2d4555a7161c828aeb6a7923",
+    ("groebner", "FRACTIONAL_4"):
+        "24abdc39bdaa2cccbe4d3b6da8395dac0da9140082f1b83eaef10aeb857d3759",
 }
 VERIFY_CHAIN_K2 = (
     "836a5699ac2a9e81eafc5595695b5fcd790795a0a0e4fc497a242165aa471f24")
