@@ -353,6 +353,9 @@ def parse_certificate(text):
         return _single_line(tag, sections[tag], tag)[1]
 
     meta = _meta_map(sections, "meta")
+    if meta["version"] != "1":
+        raise ParseError(f"[meta] version must be 1, found "
+                         f"{meta['version']!r}")
     F = parse_field(line_of("field"))
     Fs = parse_field(line_of("series-field"))
     base = meta["base"]

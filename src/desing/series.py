@@ -2,7 +2,8 @@
 
 A series carries its own precision (all stored monomials have total degree
 below it); binary operations take the worst case of the operand precisions,
-and exact division lowers precision by the valuation of the divisor.
+and exact division lowers precision by the valuation of the divisor (and
+inverts the divisor only to the precision its quotient reads).
 
 Series over Q or GF(p) also compute packed (Kronecker substitution): the
 ring map Z[x]/(x^N) -> Z/2^(8wN), x -> 2^(8w), turns arithmetic in the
@@ -313,13 +314,17 @@ class TruncatedSeries:
                                         self.precision)
 
     def divide_exact(self, other):
-        """Exact quotient q with self = other * q; precision drops by ord(other)."""
+        """Exact quotient q with self = other * q; precision drops by ord(other).
+
+        After the valuation monomial of ``other`` is factored out, q is
+        a * b^-1 for a unit b, and b is inverted only to the precision the
+        quotient reads (``_times_inverse``)."""
         self._check(other)
         k = other.order()
         if k is None:
             raise DivisibilityError("division by a series that is zero to precision")
         if k == 0:
-            return self * other.invert()
+            return _times_inverse(self, other)
         # factor out the valuation monomial; only a monomial times a unit is
         # supported for multivariate divisors (all the pipeline needs)
         low = [m for m in other.terms if monomial_degree(m) == k]
@@ -346,7 +351,7 @@ class TruncatedSeries:
                                      self.precision - k)
         b = TruncatedSeries._trusted(self.variables, self.field, den,
                                      other.precision - k)
-        return a * b.invert()
+        return _times_inverse(a, b)
 
     # -- formatting ---------------------------------------------------------
 
@@ -355,6 +360,21 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"<series {format_series(self)}>"
+
+
+def _times_inverse(a, b):
+    """a * b^-1 for a unit b, at the lesser precision P of the two.  Every
+    term of a has total degree >= s = ord(a), so the terms of b^-1 of
+    degree >= P - s only reach degree >= P: b is inverted to precision
+    P - s, and the inverse's terms are stamped at P for the product.  A
+    zero dividend (or one of order >= P) gives zero at P."""
+    prec = min(a.precision, b.precision)
+    s = a.order()
+    if s is None or s >= prec:
+        return TruncatedSeries._trusted(a.variables, a.field, {}, prec)
+    inverse = b.truncate(prec - s).invert()
+    return a * TruncatedSeries._trusted(a.variables, a.field, inverse.terms,
+                                        prec)
 
 
 def order_of(series):
@@ -485,8 +505,8 @@ def _packed_rows(rows, width):
 def _decoded(F, coeffs, den, head=()):
     """The term dict of the row sum c_e x^e / den over Q or GF(p), its
     monomials ``head`` followed by e."""
-    return read_back(F, zip([head + (e,) for e in range(len(coeffs))],
-                            coeffs), den)
+    return read_back(F, [(head + (e,), c) for e, c in enumerate(coeffs)
+                         if c], den)
 
 
 class SeriesPoint(Substitution):

@@ -170,6 +170,37 @@ def test_newton_positive_c_target_between_doublings(target):
     assert series_eval(f, {"x": xs, "Y": y}).is_zero()
 
 
+def _plain_square(y, F, cut):
+    """The coefficients of y^2 below x^cut by the schoolbook convolution."""
+    dense = [y.coefficient((k,)) for k in range(cut)]
+    out = [F.zero()] * cut
+    for i in range(cut):
+        for j in range(cut - i):
+            out[i + j] = F.add(out[i + j], F.mul(dense[i], dense[j]))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
+                         ids=["Q", "GF32003"])
+@pytest.mark.parametrize("c", [0, 1, 2, 3])
+def test_newton_lift_squares_to_target(field, c):
+    # Y^2 - x^(2c)*u from the start x^c: every correction divides by
+    # P(Y) = 2Y of order c, and the lifted Y squares to x^(2c)*u below each
+    # target, targets chosen between the doublings of the residue order
+    u = {0: 1, 1: 1, 2: -2, 5: 3, 7: -1}
+    f = parse_polynomial(f"Y^2 - x^{2 * c}*(1 + x - 2*x^2 + 3*x^5 - x^7)",
+                         ("x", "Y"), field)
+    y0 = TruncatedSeries(BASE, field, {(c,): 1}, c + 1)
+    for target in (2 * c + 3, 23, 45, 100):
+        res = newton_lift(LiftRequest(system=[f], base_var="x",
+                                      yvars=("Y",), y0={"Y": y0}, c=c,
+                                      target=target))
+        y = res.values["Y"]
+        assert y.precision == target
+        want = [field.from_int(u.get(k - 2 * c, 0)) for k in range(target)]
+        assert _plain_square(y, field, target) == want
+
+
 def test_newton_zero_relation():
     # the zero relation is dropped, so the witness subset index shifts
     ring = ("x", "Y1", "Y2")

@@ -200,6 +200,7 @@ MALFORMED_CERTIFICATES = {
     "yprime-without-equals": _no_equals("yprime"),
     "t-without-equals": _no_equals("t"),
     "hat-without-equals": _no_equals("hat"),
+    "meta-version": _value("meta", "version", "2"),
     "meta-c": _value("meta", "c", "one"),
     "meta-p": _value("meta", "p", "2.5"),
     "meta-precision": _value("meta", "precision", "x^2"),
@@ -222,12 +223,15 @@ def node_certificate(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
-def test_cli_verify_malformed_certificate(tmp_path, node_certificate, case):
+def test_cli_verify_malformed_certificate(tmp_path, capsys, node_certificate,
+                                          case):
     bad = MALFORMED_CERTIFICATES[case](node_certificate)
     assert bad != node_certificate
     with pytest.raises(ParseError):
         parse_certificate(bad)
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _plus_one(line):

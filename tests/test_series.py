@@ -123,6 +123,107 @@ def test_divide_exact_failures():
     # divisor valuation part is not a single monomial
     with pytest.raises(DivisibilityError):
         f.divide_exact(g)
+    # a dividend whose precision does not pass the divisor's order
+    with pytest.raises(DomainError):
+        sser("0 + O(x^2)").divide_exact(sser("x^2 + x^3 + O(x^9)"))
+    g = parse_series("x*y + x^2*y + O(x^6)", VARS, QQ)     # x*y * (1 + x)
+    # a monomial times a non-unit
+    with pytest.raises(DivisibilityError):
+        parse_series("x^3*y + O(x^6)", VARS, QQ).divide_exact(
+            parse_series("x*y + y^3 + O(x^6)", VARS, QQ))
+    # total order below the divisor's, and a term that x*y does not divide
+    with pytest.raises(DivisibilityError):
+        parse_series("x + O(x^6)", VARS, QQ).divide_exact(g)
+    with pytest.raises(DivisibilityError):
+        parse_series("x^3 + x*y + O(x^6)", VARS, QQ).divide_exact(g)
+
+
+@st.composite
+def _exact_quotients(draw):
+    """(a, b) with b a monomial of degree k = 0..3 times a unit, and a that
+    monomial times a series of order j = 0..6 (or zero), in one or two
+    variables over Q or GF(32003), each of precision k + 1 to k + 30."""
+    field = draw(st.sampled_from((QQ, GF)))
+    n = draw(st.integers(1, 2))
+    variables = VARS[:n]
+    coeff = (st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+             .map(QQ.from_fraction) if field == QQ
+             else st.integers(0, field.p - 1))
+    k = draw(st.integers(0, 3))
+    if n == 1:
+        mono = (k,)
+    else:
+        i = draw(st.integers(0, k))
+        mono = (i, k - i)
+
+    def shifted(terms, precision):
+        return TruncatedSeries(
+            variables, field,
+            {tuple(map(sum, zip(m, mono))): c for m, c in terms.items()},
+            precision)
+
+    def terms(low, high, size):
+        """Up to ``size`` terms of total degree from low to below high."""
+        monos = [m for m in itertools.product(range(high), repeat=n)
+                 if low <= sum(m) < high]
+        if not monos:
+            return {}
+        return draw(st.dictionaries(st.sampled_from(monos), coeff,
+                                    max_size=size))
+
+    pb, pa = draw(st.integers(k + 1, k + 30)), draw(st.integers(k + 1, k + 30))
+    unit = terms(1, pb - k, 30)
+    unit[(0,) * n] = draw(coeff.filter(lambda c: not field.is_zero(c)))
+    j = draw(st.integers(0, 6))
+    rest = terms(j, max(j + 1, pa - k), draw(st.sampled_from((0, 3, 30))))
+    return shifted(rest, pa), shifted(unit, pb)
+
+
+def _reference_quotient(a, b):
+    """a / b with b inverted at the full precision: the valuation monomial
+    of b is taken off both, and the shifted a times the inverse of the
+    shifted b."""
+    k = b.order()
+    mono = next(m for m in b.terms if monomial_degree(m) == k)
+
+    def down(s):
+        return TruncatedSeries(
+            s.variables, s.field,
+            {tuple(e - d for e, d in zip(m, mono)): c
+             for m, c in s.terms.items()}, s.precision - k)
+
+    return down(a) * down(b).invert()
+
+
+def test_divide_exact_matches_full_inverse(monkeypatch):
+    # the quotient is the one a full-precision inverse gives, and the
+    # divisor is inverted at P - s, P the quotient's precision and s the
+    # order of the dividend after the valuation monomial is taken off
+    inverted = []
+    real = TruncatedSeries.invert
+
+    def spied(self):
+        inverted.append(self.precision)
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert", spied)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exact_quotients())
+    def check(pair):
+        a, b = pair
+        want = _reference_quotient(a, b)
+        del inverted[:]
+        q = a.divide_exact(b)
+        assert q.terms == want.terms
+        assert q.precision == want.precision
+        s = a.order()
+        if s is None or s - b.order() >= q.precision:
+            assert inverted == []
+        else:
+            assert inverted == [q.precision - (s - b.order())]
+
+    check()
 
 
 def test_scale_and_pow():
