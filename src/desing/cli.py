@@ -89,10 +89,14 @@ def run_gnd(pf, args):
 
 def run_verify(pf, args, raw_text):
     cert = parse_certificate(raw_text)
+    claimed = cert.report_lines()
     B, v = original_problem(cert)
     report = verify_certificate(cert, B, v)
     lines = [r.line() for r in report]
     failed = [r.name for r in report if not r.passed]
+    if not failed and claimed != lines:
+        # every check passed, yet the certificate claims another report
+        failed.append("[report]")
     if failed:
         lines.append("failed: " + ", ".join(failed))
     return "\n".join(lines) + "\n", 0 if not failed else 5

@@ -428,6 +428,9 @@ def parse_certificate(text):
             raise ParseError("[report] line needs four ';'-separated fields",
                              lineno, 1)
         status, precision, name, detail = fields
+        if status not in ("pass", "FAIL"):
+            raise ParseError("[report] status must be 'pass' or 'FAIL'",
+                             lineno, 1)
         report.append(_gnd.CheckResult(name=name, passed=status == "pass",
                                        precision=precision, detail=detail))
     cert = _gnd.GndCertificate(

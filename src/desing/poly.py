@@ -17,11 +17,14 @@ A product runs one loop over the term pairs for every field
   one byte per slot is ``bytes(m)``, 2, 4 or 8 bytes an ``array``; wider
   slots, for exponents of 2^64 and more, are written one exponent at a
   time.
+- A truncated series product that does not pack runs the same loop with a
+  total-degree bound, and forms no pair at or above it.
 """
 
 import operator
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -447,8 +450,9 @@ def _key_codec(n, top):
                                        repeat("big"))))
 
 
-def product_terms(F, a, b):
-    """The terms of the product of the term dicts ``a`` and ``b`` over F.
+def product_terms(F, a, b, below=None):
+    """The terms of the product of the term dicts ``a`` and ``b`` over F,
+    or, with ``below``, its terms of total degree below that bound.
 
     One loop over the term pairs, ``a`` outer and ``b`` inner, on the int
     keys of ``_key_codec`` with slots sized by max exponent of a + max
@@ -458,6 +462,9 @@ def product_terms(F, a, b):
     and F.add.  Monomials enter in the order in which they first appear,
     and a sum that cancels keeps its place until the zeros are dropped at
     the end: the terms and their order are those of the textbook loop.
+    With a bound (a truncated series product), b's terms are sorted by
+    total degree once, and a term of a of degree d meets only those of
+    degree below ``below`` - d: the pairs the bound drops are never formed.
     """
     if not a or not b:
         return {}
@@ -472,9 +479,16 @@ def product_terms(F, a, b):
         den = da * db
     mul, add = (operator.mul, operator.add) if ints else (F.mul, F.add)
     rows = list(zip(pack(b), vb))
+    if below is None:
+        parts = repeat(rows)
+    else:
+        ranked = sorted(zip(map(sum, b), rows), key=operator.itemgetter(0))
+        degrees = [d for d, _ in ranked]
+        rows = [row for _, row in ranked]
+        parts = [rows[:bisect_left(degrees, below - sum(m))] for m in a]
     acc = {}
-    for ka, ca in zip(pack(a), va):
-        for kb, cb in rows:
+    for ka, ca, part in zip(pack(a), va, parts):
+        for kb, cb in part:
             k = ka + kb
             if k in acc:
                 acc[k] = add(acc[k], mul(ca, cb))

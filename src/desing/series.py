@@ -21,10 +21,13 @@ coefficient met on the way, plus a sign bit.
   and each result row is decoded once.  A series in one variable is a
   single row.  A product packs when it has at least ``PACKED_MIN_PAIRS``
   stored term pairs for each row of the factor with more rows; every
-  other product runs the graded loop.  ``invert`` doubles precision by
-  Newton's iteration b <- b(2 - ab) where its products pack (total-degree
-  truncation keeps the iteration valid in several variables), and solves
-  the graded recurrence elsewhere.
+  other product (fewer pairs, short rows, or Q(alpha)) is
+  ``poly.product_terms`` bounded by the precision, which never forms a
+  pair whose degrees sum to the precision or more.
+- ``invert`` is Newton's iteration, e = 1 - ab and b <- b + be, which
+  doubles the precision each step on these two products (total-degree
+  truncation keeps it valid in several variables); a unit that is only
+  its constant term inverts at once.
 - Weierstrass preparation solves its recurrence on rows: level k maps
   each head of degree k to a row in the last variable, and the products
   by the level-0 unit and its inverse are one-variable products.
@@ -47,19 +50,22 @@ from .errors import (ConsistencyError, DivisibilityError, DomainError,
                      NonUnitError, ParseError, StructuralError)
 from .fields import PrimeField, RationalField, read_back, scaled_to_ints
 from .poly import (Polynomial, Substitution, add_scaled_terms,
-                   monomial_degree, parse_polynomial)
+                   monomial_degree, parse_polynomial, product_terms)
 
-# Stored term pairs from which a product is packed.  A packed product
-# costs about 50 us however small (lcm, byte strings, big-int conversions).
-# On the products of a certify pass over Q (2-vCPU host, best of 5), 8-23
-# pairs took 34-42 us graded, 32-127 pairs 120-175 us; any crossover from
-# 24 to 64 gave the pass 134-143 ms of product time, against 157 ms at 8.
-# In several variables the pairs are counted per row of the factor with
-# more rows (``_packs``): every row costs a pack and every result row a
-# decode, so random factors of 10-40 terms in 2-3 variables, at 10-40 pairs
-# a row, took 3-17 times as long packed as graded, and factors of 100-200
-# terms, at 320-360 pairs a row, 1.2-1.4 (GF(p)) and 2.5-5.5 (Q) times
-# less.
+# Stored term pairs from which a product is packed; below it a product is
+# bounded ``product_terms``.  A packed product costs 25-60 us however small
+# (lcm, byte strings, big-int conversions).  On the 136 nonempty Q products of
+# a seed-1 certify pass (gnd then verify, 2-vCPU host, best of 5), at under
+# 8, 8-23, 24-63 and 64-127 pairs a row, ``product_terms`` took 18, 46, 57
+# and 85 us on average and the packed kernel 33, 62, 66 and 88 us; any
+# crossover from 48 to 256 gave the pass 5.8 ms of product time, against 7.0
+# ms at 8.  Dense one-variable factors pack faster from about 64 pairs (Q 47
+# against 72 us, GF(p) 26 against 30 us).  In several variables the pairs
+# are counted per row of the factor with more rows (``_packs``): every row
+# costs a pack and every result row a decode, so random factors of 10 terms
+# in 2-3 variables, at 25-50 pairs a row, took 1.5-2.2 times as long packed,
+# factors of 30-40 terms, at 400-480 pairs a row, 0.5-0.9 times, and
+# factors of 80-200 terms, at 2,500-10,000 pairs a row, 0.16-0.54 times.
 PACKED_MIN_PAIRS = 64
 
 
@@ -197,26 +203,11 @@ class TruncatedSeries:
         self._check(other)
         F = self.field
         prec = min(self.precision, other.precision)
-        if self._packs(len(self.terms) * len(other.terms), self.terms,
-                       other.terms):
-            return TruncatedSeries._trusted(
-                self.variables, F,
-                _packed_product(F, self.terms, other.terms, prec), prec)
-        # other's terms by degree: each row stops where the precision is hit
-        levels = sorted(other.graded_parts().items())
-        terms = {}
-        for m1, c1 in self.terms.items():
-            room = prec - monomial_degree(m1)
-            for d2, part in levels:
-                if d2 >= room:
-                    break
-                for m2, c2 in part.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    prod = F.mul(c1, c2)
-                    if m in terms:
-                        terms[m] = F.add(terms[m], prod)
-                    else:
-                        terms[m] = prod
+        a, b = self.terms, other.terms
+        if self._packs(len(a) * len(b), a, b):
+            terms = _packed_product(F, a, b, prec)
+        else:
+            terms = product_terms(F, a, b, prec)
         return TruncatedSeries._trusted(self.variables, F, terms, prec)
 
     def scale(self, c):
@@ -258,60 +249,29 @@ class TruncatedSeries:
         return hash((self.variables, self.field, self.precision,
                      tuple(sorted(self.terms.items()))))
 
-    # -- graded helpers -----------------------------------------------------
-
-    def graded_parts(self):
-        parts = {}
-        for m, c in self.terms.items():
-            parts.setdefault(monomial_degree(m), {})[m] = c
-        return parts
-
     # -- inversion and division --------------------------------------------
 
     def invert(self):
-        """Multiplicative inverse of a unit series, to the same precision."""
+        """Multiplicative inverse of a unit series, to the same precision.
+
+        Newton's iteration: if b inverts a modulo degree k, then with
+        e = 1 - ab (of order >= k), b + be inverts it modulo degree 2k.
+        Total-degree truncation keeps the iteration valid in several
+        variables.  A unit that is only its constant term inverts at once."""
         F = self.field
         a0 = self.constant_coefficient()
         if F.is_zero(a0):
             raise NonUnitError("series has zero constant term")
-        inv0 = F.invert(a0)
-        zero_mono = (0,) * len(self.variables)
-        N = self.precision
-        if self._packs(len(self.terms) * N, self.terms):
-            # Newton, where the last product a*b packs: if b inverts a
-            # modulo x^k, then b(2 - ab) inverts it modulo x^(2k)
-            two = F.from_int(2)
-            b = TruncatedSeries._trusted(self.variables, F,
-                                         {zero_mono: inv0}, 1)
-            while b.precision < N:
-                k = min(2 * b.precision, N)
-                b = TruncatedSeries._trusted(self.variables, F, b.terms, k)
-                b = b * (TruncatedSeries.constant(self.variables, F, two, k)
-                         - self.truncate(k) * b)
-            return b
-        parts_a = self.graded_parts()
-        parts_b = {0: {zero_mono: inv0}}
-        for d in range(1, self.precision):
-            acc = {}
-            for j in range(1, d + 1):
-                aj = parts_a.get(j)
-                bdj = parts_b.get(d - j)
-                if not aj or not bdj:
-                    continue
-                for m1, c1 in aj.items():
-                    for m2, c2 in bdj.items():
-                        m = tuple(x + y for x, y in zip(m1, m2))
-                        prod = F.mul(c1, c2)
-                        acc[m] = F.add(acc.get(m, F.zero()), prod)
-            level = {m: F.neg(F.mul(inv0, c)) for m, c in acc.items()
-                     if not F.is_zero(c)}
-            if level:
-                parts_b[d] = level
-        terms = {}
-        for level in parts_b.values():
-            terms.update(level)
-        return TruncatedSeries._trusted(self.variables, F, terms,
-                                        self.precision)
+        variables, N = self.variables, self.precision
+        b = TruncatedSeries._trusted(
+            variables, F, {(0,) * len(variables): F.invert(a0)},
+            N if len(self.terms) == 1 else 1)
+        while b.precision < N:
+            k = min(2 * b.precision, N)
+            b = TruncatedSeries._trusted(variables, F, b.terms, k)
+            e = TruncatedSeries.one(variables, F, k) - self.truncate(k) * b
+            b = b + b * e
+        return b
 
     def divide_exact(self, other):
         """Exact quotient q with self = other * q; precision drops by ord(other).
@@ -375,11 +335,6 @@ def _times_inverse(a, b):
     inverse = b.truncate(prec - s).invert()
     return a * TruncatedSeries._trusted(a.variables, a.field, inverse.terms,
                                         prec)
-
-
-def order_of(series):
-    """Valuation of a truncated series; None encodes \">= precision\"."""
-    return series.order()
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,8 @@ MALFORMED_CERTIFICATES = {
     "data-subset": _value("data", "subset", "0 b"),
     "short-report-line": lambda text: _edit_line(
         text, "report", "", lambda l: l.rsplit(";", 2)[0]),
+    "report-status": lambda text: _edit_line(
+        text, "report", "", lambda l: l.replace("pass", "ok", 1)),
 }
 
 
@@ -315,6 +317,21 @@ def test_cli_verify_binds_named_sections(tmp_path, capsys, node_certificate,
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) \
         in (2, 5)
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("old, new", [("O(x^19)", "O(x^29)"),
+                                      ("pass", "FAIL")])
+def test_cli_verify_binds_report(tmp_path, capsys, node_certificate, old,
+                                 new):
+    # the [report] a certificate claims must be the one verify computes
+    assert main(["verify", "--input",
+                 write(tmp_path, "good.txt", node_certificate)]) == 0
+    bad = _edit_line(node_certificate, "report", "pass;O(",
+                     lambda l: l.replace(old, new))
+    assert bad != node_certificate
+    capsys.readouterr()
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+    assert capsys.readouterr().out.splitlines()[-1] == "failed: [report]"
 
 
 def test_cli_short_circuit_certificate_sections(tmp_path):

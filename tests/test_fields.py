@@ -152,7 +152,7 @@ def test_rational_results_are_int_or_fraction(a, b, n, num, den):
 @st.composite
 def _q_series_pairs(draw):
     """Two series over Q, univariate with enough terms that their product
-    packs, or in two variables, where it runs the graded loop."""
+    packs, or in two variables, where it runs bounded ``product_terms``."""
     packed = draw(st.booleans())
     variables = ("x",) if packed else ("y", "x")
     size = st.integers(8, 20) if packed else st.integers(0, 8)

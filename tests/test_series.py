@@ -10,10 +10,10 @@ from desing.errors import (DivisibilityError, DomainError, NonUnitError,
                            ParseError, StructuralError)
 from desing.fields import QQ, PrimeField, SimpleExtension
 from desing.poly import (Polynomial, Substitution, monomial_degree,
-                         parse_polynomial)
+                         parse_polynomial, product_terms)
 from desing.series import (PACKED_MIN_PAIRS, CompletionMorphism,
                            SeriesPoint, TruncatedSeries, _PackedPowers,
-                           format_series, order_of, parse_series, series_eval,
+                           format_series, parse_series, series_eval,
                            series_point, weierstrass_prepare)
 
 VARS = ("x", "y")
@@ -382,12 +382,12 @@ def test_weierstrass_overlap_between_precisions():
 
 
 def test_order_of_helper():
-    assert order_of(sser("x^3 + O(x^8)")) == 3
-    assert order_of(sser("O(x^8)")) is None
+    assert sser("x^3 + O(x^8)").order() == 3
+    assert sser("O(x^8)").order() is None
 
 
 # ---------------------------------------------------------------------------
-# the graded product and Weierstrass preparation against textbook loops
+# the series product and Weierstrass preparation against textbook loops
 
 def _textbook_mul(d1, d2, field, cut):
     """Every pair of terms, keeping the products of degree below ``cut``."""
@@ -561,7 +561,9 @@ def _recurrence_invert(s):
     degree: b_d = -b_0 * sum_(j=1..d) a_j b_(d-j)."""
     F = s.field
     inv0 = F.invert(s.constant_coefficient())
-    parts_a = s.graded_parts()
+    parts_a = {}
+    for m, c in s.terms.items():
+        parts_a.setdefault(monomial_degree(m), {})[m] = c
     parts_b = {0: {(0,) * len(s.variables): inv0}}
     for d in range(1, s.precision):
         acc = {}
@@ -579,10 +581,15 @@ def _recurrence_invert(s):
 
 def _coefficients(field):
     """Q: signed fractions of up to 40-digit numerators and 20-digit
-    denominators; GF(32003): any residue."""
+    denominators; GF(32003): any residue; Q(sqrt 2): a + b*r with a, b
+    fractions of small height."""
     if field == QQ:
         return st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
                          st.integers(1, 10 ** 20))
+    if field == SQRT2:
+        return st.lists(st.builds(Fraction, st.integers(-50, 50),
+                                  st.integers(1, 7)),
+                        min_size=2, max_size=2).map(SQRT2.from_coeffs)
     return st.integers(0, field.p - 1)
 
 
@@ -647,10 +654,18 @@ def test_packed_mul_at_the_slot_bound(field):
 
 @st.composite
 def _units(draw):
-    field = draw(st.sampled_from((QQ, GF)))
-    s = draw(_univariate(field, draw(st.integers(1, 150)), max_terms=30))
-    c0 = draw(_coefficients(field).filter(lambda c: not field.is_zero(c)))
-    return s + TruncatedSeries(("x",), field, {(0,): c0}, s.precision)
+    """A unit over Q, GF(32003) or Q(sqrt 2) in one variable (precision up
+    to 150) or two (up to 20): a nonzero constant term plus up to 30 drawn
+    terms, or none, a unit that is only its constant term."""
+    field = draw(st.sampled_from((QQ, GF, SQRT2)))
+    n = draw(st.integers(1, 2))
+    precision = draw(st.integers(1, 150 if n == 1 else 20))
+    coeff = _coefficients(field)
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, precision + 4)] * n), coeff,
+        max_size=draw(st.sampled_from((0, 30)))))
+    terms[(0,) * n] = draw(coeff.filter(lambda c: not field.is_zero(c)))
+    return TruncatedSeries(("y", "x")[2 - n:], field, terms, precision)
 
 
 @settings(max_examples=120, deadline=None)
@@ -684,6 +699,61 @@ def test_graded_ring_products_match_reference():
         assert len(a.terms) * len(b.terms) >= PACKED_MIN_PAIRS
         assert (a * b).terms == _textbook_mul(a.terms, b.terms, field, 16)
         assert a.invert().terms == _recurrence_invert(a)
+
+
+@st.composite
+def _bounded_products(draw):
+    """Two term dicts over Q, GF(32003) or Q(sqrt 2) in one to three
+    variables, up to 25 nonzero terms each, and a bound from 0 to past the
+    top degree of their product."""
+    field = draw(st.sampled_from((QQ, GF, SQRT2)))
+    n = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 6)] * n)
+    coeff = _coefficients(field).filter(lambda c: not field.is_zero(c))
+    a, b = (draw(st.dictionaries(monos, coeff, max_size=25))
+            for _ in range(2))
+    top = max(map(sum, a), default=0) + max(map(sum, b), default=0)
+    return field, a, b, draw(st.integers(0, top + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bounded_products())
+def test_bounded_product_terms_drop_only_the_high_terms(case):
+    F, a, b, below = case
+    want = {m: c for m, c in product_terms(F, a, b).items()
+            if monomial_degree(m) < below}
+    assert product_terms(F, a, b, below) == want
+
+
+def test_bounded_products_never_form_the_dropped_pairs(monkeypatch):
+    """Over Q(sqrt 2) every formed pair is one field multiply: a bounded
+    product and a series product make one for each stored pair whose
+    degrees sum to less than the bound, and no more."""
+    calls = []
+    real = SimpleExtension.mul
+
+    def counted(self, x, y):
+        calls.append(1)
+        return real(self, x, y)
+
+    monkeypatch.setattr(SimpleExtension, "mul", counted)
+    rng = random.Random(18)
+    for n, precision in ((1, 30), (2, 12), (3, 8)):
+        variables = ("y", "z", "x")[3 - n:]
+        a, b = (TruncatedSeries(variables, SQRT2, {
+            tuple(rng.randrange(precision) for _ in range(n)):
+            SQRT2.from_coeffs((rng.randrange(1, 9), rng.randrange(-9, 9)))
+            for _ in range(40)}, precision) for _ in range(2))
+        below = precision - 2
+        pairs = sum(monomial_degree(m1) + monomial_degree(m2) < below
+                    for m1 in a.terms for m2 in b.terms)
+        assert pairs < len(a.terms) * len(b.terms)
+        del calls[:]
+        product_terms(SQRT2, a.terms, b.terms, below)
+        assert len(calls) == pairs
+        del calls[:]
+        a.truncate(below) * b
+        assert len(calls) == pairs
 
 
 # ---------------------------------------------------------------------------
