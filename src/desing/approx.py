@@ -15,12 +15,12 @@ from .errors import (DomainError, PrecisionError, ResourceError,
                      StructuralError)
 from .groebner import kernel_basis
 from .poly import Polynomial
-from .series import TruncatedSeries, series_eval, series_point
+from .series import (MAX_PRECISION, TruncatedSeries, series_eval,
+                     series_point)
 from .smooth import (DEFAULT_SUBSET_BUDGET, AlgebraPresentation, best_witness,
                      bordered_jacobian, matrix_det, matrix_mul)
 
 MAX_NEWTON_ITERATIONS = 200
-MAX_LIFT_TARGET = 1 << 16       # a GF(32003) lift this far takes about 6 s
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +95,9 @@ class LiftResult:
 def newton_lift(req):
     """Lift y0 to a solution modulo x^target; quadratic convergence up to
     the fixed loss 2c per step."""
-    if req.target > MAX_LIFT_TARGET:
+    if req.target > MAX_PRECISION:
         raise ResourceError(f"lift target {req.target} is above "
-                            f"{MAX_LIFT_TARGET}")
+                            f"{MAX_PRECISION}")
     base = (req.base_var,)
     sample = next(iter(req.y0.values()))
     F = sample.field

@@ -107,6 +107,13 @@ def run_lift(pf, args):
         raise ParseError("lift needs a 'base' variables line")
     if not pf.start:
         raise ParseError("lift needs a [start] section")
+    for name in pf.algebra_vars:
+        if name not in pf.start:
+            raise ParseError(f"[start] lacks the algebra variable {name}")
+    for name in pf.start:
+        if name not in pf.algebra_vars:
+            raise ParseError(f"[start] names {name}, which is not an "
+                             "algebra variable")
     target = args.precision or pf.option_int("target", 0)
     if not target:
         raise ParseError("lift needs a target precision "

@@ -5,23 +5,20 @@ below it); binary operations take the worst case of the operand precisions,
 and exact division lowers precision by the valuation of the divisor (and
 inverts the divisor only to the precision its quotient reads).
 
-Series over Q or GF(p) also compute packed (Kronecker substitution): the
-ring map Z[x]/(x^N) -> Z/2^(8wN), x -> 2^(8w), turns arithmetic in the
-last variable x into big-int arithmetic, with one coefficient in each slot
+Series in one variable over Q or GF(p) also compute packed (Kronecker
+substitution): the ring map Z[x]/(x^N) -> Z/2^(8wN), x -> 2^(8w), turns
+arithmetic in x into big-int arithmetic, with one coefficient in each slot
 of w bytes, and one decoding at the end reads the coefficients back as
 balanced digits.  The width comes from an a-priori bound on every
-coefficient met on the way, plus a sign bit.
+coefficient met on the way, plus a sign bit.  Each factor is first scaled
+to ints (``_ints``): over Q by the lcm of its denominators, over GF(p) to
+balanced residues.
 
-- A product is laid out in rows: a row holds the terms that share a head
-  (the exponents of all variables but the last) and is packed into one
-  int, below x^(N - deg head).  All rows of a product share one slot
-  width, sized by max|a| * max|b| * min(#a, #b), a bound on every
-  coefficient of a*b.  Each pair of rows whose head degrees sum to less
-  than N is one big-int multiply, added into the row of the summed head,
-  and each result row is decoded once.  A series in one variable is a
-  single row.  A product packs when it has at least ``PACKED_MIN_PAIRS``
-  stored term pairs for each row of the factor with more rows; every
-  other product (fewer pairs, short rows, or Q(alpha)) is
+- A product of one-variable series with at least ``PACKED_MIN_PAIRS``
+  stored term pairs is one big-int multiply of the two packed factors,
+  in slots sized by max|a| * max|b| * min(#a, #b), a bound on every
+  coefficient of a*b, decoded once below the precision.  Every other
+  product (fewer pairs, several variables, or Q(alpha)) is
   ``poly.product_terms`` bounded by the precision, which never forms a
   pair whose degrees sum to the precision or more.
 - ``invert`` is Newton's iteration, e = 1 - ab and b <- b + be, which
@@ -52,21 +49,21 @@ from .fields import PrimeField, RationalField, read_back, scaled_to_ints
 from .poly import (Polynomial, Substitution, add_scaled_terms,
                    monomial_degree, parse_polynomial, product_terms)
 
-# Stored term pairs from which a product is packed; below it a product is
-# bounded ``product_terms``.  A packed product costs 25-60 us however small
-# (lcm, byte strings, big-int conversions).  On the 136 nonempty Q products of
-# a seed-1 certify pass (gnd then verify, 2-vCPU host, best of 5), at under
-# 8, 8-23, 24-63 and 64-127 pairs a row, ``product_terms`` took 18, 46, 57
-# and 85 us on average and the packed kernel 33, 62, 66 and 88 us; any
-# crossover from 48 to 256 gave the pass 5.8 ms of product time, against 7.0
-# ms at 8.  Dense one-variable factors pack faster from about 64 pairs (Q 47
-# against 72 us, GF(p) 26 against 30 us).  In several variables the pairs
-# are counted per row of the factor with more rows (``_packs``): every row
-# costs a pack and every result row a decode, so random factors of 10 terms
-# in 2-3 variables, at 25-50 pairs a row, took 1.5-2.2 times as long packed,
-# factors of 30-40 terms, at 400-480 pairs a row, 0.5-0.9 times, and
-# factors of 80-200 terms, at 2,500-10,000 pairs a row, 0.16-0.54 times.
+# Stored term pairs from which a one-variable product is packed; below it a
+# product is bounded ``product_terms``.  A packed product costs 25-60 us
+# however small (lcm, byte strings, big-int conversions).  On the 136
+# nonempty Q products of a seed-1 certify pass (gnd then verify, 2-vCPU
+# host, best of 5), at under 8, 8-23, 24-63 and 64-127 pairs, ``product_terms``
+# took 18, 46, 57 and 85 us on average and the packed kernel 33, 62, 66 and
+# 88 us; any crossover from 48 to 256 gave the pass 5.8 ms of product time,
+# against 7.0 ms at 8.  Dense one-variable factors pack faster from about 64
+# pairs (Q 47 against 72 us, GF(p) 26 against 30 us).
 PACKED_MIN_PAIRS = 64
+
+# The largest precision a series may be read at, and the largest lift
+# target: the packed paths allocate O(N), and a GF(32003) lift this far
+# takes about 6 s.
+MAX_PRECISION = 1 << 16
 
 
 class TruncatedSeries:
@@ -186,25 +183,13 @@ class TruncatedSeries:
         """True for a series over Q or GF(p)."""
         return type(self.field) in (RationalField, PrimeField)
 
-    def _packs(self, pairs, *factors):
-        """True when a product with this many stored term pairs is packed:
-        over Q or GF(p), with ``PACKED_MIN_PAIRS`` pairs or more for each
-        row of whichever of the term dicts ``factors`` has the most rows.
-        A row holds the terms of one head, the exponents of all variables
-        but the last, so a series in one variable is one row."""
-        if pairs < PACKED_MIN_PAIRS or not self._packable():
-            return False
-        if len(self.variables) == 1:
-            return True
-        rows = max(len({m[:-1] for m in terms}) for terms in factors)
-        return pairs >= PACKED_MIN_PAIRS * rows
-
     def __mul__(self, other):
         self._check(other)
         F = self.field
         prec = min(self.precision, other.precision)
         a, b = self.terms, other.terms
-        if self._packs(len(a) * len(b), a, b):
+        if (len(a) * len(b) >= PACKED_MIN_PAIRS and len(self.variables) == 1
+                and self._packable()):
             terms = _packed_product(F, a, b, prec)
         else:
             terms = product_terms(F, a, b, prec)
@@ -377,91 +362,45 @@ def _unpack(value, width, size):
 
 
 def _packed_product(F, a, b, prec):
-    """Terms below ``prec`` of the product of the term dicts ``a`` and ``b``
-    over Q or GF(p), in any number of variables, by big-integer multiplies.
+    """Terms below ``prec`` of the product of the one-variable term dicts
+    ``a`` and ``b`` over Q or GF(p), by one big-integer multiply.
 
-    Each factor is cut to the precision and grouped into rows, one per head
-    (the exponents of all variables but the last); over Q it is scaled by
-    the lcm of its denominators to integer coefficients.  Every row is
-    packed once, in one slot width for all.  Each pair of rows whose head
-    degrees sum to less than ``prec`` is one multiply, added into the row of
-    the summed head, and each result row is read back below ``prec`` minus
-    the degree of its head.  A coefficient of the product is a sum of at
-    most min(#a, #b) products of coefficients, so max|a| * max|b| *
+    Each factor is cut to the precision, scaled to ints (``_ints``) and
+    packed once.  A coefficient of the product is a sum of at most
+    min(#a, #b) products of coefficients, so max|a| * max|b| *
     min(#a, #b), and a sign bit, size the slots.
     """
-    rows_a, da = _rows(F, a, prec)
-    rows_b, db = _rows(F, b, prec)
-    if not rows_a or not rows_b:
+    A, da = _ints(F, a, prec)
+    B, db = _ints(F, b, prec)
+    if not A or not B:
         return {}
-    bound = (_height(rows_a) * _height(rows_b)
-             * min(_count(rows_a), _count(rows_b)))
+    bound = (max(map(abs, A.values())) * max(map(abs, B.values()))
+             * min(len(A), len(B)))
     width = bound.bit_length() // 8 + 1
-    packed_b = sorted(_packed_rows(rows_b, width))
-    acc = {}        # head -> packed row
-    for deg_a, head_a, A in _packed_rows(rows_a, width):
-        room = prec - deg_a
-        for deg_b, head_b, B in packed_b:
-            if deg_b >= room:
-                break
-            head = tuple(map(add, head_a, head_b))
-            acc[head] = acc.get(head, 0) + A * B
-    out = {}
-    for head, value in acc.items():
-        # a row whose top nonzero slot is k exceeds 2^(8wk - 1) in absolute
-        # value, so its bit length bounds the slots to read
-        size = min(prec - sum(head), value.bit_length() // (8 * width) + 1)
-        out.update(_decoded(F, _unpack(value, width, size), da * db, head))
-    return out
+    value = (_pack(A.items(), width, max(A) + 1)
+             * _pack(B.items(), width, max(B) + 1))
+    # a value whose top nonzero slot is k exceeds 2^(8wk - 1) in absolute
+    # value, so its bit length bounds the slots to read
+    size = min(prec, value.bit_length() // (8 * width) + 1)
+    return _decoded(F, _unpack(value, width, size), da * db)
 
 
-def _rows(F, terms, prec):
-    """The terms of degree below ``prec`` as rows (degree of the head, head,
-    {e: c}), e the exponent of the last variable, and a denominator D: over
-    Q the rows are scaled by D, the lcm of their denominators, to integers;
-    over GF(p) D is 1."""
-    grouped = {}
-    for m, c in terms.items():
-        try:
-            grouped[m[:-1]][m[-1]] = c
-        except KeyError:
-            grouped[m[:-1]] = {m[-1]: c}
-    rows = []
-    for head, row in grouped.items():
-        room = prec - sum(head)
-        if max(row) >= room:
-            row = {e: c for e, c in row.items() if e < room}
-        if row:
-            rows.append((prec - room, head, row))
-    if type(F) is not RationalField:
-        return rows, 1
-    den, scaled = scaled_to_ints([c for _, _, row in rows
-                                  for c in row.values()])
-    # each row takes the next len(row) of the scaled values
-    scaled = iter(scaled)
-    return [(deg, head, dict(zip(row, scaled)))
-            for deg, head, row in rows], den
+def _ints(F, terms, prec):
+    """The terms below x^prec of a one-variable term dict as {e: c}, c an
+    int, and a denominator D: over Q the coefficients times D, the lcm of
+    their denominators; over GF(p) balanced residues (c - p when 2c > p)
+    and D = 1."""
+    items = {m[0]: c for m, c in terms.items() if m[0] < prec}
+    if type(F) is RationalField:
+        den, nums = scaled_to_ints(items.values())
+        return dict(zip(items, nums)), den
+    p = F.p
+    return {e: c if 2 * c <= p else c - p for e, c in items.items()}, 1
 
 
-def _height(rows):
-    return max([max(map(abs, row.values())) for _, _, row in rows])
-
-
-def _count(rows):
-    return sum([len(row) for _, _, row in rows])
-
-
-def _packed_rows(rows, width):
-    """(degree of the head, head, packed row) for each row."""
-    return [(deg, head, _pack(row.items(), width, max(row) + 1))
-            for deg, head, row in rows]
-
-
-def _decoded(F, coeffs, den, head=()):
-    """The term dict of the row sum c_e x^e / den over Q or GF(p), its
-    monomials ``head`` followed by e."""
-    return read_back(F, [(head + (e,), c) for e, c in enumerate(coeffs)
-                         if c], den)
+def _decoded(F, coeffs, den):
+    """The term dict of the series sum c_e x^e / den over Q or GF(p)."""
+    return read_back(F, [((e,), c) for e, c in enumerate(coeffs) if c], den)
 
 
 class SeriesPoint(Substitution):
@@ -554,21 +493,10 @@ class _PackedPowers:
         None for a zero image."""
         if name in self.images:
             return self.images[name]
-        F = self.field
-        terms = {m[0]: c for m, c in self.series[name].terms.items()
-                 if m[0] < self.size}
-        if not terms:
-            out = None
-        else:
-            if type(F) is RationalField:
-                den, nums = scaled_to_ints(terms.values())
-                nums = dict(zip(terms, nums))
-            else:
-                p, den = F.p, 1
-                nums = {e: c if 2 * c <= p else c - p
-                        for e, c in terms.items()}
-            out = (nums, den, max(map(abs, nums.values())).bit_length(),
-                   len(nums).bit_length())
+        nums, den = _ints(self.field, self.series[name].terms, self.size)
+        out = None if not nums else (
+            nums, den, max(map(abs, nums.values())).bit_length(),
+            len(nums).bit_length())
         self.images[name] = out
         return out
 
@@ -709,6 +637,9 @@ def weierstrass_prepare(f):
     series in x_m below x_m^(N-k); the product identity is re-checked
     before returning.
     """
+    if len(f.variables) < 2:
+        raise DomainError("Weierstrass preparation needs at least two "
+                          "variables")
     F = f.field
     N = f.precision
     x = f.variables[-1:]
@@ -792,6 +723,9 @@ def parse_series(text, variables, field, line=1):
         raise ParseError(f"precision marker uses undeclared variable "
                          f"{m.group('var')!r}", line, 1)
     precision = int(m.group("exp") or 1)
+    if precision > MAX_PRECISION:
+        raise ParseError(f"precision {precision} is above {MAX_PRECISION}",
+                         line, 1)
     body = m.group("body").strip().rstrip("+").strip()
     if not body:
         body = "0"

@@ -561,6 +561,32 @@ def test_cli_lift_target_above_bound_fails_fast(tmp_path):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("algebra,start,message", [
+    ("Y Z", "Y = 1 + O(x)", "[start] lacks the algebra variable Z"),
+    ("Y", "Y = 1 + O(x)\nW = 1 + O(x)",
+     "[start] names W, which is not an algebra variable"),
+], ids=["lacks", "extra"])
+def test_cli_lift_start_names(tmp_path, capsys, algebra, start, message):
+    # [start] must name exactly the algebra variables: a missing one used
+    # to end in a KeyError, an extra one was silently ignored
+    inp = write(tmp_path, "in.problem",
+                f"[field]\nQ\n[variables]\nbase x\nalgebra {algebra}\n"
+                f"[ideal]\nY^2 - (1 + x)\n[start]\n{start}\n"
+                "[options]\ntarget 8\nc 0\n")
+    assert main(["lift", "--input", inp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_cli_weierstrass_one_variable(tmp_path, capsys):
+    # the z_i of a series in one variable would be series in no variables,
+    # which used to end in an IndexError when formatted
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nring x\n[series]\nx^2 + O(x^5)\n")
+    assert main(["weierstrass", "--input", inp]) == 3
+    assert "needs at least two variables" in capsys.readouterr().err
+
+
 def test_cli_weierstrass(tmp_path):
     inp = write(tmp_path, "in.problem",
                 "[field]\nQ\n[variables]\nring y x\n"

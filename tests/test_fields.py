@@ -8,7 +8,8 @@ from desing.errors import DomainError
 from desing.fields import QQ, PrimeField, SimpleExtension, is_irreducible_over_q
 from desing.gnd import desingularize
 from desing.poly import Polynomial, parse_polynomial
-from desing.series import CompletionMorphism, TruncatedSeries
+from desing.series import (PACKED_MIN_PAIRS, CompletionMorphism,
+                           TruncatedSeries)
 from desing.smooth import AlgebraPresentation
 
 
@@ -165,7 +166,7 @@ def _q_series_pairs(draw):
         return TruncatedSeries(variables, QQ, terms, draw(st.integers(1, 40)))
 
     a, b = one(), one()
-    assume(not packed or a._packs(len(a.terms) * len(b.terms)))
+    assume(not packed or len(a.terms) * len(b.terms) >= PACKED_MIN_PAIRS)
     return a, b
 
 

@@ -305,6 +305,16 @@ def test_parse_requires_marker():
         parse_series("1 + O(t^4)", ("x",), QQ)
 
 
+def test_parse_precision_above_bound():
+    # the packed paths allocate O(N), so a marker past MAX_PRECISION is
+    # refused where it is read, with its line
+    top = series.MAX_PRECISION
+    assert parse_series(f"1 + x + O(x^{top})", ("x",), QQ).precision == top
+    for n in (top + 1, 10 ** 8):
+        with pytest.raises(ParseError, match=f"line 7.*precision {n}"):
+            parse_series(f"x + 1/2*x^2 + O(x^{n})", ("x",), QQ, line=7)
+
+
 def test_parse_zero_and_default_exponent():
     z = parse_series("O(x^5)", ("x",), QQ)
     assert z.is_zero() and z.precision == 5
@@ -357,6 +367,13 @@ def test_weierstrass_known_example():
     assert data.zs[1] == parse_series("y + O(y^10)", ("y",), QQ)
     assert data.unit.truncate(5) == parse_series("1 + y + O(y^5)",
                                                  ("y", "x"), QQ).truncate(5)
+
+
+def test_weierstrass_needs_two_variables():
+    # in one variable the z_i would be series in no variables
+    for text in ("x^2 + O(x^5)", "1 + x + O(x^5)"):
+        with pytest.raises(DomainError, match="two variables"):
+            weierstrass_prepare(parse_series(text, ("x",), QQ))
 
 
 def test_weierstrass_not_regular():
@@ -453,19 +470,15 @@ _SERIES_FIELDS = (QQ, PrimeField(32003))
 @st.composite
 def _series_pairs(draw):
     """Two series in one to three variables, of precision 1 to 20 and up to
-    40 terms each; over Q with integers of up to 31 digits and fractions.
-    The exponents of all variables but the last stay below 2, so that the
-    rows of several-variable factors are long enough to pack."""
+    40 terms each; over Q with integers of up to 31 digits and fractions."""
     field = draw(st.sampled_from(_SERIES_FIELDS))
     n = draw(st.integers(1, 3))
     variables = ("y", "z", "x")[3 - n:]
 
     def one():
         precision = draw(st.integers(1, 20))
-        monos = st.tuples(*[st.integers(0, 1)] * (n - 1),
-                          st.integers(0, precision))
-        size = min(draw(st.integers(0, 40)),
-                   2 ** (n - 1) * (precision + 1) * 3 // 4)
+        monos = st.tuples(*[st.integers(0, precision)] * n)
+        size = min(draw(st.integers(0, 40)), (precision + 1) ** n * 3 // 4)
         terms = draw(st.dictionaries(monos, _eval_coefficients(field),
                                      min_size=size, max_size=40))
         return TruncatedSeries(variables, field, terms, precision)
@@ -474,34 +487,68 @@ def _series_pairs(draw):
 
 
 def test_mul_matches_textbook_loop(monkeypatch):
-    # every product agrees with the textbook loop, and in a share of the
-    # examples the packed kernel multiplies factors of several rows
-    rows = []
+    # every product agrees with the textbook loop, and only products in one
+    # variable enter the packed kernel, which some of the examples do
+    packed = []
     real = series._packed_product
 
     def counted(F, a, b, prec):
-        rows.append(max(len({m[:-1] for m in t if sum(m) < prec})
-                        for t in (a, b)))
+        assert all(len(m) == 1 for t in (a, b) for m in t)
+        packed.append(prec)
         return real(F, a, b, prec)
 
     monkeypatch.setattr(series, "_packed_product", counted)
-    several = []
 
     @settings(max_examples=200, deadline=None)
     @given(_series_pairs())
     def check(pair):
         a, b = pair
         prec = min(a.precision, b.precision)
-        start = len(rows)
         for x, y in ((a, b), (b, a)):
             product = x * y
             assert product.terms == _textbook_mul(x.terms, y.terms, x.field,
                                                   prec)
             assert product.precision == prec
-        several.append(any(r > 1 for r in rows[start:]))
 
     check()
-    assert sum(several) >= len(several) // 20
+    assert packed
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
+                         ids=["Q", "GF32003"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_several_variable_products_never_pack(monkeypatch, field, n):
+    """Products in two and three variables, of 10-term factors and of
+    dense ones of 80 to 200 terms (thousands of stored pairs), run bounded
+    ``product_terms``: they never enter the packed kernel and agree with
+    the textbook loop.  Over Q with large signed fractions, over GF(p) with
+    p - 1 among the coefficients."""
+    def refused(*args):
+        raise AssertionError("a several-variable product was packed")
+
+    monkeypatch.setattr(series, "_packed_product", refused)
+    rng = random.Random(n)
+    variables = ("y", "z", "x")[3 - n:]
+    precision = 21 if n == 2 else 12
+    monos = [[m for m in itertools.product(range(p), repeat=n)
+              if sum(m) < p] for p in (precision, precision - 1)]
+
+    def coeff():
+        if field == QQ:
+            return Fraction(rng.randrange(-10 ** 20, 10 ** 20),
+                            rng.randrange(1, 10 ** 6))
+        return rng.choice((field.p - 1, rng.randrange(1, field.p)))
+
+    for sizes in ((10, 10), (80, 120), (200, 200)):
+        a, b = (TruncatedSeries(variables, field,
+                                {m: coeff() for m in rng.sample(monos[i], k)},
+                                precision - i)
+                for i, k in enumerate(sizes))
+        assert len(a.terms) * len(b.terms) >= PACKED_MIN_PAIRS
+        product = a * b
+        assert product.precision == precision - 1
+        assert product.terms == _textbook_mul(a.terms, b.terms, field,
+                                              precision - 1)
 
 
 @st.composite
@@ -677,9 +724,9 @@ def test_newton_invert_matches_recurrence(u):
 
 
 def test_graded_ring_products_match_reference():
-    """Q(sqrt 2) never packs, and a two-variable series packs by rows;
-    their products and inverses agree with the textbook loop and the
-    recurrence."""
+    """Neither a series over Q(sqrt 2) nor one in two variables over Q
+    packs; their products, by bounded ``product_terms``, and their inverses
+    agree with the textbook loop and the recurrence."""
     rng = random.Random(9)
     for variables, field in ((("x",), SQRT2), (("y", "x"), QQ)):
         n = len(variables)
