@@ -21,6 +21,9 @@ from .smooth import (DEFAULT_SUBSET_BUDGET, AlgebraPresentation, best_witness,
                      bordered_jacobian, matrix_det, matrix_mul)
 
 MAX_NEWTON_ITERATIONS = 200
+# the degree bound of linear_factor's particular solution: the largest degree
+# of its input plus this
+LINEAR_FACTOR_SLACK = 10
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +242,7 @@ def _solve_by_degrees(matrix, targets, xvar, unknown_degrees, F):
     return terms
 
 
-def linear_factor(a, b, yprime, base_var, slack=10):
+def linear_factor(a, b, yprime, base_var):
     """Write y' = c_part + sum z_k y^(k) over the truncated series ring.
 
     c_part is a polynomial particular solution of a*c = b found with a
@@ -272,7 +275,7 @@ def linear_factor(a, b, yprime, base_var, slack=10):
     # particular solution with bounded degree
     degs = [p.total_degree() for row in a for p in row if not p.is_zero()]
     degs += [p.total_degree() for p in b if not p.is_zero()]
-    bound = max(degs, default=0) + slack
+    bound = max(degs, default=0) + LINEAR_FACTOR_SLACK
     eq_degree = bound + max(degs, default=0) + 1
     targets = []
     for bi in b:

@@ -37,8 +37,26 @@ def _algebra(pf):
 def _morphism(pf):
     if not pf.morphism:
         raise ParseError("this subcommand needs a [morphism] section")
+    _names_exactly("morphism", pf.morphism, pf.algebra_vars,
+                   "algebra variable")
     return CompletionMorphism(base_var=pf.base_var, field=pf.series_field,
                               images=dict(pf.morphism))
+
+
+def _names_exactly(section, names, wanted, what):
+    """[section] must name every one of ``wanted`` and nothing else."""
+    for name in wanted:
+        if name not in names:
+            raise ParseError(f"[{section}] lacks the {what} {name}")
+    for name in names:
+        if name not in wanted:
+            raise ParseError(f"[{section}] names {name}, which is not an "
+                             f"{what}")
+
+
+def _flag_or_option(flag, pf, key, default):
+    """A value given on the command line, even 0, wins over [options]."""
+    return pf.option_int(key, default) if flag is None else flag
 
 
 def run_groebner(pf, args):
@@ -58,8 +76,8 @@ def run_quotient(pf, args):
 
 def run_smooth_locus(pf, args):
     B = _algebra(pf)
-    budget = args.subset_budget or pf.option_int("subset-budget",
-                                                 DEFAULT_SUBSET_BUDGET)
+    budget = _flag_or_option(args.subset_budget, pf, "subset-budget",
+                             DEFAULT_SUBSET_BUDGET)
     H = smoothing_ideal(B, budget)
     return emit_ideal(H.generators, B.ring_variables(), pf.field), 0
 
@@ -67,8 +85,8 @@ def run_smooth_locus(pf, args):
 def run_gnd(pf, args):
     B = _algebra(pf)
     v = _morphism(pf)
-    budget = args.subset_budget or pf.option_int("subset-budget",
-                                                 DEFAULT_SUBSET_BUDGET)
+    budget = _flag_or_option(args.subset_budget, pf, "subset-budget",
+                             DEFAULT_SUBSET_BUDGET)
     cert = desingularize(B, v, budget)
     text = emit_certificate(cert)
     code = 0 if cert.all_passed() else 5
@@ -107,19 +125,13 @@ def run_lift(pf, args):
         raise ParseError("lift needs a 'base' variables line")
     if not pf.start:
         raise ParseError("lift needs a [start] section")
-    for name in pf.algebra_vars:
-        if name not in pf.start:
-            raise ParseError(f"[start] lacks the algebra variable {name}")
-    for name in pf.start:
-        if name not in pf.algebra_vars:
-            raise ParseError(f"[start] names {name}, which is not an "
-                             "algebra variable")
-    target = args.precision or pf.option_int("target", 0)
+    _names_exactly("start", pf.start, pf.algebra_vars, "algebra variable")
+    target = _flag_or_option(args.precision, pf, "target", 0)
     if not target:
         raise ParseError("lift needs a target precision "
                          "(option 'target' or --precision)")
-    budget = args.subset_budget or pf.option_int("subset-budget",
-                                                 DEFAULT_SUBSET_BUDGET)
+    budget = _flag_or_option(args.subset_budget, pf, "subset-budget",
+                             DEFAULT_SUBSET_BUDGET)
     req = LiftRequest(system=list(pf.ideal), base_var=pf.base_var,
                       yvars=pf.algebra_vars, y0=dict(pf.start),
                       c=pf.option_int("c", 0), target=target,
@@ -169,15 +181,9 @@ def run_module_iso(pf, args):
              f"unknowns {len(sys_.unknowns)}",
              f"equations {sys_.equation_count}"]
     if pf.candidate:
-        for name in sys_.unknowns:
-            if name not in pf.candidate:
-                raise ParseError(f"[candidate] lacks the unknown {name}")
-        for name in pf.candidate:
-            if name not in sys_.unknowns:
-                raise ParseError(f"[candidate] names {name}, which is not "
-                                 "an unknown of the system")
-        prec = args.precision or min(s.precision
-                                     for s in pf.candidate.values())
+        _names_exactly("candidate", pf.candidate, sys_.unknowns, "unknown")
+        prec = args.precision if args.precision is not None else min(
+            s.precision for s in pf.candidate.values())
         ok = check_candidate(sys_, pf.candidate, prec)
         lines.append(f"candidate {'accepted' if ok else 'rejected'}")
     return "\n".join(lines) + "\n", 0

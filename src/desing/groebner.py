@@ -76,7 +76,6 @@ class IdealPresentation:
 class GroebnerBasis:
     order: MonomialOrder
     elements: list
-    reduced: bool = True
 
     @property
     def variables(self):

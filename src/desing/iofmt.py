@@ -81,13 +81,72 @@ def parse_field(text, lineno=1):
     raise ParseError(f"unknown field {text!r}", lineno, 1)
 
 
-def _single_line(section, lines, name):
+# ---------------------------------------------------------------------------
+# section readers: each takes the section's name, its (line number, text)
+# pairs and parse(text, line number) for one value, so that every value is
+# read at its own line; a column counts from the start of the value
+
+def _one(section, lines, parse, default=None):
+    """The one value of a one-line section, or ``default`` without one."""
+    if lines is None:
+        return default
     if not lines:
         raise ParseError(f"section [{section}] is empty", 0, 1)
     if len(lines) > 1:
         raise ParseError(f"section [{section}] expects one line",
                          lines[1][0], 1)
-    return lines[0]
+    lineno, text = lines[0]
+    return parse(text, lineno)
+
+
+def _items(section, lines, parse):
+    """One value per line."""
+    return [parse(text, lineno) for lineno, text in lines]
+
+
+def _rows(section, lines, parse):
+    """';'-separated values on each line."""
+    return [[parse(s, lineno) for s in text.split(";")]
+            for lineno, text in lines]
+
+
+def _named(section, lines, parse):
+    """'name = value' lines, each name once."""
+    out = {}
+    for lineno, text in lines:
+        if "=" not in text:
+            raise ParseError(f"[{section}] lines look like 'name = value'",
+                             lineno, 1)
+        name, rest = text.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise ParseError(f"[{section}] repeats {name!r}", lineno, 1)
+        out[name] = parse(rest, lineno)
+    return out
+
+
+def _keyed(section, lines, bare=True):
+    """'key value' lines, each key once: key -> (line number, value).  A key
+    with no value reads as ''; unless ``bare``, it is refused."""
+    out = {}
+    for lineno, text in lines:
+        key, *rest = text.split(None, 1)
+        if key in out:
+            raise ParseError(f"[{section}] repeats key {key!r}", lineno, 1)
+        if not (rest or bare):
+            raise ParseError(f"[{section}] lines look like 'key value'",
+                             lineno, 1)
+        out[key] = lineno, rest[0] if rest else ""
+    return out
+
+
+def _written(reader, values, fmt):
+    """The lines from which ``reader`` reads ``values`` back."""
+    if reader is _named:
+        return [f"{name} = {fmt(v)}" for name, v in values.items()]
+    if reader is _rows:
+        return [" ; ".join(fmt(v) for v in row) for row in values]
+    return [fmt(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -129,73 +188,44 @@ class ProblemFile:
 def parse_problem(text):
     sections = split_sections(text, KNOWN_SECTIONS)
     pf = ProblemFile()
-    if "field" in sections:
-        lineno, line = _single_line("field", sections["field"], "field")
-        pf.field = parse_field(line, lineno)
-    else:
-        pf.field = QQ
-    if "series-field" in sections:
-        lineno, line = _single_line("series-field", sections["series-field"],
-                                    "series-field")
-        pf.series_field = parse_field(line, lineno)
-    else:
-        pf.series_field = pf.field
-    for lineno, line in sections.get("variables", []):
-        parts = line.split()
-        key, names = parts[0], tuple(parts[1:])
-        if key == "base":
-            if len(names) != 1:
-                raise ParseError("exactly one base variable", lineno, 1)
-            pf.base_var = names[0]
-        elif key == "algebra":
-            pf.algebra_vars = names
-        elif key == "ring":
-            pf.ring = names
-        else:
-            raise ParseError(f"unknown variables line {key!r}", lineno, 1)
-    if not pf.ring:
-        pf.ring = ((pf.base_var,) if pf.base_var else ()) + pf.algebra_vars
-    for key in ("ideal", "ideal2"):
-        out = getattr(pf, key)
-        for lineno, line in sections.get(key, []):
-            out.append(parse_polynomial(line, pf.ring, pf.field, lineno))
-    for key, attr in (("morphism", "morphism"), ("start", "start"),
-                      ("candidate", "candidate")):
-        target = getattr(pf, attr)
-        for lineno, line in sections.get(key, []):
-            if "=" not in line:
-                raise ParseError(f"[{key}] lines look like 'name = series'",
-                                 lineno, 1)
-            name, rest = line.split("=", 1)
-            name = name.strip()
-            if name in target:
-                raise ParseError(f"[{key}] repeats {name!r}", lineno, 1)
-            base = (pf.base_var or (pf.ring[0] if pf.ring else "x"),)
-            target[name] = parse_series(rest, base, pf.series_field, lineno)
-    for lineno, line in sections.get("options", []):
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise ParseError("options are 'key value' lines", lineno, 1)
-        if parts[0] in pf.options:
-            raise ParseError(f"[options] repeats key {parts[0]!r}", lineno, 1)
-        pf.options[parts[0]] = parts[1].strip()
-    if "series" in sections:
-        lineno, line = _single_line("series", sections["series"], "series")
-        pf.series = parse_series(line, pf.ring, pf.field, lineno)
+    pf.field = _one("field", sections.get("field"), parse_field, QQ)
+    pf.series_field = _one("series-field", sections.get("series-field"),
+                           parse_field, pf.field)
+    variables = _keyed("variables", sections.get("variables", []))
+    unknown = [key for key in variables
+               if key not in ("base", "algebra", "ring")]
+    if unknown:
+        raise ParseError(f"unknown variables line {unknown[0]!r}",
+                         variables[unknown[0]][0], 1)
+    names = {key: tuple(text.split()) for key, (_, text) in variables.items()}
+    if "base" in names:
+        if len(names["base"]) != 1:
+            raise ParseError("exactly one base variable",
+                             variables["base"][0], 1)
+        pf.base_var = names["base"][0]
+    pf.algebra_vars = names.get("algebra", ())
+    pf.ring = names.get("ring") or (
+        ((pf.base_var,) if pf.base_var else ()) + pf.algebra_vars)
+    pf.options = {key: text for key, (_, text) in _keyed(
+        "options", sections.get("options", []), bare=False).items()}
+    pf.series = _one("series", sections.get("series"), lambda text, lineno:
+                     parse_series(text, pf.ring, pf.field, lineno))
     base = (pf.base_var or (pf.ring[0] if pf.ring else "x"),)
-    for key in ("matrix",):
-        for lineno, line in sections.get(key, []):
-            pf.matrix.append([parse_polynomial(s, base, pf.field, lineno)
-                              for s in line.split(";")])
-    for lineno, line in sections.get("rhs", []):
-        pf.rhs.append(parse_polynomial(line, base, pf.field, lineno))
-    for lineno, line in sections.get("solution", []):
-        pf.solution.append(parse_series(line, base, pf.series_field, lineno))
-    for key in ("umatrix", "vmatrix"):
-        out = getattr(pf, key)
-        for lineno, line in sections.get(key, []):
-            out.append([parse_series(s, base, pf.series_field, lineno)
-                        for s in line.split(";")])
+
+    def poly(ring):
+        return lambda text, lineno: parse_polynomial(text, ring, pf.field,
+                                                     lineno)
+
+    def series(text, lineno):
+        return parse_series(text, base, pf.series_field, lineno)
+
+    for tag, reader, parse in (
+            ("ideal", _items, poly(pf.ring)), ("ideal2", _items, poly(pf.ring)),
+            ("morphism", _named, series), ("start", _named, series),
+            ("candidate", _named, series), ("matrix", _rows, poly(base)),
+            ("rhs", _items, poly(base)), ("solution", _items, series),
+            ("umatrix", _rows, series), ("vmatrix", _rows, series)):
+        setattr(pf, tag, reader(tag, sections.get(tag, []), parse))
     return pf
 
 
@@ -207,8 +237,7 @@ def emit_ideal(generators, variables, F, order=None, header="ideal"):
              f"[{header}]"]
     if order is not None:
         lines.append(f"order {order.kind}")
-    for g in generators:
-        lines.append(format_polynomial(g))
+    lines += [format_polynomial(g) for g in generators]
     return "\n".join(lines) + "\n"
 
 
@@ -219,17 +248,15 @@ def emit_groebner(gb, variables, F):
 
 def parse_ideal_output(text, header="ideal"):
     sections = split_sections(text, {"field", "ring", header})
-    lineno, line = _single_line("field", sections["field"], "field")
-    F = parse_field(line, lineno)
-    _, ringline = _single_line("ring", sections["ring"], "ring")
-    ring = tuple(ringline.split())
+    F = _one("field", sections["field"], parse_field)
+    ring = _one("ring", sections["ring"], lambda text, _: tuple(text.split()))
+    lines = sections.get(header, [])
     order = None
-    gens = []
-    for lineno, line in sections.get(header, []):
-        if line.startswith("order "):
-            order = order_from_name(line.split(None, 1)[1])
-            continue
-        gens.append(parse_polynomial(line, ring, F, lineno))
+    if lines and lines[0][1].startswith("order "):
+        order = order_from_name(lines[0][1].split(None, 1)[1])
+        lines = lines[1:]
+    gens = _items(header, lines, lambda text, lineno:
+                  parse_polynomial(text, ring, F, lineno))
     if header == "groebner":
         return GroebnerBasis(order=order or DEGREVLEX, elements=gens)
     return IdealPresentation(ring, F, gens)
@@ -238,14 +265,21 @@ def parse_ideal_output(text, header="ideal"):
 # ---------------------------------------------------------------------------
 # certificates
 
-def _fmt_poly(p):
-    return format_polynomial(p)
-
-
-def _emit_named(lines, tag, mapping, fmt):
-    lines.append(f"[{tag}]")
-    for name, value in mapping.items():
-        lines.append(f"{name} = {fmt(value)}")
+# The polynomial and series sections, in the order they are written:
+# (section, GndCertificate attribute, reader, format of one value).  [t] and
+# [hat] hold series in the base variable, the others polynomials in the ring.
+CERT_VALUES = (
+    ("b", "b", _items, format_polynomial),
+    ("relations", "relations", _items, format_polynomial),
+    ("yprime", "yprime", _named, format_polynomial),
+    ("H", "H", _rows, format_polynomial),
+    ("G", "G", _rows, format_polynomial),
+    ("hpolys", "h", _items, format_polynomial),
+    ("gpolys", "g", _items, format_polynomial),
+    ("qpolys", "Q", _items, format_polynomial),
+    ("t", "t", _named, format_series),
+    ("hat", "hat_images", _named, format_series),
+)
 
 
 def emit_certificate(cert):
@@ -266,40 +300,24 @@ def emit_certificate(cert):
              "[field]", format_field(cert.field),
              "[series-field]", format_field(cert.series_field),
              "[D]"]
-    if cert.D.ext_var:
-        lines.append(f"ext {cert.D.ext_var}")
-        lines.append(f"mu {_fmt_poly(cert.D.mu)}")
-    else:
-        lines.append("ext -")
+    lines += ([f"ext {cert.D.ext_var}", f"mu {format_polynomial(cert.D.mu)}"]
+              if cert.D.ext_var else ["ext -"])
     lines += ["[data]",
               "subset " + " ".join(str(i) for i in cert.data.subset),
               "columns " + " ".join(str(i) for i in cert.data.columns),
-              f"minor {_fmt_poly(cert.data.minor)}",
-              f"witness {_fmt_poly(cert.data.witness)}",
+              f"minor {format_polynomial(cert.data.minor)}",
+              f"witness {format_polynomial(cert.data.witness)}",
               f"c {cert.data.c}",
-              f"dprime {_fmt_poly(cert.data.dprime)}",
+              f"dprime {format_polynomial(cert.data.dprime)}",
               f"z {format_series(cert.data.z)}",
-              f"pprime {_fmt_poly(cert.data.pprime)}"]
-    lines += ["[d]", _fmt_poly(cert.d) if cert.d is not None else "-"]
-    lines += ["[s]", _fmt_poly(cert.s) if cert.s is not None else "-"]
-    lines.append("[b]")
-    lines += [_fmt_poly(p) for p in cert.b]
-    lines.append("[relations]")
-    lines += [_fmt_poly(p) for p in cert.relations]
-    _emit_named(lines, "yprime", cert.yprime, _fmt_poly)
-    for tag, mat in (("H", cert.H), ("G", cert.G)):
+              f"pprime {format_polynomial(cert.data.pprime)}"]
+    for tag, p in (("d", cert.d), ("s", cert.s)):
+        lines += [f"[{tag}]", format_polynomial(p) if p is not None else "-"]
+    for tag, attr, reader, fmt in CERT_VALUES:
         lines.append(f"[{tag}]")
-        for row in mat:
-            lines.append(" ; ".join(_fmt_poly(e) for e in row))
-    for tag, seq in (("hpolys", cert.h), ("gpolys", cert.g),
-                     ("qpolys", cert.Q)):
-        lines.append(f"[{tag}]")
-        lines += [_fmt_poly(p) for p in seq]
-    _emit_named(lines, "t", cert.t, format_series)
-    _emit_named(lines, "hat", cert.hat_images, format_series)
-    lines.append("[bprime]")
-    lines.append("variables " + " ".join(cert.Bprime.variables))
-    lines += [_fmt_poly(p) for p in cert.Bprime.relations]
+        lines += _written(reader, getattr(cert, attr), fmt)
+    lines += ["[bprime]", "variables " + " ".join(cert.Bprime.variables)]
+    lines += [format_polynomial(p) for p in cert.Bprime.relations]
     lines.append("[report]")
     for r in cert.report:
         status = "pass" if r.passed else "FAIL"
@@ -307,9 +325,8 @@ def emit_certificate(cert):
     return "\n".join(lines) + "\n"
 
 
-CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "d", "s", "b",
-                 "relations", "yprime", "H", "G", "hpolys", "gpolys",
-                 "qpolys", "t", "hat", "bprime", "report"}
+CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "d", "s",
+                 "bprime", "report"} | {tag for tag, *_ in CERT_VALUES}
 
 
 class _Required(dict):
@@ -323,91 +340,66 @@ class _Required(dict):
         raise ParseError(f"certificate has no {self.what} {key!r}")
 
 
-def _meta_map(sections, tag):
-    out = {}
-    for lineno, line in sections[tag]:
-        parts = line.split(None, 1)
-        if parts[0] in out:
-            raise ParseError(f"[{tag}] repeats key {parts[0]!r}", lineno, 1)
-        out[parts[0]] = parts[1] if len(parts) > 1 else ""
-    return _Required(out, f"[{tag}] key")
-
-
-def _int(text, what):
+def _int(text, lineno):
     """An integer certificate value; anything else is a ParseError."""
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, found {text!r}") \
-            from None
+        raise ParseError(f"expected an integer, found {text!r}", lineno,
+                         1) from None
 
 
-def _ints(text, what):
-    return tuple(_int(t, what) for t in text.split())
+def _ints(text, lineno):
+    return tuple(_int(t, lineno) for t in text.split())
 
 
 def parse_certificate(text):
     sections = _Required(split_sections(text, CERT_SECTIONS), "section")
 
-    def line_of(tag):
-        return _single_line(tag, sections[tag], tag)[1]
+    def keyed(tag):
+        return _Required(_keyed(tag, sections[tag]), f"[{tag}] key")
 
-    meta = _meta_map(sections, "meta")
-    if meta["version"] != "1":
-        raise ParseError(f"[meta] version must be 1, found "
-                         f"{meta['version']!r}")
-    F = parse_field(line_of("field"))
-    Fs = parse_field(line_of("series-field"))
-    base = meta["base"]
-    ring = tuple(meta["ring"].split())
-    yvars = tuple(meta["yvars"].split())
-    tvars = tuple(meta["tvars"].split()) if meta["tvars"] != "-" else ()
-    zvar = meta["zvar"] if meta["zvar"] != "-" else None
-    wvar = meta["wvar"] if meta["wvar"] != "-" else None
-    dmeta = _meta_map(sections, "D")
-    if dmeta.get("ext", "-") != "-":
-        U = dmeta["ext"]
-        mu = parse_polynomial(dmeta["mu"], (U,), QQ)
-        D = _gnd.DPresentation(base_var=base, field=F, series_field=Fs,
-                               ext_var=U, mu=mu)
-    else:
-        D = _gnd.DPresentation(base_var=base, field=F, series_field=Fs)
+    def read(keys, key, parse=lambda text, lineno: text):
+        lineno, text = keys[key]
+        return parse(text, lineno)
 
-    def poly(s):
-        return parse_polynomial(s, ring, F)
+    meta = keyed("meta")
+    lineno, version = meta["version"]
+    if version != "1":
+        raise ParseError(f"[meta] version must be 1, found {version!r}",
+                         lineno, 1)
+    F = _one("field", sections["field"], parse_field)
+    Fs = _one("series-field", sections["series-field"], parse_field)
+    base = read(meta, "base")
+    ring, yvars = (tuple(read(meta, key).split()) for key in ("ring", "yvars"))
+    tvars = tuple(read(meta, "tvars").split()) \
+        if read(meta, "tvars") != "-" else ()
+    zvar, wvar = (None if read(meta, key) == "-" else read(meta, key)
+                  for key in ("zvar", "wvar"))
+    dkeys, ext = keyed("D"), {}
+    if dkeys.get("ext", (0, "-"))[1] != "-":
+        U = read(dkeys, "ext")
+        ext = dict(ext_var=U, mu=read(dkeys, "mu", lambda text, lineno:
+                                      parse_polynomial(text, (U,), QQ, lineno)))
+    D = _gnd.DPresentation(base_var=base, field=F, series_field=Fs, **ext)
 
-    def ser(s):
-        return parse_series(s, (base,), Fs)
+    def poly(text, lineno):
+        return parse_polynomial(text, ring, F, lineno)
 
-    data_meta = _meta_map(sections, "data")
-    data = DesingData(
-        subset=_ints(data_meta["subset"], "[data] subset"),
-        columns=_ints(data_meta["columns"], "[data] columns"),
-        minor=poly(data_meta["minor"]), witness=poly(data_meta["witness"]),
-        c=_int(data_meta["c"], "[data] c"), dprime=poly(data_meta["dprime"]),
-        z=ser(data_meta["z"]), pprime=poly(data_meta["pprime"]))
+    def ser(text, lineno):
+        return parse_series(text, (base,), Fs, lineno)
 
-    def named(tag, parse_one):
-        out = {}
-        for lineno, line in sections.get(tag, []):
-            if "=" not in line:
-                raise ParseError(f"[{tag}] line needs 'name = value'",
-                                 lineno, 1)
-            name, rest = (part.strip() for part in line.split("=", 1))
-            if name in out:
-                raise ParseError(f"[{tag}] repeats {name!r}", lineno, 1)
-            out[name] = parse_one(rest)
-        return out
-
-    def matrix(tag):
-        return [[poly(s) for s in line.split(";")]
-                for _, line in sections.get(tag, [])]
-
-    def polyseq(tag):
-        return [poly(line) for _, line in sections.get(tag, [])]
-
-    dline = line_of("d")
-    sline = line_of("s")
+    datakeys = keyed("data")
+    data = DesingData(**{key: read(datakeys, key, parse) for key, parse in (
+        ("subset", _ints), ("columns", _ints), ("minor", poly),
+        ("witness", poly), ("c", _int), ("dprime", poly), ("z", ser),
+        ("pprime", poly))})
+    d, s = (_one(tag, sections[tag], lambda text, lineno:
+                 None if text == "-" else poly(text, lineno))
+            for tag in ("d", "s"))
+    values = {attr: reader(tag, sections.get(tag, []),
+                           ser if fmt is format_series else poly)
+              for tag, attr, reader, fmt in CERT_VALUES}
     bprime_lines = sections["bprime"]
     if not bprime_lines:
         raise ParseError("section [bprime] is empty")
@@ -417,10 +409,10 @@ def parse_certificate(text):
         raise ParseError("[bprime] must start with a 'variables' line",
                          lineno, 1)
     bvars = tuple(rest[0].split()) if rest else ()
-    brels = [parse_polynomial(line, (base,) + bvars, F)
-             for _, line in bprime_lines[1:]]
-    Bprime = AlgebraPresentation(base_var=base, variables=bvars, field=F,
-                                 relations=brels)
+    Bprime = AlgebraPresentation(
+        base_var=base, variables=bvars, field=F, relations=_items(
+            "bprime", bprime_lines[1:], lambda text, lineno:
+            parse_polynomial(text, (base,) + bvars, F, lineno)))
     report = []
     for lineno, line in sections.get("report", []):
         fields = line.split(";", 3)
@@ -435,21 +427,13 @@ def parse_certificate(text):
                                        precision=precision, detail=detail))
     cert = _gnd.GndCertificate(
         base_var=base, field=F, series_field=Fs, D=D, data=data,
-        c=_int(meta["c"], "[meta] c"), p=_int(meta["p"], "[meta] p"),
-        short_circuit=bool(_int(meta["short-circuit"],
-                                "[meta] short-circuit")),
+        c=read(meta, "c", _int), p=read(meta, "p", _int),
+        short_circuit=bool(read(meta, "short-circuit", _int)),
         ring=ring, yvars=yvars, tvars=tvars, zvar=zvar,
-        permutation=_ints(meta["permutation"], "[meta] permutation"),
-        relations=polyseq("relations"),
-        subset=_ints(meta["subset"], "[meta] subset"),
-        d=poly(dline) if dline != "-" else None,
-        s=poly(sline) if sline != "-" else None,
-        b=polyseq("b"), yprime=named("yprime", poly),
-        H=matrix("H"), G=matrix("G"), h=polyseq("hpolys"),
-        g=polyseq("gpolys"), Q=polyseq("qpolys"), Bprime=Bprime, wvar=wvar,
-        t=named("t", ser), hat_images=named("hat", ser),
-        precision=_int(meta["precision"], "[meta] precision"),
-        report=report)
+        permutation=read(meta, "permutation", _ints),
+        subset=read(meta, "subset", _ints), d=d, s=s, Bprime=Bprime,
+        wvar=wvar, precision=read(meta, "precision", _int), report=report,
+        **values)
     _check_derived(cert)
     return cert
 

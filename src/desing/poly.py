@@ -122,9 +122,7 @@ def monomial_degree(m):
 # polynomials
 
 class Polynomial:
-    # ``terms`` is never mutated after construction, so ``_lead`` can keep
-    # the last (order, leading term) that ``leading`` computed
-    __slots__ = ("variables", "field", "terms", "_lead")
+    __slots__ = ("variables", "field", "terms")
 
     def __init__(self, variables, field, terms):
         self.variables = tuple(variables)
@@ -137,7 +135,6 @@ class Polynomial:
             if not field.is_zero(coeff):
                 clean[tuple(mono)] = coeff
         self.terms = clean
-        self._lead = None
 
     @classmethod
     def _trusted(cls, variables, field, terms):
@@ -152,7 +149,7 @@ class Polynomial:
     def _nonzero(cls, variables, field, terms):
         """``_trusted`` for terms whose coefficients are all nonzero."""
         p = object.__new__(cls)
-        p.variables, p.field, p.terms, p._lead = variables, field, terms, None
+        p.variables, p.field, p.terms = variables, field, terms
         return p
 
     # -- constructors -------------------------------------------------------
@@ -198,14 +195,10 @@ class Polynomial:
 
     def leading(self, order):
         """(monomial, coefficient) of the order-largest term."""
-        lead = self._lead
-        if lead is not None and lead[0] == order:
-            return lead[1]
         if not self.terms:
             raise DomainError("zero polynomial has no leading term")
         mono = max(self.terms, key=order.key)
-        self._lead = order, (mono, self.terms[mono])
-        return self._lead[1]
+        return mono, self.terms[mono]
 
     def sorted_terms(self, order=DEGREVLEX, reverse=True):
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]),

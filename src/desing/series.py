@@ -659,17 +659,18 @@ def weierstrass_prepare(f):
 
     # unit part of f(0,..,0,x_m) and its inverse, series in x_m; level k of
     # f is u_k x_m^p + sum_(j=1..k) u_(k-j) z_j, solved for z_k and u_k row
-    # by row, where each z_j row has fewer than p terms
+    # by row, where each z_j row has fewer than p terms; only the nonempty
+    # levels are kept, in ascending order
     e = row({i - p: c for i, c in f0.items()}, N)
     e_inv = e.invert()
-    u_levels = [{zero: sorted((m[0], c) for m, c in e.terms.items())}]
-    z_levels = [{}]
+    u_levels = {0: {zero: sorted((m[0], c) for m, c in e.terms.items())}}
+    z_levels = {}
     for k in range(1, N):
         length = N - k
         R = {head: dict(r) for head, r in levels[k].items()}
-        for j in range(1, k):
-            for head_z, z in z_levels[j].items():
-                for head_u, u in u_levels[k - j].items():
+        for j, z_level in z_levels.items():
+            for head_z, z in z_level.items():
+                for head_u, u in u_levels.get(k - j, {}).items():
                     r = R.setdefault(tuple(map(add, head_u, head_z)), {})
                     for s, c in z.items():
                         c, room = F.neg(c), length - s
@@ -688,14 +689,16 @@ def weierstrass_prepare(f):
                 z_level[head] = z
             if u.terms:
                 u_level[head] = sorted((m[0], c) for m, c in u.terms.items())
-        u_levels.append(u_level)
-        z_levels.append(z_level)
+        if u_level:
+            u_levels[k] = u_level
+        if z_level:
+            z_levels[k] = z_level
 
     unit = TruncatedSeries._trusted(
-        f.variables, F, {head + (i,): c for level in u_levels
+        f.variables, F, {head + (i,): c for level in u_levels.values()
                          for head, u in level.items() for i, c in u}, N)
     zs = [TruncatedSeries._trusted(
-        f.variables[:-1], F, {head: z[i] for level in z_levels
+        f.variables[:-1], F, {head: z[i] for level in z_levels.values()
                               for head, z in level.items() if i in z}, N)
           for i in range(p)]
     data = WeierstrassData(variables=f.variables, p=p, unit=unit,
@@ -730,6 +733,11 @@ def parse_series(text, variables, field, line=1):
     if not body:
         body = "0"
     poly = parse_polynomial(body, variables, field, line)
+    if poly.total_degree() >= precision:
+        # canonical text: a term the marker would drop is refused
+        raise ParseError(f"a term of degree {poly.total_degree()} is at or "
+                         f"above the marker O({m.group('var')}^{precision})",
+                         line, 1)
     return TruncatedSeries.from_polynomial(poly, precision)
 
 

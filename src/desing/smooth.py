@@ -372,9 +372,6 @@ def reduce_until_nonvanishing(B, v, cap=5, subset_budget=DEFAULT_SUBSET_BUDGET,
                 "smoothing ideal lies in I (no progress): the codimension "
                 f"may exceed MAX_SUBSET_SIZE = {MAX_SUBSET_SIZE} or I may "
                 "be non-reduced")
-        if ideal_member(Polynomial.one(current.ring_variables(), current.field), H):
-            raise DomainError("smoothing ideal is the unit ideal: "
-                              "morphism image not approximable")
         if iterations >= cap:
             raise ResourceError(f"reduction cap {cap} reached")
         iterations += 1

@@ -54,6 +54,14 @@ def test_parse_problem_basics():
     assert pf.morphism["Y1"].coefficient((2,)) == 1
 
 
+def test_parse_problem_refuses_a_term_at_the_marker():
+    # the series reader is canonical in problem files too
+    text = node_problem().replace("Y1 = x + x^2 + O(x^24)",
+                                  "Y1 = x + x^24 + O(x^24)")
+    with pytest.raises(ParseError, match="line 9, column 1: .*marker"):
+        parse_problem(text)
+
+
 def test_parse_problem_unknown_section():
     with pytest.raises(ParseError):
         parse_problem("[nonsense]\nfoo\n")
@@ -212,6 +220,10 @@ MALFORMED_CERTIFICATES = {
         text, "report", "", lambda l: l.rsplit(";", 2)[0]),
     "report-status": lambda text: _edit_line(
         text, "report", "", lambda l: l.replace("pass", "ok", 1)),
+    # T1 = -x^3 + O(x^19) becomes -x^19 + O(x^19): the marker would drop it
+    "t-term-above-marker": lambda text: _edit_line(
+        text, "t", "T1 ", lambda l: re.sub(
+            r"x\^\d+ \+ O\(x\^(\d+)\)", r"x^\1 + O(x^\1)", l)),
 }
 
 
@@ -234,6 +246,51 @@ def test_cli_verify_malformed_certificate(tmp_path, capsys, node_certificate,
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _break_value(tag, key):
+    """Put '@' at the start of the value on the first line of [tag] that
+    starts with ``key``."""
+    def edit(line):
+        if key:
+            return key + "@" + line[len(key):]
+        name, eq, value = line.rpartition(" = ")
+        return name + eq + "@" + value
+    return lambda text: _edit_line(text, tag, key, edit)
+
+
+# one value of each kind in every section that holds values
+VALUE_LINES = {
+    "field": _break_value("field", ""),
+    "series-field": _break_value("series-field", ""),
+    "D-mu": lambda text: text.replace("[D]\next -", "[D]\next U\nmu U^2 - @"),
+    "d": _break_value("d", ""),
+    "s": _break_value("s", ""),
+    "bprime": _break_value("bprime", "x^10*W"),
+    **{f"meta-{key}": _break_value("meta", key + " ")
+       for key in ("c", "p", "precision", "short-circuit", "permutation",
+                   "subset")},
+    **{f"data-{key}": _break_value("data", key + " ")
+       for key in ("subset", "columns", "minor", "witness", "c", "dprime",
+                   "z", "pprime")},
+    **{tag: _break_value(tag, "") for tag in (
+        "b", "relations", "yprime", "H", "G", "hpolys", "gpolys", "qpolys",
+        "t", "hat")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_LINES))
+def test_certificate_value_error_names_its_line(tmp_path, capsys,
+                                                node_certificate, case):
+    bad = VALUE_LINES[case](node_certificate)
+    lines = bad.split("\n")
+    assert sum("@" in line for line in lines) == 1
+    lineno = next(i for i, line in enumerate(lines, 1) if "@" in line)
+    with pytest.raises(ParseError) as exc:
+        parse_certificate(bad)
+    assert exc.value.line == lineno
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}, ")
 
 
 def _plus_one(line):
@@ -576,6 +633,36 @@ def test_cli_lift_start_names(tmp_path, capsys, algebra, start, message):
     assert main(["lift", "--input", inp]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("morphism,message", [
+    ("Y1 = x + O(x^8)", "[morphism] lacks the algebra variable Y2"),
+    ("Y1 = x + O(x^8)\nY2 = x + O(x^8)\nY3 = x + O(x^8)",
+     "[morphism] names Y3, which is not an algebra variable"),
+], ids=["lacks", "extra"])
+def test_cli_gnd_morphism_names(tmp_path, capsys, morphism, message):
+    # [morphism] must name exactly the algebra variables: a missing one used
+    # to exit 3 (no series assigned), an extra one was silently ignored
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
+                f"[ideal]\nY1*Y2 - x^2\n[morphism]\n{morphism}\n")
+    assert main(["gnd", "--input", inp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("subcommand,flags,code", [
+    ("gnd", ["--subset-budget", "0"], 4),
+    ("smooth-locus", ["--subset-budget", "0"], 4),
+    ("lift", ["--precision", "0"], 2),
+])
+def test_cli_explicit_zero_flag_is_not_replaced(tmp_path, subcommand, flags,
+                                                code):
+    # an explicit 0 on the command line is that value, not "use the file's"
+    text = {"lift": LIFT_1}.get(subcommand, node_problem())
+    inp = write(tmp_path, "in.problem", text)
+    assert main([subcommand, "--input", inp]) == 0
+    assert main([subcommand, "--input", inp] + flags) == code
 
 
 def test_cli_weierstrass_one_variable(tmp_path, capsys):

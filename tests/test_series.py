@@ -315,6 +315,17 @@ def test_parse_precision_above_bound():
             parse_series(f"x + 1/2*x^2 + O(x^{n})", ("x",), QQ, line=7)
 
 
+@pytest.mark.parametrize("text", ["1 + x^4 + O(x^4)", "x^9 - x^9 + x^7 + O(x^5)",
+                                  "y*x^3 + O(y^4)"])
+def test_parse_refuses_a_term_at_or_above_the_marker(text):
+    # series text is canonical: a term the marker would drop is a parse
+    # error at its line, not silently discarded
+    with pytest.raises(ParseError, match="line 3.*at or above the marker"):
+        parse_series(text, ("y", "x"), QQ, line=3)
+    assert parse_series("x^3 - x^9 + x^9 + O(x^4)", ("x",), QQ) == \
+        parse_series("x^3 + O(x^4)", ("x",), QQ)
+
+
 def test_parse_zero_and_default_exponent():
     z = parse_series("O(x^5)", ("x",), QQ)
     assert z.is_zero() and z.precision == 5
@@ -374,6 +385,18 @@ def test_weierstrass_needs_two_variables():
     for text in ("x^2 + O(x^5)", "1 + x + O(x^5)"):
         with pytest.raises(DomainError, match="two variables"):
             weierstrass_prepare(parse_series(text, ("x",), QQ))
+
+
+def test_weierstrass_visits_only_nonempty_levels():
+    # f = x^2 + y has one nonempty level in y: the recurrence skips the empty
+    # ones, so N = 65536 takes well under a second (it used to be quadratic
+    # in N: 1.5 s at N = 4096)
+    f = parse_series("x^2 + y + O(y^65536)", ("y", "x"), QQ)
+    data = weierstrass_prepare(f)
+    assert data.p == 2
+    assert data.unit == TruncatedSeries.one(("y", "x"), QQ, 65536)
+    assert data.zs[0] == parse_series("y + O(y^65536)", ("y",), QQ)
+    assert data.zs[1].is_zero()
 
 
 def test_weierstrass_not_regular():
