@@ -16,7 +16,8 @@ quotient by that denominator over Q or a residue over GF(p).
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import product
+from math import factorial, lcm
 from operator import attrgetter, index
 
 from .errors import DomainError, ResourceError, StructuralError
@@ -280,152 +281,152 @@ def read_back(F, items, den=1):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers over F_p, used only by the irreducibility certificate
+# dense univariate polynomials over a Field F: coefficient lists, low power
+# first, with no zero leading coefficient; [] is the zero polynomial
 
-def _fp_trim(f, p):
-    while f and f[-1] % p == 0:
+def _poly_trim(F, f):
+    while f and F.is_zero(f[-1]):
         f.pop()
     return f
 
 
-def _fp_mod(f, g, p):
-    f = [c % p for c in f]
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    while len(f) - 1 >= dg and any(f):
-        if f[-1] % p == 0:
-            f.pop()
-            continue
-        q = f[-1] * inv % p
-        shift = len(f) - 1 - dg
-        for i, c in enumerate(g):
-            f[shift + i] = (f[shift + i] - q * c) % p
-        _fp_trim(f, p)
-    return _fp_trim(f, p)
+def _poly_sub(F, f, g):
+    out = list(f) + [F.zero()] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] = F.sub(out[i], c)
+    return _poly_trim(F, out)
 
 
-def _fp_mulmod(f, g, mod, p):
-    out = [0] * (len(f) + len(g) - 1)
+def _poly_mul(F, f, g):
+    out = [F.zero()] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a:
+        if not F.is_zero(a):
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _fp_mod(out, mod, p)
+                out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return _poly_trim(F, out)
 
 
-def _fp_powmod(f, e, mod, p):
-    result = [1]
-    base = _fp_mod(list(f), mod, p)
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, mod, p)
-        base = _fp_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
+def _poly_divmod(F, f, g):
+    """(q, r) with f = q*g + r and deg r < deg g, for g nonzero."""
+    r = list(f)
+    q = [F.zero()] * max(0, len(f) - len(g) + 1)
+    inv = F.invert(g[-1])
+    while len(_poly_trim(F, r)) >= len(g):
+        c = F.mul(r[-1], inv)
+        shift, minus_c = len(r) - len(g), F.neg(c)
+        q[shift] = c
+        for i, gc in enumerate(g):
+            r[shift + i] = F.add(r[shift + i], F.mul(minus_c, gc))
+    return q, r
 
 
-def _fp_sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-           for i in range(n)]
-    return _fp_trim(out, p)
-
-
-def _fp_gcd(f, g, p):
-    f = _fp_trim([c % p for c in f], p)
-    g = _fp_trim([c % p for c in g], p)
+def _poly_gcd(F, f, g):
     while g:
-        f, g = g, _fp_mod(f, g, p)
+        f, g = g, _poly_divmod(F, f, g)[1]
     return f
 
 
-def _fp_irreducible(f, p):
-    """Distinct-degree irreducibility test for monic f over F_p."""
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    # squarefree check via gcd with the derivative
-    deriv = _fp_trim([i * c % p for i, c in enumerate(f)][1:], p)
-    if not deriv or len(_fp_gcd(f, deriv, p)) > 1:
-        return False
-    x = [0, 1]
-    # x^(p^d) == x mod f, and no root of x^(p^(d/l)) - x for prime l | d
-    xp = _fp_powmod(x, p ** d, f, p)
-    if _fp_sub(xp, x, p):
-        return False
-    for ell in range(2, d + 1):
-        if d % ell == 0 and _is_prime(ell):
-            xq = _fp_powmod(x, p ** (d // ell), f, p)
-            if len(_fp_gcd(f, _fp_sub(xq, x, p), p)) > 1:
-                return False
-    return True
+def _poly_powmod(F, f, e, m):
+    """f^e modulo m."""
+    result, base = [F.one()], _poly_divmod(F, f, m)[1]
+    while e:
+        if e & 1:
+            result = _poly_divmod(F, _poly_mul(F, result, base), m)[1]
+        base = _poly_divmod(F, _poly_mul(F, base, base), m)[1]
+        e >>= 1
+    return result
 
 
 # ---------------------------------------------------------------------------
 # irreducibility over Q by modular certificate with Kronecker fallback
 
-def _divisors(n):
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
+# The largest degree of a minimal polynomial; the modular pass over every
+# usable prime takes about a second at this degree.
+MAX_EXTENSION_DEGREE = 16
+# Steps of the Kronecker search, over all factor degrees: one step is one
+# candidate factor or one trial divisor while listing divisors.
+KRONECKER_BUDGET = 200_000
 
 
-def _int_poly_eval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _fp_irreducible(f, F):
+    """Distinct-degree irreducibility test for monic f over F = GF(p)."""
+    p, d = F.p, len(f) - 1
+    # squarefree check via gcd with the derivative
+    deriv = _poly_trim(F, [F.from_int(i * c) for i, c in enumerate(f)][1:])
+    if not deriv or len(_poly_gcd(F, f, deriv)) > 1:
+        return False
+    x = [F.zero(), F.one()]
+    # x^(p^d) == x mod f, and no root of x^(p^(d/l)) - x for prime l | d
+    if _poly_sub(F, _poly_powmod(F, x, p ** d, f), x):
+        return False
+    for ell in range(2, d + 1):
+        if d % ell == 0 and _is_prime(ell):
+            xq = _poly_powmod(F, x, p ** (d // ell), f)
+            if len(_poly_gcd(F, f, _poly_sub(F, xq, x))) > 1:
+                return False
+    return True
 
 
-def _kronecker_has_factor(coeffs, budget=200000):
-    """Search for a nonconstant proper factor of a monic integer polynomial."""
-    d = len(coeffs) - 1
+def _spend(left, steps):
+    """The Kronecker budget left after ``steps`` more steps."""
+    if steps > left:
+        raise ResourceError(f"irreducibility trial-factorization budget of "
+                            f"{KRONECKER_BUDGET} steps exceeded")
+    return left - steps
+
+
+def _divisors(n, left):
+    """The positive divisors of n != 0, by trial division up to the square
+    root of what is left of n, and the budget ``left`` after it."""
+    n, divisors, q = abs(n), [1], 2
+    while q * q <= n:
+        left = _spend(left, 1)
+        e = 0
+        while n % q == 0:
+            n, e = n // q, e + 1
+        if e:
+            divisors = [t * q ** i for i in range(e + 1) for t in divisors]
+        q += 1
+    if n > 1:
+        divisors += [t * n for t in divisors]
+    return sorted(divisors), left
+
+
+def _kronecker_has_factor(coeffs):
+    """Search for a nonconstant proper factor of a monic integer polynomial.
+
+    A factor of degree k takes at the points 0..k values that divide the
+    polynomial's values there, and is the interpolant of those values:
+    k! times the Lagrange basis has integer coefficients, and a candidate
+    is tried only when it is an integer multiple of a monic integer
+    polynomial, as every monic factor over Q is (Gauss's lemma).
+    """
+    d, left = len(coeffs) - 1, KRONECKER_BUDGET
     for k in range(1, d // 2 + 1):
-        points = list(range(0, k + 1))
-        values = [_int_poly_eval(coeffs, x) for x in points]
-        if any(v == 0 for v in values):
+        points = range(k + 1)
+        values = [sum(c * x ** i for i, c in enumerate(coeffs))
+                  for x in points]
+        if 0 in values:
             return True  # integer root, hence a linear factor
-        choices = [[s * t for t in _divisors(v) for s in (1, -1)] for v in values]
-        total = 1
-        for ch in choices:
-            total *= len(ch)
-        if total > budget:
-            raise ResourceError("irreducibility trial-factorization budget exceeded")
-        idx = [0] * len(choices)
-        while True:
-            vals = [choices[i][idx[i]] for i in range(len(choices))]
-            # Lagrange interpolation through (points, vals)
-            cand = [Fraction(0)] * (k + 1)
-            for i, (xi, yi) in enumerate(zip(points, vals)):
-                basis = [Fraction(1)]
-                denom = Fraction(1)
-                for j, xj in enumerate(points):
-                    if j == i:
-                        continue
-                    basis = [Fraction(0)] + basis[:]
-                    low = [-xj * c for c in basis[1:]] + [Fraction(0)]
-                    basis = [a + b for a, b in zip(basis, low + [Fraction(0)] * (len(basis) - len(low)))]
-                    denom *= xi - xj
-                for t in range(len(basis)):
-                    cand[t] += yi * basis[t] / denom
-            if cand[-1] != 0 and any(c != 0 for c in cand[1:]):
-                if not _rat_poly_divmod(coeffs, cand)[1]:
-                    return True
-            # advance the divisor-choice counter
-            pos = 0
-            while pos < len(idx):
-                idx[pos] += 1
-                if idx[pos] < len(choices[pos]):
-                    break
-                idx[pos] = 0
-                pos += 1
-            if pos == len(idx):
-                break
+        choices = []
+        for v in values:
+            divisors, left = _divisors(v, left)
+            choices.append([s * t for t in divisors for s in (1, -1)])
+        basis = []
+        for i in points:
+            num, den = [1], 1
+            for j in points:
+                if j != i:
+                    num, den = _poly_mul(QQ, num, [-j, 1]), den * (i - j)
+            basis.append([c * (factorial(k) // den) for c in num])
+        for vals in product(*choices):
+            left = _spend(left, 1)
+            cand = [sum(v * b[t] for v, b in zip(vals, basis))
+                    for t in points]
+            lead = cand[-1]
+            if lead and not any(c % lead for c in cand) and not _poly_divmod(
+                    QQ, coeffs, [c // lead for c in cand])[1]:
+                return True
     return False
 
 
@@ -439,22 +440,21 @@ def is_irreducible_over_q(coeffs):
     if not coeffs or coeffs[-1] != 1:
         raise DomainError("minimal polynomial must be monic")
     d = len(coeffs) - 1
-    if d == 0:
-        return False
-    if d == 1:
-        return True
+    if d > MAX_EXTENSION_DEGREE:
+        raise DomainError(f"minimal polynomial of degree {d} is above the "
+                          f"bound {MAX_EXTENSION_DEGREE}")
+    if d <= 1:
+        return d == 1
     # scale x -> x/l to obtain a monic integer polynomial
-    from math import lcm
-
     ell = lcm(*[c.denominator for c in coeffs])
     iv = [int(c * ell ** (d - i)) for i, c in enumerate(coeffs)]
     if iv[0] == 0:
         return False
     for p in _SMALL_PRIMES:
-        if iv[0] % p == 0:
-            continue
-        if _fp_irreducible([c % p for c in iv], p):
-            return True
+        if iv[0] % p:
+            F = PrimeField(p)
+            if _fp_irreducible([F.from_int(c) for c in iv], F):
+                return True
     return not _kronecker_has_factor(iv)
 
 
@@ -473,9 +473,7 @@ class SimpleExtension(Field):
         mu = tuple(Fraction(c) for c in mu)
         if len(mu) < 3:
             raise DomainError("extension degree must be at least 2")
-        if mu[-1] != 1:
-            raise DomainError("minimal polynomial must be monic")
-        if not is_irreducible_over_q(list(mu)):
+        if not is_irreducible_over_q(mu):
             raise DomainError("minimal polynomial is reducible")
         self.base = base
         self.mu = mu
@@ -489,8 +487,6 @@ class SimpleExtension(Field):
         return (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
 
     def generator(self):
-        if self.degree == 1:
-            return (-self.mu[0],)
         return tuple(Fraction(int(i == 1)) for i in range(self.degree))
 
     def from_int(self, n):
@@ -500,8 +496,7 @@ class SimpleExtension(Field):
         return (Fraction(q),) + (Fraction(0),) * (self.degree - 1)
 
     def from_coeffs(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        return self._reduce(coeffs)
+        return self._reduce([Fraction(c) for c in coeffs])
 
     def _reduce(self, coeffs):
         coeffs = list(coeffs)
@@ -532,17 +527,14 @@ class SimpleExtension(Field):
         if self.is_zero(a):
             raise DomainError("division by zero in extension field")
         # extended Euclid in Q[alpha] against mu
-        r0, r1 = list(self.mu), list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return self._reduce([c * inv for c in s1])
-            q, rem = _rat_poly_divmod(r0, r1)
+        r0, r1 = list(self.mu), _poly_trim(QQ, list(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            q, rem = _poly_divmod(QQ, r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, _rat_poly_sub(s0, _rat_poly_mul(q, s1))
+            s0, s1 = s1, _poly_sub(QQ, s0, _poly_mul(QQ, q, s1))
+        inv = 1 / Fraction(r1[0])
+        return self._reduce([c * inv for c in s1])
 
     def is_zero(self, a):
         return all(x == 0 for x in a)
@@ -589,36 +581,3 @@ class SimpleExtension(Field):
     def __repr__(self):
         return f"QQ({self.gen})"
 
-
-def _rat_poly_divmod(f, g):
-    f = [Fraction(c) for c in f]
-    g = list(g)
-    while g and g[-1] == 0:
-        g.pop()
-    q = [Fraction(0)] * max(1, len(f) - len(g) + 1)
-    while True:
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < len(g):
-            return q, f
-        c = f[-1] / g[-1]
-        shift = len(f) - len(g)
-        q[shift] += c
-        for i, gc in enumerate(g):
-            f[shift + i] -= c * gc
-
-
-def _rat_poly_mul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1 or 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
-def _rat_poly_sub(f, g):
-    n = max(len(f), len(g))
-    f = list(f) + [Fraction(0)] * (n - len(f))
-    for i, c in enumerate(g):
-        f[i] -= c
-    return f

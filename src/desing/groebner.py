@@ -47,7 +47,7 @@ from .errors import DomainError, ResourceError, StructuralError
 from .fields import PrimeField, RationalField, read_back, scaled_to_ints
 from .poly import DEGREVLEX, LEX, MonomialOrder, Polynomial, block_order
 
-DEFAULT_SPAIR_BUDGET = 100000
+SPAIR_BUDGET = 100000
 
 
 @dataclass
@@ -381,7 +381,7 @@ def s_polynomial(f, g, order):
     return _Packed(ring, {m: c for m, c in terms.items() if not F.is_zero(c)})
 
 
-def buchberger(ideal, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
+def buchberger(ideal, order=DEGREVLEX):
     """Reduced Groebner basis; deterministic for fixed input.
 
     The generators are packed once; pair selection, reduction and
@@ -397,14 +397,13 @@ def buchberger(ideal, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
         return GroebnerBasis(order, [])
 
     def run(ring):
-        basis = _buchberger([ring.pack(g).monic() for g in gens], order,
-                            budget)
+        basis = _buchberger([ring.pack(g).monic() for g in gens], order)
         return [ring.unpack(g.terms, gens[0].variables) for g in basis]
 
     return GroebnerBasis(order, _on_packed(order, gens, run))
 
 
-def _buchberger(G, order, budget):
+def _buchberger(G, order):
     ring = G[0].ring
     cm, guard = ring.cm, ring.guard
     leads, plain, exps = [], [], []
@@ -433,8 +432,8 @@ def _buchberger(G, order, budget):
         if _chain_criterion(i, j, lcm ^ cm, plain, guard, done):
             continue
         reductions += 1
-        if reductions > budget:
-            raise ResourceError(f"S-pair budget {budget} exceeded")
+        if reductions > SPAIR_BUDGET:
+            raise ResourceError(f"S-pair budget {SPAIR_BUDGET} exceeded")
         r = division(s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero():
             continue
@@ -506,17 +505,17 @@ def _fresh_name(base, taken):
     return name
 
 
-def eliminate(ideal, drop, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
+def eliminate(ideal, drop, order=DEGREVLEX):
     """Generators of I intersected with the subring without the ``drop`` vars."""
     drop = [v for v in ideal.variables if v in set(drop)]
     keep = tuple(v for v in ideal.variables if v not in set(drop))
     if not drop:
         return IdealPresentation(ideal.variables, ideal.field,
-                                 buchberger(ideal, order, budget).elements)
+                                 buchberger(ideal, order).elements)
     work_vars = tuple(drop) + keep
     work_order = block_order(len(drop), DEGREVLEX, order)
     gens = [g.embed(work_vars) for g in ideal.generators]
-    gb = buchberger(gens, work_order, budget)
+    gb = buchberger(gens, work_order)
     out = []
     for g in gb.elements:
         if all(all(m[i] == 0 for i in range(len(drop))) for m in g.terms):
@@ -524,7 +523,7 @@ def eliminate(ideal, drop, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
     return IdealPresentation(keep, ideal.field, out)
 
 
-def ideal_intersection(I, J, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
+def ideal_intersection(I, J, order=DEGREVLEX):
     """I ∩ J via elimination of t from t·I + (1−t)·J."""
     if I.variables != J.variables or I.field != J.field:
         raise StructuralError("ideals live in different rings")
@@ -536,7 +535,7 @@ def ideal_intersection(I, J, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
     gens = [tp * g.embed(work_vars) for g in I.generators]
     gens += [onem * g.embed(work_vars) for g in J.generators]
     inner = IdealPresentation(work_vars, F, gens)
-    elim = eliminate(inner, {t}, order, budget)
+    elim = eliminate(inner, {t}, order)
     # result already lives in the original ring variables
     return IdealPresentation(I.variables, F,
                              [g.embed(I.variables) for g in elim.generators])
@@ -552,7 +551,7 @@ def divide_exact_poly(f, g, order=DEGREVLEX):
     return quotients[0]
 
 
-def ideal_quotient(I, J, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
+def ideal_quotient(I, J, order=DEGREVLEX):
     """(I : J) as the intersection of the one-generator quotients (I : h).
 
     A generator h that already lies in I has (I : h) = (1) and is skipped;
@@ -560,26 +559,26 @@ def ideal_quotient(I, J, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
     """
     if not J.generators:
         raise DomainError("quotient by zero ideal is the unit ideal")
-    I_gb = buchberger(I, order, budget)
+    I_gb = buchberger(I, order)
     result = None
     for h in J.generators:
         if ideal_member(h, I_gb):
             continue
         inter = ideal_intersection(
-            I, IdealPresentation(I.variables, I.field, [h]), order, budget)
+            I, IdealPresentation(I.variables, I.field, [h]), order)
         gens = [divide_exact_poly(g, h, order) for g in inter.generators]
         part = IdealPresentation(I.variables, I.field, gens)
         if result is None:
             result = part
         else:
-            result = ideal_intersection(result, part, order, budget)
+            result = ideal_intersection(result, part, order)
     if result is None:
         return IdealPresentation(I.variables, I.field, [I.ring_one()])
-    gb = buchberger(result, order, budget)
+    gb = buchberger(result, order)
     return IdealPresentation(I.variables, I.field, gb.elements)
 
 
-def saturate(I, f, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
+def saturate(I, f, order=DEGREVLEX):
     """(I : f^∞) by eliminating the Rabinowitsch variable from I + (1 − w·f)."""
     if f.is_zero():
         raise DomainError("saturation by zero")
@@ -590,12 +589,12 @@ def saturate(I, f, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
     gens = [g.embed(work_vars) for g in I.generators]
     gens.append(Polynomial.one(work_vars, F) - wp * f.embed(work_vars))
     inner = IdealPresentation(work_vars, F, gens)
-    elim = eliminate(inner, {w}, order, budget)
+    elim = eliminate(inner, {w}, order)
     return IdealPresentation(I.variables, F,
                              [g.embed(I.variables) for g in elim.generators])
 
 
-def radical_member(f, I, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
+def radical_member(f, I, order=DEGREVLEX):
     """f ∈ √I iff 1 ∈ I + (1 − w·f) in the extended ring (Rabinowitsch)."""
     w = _fresh_name("w_", I.variables)
     work_vars = (w,) + I.variables
@@ -603,7 +602,7 @@ def radical_member(f, I, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
     wp = Polynomial.variable(work_vars, F, w)
     gens = [g.embed(work_vars) for g in I.generators]
     gens.append(Polynomial.one(work_vars, F) - wp * f.embed(work_vars))
-    gb = buchberger(gens, block_order(1, DEGREVLEX, order), budget)
+    gb = buchberger(gens, block_order(1, DEGREVLEX, order))
     return ideal_member(Polynomial.one(work_vars, F), gb)
 
 
@@ -664,7 +663,7 @@ def module_normal_form(v, basis, order):
     return _decode(rem, len(v), v[0].variables)
 
 
-def module_groebner(vectors, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
+def module_groebner(vectors, order=DEGREVLEX):
     """Reduced Groebner basis of the submodule generated by ``vectors``
     (position-over-term), sorted by position, then leading monomial."""
     vectors = [v for v in vectors if not vec_is_zero(v)]
@@ -676,7 +675,7 @@ def module_groebner(vectors, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
     e = [Polynomial.variable(work_vars, F, name) for name in work_vars[:n]]
     gens = [e[i] * e[j] for i in range(n) for j in range(i, n)]
     gens += [_encode(v, work_vars) for v in vectors]
-    gb = buchberger(gens, work_order, budget)
+    gb = buchberger(gens, work_order)
     basis = [v for v in (_decode(g, n, variables) for g in gb.elements)
              if v is not None]
 
@@ -695,7 +694,7 @@ class KernelBasis:
     basis: list = dc_field(default_factory=list)
 
 
-def kernel_basis(matrix, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
+def kernel_basis(matrix, order=DEGREVLEX):
     """Generators of {v : M v = 0} via syzygies of the columns of M.
 
     Augment each column with a unit tag and compute a module Groebner basis
@@ -721,7 +720,7 @@ def kernel_basis(matrix, order=DEGREVLEX, budget=DEFAULT_SPAIR_BUDGET):
         col = [rows[i][j] for i in range(r)]
         tag = [one if k == j else zero for k in range(n)]
         augmented.append(tuple(col + tag))
-    gb = module_groebner(augmented, order, budget)
+    gb = module_groebner(augmented, order)
     basis = []
     for v in gb:
         if all(c.is_zero() for c in v[:r]):

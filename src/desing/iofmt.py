@@ -21,8 +21,17 @@ KNOWN_SECTIONS = {
 }
 
 
+class _Section(list):
+    """A section's (line number, stripped payload line) pairs, and the line
+    number of its header."""
+
+    def __init__(self, header):
+        super().__init__()
+        self.header = header
+
+
 def split_sections(text, known=None):
-    """Map section name -> list of (line number, stripped payload line)."""
+    """Map section name -> its ``_Section``."""
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -35,7 +44,7 @@ def split_sections(text, known=None):
                 raise ParseError(f"unknown section [{name}]", lineno, 1)
             if name in sections:
                 raise ParseError(f"duplicate section [{name}]", lineno, 1)
-            sections[name] = []
+            sections[name] = _Section(lineno)
             current = name
             continue
         if current is None:
@@ -91,7 +100,7 @@ def _one(section, lines, parse, default=None):
     if lines is None:
         return default
     if not lines:
-        raise ParseError(f"section [{section}] is empty", 0, 1)
+        raise ParseError(f"section [{section}] is empty", lines.header, 1)
     if len(lines) > 1:
         raise ParseError(f"section [{section}] expects one line",
                          lines[1][0], 1)
@@ -163,7 +172,7 @@ class ProblemFile:
     ideal2: list = dc_field(default_factory=list)
     morphism: dict = dc_field(default_factory=dict)
     start: dict = dc_field(default_factory=dict)
-    options: dict = dc_field(default_factory=dict)
+    options: dict = dc_field(default_factory=dict)    # key -> (line, value)
     series: TruncatedSeries = None
     matrix: list = dc_field(default_factory=list)
     rhs: list = dc_field(default_factory=list)
@@ -175,14 +184,16 @@ class ProblemFile:
     def option_int(self, key, default):
         if key not in self.options:
             return default
+        lineno, text = self.options[key]
         try:
-            return int(self.options[key])
+            return int(text)
         except ValueError:
-            raise ParseError(f"option {key} must be an integer")
+            raise ParseError(f"option {key} must be an integer", lineno,
+                             1) from None
 
     def order(self, override=None):
-        name = override or self.options.get("order", "degrevlex")
-        return order_from_name(name)
+        _, name = self.options.get("order", (None, "degrevlex"))
+        return order_from_name(override or name)
 
 
 def parse_problem(text):
@@ -206,8 +217,7 @@ def parse_problem(text):
     pf.algebra_vars = names.get("algebra", ())
     pf.ring = names.get("ring") or (
         ((pf.base_var,) if pf.base_var else ()) + pf.algebra_vars)
-    pf.options = {key: text for key, (_, text) in _keyed(
-        "options", sections.get("options", []), bare=False).items()}
+    pf.options = _keyed("options", sections.get("options", []), bare=False)
     pf.series = _one("series", sections.get("series"), lambda text, lineno:
                      parse_series(text, pf.ring, pf.field, lineno))
     base = (pf.base_var or (pf.ring[0] if pf.ring else "x"),)
@@ -402,7 +412,7 @@ def parse_certificate(text):
               for tag, attr, reader, fmt in CERT_VALUES}
     bprime_lines = sections["bprime"]
     if not bprime_lines:
-        raise ParseError("section [bprime] is empty")
+        raise ParseError("section [bprime] is empty", bprime_lines.header, 1)
     lineno, head = bprime_lines[0]
     keyword, *rest = head.split(None, 1)
     if keyword != "variables":

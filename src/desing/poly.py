@@ -622,9 +622,13 @@ class _Text:
 
 def parse_polynomial(text, variables, field, line=1):
     """Parse the ASCII syntax: identifiers, ^, *, +, -, rationals a/b.
-    Over Q(alpha) the text is read over Q with alpha as one more variable."""
+    Over Q(alpha) the text is read over Q with alpha as one more variable,
+    so alpha may not be one of ``variables``."""
     variables = tuple(variables)
     ext = isinstance(field, SimpleExtension)
+    if ext and field.gen in variables:
+        raise ParseError(f"field generator {field.gen!r} is also a variable",
+                         line, 1)
     src = _Text(text, variables + (field.gen,) if ext else variables,
                 QQ if ext else field, line)
     poly, i = _parse_sum(src, 0)

@@ -744,6 +744,37 @@ def test_cli_repeated_name_is_parse_error(tmp_path, capsys, subcommand,
     assert err.startswith("error: ") and repeated in err
 
 
+@pytest.mark.parametrize("subcommand,text,message", [
+    ("groebner", "[field]\nQ(r) r^2 - 2\n[variables]\nring r y\n"
+     "[ideal]\nr^2 - y\n",
+     "line 6, column 1: field generator 'r' is also a variable"),
+    ("gnd", "[field]\nQ\n[series-field]\nQ(x) x^2 - 2\n[variables]\n"
+     "base x\nalgebra Y1\n[ideal]\nY1^2 - 2*x^2\n[morphism]\n"
+     "Y1 = x + O(x^8)\n",
+     "line 11, column 1: field generator 'x' is also a variable"),
+], ids=["field", "series-field"])
+def test_cli_field_generator_is_not_a_variable(tmp_path, capsys, subcommand,
+                                               text, message):
+    # a name read as a variable and as the generator at once would make
+    # every answer over the field wrong
+    inp = write(tmp_path, "in.problem", text)
+    assert main([subcommand, "--input", inp]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand,text,message", [
+    ("lift", LIFT_1.replace("target 8", "target abc"),
+     "line 11, column 1: option target must be an integer"),
+    ("groebner", "[field]\n[variables]\nring x y\n[ideal]\nx - y\n",
+     "line 1, column 1: section [field] is empty"),
+], ids=["option", "empty-field"])
+def test_cli_problem_error_names_its_line(tmp_path, capsys, subcommand, text,
+                                          message):
+    inp = write(tmp_path, "in.problem", text)
+    assert main([subcommand, "--input", inp]) == 2
+    assert message in capsys.readouterr().err
+
+
 LINEAR_FACTOR_1X2 = {"matrix": "x ; x^2", "rhs": "x",
                      "solution": "1 + O(x^4)\n1 - x + O(x^4)"}
 

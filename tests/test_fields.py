@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from desing.errors import DomainError
-from desing.fields import QQ, PrimeField, SimpleExtension, is_irreducible_over_q
+from desing.errors import DomainError, ResourceError
+from desing.fields import (MAX_EXTENSION_DEGREE, QQ, PrimeField,
+                           SimpleExtension, is_irreducible_over_q)
 from desing.gnd import desingularize
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import (PACKED_MIN_PAIRS, CompletionMorphism,
@@ -107,6 +108,92 @@ def test_irreducibility_kronecker_path():
     # (t^2 + 1)(t^2 + 2) is reducible modulo every prime, so no modular
     # certificate exists and trial factorization must find t^2 + 2
     assert not is_irreducible_over_q([2, 0, 3, 0, 1])
+    # irreducible, and reducible modulo every prime
+    assert is_irreducible_over_q([1, 0, 0, 0, 0, 0, 0, 0, 1])
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_minimal_polynomial_above_the_degree_bound_is_refused():
+    d = MAX_EXTENSION_DEGREE + 1
+    dense = list(range(2, d + 2)) + [1]
+    for mu in (dense, [1] + [0] * (d - 1) + [1]):
+        with pytest.raises(DomainError, match=f"above the bound {d - 1}"):
+            is_irreducible_over_q(mu)
+        with pytest.raises(DomainError, match=f"above the bound {d - 1}"):
+            SimpleExtension(QQ, mu)
+    # at the bound, the modular certificate decides
+    assert is_irreducible_over_q([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9,
+                                  3, 1])
+
+
+@pytest.mark.parametrize("mu,irreducible", [
+    # (r^4 - 3r^3 + r^2 - 3r + 1)(r^4 + r^3 - r^2 + 3)
+    (_times([1, -3, 1, -3, 1], [3, 0, -1, 1, 1]), False),
+    # irreducible, and reducible modulo every prime
+    ([1] + [0] * 15 + [1], True),
+    # r^4 + 4a^4 with a = 10^7: a Sophie Germain product whose values have
+    # a square root of 2*10^14
+    ([4 * 10 ** 28, 0, 0, 0, 1], False),
+    # a degree-7 product whose factor lies deep in the Kronecker search
+    ([12, -21, 19, -5, -12, -3, 1, 1], False),
+], ids=["two-quartics", "r16+1", "sophie-germain", "degree-7"])
+def test_hostile_minimal_polynomial_is_decided_or_out_of_budget(mu,
+                                                                irreducible):
+    # the Kronecker search counts candidates and trial divisors against
+    # one budget, so each ends, with the right answer if it decides
+    try:
+        assert is_irreducible_over_q(mu) is irreducible
+    except ResourceError as e:
+        assert "budget" in str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), data=st.data())
+def test_eisenstein_polynomials_are_irreducible(p, data):
+    # one in a few thousand is reducible modulo every prime and needs more
+    # Kronecker steps than the budget (x^8 + 6x^7 + 6x^6 + 9x^4 - 9x^3 +
+    # 6x^2 + 6x + 3 does); it may run out of budget, never answer False
+    d = data.draw(st.integers(2, 8))
+    middle = data.draw(st.lists(st.integers(-3, 3), min_size=d - 1,
+                                max_size=d - 1))
+    unit = data.draw(st.integers(-4, 4).filter(lambda u: u % p))
+    try:
+        assert is_irreducible_over_q([p * unit] + [p * c for c in middle]
+                                     + [1]) is True
+    except ResourceError:
+        pass
+
+
+_monic = st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.integers(-6, 6), min_size=d, max_size=d).map(lambda c: c + [1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_monic, g=_monic)
+def test_products_are_never_reported_irreducible(f, g):
+    try:
+        assert is_irreducible_over_q(_times(f, g)) is False
+    except ResourceError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.sampled_from([(-2, 0, 1), (-2, 0, 0, 1), (1, 0, 0, 0, 1)]),
+       data=st.data())
+def test_extension_inverse(mu, data):
+    K = SimpleExtension(QQ, mu, gen="r")
+    a = K.from_coeffs(data.draw(st.lists(
+        st.fractions(max_denominator=50).filter(lambda q: abs(q) < 1000),
+        min_size=K.degree, max_size=K.degree)))
+    assume(not K.is_zero(a))
+    assert K.mul(a, K.invert(a)) == K.one()
 
 
 def test_extension_characteristic_and_format():

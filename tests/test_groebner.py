@@ -335,10 +335,11 @@ def test_groebner_is_deterministic():
     assert a.elements == b.elements
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(groebner, "SPAIR_BUDGET", 1)
     I = ideal("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")
-    with pytest.raises(ResourceError):
-        buchberger(I, DEGREVLEX, budget=1)
+    with pytest.raises(ResourceError, match="S-pair budget 1 exceeded"):
+        buchberger(I, DEGREVLEX)
 
 
 def test_ideal_member():
