@@ -192,8 +192,8 @@ class ProblemFile:
                              1) from None
 
     def order(self, override=None):
-        _, name = self.options.get("order", (None, "degrevlex"))
-        return order_from_name(override or name)
+        lineno, name = self.options.get("order", (None, "degrevlex"))
+        return order_from_name(override or name, None if override else lineno)
 
 
 def parse_problem(text):
@@ -263,7 +263,7 @@ def parse_ideal_output(text, header="ideal"):
     lines = sections.get(header, [])
     order = None
     if lines and lines[0][1].startswith("order "):
-        order = order_from_name(lines[0][1].split(None, 1)[1])
+        order = order_from_name(lines[0][1].split(None, 1)[1], lines[0][0])
         lines = lines[1:]
     gens = _items(header, lines, lambda text, lineno:
                   parse_polynomial(text, ring, F, lineno))

@@ -86,12 +86,12 @@ def block_order(split, first=DEGREVLEX, second=DEGREVLEX):
     return MonomialOrder("block", split, (first, second))
 
 
-def order_from_name(name):
+def order_from_name(name, line=None):
     if name == "lex":
         return LEX
     if name == "degrevlex":
         return DEGREVLEX
-    raise ParseError(f"unknown monomial order {name!r}")
+    raise ParseError(f"unknown monomial order {name!r}", line, 1)
 
 
 def compare(m1, m2, order):

@@ -3,6 +3,9 @@ the data (f, M, N, d') that seeds the desingularization pipeline.
 
 The base ring is k[x] localized at (x); localization only shows up through
 unit tests on constant terms, so all ideal computations happen in k[x, Y].
+
+Determinants and adjugates (polynomial or series entries) come from one
+division-free characteristic polynomial, Berkowitz's, O(n^4) ring operations.
 """
 
 import itertools
@@ -21,58 +24,70 @@ MAX_SUBSET_SIZE = 4
 
 
 # ---------------------------------------------------------------------------
-# polynomial matrices
+# matrices over polynomials or series
 
 def matrix_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, inner):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[_dot(row, col) for col in zip(*B)] for row in A]
+
+
+def _dot(u, v, acc=None):
+    """acc plus the products u_i·v_i that have no None (zero) factor."""
+    for a, b in zip(u, v):
+        if a is not None and b is not None:
+            acc = a * b if acc is None else acc + a * b
+    return acc
+
+
+def _berkowitz(A, adjugate=False):
+    """(det A, adj A or None), from det(Id + t·A) = sum e_i·t^i, e_0 = 1:
+    det(Id + t·A_(k+1)) is det(Id + t·A_k) times 1 + a·t - R·C·t^2 +
+    R·A_k·C·t^3 - ... mod t^(k+2), where A_k is the leading k x k block,
+    a = A[k][k], R = A[k][:k] and C the column above a; det A = e_n and
+    adj A = sum e_i·(-A)^(n-1-i).  Zeros are skipped, so series entries are
+    first cut to their least precision (Berkowitz, IPL 18, 1984).
+    """
+    n = len(A)
+    if n == 0 or any(len(row) != n for row in A):
+        raise StructuralError("determinant of an empty or non-square matrix")
+    a = A[0][0]
+    if isinstance(a, TruncatedSeries):
+        prec = min(x.precision for row in A for x in row)
+        A = [[x if x.precision == prec else x.truncate(prec) for x in row]
+             for row in A]
+        zero = TruncatedSeries.zero(a.variables, a.field, prec)
+    else:
+        zero = Polynomial.zero(a.variables, a.field)
+    M = [[None if x.is_zero() else x for x in row] for row in A]
+    e = [None] * n                      # e[i] = e_(i+1); None for zero
+    for k, row in enumerate(M):
+        col, q = [r[k] for r in M[:k]], [row[k]]
+        for j in range(k):
+            col = [_dot(r, col) for r in M[:k]] if j else col
+            s = _dot(row, col)
+            q.append(-s if s is not None and j % 2 == 0 else s)
+        # the determinant alone needs only e_n of the last step
+        for i in range(k, -1 if adjugate or k < n - 1 else k - 1, -1):
+            c = q[i] if e[i] is None else e[i] if q[i] is None else e[i] + q[i]
+            e[i] = _dot(e[:i], q[i - 1::-1], c)
+    det = zero if e[-1] is None else e[-1]
+    if not adjugate:
+        return det, None
+    minus = [[None if x is None else -x for x in row] for row in M]
+    B = [[zero ** 0 if i == j else None for j in range(n)] for i in range(n)]
+    for c in e[:-1]:                    # Horner: B·(-A) + e_i·Id
+        B = [[_dot(row, col, c if i == j else None) for j, col in
+              enumerate(zip(*minus))] for i, row in enumerate(B)]
+    return det, [[zero if b is None else b for b in row] for row in B]
 
 
 def matrix_det(A):
-    """Determinant by Laplace expansion along the first row, over any ring
-    element type with +, -, * and is_zero(): polynomials and series alike."""
-    n = len(A)
-    if n == 0:
-        raise StructuralError("determinant of an empty matrix")
-    if any(len(row) != n for row in A):
-        raise StructuralError("determinant of a non-square matrix")
-    if n == 1:
-        return A[0][0]
-    det = None
-    for j in range(n):
-        if A[0][j].is_zero():
-            continue
-        sub = [[row[k] for k in range(n) if k != j] for row in A[1:]]
-        term = A[0][j] * matrix_det(sub)
-        if j % 2:
-            term = -term
-        det = term if det is None else det + term
-    return A[0][0] if det is None else det
+    """det A, for polynomial and series entries alike."""
+    return _berkowitz(A)[0]
 
 
 def matrix_adjugate(A):
-    """adj(A) with A·adj(A) = det(A)·Id; cofactor transpose."""
-    n = len(A)
-    if n == 1:
-        one = Polynomial.one(A[0][0].variables, A[0][0].field)
-        return [[one]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [[A[r][c] for c in range(n) if c != j]
-                   for r in range(n) if r != i]
-            cof = matrix_det(sub)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
+    """adj(A) with A·adj(A) = adj(A)·A = det(A)·Id."""
+    return _berkowitz(A, adjugate=True)[1]
 
 
 def identity_matrix(n, variables, fld):
@@ -203,18 +218,13 @@ def bordered_jacobian(fs, yvars, witness):
     block A needs an adjugate.
     """
     r, n = len(fs), len(yvars)
-    ring, F = fs[0].variables, fs[0].field
-    one, zero = Polynomial.one(ring, F), Polynomial.zero(ring, F)
-    H = jacobian(fs, yvars)
-    adj_A = matrix_adjugate([row[:r] for row in H])
-    adj_AC = matrix_mul(adj_A, [row[r:] for row in H])
-    det_A = matrix_mul([H[0][:r]], adj_A)[0][0]     # (A·adj A)[0][0]
+    eye = identity_matrix(n, fs[0].variables, fs[0].field)
+    H = jacobian(fs, yvars) + eye[r:]
+    det_A, adj_A = _berkowitz([row[:r] for row in H[:r]], adjugate=True)
+    adj_AC = matrix_mul(adj_A, [row[r:] for row in H[:r]])
     adj = [a + [-e for e in c] for a, c in zip(adj_A, adj_AC)]
-    for i in range(r, n):
-        H.append([one if j == i else zero for j in range(n)])
-        adj.append([det_A if j == i else zero for j in range(n)])
-    G = [[witness * entry for entry in row] for row in adj]
-    return H, G
+    adj += [eye[i][:i] + [det_A] + eye[i][i + 1:] for i in range(r, n)]
+    return H, [[witness * entry for entry in row] for row in adj]
 
 
 def minor_ideal(relations, variables, ring_variables=None, fld=None):

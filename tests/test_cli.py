@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -91,8 +92,14 @@ def test_cli_groebner_round_trip(tmp_path):
                 "[ideal]\nx^2 + y^2\nx*y\n")
     out = str(tmp_path / "out.txt")
     assert main(["groebner", "--input", inp, "--output", out]) == 0
-    gb = parse_ideal_output(open(out).read(), header="groebner")
+    text = open(out).read()
+    gb = parse_ideal_output(text, header="groebner")
     assert {str(g) for g in gb.elements} == {"x^2 + y^2", "x*y", "y^3"}
+    # an unknown order line is refused at its own line
+    bad = text.replace("order degrevlex", "order foo")
+    line = bad.splitlines().index("order foo") + 1
+    with pytest.raises(ParseError, match=f"^line {line}, column 1: unknown"):
+        parse_ideal_output(bad, header="groebner")
 
 
 def test_cli_quotient(tmp_path):
@@ -707,6 +714,32 @@ def test_cli_module_iso(tmp_path):
     assert "candidate accepted" in open(out).read()
 
 
+def dense_module_iso(n):
+    """u = v = a row of n ones and the candidate X = Id + x·c·(1, ..., 1)
+    with c = (1, ..., 1, -(n - 1)): u·X = u and det X = 1, so Y = Z = W = 1
+    complete it, and every entry of X is nonzero."""
+    row = " ; ".join(["1 + O(x^8)"] * n)
+    lines = ["[field]", "Q", "[variables]", "base x", "[umatrix]", row,
+             "[vmatrix]", row, "[candidate]"]
+    for i in range(1, n + 1):
+        c = 1 if i < n else 1 - n
+        lines += [f"X{i}_{j} = {'1 + ' if i == j else ''}{c}*x + O(x^8)"
+                  for j in range(1, n + 1)]
+    lines += ["Y1_1 = 1 + O(x^8)", "Z1_1 = 1 + O(x^8)", "W = 1 + O(x^8)"]
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_module_iso_large_dense_candidate(tmp_path):
+    # det X over a dense 10 x 10 X: a Laplace expansion takes 10! products
+    # (about 100 s), the division-free determinant well under a second
+    inp = write(tmp_path, "in.problem", dense_module_iso(10))
+    out = str(tmp_path / "out.txt")
+    start = time.monotonic()
+    assert main(["module-iso", "--input", inp, "--output", out]) == 0
+    assert time.monotonic() - start < 10
+    assert "candidate accepted" in open(out).read()
+
+
 MODULE_ISO_1X1 = ("[field]\nQ\n[variables]\nbase x\n"
                   "[umatrix]\nx + O(x^8)\n[vmatrix]\nx + O(x^8)\n"
                   "[candidate]\nX1_1 = 1 + O(x^8)\nY1_1 = 1 + O(x^8)\n"
@@ -767,7 +800,10 @@ def test_cli_field_generator_is_not_a_variable(tmp_path, capsys, subcommand,
      "line 11, column 1: option target must be an integer"),
     ("groebner", "[field]\n[variables]\nring x y\n[ideal]\nx - y\n",
      "line 1, column 1: section [field] is empty"),
-], ids=["option", "empty-field"])
+    ("groebner", "[field]\nQ\n[variables]\nring x y\n[ideal]\nx - y\n"
+     "[options]\norder foo\n",
+     "line 8, column 1: unknown monomial order 'foo'"),
+], ids=["option", "empty-field", "order"])
 def test_cli_problem_error_names_its_line(tmp_path, capsys, subcommand, text,
                                           message):
     inp = write(tmp_path, "in.problem", text)

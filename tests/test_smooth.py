@@ -3,10 +3,11 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from desing.errors import (DomainError, PrecisionError, ResourceError,
                            StructuralError)
-from desing.fields import QQ
+from desing.fields import QQ, PrimeField
 from desing.groebner import IdealPresentation, ideal_equal, ideal_member
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import CompletionMorphism, TruncatedSeries, parse_series
@@ -43,6 +44,97 @@ def node_morphism(precision=24):
 # ---------------------------------------------------------------------------
 # matrices
 
+def laplace_det(A):
+    """Reference determinant: Laplace expansion along the first row, with
+    no entry skipped, so over series its precision is the least of all
+    the entries."""
+    if len(A) == 1:
+        return A[0][0]
+    det = None
+    for j, a in enumerate(A[0]):
+        term = a * laplace_det([row[:j] + row[j + 1:] for row in A[1:]])
+        term = -term if j % 2 else term
+        det = term if det is None else det + term
+    return det
+
+
+def cofactor_adjugate(A):
+    """Reference adjugate: the transposed matrix of signed cofactors."""
+    n = len(A)
+    if n == 1:
+        a = A[0][0]
+        if isinstance(a, TruncatedSeries):
+            return [[TruncatedSeries.one(a.variables, a.field, a.precision)]]
+        return [[Polynomial.one(a.variables, a.field)]]
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cof = laplace_det([row[:j] + row[j + 1:]
+                               for r, row in enumerate(A) if r != i])
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return adj
+
+
+GF = PrimeField(32003)
+
+
+@st.composite
+def _square_matrices(draw):
+    """An n x n matrix, n = 1..5, over Q[x, y], GF(32003)[x, y] or Q[[x]]
+    (each series at its own precision 1..8), with entries of up to three
+    terms; a sparse matrix has about three zeros in four entries, like the
+    Jacobians the engine takes minors of."""
+    kind = draw(st.sampled_from(("Q", "GF", "series")))
+    n = draw(st.integers(1, 5))
+    sparse = draw(st.booleans())
+    field = GF if kind == "GF" else QQ
+    coeff = (st.integers(1, field.p - 1) if kind == "GF" else
+             st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                       st.integers(1, 4)))
+    variables = ("x",) if kind == "series" else ("x", "y")
+    monos = st.tuples(*[st.integers(0, 2)] * len(variables))
+
+    def entry():
+        size = 0 if sparse and draw(st.integers(0, 3)) else 3
+        terms = draw(st.dictionaries(monos, coeff, max_size=size))
+        if kind == "series":
+            return TruncatedSeries(variables, field, terms,
+                                   draw(st.integers(1, 8)))
+        return Polynomial(variables, field, terms)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _same_to_precision(got, want):
+    """Equal polynomials, or a series no more precise than every entry of
+    the matrix had (``got.precision`` is checked by the caller) whose
+    terms are those of ``want`` below that precision."""
+    if isinstance(got, TruncatedSeries):
+        return got == want.truncate(got.precision)
+    return got == want
+
+
+@settings(max_examples=250, deadline=None)
+@given(_square_matrices())
+def test_det_and_adjugate_match_the_cofactor_reference(A):
+    n = len(A)
+    det, adj = matrix_det(A), matrix_adjugate(A)
+    ref_det, ref_adj = laplace_det(A), cofactor_adjugate(A)
+    if isinstance(det, TruncatedSeries):
+        least = min(a.precision for row in A for a in row)
+        assert det.precision <= least
+        assert all(e.precision <= least for row in adj for e in row)
+    assert _same_to_precision(det, ref_det)
+    assert all(_same_to_precision(e, ref) for row, ref_row in zip(adj, ref_adj)
+               for e, ref in zip(row, ref_row))
+    # A·adj(A) = adj(A)·A = det(A)·Id
+    for prod in (matrix_mul(A, adj), matrix_mul(adj, A)):
+        for i in range(n):
+            for j in range(n):
+                want = det if i == j else det - det
+                assert (prod[i][j] - want).is_zero()
+
+
 def test_matrix_algebra():
     A = [[pp("x"), pp("Y1")], [pp("0"), pp("Y2")]]
     assert matrix_det(A) == pp("x*Y2")
@@ -54,7 +146,9 @@ def test_matrix_algebra():
 
 
 def test_bordered_jacobian_block_adjugate():
-    # G from the r x r block adjugate equals N·adj(H) over the whole of H
+    # G from the r x r block adjugate equals N·adj(H) over the whole of H,
+    # with adj(H) from the cofactor reference, and det(H) is the minor M
+    # of the first r columns
     rng = random.Random(7)
     for n in range(2, 5):
         ring = ("x",) + tuple(f"Y{i + 1}" for i in range(n))
@@ -68,8 +162,10 @@ def test_bordered_jacobian_block_adjugate():
                     tuple(rng.randrange(2) for _ in ring): Fraction(2)})
                 H, G = bordered_jacobian(fs, ring[1:], witness)
                 assert len(H) == n and all(len(row) == n for row in H)
-                full = matrix_scale(matrix_adjugate(H), witness)
+                full = matrix_scale(cofactor_adjugate(H), witness)
                 assert matrix_equal(G, full)
+                assert matrix_det(H) == laplace_det([row[:r]
+                                                     for row in H[:r]])
 
 
 def test_matrix_det_truncated_series():
