@@ -547,26 +547,10 @@ class SimpleExtension(Field):
         raise StructuralError(f"cannot coerce element of {other} into {self}")
 
     def format(self, a):
-        parts = []
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(QQ.format(c))
-            else:
-                mono = self.gen if i == 1 else f"{self.gen}^{i}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{QQ.format(c)}*{mono}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        from .poly import Polynomial, format_polynomial
+        return format_polynomial(Polynomial._nonzero(
+            (self.gen,), QQ, {(i,): c for i, c in enumerate(a) if c}),
+            ascending=True)
 
     def format_atomic(self, a):
         return sum(1 for c in a if c != 0) <= 1 and all(c >= 0 for c in a)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .fields import SimpleExtension
-from .groebner import _fresh_name, division, ideal_member
+from .groebner import _fresh_name, division
 from .poly import (DEGREVLEX, Polynomial, check_power_budget,
                    ring_substitution)
 from .series import (CompletionMorphism, TruncatedSeries, series_eval,
@@ -118,7 +118,9 @@ def border_step(B, v, data):
     Z = _fresh_name("Z", B.ring_variables())
     ring1 = (B.base_var,) + B.variables + (Z,)
     zpoly = Polynomial.variable(ring1, B.field, Z)
-    frp1 = -data.dprime.embed(ring1) + data.pprime.embed(ring1) * zpoly
+    dprime, pprime = data.dprime.embed(ring1), data.pprime.embed(ring1)
+    pprime_z = pprime * zpoly
+    frp1 = -dprime + pprime_z
     B1 = AlgebraPresentation(base_var=B.base_var,
                              variables=B.variables + (Z,),
                              field=B.field,
@@ -132,16 +134,17 @@ def border_step(B, v, data):
     img = v1.eval(frp1)
     if not img.is_zero():
         raise PrecisionError("bordered relation does not vanish on the images")
-    minor1 = data.minor.embed(ring1) * data.pprime.embed(ring1)
+    minor1 = data.minor.embed(ring1) * pprime
     witness1 = data.witness.embed(ring1) * zpoly * zpoly
-    d = data.dprime.embed(ring1) * data.dprime.embed(ring1)
+    d = dprime * dprime
     P = minor1 * witness1
-    if not ideal_member(d - P, B1.ideal()):
+    # d - P = d'^2 - (P'Z)^2 = -frp1·(d' + P'Z) puts d - P in the ideal
+    if d - P != -frp1 * (dprime + pprime_z):
         raise ConsistencyError("d - P is not in the bordered ideal")
     data1 = DesingData(subset=data.subset + (len(B1.relations) - 1,),
                        columns=data.columns + (len(B.variables),),
                        minor=minor1, witness=witness1, c=data.c,
-                       dprime=data.dprime.embed(ring1), z=z, pprime=P)
+                       dprime=dprime, z=z, pprime=P)
     return BorderStep(algebra=B1, morphism=v1, data=data1, zvar=Z,
                       frp1=frp1, d=d, P=P)
 
@@ -581,10 +584,8 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Full pipeline; returns a certificate carrying its own verification."""
     if B.field.characteristic() != 0:
         raise DomainError("pipeline requires characteristic zero")
-    images = {}
-    B0 = reduce_until_nonvanishing(B, v, subset_budget=subset_budget,
-                                   images=images)
-    data = find_desing_data(B0, v, subset_budget, images)
+    B0 = reduce_until_nonvanishing(B, v, subset_budget=subset_budget)
+    data = find_desing_data(B0, v, subset_budget)
     D = make_D(v, B0.ring_variables())
     if data.c == 0:
         cert = _short_circuit_certificate(B0, v, data, D)

@@ -397,7 +397,7 @@ def buchberger(ideal, order=DEGREVLEX):
         return GroebnerBasis(order, [])
 
     def run(ring):
-        basis = _buchberger([ring.pack(g).monic() for g in gens], order)
+        basis = _buchberger([ring.pack(g) for g in gens], order)
         return [ring.unpack(g.terms, gens[0].variables) for g in basis]
 
     return GroebnerBasis(order, _on_packed(order, gens, run))
@@ -437,7 +437,6 @@ def _buchberger(G, order):
         r = division(s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero():
             continue
-        r = r.monic()
         G.append(r)
         add(r)
     return _reduce_basis(G)
@@ -534,11 +533,7 @@ def ideal_intersection(I, J, order=DEGREVLEX):
     onem = Polynomial.one(work_vars, F) - tp
     gens = [tp * g.embed(work_vars) for g in I.generators]
     gens += [onem * g.embed(work_vars) for g in J.generators]
-    inner = IdealPresentation(work_vars, F, gens)
-    elim = eliminate(inner, {t}, order)
-    # result already lives in the original ring variables
-    return IdealPresentation(I.variables, F,
-                             [g.embed(I.variables) for g in elim.generators])
+    return eliminate(IdealPresentation(work_vars, F, gens), {t}, order)
 
 
 def divide_exact_poly(f, g, order=DEGREVLEX):
@@ -588,22 +583,13 @@ def saturate(I, f, order=DEGREVLEX):
     wp = Polynomial.variable(work_vars, F, w)
     gens = [g.embed(work_vars) for g in I.generators]
     gens.append(Polynomial.one(work_vars, F) - wp * f.embed(work_vars))
-    inner = IdealPresentation(work_vars, F, gens)
-    elim = eliminate(inner, {w}, order)
-    return IdealPresentation(I.variables, F,
-                             [g.embed(I.variables) for g in elim.generators])
+    return eliminate(IdealPresentation(work_vars, F, gens), {w}, order)
 
 
 def radical_member(f, I, order=DEGREVLEX):
-    """f ∈ √I iff 1 ∈ I + (1 − w·f) in the extended ring (Rabinowitsch)."""
-    w = _fresh_name("w_", I.variables)
-    work_vars = (w,) + I.variables
-    F = I.field
-    wp = Polynomial.variable(work_vars, F, w)
-    gens = [g.embed(work_vars) for g in I.generators]
-    gens.append(Polynomial.one(work_vars, F) - wp * f.embed(work_vars))
-    gb = buchberger(gens, block_order(1, DEGREVLEX, order))
-    return ideal_member(Polynomial.one(work_vars, F), gb)
+    """f ∈ √I iff 1 ∈ (I : f^∞) (Rabinowitsch); 0 lies in every radical."""
+    return f.is_zero() or ideal_member(I.ring_one(), saturate(I, f, order),
+                                       order)
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,6 @@ class MonomialOrder:
                     self.inner[1].key(exps[self.split:]))
         raise StructuralError(f"unknown order kind {self.kind}")
 
-    def reverse_key(self, exps):
-        """``key`` with every integer negated: ascending reverse keys are
-        descending monomials, so a min-heap on them pops the largest."""
-        if self.kind == "lex":
-            return tuple(map(operator.neg, exps))
-        if self.kind == "degrevlex":
-            return (-sum(exps), exps[::-1])
-        if self.kind == "block":
-            return (self.inner[0].reverse_key(exps[:self.split]),
-                    self.inner[1].reverse_key(exps[self.split:]))
-        raise StructuralError(f"unknown order kind {self.kind}")
-
     def __str__(self):
         if self.kind == "block":
             return f"block({self.split};{self.inner[0]},{self.inner[1]})"

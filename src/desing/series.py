@@ -573,13 +573,17 @@ def series_eval(poly, assignment, precision=None):
 @dataclass
 class CompletionMorphism:
     """Morphism into the truncated completion, given by series images of the
-    algebra variables over the base variable; ``eval`` uses one point."""
+    algebra variables over the base variable.  ``eval`` uses one point and
+    keeps one value per polynomial, so a polynomial that the witness
+    search, the reduction and the checks all read is evaluated once."""
 
     base_var: str
     field: object
     images: dict
     precision: int = 0
     point: Substitution = dc_field(init=False, repr=False, compare=False)
+    _values: dict = dc_field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         for name, s in self.images.items():
@@ -599,7 +603,10 @@ class CompletionMorphism:
         self.point = series_point(images)
 
     def eval(self, poly):
-        return series_eval(poly, self.point)
+        value = self._values.get(poly)
+        if value is None:
+            value = self._values[poly] = series_eval(poly, self.point)
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ unit tests on constant terms, so all ideal computations happen in k[x, Y].
 
 Determinants and adjugates (polynomial or series entries) come from one
 division-free characteristic polynomial, Berkowitz's, O(n^4) ring operations.
+
+The witness search and the reduction test candidates by evaluation alone:
+v factors through B = A[Y]/I, so a member of I has image zero and is
+skipped like any candidate whose image vanishes.  Groebner bases appear
+only in the subset table's ((f):I) and on the no-progress error path.
 """
 
 import itertools
@@ -294,45 +299,33 @@ def best_witness(B, evaluate, subset_budget=DEFAULT_SUBSET_BUDGET):
     """The candidate P' = M·N of least order(evaluate(P')), or None.
 
     M runs over the nonzero minors of each generator subset f and N over
-    the reduced-GB generators of ((f):I); P' must lie outside I and its
-    value must not vanish to precision.  Ties go to the first in search
-    order; order 0 ends the search.  Returns
-    (order, subset, columns, M, N, value).
+    the reduced-GB generators of ((f):I); a candidate whose value vanishes
+    to precision is skipped, as is every member of I when ``evaluate``
+    kills I.  Ties go to the first in search order; order 0 ends the
+    search.  Returns (order, subset, columns, M, N, value).
     """
-    ideal_gb = buchberger(B.ideal(), DEGREVLEX)
     best = None
     for row in B.subset_table(subset_budget):
         for cols, minor in row.minors:
             for witness in row.quotient:
-                pprime = minor * witness
-                if ideal_member(pprime, ideal_gb):
-                    continue
-                value = evaluate(pprime)
+                value = evaluate(minor * witness)
                 c = value.order()
-                if c is None:
-                    continue
-                if best is None or c < best[0]:
+                if c is not None and (best is None or c < best[0]):
                     best = (c, row.subset, cols, minor, witness, value)
         if best is not None and best[0] == 0:
             break
     return best
 
 
-def find_desing_data(B, v, subset_budget=DEFAULT_SUBSET_BUDGET, images=None):
+def find_desing_data(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Deterministic search for the witness with minimal vanishing order c
     = order(v(M·N)); see best_witness for the candidates and tie-break.
-
-    ``images`` is the dict that reduce_until_nonvanishing(B, v) filled: it
-    has checked that v kills I, so the check is not repeated, and a
-    candidate it evaluated is not evaluated again."""
-    if images is None:
-        check_morphism(B, v)
-        images = {}
+    v must kill I (checked first)."""
+    check_morphism(B, v)
     if not B.relations:
         # polynomial algebra: the empty system has unit minor
         return _trivial_data(B, v)
-    best = best_witness(
-        B, lambda p: images[p] if p in images else v.eval(p), subset_budget)
+    best = best_witness(B, v.eval, subset_budget)
     if best is None:
         raise DomainError(
             "smoothing ideal vanishes on the images to precision; "
@@ -360,24 +353,22 @@ def _trivial_data(B, v):
                       dprime=one, z=z)
 
 
-def reduce_until_nonvanishing(B, v, cap=5, subset_budget=DEFAULT_SUBSET_BUDGET,
-                              images=None):
+def reduce_until_nonvanishing(B, v, cap=5,
+                              subset_budget=DEFAULT_SUBSET_BUDGET):
     """Replace B by B/(smoothing ideal) while its image under v vanishes.
-    v kills I (checked first), so only generators outside I are evaluated;
-    their images go into the dict ``images`` when one is given."""
+    v kills I (checked first), so a member of I has image zero and the
+    first generator with a nonzero image ends the search; a basis of I is
+    computed only when every image vanishes, to tell a step from no
+    progress."""
     check_morphism(B, v)
-    images = {} if images is None else images
     current = B
     iterations = 0
     while True:
         H = smoothing_ideal(current, subset_budget)
+        if any(not v.eval(g).is_zero() for g in H.generators):
+            return current
         ideal_gb = buchberger(current.ideal(), DEGREVLEX)
-        outside = [g for g in H.generators if not ideal_member(g, ideal_gb)]
-        for g in outside:
-            images[g] = v.eval(g)
-            if not images[g].is_zero():
-                return current
-        if not outside:
+        if all(ideal_member(g, ideal_gb) for g in H.generators):
             raise DomainError(
                 "smoothing ideal lies in I (no progress): the codimension "
                 f"may exceed MAX_SUBSET_SIZE = {MAX_SUBSET_SIZE} or I may "

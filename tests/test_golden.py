@@ -68,6 +68,22 @@ Y1 = x^2 + O(x^12)
 Y2 = x + O(x^12)
 """
 
+# the reduction path: every image of the smoothing ideal (Y1, Y2) of
+# (Y1*Y2) vanishes, one step reaches (Y1*Y2, Y2, Y1), and that algebra is
+# smooth at v, so the certificate is a short circuit
+REDUCTION = """\
+[field]
+Q
+[variables]
+base x
+algebra Y1 Y2
+[ideal]
+Y1*Y2
+[morphism]
+Y1 = O(x^12)
+Y2 = O(x^12)
+"""
+
 LIFT_Q = """\
 [field]
 Q
@@ -253,6 +269,8 @@ GOLDEN = {
         "2fe1eb1c5d7d9ffffe2e867a4b129f118a54bd680b44410a2bed80c0a2bdf1b5",
     ("gnd", "SMOOTH"):
         "041acad824c3acc370387f55008b1dec6fea81e713dc85886a5d6aadc5add8d5",
+    ("gnd", "REDUCTION"):
+        "684964faac7e913f3bd6097a82b752447855d1fe4b911ce0d2f9f85ff56bf46c",
     ("lift", "LIFT_Q"):
         "1b0c01f97579ad1f495eaabedfb8458c944ee342a3e0161e2a3d2c1bb5091f45",
     ("lift", "LIFT_NODE"):

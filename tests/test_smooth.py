@@ -5,13 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from desing import groebner, smooth
 from desing.errors import (DomainError, PrecisionError, ResourceError,
                            StructuralError)
 from desing.fields import QQ, PrimeField
 from desing.groebner import IdealPresentation, ideal_equal, ideal_member
 from desing.poly import Polynomial, parse_polynomial
-from desing.series import CompletionMorphism, TruncatedSeries, parse_series
-from desing.smooth import (MAX_SUBSET_SIZE, AlgebraPresentation,
+from desing.gnd import border_step
+from desing.series import (CompletionMorphism, TruncatedSeries, parse_series,
+                           series_eval, series_point)
+from desing.smooth import (MAX_SUBSET_SIZE, AlgebraPresentation, best_witness,
                            bordered_jacobian, check_morphism, find_desing_data, identity_matrix,
                            is_smooth_at_point,
                            jacobian, matrix_adjugate, matrix_det, matrix_equal,
@@ -367,11 +370,11 @@ def test_reduce_until_nonvanishing_fat_point():
         reduce_until_nonvanishing(B, v)
 
 
-def test_reduce_until_nonvanishing_evaluates_only_outside_I(monkeypatch):
-    # chain k = 3: 33 generators of H, 4 of them outside I.  Evaluating H's
-    # generators in order until one is nonzero took 30 series evaluations,
-    # 29 of members of I; v kills I, so only the generators outside I are
-    # evaluated now, after one evaluation per relation of B
+def test_witness_search_makes_no_groebner_call(monkeypatch):
+    # chain k = 3.  Once the subset table holds every minor and ((f):I),
+    # nothing on the success path computes a basis or tests membership: v
+    # kills I, so a member of I evaluates to zero and is skipped, and the
+    # bordering checks d - P by its cofactor identity
     ring = ("x", "Y1", "Y2", "Y3", "Y4")
     B = AlgebraPresentation(
         base_var="x", variables=ring[1:], field=QQ,
@@ -381,16 +384,97 @@ def test_reduce_until_nonvanishing_evaluates_only_outside_I(monkeypatch):
     y1 = v.images["Y1"]
     v = CompletionMorphism(base_var="x", field=QQ,
                            images=dict(v.images, Y3=y1 ** 2, Y4=y1 ** 4))
-    evaluated = []
-    real = CompletionMorphism.eval
-    monkeypatch.setattr(CompletionMorphism, "eval",
-                        lambda self, f: evaluated.append(f) or real(self, f))
+    H = smoothing_ideal(B)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Groebner call on the witness search path")
+
+    for module in (groebner, smooth):
+        for name in ("buchberger", "ideal_member"):
+            monkeypatch.setattr(module, name, refuse)
     assert reduce_until_nonvanishing(B, v) is B
-    assert evaluated[:3] == B.relations           # check_morphism
-    H = smoothing_ideal(B).generators
-    outside = [g for g in evaluated[3:] if not ideal_member(g, B.ideal())]
-    assert evaluated[3:] == outside and len(outside) == 1
-    assert all(g in H for g in outside)
+    best = best_witness(B, v.eval)
+    data = find_desing_data(B, v)
+    assert (best[0], best[3], best[4]) == (data.c, data.minor, data.witness)
+    assert data.c == 1
+    step = border_step(B, v, data)
+    assert step.algebra.relations[-1] == step.frp1
+    monkeypatch.undo()
+    # H has members of I, which the reduction skipped by their zero images
+    assert any(ideal_member(g, B.ideal()) for g in H.generators)
+
+
+def reference_best_witness(B, evaluate, subset_budget=500):
+    """The witness search that tests every candidate for membership in I
+    before evaluating it, as the reference for best_witness."""
+    ideal_gb = groebner.buchberger(B.ideal(), groebner.DEGREVLEX)
+    best = None
+    for row in B.subset_table(subset_budget):
+        for cols, minor in row.minors:
+            for witness in row.quotient:
+                pprime = minor * witness
+                if ideal_member(pprime, ideal_gb):
+                    continue
+                value = evaluate(pprime)
+                c = value.order()
+                if c is None:
+                    continue
+                if best is None or c < best[0]:
+                    best = (c, row.subset, cols, minor, witness, value)
+        if best is not None and best[0] == 0:
+            break
+    return best
+
+
+@st.composite
+def _witness_problems(draw):
+    """(B, point, newton): relations in the ideal (Y1 - p1, Y2 - p2) of a
+    polynomial solution, and the point p + O(x^12) (which kills I), or with
+    newton, p + x^s·e + O(x^12), where every relation and so every member
+    of I has a residue of order at least s."""
+    coeff = st.integers(-2, 2)
+    ps = [pp(" + ".join(f"{draw(coeff)}*x^{k}" for k in range(3)))
+          for _ in range(2)]
+    lin = [pp(y) - p for y, p in zip(("Y1", "Y2"), ps)]
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = pp("0")
+        for _ in range(draw(st.integers(1, 2))):
+            i, j = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0),
+                                         (0, 2), (2, 1)]))
+            f = f + pp(f"{draw(coeff)}*x^{draw(st.integers(0, 2))}") * \
+                lin[0] ** i * lin[1] ** j
+        relations.append(f)
+    B = AlgebraPresentation(base_var="x", variables=("Y1", "Y2"), field=QQ,
+                            relations=relations)
+    newton = draw(st.booleans())
+    images = {"x": parse_series("x + O(x^12)", ("x",), QQ)}
+    for y, p in zip(("Y1", "Y2"), ps):
+        e = f" + {draw(st.integers(1, 3))}*x^{draw(st.integers(3, 6))}" \
+            if newton else ""
+        images[y] = parse_series(f"{p}{e} + O(x^12)", ("x",), QQ)
+    return B, series_point(images), newton
+
+
+@settings(max_examples=150, deadline=None)
+@given(_witness_problems())
+def test_best_witness_matches_the_membership_filtered_reference(problem):
+    B, point, newton = problem
+    evaluate = lambda p: series_eval(p, point)
+    want = reference_best_witness(B, evaluate)
+    got = best_witness(B, evaluate)
+    if not newton:
+        assert got == want
+        return
+    # newton_lift searches only when every residue has order >= 2c + 1 and
+    # takes a witness only of order <= c
+    orders = [o for o in (evaluate(f).order() for f in B.relations)
+              if o is not None]
+    c = (min(orders) - 1) // 2 if orders else 12
+    if want is not None and want[0] <= c:
+        assert got == want
+    else:
+        assert got is None or got[0] > c
 
 
 def test_reduce_until_nonvanishing_checks_morphism():
