@@ -489,11 +489,10 @@ class SimpleExtension(Field):
     def generator(self):
         return tuple(Fraction(int(i == 1)) for i in range(self.degree))
 
-    def from_int(self, n):
-        return (Fraction(n),) + (Fraction(0),) * (self.degree - 1)
-
     def from_fraction(self, q):
         return (Fraction(q),) + (Fraction(0),) * (self.degree - 1)
+
+    from_int = from_fraction
 
     def from_coeffs(self, coeffs):
         return self._reduce([Fraction(c) for c in coeffs])
@@ -547,10 +546,9 @@ class SimpleExtension(Field):
         raise StructuralError(f"cannot coerce element of {other} into {self}")
 
     def format(self, a):
-        from .poly import Polynomial, format_polynomial
-        return format_polynomial(Polynomial._nonzero(
-            (self.gen,), QQ, {(i,): c for i, c in enumerate(a) if c}),
-            ascending=True)
+        from .poly import alpha_polynomial, format_polynomial
+        return format_polynomial(alpha_polynomial(a, (self.gen,)),
+                                 ascending=True)
 
     def format_atomic(self, a):
         return sum(1 for c in a if c != 0) <= 1 and all(c >= 0 for c in a)

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, PrecisionError
-from .fields import SimpleExtension
+from .fields import QQ, RationalField, SimpleExtension
 from .groebner import _fresh_name, division
-from .poly import (DEGREVLEX, Polynomial, check_power_budget,
-                   ring_substitution)
+from .poly import (DEGREVLEX, Polynomial, alpha_polynomial,
+                   check_power_budget, ring_substitution, unfold_extension)
 from .series import (CompletionMorphism, TruncatedSeries, series_eval,
                      series_point)
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
@@ -49,20 +49,6 @@ class DPresentation:
             return poly
         return division(poly, [self.mu.embed(poly.variables)], DEGREVLEX)
 
-    def coeff_to_poly(self, c, variables):
-        """Rewrite a series-field coefficient as a polynomial in U."""
-        F = self.field
-        if self.ext_var is None:
-            return Polynomial.constant(variables, F, c)
-        i = variables.index(self.ext_var)
-        terms = {}
-        for e, comp in enumerate(c):
-            if comp:
-                mono = [0] * len(variables)
-                mono[i] = e
-                terms[tuple(mono)] = F.from_fraction(comp)
-        return Polynomial(variables, F, terms)
-
     def point(self, precision, images):
         """The series point that sends x to itself, U to the generator of
         the series field and each name of ``images`` to its series, all
@@ -80,10 +66,9 @@ def make_D(v, taken):
     F = v.field
     if isinstance(F, SimpleExtension):
         U = _fresh_name("U", taken)
-        mu = Polynomial((U,), F.base, {(i,): F.base.from_fraction(c)
-                                       for i, c in enumerate(F.mu) if c})
         return DPresentation(base_var=v.base_var, field=F.base,
-                             series_field=F, ext_var=U, mu=mu)
+                             series_field=F, ext_var=U,
+                             mu=alpha_polynomial(F.mu, (U,)))
     return DPresentation(base_var=v.base_var, field=F, series_field=F)
 
 
@@ -160,12 +145,10 @@ def truncate_lift(v, c, D, names, ring):
             f"need precision >= {cut} to truncate, have {v.precision}")
     out = {}
     for name in names:
-        acc = Polynomial.zero(ring, D.field)
-        for (e,), coeff in sorted(v.images[name].terms.items()):
-            if e < cut:
-                acc = acc + D.coeff_to_poly(coeff, ring) * \
-                    Polynomial.variable(ring, D.field, D.base_var, e)
-        out[name] = acc
+        terms = {m: c for m, c in v.images[name].terms.items() if m[0] < cut}
+        if D.ext_var:
+            terms = unfold_extension(terms)
+        out[name] = Polynomial(D.ring_prefix(), D.field, terms).embed(ring)
     return out
 
 
@@ -582,8 +565,8 @@ def _short_circuit_certificate(B, v, data, D):
 
 def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Full pipeline; returns a certificate carrying its own verification."""
-    if B.field.characteristic() != 0:
-        raise DomainError("pipeline requires characteristic zero")
+    if B.field != QQ or type(v.field) not in (RationalField, SimpleExtension):
+        raise DomainError("gnd needs [field] Q, [series-field] Q or Q(alpha)")
     B0 = reduce_until_nonvanishing(B, v, subset_budget=subset_budget)
     data = find_desing_data(B0, v, subset_budget)
     D = make_D(v, B0.ring_variables())

@@ -5,13 +5,15 @@ selection: the open pairs sit in one heap keyed on (lcm, i, j), so ties
 break deterministically.  Division holds the dividend as a term dict with a
 max-heap of its monomials and reduces it in place, on ints over Q (content
 form: integer numerators over one denominator) and over GF(p) (each sum
-reduced mod p once, when its monomial is popped); see ``_divide``.  Reduced
-bases are the canonical form for ideal equality.  ``ideal_quotient`` skips
-the generators of J that already lie in I, whose quotient is (1).  Module
-Groebner bases come from the same ``buchberger``: a vector is a polynomial
-linear in fresh position variables, under a block order that is
-position-over-term.  They supply kernels of polynomial matrices via the
-syzygy construction.
+reduced mod p once, when its monomial is popped); see ``_divide``.  Bases,
+division and S-polynomials over Q(alpha) = Q[alpha]/(mu) run over Q, alpha
+a last variable in a block of its own and mu one more generator
+(``_over_q``).  Reduced bases are the canonical form for ideal equality.
+``ideal_quotient`` skips the generators of J that already lie in I, whose
+quotient is (1).  Module Groebner bases come from the same ``buchberger``:
+a vector is a polynomial linear in fresh position variables, under a block
+order that is position-over-term.  They supply kernels of polynomial
+matrices via the syzygy construction.
 
 Packed monomials (Monagan-Pearce, "Sparse polynomial division using a
 heap", JSC 46, 2011).  Inside this module a monomial is one int whose
@@ -44,8 +46,10 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, ResourceError, StructuralError
-from .fields import PrimeField, RationalField, read_back, scaled_to_ints
-from .poly import DEGREVLEX, LEX, MonomialOrder, Polynomial, block_order
+from .fields import (QQ, PrimeField, RationalField, SimpleExtension,
+                     read_back, scaled_to_ints)
+from .poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial, block_order,
+                   fold_extension, unfold_extension)
 
 SPAIR_BUDGET = 100000
 
@@ -202,7 +206,7 @@ class _Packed:
         """(lead, slot_max of the tail, the tail negated), on first use.
         Over Q they are the coprime ints of a multiple of the polynomial
         whose lead is positive (so that ``_divide`` never scales by -1);
-        over other fields ``lead`` is 1/lc and the tail is in the field."""
+        over GF(p) ``lead`` is 1/lc and the tail is in the field."""
         if self._tail is None:
             F, terms = self.ring.field, self.terms
             if type(F) is RationalField:
@@ -230,19 +234,17 @@ def _divide(ring, terms, divisors, quotients=None):
     it, or moves that term to the remainder.  With ``quotients``, a dict for
     each divisor, the quotient terms go there.
 
-    Over Q and GF(p) the loop runs on ints.  Over GF(p) a sum stays
-    unreduced until its monomial is popped, and a sum that cancels is
-    skipped then like a stale entry.  Over Q the terms and the remainder are
-    ints over one denominator D (content form): before a popped numerator w
-    is cancelled against a divisor's integer lead L, the terms and D are
-    scaled by L / gcd(w, L).  The remainder is read back once.  Over any
-    other field the loop runs F.mul and F.add."""
+    The loop runs on ints.  Over GF(p) a sum stays unreduced until its
+    monomial is popped, and a sum that cancels is skipped then like a stale
+    entry.  Over Q the terms and the remainder are ints over one
+    denominator D (content form): before a popped numerator w is cancelled
+    against a divisor's integer lead L, the terms and D are scaled by
+    s = L / gcd(w, L), and then divided by the gcd of all of them, so that
+    no content builds up.  The remainder is read back once."""
     F = ring.field
-    rational = type(F) is RationalField
     p = F.p if type(F) is PrimeField else None
-    ints, zero, den = rational or p is not None, F.zero(), 1
-    mul, add = F.mul, F.add
-    if rational and Fraction in set(map(type, terms.values())):
+    den = 1
+    if p is None and Fraction in set(map(type, terms.values())):
         den, values = scaled_to_ints(terms.values())
         terms = dict(zip(terms, values))
     push, pop = heapq.heappush, heapq.heappop
@@ -254,11 +256,7 @@ def _divide(ring, terms, divisors, quotients=None):
     while heap:
         mono = -pop(heap)
         w = terms.pop(mono, None)
-        if w is None:
-            continue
-        if p:
-            w %= p
-        if w == zero:
+        if w is None or not (w % p if p else w):
             continue
         x = mono ^ cm
         for lx, d, k in leads:
@@ -269,7 +267,11 @@ def _divide(ring, terms, divisors, quotients=None):
             q = mono - d.lead           # the quotient, less the monomial 1
             if (q + top) & guard:
                 raise _Overflow
-            if rational:
+            if p:
+                qc = w * lead % p
+                if quotients is not None:
+                    quotients[k][q + cm] = qc
+            else:
                 if quotients is not None:       # (w / D) / lc
                     lc = d.terms[d.lead]
                     quotients[k].update(read_back(F, [(
@@ -277,35 +279,24 @@ def _divide(ring, terms, divisors, quotients=None):
                 h = gcd(w, lead)
                 qc, s = w // h, lead // h
                 if s != 1:
-                    den *= s
-                    terms = {m: c * s for m, c in terms.items()}
-                    rem = {m: c * s for m, c in rem.items()}
-            else:
-                qc = w * lead % p if p else mul(w, lead)
-                if quotients is not None:
-                    quotients[k][q + cm] = qc
-            if ints:
-                for m, c in tail:
-                    m += q
-                    old = terms.get(m)
-                    if old is None:
-                        terms[m] = qc * c
-                        push(heap, -m)
-                    else:
-                        terms[m] = old + qc * c
-            else:
-                for m, c in tail:
-                    m += q
-                    old = terms.get(m)
-                    if old is None:
-                        terms[m] = mul(qc, c)
-                        push(heap, -m)
-                    else:
-                        terms[m] = add(old, mul(qc, c))
+                    h = gcd(den, qc)    # a factor of s is none of qc
+                    if h != 1:
+                        h = gcd(h, *terms.values(), *rem.values())
+                    den, qc = den * s // h, qc // h
+                    terms = {m: c // h * s for m, c in terms.items()}
+                    rem = {m: c // h * s for m, c in rem.items()}
+            for m, c in tail:
+                m += q
+                old = terms.get(m)
+                if old is None:
+                    terms[m] = qc * c
+                    push(heap, -m)
+                else:
+                    terms[m] = old + qc * c
             break
         else:
             rem[mono] = w
-    return read_back(F, rem.items(), den) if ints else rem
+    return read_back(F, rem.items(), den)
 
 
 def division(f, basis, order, with_quotients=False):
@@ -315,10 +306,21 @@ def division(f, basis, order, with_quotients=False):
     term of the remainder is divisible by any divisor's leading term.  f and
     the basis are packed on entry and the results unpacked on exit; inside
     ``buchberger``, f and the basis are already packed and so is the
-    remainder.
+    remainder.  Over Q(alpha) the divisors are made monic and the division
+    runs over Q with mu last (``_over_q``): it reduces each monomial as the
+    division over Q(alpha) would; the quotients are then scaled back.
     """
     if isinstance(f, _Packed):
         return _Packed(f.ring, _divide(f.ring, dict(f.terms), basis))
+    F = f.field
+    if isinstance(F, SimpleExtension):
+        (f, *lifted), work_order, fold = _over_q(
+            [f] + [g.monic(order) for g in basis], order)
+        out = division(f, lifted, work_order, with_quotients)
+        if not with_quotients:
+            return fold(out)
+        return ([fold(q).scale(F.invert(g.leading(order)[1]))
+                 for q, g in zip(out[0], basis)], fold(out[1]))
 
     def run(ring):
         quotients = [{} for _ in basis] if with_quotients else None
@@ -332,13 +334,25 @@ def division(f, basis, order, with_quotients=False):
     return _on_packed(order, [f, *basis], run)
 
 
+def _over_q(polys, order):
+    """The polynomials over Q(alpha) = Q[alpha]/(mu), then mu, over Q with
+    alpha a fresh last variable; the order with alpha's block last; and the
+    map that folds a result back to Q(alpha)."""
+    F, variables = polys[0].field, polys[0].variables
+    ring = variables + (_fresh_name(F.gen, variables),)
+    terms = [p.terms for p in polys] + [{(0,) * len(variables): F.mu}]
+    return ([Polynomial._nonzero(ring, QQ, unfold_extension(t))
+             for t in terms], block_order(len(variables), order),
+            lambda p: Polynomial._nonzero(variables, F, fold_extension(
+                F, p.terms.items())))
+
+
 def normal_form(f, gb, order=None):
     """Remainder of f modulo a Groebner basis."""
     if isinstance(gb, GroebnerBasis):
         if order is not None and order != gb.order:
             raise StructuralError("normal form under a different order than the basis")
-        order = gb.order
-        basis = gb.elements
+        order, basis = gb.order, gb.elements
     else:
         basis = list(gb)
         order = order or DEGREVLEX
@@ -351,8 +365,13 @@ def normal_form(f, gb, order=None):
 
 def s_polynomial(f, g, order):
     """lcm/lt(f) * f - lcm/lt(g) * g for the lcm of the leading monomials.
-    Inside ``buchberger`` f and g are packed, and so is the result."""
+    Inside ``buchberger`` f and g are packed, and so is the result.  Over
+    Q(alpha) it is that of monic f and g over Q (``_over_q``), folded."""
     if not isinstance(f, _Packed):
+        if isinstance(f.field, SimpleExtension):
+            (f, g, _), work_order, fold = _over_q(
+                [f.monic(order), g.monic(order)], order)
+            return fold(s_polynomial(f, g, work_order))
         return _on_packed(order, [f, g], lambda ring: ring.unpack(
             s_polynomial(ring.pack(f), ring.pack(g), order).terms,
             f.variables))
@@ -360,25 +379,20 @@ def s_polynomial(f, g, order):
     lcm = ring.pack_monomial(map(max, ring.unpack_monomial(f.lead),
                                  ring.unpack_monomial(g.lead)))
     (mf, top_f, tail_f), (mg, top_g, tail_g) = f.tail(), g.tail()
-    qf, qg = lcm - f.lead, lcm - g.lead
+    qf, qg, den = lcm - f.lead, lcm - g.lead, 1
     if (lcm | qf + top_f | qg + top_g) & ring.guard:
         raise _Overflow
     # over Q the tails are integral with leads mf and mg: scale by mf * mg
-    ints, den = type(F) in (RationalField, PrimeField), 1
     if type(F) is RationalField:
         mf, mg, den = mg, mf, mf * mg
-    mul, add = (operator.mul, operator.add) if ints else (F.mul, F.add)
-    terms = {m + qg: mul(mg, c) for m, c in tail_g}
-    mf = -mf if ints else F.neg(mf)
+    terms = {m + qg: mg * c for m, c in tail_g}
     for m, c in tail_f:
         m += qf
-        c = mul(mf, c)
+        c *= -mf
         if m in terms:
-            c = add(terms.pop(m), c)
+            c += terms.pop(m)
         terms[m] = c
-    if ints:
-        return _Packed(ring, read_back(F, terms.items(), den))
-    return _Packed(ring, {m: c for m, c in terms.items() if not F.is_zero(c)})
+    return _Packed(ring, read_back(F, terms.items(), den))
 
 
 def buchberger(ideal, order=DEGREVLEX):
@@ -386,7 +400,8 @@ def buchberger(ideal, order=DEGREVLEX):
 
     The generators are packed once; pair selection, reduction and
     interreduction run on packed monomials, and the reduced basis is
-    unpacked once."""
+    unpacked once.  Over Q(alpha) it is the basis over Q of the generators
+    and mu (``_over_q``), which is mu and the basis over Q(alpha), less mu."""
     if isinstance(ideal, IdealPresentation):
         gens = ideal.generators
         if not ideal.variables:
@@ -395,6 +410,10 @@ def buchberger(ideal, order=DEGREVLEX):
         gens = [g for g in ideal if not g.is_zero()]
     if not gens:
         return GroebnerBasis(order, [])
+    if isinstance(gens[0].field, SimpleExtension):
+        lifted, work_order, fold = _over_q(gens, order)
+        return GroebnerBasis(order, [fold(g) for g in buchberger(
+            lifted, work_order).elements if g != lifted[-1]])
 
     def run(ring):
         basis = _buchberger([ring.pack(g) for g in gens], order)
@@ -487,17 +506,14 @@ def ideal_member(f, ideal, order=DEGREVLEX):
 
 
 def ideal_equal(I, J, order=DEGREVLEX):
-    a = buchberger(I, order).elements
-    b = buchberger(J, order).elements
-    return a == b
+    return buchberger(I, order).elements == buchberger(J, order).elements
 
 
 # ---------------------------------------------------------------------------
 # elimination-based ideal operations
 
 def _fresh_name(base, taken):
-    name = base
-    k = 0
+    name, k = base, 0
     while name in taken:
         k += 1
         name = f"{base}{k}"
@@ -514,12 +530,9 @@ def eliminate(ideal, drop, order=DEGREVLEX):
     work_vars = tuple(drop) + keep
     work_order = block_order(len(drop), DEGREVLEX, order)
     gens = [g.embed(work_vars) for g in ideal.generators]
-    gb = buchberger(gens, work_order)
-    out = []
-    for g in gb.elements:
-        if all(all(m[i] == 0 for i in range(len(drop))) for m in g.terms):
-            out.append(g.restrict(keep))
-    return IdealPresentation(keep, ideal.field, out)
+    return IdealPresentation(keep, ideal.field, [
+        g.restrict(keep) for g in buchberger(gens, work_order).elements
+        if not any(any(m[:len(drop)]) for m in g.terms)])
 
 
 def ideal_intersection(I, J, order=DEGREVLEX):
@@ -701,14 +714,9 @@ def kernel_basis(matrix, order=DEGREVLEX):
                 raise StructuralError("matrix entries in different rings")
     zero = Polynomial.zero(variables, field)
     one = Polynomial.one(variables, field)
-    augmented = []
-    for j in range(n):
-        col = [rows[i][j] for i in range(r)]
-        tag = [one if k == j else zero for k in range(n)]
-        augmented.append(tuple(col + tag))
-    gb = module_groebner(augmented, order)
-    basis = []
-    for v in gb:
-        if all(c.is_zero() for c in v[:r]):
-            basis.append(tuple(v[r:]))
-    return KernelBasis(matrix=rows, basis=basis)
+    augmented = [tuple([row[j] for row in rows]
+                       + [one if k == j else zero for k in range(n)])
+                 for j in range(n)]
+    return KernelBasis(matrix=rows, basis=[
+        tuple(v[r:]) for v in module_groebner(augmented, order)
+        if vec_is_zero(v[:r])])

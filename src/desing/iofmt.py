@@ -8,8 +8,9 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ConsistencyError, ParseError, StructuralError
 from .fields import QQ, PrimeField, SimpleExtension
 from .groebner import GroebnerBasis, IdealPresentation
-from .poly import (DEGREVLEX, Polynomial, check_power_budget,
-                   format_polynomial, order_from_name, parse_polynomial)
+from .poly import (DEGREVLEX, Polynomial, alpha_polynomial,
+                   check_power_budget, format_polynomial, order_from_name,
+                   parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
 from .smooth import AlgebraPresentation, DesingData
 from . import gnd as _gnd
@@ -63,8 +64,7 @@ def format_field(F):
     if isinstance(F, PrimeField):
         return f"GF {F.p}"
     if isinstance(F, SimpleExtension):
-        mu = Polynomial((F.gen,), QQ,
-                        {(i,): c for i, c in enumerate(F.mu) if c})
+        mu = alpha_polynomial(F.mu, (F.gen,))
         return f"Q({F.gen}) {format_polynomial(mu)}"
     raise StructuralError(f"cannot serialize field {F!r}")
 
@@ -81,12 +81,9 @@ def parse_field(text, lineno=1):
     if text.startswith("Q(") and ")" in text:
         gen, rest = text[2:].split(")", 1)
         gen = gen.strip()
-        mu_poly = parse_polynomial(rest.strip(), (gen,), QQ, lineno)
-        deg = mu_poly.degree_in(gen)
-        coeffs = [QQ.zero()] * (deg + 1)
-        for (e,), c in mu_poly.terms.items():
-            coeffs[e] = c
-        return SimpleExtension(QQ, tuple(coeffs), gen=gen)
+        mu = parse_polynomial(rest.strip(), (gen,), QQ, lineno)
+        return SimpleExtension(QQ, tuple(mu.terms.get((e,), 0) for e in range(
+            mu.degree_in(gen) + 1)), gen=gen)
     raise ParseError(f"unknown field {text!r}", lineno, 1)
 
 

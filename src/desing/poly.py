@@ -7,10 +7,11 @@ is an explicit ``embed``, never implicit.
 A product runs one loop over the term pairs for every field
 (``product_terms``):
 
-- Coefficients over Q and GF(p) are ints.  Each Q factor is scaled once by
-  the lcm of its denominators; the sums are read back once, as c // D or
-  Fraction(c, D) over Q and c mod p over GF(p).  Over Q(alpha) the loop
-  runs the field's mul and add.
+- Coefficients are ints.  Each Q factor is scaled once by the lcm of its
+  denominators; the sums are read back once, as c // D or Fraction(c, D)
+  over Q and c mod p over GF(p).  Over Q(alpha) = Q[alpha]/(mu) a factor
+  is unfolded to Q, alpha's exponent one more slot, and each monomial of
+  the product is reduced by mu once (``unfold_extension``).
 - A monomial is one int key with a slot of w bytes per variable, w the
   fewest bytes that hold max exponent of a + max exponent of b, so the key
   of a product is the sum of the keys.  Keys are packed and unpacked in C:
@@ -31,7 +32,7 @@ from itertools import repeat
 from sys import byteorder
 
 from .errors import DomainError, ParseError, ResourceError, StructuralError
-from .fields import (QQ, Field, PrimeField, RationalField, SimpleExtension,
+from .fields import (QQ, RationalField, SimpleExtension, _integral,
                      parse_decimal, read_back, scaled_to_ints)
 
 
@@ -437,49 +438,76 @@ def product_terms(F, a, b, below=None):
 
     One loop over the term pairs, ``a`` outer and ``b`` inner, on the int
     keys of ``_key_codec`` with slots sized by max exponent of a + max
-    exponent of b.  Over Q and GF(p) the coefficients are ints: each factor
-    over Q is scaled by the lcm of its denominators, and every sum is read
-    back once (``read_back``).  Over any other field the loop runs F.mul
-    and F.add.  Monomials enter in the order in which they first appear,
-    and a sum that cancels keeps its place until the zeros are dropped at
-    the end: the terms and their order are those of the textbook loop.
-    With a bound (a truncated series product), b's terms are sorted by
-    total degree once, and a term of a of degree d meets only those of
-    degree below ``below`` - d: the pairs the bound drops are never formed.
+    exponent of b, and on int coefficients: each factor over Q is scaled by
+    the lcm of its denominators, and every sum is read back once
+    (``read_back``).  Over Q(alpha) the factors are unfolded to Q, and the
+    product is folded back.  Monomials enter in the order in which they
+    first appear, and a sum that cancels keeps its place until the zeros
+    are dropped at the end: the terms and their order are those of the
+    textbook loop.  With a bound (a truncated series product), b's terms
+    are sorted by total degree once, and a term of a of degree d meets only
+    those of degree below ``below`` - d: the pairs the bound drops are never
+    formed.
     """
     if not a or not b:
         return {}
+    K = F
+    if type(F) is SimpleExtension:
+        F, a, b = QQ, unfold_extension(a), unfold_extension(b)
     n = len(next(iter(a)))
     pack, unpack = _key_codec(n, max(map(max, a)) + max(map(max, b))
                               if n else 0)
     va, vb, den = a.values(), b.values(), 1
-    ints = type(F) in (RationalField, PrimeField)
     if type(F) is RationalField:
         da, va = scaled_to_ints(va)
         db, vb = scaled_to_ints(vb)
         den = da * db
-    mul, add = (operator.mul, operator.add) if ints else (F.mul, F.add)
     rows = list(zip(pack(b), vb))
     if below is None:
         parts = repeat(rows)
-    else:
-        ranked = sorted(zip(map(sum, b), rows), key=operator.itemgetter(0))
+    else:               # alpha's slot counts toward no bound
+        degree = sum if K is F else lambda m: sum(m) - m[-1]
+        ranked = sorted(zip(map(degree, b), rows), key=operator.itemgetter(0))
         degrees = [d for d, _ in ranked]
         rows = [row for _, row in ranked]
-        parts = [rows[:bisect_left(degrees, below - sum(m))] for m in a]
+        parts = [rows[:bisect_left(degrees, below - degree(m))] for m in a]
     acc = {}
     for ka, ca, part in zip(pack(a), va, parts):
         for kb, cb in part:
             k = ka + kb
             if k in acc:
-                acc[k] = add(acc[k], mul(ca, cb))
+                acc[k] += ca * cb
             else:
-                acc[k] = mul(ca, cb)
-    items = zip(unpack(acc), acc.values())
-    if ints:
-        return read_back(F, items, den)
-    is_zero = F.is_zero
-    return {m: c for m, c in items if not is_zero(c)}
+                acc[k] = ca * cb
+    terms = read_back(F, zip(unpack(acc), acc.values()), den)
+    return terms if K is F else fold_extension(K, terms.items())
+
+
+def unfold_extension(terms):
+    """Q(alpha) = Q[alpha]/(mu) as a layout over Q: the terms over Q of the
+    ``terms`` over Q(alpha), one for each nonzero c_i of a coefficient sum
+    c_i*alpha^i, with the exponent i as one more slot, last."""
+    return {m + (i,): _integral(c) for m, cs in terms.items()
+            for i, c in enumerate(cs) if c}
+
+
+def fold_extension(F, items):
+    """The terms over F = Q(alpha) of (monomial, c) ``items`` over Q laid
+    out as by ``unfold_extension``: the c_i of each monomial, reduced by mu
+    once, in the order the monomials first appear."""
+    rows = {}
+    for m, c in items:
+        rows.setdefault(m[:-1], {})[m[-1]] = c
+    terms = ((m, F.from_coeffs([row.get(i, 0) for i in range(max(row) + 1)]))
+             for m, row in rows.items())
+    return {m: c for m, c in terms if not F.is_zero(c)}
+
+
+def alpha_polynomial(coeffs, variables):
+    """An element of Q(alpha), or mu, as a polynomial over Q in
+    ``variables``, alpha the last."""
+    return Polynomial._nonzero(variables, QQ, unfold_extension(
+        {(0,) * (len(variables) - 1): coeffs}))
 
 
 def add_scaled_terms(F, terms, pairs):
@@ -538,9 +566,7 @@ def format_polynomial(poly, order=DEGREVLEX, ascending=False):
             negated = False
         elif not mstr:
             body = cstr[1:] if negated else cstr
-        elif cstr == "1":
-            body = mstr
-        elif cstr == "-1":
+        elif cstr in ("1", "-1"):
             body = mstr
         else:
             body = f"{cstr[1:] if negated else cstr}*{mstr}"
@@ -622,20 +648,8 @@ def parse_polynomial(text, variables, field, line=1):
     poly, i = _parse_sum(src, 0)
     if src.toks[i]:
         raise src.error(f"unexpected token {src.toks[i]!r}", i)
-    return _fold_extension(poly, variables, field) if ext else poly
-
-
-def _fold_extension(raw, variables, field):
-    gi = len(variables)
-    terms = {}
-    for m, c in raw.terms.items():
-        base = m[:gi]
-        coeff = field.from_coeffs([Fraction(0)] * m[gi] + [c])
-        if base in terms:
-            terms[base] = field.add(terms[base], coeff)
-        else:
-            terms[base] = coeff
-    return Polynomial(variables, field, terms)
+    return Polynomial(variables, field, fold_extension(
+        field, poly.terms.items())) if ext else poly
 
 
 def _parse_sum(src, i):

@@ -811,6 +811,22 @@ def test_cli_problem_error_names_its_line(tmp_path, capsys, subcommand, text,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [
+    "[field]\nQ(r) r^2 - 2\n",
+    "[field]\nQ\n[series-field]\nGF 7\n",
+    "[field]\nQ(r) r^2 - 2\n[series-field]\nQ(s) s^2 - 3\n",
+    "[field]\nQ(r) r^2 - 2\n[series-field]\nQ\n",
+], ids=["field-ext", "series-gf", "ext-ext", "ext-q"])
+def test_cli_gnd_refuses_unsupported_fields(tmp_path, capsys, fields):
+    # B must be over Q and v over Q or Q(alpha); each other pair used to
+    # fail deep inside, with a different message each time
+    inp = write(tmp_path, "in.problem",
+                node_problem().replace("[field]\nQ\n", fields))
+    assert main(["gnd", "--input", inp]) == 3
+    assert ("error: gnd needs [field] Q, [series-field] Q or Q(alpha)"
+            in capsys.readouterr().err)
+
+
 LINEAR_FACTOR_1X2 = {"matrix": "x ; x^2", "rhs": "x",
                      "solution": "1 + O(x^4)\n1 - x + O(x^4)"}
 

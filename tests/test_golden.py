@@ -1,8 +1,8 @@
 """Golden bytes: the sha256 of CLI standard output on fixed problems.
 
 The digests pin certificates, verify reports, lifts, a Weierstrass
-preparation, module-isomorphism verdicts, a linear factorization and
-reduced Groebner bases over Q byte for byte, so a refactor that claims
+preparation, module-isomorphism verdicts, a linear factorization,
+reduced Groebner bases over Q and outputs over Q(sqrt 2) byte for byte, so a refactor that claims
 identical output is checked here.  A deliberate change of output must
 update a digest and say so in the changelog.
 """
@@ -259,6 +259,61 @@ z^2 - 4/13*x*y + 7/3*w - 1/2
 w^2 - 6/17*x*z + 3/19*y
 """
 
+# over Q(sqrt 2), where bases are computed over Q with r a last variable
+# and mu = r^2 - 2 a generator: katsura-5 with r in three equations, an
+# ideal quotient, the Weierstrass preparation W24 and a lift whose witness
+# search takes ideal quotients over Q(r)
+KATSURA5_SQRT2 = """\
+[field]
+Q(r) r^2 - 2
+[variables]
+ring a b c d e
+[ideal]
+a + 2*b + 2*c + 2*d + 2*e - 1
+a^2 + 2*b^2 + 2*c^2 + 2*d^2 + 2*e^2 - r*a
+2*a*b + 2*b*c + 2*c*d + 2*d*e - r*b
+b^2 + 2*a*c + 2*b*d + 2*c*e - c
+2*b*c + 2*a*d + 2*b*e - r*d
+"""
+
+QUOTIENT_SQRT2 = """\
+[field]
+Q(r) r^2 - 2
+[variables]
+ring x y z
+[ideal]
+x^2*y - r*z^2
+x*y^2 - (1 + r)*x*z
+y^3 - 2*z
+[ideal2]
+x + r*y
+y*z - r
+"""
+
+W24 = """\
+[field]
+Q(r) r^2 - 2
+[variables]
+ring y x
+[series]
+x^2 + r*x^3 + y + r*y*x + 3*y^2 + (1+r)*x^4 + O(y^24)
+"""
+
+LIFT_SQRT2 = """\
+[field]
+Q(r) r^2 - 2
+[variables]
+base x
+algebra Y
+[ideal]
+Y^2 - (x^2 + 2*r*x^3 - 2*x^4)
+[start]
+Y = x + r*x^2 + O(x^3)
+[options]
+target 32
+c 1
+"""
+
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
@@ -295,6 +350,14 @@ GOLDEN = {
         "554da4ed68400fa45ccd620a7ae8250b324cf72b2d4555a7161c828aeb6a7923",
     ("groebner", "FRACTIONAL_4"):
         "24abdc39bdaa2cccbe4d3b6da8395dac0da9140082f1b83eaef10aeb857d3759",
+    ("groebner", "KATSURA5_SQRT2"):
+        "e0496a13a110d225c498bd7db2423981e2cbe374da52ea2d6be722f91599616f",
+    ("quotient", "QUOTIENT_SQRT2"):
+        "463977b89c1f11c04be069a0e21324ebb508b68c80ead5279b1fe70231e794f9",
+    ("weierstrass", "W24"):
+        "d7d2c8e75f1336dae14a6f7a15298f5a26f6b870f7d777f9f9b9a39e429d5e97",
+    ("lift", "LIFT_SQRT2"):
+        "a603a949a4a675695e83dae8b109aef887f8d373d063b6d7121f8155b03f54cb",
 }
 VERIFY_CHAIN_K2 = (
     "836a5699ac2a9e81eafc5595695b5fcd790795a0a0e4fc497a242165aa471f24")

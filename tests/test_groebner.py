@@ -69,9 +69,13 @@ def _textbook_division(f, basis, order):
 
 
 _SQRT2 = SimpleExtension(QQ, (-2, 0, 1), gen="r")
+# mu = s^3 - 1/2*s + 1/3: degree 3, coefficients not integral
+_CUBIC = SimpleExtension(QQ, (Fraction(1, 3), Fraction(-1, 2), 0, 1),
+                         gen="s")
 # GF(2^61 - 1): sums left unreduced by the division kernel pass 64 bits;
-# Q(sqrt 2) runs the field-op loop
-_FIELDS = (PrimeField(32003), QQ, PrimeField((1 << 61) - 1), _SQRT2)
+# over Q(alpha) the work runs over Q with alpha a last variable and mu a
+# generator
+_FIELDS = (PrimeField(32003), QQ, PrimeField((1 << 61) - 1), _SQRT2, _CUBIC)
 _ORDERS = (LEX, DEGREVLEX, block_order(1), block_order(2, LEX, DEGREVLEX),
            block_order(2, block_order(1, LEX, DEGREVLEX), DEGREVLEX),
            block_order(1, DEGREVLEX, block_order(1, LEX, DEGREVLEX)))
@@ -83,13 +87,13 @@ _SCALES = st.tuples(*[st.sampled_from((1, (1 << 16) + 1))] * len(VARS))
 def _coeffs(field):
     """Nonzero coefficients: over Q fractions a/b, so that divisors are not
     monic and leads are negative or non-integral; over GF(p) any residue;
-    over Q(sqrt 2) a + b*sqrt 2."""
+    over Q(alpha) a + b*alpha + ... with small integers a, b, ..."""
     small = st.integers(-7, 7).filter(bool)
     if field == QQ:
         return st.builds(Fraction, small, st.integers(1, 9)).map(
             field.from_fraction)
-    if field == _SQRT2:
-        return st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    if isinstance(field, SimpleExtension):
+        return st.tuples(*[st.integers(-3, 3)] * field.degree).filter(
             any).map(field.from_coeffs)
     return st.one_of(small, st.integers(1, field.p - 1)).map(field.from_int)
 
@@ -249,20 +253,19 @@ def _count_division_field_calls(monkeypatch):
 
 
 def test_division_over_q_and_gf_p_runs_on_ints(monkeypatch):
+    # over Q(alpha) too: division and bases run over Q with mu a divisor
     calls = _count_division_field_calls(monkeypatch)
     texts = ("x^2*y - 2/3*y*z + 1/5", "-3/7*y^2 + 5/2*x*z + 2",
              "z^2 - 4/13*x*y + 7/3*x - 1/2")
-    for field in (QQ, PrimeField(32003), PrimeField((1 << 61) - 1)):
-        gens = [pp(t, field=field) for t in texts]
-        f = pp("x^3*y^2*z + 5/3*x*y*z^2 - 7", field=field)
+    for field in (QQ, PrimeField(32003), PrimeField((1 << 61) - 1), _SQRT2,
+                  _CUBIC):
+        a = field.gen if isinstance(field, SimpleExtension) else "1"
+        gens = [pp(t.replace("z^2", f"{a}*z^2"), field=field) for t in texts]
+        f = pp(f"x^3*y^2*z + 5/3*{a}*x*y*z^2 - 7", field=field)
         quotients, rem = division(f, gens, DEGREVLEX, with_quotients=True)
         assert any(not q.is_zero() for q in quotients)
         assert len(buchberger(gens).elements) > len(gens)
         assert calls == []
-    names = ("x", "y")
-    f = pp("(x + r*y - 3)^2*x", names, _SQRT2)
-    division(f, [pp("r*x*y - 1", names, _SQRT2)], LEX, with_quotients=True)
-    assert "mul" in calls and "add" in calls
 
 
 def test_buchberger_pair_order_pinned(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desing import series
+from desing import poly, series
 from desing.errors import (DivisibilityError, DomainError, NonUnitError,
                            ParseError, StructuralError)
 from desing.fields import QQ, PrimeField, SimpleExtension
@@ -796,17 +796,23 @@ def test_bounded_product_terms_drop_only_the_high_terms(case):
 
 
 def test_bounded_products_never_form_the_dropped_pairs(monkeypatch):
-    """Over Q(sqrt 2) every formed pair is one field multiply: a bounded
-    product and a series product make one for each stored pair whose
+    """Over Q(sqrt 2) a product runs on ints, one term per nonzero component
+    of a coefficient: a bounded product and a series product form one int
+    pair, one sum of packed keys, for each pair of stored components whose
     degrees sum to less than the bound, and no more."""
     calls = []
-    real = SimpleExtension.mul
+    real = poly._key_codec
 
-    def counted(self, x, y):
-        calls.append(1)
-        return real(self, x, y)
+    class Key(int):
+        def __add__(self, other):
+            calls.append(1)
+            return int(self) + other
 
-    monkeypatch.setattr(SimpleExtension, "mul", counted)
+    def codec(n, top):
+        pack, unpack = real(n, top)
+        return (lambda monos: map(Key, pack(monos))), unpack
+
+    monkeypatch.setattr(poly, "_key_codec", codec)
     rng = random.Random(18)
     for n, precision in ((1, 30), (2, 12), (3, 8)):
         variables = ("y", "z", "x")[3 - n:]
@@ -815,9 +821,10 @@ def test_bounded_products_never_form_the_dropped_pairs(monkeypatch):
             SQRT2.from_coeffs((rng.randrange(1, 9), rng.randrange(-9, 9)))
             for _ in range(40)}, precision) for _ in range(2))
         below = precision - 2
-        pairs = sum(monomial_degree(m1) + monomial_degree(m2) < below
-                    for m1 in a.terms for m2 in b.terms)
-        assert pairs < len(a.terms) * len(b.terms)
+        pairs = sum(sum(map(bool, c1)) * sum(map(bool, c2))
+                    for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()
+                    if monomial_degree(m1) + monomial_degree(m2) < below)
+        assert 0 < pairs < 4 * len(a.terms) * len(b.terms)
         del calls[:]
         product_terms(SQRT2, a.terms, b.terms, below)
         assert len(calls) == pairs
