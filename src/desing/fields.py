@@ -489,10 +489,11 @@ class SimpleExtension(Field):
     def generator(self):
         return tuple(Fraction(int(i == 1)) for i in range(self.degree))
 
+    def from_int(self, n):
+        return (Fraction(n),) + (Fraction(0),) * (self.degree - 1)
+
     def from_fraction(self, q):
         return (Fraction(q),) + (Fraction(0),) * (self.degree - 1)
-
-    from_int = from_fraction
 
     def from_coeffs(self, coeffs):
         return self._reduce([Fraction(c) for c in coeffs])

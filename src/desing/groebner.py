@@ -256,7 +256,11 @@ def _divide(ring, terms, divisors, quotients=None):
     while heap:
         mono = -pop(heap)
         w = terms.pop(mono, None)
-        if w is None or not (w % p if p else w):
+        if w is None:
+            continue
+        if p:
+            w %= p
+        if not w:
             continue
         x = mono ^ cm
         for lx, d, k in leads:
@@ -267,11 +271,7 @@ def _divide(ring, terms, divisors, quotients=None):
             q = mono - d.lead           # the quotient, less the monomial 1
             if (q + top) & guard:
                 raise _Overflow
-            if p:
-                qc = w * lead % p
-                if quotients is not None:
-                    quotients[k][q + cm] = qc
-            else:
+            if p is None:
                 if quotients is not None:       # (w / D) / lc
                     lc = d.terms[d.lead]
                     quotients[k].update(read_back(F, [(
@@ -285,6 +285,10 @@ def _divide(ring, terms, divisors, quotients=None):
                     den, qc = den * s // h, qc // h
                     terms = {m: c // h * s for m, c in terms.items()}
                     rem = {m: c // h * s for m, c in rem.items()}
+            else:
+                qc = w * lead % p
+                if quotients is not None:
+                    quotients[k][q + cm] = qc
             for m, c in tail:
                 m += q
                 old = terms.get(m)
@@ -352,7 +356,8 @@ def normal_form(f, gb, order=None):
     if isinstance(gb, GroebnerBasis):
         if order is not None and order != gb.order:
             raise StructuralError("normal form under a different order than the basis")
-        order, basis = gb.order, gb.elements
+        order = gb.order
+        basis = gb.elements
     else:
         basis = list(gb)
         order = order or DEGREVLEX
@@ -506,14 +511,17 @@ def ideal_member(f, ideal, order=DEGREVLEX):
 
 
 def ideal_equal(I, J, order=DEGREVLEX):
-    return buchberger(I, order).elements == buchberger(J, order).elements
+    a = buchberger(I, order).elements
+    b = buchberger(J, order).elements
+    return a == b
 
 
 # ---------------------------------------------------------------------------
 # elimination-based ideal operations
 
 def _fresh_name(base, taken):
-    name, k = base, 0
+    name = base
+    k = 0
     while name in taken:
         k += 1
         name = f"{base}{k}"
@@ -530,9 +538,12 @@ def eliminate(ideal, drop, order=DEGREVLEX):
     work_vars = tuple(drop) + keep
     work_order = block_order(len(drop), DEGREVLEX, order)
     gens = [g.embed(work_vars) for g in ideal.generators]
-    return IdealPresentation(keep, ideal.field, [
-        g.restrict(keep) for g in buchberger(gens, work_order).elements
-        if not any(any(m[:len(drop)]) for m in g.terms)])
+    gb = buchberger(gens, work_order)
+    out = []
+    for g in gb.elements:
+        if all(all(m[i] == 0 for i in range(len(drop))) for m in g.terms):
+            out.append(g.restrict(keep))
+    return IdealPresentation(keep, ideal.field, out)
 
 
 def ideal_intersection(I, J, order=DEGREVLEX):
@@ -714,9 +725,14 @@ def kernel_basis(matrix, order=DEGREVLEX):
                 raise StructuralError("matrix entries in different rings")
     zero = Polynomial.zero(variables, field)
     one = Polynomial.one(variables, field)
-    augmented = [tuple([row[j] for row in rows]
-                       + [one if k == j else zero for k in range(n)])
-                 for j in range(n)]
-    return KernelBasis(matrix=rows, basis=[
-        tuple(v[r:]) for v in module_groebner(augmented, order)
-        if vec_is_zero(v[:r])])
+    augmented = []
+    for j in range(n):
+        col = [rows[i][j] for i in range(r)]
+        tag = [one if k == j else zero for k in range(n)]
+        augmented.append(tuple(col + tag))
+    gb = module_groebner(augmented, order)
+    basis = []
+    for v in gb:
+        if all(c.is_zero() for c in v[:r]):
+            basis.append(tuple(v[r:]))
+    return KernelBasis(matrix=rows, basis=basis)

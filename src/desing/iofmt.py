@@ -81,9 +81,12 @@ def parse_field(text, lineno=1):
     if text.startswith("Q(") and ")" in text:
         gen, rest = text[2:].split(")", 1)
         gen = gen.strip()
-        mu = parse_polynomial(rest.strip(), (gen,), QQ, lineno)
-        return SimpleExtension(QQ, tuple(mu.terms.get((e,), 0) for e in range(
-            mu.degree_in(gen) + 1)), gen=gen)
+        mu_poly = parse_polynomial(rest.strip(), (gen,), QQ, lineno)
+        deg = mu_poly.degree_in(gen)
+        coeffs = [QQ.zero()] * (deg + 1)
+        for (e,), c in mu_poly.terms.items():
+            coeffs[e] = c
+        return SimpleExtension(QQ, tuple(coeffs), gen=gen)
     raise ParseError(f"unknown field {text!r}", lineno, 1)
 
 

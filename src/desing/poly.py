@@ -479,8 +479,10 @@ def product_terms(F, a, b, below=None):
                 acc[k] += ca * cb
             else:
                 acc[k] = ca * cb
-    terms = read_back(F, zip(unpack(acc), acc.values()), den)
-    return terms if K is F else fold_extension(K, terms.items())
+    items = zip(unpack(acc), acc.values())
+    if K is not F:  # fold before zeros drop: a monomial keeps its first place
+        return fold_extension(K, ((m, Fraction(c, den)) for m, c in items))
+    return read_back(F, items, den)
 
 
 def unfold_extension(terms):
@@ -566,7 +568,9 @@ def format_polynomial(poly, order=DEGREVLEX, ascending=False):
             negated = False
         elif not mstr:
             body = cstr[1:] if negated else cstr
-        elif cstr in ("1", "-1"):
+        elif cstr == "1":
+            body = mstr
+        elif cstr == "-1":
             body = mstr
         else:
             body = f"{cstr[1:] if negated else cstr}*{mstr}"

@@ -133,24 +133,43 @@ def test_division_matches_textbook_loop(case, with_quotients):
     assert rebuilt == f
 
 
+def _textbook_s_polynomial(f, g, order):
+    (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
+    lcm = monomial_lcm(mf, mg)
+    F = f.field
+    return (f.term_poly(monomial_div(lcm, mf), F.invert(cf)) * f
+            - g.term_poly(monomial_div(lcm, mg), F.invert(cg)) * g)
+
+
+@st.composite
+def _spair_cases(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    order = draw(st.sampled_from(_ORDERS))
+    scales = draw(_SCALES)
+    f, g = draw(st.lists(_polys(field, 1, scales), min_size=2, max_size=2))
+    return f, g, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spair_cases())
+def test_s_polynomial_matches_textbook(case):
+    # over Q(alpha) s_polynomial runs over Q with alpha a last variable
+    f, g, order = case
+    assert s_polynomial(f, g, order) == _textbook_s_polynomial(f, g, order)
+
+
 def _textbook_buchberger(gens, order):
     """All pairs in the order they arise, no criteria, remainders by the
     textbook loop; then minimize, tail-reduce, make monic and sort."""
     def monic(g):
         return g.monic(order)
 
-    def s_poly(f, g):
-        (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
-        lcm = monomial_lcm(mf, mg)
-        F = f.field
-        return (f.term_poly(monomial_div(lcm, mf), F.invert(cf)) * f
-                - g.term_poly(monomial_div(lcm, mg), F.invert(cg)) * g)
-
     G = [monic(g) for g in gens if not g.is_zero()]
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
-        r = _textbook_division(s_poly(G[i], G[j]), G, order)[1]
+        r = _textbook_division(_textbook_s_polynomial(G[i], G[j], order),
+                               G, order)[1]
         if not r.is_zero():
             G.append(monic(r))
             pairs += [(k, len(G) - 1) for k in range(len(G) - 1)]

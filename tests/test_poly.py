@@ -641,6 +641,16 @@ def test_product_matches_textbook_loop(field, data):
         textbook_product(a, b)
 
 
+def test_product_order_when_an_alpha_component_cancels():
+    # (x + 1 + r)(1 - x): the r-component of x cancels, its 1-component
+    # does not, so x keeps the place where it first appears
+    one, r = K2.one(), K2.generator()
+    a = Polynomial(("x",), K2, {(1,): one, (0,): K2.add(one, r)})
+    b = Polynomial(("x",), K2, {(0,): one, (1,): K2.neg(one)})
+    assert [(m, type(c), c) for m, c in (a * b).terms.items()] == \
+        textbook_product(a, b)
+
+
 @pytest.mark.parametrize("top", [254, 255, 256, 2 ** 16 - 1, 2 ** 16,
                                  2 ** 32, 2 ** 64 - 1, 2 ** 64, 10 ** 20])
 @pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
