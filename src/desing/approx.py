@@ -180,19 +180,6 @@ def newton_lift(req):
         f"no convergence within {MAX_NEWTON_ITERATIONS} iterations")
 
 
-def strong_approx_check(system, assign, c):
-    """True when every residue of the system at the point has order >= c."""
-    point = series_point(assign)
-    for f in system:
-        val = series_eval(f, point)
-        ordv = val.order()
-        if ordv is None:
-            ordv = val.precision
-        if ordv < c:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # linear factorization
 

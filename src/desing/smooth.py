@@ -1,4 +1,4 @@
-"""Jacobian matrices, minor ideals, the smoothing ideal, and the search for
+"""Jacobian matrices and minors, the smoothing ideal, and the search for
 the data (f, M, N, d') that seeds the desingularization pipeline.
 
 The base ring is k[x] localized at (x); localization only shows up through
@@ -10,22 +10,29 @@ division-free characteristic polynomial, Berkowitz's, O(n^4) ring operations.
 The witness search and the reduction test candidates by evaluation alone:
 v factors through B = A[Y]/I, so a member of I has image zero and is
 skipped like any candidate whose image vanishes.  Groebner bases appear
-only in the subset table's ((f):I) and on the no-progress error path.
+only in the subset table's ((f):I) and in a reduction step, which replaces
+I by the reduced basis of the smoothing ideal H and makes no progress when
+that basis is the reduced basis of I (H = I, since I lies in H).
+
+Generator subsets run up to the number of algebra variables; the subset
+budget counts Jacobian minors, C(n, r) for a subset of r relations in n
+variables, the work ``jacobian_minors`` does for it.
 """
 
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (DomainError, PrecisionError, ResourceError,
                      StructuralError)
-from .groebner import (DEGREVLEX, IdealPresentation, buchberger, ideal_member,
+from .groebner import (DEGREVLEX, IdealPresentation, buchberger,
                        ideal_quotient)
 from .poly import Polynomial
 from .series import TruncatedSeries
 
 DEFAULT_SUBSET_BUDGET = 500
-MAX_SUBSET_SIZE = 4
+MAX_REDUCTIONS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +160,18 @@ class AlgebraPresentation:
 
         Rows are computed on first demand and kept on the presentation, so
         the smoothing ideal and the witness search share every minor and
-        every ((f):I).  Using more than ``subset_budget`` subsets raises.
+        every ((f):I).  A subset of r relations costs its C(n, r) Jacobian
+        minors; reaching one that takes the total past ``subset_budget``
+        raises.
         """
-        stream = _subset_stream(len(self.relations), len(self.variables))
-        for k, subset in enumerate(stream):
-            if k >= subset_budget:
+        n = len(self.variables)
+        spent = 0
+        for k, subset in enumerate(_subset_stream(len(self.relations), n)):
+            spent += math.comb(n, len(subset))
+            if spent > subset_budget:
                 raise ResourceError(
-                    f"subset budget exhausted after {k} subsets")
+                    f"subset budget of {subset_budget} minors exhausted "
+                    f"after {k} subsets")
             if k == len(self._rows):
                 fs = [self.relations[i] for i in subset]
                 minors = jacobian_minors(fs, self.variables)
@@ -232,25 +244,9 @@ def bordered_jacobian(fs, yvars, witness):
     return H, [[witness * entry for entry in row] for row in adj]
 
 
-def minor_ideal(relations, variables, ring_variables=None, fld=None):
-    """Ideal generated by all r x r minors of the Jacobian in Y."""
-    r, n = len(relations), len(variables)
-    if r > n:
-        raise StructuralError(f"{r} rows but only {n} minor columns")
-    if not relations:
-        if ring_variables is None:
-            raise StructuralError("empty system needs an explicit ring")
-        return IdealPresentation(ring_variables, fld,
-                                 [Polynomial.one(ring_variables, fld)])
-    return IdealPresentation(
-        relations[0].variables, relations[0].field,
-        [m for _, m in jacobian_minors(relations, variables)])
-
-
 def _subset_stream(count, n_vars):
     """Generator subsets in lexicographic index order, smallest size first."""
-    top = min(count, n_vars, MAX_SUBSET_SIZE)
-    for r in range(1, top + 1):
+    for r in range(1, min(count, n_vars) + 1):
         for subset in itertools.combinations(range(count), r):
             yield subset
 
@@ -271,15 +267,6 @@ def smoothing_ideal(B, subset_budget=DEFAULT_SUBSET_BUDGET):
                 if not prod.is_zero():
                     gens.append(prod)
     return IdealPresentation(ring, B.field, gens)
-
-
-def is_smooth_at_point(B, point, subset_budget=DEFAULT_SUBSET_BUDGET):
-    """Jacobian criterion at a rational point given as {var: field value}."""
-    for f in B.relations:
-        if not B.field.is_zero(f.evaluate(point)):
-            raise DomainError("point does not satisfy the relations")
-    H = smoothing_ideal(B, subset_budget)
-    return any(not B.field.is_zero(g.evaluate(point)) for g in H.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -353,29 +340,25 @@ def _trivial_data(B, v):
                       dprime=one, z=z)
 
 
-def reduce_until_nonvanishing(B, v, cap=5,
-                              subset_budget=DEFAULT_SUBSET_BUDGET):
+def reduce_until_nonvanishing(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Replace B by B/(smoothing ideal) while its image under v vanishes.
     v kills I (checked first), so a member of I has image zero and the
-    first generator with a nonzero image ends the search; a basis of I is
-    computed only when every image vanishes, to tell a step from no
-    progress."""
+    first generator with a nonzero image ends the search.  Otherwise the
+    reduced basis of H presents the next algebra; it equals the reduced
+    basis of I exactly when H = I, which is no progress."""
     check_morphism(B, v)
     current = B
-    iterations = 0
-    while True:
+    for step in itertools.count():
         H = smoothing_ideal(current, subset_budget)
         if any(not v.eval(g).is_zero() for g in H.generators):
             return current
-        ideal_gb = buchberger(current.ideal(), DEGREVLEX)
-        if all(ideal_member(g, ideal_gb) for g in H.generators):
+        basis = buchberger(H, DEGREVLEX).elements
+        if basis == buchberger(current.ideal(), DEGREVLEX).elements:
             raise DomainError(
-                "smoothing ideal lies in I (no progress): the codimension "
-                f"may exceed MAX_SUBSET_SIZE = {MAX_SUBSET_SIZE} or I may "
-                "be non-reduced")
-        if iterations >= cap:
-            raise ResourceError(f"reduction cap {cap} reached")
-        iterations += 1
+                "smoothing ideal equals I (no progress): I may be "
+                "non-reduced")
+        if step >= MAX_REDUCTIONS:
+            raise ResourceError(f"reduction cap {MAX_REDUCTIONS} reached")
         current = AlgebraPresentation(
             base_var=current.base_var, variables=current.variables,
-            field=current.field, relations=list(H.generators))
+            field=current.field, relations=basis)

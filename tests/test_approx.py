@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from desing.approx import (LiftRequest, LinearFactorization, ModuleIsoSystem,
                            check_candidate, linear_factor, module_iso_system,
-                           newton_lift, solve_linear, strong_approx_check)
+                           newton_lift, solve_linear)
 from desing.errors import DomainError, ResourceError
 from desing.fields import QQ, PrimeField
 from desing.poly import Polynomial, parse_polynomial
@@ -246,15 +246,6 @@ def test_newton_subset_budget():
     res = newton_lift(LiftRequest(system=[f], base_var="x", yvars=("Y",),
                                   y0=y0, c=0, target=8, subset_budget=1))
     assert res.values["Y"].order() == 0
-
-
-def test_strong_approx_check():
-    f = parse_polynomial("Y^2 - 1 - x", ("x", "Y"), QQ)
-    xs = TruncatedSeries.variable(BASE, QQ, "x", 8)
-    good = {"x": xs, "Y": sser("1 + 1/2*x + O(x^8)")}
-    assert strong_approx_check([f], good, 2)
-    assert not strong_approx_check([f], good, 3)
-    assert strong_approx_check([f], {"x": xs, "Y": sser("1 + O(x^8)")}, 1)
 
 
 # ---------------------------------------------------------------------------

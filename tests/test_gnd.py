@@ -230,6 +230,25 @@ def test_desingularize_passes_each_polynomial_to_series_eval_once(monkeypatch):
     assert len(set(evaluated)) == len(evaluated) > 3
 
 
+def test_desingularize_codimension_five_chain():
+    # chain k = 5: Y1*Y2 = x^2 and Y_j = Y_(j-1)^2 for j = 3..6; the
+    # smoothing ideal's witness needs all five relations, a subset of five
+    # rows in six variables, which the bordering extends by its sixth
+    ring = ("x", "Y1", "Y2", "Y3", "Y4", "Y5", "Y6")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial(f, ring, QQ) for f in
+                   ["Y1*Y2 - x^2"] + [f"Y{j} - Y{j - 1}^2"
+                                      for j in range(3, 7)]])
+    images = dict(node_morphism().images)
+    for j in range(3, 7):
+        images[f"Y{j}"] = images[f"Y{j - 1}"] ** 2
+    v = CompletionMorphism(base_var="x", field=QQ, images=images)
+    cert = desingularize(B, v)
+    assert cert.data.subset == (0, 1, 2, 3, 4, 5)
+    assert all(r.passed for r in verify_certificate(cert, B, v))
+
+
 def test_desingularize_smooth_short_circuit():
     B = AlgebraPresentation(
         base_var="x", variables=("Y1",), field=QQ,

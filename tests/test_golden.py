@@ -69,8 +69,8 @@ Y2 = x + O(x^12)
 """
 
 # the reduction path: every image of the smoothing ideal (Y1, Y2) of
-# (Y1*Y2) vanishes, one step reaches (Y1*Y2, Y2, Y1), and that algebra is
-# smooth at v, so the certificate is a short circuit
+# (Y1*Y2) vanishes, one step reaches its reduced basis (Y1, Y2), and that
+# algebra is smooth at v, so the certificate is a short circuit
 REDUCTION = """\
 [field]
 Q
@@ -325,7 +325,7 @@ GOLDEN = {
     ("gnd", "SMOOTH"):
         "041acad824c3acc370387f55008b1dec6fea81e713dc85886a5d6aadc5add8d5",
     ("gnd", "REDUCTION"):
-        "684964faac7e913f3bd6097a82b752447855d1fe4b911ce0d2f9f85ff56bf46c",
+        "8597d7a24a74ace9b2071dee8707b2c9947d8ffb6269adc3b899bcd3f7c5771a",
     ("lift", "LIFT_Q"):
         "1b0c01f97579ad1f495eaabedfb8458c944ee342a3e0161e2a3d2c1bb5091f45",
     ("lift", "LIFT_NODE"):

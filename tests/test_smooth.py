@@ -9,16 +9,15 @@ from desing import groebner, smooth
 from desing.errors import (DomainError, PrecisionError, ResourceError,
                            StructuralError)
 from desing.fields import QQ, PrimeField
-from desing.groebner import IdealPresentation, ideal_equal, ideal_member
+from desing.groebner import ideal_member
 from desing.poly import Polynomial, parse_polynomial
 from desing.gnd import border_step
 from desing.series import (CompletionMorphism, TruncatedSeries, parse_series,
                            series_eval, series_point)
-from desing.smooth import (MAX_SUBSET_SIZE, AlgebraPresentation, best_witness,
+from desing.smooth import (AlgebraPresentation, best_witness,
                            bordered_jacobian, check_morphism, find_desing_data, identity_matrix,
-                           is_smooth_at_point,
                            jacobian, matrix_adjugate, matrix_det, matrix_equal,
-                           matrix_mul, matrix_scale, minor_ideal,
+                           matrix_mul, matrix_scale,
                            reduce_until_nonvanishing, smoothing_ideal)
 
 RING = ("x", "Y1", "Y2")
@@ -200,16 +199,6 @@ def test_jacobian_entries():
     assert jac == [[pp("Y2"), pp("Y1")]]
 
 
-def test_minor_ideal_node():
-    I = minor_ideal([pp("Y1*Y2 - x^2")], ("Y1", "Y2"))
-    assert ideal_equal(I, IdealPresentation(RING, QQ, [pp("Y1"), pp("Y2")]))
-
-
-def test_minor_ideal_too_many_rows():
-    with pytest.raises(StructuralError):
-        minor_ideal([pp("Y1"), pp("Y2"), pp("x")], ("Y1", "Y2"))
-
-
 def test_smoothing_ideal_node():
     H = smoothing_ideal(node_algebra())
     # singular exactly at the origin of the cone: radical is (x, Y1, Y2)
@@ -229,17 +218,6 @@ def test_smoothing_ideal_budget():
     B = node_algebra()
     with pytest.raises(ResourceError):
         smoothing_ideal(B, subset_budget=0)
-
-
-def test_is_smooth_at_point():
-    B = node_algebra()
-    smooth_pt = {"x": Fraction(1), "Y1": Fraction(1), "Y2": Fraction(1)}
-    singular_pt = {"x": Fraction(0), "Y1": Fraction(0), "Y2": Fraction(0)}
-    assert is_smooth_at_point(B, smooth_pt)
-    assert not is_smooth_at_point(B, singular_pt)
-    with pytest.raises(DomainError):
-        is_smooth_at_point(B, {"x": Fraction(1), "Y1": Fraction(2),
-                               "Y2": Fraction(3)})
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +301,7 @@ def test_reduce_until_nonvanishing_unchanged():
     assert reduce_until_nonvanishing(B, v) is B
 
 
-def test_reduce_until_nonvanishing_one_step():
+def test_reduce_until_nonvanishing_one_step(monkeypatch):
     # the smoothing ideal of (Y1^2) is (Y1); one reduction step reaches the
     # smooth algebra k[x, Y1]/(Y1) containing the image
     B = AlgebraPresentation(base_var="x", variables=("Y1",), field=QQ,
@@ -332,17 +310,20 @@ def test_reduce_until_nonvanishing_one_step():
     v = CompletionMorphism(
         base_var="x", field=QQ,
         images={"Y1": parse_series("O(x^12)", ("x",), QQ)})
-    reduced = reduce_until_nonvanishing(B, v, cap=2)
+    monkeypatch.setattr(smooth, "MAX_REDUCTIONS", 2)
+    reduced = reduce_until_nonvanishing(B, v)
     assert reduced is not B
     assert ideal_member(parse_polynomial("Y1", ("x", "Y1"), QQ),
                         reduced.ideal())
+    monkeypatch.setattr(smooth, "MAX_REDUCTIONS", 0)
     with pytest.raises(ResourceError):
-        reduce_until_nonvanishing(B, v, cap=0)
+        reduce_until_nonvanishing(B, v)
 
 
 def test_reduce_until_nonvanishing_codimension_above_cap():
-    # Y1^2, ..., Y5^2 has codimension 5: every minor of at most
-    # MAX_SUBSET_SIZE rows times ((f):I) lies in I, so B/H = B
+    # Y1^2, ..., Y5^2 has codimension 5, so subsets run to five rows; one
+    # step adds Y1*...*Y5, and on that fat point every minor times ((f):I)
+    # lies in I, so B/H = B
     ring = ("x", "Y1", "Y2", "Y3", "Y4", "Y5")
     B = AlgebraPresentation(
         base_var="x", variables=ring[1:], field=QQ,
@@ -350,8 +331,7 @@ def test_reduce_until_nonvanishing_codimension_above_cap():
     v = CompletionMorphism(
         base_var="x", field=QQ,
         images={y: parse_series("O(x^12)", ("x",), QQ) for y in ring[1:]})
-    assert MAX_SUBSET_SIZE < 5
-    with pytest.raises(DomainError, match="MAX_SUBSET_SIZE"):
+    with pytest.raises(DomainError, match="no progress"):
         reduce_until_nonvanishing(B, v)
 
 
@@ -370,16 +350,49 @@ def test_reduce_until_nonvanishing_fat_point():
         reduce_until_nonvanishing(B, v)
 
 
+def test_reduce_until_nonvanishing_three_planes():
+    # Y1*Y2*Y3 at the origin: one step reaches the three axes (Y1*Y2,
+    # Y1*Y3, Y2*Y3), the next a fat point at the origin, whose smoothing
+    # ideal is its own ideal; each step's relations are a reduced basis
+    ring = ("x", "Y1", "Y2", "Y3")
+    B = AlgebraPresentation(base_var="x", variables=ring[1:], field=QQ,
+                            relations=[parse_polynomial("Y1*Y2*Y3", ring, QQ)])
+    v = CompletionMorphism(
+        base_var="x", field=QQ,
+        images={y: parse_series("O(x^12)", ("x",), QQ) for y in ring[1:]})
+    with pytest.raises(DomainError, match="no progress"):
+        reduce_until_nonvanishing(B, v)
+
+
+def chain_k3_algebra():
+    ring = ("x", "Y1", "Y2", "Y3", "Y4")
+    return AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial(f, ring, QQ)
+                   for f in ("Y1*Y2 - x^2", "Y3 - Y1^2", "Y4 - Y3^2")])
+
+
+def test_subset_budget_counts_minors():
+    # three relations in four variables: C(4, 1) = 4 minors for each of the
+    # three one-relation subsets, 6 for each pair and 4 for all three, 34 in
+    # all; one minor short of the first size stops before any pair is built
+    B = chain_k3_algebra()
+    with pytest.raises(ResourceError, match="11 minors"):
+        smoothing_ideal(B, subset_budget=3 * 4 - 1)
+    assert [row.subset for row in B._rows] == [(0,), (1,)]
+    with pytest.raises(ResourceError):
+        smoothing_ideal(B, subset_budget=33)
+    assert len(B._rows) == 6
+    smoothing_ideal(B, subset_budget=34)
+    assert len(B._rows) == 7
+
+
 def test_witness_search_makes_no_groebner_call(monkeypatch):
     # chain k = 3.  Once the subset table holds every minor and ((f):I),
     # nothing on the success path computes a basis or tests membership: v
     # kills I, so a member of I evaluates to zero and is skipped, and the
     # bordering checks d - P by its cofactor identity
-    ring = ("x", "Y1", "Y2", "Y3", "Y4")
-    B = AlgebraPresentation(
-        base_var="x", variables=ring[1:], field=QQ,
-        relations=[parse_polynomial(f, ring, QQ)
-                   for f in ("Y1*Y2 - x^2", "Y3 - Y1^2", "Y4 - Y3^2")])
+    B = chain_k3_algebra()
     v = node_morphism()
     y1 = v.images["Y1"]
     v = CompletionMorphism(base_var="x", field=QQ,
@@ -389,9 +402,9 @@ def test_witness_search_makes_no_groebner_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Groebner call on the witness search path")
 
-    for module in (groebner, smooth):
-        for name in ("buchberger", "ideal_member"):
-            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    monkeypatch.setattr(groebner, "ideal_member", refuse)
+    monkeypatch.setattr(smooth, "buchberger", refuse)
     assert reduce_until_nonvanishing(B, v) is B
     best = best_witness(B, v.eval)
     data = find_desing_data(B, v)
