@@ -430,6 +430,29 @@ def _kronecker_has_factor(coeffs):
     return False
 
 
+def _least_scaling(coeffs):
+    """The least l making every l^(d-i) c_i integral (c_d = 1): each prime
+    q of a denominator enters to the largest ceil(v_q(den c_i) / (d - i)).
+    Trial division stops below 2^16; a cofactor with no prime factor
+    there enters whole, as in the lcm of the denominators."""
+    d = len(coeffs) - 1
+    rest = [(c.denominator, d - i) for i, c in enumerate(coeffs)
+            if c.denominator > 1]
+    ell, q = 1, 2
+    while rest and q < 1 << 16 and q * q <= max(n for n, _ in rest):
+        need = 0
+        for j, (n, k) in enumerate(rest):
+            e = 0
+            while n % q == 0:
+                n, e = n // q, e + 1
+            need = max(need, -(-e // k))
+            rest[j] = (n, k)
+        ell *= q ** need
+        rest = [(n, k) for n, k in rest if n > 1]
+        q += 1
+    return ell * lcm(*(n for n, _ in rest))
+
+
 def is_irreducible_over_q(coeffs):
     """Irreducibility of a monic rational polynomial (coefficients low-first).
 
@@ -446,7 +469,7 @@ def is_irreducible_over_q(coeffs):
     if d <= 1:
         return d == 1
     # scale x -> x/l to obtain a monic integer polynomial
-    ell = lcm(*[c.denominator for c in coeffs])
+    ell = _least_scaling(coeffs)
     iv = [int(c * ell ** (d - i)) for i, c in enumerate(coeffs)]
     if iv[0] == 0:
         return False

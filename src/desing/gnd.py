@@ -5,14 +5,15 @@ truncated power-series ring.
 Pipeline: border the presentation so the square of the local parameter lies
 in the right ideal, truncate the series solution to an exact polynomial
 frame, then build the polynomials h and g whose localized quotient is
-standard smooth and factors the morphism.  Each identity is checked once,
+standard smooth and factors the morphism.  g comes from the identity check
+2 reads: s^p f with every s*Y_j replaced by s*y'_j + d*w_j, divided by d^2,
+so no partial derivative of f is taken.  Each identity is checked once,
 by ``verify_certificate`` before ``desingularize`` returns: exactly where
 possible and to a recorded precision otherwise.  A construction fault shows
 as a FAIL in the report (``gnd`` exits 5).
 """
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .fields import QQ, RationalField, SimpleExtension
@@ -200,89 +201,48 @@ def build_H_G(fs, yvars, witness, minor):
     return H, G
 
 
-def _taylor_partials(f, yvars):
-    """Nonzero iterated partials of f, keyed by the multi-exponent in Y."""
-    n = len(yvars)
-    zero_alpha = (0,) * n
-    out = {zero_alpha: f}
-    frontier = [zero_alpha]
-    while frontier:
-        nxt = []
-        for alpha in frontier:
-            for j, v in enumerate(yvars):
-                beta = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]
-                if beta in out:
-                    continue
-                d = out[alpha].derivative(v)
-                if d.is_zero():
-                    continue
-                out[beta] = d
-                nxt.append(beta)
-        frontier = nxt
-    return out
-
-
-def _alpha_factorial_inverse(alpha, F):
-    fact = 1
-    for a in alpha:
-        for k in range(2, a + 1):
-            fact *= k
-    return F.from_fraction(Fraction(1, fact))
-
-
 def build_h_g(fs, ypoint, yvars, tvars, d, s, b, G, p, D):
-    """h = s(Y - y') - d G(y')T; g_i = s^p b_i + s^p T_i + Q_i.
-
-    Q_i collects the Taylor tail of order >= 2, with powers of s and d
-    arranged so that s^p f_i = d^2 g_i holds modulo (h) (verify check 2).
-    """
-    ring = s.variables
-    F = s.field
-    n = len(yvars)
-    Gy = [[D.reduce(entry.substitute(ypoint)) for entry in row] for row in G]
+    """h = s(Y - y') - d G(y')T; g_i = s^p f_i / d^2 with every s*Y_j
+    replaced by s*y'_j + d*w_j, the identity check 2 reads; Q_i = g_i -
+    s^p b_i - s^p T_i."""
+    ring, F = s.variables, s.field
     tpolys = [Polynomial.variable(ring, F, t) for t in tvars]
-    w = []
-    for j in range(n):
-        acc = Polynomial.zero(ring, F)
-        for k in range(n):
-            acc = acc + Gy[j][k] * tpolys[k]
-        w.append(acc)
-    h = []
-    for j, yv in enumerate(yvars):
-        ypoly = Polynomial.variable(ring, F, yv)
-        h.append(s * (ypoly - ypoint.images[yv]) - d * w[j])
-    s_pow = [Polynomial.one(ring, F)]
-    for _ in range(p):
-        s_pow.append(s_pow[-1] * s)
-    d_pow = [Polynomial.one(ring, F), d]
+    h, sY = _h_and_sY(ypoint, yvars, tpolys, s, d, G, D)
+    s_pow = _s_powers(s, p, D)
+    powers = [[s_pow[0]] for _ in sY]
+    x = D.base_var
+    k = 2 * _x_order(d, x)                  # d^2 = x^k
     g, Q = [], []
-    for i, f in enumerate(fs):
-        partials = _taylor_partials(f, yvars)
-        Qi = Polynomial.zero(ring, F)
-        for alpha, df in sorted(partials.items()):
-            m = sum(alpha)
-            if m < 2:
-                continue
-            if m > p:
-                raise ConsistencyError("generator degree exceeds p")
-            while len(d_pow) <= m - 2:
-                d_pow.append(d_pow[-1] * d)
-            term = D.reduce(df.substitute(ypoint))
-            term = term.scale(_alpha_factorial_inverse(alpha, F))
-            term = term * s_pow[p - m] * d_pow[m - 2]
-            for j, a in enumerate(alpha):
-                for _ in range(a):
-                    term = term * w[j]
-            Qi = Qi + D.reduce(term)
-        Qi = D.reduce(Qi)
-        for mono in Qi.terms:
-            tdeg = sum(mono[ring.index(t)] for t in tvars)
-            if tdeg < 2:
-                raise ConsistencyError("Q has a term of T-degree below 2")
-        gi = s_pow[p] * b[i] + s_pow[p] * tpolys[i] + Qi
-        Q.append(Qi)
-        g.append(D.reduce(gi))
+    for f, bi, tp in zip(fs, b, tpolys):
+        phi = _substituted_power(f, yvars, sY, powers, s_pow, D)
+        if phi is None:
+            raise ConsistencyError("generator degree exceeds p")
+        gi = _x_shift(D.reduce(phi), x, k, "s^p f_i")
+        g.append(gi)
+        Q.append(D.reduce(gi - s_pow[p] * (bi + tp)))
     return h, g, Q
+
+
+def _h_and_sY(ypoint, yvars, tpolys, s, d, G, D):
+    """h_j = s(Y_j - y'_j) - d w_j and s y'_j + d w_j, with w = G(y')T."""
+    ring, F = s.variables, s.field
+    h, sY = [], []
+    for row, yv in zip(G, yvars):
+        w = Polynomial.zero(ring, F)
+        for entry, tp in zip(row, tpolys):
+            w = w + D.reduce(entry.substitute(ypoint)) * tp
+        yp, dw = ypoint.images[yv], d * w
+        h.append(s * (Polynomial.variable(ring, F, yv) - yp) - dw)
+        sY.append(s * yp + dw)
+    return h, sY
+
+
+def _s_powers(s, p, D):
+    """[1, s, ..., s^p], each reduced modulo mu."""
+    s_pow = [Polynomial.one(s.variables, s.field)]
+    for _ in range(p):
+        s_pow.append(D.reduce(s_pow[-1] * s))
+    return s_pow
 
 
 def _substituted_power(f, yvars, sY, powers, s_pow, D):
@@ -504,21 +464,12 @@ def _check_membership(cert, ypoint):
         return False
     s, d = cert.s, cert.d
     tpolys = [Polynomial.variable(ring, F, t) for t in cert.tvars]
-    sY = []
-    for row, yv, hj in zip(cert.G, cert.yvars, cert.h):
-        w = Polynomial.zero(ring, F)
-        for entry, tp in zip(row, tpolys):
-            w = w + D.reduce(entry.substitute(ypoint)) * tp
-        yp = cert.yprime[yv]
-        if hj != s * (Polynomial.variable(ring, F, yv) - yp) - d * w:
-            return False
-        sY.append(s * yp + d * w)
+    h, sY = _h_and_sY(ypoint, cert.yvars, tpolys, s, d, cert.G, D)
+    if h != cert.h:
+        return False
     check_power_budget(s, cert.p, "s^p")
-    one = Polynomial.one(ring, F)
-    s_pow = [one]
-    for _ in range(cert.p):
-        s_pow.append(D.reduce(s_pow[-1] * s))
-    powers = [[one] for _ in sY]
+    s_pow = _s_powers(s, cert.p, D)
+    powers = [[s_pow[0]] for _ in sY]
     d2 = d * d
     for f, g in zip(fs, cert.g):
         phi = _substituted_power(f, cert.yvars, sY, powers, s_pow, D)

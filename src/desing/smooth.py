@@ -10,9 +10,11 @@ division-free characteristic polynomial, Berkowitz's, O(n^4) ring operations.
 The witness search and the reduction test candidates by evaluation alone:
 v factors through B = A[Y]/I, so a member of I has image zero and is
 skipped like any candidate whose image vanishes.  Groebner bases appear
-only in the subset table's ((f):I) and in a reduction step, which replaces
-I by the reduced basis of the smoothing ideal H and makes no progress when
-that basis is the reduced basis of I (H = I, since I lies in H).
+only in the subset table's ((f):I) and in a reduction step.  That step
+reduces the generators of the smoothing ideal H modulo the reduced basis
+of I; none left is H = I (I lies in H), no progress, and otherwise the
+basis of I with the remainders, whose reduced basis is that of H,
+replaces I.
 
 Generator subsets run up to the number of algebra variables; the subset
 budget counts Jacobian minors, C(n, r) for a subset of r relations in n
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (DomainError, PrecisionError, ResourceError,
                      StructuralError)
 from .groebner import (DEGREVLEX, IdealPresentation, buchberger,
-                       ideal_quotient)
+                       ideal_quotient, normal_form)
 from .poly import Polynomial
 from .series import TruncatedSeries
 
@@ -344,16 +346,19 @@ def reduce_until_nonvanishing(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Replace B by B/(smoothing ideal) while its image under v vanishes.
     v kills I (checked first), so a member of I has image zero and the
     first generator with a nonzero image ends the search.  Otherwise the
-    reduced basis of H presents the next algebra; it equals the reduced
-    basis of I exactly when H = I, which is no progress."""
+    generators of H are reduced modulo the basis of I: none left is H = I,
+    no progress; else the basis of I and those remainders, whose reduced
+    basis is that of H, present the next algebra."""
     check_morphism(B, v)
     current = B
     for step in itertools.count():
         H = smoothing_ideal(current, subset_budget)
         if any(not v.eval(g).is_zero() for g in H.generators):
             return current
-        basis = buchberger(H, DEGREVLEX).elements
-        if basis == buchberger(current.ideal(), DEGREVLEX).elements:
+        GI = buchberger(current.ideal(), DEGREVLEX)
+        extra = [r for r in (normal_form(g, GI) for g in H.generators)
+                 if not r.is_zero()]
+        if not extra:
             raise DomainError(
                 "smoothing ideal equals I (no progress): I may be "
                 "non-reduced")
@@ -361,4 +366,5 @@ def reduce_until_nonvanishing(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
             raise ResourceError(f"reduction cap {MAX_REDUCTIONS} reached")
         current = AlgebraPresentation(
             base_var=current.base_var, variables=current.variables,
-            field=current.field, relations=basis)
+            field=current.field,
+            relations=buchberger(GI.elements + extra, DEGREVLEX).elements)

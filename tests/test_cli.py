@@ -15,6 +15,7 @@ from desing.errors import ConsistencyError, ParseError
 from desing.fields import QQ, PrimeField
 from desing.iofmt import (emit_certificate, parse_certificate,
                           parse_ideal_output, parse_problem, split_sections)
+from desing.poly import Polynomial
 
 
 def write(tmp_path, name, text):
@@ -506,6 +507,25 @@ def test_cli_gnd_reports_wrong_G(tmp_path, monkeypatch):
     assert _report(cert_path)[0].startswith("FAIL;exact;GH = HG = P*Id")
 
 
+def test_cli_gnd_reports_G_that_leaves_d_squared(tmp_path, monkeypatch,
+                                                 capsys):
+    # g is s^p f (s*Y replaced by s*y' + d*w) over d^2; a G that breaks
+    # the divisibility stops the build with one error line, exit 5
+    real = gnd.build_H_G
+
+    def wrong_G(*args):
+        H, G = real(*args)
+        one = Polynomial.one(G[0][0].variables, G[0][0].field)
+        return H, [[G[0][0] + one] + G[0][1:]] + G[1:]
+
+    monkeypatch.setattr(gnd, "build_H_G", wrong_G)
+    inp = write(tmp_path, "in.problem", node_problem())
+    assert main(["gnd", "--input", inp,
+                 "--output", str(tmp_path / "cert.txt")]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "error: s^p f_i is not divisible by x^4"]
+
+
 def test_cli_gnd_deterministic(tmp_path):
     inp = write(tmp_path, "in.problem", node_problem())
     a = str(tmp_path / "a.txt")
@@ -566,6 +586,15 @@ def test_cli_literal_above_bound_is_parse_error(tmp_path, capsys):
     assert main(["groebner", "--input", inp]) == 2
     err = capsys.readouterr().err
     assert "line 6, column 9: integer literal of more than 100000" in err
+
+
+def test_cli_minimal_polynomial_scaled_by_its_least_integer(tmp_path):
+    # x -> x/16 makes r^4 + 1/65536 the irreducible r^4 + 1; the lcm of
+    # the denominators, 65536, left a search past the Kronecker budget
+    inp = write(tmp_path, "in.problem", "[field]\nQ(r) r^4 + 1/65536\n"
+                "[variables]\nring x y\n[ideal]\nx - y\n")
+    assert main(["groebner", "--input", inp,
+                 "--output", str(tmp_path / "out.txt")]) == 0
 
 
 @pytest.mark.parametrize("text", ["(x + y)^3000", "x + 2^10000000000"])

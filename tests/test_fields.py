@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from desing.errors import DomainError, ResourceError
 from desing.fields import (MAX_EXTENSION_DEGREE, QQ, PrimeField,
-                           SimpleExtension, is_irreducible_over_q)
+                           SimpleExtension, _least_scaling,
+                           is_irreducible_over_q)
 from desing.gnd import desingularize
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import (PACKED_MIN_PAIRS, CompletionMorphism,
@@ -110,6 +111,34 @@ def test_irreducibility_kronecker_path():
     assert not is_irreducible_over_q([2, 0, 3, 0, 1])
     # irreducible, and reducible modulo every prime
     assert is_irreducible_over_q([1, 0, 0, 0, 0, 0, 0, 0, 1])
+
+
+def _scales_to_integers(coeffs, ell):
+    d = len(coeffs) - 1
+    return all((c * ell ** (d - i)).denominator == 1
+               for i, c in enumerate(coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(max_denominator=200), min_size=1, max_size=5))
+def test_least_scaling_is_least(low):
+    # l clears every denominator, and no l/q for a prime q of l does
+    coeffs = [Fraction(c) for c in low] + [Fraction(1)]
+    ell = _least_scaling(coeffs)
+    assert _scales_to_integers(coeffs, ell)
+    primes = [q for q in range(2, 200)
+              if ell % q == 0 and all(q % r for r in range(2, q))]
+    assert not any(_scales_to_integers(coeffs, ell // q) for q in primes)
+
+
+def test_least_scaling_examples():
+    F = Fraction
+    assert _least_scaling([F(1, 65536), 0, 0, 0, 1]) == 16
+    assert _least_scaling([F(1, 27), F(1, 9), 0, 1]) == 3
+    assert _least_scaling([F(3), F(-2), 1]) == 1
+    # a cofactor with no prime below 2^16 enters whole
+    big = 2 ** 61 - 1
+    assert _least_scaling([F(1, big ** 2), 0, 1]) == big ** 2
 
 
 def _times(f, g):

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desing import series
+from desing import gnd, series
 from desing.errors import ConsistencyError, DomainError, ResourceError
 from desing.fields import QQ, PrimeField, SimpleExtension
-from desing.gnd import (_alpha_factorial_inverse, _check_membership,
-                        _taylor_partials, border_step, build_H_G, build_h_g,
-                        desingularize, make_D, truncate_lift,
+from desing.gnd import (_check_membership, border_step, build_H_G,
+                        build_h_g, desingularize, make_D, truncate_lift,
                         verify_certificate)
 from desing.poly import Polynomial, parse_polynomial, ring_substitution
 from desing.series import CompletionMorphism, TruncatedSeries, parse_series
@@ -117,6 +116,39 @@ def test_build_h_g_linear_relation():
     assert h == [parse_polynomial("Y1 - x - T1", ring, QQ)]
     assert g == [parse_polynomial("T1", ring, QQ)]
     assert Q == [Polynomial.zero(ring, QQ)]
+
+
+def test_build_h_g_takes_no_partials(monkeypatch):
+    # g is s^p f with s*Y replaced by s*y' + d*w, divided by d^2; a Taylor
+    # expansion of this one-term relation would take 4^4 - 1 partials
+    ring = ("x", "Y1", "Y2", "Y3", "Y4")
+    B = AlgebraPresentation(base_var="x", variables=ring[1:], field=QQ,
+                            relations=[parse_polynomial(
+                                "Y1^3*Y2^3*Y3^3*Y4^3 - x^12", ring, QQ)])
+    v = CompletionMorphism(
+        base_var="x", field=QQ,
+        images={y: parse_series("x + O(x^120)", ("x",), QQ)
+                for y in ring[1:]})
+    calls, inside = [0], [False]
+    real_derivative, real_build = Polynomial.derivative, gnd.build_h_g
+
+    def derivative(self, var):
+        calls[0] += inside[0]
+        return real_derivative(self, var)
+
+    def build(*args):
+        inside[0] = True
+        try:
+            return real_build(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Polynomial, "derivative", derivative)
+    monkeypatch.setattr(gnd, "build_h_g", build)
+    cert = desingularize(B, v)
+    assert calls == [0]
+    verify_certificate(cert, B, v)
+    assert cert.all_passed(), "\n".join(cert.report_lines())
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +365,36 @@ def test_membership_check_degree_above_p():
 
 # ---------------------------------------------------------------------------
 # check 2 against the Taylor-telescoping cofactor identity it replaced
+
+def _taylor_partials(f, yvars):
+    """Nonzero iterated partials of f, keyed by the multi-exponent in Y."""
+    n = len(yvars)
+    zero_alpha = (0,) * n
+    out = {zero_alpha: f}
+    frontier = [zero_alpha]
+    while frontier:
+        nxt = []
+        for alpha in frontier:
+            for j, v in enumerate(yvars):
+                beta = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]
+                if beta in out:
+                    continue
+                d = out[alpha].derivative(v)
+                if d.is_zero():
+                    continue
+                out[beta] = d
+                nxt.append(beta)
+        frontier = nxt
+    return out
+
+
+def _alpha_factorial_inverse(alpha, F):
+    fact = 1
+    for a in alpha:
+        for k in range(2, a + 1):
+            fact *= k
+    return F.from_fraction(Fraction(1, fact))
+
 
 def reference_congruence_holds(f, i, yassign, yvars, d, s, b, g, h, w, p, D):
     """Check s^p f - d^2 g in (h) by an explicit cofactor identity: the

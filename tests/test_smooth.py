@@ -506,3 +506,34 @@ def test_algebra_presentation_validation():
     with pytest.raises(StructuralError):
         AlgebraPresentation(base_var="x", variables=("Y1",), field=QQ,
                             relations=[parse_polynomial("z", ("z",), QQ)])
+
+
+def test_reduction_never_bases_the_smoothing_ideal(monkeypatch):
+    # a step reduces H's generators modulo the basis of I and bases I and
+    # the remainders; buchberger never sees the generator list of H
+    ring = ("x", "Y1", "Y2", "Y3", "Y4", "Y5")
+    B = AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial(f"{y}^2", ring, QQ) for y in ring[1:]])
+    v = CompletionMorphism(
+        base_var="x", field=QQ,
+        images={y: parse_series("O(x^12)", ("x",), QQ) for y in ring[1:]})
+    H_sizes, handed = [], []
+    real_H, real_bb = smooth.smoothing_ideal, smooth.buchberger
+
+    def counted_H(*args):
+        H = real_H(*args)
+        H_sizes.append(len(H.generators))
+        return H
+
+    def counted_bb(ideal, *args):
+        gens = ideal.generators if hasattr(ideal, "generators") else ideal
+        handed.append(len(gens))
+        return real_bb(ideal, *args)
+
+    monkeypatch.setattr(smooth, "smoothing_ideal", counted_H)
+    monkeypatch.setattr(smooth, "buchberger", counted_bb)
+    with pytest.raises(DomainError, match="no progress"):
+        reduce_until_nonvanishing(B, v)
+    assert 326 in H_sizes
+    assert max(handed) < min(H_sizes)
