@@ -1,6 +1,8 @@
 """Newton lifting of approximate series solutions, linear factorization
-through polynomial algebras, and the module-isomorphism equation systems,
-checked at a candidate by matrix arithmetic over truncated series.
+through polynomial algebras (a polynomial solution and the kernel read off
+one syzygy module, with no degree bound), and the module-isomorphism
+equation systems, checked at a candidate by matrix arithmetic over
+truncated series.
 
 The Newton step reuses the bordered-Jacobian trick of ``smooth``: the witness
 search (``smooth.best_witness``) picks a subsystem and a minor, and with H its
@@ -14,16 +16,12 @@ from dataclasses import dataclass
 from .errors import (DomainError, PrecisionError, ResourceError,
                      StructuralError)
 from .groebner import kernel_basis
-from .poly import Polynomial
 from .series import (MAX_PRECISION, TruncatedSeries, series_eval,
                      series_point)
 from .smooth import (DEFAULT_SUBSET_BUDGET, AlgebraPresentation, best_witness,
                      bordered_jacobian, matrix_det, matrix_mul)
 
 MAX_NEWTON_ITERATIONS = 200
-# the degree bound of linear_factor's particular solution: the largest degree
-# of its input plus this
-LINEAR_FACTOR_SLACK = 10
 
 
 # ---------------------------------------------------------------------------
@@ -193,28 +191,17 @@ class LinearFactorization:
     precision: int
 
 
-def _x_coefficients(poly, xvar):
-    """Degree -> coefficient of the terms of poly that are powers of xvar."""
-    i = poly.variables.index(xvar)
-    F = poly.field
-    out = {}
-    for m, c in poly.terms.items():
-        if all(e == 0 for k, e in enumerate(m) if k != i):
-            out[m[i]] = F.add(out.get(m[i], F.zero()), c)
-    return out
-
-
-def _solve_by_degrees(matrix, targets, xvar, unknown_degrees, F):
-    """Coefficients of a vector c with matrix*c = targets, compared degree
-    by degree: c_j = sum of c_(j,d) x^d for d < unknown_degrees, and
-    targets[i] lists the x^0, x^1, ... coefficients the i-th row must meet.
-    Returns one term dict per c_j (free coefficients 0), or None when the
-    system is inconsistent."""
+def _solve_by_degrees(matrix, targets, unknown_degrees, F):
+    """Coefficients of a vector c with matrix*c = targets over k[x],
+    compared degree by degree: c_j = sum of c_(j,d) x^d for
+    d < unknown_degrees, and targets[i] lists the x^0, x^1, ... coefficients
+    the i-th row must meet. Returns one term dict per c_j (free coefficients
+    0), or None when the system is inconsistent."""
     cols = len(matrix[0])
     unknowns = [(j, d) for j in range(cols) for d in range(unknown_degrees)]
     rows, rhs = [], []
     for row, target in zip(matrix, targets):
-        coeffs = [_x_coefficients(entry, xvar) for entry in row]
+        coeffs = [{m[0]: c for m, c in entry.terms.items()} for entry in row]
         for d, value in enumerate(target):
             rows.append([coeffs[j].get(d - dd, F.zero()) if dd <= d
                          else F.zero() for (j, dd) in unknowns])
@@ -232,12 +219,14 @@ def _solve_by_degrees(matrix, targets, xvar, unknown_degrees, F):
 def linear_factor(a, b, yprime, base_var):
     """Write y' = c_part + sum z_k y^(k) over the truncated series ring.
 
-    c_part is a polynomial particular solution of a*c = b found with a
-    degree bound; the y^(k) generate the kernel of a; the z_k solve an
-    exact finite linear system, free coordinates set to zero.
+    The reduced syzygy basis of [-b | a] gives both parts: an element
+    (t, c) with t a nonzero constant gives c_part = c/t, the normal form of
+    every polynomial solution of a*c = b modulo ker a, and the elements with
+    t = 0 are the y^(k), the reduced basis of ker a. Without such a t, a*c = b
+    has no polynomial solution (DomainError). The z_k solve an exact finite
+    linear system, free coordinates set to zero.
     """
-    r = len(a)
-    n = len(a[0])
+    r, n = len(a), len(a[0])
     if any(len(row) != n for row in a):
         raise StructuralError("the matrix rows must have the same length")
     if len(b) != r:
@@ -259,32 +248,23 @@ def linear_factor(a, b, yprime, base_var):
         bs = TruncatedSeries.from_polynomial(b[i].restrict(base), prec)
         if not (acc - bs).is_zero():
             raise DomainError("a*y' does not equal b to precision")
-    # particular solution with bounded degree
-    degs = [p.total_degree() for row in a for p in row if not p.is_zero()]
-    degs += [p.total_degree() for p in b if not p.is_zero()]
-    bound = max(degs, default=0) + LINEAR_FACTOR_SLACK
-    eq_degree = bound + max(degs, default=0) + 1
-    targets = []
-    for bi in b:
-        coeffs = _x_coefficients(bi, base_var)
-        targets.append([coeffs.get(d, F.zero()) for d in range(eq_degree + 1)])
-    terms = _solve_by_degrees(a, targets, base_var, bound + 1, F)
-    if terms is None:
-        raise DomainError("no polynomial particular solution within the "
-                          f"degree bound {bound}")
-    c_part = [Polynomial(base, F, t) for t in terms]
-    # kernel of a as a matrix over k[x]
-    arow = [[entry.restrict(base) if entry.variables != base else entry
-             for entry in row] for row in a]
-    kb = kernel_basis(arow)
-    gens = kb.basis
+    # the syzygies (t, c) of [-b | a] have a*c = t*b; -b's tag leads the
+    # position-over-term order, so at most one basis element has t != 0, first
+    syz = kernel_basis([[entry.restrict(base) for entry in (-bi, *row)]
+                        for bi, row in zip(b, a)]).basis
+    gens = [v[1:] for v in syz if v[0].is_zero()]
+    if not syz or syz[0][0].total_degree() != 0:
+        raise DomainError("no polynomial particular solution: a*c = t*b "
+                          "holds only for t in a proper ideal")
+    inv = F.invert(syz[0][0].constant_coefficient())
+    c_part = [entry.scale(inv) for entry in syz[0][1:]]
     # z coefficients: one exact linear system over all degrees below prec
     rests = [y - TruncatedSeries.from_polynomial(cp, prec)
              for y, cp in zip(yprime, c_part)]
     terms = _solve_by_degrees(
         [[g[j] for g in gens] for j in range(n)],
         [[rest.coefficient((d,)) for d in range(prec)] for rest in rests],
-        base_var, prec, F)
+        prec, F)
     if terms is None:
         raise DomainError("coefficient system unsolvable: the truncated "
                           "module is not flat enough")

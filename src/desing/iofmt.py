@@ -454,13 +454,21 @@ def _check_derived(cert):
     none for [yprime] in a short circuit, and tvars), the [data] subset
     (which indexes [relations]), c and columns, p = the degree of
     [relations], square H and G, pprime = minor*witness, d = dprime^2,
-    z = hat[zvar], g_i = s^p b_i + s^p T_i + Q_i and B'.
-    A mismatch is a ConsistencyError."""
-    data, D = cert.data, cert.D
+    z = hat[zvar], g_i = s^p b_i + s^p T_i + Q_i and B', and the [D]
+    extension (ext exactly when [series-field] is Q(alpha), mu its minimal
+    polynomial in ext). A mismatch is a ConsistencyError."""
+    data, D, Fs = cert.data, cert.D, cert.series_field
 
     def require(ok, what):
         if not ok:
             raise ConsistencyError(f"certificate {what}")
+
+    # B' maps to the completion only through U -> alpha, so mu is bound too
+    extension = isinstance(Fs, SimpleExtension)
+    require((D.ext_var is not None) == extension,
+            "[D] has ext without [series-field] Q(alpha), or the reverse")
+    require(not extension or D.mu == alpha_polynomial(Fs.mu, (D.ext_var,)),
+            "[D] mu is not the minimal polynomial of [series-field]")
 
     for tag, named, names in (
             ("yprime", cert.yprime, () if cert.short_circuit else cert.yvars),

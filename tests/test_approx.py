@@ -8,6 +8,7 @@ from desing.approx import (LiftRequest, LinearFactorization, ModuleIsoSystem,
                            newton_lift, solve_linear)
 from desing.errors import DomainError, ResourceError
 from desing.fields import QQ, PrimeField
+from desing.groebner import kernel_basis
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import TruncatedSeries, parse_series, series_eval
 from desing.smooth import matrix_det, matrix_mul
@@ -319,6 +320,65 @@ def test_linear_factor_no_polynomial_particular():
     yprime = [geometric_series(12)]       # 1/(1+x)
     with pytest.raises(DomainError):
         linear_factor(a, b, yprime, "x")
+
+
+def test_linear_factor_particular_beyond_the_input_degree():
+    # c = (-x^22, x^11) has twice the degree of the input; the syzygies of
+    # [-b | a] find it with no degree bound
+    a = [[xpoly("1"), xpoly("x^11")], [xpoly("0"), xpoly("1")]]
+    b = [xpoly("0"), xpoly("x^11")]
+    yprime = [sser("-x^22 + O(x^30)"), sser("x^11 + O(x^30)")]
+    lf = linear_factor(a, b, yprime, "x")
+    assert lf.particular == [xpoly("-x^22"), xpoly("x^11")]
+    assert lf.kernel == [] and lf.z == []
+    for j in range(2):
+        assert reconstruct(lf, j) == yprime[j]
+
+
+@st.composite
+def factorable_systems(draw):
+    """(a, b, y') with b = a*c0 and y' = c0 + sum z_k k_k over the reduced
+    kernel basis k of a: a random matrix, c0 and z."""
+    F = draw(st.sampled_from((QQ, PrimeField(32003))))
+    precision = 8
+    coeff = st.sampled_from((0, 0, 1, -1, 2, -3)).map(F.from_int)
+
+    def poly(degree):
+        if draw(st.integers(0, 2)) == 0:
+            return Polynomial.zero(BASE, F)
+        coeffs = draw(st.lists(coeff, min_size=degree + 1,
+                               max_size=degree + 1))
+        return Polynomial(BASE, F, {(d,): c for d, c in enumerate(coeffs)})
+
+    r, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    a = [[poly(3) for _ in range(n)] for _ in range(r)]
+    c0 = [poly(3) for _ in range(n)]
+    b = [sum((e * c for e, c in zip(row, c0)), Polynomial.zero(BASE, F))
+         for row in a]
+    kernel = kernel_basis(a).basis
+    zs = [TruncatedSeries(BASE, F, {(d,): c for d, c in enumerate(
+        draw(st.lists(coeff, min_size=precision, max_size=precision)))},
+        precision) for _ in kernel]
+    yprime = []
+    for j in range(n):
+        acc = TruncatedSeries.from_polynomial(c0[j], precision)
+        for z, gen in zip(zs, kernel):
+            acc = acc + z * TruncatedSeries.from_polynomial(gen[j], precision)
+        yprime.append(acc)
+    return a, b, yprime, kernel
+
+
+@settings(max_examples=100, deadline=None)
+@given(factorable_systems())
+def test_linear_factor_matches_kernel_basis(system):
+    a, b, yprime, kernel = system
+    lf = linear_factor(a, b, yprime, "x")
+    for row, bi in zip(a, b):
+        assert sum((e * c for e, c in zip(row, lf.particular)),
+                   Polynomial.zero(BASE, bi.field)) == bi
+    assert lf.kernel == kernel
+    for j in range(len(yprime)):
+        assert reconstruct(lf, j) == yprime[j]
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,52 @@ def test_cli_verify_rejects_inconsistent_sections(tmp_path, node_certificate,
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
 
 
+@pytest.fixture(scope="module")
+def sqrt2_node_certificate(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cert")
+    cert_path = str(tmp / "cert.txt")
+    problem = node_problem().replace(
+        "[field]\nQ\n", "[field]\nQ\n[series-field]\nQ(r) r^2 - 2\n", 1)
+    inp = write(tmp, "in.problem", problem)
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    return open(cert_path).read()
+
+
+@pytest.mark.parametrize("forged", ["U^2 - 3", "U^2", "U - 7", "U^3 - 2"])
+def test_cli_verify_binds_mu_to_the_series_field(tmp_path, capsys,
+                                                 sqrt2_node_certificate,
+                                                 forged):
+    # B' maps to the completion only through U -> sqrt 2, so a [D] mu (and
+    # the [bprime] relation that repeats it) other than U^2 - 2 is refused
+    assert main(["verify", "--input", write(tmp_path, "good.txt",
+                                            sqrt2_node_certificate)]) == 0
+    bad = sqrt2_node_certificate.replace(
+        "\nmu U^2 - 2\n", f"\nmu {forged}\n").replace(
+        "\nU^2 - 2\n", f"\n{forged}\n")
+    assert bad.count(f"\n{forged}\n") == 1
+    assert f"\nmu {forged}\n" in bad
+    with pytest.raises(ConsistencyError, match="mu is not the minimal"):
+        parse_certificate(bad)
+    capsys.readouterr()
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+    assert "[D] mu is not the minimal polynomial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["ext-over-Q", "no-ext-over-Q(alpha)"])
+def test_cli_verify_binds_ext_to_the_series_field(tmp_path, node_certificate,
+                                                  sqrt2_node_certificate,
+                                                  case):
+    if case == "ext-over-Q":
+        bad = _edit_line(node_certificate, "D", "ext ",
+                         lambda l: "ext U\nmu U^2 - 2")
+    else:
+        bad = _edit_line(sqrt2_node_certificate, "D", "ext ",
+                         lambda l: "ext -")
+    with pytest.raises(ConsistencyError, match="ext"):
+        parse_certificate(bad)
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+
+
 def _drop(tag, key):
     # split_sections skips blank lines, so an emptied line is a dropped one
     return lambda text: _edit_line(text, tag, key, lambda l: "")

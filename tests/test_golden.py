@@ -343,7 +343,7 @@ GOLDEN = {
     ("module-iso", "MODULE_ISO_REJECTED"):
         "55a46f9ed24f03da7de57ef243e1d9bcee319df4749c323be951de64abaaea13",
     ("linear-factor", "LINEAR_FACTOR"):
-        "adf6cd23bcb9501225669487d7d973a82c355831e6c04f880e9029ba7d350cf4",
+        "572a693f667e4037a35a084b647657a270d6e091267dbf0c12104180698baf39",
     ("groebner", "KATSURA5_Q"):
         "22bd5bc270241a54f5b00a4ae816e57ae93a272186934ca4f5b1fda33a965548",
     ("groebner", "FRACTIONAL_3"):
