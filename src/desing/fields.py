@@ -502,6 +502,8 @@ class SimpleExtension(Field):
         self.mu = mu
         self.gen = gen
         self.degree = len(mu) - 1
+        # mu for ``_reduce``: ints where integral, so int rows stay ints
+        self._mu = tuple(map(_integral, mu))
 
     def zero(self):
         return (Fraction(0),) * self.degree
@@ -518,8 +520,12 @@ class SimpleExtension(Field):
     def from_fraction(self, q):
         return (Fraction(q),) + (Fraction(0),) * (self.degree - 1)
 
-    def from_coeffs(self, coeffs):
-        return self._reduce([Fraction(c) for c in coeffs])
+    def from_coeffs(self, coeffs, den=1):
+        """The element sum c_i alpha^i / den for Q values c_i: reduced by
+        mu first, in ints when the c_i and mu are integral."""
+        if den == 1:
+            return tuple(map(Fraction, self._reduce(coeffs)))
+        return tuple(Fraction(c, den) for c in self._reduce(coeffs))
 
     def _reduce(self, coeffs):
         coeffs = list(coeffs)
@@ -528,7 +534,7 @@ class SimpleExtension(Field):
             top = coeffs.pop()
             if top:
                 for i in range(d):
-                    coeffs[len(coeffs) - d + i] -= top * self.mu[i]
+                    coeffs[len(coeffs) - d + i] -= top * self._mu[i]
         coeffs += [Fraction(0)] * (d - len(coeffs))
         return tuple(coeffs)
 

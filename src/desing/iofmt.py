@@ -454,9 +454,10 @@ def _check_derived(cert):
     none for [yprime] in a short circuit, and tvars), the [data] subset
     (which indexes [relations]), c and columns, p = the degree of
     [relations], square H and G, pprime = minor*witness, d = dprime^2,
-    z = hat[zvar], g_i = s^p b_i + s^p T_i + Q_i and B', and the [D]
-    extension (ext exactly when [series-field] is Q(alpha), mu its minimal
-    polynomial in ext). A mismatch is a ConsistencyError."""
+    z = hat[zvar], g_i = s^p b_i + s^p T_i + Q_i and B', [series-field]
+    ([field] itself or a Q(alpha) over it) and the [D] extension (ext
+    exactly when [series-field] is Q(alpha), mu its minimal polynomial in
+    ext). A mismatch is a ConsistencyError."""
     data, D, Fs = cert.data, cert.D, cert.series_field
 
     def require(ok, what):
@@ -465,6 +466,8 @@ def _check_derived(cert):
 
     # B' maps to the completion only through U -> alpha, so mu is bound too
     extension = isinstance(Fs, SimpleExtension)
+    require(Fs == cert.field or (extension and Fs.base == cert.field),
+            "[series-field] is neither [field] nor a Q(alpha) over it")
     require((D.ext_var is not None) == extension,
             "[D] has ext without [series-field] Q(alpha), or the reverse")
     require(not extension or D.mu == alpha_polynomial(Fs.mu, (D.ext_var,)),

@@ -28,14 +28,14 @@ balanced residues.
 - Weierstrass preparation solves its recurrence on rows: level k maps
   each head of degree k to a row in the last variable, and the products
   by the level-0 unit and its inverse are one-variable products.
-- ``series_eval`` at a point whose images are series in one variable over
-  Q or GF(p) (``SeriesPoint.eval``) scales each image to integer numerators and packs
-  it once; every power and every term is a big-int product modulo
-  2^(8wN), scaled by D / (its denominator) with D the lcm of the term
-  denominators, the terms are summed as ints, and the sum is decoded once
-  and divided by D.  The packed powers stay on the point for its later
-  calls.  Points over Q(alpha) or in several variables evaluate term by
-  term (``Substitution.apply``).
+- ``series_eval`` at a point (``SeriesPoint.eval``; images in one
+  variable) scales each image to integer numerators and packs it once;
+  every power and term is a big-int product modulo 2^(8wSN), scaled by D /
+  (its denominator), D the lcm of the term denominators, and the sum is
+  decoded once and divided by D.  Over Q(alpha) alpha is a second packed
+  variable, x -> 2^(8wS) and alpha -> 2^(8w), S - 1 the largest
+  alpha-degree of a term, and mu acts once, at decode; Q and GF(p) are
+  S = 1.  The packed powers stay on the point for its later calls.
 """
 
 import re
@@ -45,9 +45,11 @@ from operator import add
 
 from .errors import (ConsistencyError, DivisibilityError, DomainError,
                      NonUnitError, ParseError, StructuralError)
-from .fields import PrimeField, RationalField, read_back, scaled_to_ints
+from .fields import (QQ, PrimeField, RationalField, SimpleExtension,
+                     read_back, scaled_to_ints)
 from .poly import (Polynomial, Substitution, add_scaled_terms,
-                   monomial_degree, parse_polynomial, product_terms)
+                   monomial_degree, parse_polynomial, product_terms,
+                   unfold_extension)
 
 # Stored term pairs from which a one-variable product is packed; below it a
 # product is bounded ``product_terms``.  A packed product costs 25-60 us
@@ -179,17 +181,13 @@ class TruncatedSeries:
             self.variables, F, {m: F.neg(c) for m, c in self.terms.items()},
             self.precision)
 
-    def _packable(self):
-        """True for a series over Q or GF(p)."""
-        return type(self.field) in (RationalField, PrimeField)
-
     def __mul__(self, other):
         self._check(other)
         F = self.field
         prec = min(self.precision, other.precision)
         a, b = self.terms, other.terms
         if (len(a) * len(b) >= PACKED_MIN_PAIRS and len(self.variables) == 1
-                and self._packable()):
+                and type(F) in (RationalField, PrimeField)):
             terms = _packed_product(F, a, b, prec)
         else:
             terms = product_terms(F, a, b, prec)
@@ -398,16 +396,22 @@ def _ints(F, terms, prec):
     return {e: c if 2 * c <= p else c - p for e, c in items.items()}, 1
 
 
-def _decoded(F, coeffs, den):
-    """The term dict of the series sum c_e x^e / den over Q or GF(p)."""
-    return read_back(F, [((e,), c) for e, c in enumerate(coeffs) if c], den)
+def _decoded(F, coeffs, den, stride=1):
+    """The term dict of the series sum c_e x^e / den over Q or GF(p); over
+    Q(alpha) of sum c_(kS+i) alpha^i x^k / den, S the stride, mu once."""
+    if type(F) is not SimpleExtension:
+        return read_back(F, [((e,), c) for e, c in enumerate(coeffs) if c],
+                         den)
+    terms = ((k // stride, F.from_coeffs(coeffs[k:k + stride], den))
+             for k in range(0, len(coeffs), stride))
+    return {(k,): c for k, c in terms if any(c)}
 
 
 class SeriesPoint(Substitution):
-    """A point whose images are series in one variable over Q or GF(p):
-    ``eval`` runs packed.  Each image is scaled to integer numerators and
-    packed once, and the powers of the images stay packed, one per
-    (variable, exponent) and precision, for every later call."""
+    """A point whose images are series in one variable: ``eval`` runs
+    packed.  Each image is scaled to integer numerators and packed once,
+    and the powers of the images stay packed, one per (variable, exponent)
+    and precision, for every later call."""
 
     __slots__ = ("_packed",)
 
@@ -416,7 +420,11 @@ class SeriesPoint(Substitution):
         self._packed = {}       # precision -> _PackedPowers
 
     def eval(self, poly, precision):
-        """poly at the point modulo x^precision, by packed arithmetic.
+        """poly at the point modulo x^precision, by packed arithmetic: over
+        Q(alpha) x -> 2^(8wS), alpha -> 2^(8w) and S - 1 the largest
+        alpha-degree of a term before mu, which acts at decode; a power v^e
+        of alpha-degree past 2d - 2 (no product of two field elements gets
+        there; d = [F:Q]) is an image of its own, reduced by mu (``**``).
 
         With each image v = A_v / d_v (A_v integral) and each term
         c*prod v^(e_v), D is the lcm of the term denominators
@@ -425,91 +433,124 @@ class SeriesPoint(Substitution):
         coefficient of a product of factors of heights H_i and lengths L_i
         is at most prod H_i times the product of all L_i but the largest,
         so every coefficient of that sum, and of every partial product, is
-        at most sum_t |C_t| prod_v (L_v H_v)^(e_v) / max L_v: the slot
-        width is that bound and a sign bit.
-        """
-        F = self.one.field
-        rational = type(F) is RationalField
+        at most sum_t |C_t| L_t prod_v (L_v H_v)^(e_v) / max L_v (L_t the
+        alpha-length of C_t), and a sign bit more is the slot width."""
+        F, K = self.one.field, poly.field
+        F.coerce(K, K.one())    # Q into Q(alpha) is the one proper coercion
         powers = self._packed.get(precision)
         if powers is None:
             powers = self._packed[precision] = _PackedPowers(
                 self.images, F, precision)
-        terms = []
+        terms, stride = [], 1
         for mono, c in poly.terms.items():
-            c = F.coerce(poly.field, c)
-            factors = [(name, e) for name, e in zip(poly.variables, mono) if e]
-            bits, longest, den = 0, 0, c.denominator if rational else 1
-            for name, e in factors:
+            den, row = _row(K, c)
+            factors, bits, longest, degree = [], 0, 0, len(row) - 1
+            for name, e in zip(poly.variables, mono):
+                if not e:
+                    continue
                 image = powers.image(name)
+                if image and e * image[4] > 2 * powers.degree - 2:
+                    name, e = (name, e), 1          # v^e is its own image
+                    image = powers.image(name)
                 if image is None:           # a zero image: the term is 0
                     break
-                _, d, hbits, lbits = image
+                factors.append((name, e))
+                _, d, hbits, lbits, alpha = image
                 bits += e * (hbits + lbits)
                 longest = max(longest, lbits)
                 den *= d ** e
+                degree += e * alpha
             else:
-                terms.append((c, den, factors, bits - longest))
+                terms.append((row, den, factors, bits - longest))
+                stride = max(stride, degree + 1)
         D = lcm(*(den for _, den, _, _ in terms))
         scaled, top = [], 0
-        for c, den, factors, bits in terms:
-            if rational:
-                C = c.numerator * (D // den)
-            else:
-                C = c if 2 * c <= F.p else c - F.p
-            scaled.append((C, factors))
-            top = max(top, C.bit_length() + bits)
+        for row, den, factors, bits in terms:
+            row = [c * (D // den) for c in row]
+            scaled.append((row, factors))
+            top = max(top, max(map(abs, row)).bit_length() + bits
+                      + (len(row) - 1).bit_length())
         # every term is below 2^top, so the sum is below 2^(top + log2 n)
-        width = (top + len(scaled).bit_length()) // 8 + 1
-        powers.widen(width)
-        mask = powers.mask
+        powers.widen((top + len(scaled).bit_length()) // 8 + 1, stride)
+        width, stride, mask = powers.width, powers.stride, powers.mask
         acc = 0
-        for C, factors in scaled:
+        for row, factors in scaled:
+            C = row[0] if len(row) == 1 else sum(
+                c << 8 * width * i for i, c in enumerate(row))
             part = None
             for key in factors:
                 pw = powers.power(key)
                 part = pw if part is None else part * pw & mask
             acc += C if part is None else C * part
-        coeffs = _unpack(acc, powers.width, precision)
+        coeffs = _unpack(acc, width, precision * stride)
         return TruncatedSeries._trusted(self.one.variables, F,
-                                        _decoded(F, coeffs, D), precision)
+                                        _decoded(F, coeffs, D, stride),
+                                        precision)
+
+
+def _row(F, c):
+    """(D, the ints D*c_i) for c = sum c_i alpha^i, none zero at the top
+    (over Q, c = c_0); over GF(p), (1, [the balanced residue of c])."""
+    if type(F) is PrimeField:
+        return 1, [c if 2 * c <= F.p else c - F.p]
+    if type(F) is SimpleExtension:
+        return scaled_to_ints(c[:max(i for i, ci in enumerate(c) if ci) + 1])
+    return c.denominator, [c.numerator]
 
 
 class _PackedPowers:
     """The packed powers of a point's images at one precision N, in slots
-    of ``width`` bytes; a wider call re-lays them out, digit by digit."""
+    of ``width`` bytes, ``stride`` slots (alpha's powers) to each power of
+    x; a call that needs more of either re-lays them out."""
 
-    __slots__ = ("series", "field", "size", "width", "mask", "images",
-                 "powers")
+    __slots__ = ("series", "field", "degree", "size", "width", "stride",
+                 "mask", "images", "powers")
 
     def __init__(self, series, field, size):
         self.series, self.field, self.size = series, field, size
-        self.width, self.mask = 0, 0
-        self.images = {}    # name -> (numerators, den, bits, bits) or None
+        self.degree = field.degree if type(field) is SimpleExtension else 1
+        self.width, self.stride, self.mask = 0, 1, 0
+        self.images = {}    # name -> (numerators, den, bits, bits, degree)
         self.powers = {}    # (name, e) -> packed image^e modulo x^size
 
     def image(self, name):
-        """The integer numerators of an image below x^size, their common
-        denominator and the bits of their height and of their number;
-        None for a zero image."""
+        """An image's int numerators below x^size (alpha^i x^k at k*d + i),
+        their denominator, bits of height and number, alpha-degree; or None."""
         if name in self.images:
             return self.images[name]
-        nums, den = _ints(self.field, self.series[name].terms, self.size)
+        F, d = self.field, self.degree
+        v, e = name if isinstance(name, tuple) else (name, 1)   # v^e
+        series = self.series[v]
+        terms = (series.truncate(self.size) ** e if e > 1 else series).terms
+        if d > 1:
+            F, terms = QQ, {(k * d + i,): c for (k, i), c
+                            in unfold_extension(terms).items()}
+        nums, den = _ints(F, terms, self.size * d)
         out = None if not nums else (
             nums, den, max(map(abs, nums.values())).bit_length(),
-            len(nums).bit_length())
+            len(nums).bit_length(), max(p % d for p in nums))
         self.images[name] = out
         return out
 
-    def widen(self, width):
-        """Slots of at least ``width`` bytes for every power from here on."""
-        if width <= self.width:
-            return
-        old, size = self.width, self.size
-        for key, value in self.powers.items():
-            self.powers[key] = _pack(enumerate(_unpack(value, old, size)),
-                                     width, size)
-        self.width = width
-        self.mask = (1 << (8 * width * size)) - 1
+    def widen(self, width, stride):
+        """At least ``width`` bytes a slot and ``stride`` slots a power of x:
+        digits c + 2^(8w - 1) >= 0 move by byte slices, less the offsets."""
+        width, stride = max(width, self.width), max(stride, self.stride)
+        w, s, n = self.width, self.stride, self.size
+
+        def spread(value):
+            src = value.to_bytes(w * s * n, "little")
+            dst = bytearray(width * stride * n)
+            for i in range(w * s):
+                dst[i // w * width + i % w::width * stride] = src[i::w * s]
+            return int.from_bytes(dst, "little")
+        if (width, stride) != (w, s) and self.powers:
+            off = _offsets(w, n * s)
+            shift = spread(off)
+            for key, value in self.powers.items():
+                self.powers[key] = spread((value + off) & self.mask) - shift
+        self.width, self.stride = width, stride
+        self.mask = (1 << (8 * width * n * stride)) - 1
 
     def power(self, key):
         """The packed image^e of key = (name, e), built once."""
@@ -522,7 +563,10 @@ class _PackedPowers:
         """image^e from the packed powers e // 2 and 1."""
         name, e = key
         if e == 1:
-            return _pack(self.image(name)[0].items(), self.width, self.size)
+            d, stride = self.degree, self.stride    # k*d + i to k*S + i
+            return _pack(((p // d * stride + p % d, c) for p, c
+                          in self.image(name)[0].items()),
+                         self.width, self.size * stride)
         value = self.power((name, e // 2))
         value = value * value & self.mask
         return value * self.power((name, 1)) & self.mask if e & 1 else value
@@ -530,27 +574,27 @@ class _PackedPowers:
 
 def series_point(images):
     """The point sending each variable to its truncated series; the images
-    share one ring, and the point's one has their largest precision."""
+    share one ring in one variable, and the point's one has their largest
+    precision."""
     first = next(iter(images.values()), None)
     if first is None:
         raise StructuralError("no series assigned")
     for s in images.values():
         if s.variables != first.variables or s.field != first.field:
             raise StructuralError("assigned series live in different rings")
+    if len(first.variables) != 1:
+        raise StructuralError("a series point takes series in one variable")
     top = max(s.precision for s in images.values())
-    one = TruncatedSeries.one(first.variables, first.field, top)
-    packed = len(one.variables) == 1 and one._packable()
-    return (SeriesPoint if packed else Substitution)(images, one)
+    return SeriesPoint(images, TruncatedSeries.one(first.variables,
+                                                   first.field, top))
 
 
 def series_eval(poly, assignment, precision=None):
-    """Evaluate a polynomial on truncated series, a dict or a
-    ``series_point``, given for each variable; the result has the least
-    precision of their images, capped by ``precision``.  Coefficients are
-    coerced into the series field (identity, or Q into an extension).
-    Images in one variable over Q or GF(p) evaluate packed
-    (``SeriesPoint.eval``), all others term by term (``apply``)."""
-    point = assignment if isinstance(assignment, Substitution) else None
+    """Evaluate a polynomial on truncated series in one variable, a dict or
+    a ``series_point``, given for each variable, packed (``SeriesPoint``);
+    the result has the least precision of their images, capped by
+    ``precision``.  Coefficients go into the series field (Q into Q(alpha))."""
+    point = assignment if isinstance(assignment, SeriesPoint) else None
     images = assignment if point is None else point.images
     if not poly.variables:
         raise StructuralError("polynomial has no variables")
@@ -563,11 +607,7 @@ def series_eval(poly, assignment, precision=None):
     if point is None:
         point = series_point({v: images[v].truncate(prec)
                               for v in poly.variables})
-    if isinstance(point, SeriesPoint):
-        return point.eval(poly, prec)
-    one = point.one
-    return point.apply(poly, TruncatedSeries.zero(one.variables, one.field,
-                                                  prec))
+    return point.eval(poly, prec)
 
 
 @dataclass
@@ -581,7 +621,7 @@ class CompletionMorphism:
     field: object
     images: dict
     precision: int = 0
-    point: Substitution = dc_field(init=False, repr=False, compare=False)
+    point: SeriesPoint = dc_field(init=False, repr=False, compare=False)
     _values: dict = dc_field(default_factory=dict, init=False, repr=False,
                              compare=False)
 

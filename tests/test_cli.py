@@ -206,6 +206,10 @@ def _no_equals(tag):
     return lambda text: _edit_line(text, tag, "", lambda l: l.replace("=", ""))
 
 
+def _edit_line_to(tag, line):
+    return lambda text: _edit_line(text, tag, "", lambda l: line)
+
+
 def _value(tag, key, value):
     return lambda text: _edit_line(text, tag, key + " ",
                                    lambda l: f"{key} {value}")
@@ -232,6 +236,12 @@ MALFORMED_CERTIFICATES = {
     "t-term-above-marker": lambda text: _edit_line(
         text, "t", "T1 ", lambda l: re.sub(
             r"x\^\d+ \+ O\(x\^(\d+)\)", r"x^\1 + O(x^\1)", l)),
+    # a [series-field] that is not [field] nor an extension of it parses,
+    # and is refused as inconsistent
+    "series-field-gf7": (_edit_line_to("series-field", "GF 7"),
+                         ConsistencyError),
+    "series-field-gf32003": (_edit_line_to("series-field", "GF 32003"),
+                             ConsistencyError),
 }
 
 
@@ -247,11 +257,15 @@ def node_certificate(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
 def test_cli_verify_malformed_certificate(tmp_path, capsys, node_certificate,
                                           case):
-    bad = MALFORMED_CERTIFICATES[case](node_certificate)
+    edit, error = MALFORMED_CERTIFICATES[case], ParseError
+    if isinstance(edit, tuple):
+        edit, error = edit
+    bad = edit(node_certificate)
     assert bad != node_certificate
-    with pytest.raises(ParseError):
+    with pytest.raises(error):
         parse_certificate(bad)
-    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == \
+        error.exit_code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

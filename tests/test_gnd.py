@@ -548,7 +548,8 @@ def test_desingularize_one_quotient_per_subset(monkeypatch):
 
 def sqrt2_node():
     """Y1*Y2 - 2x^2 at Y1 = r x (1 + x), Y2 = r x / (1 + x) over Q(r),
-    r^2 = 2: its series point does not pack, so verify takes ``apply``."""
+    r^2 = 2: its series point packs, with alpha = r a second packed
+    variable."""
     K = SimpleExtension(QQ, (-2, 0, 1), gen="r")
     ring = ("x", "Y1", "Y2")
     B = AlgebraPresentation(
@@ -562,29 +563,34 @@ def sqrt2_node():
 
 def test_verify_computes_each_power_of_its_point_once(monkeypatch):
     # checks 4-6 share one point: every (variable, exponent) power of it is
-    # computed once, however many of h, g, dg/dT and B's relations use it.
-    # A point over Q(sqrt 2) is evaluated term by term, with the powers of
-    # TruncatedSeries; test_series counts the packed powers of Q points
-    calls = []
-    real = TruncatedSeries.__pow__
+    # built once for each precision, however many of h, g, dg/dT and B's
+    # relations use it, over Q(sqrt 2) as over Q
+    for problem, cert in ((sqrt2_node(), desingularize(*sqrt2_node())),
+                          (chain_k2(), HONEST["chain-k2"])):
+        built = []
+        real = series._PackedPowers._build
 
-    def counted(self, e):
-        calls.append((id(self), e))
-        return real(self, e)
+        def counted(self, key):
+            built.append((id(self), key))
+            return real(self, key)
 
-    cert = desingularize(*sqrt2_node())
-    monkeypatch.setattr(TruncatedSeries, "__pow__", counted)
-    report = verify_certificate(cert, *sqrt2_node())
-    assert all(r.passed for r in report)
-    assert calls and len(calls) == len(set(calls))
+        monkeypatch.setattr(series._PackedPowers, "_build", counted)
+        report = verify_certificate(cert, *problem)
+        monkeypatch.undo()
+        assert all(r.passed for r in report)
+        assert built and len(built) == len(set(built))
 
 
 def test_verify_on_q_takes_the_packed_path(monkeypatch):
-    # the points of a Q certificate pack: no TruncatedSeries power is taken
+    # the points of a Q certificate and of a Q(sqrt 2) one pack: no
+    # TruncatedSeries power is taken
     calls = []
     real = TruncatedSeries.__pow__
+    sqrt2 = desingularize(*sqrt2_node())
     monkeypatch.setattr(TruncatedSeries, "__pow__",
                         lambda self, e: calls.append(e) or real(self, e))
-    report = verify_certificate(HONEST["chain-k2"], *chain_k2())
-    assert all(r.passed for r in report)
+    for cert, problem in ((HONEST["chain-k2"], chain_k2()),
+                          (sqrt2, sqrt2_node())):
+        report = verify_certificate(cert, *problem)
+        assert all(r.passed for r in report)
     assert calls == []

@@ -55,6 +55,23 @@ Y1^2 - (8*x^4 + 16*x^3 + 8*x^2)
 Y1 = 2*r*x^2 + 2*r*x + O(x^24)
 """
 
+# Y1*Y2 - x^2 over Q(s), s^3 - 1/2*s + 1/3, whose mu is not integral:
+# Y1 = s*x*(1 + x) and Y2 = s^-1*x/(1 + x), s^-1 = -3*s^2 + 3/2
+CUBIC_NODE = """\
+[field]
+Q
+[series-field]
+Q(s) s^3 - 1/2*s + 1/3
+[variables]
+base x
+algebra Y1 Y2
+[ideal]
+Y1*Y2 - x^2
+[morphism]
+Y1 = s*x + s*x^2 + O(x^48)
+Y2 = -3*s^2*x + 3/2*x + 3*s^2*x^2 - 3/2*x^2 - 3*s^2*x^3 + 3/2*x^3 + 3*s^2*x^4 - 3/2*x^4 - 3*s^2*x^5 + 3/2*x^5 + 3*s^2*x^6 - 3/2*x^6 - 3*s^2*x^7 + 3/2*x^7 + 3*s^2*x^8 - 3/2*x^8 - 3*s^2*x^9 + 3/2*x^9 + 3*s^2*x^10 - 3/2*x^10 - 3*s^2*x^11 + 3/2*x^11 + 3*s^2*x^12 - 3/2*x^12 - 3*s^2*x^13 + 3/2*x^13 + 3*s^2*x^14 - 3/2*x^14 - 3*s^2*x^15 + 3/2*x^15 + 3*s^2*x^16 - 3/2*x^16 - 3*s^2*x^17 + 3/2*x^17 + 3*s^2*x^18 - 3/2*x^18 - 3*s^2*x^19 + 3/2*x^19 + 3*s^2*x^20 - 3/2*x^20 - 3*s^2*x^21 + 3/2*x^21 + 3*s^2*x^22 - 3/2*x^22 - 3*s^2*x^23 + 3/2*x^23 + 3*s^2*x^24 - 3/2*x^24 - 3*s^2*x^25 + 3/2*x^25 + 3*s^2*x^26 - 3/2*x^26 - 3*s^2*x^27 + 3/2*x^27 + 3*s^2*x^28 - 3/2*x^28 - 3*s^2*x^29 + 3/2*x^29 + 3*s^2*x^30 - 3/2*x^30 - 3*s^2*x^31 + 3/2*x^31 + 3*s^2*x^32 - 3/2*x^32 - 3*s^2*x^33 + 3/2*x^33 + 3*s^2*x^34 - 3/2*x^34 - 3*s^2*x^35 + 3/2*x^35 + 3*s^2*x^36 - 3/2*x^36 - 3*s^2*x^37 + 3/2*x^37 + 3*s^2*x^38 - 3/2*x^38 - 3*s^2*x^39 + 3/2*x^39 + 3*s^2*x^40 - 3/2*x^40 - 3*s^2*x^41 + 3/2*x^41 + 3*s^2*x^42 - 3/2*x^42 - 3*s^2*x^43 + 3/2*x^43 + 3*s^2*x^44 - 3/2*x^44 - 3*s^2*x^45 + 3/2*x^45 + 3*s^2*x^46 - 3/2*x^46 - 3*s^2*x^47 + 3/2*x^47 + O(x^48)
+"""
+
 SMOOTH = """\
 [field]
 Q
@@ -322,6 +339,8 @@ GOLDEN = {
         "c55039a5eefef26b5ed019b5ab32c02eda68808476afeb16a89f73eec73a95d7",
     ("gnd", "SQRT2_NODE"):
         "2fe1eb1c5d7d9ffffe2e867a4b129f118a54bd680b44410a2bed80c0a2bdf1b5",
+    ("gnd", "CUBIC_NODE"):
+        "4c3310491a0d128b9b0d9c03bd3f18707c16a1f7e962c64ce58eb1d6438e3170",
     ("gnd", "SMOOTH"):
         "041acad824c3acc370387f55008b1dec6fea81e713dc85886a5d6aadc5add8d5",
     ("gnd", "REDUCTION"):

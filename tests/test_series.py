@@ -840,26 +840,37 @@ def test_bounded_products_never_form_the_dropped_pairs(monkeypatch):
 # packed evaluation against Substitution.apply
 
 EVAL_VARS = ("x", "Y1", "Y2")
+# a cubic field whose minimal polynomial is not integral
+CUBIC = SimpleExtension(QQ, (Fraction(1, 3), Fraction(-1, 2), 0, 1), gen="s")
 
 
 def _eval_coefficients(field):
     """Q: signed integers and fractions, kept canonical; GF(32003): any
-    residue."""
+    residue; Q(alpha): one to deg(mu) Q coefficients in 1, alpha, ...,
+    reduced, so some have alpha-components and some do not."""
     if field == QQ:
         return st.one_of(st.integers(-10 ** 30, 10 ** 30),
                          st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
                                    st.integers(1, 10 ** 6))
                          ).map(QQ.from_fraction)
+    if isinstance(field, SimpleExtension):
+        return st.lists(_eval_coefficients(QQ), min_size=1,
+                        max_size=field.degree).map(field.from_coeffs).filter(
+                            lambda c: not field.is_zero(c))
     return st.integers(0, field.p - 1)
 
 
 @st.composite
 def _eval_cases(draw):
-    """A field, images of x, Y1 and Y2 (some of them zero, of precisions
-    1 to 30), two or three polynomials in those variables (some zero or
-    constant) and an optional precision cap, from 1 to above the images'."""
-    field = draw(st.sampled_from((QQ, GF)))
-    coeff = _eval_coefficients(field)
+    """A series field, images of x, Y1 and Y2 over it (some of them zero,
+    of precisions 1 to 30), two or three polynomials in those variables
+    (some zero or constant; over Q(alpha) their coefficients are over Q
+    or over Q(alpha)) and an optional precision cap, from 1 to above the
+    images'."""
+    field = draw(st.sampled_from((QQ, GF, SQRT2, CUBIC)))
+    pfield = draw(st.sampled_from((QQ, field))) if field.kind == \
+        "simple-extension" else field
+    coeff, pcoeff = _eval_coefficients(field), _eval_coefficients(pfield)
     images = {}
     for name in EVAL_VARS:
         precision = draw(st.integers(1, 30))
@@ -873,10 +884,11 @@ def _eval_cases(draw):
         if shape == "zero":
             terms = {}
         elif shape == "constant":
-            terms = {(0, 0, 0): draw(coeff)}
+            terms = {(0, 0, 0): draw(pcoeff)}
         else:
-            terms = draw(st.dictionaries(monos, coeff, min_size=1, max_size=8))
-        polys.append(Polynomial(EVAL_VARS, field, terms))
+            terms = draw(st.dictionaries(monos, pcoeff, min_size=1,
+                                         max_size=8))
+        polys.append(Polynomial(EVAL_VARS, pfield, terms))
     cap = draw(st.one_of(st.none(), st.integers(1, 40)))
     return field, images, polys, cap
 
@@ -885,12 +897,14 @@ def _applied(poly, images, cap):
     """poly at the images, term by term with ``Substitution.apply``."""
     prec = min(images[v].precision for v in poly.variables)
     prec = prec if cap is None else min(prec, cap)
-    one = TruncatedSeries.one(("x",), poly.field, prec)
-    point = Substitution(images, one)
-    return point.apply(poly, TruncatedSeries.zero(("x",), poly.field, prec))
+    field = images[poly.variables[0]].field
+    one = TruncatedSeries.one(("x",), field, prec)
+    point = Substitution({v: s.truncate(prec) for v, s in images.items()},
+                         one)
+    return point.apply(poly, TruncatedSeries.zero(("x",), field, prec))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_eval_cases())
 def test_packed_eval_matches_apply(case):
     field, images, polys, cap = case
@@ -906,6 +920,63 @@ def test_packed_eval_matches_apply(case):
                 assert all(type(c) is int or (type(c) is Fraction
                                               and c.denominator != 1)
                            for c in got.terms.values())
+            if field.kind == "simple-extension":
+                assert all(len(c) == field.degree and all(
+                    type(ci) is Fraction for ci in c)
+                    for c in got.terms.values())
+
+
+def test_packed_eval_over_an_extension_widens_the_stride():
+    # a point over Q(s) first evaluated at alpha-degree 0, then at
+    # alpha-degree 8 before mu: the powers already built are re-laid out
+    # with the longer stride, and every value is the term-by-term one
+    s = TruncatedSeries(("x",), CUBIC, {(0,): CUBIC.generator()}, 12)
+    y = TruncatedSeries(("x",), CUBIC, {(0,): CUBIC.one(),
+                                        (1,): CUBIC.generator()}, 12)
+    images = {"x": TruncatedSeries.variable(("x",), CUBIC, "x", 12),
+              "Y1": s, "Y2": y}
+    point = series_point(images)
+    polys = [parse_polynomial(text, EVAL_VARS, QQ)
+             for text in ("x^2 + 1/7*x", "Y2^3 - x", "Y1^4*Y2^4 - 2/3",
+                          "x^2 + 1/7*x")]
+    for poly in polys:
+        assert series_eval(poly, point) == _applied(poly, images, None)
+    assert point._packed[12].stride == 9
+
+
+def test_packed_eval_takes_a_high_power_over_an_extension_reduced():
+    # (r + x)^1000 over Q(sqrt 2): unreduced, its constant term alone has
+    # alpha-degree 1000; the power is an image of its own, reduced by mu,
+    # so the stride stays at most 2d - 1 and the evaluation is quick
+    y = TruncatedSeries(("x",), SQRT2, {(0,): SQRT2.generator(),
+                                        (1,): SQRT2.one()}, 32)
+    images = {"x": TruncatedSeries.variable(("x",), SQRT2, "x", 32),
+              "Y1": y, "Y2": y}
+    point = series_point(images)
+    for text in ("Y1^1000 - x*Y2^999", "Y1^3 + Y2^2"):
+        poly = parse_polynomial(text, EVAL_VARS, QQ)
+        assert series_eval(poly, point) == _applied(poly, images, None)
+    assert point._packed[32].stride <= 3
+
+
+def test_packed_eval_width_counts_the_coefficient_row():
+    # c*Y1 with c = 7 + 7s + 7s^2 and Y1 = c: the coefficient of s^2 before
+    # mu is 3*49 = 147, more than a slot sized without c's three
+    # components would hold
+    c = CUBIC.from_coeffs([7, 7, 7])
+    images = {name: TruncatedSeries(("x",), CUBIC, {(0,): c}, 4)
+              for name in EVAL_VARS}
+    poly = Polynomial(EVAL_VARS, CUBIC, {(0, 1, 0): c})
+    assert series_eval(poly, images) == _applied(poly, images, None)
+
+
+def test_series_point_refuses_several_variables():
+    z = TruncatedSeries.variable(VARS, QQ, "x", 6)
+    with pytest.raises(StructuralError, match="one variable"):
+        series_point({"Y": z})
+    f = parse_polynomial("Y^2 + 1", ("Y",), QQ)
+    with pytest.raises(StructuralError, match="one variable"):
+        series_eval(f, {"Y": z})
 
 
 def test_packed_eval_builds_each_power_once(monkeypatch):
