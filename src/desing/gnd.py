@@ -7,21 +7,24 @@ in the right ideal, truncate the series solution to an exact polynomial
 frame, then build the polynomials h and g whose localized quotient is
 standard smooth and factors the morphism.  g comes from the identity check
 2 reads: s^p f with every s*Y_j replaced by s*y'_j + d*w_j, divided by d^2,
-so no partial derivative of f is taken.  Each identity is checked once,
-by ``verify_certificate`` before ``desingularize`` returns: exactly where
-possible and to a recorded precision otherwise.  A construction fault shows
-as a FAIL in the report (``gnd`` exits 5).
+so no partial derivative of f is taken.  Every value at the frame y' (s,
+b, G(y'), H(y') and check 3's I(y')) is read off one packed series point
+(``FramePoint``), exactly, with mu applied at decode.  Each identity is
+checked once, by ``verify_certificate`` before ``desingularize`` returns:
+exactly where possible and to a recorded precision otherwise.  A
+construction fault shows as a FAIL in the report (``gnd`` exits 5).
 """
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ConsistencyError, DomainError, PrecisionError
+from .errors import (ConsistencyError, DomainError, PrecisionError,
+                     ResourceError)
 from .fields import QQ, RationalField, SimpleExtension
 from .groebner import _fresh_name, division
 from .poly import (DEGREVLEX, Polynomial, alpha_polynomial,
-                   check_power_budget, ring_substitution, unfold_extension)
-from .series import (CompletionMorphism, TruncatedSeries, series_eval,
-                     series_point)
+                   check_power_budget, fold_extension, unfold_extension)
+from .series import (MAX_PRECISION, CompletionMorphism, TruncatedSeries,
+                     series_eval, series_point)
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
                      find_desing_data, identity_matrix,
                      matrix_det, matrix_equal, matrix_mul, matrix_scale,
@@ -61,6 +64,65 @@ class DPresentation:
             out[self.ext_var] = TruncatedSeries.constant(
                 (x,), Fs, Fs.generator(), precision)
         return series_point(out)
+
+    def polynomial(self, terms, ring):
+        """The polynomial of ``ring`` over the base field whose terms in x
+        [and U] are the series terms ``terms`` over the series field."""
+        if self.ext_var:
+            terms = unfold_extension(terms)
+        return Polynomial(self.ring_prefix(), self.field, terms).embed(ring)
+
+    def series(self, poly, precision):
+        """The polynomial ``poly`` in x [and U] as a series over the series
+        field, U -> alpha; a term of ``poly`` in another variable is a
+        StructuralError."""
+        terms = poly.restrict(self.ring_prefix()).terms
+        if self.ext_var:
+            terms = fold_extension(self.series_field, terms.items())
+        return TruncatedSeries((self.base_var,), self.series_field, terms,
+                               precision)
+
+
+class FramePoint:
+    """Values at the Artinian frame: the series point x -> x, U -> alpha,
+    Y_j -> y'_j, each y'_j a polynomial in x [and U].  A term x^a U^b Y^beta
+    has x-degree at most a + sum beta_j deg_x(y'_j) at y', its weighted
+    degree, so a value below x^(top + 1), top the largest weighted degree
+    of a term, is exact; mu acts at decode.  A value is taken at the least
+    power of two above top (or at the precision asked for, if less), so
+    that values of nearby degrees share the point's packed powers."""
+
+    def __init__(self, D, yprime):
+        self.D, self.yprime = D, yprime
+        self.variables = D.ring_prefix() + tuple(yprime)
+        self.weights = ((1,) + (0,) * (len(D.ring_prefix()) - 1)
+                        + tuple(max(y.degree_in(D.base_var), 0)
+                                for y in yprime.values()))
+        self.point = D.point(MAX_PRECISION, {
+            name: D.series(y, MAX_PRECISION) for name, y in yprime.items()})
+
+    def series(self, poly, precision=None):
+        """poly at y' modulo x^precision, or exactly without one: a series
+        in x.  A term of poly in a variable the point does not map is a
+        StructuralError, and a value read past MAX_PRECISION a
+        ResourceError."""
+        poly = poly.restrict(self.variables)
+        top = max((sum(e * w for e, w in zip(m, self.weights))
+                   for m in poly.terms), default=0)
+        n = 1 << top.bit_length()
+        n = n if precision is None else min(precision, n)
+        if n > MAX_PRECISION:
+            raise ResourceError(f"a value at y' of x-degree up to {top} "
+                                f"needs precision above {MAX_PRECISION}")
+        value = series_eval(poly, self.point, n)
+        if precision is None or n == precision:
+            return value
+        return TruncatedSeries(value.variables, value.field, value.terms,
+                               precision)
+
+    def __call__(self, poly):
+        """poly at y', exactly: a polynomial in x [and U] of poly's ring."""
+        return self.D.polynomial(self.series(poly).terms, poly.variables)
 
 
 def make_D(v, taken):
@@ -144,13 +206,8 @@ def truncate_lift(v, c, D, names, ring):
     if v.precision < cut:
         raise PrecisionError(
             f"need precision >= {cut} to truncate, have {v.precision}")
-    out = {}
-    for name in names:
-        terms = {m: c for m, c in v.images[name].terms.items() if m[0] < cut}
-        if D.ext_var:
-            terms = unfold_extension(terms)
-        out[name] = Polynomial(D.ring_prefix(), D.field, terms).embed(ring)
-    return out
+    return {name: D.polynomial({m: c for m, c in v.images[name].terms.items()
+                                if m[0] < cut}, ring) for name in names}
 
 
 def _x_shift(poly, xvar, k, what="element"):
@@ -169,24 +226,15 @@ def _x_shift(poly, xvar, k, what="element"):
     return Polynomial(poly.variables, poly.field, terms)
 
 
-def _x_order(poly, xvar):
-    if poly.is_zero():
-        return None
-    i = poly.variables.index(xvar)
-    return min(m[i] for m in poly.terms)
-
-
-def compute_s_b(fs, P, ypoint, c, D):
+def compute_s_b(fs, P, frame, c, D):
     """s = P(y')/d with s = 1 mod d; b_i = f_i(y')/d^2 with b_i in (d)."""
     x = D.base_var
-    Pval = D.reduce(P.substitute(ypoint))
-    s = _x_shift(Pval, x, 2 * c, "P(y')")
+    s = _x_shift(frame(P), x, 2 * c, "P(y')")
     one = Polynomial.one(s.variables, s.field)
     _x_shift(s - one, x, 2 * c, "s - 1")
     b = []
     for f in fs:
-        fval = D.reduce(f.substitute(ypoint))
-        bi = _x_shift(fval, x, 4 * c, "f_i(y')")
+        bi = _x_shift(frame(f), x, 4 * c, "f_i(y')")
         if not bi.is_zero():
             _x_shift(bi, x, 2 * c, "b_i")
         b.append(bi)
@@ -201,17 +249,17 @@ def build_H_G(fs, yvars, witness, minor):
     return H, G
 
 
-def build_h_g(fs, ypoint, yvars, tvars, d, s, b, G, p, D):
+def build_h_g(fs, frame, yvars, tvars, d, s, b, G, p, D):
     """h = s(Y - y') - d G(y')T; g_i = s^p f_i / d^2 with every s*Y_j
     replaced by s*y'_j + d*w_j, the identity check 2 reads; Q_i = g_i -
     s^p b_i - s^p T_i."""
     ring, F = s.variables, s.field
     tpolys = [Polynomial.variable(ring, F, t) for t in tvars]
-    h, sY = _h_and_sY(ypoint, yvars, tpolys, s, d, G, D)
+    h, sY = _h_and_sY(frame, yvars, tpolys, s, d, G)
     s_pow = _s_powers(s, p, D)
     powers = [[s_pow[0]] for _ in sY]
     x = D.base_var
-    k = 2 * _x_order(d, x)                  # d^2 = x^k
+    k = 2 * d.degree_in(x)                  # d = x^(2c), d^2 = x^k
     g, Q = [], []
     for f, bi, tp in zip(fs, b, tpolys):
         phi = _substituted_power(f, yvars, sY, powers, s_pow, D)
@@ -223,15 +271,15 @@ def build_h_g(fs, ypoint, yvars, tvars, d, s, b, G, p, D):
     return h, g, Q
 
 
-def _h_and_sY(ypoint, yvars, tpolys, s, d, G, D):
+def _h_and_sY(frame, yvars, tpolys, s, d, G):
     """h_j = s(Y_j - y'_j) - d w_j and s y'_j + d w_j, with w = G(y')T."""
     ring, F = s.variables, s.field
     h, sY = [], []
     for row, yv in zip(G, yvars):
         w = Polynomial.zero(ring, F)
         for entry, tp in zip(row, tpolys):
-            w = w + D.reduce(entry.substitute(ypoint)) * tp
-        yp, dw = ypoint.images[yv], d * w
+            w = w + frame(entry) * tp
+        yp, dw = frame.yprime[yv], d * w
         h.append(s * (Polynomial.variable(ring, F, yv) - yp) - dw)
         sY.append(s * yp + dw)
     return h, sY
@@ -324,7 +372,7 @@ class GndCertificate:
         return all(r.passed for r in self.report)
 
 
-def assemble_certificate(step, D, permutation, ring, yvars, tvars, ypoint,
+def assemble_certificate(step, D, permutation, ring, yvars, tvars, frame,
                          s, b, H, G, h, g, Q, p):
     """Package the pipeline output and compute the series images of T."""
     B1 = step.algebra
@@ -332,17 +380,10 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, ypoint,
     v1 = step.morphism
     N = v1.precision
     hat = {yv: v1.images[yv].truncate(N) for yv in yvars}
-    yprime = {yv: ypoint.images[yv] for yv in yvars}
     # t = H(y') (yhat - y') / d^2, entrywise exact series division, with
-    # y' and H(y') (polynomials in x [and U]) evaluated at one point
-    prefix, xpoint = D.ring_prefix(), D.point(N, {})
-
-    def at_x(poly):
-        return series_eval(poly.restrict(prefix), xpoint)
-
-    deltas = [hat[yv] - at_x(yprime[yv]) for yv in yvars]
-    Hy = [[at_x(D.reduce(entry.substitute(ypoint))) for entry in row]
-          for row in H]
+    # y' and H(y') read off the frame's point
+    deltas = [hat[yv] - frame.point.images[yv].truncate(N) for yv in yvars]
+    Hy = [[frame.series(entry, N) for entry in row] for row in H]
     xF = v1.field
     d2 = TruncatedSeries((v1.base_var,), xF, {(4 * c,): xF.one()}, N)
     t = {}
@@ -364,7 +405,7 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, ypoint,
         data=data, c=c, p=p, short_circuit=False, ring=ring,
         yvars=yvars, tvars=tvars, zvar=step.zvar, permutation=permutation,
         relations=rels, subset=step.data.subset, d=step.d.embed(ring),
-        s=s, b=b, yprime=yprime, H=H, G=G, h=h, g=g, Q=Q,
+        s=s, b=b, yprime=frame.yprime, H=H, G=G, h=h, g=g, Q=Q,
         Bprime=Bprime, wvar=W, t=t, hat_images=hat, precision=N)
 
 
@@ -408,14 +449,12 @@ def verify_certificate(cert, B, v):
     report.append(CheckResult("GH = HG = P*Id", ok1, "exact"))
 
     # (2) membership by substitution
-    ypoint = ring_substitution(ring, F, cert.yprime)
-    ok2 = _check_membership(cert, ypoint)
+    frame = FramePoint(D, cert.yprime)
+    ok2 = _check_membership(cert, frame)
     report.append(CheckResult("s^p f = d^2 g mod (h)", ok2, "exact"))
 
     # (3) the frame solves the ideal modulo d^3
-    orders = [_x_order(D.reduce(rel.substitute(ypoint)), cert.base_var)
-              for rel in cert.relations]
-    ok3 = all(o is None or o >= 6 * c for o in orders)
+    ok3 = all(frame.series(rel, 6 * c).is_zero() for rel in cert.relations)
     report.append(CheckResult("I(y') = 0 mod d^3", ok3, "exact"))
 
     # (4) h and g vanish on the series point (yhat, t), which checks 5
@@ -445,7 +484,7 @@ def verify_certificate(cert, B, v):
     return report
 
 
-def _check_membership(cert, ypoint):
+def _check_membership(cert, frame):
     """Check 2: s^p f_i = d^2 g_i mod (h) for every subset relation f_i.
 
     Each h_j must be exactly s(Y_j - y'_j) - d w_j with w = G(y')T, so that
@@ -454,7 +493,7 @@ def _check_membership(cert, ypoint):
     s^p f_i - Phi_i lies in (h), where Phi_i replaces every s Y_j by
     s y'_j + d w_j.  The membership then holds when Phi_i - d^2 g_i
     vanishes modulo mu.  A wrong number of h or g, or a missing y', fails.
-    ``ypoint`` is the substitution Y -> y' that check 3 shares.
+    ``frame`` is the point at y' that check 3 shares.
     """
     ring, F, D = cert.ring, cert.field, cert.D
     n = len(cert.yvars)
@@ -464,7 +503,7 @@ def _check_membership(cert, ypoint):
         return False
     s, d = cert.s, cert.d
     tpolys = [Polynomial.variable(ring, F, t) for t in cert.tvars]
-    h, sY = _h_and_sY(ypoint, cert.yvars, tpolys, s, d, cert.G, D)
+    h, sY = _h_and_sY(frame, cert.yvars, tpolys, s, d, cert.G)
     if h != cert.h:
         return False
     check_power_budget(s, cert.p, "s^p")
@@ -538,15 +577,14 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     rels = [r.embed(ring) for r in B1.relations]
     fs = [rels[i] for i in step.data.subset]
     p = max(r.total_degree() for r in rels)
-    ypoint = ring_substitution(ring, D.field,
-                               truncate_lift(v1, data.c, D, yvars, ring))
+    frame = FramePoint(D, truncate_lift(v1, data.c, D, yvars, ring))
     d = step.d.embed(ring)
     P = step.P.embed(ring)
-    s, b = compute_s_b(fs, P, ypoint, data.c, D)
+    s, b = compute_s_b(fs, P, frame, data.c, D)
     H, G = build_H_G(fs, yvars, step.data.witness.embed(ring),
                      step.data.minor.embed(ring))
-    h, g, Q = build_h_g(fs, ypoint, yvars, tvars, d, s, b, G, p, D)
+    h, g, Q = build_h_g(fs, frame, yvars, tvars, d, s, b, G, p, D)
     cert = assemble_certificate(step, D, permutation, ring, yvars, tvars,
-                                ypoint, s, b, H, G, h, g, Q, p)
+                                frame, s, b, H, G, h, g, Q, p)
     verify_certificate(cert, B0, v)
     return cert

@@ -7,10 +7,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ConsistencyError, ParseError, StructuralError
 from .fields import QQ, PrimeField, SimpleExtension
-from .groebner import GroebnerBasis, IdealPresentation
-from .poly import (DEGREVLEX, Polynomial, alpha_polynomial,
-                   check_power_budget, format_polynomial, order_from_name,
-                   parse_polynomial)
+from .poly import (Polynomial, alpha_polynomial, check_power_budget,
+                   format_polynomial, order_from_name, parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
 from .smooth import AlgebraPresentation, DesingData
 from . import gnd as _gnd
@@ -256,22 +254,6 @@ def emit_groebner(gb, variables, F):
                       header="groebner")
 
 
-def parse_ideal_output(text, header="ideal"):
-    sections = split_sections(text, {"field", "ring", header})
-    F = _one("field", sections["field"], parse_field)
-    ring = _one("ring", sections["ring"], lambda text, _: tuple(text.split()))
-    lines = sections.get(header, [])
-    order = None
-    if lines and lines[0][1].startswith("order "):
-        order = order_from_name(lines[0][1].split(None, 1)[1], lines[0][0])
-        lines = lines[1:]
-    gens = _items(header, lines, lambda text, lineno:
-                  parse_polynomial(text, ring, F, lineno))
-    if header == "groebner":
-        return GroebnerBasis(order=order or DEGREVLEX, elements=gens)
-    return IdealPresentation(ring, F, gens)
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -453,11 +435,15 @@ def _check_derived(cert):
     determine: the names of [yprime], [hat] and [t] (the [meta] yvars, or
     none for [yprime] in a short circuit, and tvars), the [data] subset
     (which indexes [relations]), c and columns, p = the degree of
-    [relations], square H and G, pprime = minor*witness, d = dprime^2,
-    z = hat[zvar], g_i = s^p b_i + s^p T_i + Q_i and B', [series-field]
-    ([field] itself or a Q(alpha) over it) and the [D] extension (ext
-    exactly when [series-field] is Q(alpha), mu its minimal polynomial in
-    ext). A mismatch is a ConsistencyError."""
+    [relations], square H and G, pprime = minor*witness, dprime = x^c with
+    c >= 1 (unless a short circuit), d = dprime^2, z = hat[zvar], g_i =
+    s^p b_i + s^p T_i + Q_i and B', [series-field] ([field] itself or a
+    Q(alpha) over it), the [D] extension (ext exactly when [series-field]
+    is Q(alpha), mu its minimal polynomial in ext), the ext-degree of
+    [s], [b], [yprime], [qpolys] and [gpolys], below that of mu, and the
+    variables of [yprime] (x [and ext]) and of [H] and [G] (x [, ext] and
+    the yvars), the ones the frame point maps. A mismatch is a
+    ConsistencyError."""
     data, D, Fs = cert.data, cert.D, cert.series_field
 
     def require(ok, what):
@@ -472,6 +458,26 @@ def _check_derived(cert):
             "[D] has ext without [series-field] Q(alpha), or the reverse")
     require(not extension or D.mu == alpha_polynomial(Fs.mu, (D.ext_var,)),
             "[D] mu is not the minimal polynomial of [series-field]")
+    # every honest value is printed reduced, so no reduction below meets
+    # a high power of U
+    if extension and D.ext_var in cert.ring:
+        values = [cert.s] if cert.s is not None else []
+        values += cert.b + list(cert.yprime.values()) + cert.Q + cert.g
+        require(all(q.degree_in(D.ext_var) < Fs.degree for q in values),
+                f"[s], [b], [yprime], [qpolys] or [gpolys] has "
+                f"{D.ext_var}-degree at or above that of mu")
+
+    def within(polys, names):
+        return all(v in names for q in polys for m in q.terms
+                   for v, e in zip(q.variables, m) if e)
+
+    prefix = D.ring_prefix()
+    require(within(cert.yprime.values(), prefix),
+            f"[yprime] has a value outside {' '.join(prefix)}")
+    require(within([q for mat in (cert.H, cert.G) for row in mat
+                    for q in row], prefix + cert.yvars),
+            f"[H] or [G] has an entry outside {' '.join(prefix)} "
+            f"and the yvars")
 
     for tag, named, names in (
             ("yprime", cert.yprime, () if cert.short_circuit else cert.yvars),
@@ -494,6 +500,10 @@ def _check_derived(cert):
         expected = _gnd.bprime_presentation(cert.ring, cert.field,
                                             cert.relations, data.pprime)
     else:
+        # checks 3 and 4 read d = x^(2c) through c
+        require(cert.c >= 1 and data.dprime == Polynomial.variable(
+            cert.ring, cert.field, cert.base_var, cert.c),
+            "[data] dprime is not x^c with c at least 1")
         require(cert.permutation[:len(data.columns)] == data.columns,
                 "[data] columns do not lead the permutation")
         require(cert.s is not None, "[s] is missing")

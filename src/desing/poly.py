@@ -2,7 +2,9 @@
 
 Terms are a dict mapping exponent tuples to nonzero field elements.  The
 variable list is ordered and explicit; moving a polynomial to a larger ring
-is an explicit ``embed``, never implicit.
+is an explicit ``embed``, never implicit.  A polynomial is evaluated only
+at a series point (``series.SeriesPoint.eval``); this module has no
+substitution routine.
 
 A product runs one loop over the term pairs for every field
 (``product_terms``):
@@ -250,13 +252,6 @@ class Polynomial:
             self.variables, F,
             {m: F.mul(coeff, c) for m, coeff in self.terms.items()})
 
-    def add_scaled(self, pairs):
-        """self plus the sum of c*part over the (part, c) in ``pairs``,
-        built once."""
-        return Polynomial._trusted(self.variables, self.field,
-                                   add_scaled_terms(self.field, self.terms,
-                                                    pairs))
-
     def monic(self, order):
         _, lc = self.leading(order)
         return self.scale(self.field.invert(lc))
@@ -272,7 +267,7 @@ class Polynomial:
         return hash((self.variables, self.field,
                      tuple(sorted(self.terms.items()))))
 
-    # -- calculus and substitution -----------------------------------------
+    # -- calculus -----------------------------------------------------------
 
     def derivative(self, name):
         i = self._index(name)
@@ -285,34 +280,6 @@ class Polynomial:
             new[i] -= 1
             terms[tuple(new)] = F.mul(c, F.from_int(m[i]))
         return Polynomial._trusted(self.variables, F, terms)
-
-    def substitute(self, assignment):
-        """Substitute polynomials (same ring) for variables; others pass
-        through.  ``assignment`` is a dict or a ``ring_substitution``."""
-        if isinstance(assignment, Substitution):
-            self._check(assignment.one)
-        else:
-            assignment = ring_substitution(self.variables, self.field,
-                                           assignment)
-        return assignment.apply(self, Polynomial.zero(self.variables,
-                                                      self.field))
-
-    def evaluate(self, point):
-        """Evaluate at field values given for every variable."""
-        F = self.field
-        vals = []
-        for v in self.variables:
-            if v not in point:
-                raise StructuralError(f"no value for variable {v!r}")
-            vals.append(point[v])
-        acc = F.zero()
-        for m, c in self.terms.items():
-            t = c
-            for val, e in zip(vals, m):
-                for _ in range(e):
-                    t = F.mul(t, val)
-            acc = F.add(acc, t)
-        return acc
 
     # -- ring changes -------------------------------------------------------
 
@@ -361,42 +328,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {format_polynomial(self)}>"
-
-
-class Substitution:
-    """A point: an image of each variable in a ring with ``*``, ``**`` and
-    ``add_scaled`` (polynomials or series), that ring's one, and the
-    (variable, exponent) powers computed so far, shared by every call."""
-
-    __slots__ = ("images", "one", "_powers")
-
-    def __init__(self, images, one):
-        self.images = images
-        self.one = one
-        self._powers = {}
-
-    def power(self, name, e):
-        key = (name, e)
-        if key not in self._powers:
-            image = self.images[name]
-            self._powers[key] = image if e == 1 else image ** e
-        return self._powers[key]
-
-    def apply(self, poly, acc):
-        """acc plus poly at the point: each term c*m becomes c times the
-        product of the powers in m, with c coerced into the target field."""
-        acc._check(self.one)
-        F = self.one.field
-        pairs = []
-        for mono, c in poly.terms.items():
-            part = None
-            for name, e in zip(poly.variables, mono):
-                if e:
-                    pw = self.power(name, e)
-                    part = pw if part is None else part * pw
-            part = self.one if part is None else part
-            pairs.append((part, F.coerce(poly.field, c)))
-        return acc.add_scaled(pairs)
 
 
 def _key_codec(n, top):
@@ -510,35 +441,6 @@ def alpha_polynomial(coeffs, variables):
     ``variables``, alpha the last."""
     return Polynomial._nonzero(variables, QQ, unfold_extension(
         {(0,) * (len(variables) - 1): coeffs}))
-
-
-def add_scaled_terms(F, terms, pairs):
-    """The terms of terms + sum of c*part over the (part, c) in ``pairs``,
-    zeros dropped.  A monomial whose sum cancels leaves the dict and
-    re-enters at its end, as it does in a chain of ``+``."""
-    terms = dict(terms)
-    for part, c in pairs:
-        for m, v in part.terms.items():
-            prod = F.mul(v, c)
-            if m in terms:
-                prod = F.add(terms[m], prod)
-                if F.is_zero(prod):
-                    del terms[m]
-                    continue
-            terms[m] = prod
-    return terms
-
-
-def ring_substitution(variables, field, assignment):
-    """The point of k[variables] that sends each assigned variable to its
-    image, a polynomial of the same ring, and fixes the others."""
-    one = Polynomial.one(variables, field)
-    for name, val in assignment.items():
-        one._index(name)
-        one._check(val)
-    images = {v: assignment[v] if v in assignment else
-              Polynomial.variable(variables, field, v) for v in variables}
-    return Substitution(images, one)
 
 
 def format_monomial(variables, mono):

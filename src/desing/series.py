@@ -29,7 +29,9 @@ balanced residues.
   each head of degree k to a row in the last variable, and the products
   by the level-0 unit and its inverse are one-variable products.
 - ``series_eval`` at a point (``SeriesPoint.eval``; images in one
-  variable) scales each image to integer numerators and packs it once;
+  variable) is the one evaluation of polynomials: every series check, the
+  Newton lift, ``linear_factor`` and gnd's values at the frame y' run on
+  it.  It scales each image to integer numerators and packs it once;
   every power and term is a big-int product modulo 2^(8wSN), scaled by D /
   (its denominator), D the lcm of the term denominators, and the sum is
   decoded once and divided by D.  Over Q(alpha) alpha is a second packed
@@ -47,9 +49,8 @@ from .errors import (ConsistencyError, DivisibilityError, DomainError,
                      NonUnitError, ParseError, StructuralError)
 from .fields import (QQ, PrimeField, RationalField, SimpleExtension,
                      read_back, scaled_to_ints)
-from .poly import (Polynomial, Substitution, add_scaled_terms,
-                   monomial_degree, parse_polynomial, product_terms,
-                   unfold_extension)
+from .poly import (Polynomial, monomial_degree, parse_polynomial,
+                   product_terms, unfold_extension)
 
 # Stored term pairs from which a one-variable product is packed; below it a
 # product is bounded ``product_terms``.  A packed product costs 25-60 us
@@ -192,24 +193,6 @@ class TruncatedSeries:
         else:
             terms = product_terms(F, a, b, prec)
         return TruncatedSeries._trusted(self.variables, F, terms, prec)
-
-    def scale(self, c):
-        F = self.field
-        return TruncatedSeries._trusted(
-            self.variables, F, {m: F.mul(v, c) for m, v in self.terms.items()},
-            self.precision)
-
-    def add_scaled(self, pairs):
-        """self plus the sum of c*part over the (part, c) in ``pairs``,
-        built once; the precision is the least of all of them."""
-        precisions = [self.precision] + [p.precision for p, _ in pairs]
-        prec = min(precisions)
-        terms = add_scaled_terms(self.field, self.terms, pairs)
-        if max(precisions) != prec:
-            terms = {m: c for m, c in terms.items()
-                     if monomial_degree(m) < prec}
-        return TruncatedSeries._trusted(self.variables, self.field, terms,
-                                        prec)
 
     def __pow__(self, e):
         if e < 0:
@@ -407,16 +390,16 @@ def _decoded(F, coeffs, den, stride=1):
     return {(k,): c for k, c in terms if any(c)}
 
 
-class SeriesPoint(Substitution):
-    """A point whose images are series in one variable: ``eval`` runs
-    packed.  Each image is scaled to integer numerators and packed once,
-    and the powers of the images stay packed, one per (variable, exponent)
-    and precision, for every later call."""
+class SeriesPoint:
+    """A point: an image of each variable, a series in one variable, and
+    that ring's one.  ``eval`` runs packed: each image is scaled to integer
+    numerators and packed once, and the powers of the images stay packed,
+    one per (variable, exponent) and precision, for every later call."""
 
-    __slots__ = ("_packed",)
+    __slots__ = ("images", "one", "_packed")
 
     def __init__(self, images, one):
-        super().__init__(images, one)
+        self.images, self.one = images, one
         self._packed = {}       # precision -> _PackedPowers
 
     def eval(self, poly, precision):
@@ -437,6 +420,9 @@ class SeriesPoint(Substitution):
         alpha-length of C_t), and a sign bit more is the slot width."""
         F, K = self.one.field, poly.field
         F.coerce(K, K.one())    # Q into Q(alpha) is the one proper coercion
+        if not poly.terms:
+            return TruncatedSeries._trusted(self.one.variables, F, {},
+                                            precision)
         powers = self._packed.get(precision)
         if powers is None:
             powers = self._packed[precision] = _PackedPowers(

@@ -13,9 +13,29 @@ from desing import cli, gnd
 from desing.cli import main
 from desing.errors import ConsistencyError, ParseError
 from desing.fields import QQ, PrimeField
-from desing.iofmt import (emit_certificate, parse_certificate,
-                          parse_ideal_output, parse_problem, split_sections)
-from desing.poly import Polynomial
+from desing.groebner import GroebnerBasis, IdealPresentation
+from desing.iofmt import (emit_certificate, parse_certificate, parse_field,
+                          parse_problem, split_sections)
+from desing.poly import (DEGREVLEX, Polynomial, order_from_name,
+                         parse_polynomial)
+
+
+def parse_ideal_output(text, header="ideal"):
+    """The ideal (or, with header "groebner", the basis) that the groebner,
+    quotient and smooth-locus subcommands write: a [field] line, a [ring]
+    line, then the generators after an optional order line."""
+    sections = split_sections(text, {"field", "ring", header})
+    F = parse_field(sections["field"][0][1])
+    ring = tuple(sections["ring"][0][1].split())
+    lines = sections.get(header, [])
+    order = None
+    if lines and lines[0][1].startswith("order "):
+        order = order_from_name(lines[0][1].split(None, 1)[1], lines[0][0])
+        lines = lines[1:]
+    gens = [parse_polynomial(text, ring, F, lineno) for lineno, text in lines]
+    if header == "groebner":
+        return GroebnerBasis(order=order or DEGREVLEX, elements=gens)
+    return IdealPresentation(ring, F, gens)
 
 
 def write(tmp_path, name, text):
@@ -242,6 +262,16 @@ MALFORMED_CERTIFICATES = {
                          ConsistencyError),
     "series-field-gf32003": (_edit_line_to("series-field", "GF 32003"),
                              ConsistencyError),
+    # the frame point maps x and the yvars only: a [yprime] value in a Y,
+    # or a [G] entry in a T, is inconsistent
+    "yprime-in-a-yvar": (lambda text: _edit_line(
+        text, "yprime", "", lambda l: l + " + Y2"), ConsistencyError),
+    "G-in-a-tvar": (lambda text: _edit_line(
+        text, "G", "", lambda l: l.replace(" ; ", " + T1 ; ", 1)),
+        ConsistencyError),
+    # c is bound to dprime = x^c: at c = 0 check 3 would read nothing
+    **{f"c-{c}": (lambda text, c=c: _value("data", "c", c)(
+        _value("meta", "c", c)(text)), ConsistencyError) for c in (0, 2)},
 }
 
 
@@ -402,6 +432,41 @@ def test_cli_verify_binds_ext_to_the_series_field(tmp_path, node_certificate,
     with pytest.raises(ConsistencyError, match="ext"):
         parse_certificate(bad)
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+
+
+@pytest.mark.parametrize("tags", [("qpolys", "gpolys"), ("yprime",), ("s",),
+                                  ("b",)])
+def test_cli_verify_refuses_unreduced_values_fast(tmp_path,
+                                                  sqrt2_node_certificate,
+                                                  tags):
+    # every honest certificate prints these values reduced modulo mu; a
+    # U^1000000 on the first line of [qpolys] and [gpolys] (so that g =
+    # s^p b + s^p T + Q still holds), of [yprime], [s] or [b] is refused
+    # before any reduction by mu, exit 5
+    bad = sqrt2_node_certificate
+    for tag in tags:
+        bad = _edit_line(bad, tag, "", lambda l: l + " + U^1000000")
+    run = _cli_subprocess(["verify", "--input",
+                           write(tmp_path, "bad.txt", bad)], timeout=10)
+    assert run.returncode == 5
+    assert "U-degree at or above that of mu" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_cli_verify_refuses_a_value_at_yprime_past_max_precision(
+        tmp_path, node_certificate):
+    # G(y') with a Y1^100000 on the first [G] entry has x-degree up to
+    # 100000*e, past MAX_PRECISION: refused before packing, exit 4
+    def huge(line):
+        head, sep, rest = line.partition(" ;")
+        return head + " + Y1^100000" + sep + rest
+
+    bad = _edit_line(node_certificate, "G", "", huge)
+    run = _cli_subprocess(["verify", "--input",
+                           write(tmp_path, "bad.txt", bad)], timeout=10)
+    assert run.returncode == 4
+    assert "needs precision above 65536" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def _drop(tag, key):

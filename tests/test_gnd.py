@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from desing import gnd, series
 from desing.errors import ConsistencyError, DomainError, ResourceError
 from desing.fields import QQ, PrimeField, SimpleExtension
-from desing.gnd import (_check_membership, border_step, build_H_G,
-                        build_h_g, desingularize, make_D, truncate_lift,
-                        verify_certificate)
-from desing.poly import Polynomial, parse_polynomial, ring_substitution
+from desing.gnd import (FramePoint, _check_membership, border_step,
+                        build_H_G, build_h_g, desingularize, make_D,
+                        truncate_lift, verify_certificate)
+from desing.poly import Polynomial, parse_polynomial
 from desing.series import CompletionMorphism, TruncatedSeries, parse_series
 from desing.smooth import AlgebraPresentation, find_desing_data
 
@@ -109,9 +109,8 @@ def test_build_h_g_linear_relation():
         images={"Y1": parse_series("x + O(x^12)", ("x",), QQ)})
     D = make_D(v, ring)
     one = Polynomial.one(ring, QQ)
-    ypoint = ring_substitution(ring, QQ,
-                               {"Y1": parse_polynomial("x", ring, QQ)})
-    h, g, Q = build_h_g([f], ypoint, ("Y1",), ("T1",), one, one,
+    frame = FramePoint(D, {"Y1": parse_polynomial("x", ring, QQ)})
+    h, g, Q = build_h_g([f], frame, ("Y1",), ("T1",), one, one,
                         [Polynomial.zero(ring, QQ)], [[one]], 1, D)
     assert h == [parse_polynomial("Y1 - x - T1", ring, QQ)]
     assert g == [parse_polynomial("T1", ring, QQ)]
@@ -337,9 +336,8 @@ def test_desingularize_rejects_positive_characteristic():
 
 
 def check_2(cert):
-    """Check 2 at the substitution Y -> y' that verify shares with check 3."""
-    return _check_membership(
-        cert, ring_substitution(cert.ring, cert.field, cert.yprime))
+    """Check 2 at the point Y -> y' that verify shares with check 3."""
+    return _check_membership(cert, FramePoint(cert.D, cert.yprime))
 
 
 def test_membership_check_direct():
@@ -365,6 +363,20 @@ def test_membership_check_degree_above_p():
 
 # ---------------------------------------------------------------------------
 # check 2 against the Taylor-telescoping cofactor identity it replaced
+
+def substitute(poly, images):
+    """poly with each variable named in ``images`` replaced by its image, a
+    polynomial of the same ring: term by term, c times a product of powers."""
+    ring, F = poly.variables, poly.field
+    out = Polynomial.zero(ring, F)
+    for m, c in poly.terms.items():
+        part = Polynomial.constant(ring, F, c)
+        for name, e in zip(ring, m):
+            image = images.get(name, Polynomial.variable(ring, F, name))
+            part = part * image ** e
+        out = out + part
+    return out
+
 
 def _taylor_partials(f, yvars):
     """Nonzero iterated partials of f, keyed by the multi-exponent in Y."""
@@ -415,7 +427,7 @@ def reference_congruence_holds(f, i, yassign, yvars, d, s, b, g, h, w, p, D):
         m = sum(alpha)
         if m < 1:
             continue
-        base = D.reduce(df.substitute(yassign))
+        base = D.reduce(substitute(df, yassign))
         base = base.scale(_alpha_factorial_inverse(alpha, F))
         base = base * s_pow[p - m]
         for j in range(n):
@@ -448,7 +460,7 @@ def reference_check_2(cert):
     """(the cofactor identity holds, every h_j = s(Y_j - y'_j) - d w_j)"""
     ring, D, n = cert.ring, cert.D, len(cert.yvars)
     tpolys = [Polynomial.variable(ring, cert.field, t) for t in cert.tvars]
-    Gy = [[D.reduce(e.substitute(cert.yprime)) for e in row]
+    Gy = [[D.reduce(substitute(e, cert.yprime)) for e in row]
           for row in cert.G]
     w = []
     for j in range(n):
@@ -529,9 +541,8 @@ def test_membership_check_agrees_with_cofactor_identity(name, section, k,
 def test_membership_check_bounds_the_power_of_s():
     # check 2 takes s^p only within the reader's power budget
     cert = dataclasses.replace(HONEST["node"], p=200_001)
-    ypoint = ring_substitution(cert.ring, cert.field, cert.yprime)
     with pytest.raises(ResourceError, match="s\\^p with exponent 200001"):
-        _check_membership(cert, ypoint)
+        check_2(cert)
 
 
 def test_desingularize_one_quotient_per_subset(monkeypatch):
@@ -582,15 +593,30 @@ def test_verify_computes_each_power_of_its_point_once(monkeypatch):
 
 
 def test_verify_on_q_takes_the_packed_path(monkeypatch):
-    # the points of a Q certificate and of a Q(sqrt 2) one pack: no
-    # TruncatedSeries power is taken
-    calls = []
-    real = TruncatedSeries.__pow__
+    # every point packs: checks 4-6 take no TruncatedSeries power, and the
+    # y' point takes one only over Q(sqrt 2), for a power past
+    # alpha-degree 2d - 2 = 2, an image of its own reduced by mu (Z^3 in
+    # [G], at y'_Z = r/2 + r/2*x)
+    calls, inside = [], [False]
+    real_pow, real_series = TruncatedSeries.__pow__, FramePoint.series
+
+    def power(self, e):
+        calls.append((inside[0], e))
+        return real_pow(self, e)
+
+    def at_yprime(self, *args):
+        inside[0] = True
+        try:
+            return real_series(self, *args)
+        finally:
+            inside[0] = False
+
     sqrt2 = desingularize(*sqrt2_node())
-    monkeypatch.setattr(TruncatedSeries, "__pow__",
-                        lambda self, e: calls.append(e) or real(self, e))
-    for cert, problem in ((HONEST["chain-k2"], chain_k2()),
-                          (sqrt2, sqrt2_node())):
+    monkeypatch.setattr(TruncatedSeries, "__pow__", power)
+    monkeypatch.setattr(FramePoint, "series", at_yprime)
+    for cert, problem, want in ((HONEST["chain-k2"], chain_k2(), []),
+                                (sqrt2, sqrt2_node(), [(True, 3)])):
+        del calls[:]
         report = verify_certificate(cert, *problem)
         assert all(r.passed for r in report)
-    assert calls == []
+        assert calls == want

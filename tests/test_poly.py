@@ -70,23 +70,6 @@ def test_derivative_product_rule():
             assert lhs == rhs
 
 
-def test_substitute_composition():
-    rng = random.Random(99)
-    for _ in range(50):
-        f = random_poly(rng, QQ)
-        g = {v: random_poly(rng, QQ, terms=2, maxdeg=2) for v in VARS}
-        h = {v: random_poly(rng, QQ, terms=2, maxdeg=1) for v in VARS}
-        gh = {v: g[v].substitute(h) for v in VARS}
-        assert f.substitute(g).substitute(h) == f.substitute(gh)
-
-
-def test_evaluate_matches_substitute():
-    f = parse_polynomial("x^2*y - 3*z + 1/2", VARS, QQ)
-    point = {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(1, 3)}
-    direct = f.evaluate(point)
-    assert direct == Fraction(4) * Fraction(-1) - Fraction(1) + Fraction(1, 2)
-
-
 def test_degrevlex_examples():
     # xz below y^2; x above y
     xz = (1, 0, 1)

@@ -1,8 +1,10 @@
-"""The one substitution routine against textbook loops.
+"""Evaluation at a point against textbook loops.
 
-``reference_compose`` and ``reference_series_eval`` are the term-mapping
-loops that ``Substitution`` replaced: each polynomial gets its own power
-cache, and every term starts from the constant polynomial or series c.
+``reference_compose`` and ``reference_series_eval`` map a polynomial term
+by term: each polynomial gets its own power cache, and every term starts
+from the constant polynomial or series c.  The packed evaluation
+(``series_eval``) and gnd's values at the frame y' (``FramePoint``, a
+packed series point) must give what they give.
 """
 
 from fractions import Fraction
@@ -12,16 +14,21 @@ from hypothesis import given, settings, strategies as st
 
 from desing.errors import StructuralError
 from desing.fields import QQ, PrimeField, SimpleExtension
-from desing.poly import Polynomial, ring_substitution
+from desing.gnd import DPresentation, FramePoint
+from desing.groebner import division
+from desing.poly import DEGREVLEX, Polynomial, alpha_polynomial
 from desing.series import TruncatedSeries, series_eval, series_point
 
 RING = ("x", "Y1", "Y2")
 GF = PrimeField(32003)
 SQRT2 = SimpleExtension(QQ, (-2, 0, 1), gen="r")
+# a cubic field whose minimal polynomial is not integral
+CUBIC = SimpleExtension(QQ, (Fraction(1, 3), Fraction(-1, 2), 0, 1), gen="s")
 
 
 def reference_compose(poly, assignment):
-    """Polynomial.substitute as a per-call power cache over the terms."""
+    """poly with each variable of ``assignment`` replaced by its image, a
+    polynomial of the same ring, through a per-call power cache."""
     F = poly.field
     images = [assignment.get(v) or Polynomial.variable(poly.variables, F, v)
               for v in poly.variables]
@@ -85,24 +92,72 @@ def _polys(draw, field, count):
 
 
 @st.composite
-def _polynomial_cases(draw):
-    field = draw(st.sampled_from([QQ, GF]))
-    names = draw(st.lists(st.sampled_from(RING), unique=True, max_size=3))
-    assignment = {v: Polynomial(RING, field, _terms(draw, field, 3, 2, 3))
-                  for v in names}
-    return _polys(draw, field, draw(st.integers(1, 4))), assignment
+def _frame_cases(draw):
+    """A frame y' (Y1 and Y2 as polynomials in x, and in U below deg mu,
+    some zero or constant) over Q, Q(sqrt 2) or the cubic Q(s), whose mu
+    is not integral; polynomials in x, [U,] Y1 and Y2 of a ring that also
+    has T1, zero and constant ones among them; and a precision cap."""
+    K = draw(st.sampled_from((QQ, SQRT2, CUBIC)))
+    if K == QQ:
+        D = DPresentation(base_var="x", field=QQ, series_field=QQ)
+    else:
+        D = DPresentation(base_var="x", field=QQ, series_field=K,
+                          ext_var="U", mu=alpha_polynomial(K.mu, ("U",)))
+    ring = D.ring_prefix() + ("Y1", "Y2", "T1")
+    u = st.integers(0, K.degree - 1 if D.ext_var else 0)
+
+    def poly(x, y, size):
+        # zero, constant (in U only), or a sum in x, U and ``y`` exponents
+        shape = draw(st.sampled_from(("zero", "constant", "sum")))
+        if shape == "zero":
+            return Polynomial.zero(ring, QQ)
+        if shape == "constant":
+            x, y, size = st.just(0), st.just(0), 1
+        monos = st.tuples(x, *([u] if D.ext_var else []), y, y, st.just(0))
+        return Polynomial(ring, QQ, draw(st.dictionaries(
+            monos, _coeff(QQ), min_size=1, max_size=size)))
+
+    yprime = {name: poly(st.integers(0, 5), st.just(0), 4)
+              for name in ("Y1", "Y2")}
+    u = st.integers(0, 3)           # past deg mu, so that mu reduces
+    polys = [poly(st.integers(0, 3), st.integers(0, 3), 6)
+             for _ in range(draw(st.integers(2, 4)))]
+    return D, yprime, polys, draw(st.integers(1, 30))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_polynomial_cases())
-def test_substitute_matches_textbook_compose(case):
-    polys, assignment = case
-    field = polys[0].field
-    shared = ring_substitution(RING, field, assignment)
+@given(_frame_cases())
+def test_frame_values_match_textbook_compose(case):
+    # a value at y' is the term-by-term substitution reduced by mu, and
+    # modulo x^cap its terms below x^cap
+    D, yprime, polys, cap = case
+    frame = FramePoint(D, yprime)
     for f in polys:
-        expected = reference_compose(f, assignment)
-        assert f.substitute(assignment) == expected
-        assert f.substitute(shared) == expected
+        want = reference_compose(f, yprime)
+        if D.ext_var:
+            want = division(want, [D.mu.embed(f.variables)], DEGREVLEX)
+        assert frame(f) == want
+        low = frame.series(f, cap)
+        assert low.precision == cap
+        assert D.polynomial(low.terms, f.variables) == Polynomial(
+            f.variables, QQ, {m: c for m, c in want.terms.items()
+                              if m[0] < cap})
+
+
+def test_frame_value_bound_weighs_each_variable():
+    # Y1*Y2 - x^148 at y' of x-degree 443 has x-degree 886: weighing x^148
+    # as 148 factors of degree 443 would ask for precision 131072
+    D = DPresentation(base_var="x", field=QQ, series_field=QQ)
+    ring = ("x", "Y1", "Y2")
+    x = Polynomial.variable(ring, QQ, "x")
+    yprime = {"Y1": x + x ** 443, "Y2": x ** 2 - x ** 443 - x ** 443}
+    Y1, Y2 = (Polynomial.variable(ring, QQ, y) for y in ("Y1", "Y2"))
+    f = Y1 * Y2 - x ** 148
+    frame = FramePoint(D, yprime)
+    want = yprime["Y1"] * yprime["Y2"] - x ** 148
+    assert frame(f) == want
+    assert D.polynomial(frame.series(f, 444).terms, ring) == Polynomial(
+        ring, QQ, {m: c for m, c in want.terms.items() if m[0] < 444})
 
 
 @st.composite
@@ -136,10 +191,6 @@ def test_missing_variable_is_structural_error():
     for assignment in (images, series_point(images)):
         with pytest.raises(StructuralError, match="Y2"):
             series_eval(f, assignment)
-    with pytest.raises(StructuralError):
-        f.substitute({"Q9": Polynomial.one(RING, QQ)})
-    with pytest.raises(StructuralError):
-        f.substitute(ring_substitution(("x", "Y2"), QQ, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -191,81 +242,20 @@ def _operands(draw):
     return a, b, c
 
 
+def _scaled(a, c):
+    """c*a: ``scale`` for a polynomial, a product for a series."""
+    if isinstance(a, Polynomial):
+        return a.scale(c)
+    return a * TruncatedSeries.constant(a.variables, a.field, c, a.precision)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_operands())
 def test_arithmetic_results_pass_the_validating_constructor(case):
     a, b, c = case
-    results = [a + b, a - b, b - a, -a, a * b, b * a, a.scale(c),
-               a + (-a), a - a, a + a.scale(a.field.neg(a.field.one()))]
+    results = [a + b, a - b, b - a, -a, a * b, b * a, _scaled(a, c),
+               a + (-a), a - a, a + _scaled(a, a.field.neg(a.field.one()))]
     for x in results:
         _assert_trusted_terms(x)
     for cancelled in results[-3:]:
         assert cancelled.is_zero()
-
-
-def _apply_by_sum(point, poly, acc):
-    """Substitution.apply as a chain of ``acc + part.scale(c)``."""
-    F = point.one.field
-    for mono, c in poly.terms.items():
-        part = None
-        for name, e in zip(poly.variables, mono):
-            if e:
-                pw = point.power(name, e)
-                part = pw if part is None else part * pw
-        part = point.one if part is None else part
-        acc = acc + part.scale(F.coerce(poly.field, c))
-    return acc
-
-
-@st.composite
-def _apply_cases(draw):
-    """A point, polynomials to apply it to, and a starting accumulator:
-    a polynomial ring point over Q or GF(32003), or a series point whose
-    images, and the accumulator, have their own precisions."""
-    series = draw(st.booleans())
-    if series:
-        pfield, sfield = draw(st.sampled_from([(QQ, QQ), (GF, GF),
-                                               (QQ, SQRT2)]))
-        images = {v: TruncatedSeries(("x",), sfield,
-                                     _terms(draw, sfield, 1, 8, 5),
-                                     draw(st.integers(1, 9)))
-                  for v in RING}
-        point = series_point(images)
-        acc = TruncatedSeries(("x",), sfield, _terms(draw, sfield, 1, 8, 5),
-                              draw(st.integers(1, 12)))
-    else:
-        pfield = draw(st.sampled_from([QQ, GF]))
-        names = draw(st.lists(st.sampled_from(RING), unique=True,
-                              max_size=3))
-        point = ring_substitution(RING, pfield, {
-            v: Polynomial(RING, pfield, _terms(draw, pfield, 3, 2, 3))
-            for v in names})
-        acc = Polynomial(RING, pfield, _terms(draw, pfield, 3, 4, 4))
-    return point, _polys(draw, pfield, draw(st.integers(1, 4))), acc
-
-
-@settings(max_examples=120, deadline=None)
-@given(_apply_cases())
-def test_apply_matches_chain_of_sums(case):
-    point, polys, acc = case
-    for f in polys:
-        expected = _apply_by_sum(point, f, acc)
-        got = point.apply(f, acc)
-        assert got == expected
-        assert list(got.terms.items()) == list(expected.terms.items())
-        _assert_trusted_terms(got)
-        # an accumulator that cancels the value: the sum is zero
-        zero = acc.scale(acc.field.zero())
-        assert point.apply(f, -_apply_by_sum(point, f, zero)).is_zero()
-
-
-def test_apply_cancelled_monomial_reenters_last():
-    # as in a chain of +: Y1 + Y2 cancels at x, x^2 enters, and x re-enters
-    # after it
-    ring = ("x", "Y1", "Y2")
-    x = Polynomial.variable(ring, QQ, "x")
-    point = ring_substitution(ring, QQ, {"Y1": x, "Y2": -x})
-    f = Polynomial(ring, QQ, {(0, 1, 0): 1, (0, 0, 1): 1, (0, 2, 0): 1,
-                              (1, 0, 0): 1})
-    got = point.apply(f, Polynomial.zero(ring, QQ))
-    assert list(got.terms.items()) == [((2, 0, 0), 1), ((1, 0, 0), 1)]
