@@ -85,9 +85,6 @@ class Field:
     def invert(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
-
     def is_zero(self, a):
         return a == self.zero()
 

@@ -8,11 +8,34 @@ frame, then build the polynomials h and g whose localized quotient is
 standard smooth and factors the morphism.  g comes from the identity check
 2 reads: s^p f with every s*Y_j replaced by s*y'_j + d*w_j, divided by d^2,
 so no partial derivative of f is taken.  Every value at the frame y' (s,
-b, G(y'), H(y') and check 3's I(y')) is read off one packed series point
+G(y'), H(y') and check 3's I(y')) is read off one packed series point
 (``FramePoint``), exactly, with mu applied at decode.  Each identity is
 checked once, by ``verify_certificate`` before ``desingularize`` returns:
 exactly where possible and to a recorded precision otherwise.  A
 construction fault shows as a FAIL in the report (``gnd`` exits 5).
+
+The certificate claims that v factors through B' = A[Y, T, W]/(mu, I, h,
+g, W*s - 1), standard smooth where the check-6 determinant is a unit
+(Pfister-Popescu, "Constructive General Neron Desingularization for one
+dimensional local rings", JSC 80 (2017); Swan (1998) defines standard
+smooth).  The argument rests on these facts, each with the check that
+discharges it:
+
+- G*H = H*G = P*Id with P = M*N (check 1, exact);
+- M is the Jacobian minor of the subset relations f in [data] columns, and
+  H their bordered Jacobian: NOT CHECKED yet;
+- N*I lies in (f), so that I = (f) where N is a unit: NOT CHECKED yet;
+- s^p f_i = d^2 g_i modulo (h), each h_j = s(Y_j - y'_j) - d (G(y')T)_j
+  (check 2, exact), so that f = 0 and g = 0 agree in B';
+- I(y') = 0 modulo d^3 (check 3, exact);
+- s is a unit of B' through W*s - 1, and d = x^(2c) with c >= 1 (the
+  [bprime] layout and [meta] c, bound when the certificate is read);
+  s = P(y')/d itself is NOT CHECKED: checks 2 and 4 read s as printed;
+- h and g vanish at (yhat, t), so the point factors through B' (check 4,
+  to the precision the certificate records);
+- that point restricts to v on B (check 5, to the same precision);
+- det(dg/dT) over the subset's T is a unit at the point (check 6), so B'
+  localized at it is standard smooth and still holds the point.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -226,19 +249,14 @@ def _x_shift(poly, xvar, k, what="element"):
     return Polynomial(poly.variables, poly.field, terms)
 
 
-def compute_s_b(fs, P, frame, c, D):
-    """s = P(y')/d with s = 1 mod d; b_i = f_i(y')/d^2 with b_i in (d)."""
+def compute_s_b(P, frame, c, D):
+    """s = P(y')/d with s = 1 mod d.  (The b_i = f_i(y')/d^2 of the name
+    are not built: check 3 reads I(y').  ``perfbench/tracing.py`` times
+    this step by its name.)"""
     x = D.base_var
     s = _x_shift(frame(P), x, 2 * c, "P(y')")
-    one = Polynomial.one(s.variables, s.field)
-    _x_shift(s - one, x, 2 * c, "s - 1")
-    b = []
-    for f in fs:
-        bi = _x_shift(frame(f), x, 4 * c, "f_i(y')")
-        if not bi.is_zero():
-            _x_shift(bi, x, 2 * c, "b_i")
-        b.append(bi)
-    return s, b
+    _x_shift(s - Polynomial.one(s.variables, s.field), x, 2 * c, "s - 1")
+    return s
 
 
 def build_H_G(fs, yvars, witness, minor):
@@ -249,40 +267,62 @@ def build_H_G(fs, yvars, witness, minor):
     return H, G
 
 
-def build_h_g(fs, frame, yvars, tvars, d, s, b, G, p, D):
+def frame_values(frame, G):
+    """G(y'), entrywise: polynomials in x [and U]."""
+    return [[frame(entry) for entry in row] for row in G]
+
+
+def build_h_g(fs, yprime, yvars, tvars, d, s, Gy, p, D):
     """h = s(Y - y') - d G(y')T; g_i = s^p f_i / d^2 with every s*Y_j
-    replaced by s*y'_j + d*w_j, the identity check 2 reads; Q_i = g_i -
-    s^p b_i - s^p T_i."""
+    replaced by s*y'_j + d*w_j, the identity check 2 reads."""
     ring, F = s.variables, s.field
     tpolys = [Polynomial.variable(ring, F, t) for t in tvars]
-    h, sY = _h_and_sY(frame, yvars, tpolys, s, d, G)
+    h, sY = _h_and_sY(yprime, yvars, tpolys, s, d, Gy)
     s_pow = _s_powers(s, p, D)
     powers = [[s_pow[0]] for _ in sY]
     x = D.base_var
     k = 2 * d.degree_in(x)                  # d = x^(2c), d^2 = x^k
-    g, Q = [], []
-    for f, bi, tp in zip(fs, b, tpolys):
+    g = []
+    for f in fs:
         phi = _substituted_power(f, yvars, sY, powers, s_pow, D)
         if phi is None:
             raise ConsistencyError("generator degree exceeds p")
-        gi = _x_shift(D.reduce(phi), x, k, "s^p f_i")
-        g.append(gi)
-        Q.append(D.reduce(gi - s_pow[p] * (bi + tp)))
-    return h, g, Q
+        g.append(_x_shift(D.reduce(phi), x, k, "s^p f_i"))
+    return h, g
 
 
-def _h_and_sY(frame, yvars, tpolys, s, d, G):
+def _h_and_sY(yprime, yvars, tpolys, s, d, Gy):
     """h_j = s(Y_j - y'_j) - d w_j and s y'_j + d w_j, with w = G(y')T."""
     ring, F = s.variables, s.field
     h, sY = [], []
-    for row, yv in zip(G, yvars):
+    for row, yv in zip(Gy, yvars):
         w = Polynomial.zero(ring, F)
         for entry, tp in zip(row, tpolys):
-            w = w + frame(entry) * tp
-        yp, dw = frame.yprime[yv], d * w
+            w = w + entry * tp
+        yp, dw = yprime[yv], d * w
         h.append(s * (Polynomial.variable(ring, F, yv) - yp) - dw)
         sY.append(s * yp + dw)
     return h, sY
+
+
+def t_precisions(Gy, m, precision, c):
+    """The precision to which check 4 reads each T's image, at a point of
+    precision ``precision``: all of it for the first m T (the subset's,
+    which g reads through the unit Jacobian of check 6).  Any other T_k
+    enters h_j = s(Y_j - y'_j) - d (G(y')T)_j linearly, so a coefficient
+    of its image at x^e first meets h at x^(e + 2c + o_k), o_k the least
+    x-order in column k of G(y'); it reaches g only above the precision
+    (from x^(precision + 2c) on when the precision is at least 4c).  Such
+    a T is read below precision - 2c - o_k, and at least below x^1."""
+    out = []
+    for k in range(len(Gy)):
+        if k < m:
+            out.append(precision)
+            continue
+        o = min((mono[0] for row in Gy for mono in row[k].terms),
+                default=precision)
+        out.append(max(1, precision - 2 * c - o))
+    return out
 
 
 def _s_powers(s, p, D):
@@ -346,24 +386,46 @@ class GndCertificate:
     permutation: tuple = ()      # yvars[i] = original_variables[permutation[i]]
     relations: list = dc_field(default_factory=list)   # bordered ideal in ring
     subset: tuple = ()
-    d: Polynomial = None
     s: Polynomial = None
-    b: list = dc_field(default_factory=list)
     yprime: dict = dc_field(default_factory=dict)
     H: list = dc_field(default_factory=list)
     G: list = dc_field(default_factory=list)
     h: list = dc_field(default_factory=list)
     g: list = dc_field(default_factory=list)
-    Q: list = dc_field(default_factory=list)
-    Bprime: AlgebraPresentation = None
     wvar: str = None
     t: dict = dc_field(default_factory=dict)            # tvar -> series
     hat_images: dict = dc_field(default_factory=dict)   # yvar -> series
-    precision: int = 0
+    precision: int = 0           # of v; checks 4-6 read precision - 4c
     report: list = dc_field(default_factory=list)
+
+    @property
+    def d(self):
+        """d = d'^2 = x^(2c), 1 in a short circuit."""
+        return Polynomial.variable(self.ring, self.field, self.base_var,
+                                   2 * self.c)
 
     def subset_relations(self):
         return [self.relations[i] for i in self.subset]
+
+    def bprime(self):
+        """B' = k[ring, W]/(mu, relations, h, g, W*s - 1), its relations in
+        that order; a short circuit has W*M*N - 1 for its last, and no mu."""
+        bring = tuple(self.ring) + (self.wvar,)
+        head, last = self.bprime_ends()
+        return AlgebraPresentation(
+            base_var=self.base_var, variables=bring[1:], field=self.field,
+            relations=head + [q.embed(bring) for q in self.h + self.g]
+            + [last])
+
+    def bprime_ends(self):
+        """The relations of B' before h and g (mu and the relations), and
+        the one after them (W*s - 1), in k[ring, W]."""
+        bring = tuple(self.ring) + (self.wvar,)
+        unit = self.data.pprime if self.short_circuit else self.s
+        mu = [self.D.mu] if self.D.ext_var and not self.short_circuit else []
+        return ([r.embed(bring) for r in mu + self.relations],
+                Polynomial.variable(bring, self.field, self.wvar)
+                * unit.embed(bring) - Polynomial.one(bring, self.field))
 
     def report_lines(self):
         return [r.line() for r in self.report]
@@ -373,8 +435,10 @@ class GndCertificate:
 
 
 def assemble_certificate(step, D, permutation, ring, yvars, tvars, frame,
-                         s, b, H, G, h, g, Q, p):
-    """Package the pipeline output and compute the series images of T."""
+                         s, H, G, Gy, h, g, p):
+    """Package the pipeline output and compute the series images of T.
+    [hat] and [t] keep what checks 4-6 read: [hat] below x^(N - 4c), N
+    the precision of v, and each T as ``t_precisions`` says."""
     B1 = step.algebra
     c = step.data.c
     v1 = step.morphism
@@ -386,15 +450,13 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, frame,
     Hy = [[frame.series(entry, N) for entry in row] for row in H]
     xF = v1.field
     d2 = TruncatedSeries((v1.base_var,), xF, {(4 * c,): xF.one()}, N)
+    precisions = t_precisions(Gy, len(step.data.subset), N - 4 * c, c)
     t = {}
     for j, tv in enumerate(tvars):
         acc = TruncatedSeries.zero((v1.base_var,), xF, N)
         for k in range(len(yvars)):
             acc = acc + Hy[j][k] * deltas[k]
-        t[tv] = acc.divide_exact(d2)
-    rels = [r.embed(ring) for r in B1.relations]
-    Bprime, W = bprime_presentation(ring, D.field, rels + h + g, s,
-                                    D.mu if D.ext_var else None)
+        t[tv] = acc.divide_exact(d2).truncate(precisions[j])
     data = DesingData(subset=step.data.subset, columns=step.data.columns,
                       minor=step.data.minor.embed(ring),
                       witness=step.data.witness.embed(ring), c=c,
@@ -404,13 +466,17 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, frame,
         base_var=B1.base_var, field=D.field, series_field=v1.field, D=D,
         data=data, c=c, p=p, short_circuit=False, ring=ring,
         yvars=yvars, tvars=tvars, zvar=step.zvar, permutation=permutation,
-        relations=rels, subset=step.data.subset, d=step.d.embed(ring),
-        s=s, b=b, yprime=frame.yprime, H=H, G=G, h=h, g=g, Q=Q,
-        Bprime=Bprime, wvar=W, t=t, hat_images=hat, precision=N)
+        relations=[r.embed(ring) for r in B1.relations],
+        subset=step.data.subset, s=s, yprime=frame.yprime, H=H, G=G, h=h,
+        g=g, wvar=_fresh_name("W", ring), t=t,
+        hat_images={yv: x.truncate(N - 4 * c) for yv, x in hat.items()},
+        precision=N)
 
 
 def verify_certificate(cert, B, v):
-    """Re-run the six certificate checks; failures become report entries."""
+    """Re-run the six certificate checks; failures become report entries.
+    A [t] image printed to another precision than check 4 reads is a
+    ConsistencyError."""
     report = []
     if cert.short_circuit:
         report.append(CheckResult("GH = HG = P*Id", True, "vacuous",
@@ -450,7 +516,8 @@ def verify_certificate(cert, B, v):
 
     # (2) membership by substitution
     frame = FramePoint(D, cert.yprime)
-    ok2 = _check_membership(cert, frame)
+    Gy = frame_values(frame, cert.G)
+    ok2 = _check_membership(cert, Gy)
     report.append(CheckResult("s^p f = d^2 g mod (h)", ok2, "exact"))
 
     # (3) the frame solves the ideal modulo d^3
@@ -458,10 +525,20 @@ def verify_certificate(cert, B, v):
     report.append(CheckResult("I(y') = 0 mod d^3", ok3, "exact"))
 
     # (4) h and g vanish on the series point (yhat, t), which checks 5
-    # and 6 share
-    prec4 = min([cert.precision - 4 * c]
-                + [t.precision for t in cert.t.values()])
-    point = D.point(prec4, {**cert.hat_images, **cert.t})
+    # and 6 share; a T image is printed to the precision this check reads
+    # it to, and is extended by zeros above that
+    prec4 = cert.precision - 4 * c
+    images = dict(cert.hat_images)
+    for tv, want in zip(cert.tvars, t_precisions(Gy, len(cert.subset),
+                                                 prec4, c)):
+        t = cert.t[tv]
+        if t.precision != want:
+            raise ConsistencyError(
+                f"certificate [t] {tv} is printed to O({cert.base_var}^"
+                f"{t.precision}); check 4 reads it to O({cert.base_var}^"
+                f"{want})")
+        images[tv] = TruncatedSeries(t.variables, t.field, t.terms, prec4)
+    point = D.point(prec4, images)
     ok4 = all(series_eval(q, point).is_zero() for q in cert.h + cert.g)
     report.append(CheckResult("h and g vanish on (yhat, t)", ok4,
                               f"O({cert.base_var}^{prec4})"))
@@ -484,7 +561,7 @@ def verify_certificate(cert, B, v):
     return report
 
 
-def _check_membership(cert, frame):
+def _check_membership(cert, Gy):
     """Check 2: s^p f_i = d^2 g_i mod (h) for every subset relation f_i.
 
     Each h_j must be exactly s(Y_j - y'_j) - d w_j with w = G(y')T, so that
@@ -493,7 +570,7 @@ def _check_membership(cert, frame):
     s^p f_i - Phi_i lies in (h), where Phi_i replaces every s Y_j by
     s y'_j + d w_j.  The membership then holds when Phi_i - d^2 g_i
     vanishes modulo mu.  A wrong number of h or g, or a missing y', fails.
-    ``frame`` is the point at y' that check 3 shares.
+    ``Gy`` is G(y'), read off the point at y' that check 3 shares.
     """
     ring, F, D = cert.ring, cert.field, cert.D
     n = len(cert.yvars)
@@ -503,7 +580,7 @@ def _check_membership(cert, frame):
         return False
     s, d = cert.s, cert.d
     tpolys = [Polynomial.variable(ring, F, t) for t in cert.tvars]
-    h, sY = _h_and_sY(frame, cert.yvars, tpolys, s, d, cert.G)
+    h, sY = _h_and_sY(cert.yprime, cert.yvars, tpolys, s, d, Gy)
     if h != cert.h:
         return False
     check_power_budget(s, cert.p, "s^p")
@@ -526,31 +603,16 @@ def _hat_is_v(cert, B, v, precision):
         return False
 
 
-def bprime_presentation(ring, fld, relations, unit, mu=None):
-    """(B', W) with B' = k[ring, W]/(mu, relations, W*unit - 1) for a fresh
-    W: the relations with ``unit`` inverted; ring[0] is the base variable."""
-    W = _fresh_name("W", ring)
-    bring = tuple(ring) + (W,)
-    rels = [mu.embed(bring)] if mu is not None else []
-    rels += [r.embed(bring) for r in relations]
-    rels.append(Polynomial.variable(bring, fld, W) * unit.embed(bring)
-                - Polynomial.one(bring, fld))
-    return AlgebraPresentation(base_var=ring[0], variables=bring[1:],
-                               field=fld, relations=rels), W
-
-
 def _short_circuit_certificate(B, v, data, D):
     ring = B.ring_variables()
-    Bprime, W = bprime_presentation(ring, B.field, B.relations, data.pprime)
-    cert = GndCertificate(
+    return GndCertificate(
         base_var=B.base_var, field=B.field, series_field=v.field, D=D,
         data=data, c=0, p=0, short_circuit=True, ring=ring,
         yvars=B.variables, tvars=(), permutation=tuple(range(len(B.variables))),
         relations=[r.embed(ring) for r in B.relations], subset=data.subset,
-        d=Polynomial.one(ring, B.field), Bprime=Bprime, wvar=W,
+        wvar=_fresh_name("W", ring),
         hat_images={yv: v.images[yv] for yv in B.variables},
         precision=v.precision)
-    return cert
 
 
 def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
@@ -579,12 +641,12 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     p = max(r.total_degree() for r in rels)
     frame = FramePoint(D, truncate_lift(v1, data.c, D, yvars, ring))
     d = step.d.embed(ring)
-    P = step.P.embed(ring)
-    s, b = compute_s_b(fs, P, frame, data.c, D)
+    s = compute_s_b(step.P.embed(ring), frame, data.c, D)
     H, G = build_H_G(fs, yvars, step.data.witness.embed(ring),
                      step.data.minor.embed(ring))
-    h, g, Q = build_h_g(fs, frame, yvars, tvars, d, s, b, G, p, D)
+    Gy = frame_values(frame, G)
+    h, g = build_h_g(fs, frame.yprime, yvars, tvars, d, s, Gy, p, D)
     cert = assemble_certificate(step, D, permutation, ring, yvars, tvars,
-                                frame, s, b, H, G, h, g, Q, p)
+                                frame, s, H, G, Gy, h, g, p)
     verify_certificate(cert, B0, v)
     return cert

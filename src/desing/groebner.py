@@ -665,14 +665,6 @@ def _decode(g, n, variables):
     return tuple(Polynomial(variables, g.field, t) for t in comps)
 
 
-def module_normal_form(v, basis, order):
-    """Full reduction of a module element against a list of vectors."""
-    work_vars, work_order = _position_ring(len(v), v[0].variables, order)
-    rem = division(_encode(v, work_vars),
-                   [_encode(b, work_vars) for b in basis], work_order)
-    return _decode(rem, len(v), v[0].variables)
-
-
 def module_groebner(vectors, order=DEGREVLEX):
     """Reduced Groebner basis of the submodule generated by ``vectors``
     (position-over-term), sorted by position, then leading monomial."""

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ConsistencyError, ParseError, StructuralError
 from .fields import QQ, PrimeField, SimpleExtension
-from .poly import (Polynomial, alpha_polynomial, check_power_budget,
-                   format_polynomial, order_from_name, parse_polynomial)
+from .poly import (alpha_polynomial, format_polynomial, order_from_name,
+                   parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
 from .smooth import AlgebraPresentation, DesingData
 from . import gnd as _gnd
@@ -260,15 +260,12 @@ def emit_groebner(gb, variables, F):
 # The polynomial and series sections, in the order they are written:
 # (section, GndCertificate attribute, reader, format of one value).  [t] and
 # [hat] hold series in the base variable, the others polynomials in the ring.
+# h and g live in [bprime] alone.
 CERT_VALUES = (
-    ("b", "b", _items, format_polynomial),
     ("relations", "relations", _items, format_polynomial),
     ("yprime", "yprime", _named, format_polynomial),
     ("H", "H", _rows, format_polynomial),
     ("G", "G", _rows, format_polynomial),
-    ("hpolys", "h", _items, format_polynomial),
-    ("gpolys", "g", _items, format_polynomial),
-    ("qpolys", "Q", _items, format_polynomial),
     ("t", "t", _named, format_series),
     ("hat", "hat_images", _named, format_series),
 )
@@ -276,7 +273,7 @@ CERT_VALUES = (
 
 def emit_certificate(cert):
     lines = ["[meta]",
-             "version 1",
+             "version 2",
              f"base {cert.base_var}",
              f"c {cert.c}",
              f"p {cert.p}",
@@ -295,21 +292,18 @@ def emit_certificate(cert):
     lines += ([f"ext {cert.D.ext_var}", f"mu {format_polynomial(cert.D.mu)}"]
               if cert.D.ext_var else ["ext -"])
     lines += ["[data]",
-              "subset " + " ".join(str(i) for i in cert.data.subset),
               "columns " + " ".join(str(i) for i in cert.data.columns),
               f"minor {format_polynomial(cert.data.minor)}",
-              f"witness {format_polynomial(cert.data.witness)}",
-              f"c {cert.data.c}",
-              f"dprime {format_polynomial(cert.data.dprime)}",
-              f"z {format_series(cert.data.z)}",
-              f"pprime {format_polynomial(cert.data.pprime)}"]
-    for tag, p in (("d", cert.d), ("s", cert.s)):
-        lines += [f"[{tag}]", format_polynomial(p) if p is not None else "-"]
+              f"witness {format_polynomial(cert.data.witness)}"]
+    if cert.short_circuit:
+        lines.append(f"z {format_series(cert.data.z)}")
+    lines += ["[s]", format_polynomial(cert.s) if cert.s is not None else "-"]
     for tag, attr, reader, fmt in CERT_VALUES:
         lines.append(f"[{tag}]")
         lines += _written(reader, getattr(cert, attr), fmt)
-    lines += ["[bprime]", "variables " + " ".join(cert.Bprime.variables)]
-    lines += [format_polynomial(p) for p in cert.Bprime.relations]
+    Bprime = cert.bprime()
+    lines += ["[bprime]", "variables " + " ".join(Bprime.variables)]
+    lines += [format_polynomial(p) for p in Bprime.relations]
     lines.append("[report]")
     for r in cert.report:
         status = "pass" if r.passed else "FAIL"
@@ -317,8 +311,8 @@ def emit_certificate(cert):
     return "\n".join(lines) + "\n"
 
 
-CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "d", "s",
-                 "bprime", "report"} | {tag for tag, *_ in CERT_VALUES}
+CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "s", "bprime",
+                 "report"} | {tag for tag, *_ in CERT_VALUES}
 
 
 class _Required(dict):
@@ -345,8 +339,13 @@ def _ints(text, lineno):
     return tuple(_int(t, lineno) for t in text.split())
 
 
+def _require(ok, what):
+    if not ok:
+        raise ConsistencyError(f"certificate {what}")
+
+
 def parse_certificate(text):
-    sections = _Required(split_sections(text, CERT_SECTIONS), "section")
+    sections = _Required(split_sections(text), "section")
 
     def keyed(tag):
         return _Required(_keyed(tag, sections[tag]), f"[{tag}] key")
@@ -357,17 +356,25 @@ def parse_certificate(text):
 
     meta = keyed("meta")
     lineno, version = meta["version"]
-    if version != "1":
-        raise ParseError(f"[meta] version must be 1, found {version!r}",
+    if version != "2":
+        raise ParseError(f"[meta] version must be 2, found {version!r}",
                          lineno, 1)
+    # read after the version, so that an old certificate is refused by it
+    for name, lines in sections.items():
+        if name not in CERT_SECTIONS:
+            raise ParseError(f"unknown section [{name}]", lines.header, 1)
     F = _one("field", sections["field"], parse_field)
     Fs = _one("series-field", sections["series-field"], parse_field)
     base = read(meta, "base")
     ring, yvars = (tuple(read(meta, key).split()) for key in ("ring", "yvars"))
-    tvars = tuple(read(meta, "tvars").split()) \
-        if read(meta, "tvars") != "-" else ()
-    zvar, wvar = (None if read(meta, key) == "-" else read(meta, key)
-                  for key in ("zvar", "wvar"))
+    tvars, zvar, wvar = (None if read(meta, key) == "-" else read(meta, key)
+                         for key in ("tvars", "zvar", "wvar"))
+    tvars = tuple(tvars.split()) if tvars else ()
+    c, subset = read(meta, "c", _int), read(meta, "subset", _ints)
+    short_circuit = read(meta, "short-circuit", _int)
+    if short_circuit not in (0, 1):
+        raise ParseError("[meta] short-circuit must be 0 or 1",
+                         meta["short-circuit"][0], 1)
     dkeys, ext = keyed("D"), {}
     if dkeys.get("ext", (0, "-"))[1] != "-":
         U = read(dkeys, "ext")
@@ -381,74 +388,67 @@ def parse_certificate(text):
     def ser(text, lineno):
         return parse_series(text, (base,), Fs, lineno)
 
-    datakeys = keyed("data")
-    data = DesingData(**{key: read(datakeys, key, parse) for key, parse in (
-        ("subset", _ints), ("columns", _ints), ("minor", poly),
-        ("witness", poly), ("c", _int), ("dprime", poly), ("z", ser),
-        ("pprime", poly))})
-    d, s = (_one(tag, sections[tag], lambda text, lineno:
-                 None if text == "-" else poly(text, lineno))
-            for tag in ("d", "s"))
     values = {attr: reader(tag, sections.get(tag, []),
                            ser if fmt is format_series else poly)
               for tag, attr, reader, fmt in CERT_VALUES}
-    bprime_lines = sections["bprime"]
-    if not bprime_lines:
-        raise ParseError("section [bprime] is empty", bprime_lines.header, 1)
-    lineno, head = bprime_lines[0]
+    # [data] prints what the checks read, z only in a short circuit (else
+    # it is zvar's [hat] image); no check reads d' = x^c
+    datakeys = keyed("data")
+    z = (read(datakeys, "z", ser) if short_circuit
+         else values["hat_images"].get(zvar))
+    data = DesingData(subset=subset, c=c, dprime=None, z=z, **{
+        key: read(datakeys, key, parse) for key, parse in (
+            ("columns", _ints), ("minor", poly), ("witness", poly))})
+    s = _one("s", sections["s"], lambda text, lineno:
+             None if text == "-" else poly(text, lineno))
+    # [bprime]: variables, mu (with an ext, outside a short circuit), the
+    # relations, h (one per yvar), g (one per subset relation), W*s - 1;
+    # h and g, in the ring, come from these lines alone (none when the
+    # count of lines is off, which _check_derived refuses)
+    lines = sections["bprime"]
+    if not lines:
+        raise ParseError("section [bprime] is empty", lines.header, 1)
+    (lineno, head), *rows = lines
     keyword, *rest = head.split(None, 1)
     if keyword != "variables":
         raise ParseError("[bprime] must start with a 'variables' line",
                          lineno, 1)
     bvars = tuple(rest[0].split()) if rest else ()
-    Bprime = AlgebraPresentation(
-        base_var=base, variables=bvars, field=F, relations=_items(
-            "bprime", bprime_lines[1:], lambda text, lineno:
-            parse_polynomial(text, (base,) + bvars, F, lineno)))
+    nh, ng = (0, 0) if short_circuit else (len(yvars), len(subset))
+    start = len(values["relations"]) + bool(ext and not short_circuit)
+    if len(rows) != start + nh + ng + 1:
+        start, nh, ng = len(rows) - 1, 0, 0
+    h, g = (_items("bprime", rows[i:j], poly) for i, j in (
+        (start, start + nh), (start + nh, start + nh + ng)))
+    fixed = _items("bprime", rows[:start] + rows[-1:], lambda text, lineno:
+                   parse_polynomial(text, (base,) + bvars, F, lineno))
     report = []
     for lineno, line in sections.get("report", []):
         fields = line.split(";", 3)
-        if len(fields) != 4:
-            raise ParseError("[report] line needs four ';'-separated fields",
-                             lineno, 1)
+        if len(fields) != 4 or fields[0] not in ("pass", "FAIL"):
+            raise ParseError("[report] lines look like 'pass;precision;"
+                             "name;detail' (or 'FAIL;...')", lineno, 1)
         status, precision, name, detail = fields
-        if status not in ("pass", "FAIL"):
-            raise ParseError("[report] status must be 'pass' or 'FAIL'",
-                             lineno, 1)
         report.append(_gnd.CheckResult(name=name, passed=status == "pass",
                                        precision=precision, detail=detail))
     cert = _gnd.GndCertificate(
-        base_var=base, field=F, series_field=Fs, D=D, data=data,
-        c=read(meta, "c", _int), p=read(meta, "p", _int),
-        short_circuit=bool(read(meta, "short-circuit", _int)),
-        ring=ring, yvars=yvars, tvars=tvars, zvar=zvar,
-        permutation=read(meta, "permutation", _ints),
-        subset=read(meta, "subset", _ints), d=d, s=s, Bprime=Bprime,
-        wvar=wvar, precision=read(meta, "precision", _int), report=report,
-        **values)
-    _check_derived(cert)
+        base_var=base, field=F, series_field=Fs, D=D, data=data, c=c,
+        p=read(meta, "p", _int), short_circuit=bool(short_circuit), ring=ring,
+        yvars=yvars, tvars=tvars, zvar=zvar,
+        permutation=read(meta, "permutation", _ints), subset=subset, s=s,
+        h=h, g=g, wvar=wvar, precision=read(meta, "precision", _int),
+        report=report, **values)
+    _check_derived(cert, bvars, fixed)
     return cert
 
 
-def _check_derived(cert):
-    """Sections that no verify check reads must be what the other sections
-    determine: the names of [yprime], [hat] and [t] (the [meta] yvars, or
-    none for [yprime] in a short circuit, and tvars), the [data] subset
-    (which indexes [relations]), c and columns, p = the degree of
-    [relations], square H and G, pprime = minor*witness, dprime = x^c with
-    c >= 1 (unless a short circuit), d = dprime^2, z = hat[zvar], g_i =
-    s^p b_i + s^p T_i + Q_i and B', [series-field] ([field] itself or a
-    Q(alpha) over it), the [D] extension (ext exactly when [series-field]
-    is Q(alpha), mu its minimal polynomial in ext), the ext-degree of
-    [s], [b], [yprime], [qpolys] and [gpolys], below that of mu, and the
-    variables of [yprime] (x [and ext]) and of [H] and [G] (x [, ext] and
-    the yvars), the ones the frame point maps. A mismatch is a
-    ConsistencyError."""
-    data, D, Fs = cert.data, cert.D, cert.series_field
-
-    def require(ok, what):
-        if not ok:
-            raise ConsistencyError(f"certificate {what}")
+def _check_derived(cert, bvars, fixed):
+    """Whatever the certificate prints and no check reads must be what the
+    rest determines, so that each fact is printed once and bound; ``bvars``
+    and ``fixed`` are the [bprime] variables and its lines other than h and
+    g.  verify_certificate binds the [t] markers, which need G(y').  A
+    mismatch is a ConsistencyError."""
+    D, Fs, require = cert.D, cert.series_field, _require
 
     # B' maps to the completion only through U -> alpha, so mu is bound too
     extension = isinstance(Fs, SimpleExtension)
@@ -462,16 +462,19 @@ def _check_derived(cert):
     # a high power of U
     if extension and D.ext_var in cert.ring:
         values = [cert.s] if cert.s is not None else []
-        values += cert.b + list(cert.yprime.values()) + cert.Q + cert.g
+        values += list(cert.yprime.values()) + cert.h + cert.g
         require(all(q.degree_in(D.ext_var) < Fs.degree for q in values),
-                f"[s], [b], [yprime], [qpolys] or [gpolys] has "
-                f"{D.ext_var}-degree at or above that of mu")
+                f"[s], [yprime], h or g has {D.ext_var}-degree at or above "
+                f"that of mu")
 
     def within(polys, names):
         return all(v in names for q in polys for m in q.terms
                    for v, e in zip(q.variables, m) if e)
 
     prefix = D.ring_prefix()
+    require(cert.ring == (prefix[:1] if cert.short_circuit else prefix)
+            + cert.yvars + cert.tvars,
+            "[meta] ring is not x [, ext], the yvars and the tvars")
     require(within(cert.yprime.values(), prefix),
             f"[yprime] has a value outside {' '.join(prefix)}")
     require(within([q for mat in (cert.H, cert.G) for row in mat
@@ -485,61 +488,57 @@ def _check_derived(cert):
         require(sorted(named) == sorted(names),
                 f"[{tag}] does not name exactly {' '.join(names) or 'nothing'}")
 
-    require(data.subset == cert.subset and data.c == cert.c,
-            "[data] subset or c differs from [meta]")
-    require(all(0 <= i < len(cert.relations) for i in cert.subset),
-            "[meta] subset names a relation that [relations] lacks")
+    def increasing(seq, n):
+        return list(seq) == sorted(set(seq)) and all(0 <= i < n for i in seq)
+
+    n, columns = len(cert.yvars), cert.data.columns
+    require(increasing(cert.subset, len(cert.relations)),
+            "[meta] subset is not increasing within [relations]")
+    require(sorted(cert.permutation) == list(range(n)),
+            "[meta] permutation does not permute the yvars")
+    require(increasing(columns, n) and len(columns) == len(cert.subset),
+            "[data] columns are not increasing within the yvars, one per "
+            "subset relation")
     # p bounds every power of s that verify takes, so bind it before any
     degree = max([0] + [r.total_degree() for r in cert.relations])
     require(cert.p == (0 if cert.short_circuit else degree),
             "[meta] p is not the degree of [relations]")
-    require(data.pprime == data.minor * data.witness,
-            "[data] pprime is not minor*witness")
-    require(cert.d == data.dprime * data.dprime, "[d] is not dprime^2")
+    cut = cert.precision - 4 * cert.c
+    require(all(x.precision == cut for x in cert.hat_images.values()) and (
+        not cert.short_circuit or cert.data.z.precision == cut),
+            f"[hat] or z is not printed to O({cert.base_var}^{cut})")
     if cert.short_circuit:
-        expected = _gnd.bprime_presentation(cert.ring, cert.field,
-                                            cert.relations, data.pprime)
+        require(cert.c == 0 and cert.zvar is None,
+                "[meta] c is not 0, or zvar not -, in a short circuit")
     else:
-        # checks 3 and 4 read d = x^(2c) through c
-        require(cert.c >= 1 and data.dprime == Polynomial.variable(
-            cert.ring, cert.field, cert.base_var, cert.c),
-            "[data] dprime is not x^c with c at least 1")
-        require(cert.permutation[:len(data.columns)] == data.columns,
+        # Z borders last: original_problem drops it and its relation
+        require(cert.c >= 1 and cert.zvar == cert.yvars[
+            cert.permutation.index(n - 1)], "[meta] c is below 1, or zvar "
+                "is not the last variable of the permutation")
+        require(cert.permutation[:len(columns)] == columns,
                 "[data] columns do not lead the permutation")
         require(cert.s is not None, "[s] is missing")
-        n = len(cert.yvars)
         require(len(cert.tvars) == n and all(
             len(mat) == n and all(len(row) == n for row in mat)
             for mat in (cert.H, cert.G)),
             "[H] or [G] is not square in the yvars and tvars")
-        require(cert.hat_images.get(cert.zvar) == data.z,
-                "[data] z differs from the image of zvar in [hat]")
-        check_power_budget(cert.s, cert.p, "[s]^p")
-        sp = cert.s ** cert.p
-        g = [D.reduce(sp * b + sp * Polynomial.variable(cert.ring, cert.field,
-                                                         t) + q)
-             for b, t, q in zip(cert.b, cert.tvars, cert.Q)]
-        require(g == cert.g, "[gpolys] is not s^p b + s^p T + Q")
-        expected = _gnd.bprime_presentation(
-            cert.ring, cert.field, cert.relations + cert.h + cert.g, cert.s,
-            D.mu if D.ext_var else None)
-    require(expected == (cert.Bprime, cert.wvar),
-            "[bprime] is not what the other sections determine")
+    require(cert.wvar not in cert.ring and bvars == cert.ring[1:] + (
+        cert.wvar,), "[bprime] variables are not the ring's and wvar")
+    require((len(cert.h), len(cert.g)) == ((0, 0) if cert.short_circuit else
+                                           (n, len(cert.subset))),
+            "[bprime] does not hold one h per yvar and one g per subset "
+            "relation")
+    head, last = cert.bprime_ends()
+    require(fixed == head + [last],
+            "[bprime] is not mu, [relations], h, g and W*s - 1")
 
 
 def original_problem(cert):
     """Reconstruct (B, v) for re-verification from a parsed certificate."""
-    if cert.short_circuit:
-        orig_vars = cert.yvars
-        rels = cert.relations
-    else:
-        inverse = [0] * len(cert.permutation)
-        for new, old in enumerate(cert.permutation):
-            inverse[old] = new
-        ordered = tuple(cert.yvars[inverse[i]]
-                        for i in range(len(cert.permutation)))
-        orig_vars = tuple(v for v in ordered if v != cert.zvar)
-        rels = cert.relations[:-1]
+    # yvars[i] is the original variable permutation[i]; Z borders last
+    orig_vars = tuple(y for _, y in sorted(zip(cert.permutation, cert.yvars))
+                      if y != cert.zvar)
+    rels = cert.relations if cert.short_circuit else cert.relations[:-1]
     ring = (cert.base_var,) + orig_vars
     relations = [r.restrict(ring) for r in rels]
     B = AlgebraPresentation(base_var=cert.base_var, variables=orig_vars,

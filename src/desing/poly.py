@@ -93,18 +93,6 @@ def compare(m1, m2, order):
     return (k1 > k2) - (k1 < k2)
 
 
-def monomial_divides(m1, m2):
-    return all(map(operator.le, m1, m2))
-
-
-def monomial_div(m1, m2):
-    return tuple(map(operator.sub, m1, m2))
-
-
-def monomial_lcm(m1, m2):
-    return tuple(map(max, m1, m2))
-
-
 def monomial_degree(m):
     return sum(m)
 
@@ -255,9 +243,6 @@ class Polynomial:
     def monic(self, order):
         _, lc = self.leading(order)
         return self.scale(self.field.invert(lc))
-
-    def term_poly(self, mono, coeff):
-        return Polynomial(self.variables, self.field, {mono: coeff})
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.variables == other.variables

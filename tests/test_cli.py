@@ -11,7 +11,7 @@ import desing
 
 from desing import cli, gnd
 from desing.cli import main
-from desing.errors import ConsistencyError, ParseError
+from desing.errors import ConsistencyError, DesingError, ParseError
 from desing.fields import QQ, PrimeField
 from desing.groebner import GroebnerBasis, IdealPresentation
 from desing.iofmt import (emit_certificate, parse_certificate, parse_field,
@@ -240,14 +240,12 @@ MALFORMED_CERTIFICATES = {
     "yprime-without-equals": _no_equals("yprime"),
     "t-without-equals": _no_equals("t"),
     "hat-without-equals": _no_equals("hat"),
-    "meta-version": _value("meta", "version", "2"),
+    "meta-version": _value("meta", "version", "3"),
     "meta-c": _value("meta", "c", "one"),
     "meta-p": _value("meta", "p", "2.5"),
     "meta-precision": _value("meta", "precision", "x^2"),
     "meta-subset": _value("meta", "subset", "0 a"),
     "meta-permutation": _value("meta", "permutation", "0 2 one"),
-    "data-c": _value("data", "c", "1/2"),
-    "data-subset": _value("data", "subset", "0 b"),
     "short-report-line": lambda text: _edit_line(
         text, "report", "", lambda l: l.rsplit(";", 2)[0]),
     "report-status": lambda text: _edit_line(
@@ -269,9 +267,9 @@ MALFORMED_CERTIFICATES = {
     "G-in-a-tvar": (lambda text: _edit_line(
         text, "G", "", lambda l: l.replace(" ; ", " + T1 ; ", 1)),
         ConsistencyError),
-    # c is bound to dprime = x^c: at c = 0 check 3 would read nothing
-    **{f"c-{c}": (lambda text, c=c: _value("data", "c", c)(
-        _value("meta", "c", c)(text)), ConsistencyError) for c in (0, 2)},
+    # c is bound by the [hat] markers, at precision - 4c, and is at least
+    # 1: at c = 0 check 3 would read nothing
+    **{f"c-{c}": (_value("meta", "c", c), ConsistencyError) for c in (0, 2)},
 }
 
 
@@ -282,6 +280,32 @@ def node_certificate(tmp_path_factory):
     inp = write(tmp, "in.problem", node_problem())
     assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
     return open(cert_path).read()
+
+
+@pytest.fixture(scope="module")
+def short_circuit_certificate(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cert")
+    cert_path = str(tmp / "cert.txt")
+    inp = write(tmp, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
+                "[ideal]\nY1 - x^2\n[morphism]\nY1 = x^2 + O(x^12)\n"
+                "Y2 = x + O(x^12)\n")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    return open(cert_path).read()
+
+
+def _edit_bprime(kind, index, edit):
+    """Apply ``edit`` to the index-th h or g line of [bprime], which
+    follow its variables line, mu (with an ext) and the relations."""
+    def apply(text):
+        cert = parse_certificate(text)
+        lines = text.split("\n")
+        k = (lines.index("[bprime]") + 2 + bool(cert.D.ext_var)
+             + len(cert.relations) + (len(cert.h) if kind == "g" else 0)
+             + index % len(getattr(cert, kind)))
+        lines[k] = edit(lines[k])
+        return "\n".join(lines)
+    return apply
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
@@ -311,30 +335,44 @@ def _break_value(tag, key):
     return lambda text: _edit_line(text, tag, key, edit)
 
 
-# one value of each kind in every section that holds values
+def _break(line):
+    return "@" + line
+
+
+# one value of each kind in every section that holds values, in the node
+# certificate (z: in a short circuit, the one kind that prints it); h and
+# g are the [bprime] lines between the relations and W*s - 1 ("hpolys",
+# "b": its first and last h, "gpolys", "qpolys": its first and last g)
 VALUE_LINES = {
     "field": _break_value("field", ""),
     "series-field": _break_value("series-field", ""),
     "D-mu": lambda text: text.replace("[D]\next -", "[D]\next U\nmu U^2 - @"),
-    "d": _break_value("d", ""),
     "s": _break_value("s", ""),
     "bprime": _break_value("bprime", "x^10*W"),
     **{f"meta-{key}": _break_value("meta", key + " ")
        for key in ("c", "p", "precision", "short-circuit", "permutation",
                    "subset")},
     **{f"data-{key}": _break_value("data", key + " ")
-       for key in ("subset", "columns", "minor", "witness", "c", "dprime",
-                   "z", "pprime")},
+       for key in ("columns", "minor", "witness")},
+    "data-z": ("short", _break_value("data", "z ")),
     **{tag: _break_value(tag, "") for tag in (
-        "b", "relations", "yprime", "H", "G", "hpolys", "gpolys", "qpolys",
-        "t", "hat")},
+        "relations", "yprime", "H", "G", "t", "hat")},
+    "hpolys": _edit_bprime("h", 0, _break),
+    "b": _edit_bprime("h", -1, _break),
+    "gpolys": _edit_bprime("g", 0, _break),
+    "qpolys": _edit_bprime("g", -1, _break),
 }
 
 
 @pytest.mark.parametrize("case", sorted(VALUE_LINES))
 def test_certificate_value_error_names_its_line(tmp_path, capsys,
-                                                node_certificate, case):
-    bad = VALUE_LINES[case](node_certificate)
+                                                node_certificate,
+                                                short_circuit_certificate,
+                                                case):
+    edit, text = VALUE_LINES[case], node_certificate
+    if isinstance(edit, tuple):
+        edit, text = edit[1], short_circuit_certificate
+    bad = edit(text)
     lines = bad.split("\n")
     assert sum("@" in line for line in lines) == 1
     lineno = next(i for i, line in enumerate(lines, 1) if "@" in line)
@@ -349,43 +387,87 @@ def _plus_one(line):
     return line + " + 1"
 
 
-def _bump_first_coefficient(line):
-    key, rest = line.split(" ", 1)
-    bumped = re.sub(r"(?<![\w^/])(\d+)(?![\w^/])",
-                    lambda m: str(int(m.group(1)) + 1), rest, count=1)
-    return f"{key} {bumped}"
-
-
 def _reversed_ints(line):
     key, *ints = line.split()
     return " ".join([key] + ints[::-1])
 
 
-# sections that no verify check reads, each bound to the others at parse time
+# what no verify check reads, each bound to the rest at parse time (z: in
+# a short circuit, the one kind that prints it)
 DERIVED_TAMPERING = {
+    "data-z": ("data", "z ", lambda l: l.replace("O(x^12)", "O(x^13)"),
+               "short"),
     "bprime": ("bprime", "-x^2", _plus_one),
-    "qpolys": ("qpolys", "", _plus_one),
-    "b": ("b", "", _plus_one),
-    "d": ("d", "", _plus_one),
-    "data-z": ("data", "z ", _bump_first_coefficient),
-    "data-pprime": ("data", "pprime ", _plus_one),
-    "data-dprime": ("data", "dprime ", _plus_one),
-    "data-c": ("data", "c ", lambda l: "c 2"),
-    "data-subset": ("data", "subset ", _reversed_ints),
+    "bprime-W": ("bprime", "x^10*W", _plus_one),
+    "bprime-variables": ("bprime", "variables", lambda l: l + " V"),
     "data-columns": ("data", "columns ", _reversed_ints),
     "G-shape": ("G", "", lambda l: l.rsplit(" ; ", 1)[0]),
+    "hat-marker": ("hat", "Y1 ", lambda l: l.replace("O(x^19)", "O(x^20)")),
+    "meta-precision": ("meta", "precision ", lambda l: "precision 24"),
+    "meta-subset": ("meta", "subset ", _reversed_ints),
+    "meta-permutation": ("meta", "permutation ",
+                         lambda l: "permutation 0 2 2"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DERIVED_TAMPERING))
 def test_cli_verify_rejects_inconsistent_sections(tmp_path, node_certificate,
+                                                  short_circuit_certificate,
                                                   case):
-    tag, key, edit = DERIVED_TAMPERING[case]
-    bad = _edit_line(node_certificate, tag, key, edit)
-    assert bad != node_certificate
+    tag, key, edit, *short = DERIVED_TAMPERING[case]
+    text = short_circuit_certificate if short else node_certificate
+    bad = _edit_line(text, tag, key, edit)
+    assert bad != text
     with pytest.raises(ConsistencyError):
         parse_certificate(bad)
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+
+
+@pytest.mark.parametrize("kind, index", [("h", 0), ("h", -1), ("g", 0),
+                                         ("g", -1)],
+                         ids=["h-first", "h-last", "g-first", "g-last"])
+def test_cli_verify_rejects_edited_h_and_g(tmp_path, node_certificate, kind,
+                                           index):
+    # [bprime] is the one home of h and g: check 2 recomputes every h and
+    # binds every g, so + 1 on any of them fails it, exit 5
+    bad = _edit_bprime(kind, index, _plus_one)(node_certificate)
+    report = str(tmp_path / "report.txt")
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad),
+                 "--output", report]) == 5
+    last = open(report).read().splitlines()[-1]
+    assert last.startswith("failed: s^p f = d^2 g mod (h)")
+
+
+@pytest.mark.parametrize("tvar, old, new", [
+    ("T3", " + O(x^16)", " + O(x^17)"),
+    ("T3", " + x^15 + O(x^16)", " + O(x^15)"),
+    ("T1", " + O(x^19)", " + O(x^20)"), ("T1", " + O(x^19)", " + O(x^18)")])
+def test_cli_verify_binds_the_t_markers(tmp_path, capsys, node_certificate,
+                                        tvar, old, new):
+    # check 4 reads T1 (a subset T, which g reads) below x^19 and T3 only
+    # below x^16: its G(y') column has x-order 1, so h meets a coefficient
+    # of T3 at x^e first at x^(e + 3); every [t] marker must say so
+    bad = _edit_line(node_certificate, "t", tvar + " ",
+                     lambda l: l.replace(old, new))
+    assert bad != node_certificate
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+    printed, want = (text.rsplit("+ ", 1)[1] for text in (new, old))
+    assert capsys.readouterr().err == (
+        f"error: certificate [t] {tvar} is printed to {printed}; check 4 "
+        f"reads it to {want}\n")
+
+
+def test_cli_verify_refuses_a_version_1_certificate(tmp_path, capsys,
+                                                    node_certificate):
+    # version 1 printed h and g three times, in [hpolys], [gpolys] (with
+    # [qpolys]) and [bprime]; it is refused at its version line, before
+    # any of the sections version 2 dropped
+    old = node_certificate.replace("version 2", "version 1").replace(
+        "[s]\n", "[d]\nx^2\n[s]\n")
+    path = write(tmp_path, "v1.txt", old)
+    assert main(["verify", "--input", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 2, column 1: [meta] version must be 2, found '1'"]
 
 
 @pytest.fixture(scope="module")
@@ -434,18 +516,20 @@ def test_cli_verify_binds_ext_to_the_series_field(tmp_path, node_certificate,
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
 
 
-@pytest.mark.parametrize("tags", [("qpolys", "gpolys"), ("yprime",), ("s",),
-                                  ("b",)])
+@pytest.mark.parametrize("tags", [("g",), ("yprime",), ("s",), ("h",)])
 def test_cli_verify_refuses_unreduced_values_fast(tmp_path,
                                                   sqrt2_node_certificate,
                                                   tags):
     # every honest certificate prints these values reduced modulo mu; a
-    # U^1000000 on the first line of [qpolys] and [gpolys] (so that g =
-    # s^p b + s^p T + Q still holds), of [yprime], [s] or [b] is refused
-    # before any reduction by mu, exit 5
+    # U^1000000 on the first g or h line of [bprime], on the first
+    # [yprime] value or on [s] is refused before any reduction by mu, exit 5
     bad = sqrt2_node_certificate
     for tag in tags:
-        bad = _edit_line(bad, tag, "", lambda l: l + " + U^1000000")
+        edit = (_edit_bprime(tag, 0, lambda l: l + " + U^1000000")
+                if tag in ("g", "h") else
+                lambda text: _edit_line(text, tag, "",
+                                        lambda l: l + " + U^1000000"))
+        bad = edit(bad)
     run = _cli_subprocess(["verify", "--input",
                            write(tmp_path, "bad.txt", bad)], timeout=10)
     assert run.returncode == 5
@@ -493,7 +577,7 @@ NAMED_SECTION_MUTATIONS = {
     "yprime-extra-name": _insert("yprime", "Q9 = x"),
     "meta-repeated-key": _repeat("meta", "c "),
     "D-repeated-key": _repeat("D", "ext "),
-    "data-repeated-key": _repeat("data", "c "),
+    "data-repeated-key": _repeat("data", "columns "),
 }
 
 
@@ -524,14 +608,10 @@ def test_cli_verify_binds_report(tmp_path, capsys, node_certificate, old,
     assert capsys.readouterr().out.splitlines()[-1] == "failed: [report]"
 
 
-def test_cli_short_circuit_certificate_sections(tmp_path):
-    inp = write(tmp_path, "in.problem",
-                "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
-                "[ideal]\nY1 - x^2\n[morphism]\nY1 = x^2 + O(x^12)\n"
-                "Y2 = x + O(x^12)\n")
-    cert_path = str(tmp_path / "cert.txt")
-    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
-    text = open(cert_path).read()
+def test_cli_short_circuit_certificate_sections(tmp_path,
+                                               short_circuit_certificate):
+    text = short_circuit_certificate
+    cert_path = write(tmp_path, "cert.txt", text)
     assert parse_certificate(text).short_circuit
     assert main(["verify", "--input", cert_path]) == 0
     bad = _edit_line(text, "bprime", "W", _plus_one)
@@ -567,7 +647,7 @@ def test_cli_verify_huge_power_of_s_fails_fast(tmp_path, node_certificate):
     run = _cli_subprocess(["verify", "--input",
                            write(tmp_path, "bad.txt", bad)], timeout=5)
     assert run.returncode == 4
-    assert "[s]^p with exponent 200001 is too large to expand" in run.stderr
+    assert "s^p with exponent 200001 is too large to expand" in run.stderr
     assert "Traceback" not in run.stderr
 
 
@@ -580,23 +660,22 @@ def test_cli_verify_subset_beyond_relations(tmp_path, node_certificate):
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
 
 
-def test_cli_short_circuit_binds_z(tmp_path):
-    # z must satisfy z*v(pprime) = 1; the one check reading it is check 6
-    inp = write(tmp_path, "in.problem",
-                "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
-                "[ideal]\nY1 - x^2\n[morphism]\nY1 = x^2 + O(x^12)\n"
-                "Y2 = x + O(x^12)\n")
-    cert_path = str(tmp_path / "cert.txt")
-    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
-    text = open(cert_path).read()
+def test_cli_short_circuit_binds_z(tmp_path, short_circuit_certificate):
+    # z must satisfy z*v(pprime) = 1; the one check reading it is check 6,
+    # which reads it to the precision its marker must state
+    text = short_circuit_certificate
     assert "\nz 1 + O(x^12)\n" in text
-    for z in ("2 + O(x^12)", "1 + x + O(x^12)", "1 + O(x^5)"):
+    for z in ("2 + O(x^12)", "1 + x + O(x^12)"):
         bad = text.replace("\nz 1 + O(x^12)\n", f"\nz {z}\n")
         report = str(tmp_path / "report.txt")
         assert main(["verify", "--input", write(tmp_path, "bad.txt", bad),
                      "--output", report]) == 5
         last = open(report).read().splitlines()[-1]
         assert last == "failed: smoothness witness is a unit"
+    for z in ("1 + O(x^5)", "1 + O(x^13)"):
+        bad = text.replace("\nz 1 + O(x^12)\n", f"\nz {z}\n")
+        with pytest.raises(ConsistencyError, match="z is not printed"):
+            parse_certificate(bad)
 
 
 def _report(path):
@@ -608,8 +687,8 @@ def test_cli_gnd_reports_wrong_g(tmp_path, monkeypatch):
     real = gnd.build_h_g
 
     def wrong_g(*args):
-        h, g, Q = real(*args)
-        return h, [g[0] + g[0]] + g[1:], Q
+        h, g = real(*args)
+        return h, [g[0] + g[0]] + g[1:]
 
     monkeypatch.setattr(gnd, "build_h_g", wrong_g)
     inp = write(tmp_path, "in.problem", node_problem())
@@ -1040,6 +1119,49 @@ def test_certificate_bytes_round_trip_certify_seed_1(tmp_path, monkeypatch,
     assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
     text = open(cert_path).read()
     assert emit_certificate(parse_certificate(text)) == text
+
+
+def _verify_exit(text):
+    """The exit code of ``desing verify`` on a certificate text."""
+    try:
+        return cli.run_verify(None, None, text)[1]
+    except DesingError as exc:
+        return exc.exit_code
+
+
+EXPONENT = re.compile(r"(?<=\^)(\d+)")
+
+
+@pytest.mark.parametrize("name", ["node-c1", "chain-k2", "sqrt2-node"])
+def test_certificate_mutants_are_refused(tmp_path, monkeypatch, name):
+    # every integer of a seed-1 certify certificate raised by 1, one at a
+    # time, in every section: each coefficient the benchmark's tamper
+    # picks from, and each exponent and precision marker besides; verify
+    # must refuse every mutant with exit 5 or 2, with no exception list
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+    problem = workloads.certify(1, str(tmp_path)).files[
+        f"{tmp_path}/{name}.problem"]
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", write(tmp_path, "in.problem", problem),
+                 "--output", cert_path]) == 0
+    text = open(cert_path).read()
+    assert _verify_exit(text) == 0
+    spans, offset = [], 0
+    for line in text.splitlines(keepends=True):
+        if not line.startswith("["):
+            spans += [(offset + m.start(1), offset + m.end(1))
+                      for pattern in (workloads.COEFF, EXPONENT)
+                      for m in pattern.finditer(line)]
+        offset += len(line)
+    assert len(spans) > 300
+    accepted = []
+    for start, end in spans:
+        mutant = text[:start] + str(int(text[start:end]) + 1) + text[end:]
+        code = _verify_exit(mutant)
+        if code not in (2, 5):
+            accepted.append((text.count("\n", 0, start) + 1, code))
+    assert accepted == []
 
 
 def test_prime_field_problem_round_trip():

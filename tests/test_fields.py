@@ -259,7 +259,7 @@ def test_rational_results_are_int_or_fraction(a, b, n, num, den):
                QQ.mul(a, b), QQ.neg(a), QQ.from_int(n),
                QQ.from_fraction(Fraction(num, den)), QQ.from_fraction(n)]
     if b != 0:
-        results += [QQ.invert(b), QQ.div(a, b)]
+        results += [QQ.invert(b), QQ.mul(a, QQ.invert(b))]
     for r in results:
         _assert_canonical_q(r)
     assert QQ.from_int(n) == n and QQ.from_fraction(Fraction(num, den)) \

@@ -8,8 +8,8 @@ from desing import gnd, series
 from desing.errors import ConsistencyError, DomainError, ResourceError
 from desing.fields import QQ, PrimeField, SimpleExtension
 from desing.gnd import (FramePoint, _check_membership, border_step,
-                        build_H_G, build_h_g, desingularize, make_D,
-                        truncate_lift, verify_certificate)
+                        build_H_G, build_h_g, desingularize, frame_values,
+                        make_D, truncate_lift, verify_certificate)
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import CompletionMorphism, TruncatedSeries, parse_series
 from desing.smooth import AlgebraPresentation, find_desing_data
@@ -110,11 +110,10 @@ def test_build_h_g_linear_relation():
     D = make_D(v, ring)
     one = Polynomial.one(ring, QQ)
     frame = FramePoint(D, {"Y1": parse_polynomial("x", ring, QQ)})
-    h, g, Q = build_h_g([f], frame, ("Y1",), ("T1",), one, one,
-                        [Polynomial.zero(ring, QQ)], [[one]], 1, D)
+    h, g = build_h_g([f], frame.yprime, ("Y1",), ("T1",), one, one,
+                     frame_values(frame, [[one]]), 1, D)
     assert h == [parse_polynomial("Y1 - x - T1", ring, QQ)]
     assert g == [parse_polynomial("T1", ring, QQ)]
-    assert Q == [Polynomial.zero(ring, QQ)]
 
 
 def test_build_h_g_takes_no_partials(monkeypatch):
@@ -165,8 +164,11 @@ def test_desingularize_node_frozen_values():
     ring = cert.ring
     assert ring == ("x", "Y1", "Z", "Y2", "T1", "T2", "T3")
     assert cert.s == parse_polynomial("1 + 2*x^5 + x^10", ring, QQ)
-    assert cert.b == [parse_polynomial("x^3", ring, QQ),
-                      parse_polynomial("x^2", ring, QQ)]
+    # [hat] keeps what checks 4-6 read, x^(N - 4c) = x^19; so do T1 and
+    # T2, which g reads, and T3, whose G(y') column has x-order 1, to
+    # x^(19 - 2c - 1)
+    assert {x.precision for x in cert.hat_images.values()} == {19}
+    assert [cert.t[tv].precision for tv in cert.tvars] == [19, 19, 16]
     expect_H = [["Y2", "0", "Y1"], ["0", "Y2", "Z"], ["0", "0", "1"]]
     assert cert.H == [[parse_polynomial(e, ring, QQ) for e in row]
                       for row in expect_H]
@@ -337,7 +339,8 @@ def test_desingularize_rejects_positive_characteristic():
 
 def check_2(cert):
     """Check 2 at the point Y -> y' that verify shares with check 3."""
-    return _check_membership(cert, FramePoint(cert.D, cert.yprime))
+    return _check_membership(
+        cert, frame_values(FramePoint(cert.D, cert.yprime), cert.G))
 
 
 def test_membership_check_direct():
@@ -408,7 +411,7 @@ def _alpha_factorial_inverse(alpha, F):
     return F.from_fraction(Fraction(1, fact))
 
 
-def reference_congruence_holds(f, i, yassign, yvars, d, s, b, g, h, w, p, D):
+def reference_congruence_holds(f, i, yassign, yvars, d, s, g, h, w, p, D):
     """Check s^p f - d^2 g in (h) by an explicit cofactor identity: the
     Taylor expansion of f around y' telescopes the difference between
     powers of a_j = s(Y_j - y') and b_j = d(G(y')T)_j into multiples of
@@ -471,7 +474,7 @@ def reference_check_2(cert):
     fs = cert.subset_relations()
     identity = all(
         reference_congruence_holds(fs[i], i, cert.yprime, cert.yvars, cert.d,
-                                   cert.s, cert.b, cert.g, cert.h, w, cert.p,
+                                   cert.s, cert.g, cert.h, w, cert.p,
                                    D)
         for i in range(len(fs)))
     shape = all(

@@ -334,17 +334,17 @@ c 1
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
-        "cf035600ee7139fefc624e6604cc1d24492682c62ce6873e3c41c68c68e0298b",
+        "9d5ed64a00648e9b16eb16485bf68b76aa6410312c383f31f9aabe4742e46ffa",
     ("gnd", "CHAIN_K2"):
-        "c55039a5eefef26b5ed019b5ab32c02eda68808476afeb16a89f73eec73a95d7",
+        "44d41c804f31c595a28bd234f2f6821072ff47300346c443e4e642de752fbb20",
     ("gnd", "SQRT2_NODE"):
-        "2fe1eb1c5d7d9ffffe2e867a4b129f118a54bd680b44410a2bed80c0a2bdf1b5",
+        "9c07dc2d6df463c60091f2cf0e71aeffe58140fc8c62d8bc1f639f8a78637892",
     ("gnd", "CUBIC_NODE"):
-        "4c3310491a0d128b9b0d9c03bd3f18707c16a1f7e962c64ce58eb1d6438e3170",
+        "5beae6a14e6945bc6dae07e5644aa62c77d20ae78b2a31698c5b244ac8b6e830",
     ("gnd", "SMOOTH"):
-        "041acad824c3acc370387f55008b1dec6fea81e713dc85886a5d6aadc5add8d5",
+        "fe35890c9cbb922225235d31b3f773c19c1bf91952f17e6c7f9fd58d45c795de",
     ("gnd", "REDUCTION"):
-        "8597d7a24a74ace9b2071dee8707b2c9947d8ffb6269adc3b899bcd3f7c5771a",
+        "d411b82e6d38cdbf6a065638f69e4ad91d3de8866c478d6a21c01d055a877e34",
     ("lift", "LIFT_Q"):
         "1b0c01f97579ad1f495eaabedfb8458c944ee342a3e0161e2a3d2c1bb5091f45",
     ("lift", "LIFT_NODE"):

@@ -11,14 +11,46 @@ from desing.groebner import (DEGREVLEX, IdealPresentation, buchberger,
                              divide_exact_poly, division, eliminate,
                              ideal_equal,
                              ideal_intersection, ideal_member, ideal_quotient,
-                             kernel_basis, module_groebner,
-                             module_normal_form, normal_form, radical_member,
-                             s_polynomial, saturate, vec_is_zero,
-                             vec_leading)
-from desing.poly import (LEX, Polynomial, block_order, monomial_div,
-                         monomial_divides, monomial_lcm, parse_polynomial)
+                             kernel_basis, module_groebner, normal_form,
+                             radical_member, s_polynomial, saturate,
+                             vec_is_zero, vec_leading)
+from desing.poly import LEX, Polynomial, block_order, parse_polynomial
 
 VARS = ("x", "y", "z")
+
+
+# monomial and term helpers of the textbook references below
+
+def monomial_divides(m1, m2):
+    return all(a <= b for a, b in zip(m1, m2))
+
+
+def monomial_div(m1, m2):
+    return tuple(a - b for a, b in zip(m1, m2))
+
+
+def monomial_lcm(m1, m2):
+    return tuple(map(max, m1, m2))
+
+
+def term_poly(p, mono, coeff):
+    """The one-term polynomial coeff*x^mono of p's ring."""
+    return Polynomial(p.variables, p.field, {mono: coeff})
+
+
+def div(F, a, b):
+    return F.mul(a, F.invert(b))
+
+
+def module_normal_form(v, basis, order):
+    """Full reduction of a module element against a list of vectors, by the
+    engine's division in the position-over-term encoding."""
+    work_vars, work_order = groebner._position_ring(len(v), v[0].variables,
+                                                    order)
+    rem = division(groebner._encode(v, work_vars),
+                   [groebner._encode(b, work_vars) for b in basis],
+                   work_order)
+    return groebner._decode(rem, len(v), v[0].variables)
 
 
 def pp(text, variables=VARS, field=QQ):
@@ -58,13 +90,14 @@ def _textbook_division(f, basis, order):
         mono, coeff = p.leading(order)
         for i, (lm, lc) in enumerate(leads):
             if monomial_divides(lm, mono):
-                factor = p.term_poly(monomial_div(mono, lm), F.div(coeff, lc))
+                factor = term_poly(p, monomial_div(mono, lm),
+                                   div(F, coeff, lc))
                 p = p - factor * basis[i]
                 quotients[i] = quotients[i] + factor
                 break
         else:
-            rem = rem + p.term_poly(mono, coeff)
-            p = p - p.term_poly(mono, coeff)
+            rem = rem + term_poly(p, mono, coeff)
+            p = p - term_poly(p, mono, coeff)
     return quotients, rem
 
 
@@ -137,8 +170,8 @@ def _textbook_s_polynomial(f, g, order):
     (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
     lcm = monomial_lcm(mf, mg)
     F = f.field
-    return (f.term_poly(monomial_div(lcm, mf), F.invert(cf)) * f
-            - g.term_poly(monomial_div(lcm, mg), F.invert(cg)) * g)
+    return (term_poly(f, monomial_div(lcm, mf), F.invert(cf)) * f
+            - term_poly(g, monomial_div(lcm, mg), F.invert(cg)) * g)
 
 
 @st.composite
@@ -525,11 +558,12 @@ def _textbook_module_nf(v, basis, order):
         pos, mono, coeff = vec_leading(p, order)
         for b, (bp, bm, bc) in zip(basis, leads):
             if bp == pos and monomial_divides(bm, mono):
-                t = p[0].term_poly(monomial_div(mono, bm), F.div(coeff, bc))
+                t = term_poly(p[0], monomial_div(mono, bm),
+                              div(F, coeff, bc))
                 p = [a - t * c for a, c in zip(p, b)]
                 break
         else:
-            t = p[0].term_poly(mono, coeff)
+            t = term_poly(p[0], mono, coeff)
             rem[pos] = rem[pos] + t
             p[pos] = p[pos] - t
     return tuple(rem)
@@ -550,8 +584,8 @@ def _textbook_module_basis(vectors, order):
     def s_vector(u, w):
         (_, mu, _), (_, mw, _) = vec_leading(u, order), vec_leading(w, order)
         lcm = monomial_lcm(mu, mw)
-        tu = u[0].term_poly(monomial_div(lcm, mu), u[0].field.one())
-        tw = w[0].term_poly(monomial_div(lcm, mw), w[0].field.one())
+        tu = term_poly(u[0], monomial_div(lcm, mu), u[0].field.one())
+        tw = term_poly(w[0], monomial_div(lcm, mw), w[0].field.one())
         return tuple(tu * a - tw * b for a, b in zip(u, w))
 
     def same_position(j):
