@@ -22,8 +22,9 @@ smooth).  The argument rests on these facts, each with the check that
 discharges it:
 
 - G*H = H*G = P*Id with P = M*N (check 1, exact);
-- M is the Jacobian minor of the subset relations f in [data] columns, and
-  H their bordered Jacobian: NOT CHECKED yet;
+- M is the Jacobian minor of the subset relations f in [data] columns
+  (bound when a short circuit is read), and H their bordered Jacobian:
+  NOT CHECKED yet;
 - N*I lies in (f), so that I = (f) where N is a unit: NOT CHECKED yet;
 - s^p f_i = d^2 g_i modulo (h), each h_j = s(Y_j - y'_j) - d (G(y')T)_j
   (check 2, exact), so that f = 0 and g = 0 agree in B';
@@ -113,7 +114,8 @@ class FramePoint:
     degree, so a value below x^(top + 1), top the largest weighted degree
     of a term, is exact; mu acts at decode.  A value is taken at the least
     power of two above top (or at the precision asked for, if less), so
-    that values of nearby degrees share the point's packed powers."""
+    that values of nearby degrees share the point's packed powers.  x and
+    U shift coefficient rows: a value is one product per Y-monomial."""
 
     def __init__(self, D, yprime):
         self.D, self.yprime = D, yprime

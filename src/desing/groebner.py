@@ -1,19 +1,21 @@
 """Groebner bases and the ideal operations the pipeline needs.
 
-Buchberger with the coprime and chain criteria and normal-strategy pair
-selection: the open pairs sit in one heap keyed on (lcm, i, j), so ties
-break deterministically.  Division holds the dividend as a term dict with a
-max-heap of its monomials and reduces it in place, on ints over Q (content
-form: integer numerators over one denominator) and over GF(p) (each sum
-reduced mod p once, when its monomial is popped); see ``_divide``.  Bases,
-division and S-polynomials over Q(alpha) = Q[alpha]/(mu) run over Q, alpha
-a last variable in a block of its own and mu one more generator
-(``_over_q``).  Reduced bases are the canonical form for ideal equality.
-``ideal_quotient`` skips the generators of J that already lie in I, whose
-quotient is (1).  Module Groebner bases come from the same ``buchberger``:
-a vector is a polynomial linear in fresh position variables, under a block
-order that is position-over-term.  They supply kernels of polynomial
-matrices via the syzygy construction.
+Buchberger with the coprime and chain criteria; the open pairs sit in one
+heap keyed on (sugar, lcm, i, j), so ties break deterministically.  Under
+degrevlex the sugar key is 0 and selection is the normal strategy; under
+lex and block orders it is the sugar strategy (Giovini, Mora, Niesi,
+Robbiano, Traverso, "One sugar cube, please", ISSAC 1991).  Division holds
+the dividend as a term dict with a max-heap of its monomials and reduces it
+in place, on ints over Q (content form: integer numerators over one
+denominator) and over GF(p) (each sum reduced mod p once, when its monomial
+is popped); see ``_divide``.  Bases, division and S-polynomials over
+Q(alpha) = Q[alpha]/(mu) run over Q, alpha a last variable in a block of
+its own and mu one more generator (``_over_q``).  Reduced bases are the
+canonical form for ideal equality.  ``ideal_quotient`` skips the generators
+of J that already lie in I, whose quotient is (1).  Module Groebner bases
+come from the same ``buchberger``: a vector is a polynomial linear in fresh
+position variables, under a block order that is position-over-term.  They
+supply kernels of polynomial matrices via the syzygy construction.
 
 Packed monomials (Monagan-Pearce, "Sparse polynomial division using a
 heap", JSC 46, 2011).  Inside this module a monomial is one int whose
@@ -428,28 +430,40 @@ def buchberger(ideal, order=DEGREVLEX):
 
 
 def _buchberger(G, order):
+    """The pairs go by least lcm (the normal strategy) under degrevlex, and
+    by least sugar first under lex and block orders: there the normal
+    strategy can reduce pairs of high degree early, and on an elimination
+    of a few small relations the basis then swells to polynomials of over
+    a thousand terms whose coefficients have thousands of bits.  The sugar
+    of a generator is its total degree; that of a pair, the larger of its
+    two sugars raised by the degree the lcm adds; a remainder keeps the
+    sugar of its pair."""
     ring = G[0].ring
     cm, guard = ring.cm, ring.guard
-    leads, plain, exps = [], [], []
-    pairs = []      # heap of (packed lcm, i, j)
+    graded = order.kind == "degrevlex"
+    leads, plain, exps, sugar = [], [], [], []
+    pairs = []      # heap of (sugar or 0, packed lcm, i, j)
 
-    def add(g):
+    def add(g, s):
         k = len(leads)
         leads.append(g.lead)
         plain.append(g.lead ^ cm)
         exps.append(ring.unpack_monomial(g.lead))
+        sugar.append(s - sum(exps[k]))      # the sugar less the lead degree
         for i in range(k):
-            lcm = ring.pack_monomial(map(max, exps[i], exps[k]))
+            e = tuple(map(max, exps[i], exps[k]))
+            lcm = ring.pack_monomial(e)
             if lcm & guard:
                 raise _Overflow
-            heapq.heappush(pairs, (lcm, i, k))
+            key = 0 if graded else max(sugar[i], sugar[k]) + sum(e)
+            heapq.heappush(pairs, (key, lcm, i, k))
 
     for g in G:
-        add(g)
+        add(g, max(map(sum, map(ring.unpack_monomial, g.terms))))
     done = set()
     reductions = 0
     while pairs:
-        lcm, i, j = heapq.heappop(pairs)
+        s, lcm, i, j = heapq.heappop(pairs)
         done.add((i, j))
         if lcm == leads[i] + leads[j] - cm:
             continue  # coprime leading terms
@@ -462,7 +476,7 @@ def _buchberger(G, order):
         if r.is_zero():
             continue
         G.append(r)
-        add(r)
+        add(r, s)
     return _reduce_basis(G)
 
 

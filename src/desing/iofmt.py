@@ -7,10 +7,10 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ConsistencyError, ParseError, StructuralError
 from .fields import QQ, PrimeField, SimpleExtension
-from .poly import (alpha_polynomial, format_polynomial, order_from_name,
-                   parse_polynomial)
+from .poly import (Polynomial, alpha_polynomial, format_polynomial,
+                   order_from_name, parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
-from .smooth import AlgebraPresentation, DesingData
+from .smooth import AlgebraPresentation, DesingData, jacobian, matrix_det
 from . import gnd as _gnd
 
 KNOWN_SECTIONS = {
@@ -510,6 +510,12 @@ def _check_derived(cert, bvars, fixed):
     if cert.short_circuit:
         require(cert.c == 0 and cert.zvar is None,
                 "[meta] c is not 0, or zvar not -, in a short circuit")
+        # no bordered H carries the minor here, so recompute it
+        fs = cert.subset_relations()
+        minor = matrix_det(jacobian(fs, [cert.yvars[j] for j in columns])) \
+            if fs else Polynomial.one(cert.ring, cert.field)
+        require(minor == cert.data.minor, "[data] minor is not the Jacobian "
+                "minor of the subset relations in [data] columns")
     else:
         # Z borders last: original_problem drops it and its relation
         require(cert.c >= 1 and cert.zvar == cert.yvars[

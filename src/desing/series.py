@@ -31,17 +31,18 @@ balanced residues.
 - ``series_eval`` at a point (``SeriesPoint.eval``; images in one
   variable) is the one evaluation of polynomials: every series check, the
   Newton lift, ``linear_factor`` and gnd's values at the frame y' run on
-  it.  It scales each image to integer numerators and packs it once;
-  every power and term is a big-int product modulo 2^(8wSN), scaled by D /
-  (its denominator), D the lcm of the term denominators, and the sum is
-  decoded once and divided by D.  Over Q(alpha) alpha is a second packed
-  variable, x -> 2^(8wS) and alpha -> 2^(8w), S - 1 the largest
-  alpha-degree of a term, and mu acts once, at decode; Q and GF(p) are
-  S = 1.  The packed powers stay on the point for its later calls.
+  it.  It packs each image once, as integer numerators, but a monomial
+  image (x -> x, U -> alpha) shifts the coefficients instead; the terms
+  with the same other factors form one row, scaled by D / (its
+  denominator), D the lcm of the term denominators, and one big-int
+  product modulo 2^(8wSN).  The sum is decoded once and divided by D.
+  Over Q(alpha), x -> 2^(8wS) and alpha -> 2^(8w), S - 1 the largest
+  alpha-degree of a term, and mu acts at decode.
 """
 
 import re
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
 from math import lcm
 from operator import add
 
@@ -321,7 +322,9 @@ def _offsets(width, size):
 def _pack(coeffs, width, size):
     """Sum of c*2^(8we) over the (e, c) in ``coeffs``, every e below
     ``size``: each slot is written as bytes, as c + 2^(8w - 1), and the
-    offsets are taken off once."""
+    offsets are taken off once; below 16 of them, shifts are quicker."""
+    if len(coeffs) < 16:
+        return sum(c << 8 * width * e for e, c in coeffs)
     half = 1 << (8 * width - 1)
     slots = [half.to_bytes(width, "little")] * size
     for e, c in coeffs:
@@ -409,6 +412,13 @@ class SeriesPoint:
         of alpha-degree past 2d - 2 (no product of two field elements gets
         there; d = [F:Q]) is an image of its own, reduced by mu (``**``).
 
+        An image n*alpha^i*x^k of one term (x -> x, U -> alpha) is a shift:
+        v^e scales the coefficient by n^e and moves it e*k powers of x and
+        e*i of alpha up.  The terms with the same other factors form one
+        row and take one product with their powers.  A term shifted to
+        x^precision or past is 0, and the sum is decoded only up to the
+        highest x-degree a row reaches.
+
         With each image v = A_v / d_v (A_v integral) and each term
         c*prod v^(e_v), D is the lcm of the term denominators
         den(c)*prod d_v^(e_v), and D times the value is the integer series
@@ -417,7 +427,8 @@ class SeriesPoint:
         is at most prod H_i times the product of all L_i but the largest,
         so every coefficient of that sum, and of every partial product, is
         at most sum_t |C_t| L_t prod_v (L_v H_v)^(e_v) / max L_v (L_t the
-        alpha-length of C_t), and a sign bit more is the slot width."""
+        alpha-length of C_t, shifts in C_t), and a sign bit more is the
+        slot width."""
         F, K = self.one.field, poly.field
         F.coerce(K, K.one())    # Q into Q(alpha) is the one proper coercion
         if not poly.terms:
@@ -427,48 +438,56 @@ class SeriesPoint:
         if powers is None:
             powers = self._packed[precision] = _PackedPowers(
                 self.images, F, precision)
-        terms, stride = [], 1
+        rows, d, stride, top, size = {}, powers.degree, 1, 0, 0
         for mono, c in poly.terms.items():
             den, row = _row(K, c)
-            factors, bits, longest, degree = [], 0, 0, len(row) - 1
-            for name, e in zip(poly.variables, mono):
-                if not e:
-                    continue
+            key, bits, longest, reach, degree = (), 0, 0, 0, len(row) - 1
+            shift = lift = 0
+            for name, e in compress(zip(poly.variables, mono), mono):
                 image = powers.image(name)
-                if image and e * image[4] > 2 * powers.degree - 2:
+                if image and e * image[4] > 2 * d - 2:
                     name, e = (name, e), 1          # v^e is its own image
                     image = powers.image(name)
                 if image is None:           # a zero image: the term is 0
                     break
-                factors.append((name, e))
-                _, d, hbits, lbits, alpha = image
-                bits += e * (hbits + lbits)
-                longest = max(longest, lbits)
-                den *= d ** e
-                degree += e * alpha
+                nums, dv, hbits, lbits, alpha, high = image
+                den, degree = den * dv ** e, degree + e * alpha
+                if len(nums) == 1:          # n*alpha^i*x^k: a row shift
+                    (k, n), = nums.items()
+                    row = row if n == 1 else [r * n ** e for r in row]
+                    shift, lift = shift + e * (k // d), lift + e * (k % d)
+                else:
+                    key += ((name, e),)
+                    bits += e * (hbits + lbits)
+                    longest, reach = max(longest, lbits), reach + e * high
             else:
-                terms.append((row, den, factors, bits - longest))
-                stride = max(stride, degree + 1)
-        D = lcm(*(den for _, den, _, _ in terms))
-        scaled, top = [], 0
-        for row, den, factors, bits in terms:
-            row = [c * (D // den) for c in row]
-            scaled.append((row, factors))
-            top = max(top, max(map(abs, row)).bit_length() + bits
-                      + (len(row) - 1).bit_length())
-        # every term is below 2^top, so the sum is below 2^(top + log2 n)
-        powers.widen((top + len(scaled).bit_length()) // 8 + 1, stride)
+                if shift < precision:
+                    rows.setdefault(key, []).append((row, den, shift, lift))
+                    stride = max(stride, degree + 1)
+                    size = max(size, shift + reach + 1)
+                    # |c * D / den| < 2^(bits(c) + bits(D) - bits(den) + 1)
+                    top = max(top, max(map(abs, row)).bit_length() + bits
+                              - longest + (len(row) - 1).bit_length()
+                              - den.bit_length())
+        D = lcm(*(t[1] for terms in rows.values() for t in terms))
+        # every term is below 2^(top + bits(D) + 1), the sum n times that
+        top += D.bit_length() + 1 + sum(map(len, rows.values())).bit_length()
+        powers.widen(top // 8 + 1, stride)
         width, stride, mask = powers.width, powers.stride, powers.mask
         acc = 0
-        for row, factors in scaled:
-            C = row[0] if len(row) == 1 else sum(
-                c << 8 * width * i for i, c in enumerate(row))
-            part = None
-            for key in factors:
-                pw = powers.power(key)
-                part = pw if part is None else part * pw & mask
-            acc += C if part is None else C * part
-        coeffs = _unpack(acc, width, precision * stride)
+        for key, terms in rows.items():
+            slots = {}
+            for row, den, shift, lift in terms:
+                m = D // den
+                for i, c in enumerate(row, shift * stride + lift):
+                    slots[i] = slots.get(i, 0) + c * m
+            low = min(slots)
+            C = _pack([(i - low, c) for i, c in slots.items()], width,
+                      max(slots) - low + 1)
+            for power in key:
+                C = C * powers.power(power) & mask
+            acc += C << 8 * width * low
+        coeffs = _unpack(acc, width, min(size, precision) * stride)
         return TruncatedSeries._trusted(self.one.variables, F,
                                         _decoded(F, coeffs, D, stride),
                                         precision)
@@ -496,12 +515,12 @@ class _PackedPowers:
         self.series, self.field, self.size = series, field, size
         self.degree = field.degree if type(field) is SimpleExtension else 1
         self.width, self.stride, self.mask = 0, 1, 0
-        self.images = {}    # name -> (numerators, den, bits, bits, degree)
+        self.images = {}    # name -> (numerators, den, bits, bits, degrees)
         self.powers = {}    # (name, e) -> packed image^e modulo x^size
 
     def image(self, name):
         """An image's int numerators below x^size (alpha^i x^k at k*d + i),
-        their denominator, bits of height and number, alpha-degree; or None."""
+        their den, bits of height and number, alpha- and x-degree; or None."""
         if name in self.images:
             return self.images[name]
         F, d = self.field, self.degree
@@ -514,7 +533,7 @@ class _PackedPowers:
         nums, den = _ints(F, terms, self.size * d)
         out = None if not nums else (
             nums, den, max(map(abs, nums.values())).bit_length(),
-            len(nums).bit_length(), max(p % d for p in nums))
+            len(nums).bit_length(), max(p % d for p in nums), max(nums) // d)
         self.images[name] = out
         return out
 
@@ -550,8 +569,8 @@ class _PackedPowers:
         name, e = key
         if e == 1:
             d, stride = self.degree, self.stride    # k*d + i to k*S + i
-            return _pack(((p // d * stride + p % d, c) for p, c
-                          in self.image(name)[0].items()),
+            return _pack([(p // d * stride + p % d, c) for p, c
+                          in self.image(name)[0].items()],
                          self.width, self.size * stride)
         value = self.power((name, e // 2))
         value = value * value & self.mask

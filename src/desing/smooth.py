@@ -58,7 +58,8 @@ def _berkowitz(A, adjugate=False):
     R·A_k·C·t^3 - ... mod t^(k+2), where A_k is the leading k x k block,
     a = A[k][k], R = A[k][:k] and C the column above a; det A = e_n and
     adj A = sum e_i·(-A)^(n-1-i).  Zeros are skipped, so series entries are
-    first cut to their least precision (Berkowitz, IPL 18, 1984).
+    first cut to their least precision (Berkowitz, IPL 18, 1984).  Orders 1
+    and 2 take the closed forms.
     """
     n = len(A)
     if n == 0 or any(len(row) != n for row in A):
@@ -72,6 +73,15 @@ def _berkowitz(A, adjugate=False):
     else:
         zero = Polynomial.zero(a.variables, a.field)
     M = [[None if x.is_zero() else x for x in row] for row in A]
+    if n < 3:       # closed forms: a, adj [[1]]; ad - bc, adj [[d, -b], [-c, a]]
+        (a, b), (c, d) = M if n == 2 else ((M[0][0], None), (None, None))
+        b, nc = (None if y is None else -y for y in (b, c))
+        det = _dot((a, b), (d, c)) if n == 2 else a
+        det = zero if det is None else det
+        if not adjugate:
+            return det, None
+        B = [[d, b], [nc, a]] if n == 2 else [[zero ** 0]]
+        return det, [[zero if y is None else y for y in row] for row in B]
     e = [None] * n                      # e[i] = e_(i+1); None for zero
     for k, row in enumerate(M):
         col, q = [r[k] for r in M[:k]], [row[k]]

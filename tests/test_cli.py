@@ -678,6 +678,39 @@ def test_cli_short_circuit_binds_z(tmp_path, short_circuit_certificate):
             parse_certificate(bad)
 
 
+# a short circuit has no bordered H to carry its minor, so verify takes
+# the Jacobian minor of the subset relations in [data] columns itself:
+# d(Y1 - x^2)/dY2 = 0 is not the minor 1; and (Y2, Y1^2) reduces to the
+# short circuit (Y1, Y2) with minor 1, which Y1 -> Y1^2 in [relations] and
+# [bprime] turns into (Y1^2, Y2), of minor 2*Y1
+SHORT_CIRCUIT_FORGERIES = {
+    "columns": ("Y1 - x^2", "Y1 = x^2 + O(x^12)\nY2 = x + O(x^12)",
+                "\ncolumns 0\n", "\ncolumns 1\n", 1),
+    "relation": ("Y2\nY1^2", "Y1 = 0 + O(x^30)\nY2 = 0 + O(x^30)",
+                 "\nY1\n", "\nY1^2\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_CIRCUIT_FORGERIES))
+def test_cli_verify_binds_the_short_circuit_minor(tmp_path, capsys, case):
+    ideal, morphism, old, new, count = SHORT_CIRCUIT_FORGERIES[case]
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
+                f"[ideal]\n{ideal}\n[morphism]\n{morphism}\n")
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    text = open(cert_path).read()
+    assert parse_certificate(text).short_circuit and text.count(old) == count
+    bad = text.replace(old, new)
+    with pytest.raises(ConsistencyError, match="minor"):
+        parse_certificate(bad)
+    capsys.readouterr()
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate [data] minor")
+    assert "Traceback" not in err
+
+
 def _report(path):
     return open(path).read().split("[report]\n", 1)[1].splitlines()
 

@@ -456,6 +456,36 @@ def test_quotient_with_generators_inside_numerator():
     assert Q.generators == buchberger(expected).elements
 
 
+def test_quotient_by_elimination_does_not_swell(monkeypatch):
+    # with a = Y1 - 2 - 2x + 2x^2 and b = Y2 + 1 - x^2, ((f0, f1) : f2)
+    # eliminates t from four variables under a block order; pairs taken by
+    # least lcm there built remainders past 400 terms within 70 reductions
+    # and coefficients of thousands of bits, and ran for minutes; by sugar
+    # no remainder passes 166 terms
+    ring = ("x", "Y1", "Y2")
+    p = lambda s: parse_polynomial(s, ring, QQ)
+    a, b = p("Y1 - 2 - 2*x + 2*x^2"), p("Y2 + 1 - x^2")
+    f0 = p("2*x") * a + p("2*x^2") * a * b
+    f1 = p("2*x") * b ** 2 - a ** 2 * b
+    f2 = p("2*x") * a ** 2 * b
+    real = groebner.division
+
+    def bounded(f, basis, order, with_quotients=False):
+        out = real(f, basis, order, with_quotients)
+        if isinstance(out, groebner._Packed):
+            assert len(out.terms) <= 400, "a remainder swelled"
+        return out
+
+    monkeypatch.setattr(groebner, "division", bounded)
+    I = IdealPresentation(ring, QQ, [f0, f1])
+    Q = ideal_quotient(I, IdealPresentation(ring, QQ, [f0, f1, f2]))
+    monkeypatch.undo()
+    assert all(ideal_member(q * f2, I) for q in Q.generators)
+    assert all(ideal_member(f, Q) for f in (f0, f1))
+    assert not ideal_member(Polynomial.one(ring, QQ), Q)
+    assert Q.generators == buchberger(Q).elements
+
+
 def test_quotient_by_zero_ideal():
     I = ideal("x")
     with pytest.raises(DomainError):

@@ -1009,3 +1009,107 @@ def test_packed_eval_builds_each_power_once(monkeypatch):
         assert value == _applied(p, point.images, value.precision)
     assert len(built) == len(set(built))
     assert (20, "Y1", 4) in built and (7, "Y1", 4) in built
+
+
+# points that send x to x and U to alpha: a monomial image is a row shift
+
+SHIFT_VARS = ("x", "U", "Y1", "Y2")
+
+
+@st.composite
+def _shift_cases(draw):
+    """A point in the shape of ``DPresentation.point``: x -> x (or, now and
+    then, x -> 2x, x -> x + x^2 or any series), U -> alpha over Q(alpha)
+    and a rational constant over Q, Y1 and Y2 -> series; a polynomial whose
+    x-degrees reach past the precision and whose U exponents reach 2d; and
+    an optional cap."""
+    field = draw(st.sampled_from((QQ, SQRT2, CUBIC)))
+    pfield = draw(st.sampled_from((QQ, field)))
+    precision = draw(st.integers(1, 20))
+    x = TruncatedSeries.variable(("x",), field, "x", precision)
+    shape = draw(st.sampled_from(("x",) * 4 + ("2x", "x + x^2", "any")))
+    if shape == "2x":
+        x = x + x
+    elif shape == "x + x^2":
+        x = x + x * x
+    elif shape == "any":
+        x = TruncatedSeries(("x",), field, draw(st.dictionaries(
+            st.tuples(st.integers(0, 6)), _eval_coefficients(field),
+            max_size=3)), precision)
+    u = (field.generator() if field.kind == "simple-extension"
+         else QQ.from_fraction(draw(st.fractions(-5, 5).filter(bool))))
+    images = {"x": x, "U": TruncatedSeries.constant(("x",), field, u,
+                                                      precision)}
+    for name in ("Y1", "Y2"):
+        images[name] = TruncatedSeries(("x",), field, draw(st.dictionaries(
+            st.tuples(st.integers(0, precision + 2)),
+            _eval_coefficients(field), max_size=4)), precision)
+    d = field.degree if field.kind == "simple-extension" else 1
+    monos = st.tuples(st.integers(0, precision + 3), st.integers(0, 2 * d),
+                      st.integers(0, 3), st.integers(0, 2))
+    poly = Polynomial(SHIFT_VARS, pfield, draw(st.dictionaries(
+        monos, _eval_coefficients(pfield), min_size=1, max_size=12)))
+    cap = draw(st.one_of(st.none(), st.integers(1, precision + 2)))
+    return images, poly, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shift_cases())
+def test_eval_at_shift_images_matches_apply(case):
+    images, poly, cap = case
+    want = _applied(poly, images, cap)
+    assert series_eval(poly, series_point(images), cap) == want
+    assert series_eval(poly, images, cap) == want
+
+
+def test_terms_sharing_a_y_monomial_take_one_packed_product(monkeypatch):
+    # x -> x and U -> alpha shift the coefficient row: the terms of each
+    # Y-monomial form one row, which takes one packed power of the other
+    # variables and one product; no power of x or U is ever packed (a
+    # power builds on lower ones, so only the outermost calls count)
+    asked, building = [], []
+    real = _PackedPowers.power
+
+    def counted(self, key):
+        if not building:
+            asked.append(key)
+        building.append(key)
+        try:
+            return real(self, key)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(_PackedPowers, "power", counted)
+    y = TruncatedSeries(("x",), SQRT2, {(0,): SQRT2.one(),
+                                        (2,): SQRT2.generator()}, 16)
+    images = {"x": TruncatedSeries.variable(("x",), SQRT2, "x", 16),
+              "U": TruncatedSeries.constant(("x",), SQRT2,
+                                            SQRT2.generator(), 16),
+              "Y1": y, "Y2": y * y}
+    poly = parse_polynomial(
+        "x*Y1^2 + 3*x^4*U*Y1^2 - 5*U^2*Y1^2 + x^20*Y1^2 + x^2*Y1*Y2"
+        " - 7/2*x^3*U^3*Y1*Y2 + x^5 + U", SHIFT_VARS, QQ)
+    value = series_eval(poly, series_point(images))
+    assert value == _applied(poly, images, None)
+    assert sorted(asked) == [("Y1", 1), ("Y1", 2), ("Y2", 1)]
+
+
+def test_eval_decodes_only_the_slots_a_value_reaches(monkeypatch):
+    # the constant 1 at precision 1024 reads one slot, not 1024; Y1^2 with
+    # Y1 of degree 3 and a shift by x^2 reads 2 + 2*3 + 1 of them
+    sizes = []
+    real = series._unpack
+
+    def counted(value, width, size):
+        sizes.append(size)
+        return real(value, width, size)
+
+    monkeypatch.setattr(series, "_unpack", counted)
+    y = TruncatedSeries(("x",), QQ, {(1,): 2, (3,): Fraction(1, 3)}, 1024)
+    images = {"x": TruncatedSeries.variable(("x",), QQ, "x", 1024),
+              "Y1": y}
+    point = series_point(images)
+    for text in ("1", "x^2*Y1^2 - 1"):
+        poly = parse_polynomial(text, ("x", "Y1"), QQ)
+        assert series_eval(poly, point) == _applied(poly, images, None)
+    assert sizes == [1, 9]
