@@ -21,17 +21,18 @@ dimensional local rings", JSC 80 (2017); Swan (1998) defines standard
 smooth).  The argument rests on these facts, each with the check that
 discharges it:
 
+- M is the Jacobian minor of the subset relations f in [data] columns,
+  H their bordered Jacobian and G = N*adj(H): not printed, derived by
+  verify (``GndCertificate.minor``, ``build_H_G``);
 - G*H = H*G = P*Id with P = M*N (check 1, exact);
-- M is the Jacobian minor of the subset relations f in [data] columns
-  (bound when a short circuit is read), and H their bordered Jacobian:
-  NOT CHECKED yet;
 - N*I lies in (f), so that I = (f) where N is a unit: NOT CHECKED yet;
 - s^p f_i = d^2 g_i modulo (h), each h_j = s(Y_j - y'_j) - d (G(y')T)_j
-  (check 2, exact), so that f = 0 and g = 0 agree in B';
+  (check 2, exact), so that f = 0 and g = 0 agree in B'; y' is [hat]
+  below x^(6c) (``truncate_lift``);
 - I(y') = 0 modulo d^3 (check 3, exact);
-- s is a unit of B' through W*s - 1, and d = x^(2c) with c >= 1 (the
-  [bprime] layout and [meta] c, bound when the certificate is read);
-  s = P(y')/d itself is NOT CHECKED: checks 2 and 4 read s as printed;
+- s = P(y')/d with s = 1 modulo d, derived by verify (``compute_s_b``)
+  and bound to the last [bprime] relation W*s - 1, so s is a unit of B';
+  d = x^(2c) with c >= 1 ([meta] c, bound when the certificate is read);
 - h and g vanish at (yhat, t), so the point factors through B' (check 4,
   to the precision the certificate records);
 - that point restricts to v on B (check 5, to the same precision);
@@ -43,14 +44,14 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (ConsistencyError, DomainError, PrecisionError,
                      ResourceError)
-from .fields import QQ, RationalField, SimpleExtension
-from .groebner import _fresh_name, division
-from .poly import (DEGREVLEX, Polynomial, alpha_polynomial,
-                   check_power_budget, fold_extension, unfold_extension)
+from .fields import QQ, RationalField, SimpleExtension, _integral
+from .groebner import _fresh_name
+from .poly import (Polynomial, alpha_polynomial, check_power_budget,
+                   fold_extension, unfold_extension)
 from .series import (MAX_PRECISION, CompletionMorphism, TruncatedSeries,
                      series_eval, series_point)
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
-                     find_desing_data, identity_matrix,
+                     find_desing_data, identity_matrix, jacobian,
                      matrix_det, matrix_equal, matrix_mul, matrix_scale,
                      reduce_until_nonvanishing, DEFAULT_SUBSET_BUDGET)
 
@@ -72,10 +73,20 @@ class DPresentation:
         return (self.base_var, self.ext_var)
 
     def reduce(self, poly):
-        """Normal form with the extension-generator degree below deg(mu)."""
+        """Normal form with the extension-generator degree below deg(mu):
+        the terms that share their U-free monomial form a polynomial in U,
+        reduced by mu as the series field reduces its elements."""
         if self.ext_var is None or self.ext_var not in poly.variables:
             return poly
-        return division(poly, [self.mu.embed(poly.variables)], DEGREVLEX)
+        i, K = poly.variables.index(self.ext_var), self.series_field
+        rows, terms = {}, {}
+        for m, c in poly.terms.items():
+            rows.setdefault(m[:i] + (0,) + m[i + 1:], {})[m[i]] = c
+        for m, row in rows.items():
+            coeffs = K._reduce(row.get(e, 0) for e in range(max(row) + 1))
+            terms.update((m[:i] + (e,) + m[i + 1:], _integral(c))
+                         for e, c in enumerate(coeffs) if c)
+        return Polynomial._nonzero(poly.variables, poly.field, terms)
 
     def point(self, precision, images):
         """The series point that sends x to itself, U to the generator of
@@ -181,7 +192,6 @@ class BorderStep:
     zvar: str
     frp1: Polynomial
     d: Polynomial                # the square of d'
-    P: Polynomial                # minor * witness of the bordered data
 
 
 def border_step(B, v, data):
@@ -194,18 +204,14 @@ def border_step(B, v, data):
     dprime, pprime = data.dprime.embed(ring1), data.pprime.embed(ring1)
     pprime_z = pprime * zpoly
     frp1 = -dprime + pprime_z
-    B1 = AlgebraPresentation(base_var=B.base_var,
-                             variables=B.variables + (Z,),
-                             field=B.field,
-                             relations=list(B.relations) + [frp1])
+    B1 = AlgebraPresentation(base_var=B.base_var, variables=B.variables + (Z,),
+                             field=B.field, relations=B.relations + [frp1])
     z = data.z
     if z.order() is not None and z.order() > 0:
         raise ConsistencyError("z must be a unit series")
-    images = dict(v.images)
-    images[Z] = z
-    v1 = CompletionMorphism(base_var=v.base_var, field=v.field, images=images)
-    img = v1.eval(frp1)
-    if not img.is_zero():
+    v1 = CompletionMorphism(base_var=v.base_var, field=v.field,
+                            images=dict(v.images, **{Z: z}))
+    if not v1.eval(frp1).is_zero():
         raise PrecisionError("bordered relation does not vanish on the images")
     minor1 = data.minor.embed(ring1) * pprime
     witness1 = data.witness.embed(ring1) * zpoly * zpoly
@@ -219,36 +225,32 @@ def border_step(B, v, data):
                        minor=minor1, witness=witness1, c=data.c,
                        dprime=dprime, z=z, pprime=P)
     return BorderStep(algebra=B1, morphism=v1, data=data1, zvar=Z,
-                      frp1=frp1, d=d, P=P)
+                      frp1=frp1, d=d)
 
 
 # ---------------------------------------------------------------------------
 # the Artinian frame
 
-def truncate_lift(v, c, D, names, ring):
-    """Polynomial truncations of the series images below degree 3*ord(d)."""
+def truncate_lift(images, c, D, ring):
+    """The frame y': each series of ``images`` truncated below degree
+    3*ord(d) = 6c, as a polynomial of ``ring``."""
     cut = 6 * c
-    if v.precision < cut:
+    precision = min(s.precision for s in images.values())
+    if precision < cut:
         raise PrecisionError(
-            f"need precision >= {cut} to truncate, have {v.precision}")
-    return {name: D.polynomial({m: c for m, c in v.images[name].terms.items()
-                                if m[0] < cut}, ring) for name in names}
+            f"need precision >= {cut} to truncate, have {precision}")
+    return {name: D.polynomial({m: a for m, a in s.terms.items()
+                                if m[0] < cut}, ring)
+            for name, s in images.items()}
 
 
 def _x_shift(poly, xvar, k, what="element"):
     """Exact division by xvar^k; fails loudly when not divisible."""
-    if k == 0:
-        return poly
     i = poly.variables.index(xvar)
-    terms = {}
-    for m, c in poly.terms.items():
-        if m[i] < k:
-            raise ConsistencyError(f"{what} is not divisible by "
-                                   f"{xvar}^{k}")
-        mm = list(m)
-        mm[i] -= k
-        terms[tuple(mm)] = c
-    return Polynomial(poly.variables, poly.field, terms)
+    if any(m[i] < k for m in poly.terms):
+        raise ConsistencyError(f"{what} is not divisible by {xvar}^{k}")
+    return Polynomial(poly.variables, poly.field, {
+        m[:i] + (m[i] - k,) + m[i + 1:]: c for m, c in poly.terms.items()})
 
 
 def compute_s_b(P, frame, c, D):
@@ -262,24 +264,27 @@ def compute_s_b(P, frame, c, D):
 
 
 def build_H_G(fs, yvars, witness, minor):
-    """H = Jacobian block over (0 | Id), G = N*adj(H); checks det H = M."""
+    """H = Jacobian block over (0 | Id), G = N*adj(H); checks det H = M,
+    the determinant of H's leading block of the subset rows."""
     H, G = bordered_jacobian(fs, yvars, witness)
-    if matrix_det(H) != minor:
+    if matrix_det([row[:len(fs)] for row in H[:len(fs)]]) != minor:
         raise ConsistencyError("determinant of H differs from the minor")
     return H, G
 
 
-def frame_values(frame, G):
-    """G(y'), entrywise: polynomials in x [and U]."""
-    return [[frame(entry) for entry in row] for row in G]
+def derive_frame(images, c, D, ring, fs, yvars, witness, minor):
+    """The frame y' (``images`` below x^(6c)), H, G and s = P(y')/d for
+    P = M*N: what the construction builds, and what verify derives from a
+    certificate."""
+    frame = FramePoint(D, truncate_lift(images, c, D, ring))
+    H, G = build_H_G(fs, yvars, witness, minor)
+    return frame, H, G, compute_s_b(minor * witness, frame, c, D)
 
 
 def build_h_g(fs, yprime, yvars, tvars, d, s, Gy, p, D):
     """h = s(Y - y') - d G(y')T; g_i = s^p f_i / d^2 with every s*Y_j
     replaced by s*y'_j + d*w_j, the identity check 2 reads."""
-    ring, F = s.variables, s.field
-    tpolys = [Polynomial.variable(ring, F, t) for t in tvars]
-    h, sY = _h_and_sY(yprime, yvars, tpolys, s, d, Gy)
+    h, sY = _h_and_sY(yprime, yvars, tvars, s, d, Gy)
     s_pow = _s_powers(s, p, D)
     powers = [[s_pow[0]] for _ in sY]
     x = D.base_var
@@ -293,14 +298,13 @@ def build_h_g(fs, yprime, yvars, tvars, d, s, Gy, p, D):
     return h, g
 
 
-def _h_and_sY(yprime, yvars, tpolys, s, d, Gy):
+def _h_and_sY(yprime, yvars, tvars, s, d, Gy):
     """h_j = s(Y_j - y'_j) - d w_j and s y'_j + d w_j, with w = G(y')T."""
     ring, F = s.variables, s.field
+    tpolys = [Polynomial.variable(ring, F, t) for t in tvars]
     h, sY = [], []
     for row, yv in zip(Gy, yvars):
-        w = Polynomial.zero(ring, F)
-        for entry, tp in zip(row, tpolys):
-            w = w + entry * tp
+        w = sum((e * t for e, t in zip(row, tpolys)), Polynomial.zero(ring, F))
         yp, dw = yprime[yv], d * w
         h.append(s * (Polynomial.variable(ring, F, yv) - yp) - dw)
         sY.append(s * yp + dw)
@@ -377,7 +381,7 @@ class GndCertificate:
     field: object
     series_field: object
     D: DPresentation
-    data: DesingData
+    data: DesingData             # minor None when read from text
     c: int
     p: int
     short_circuit: bool
@@ -388,10 +392,7 @@ class GndCertificate:
     permutation: tuple = ()      # yvars[i] = original_variables[permutation[i]]
     relations: list = dc_field(default_factory=list)   # bordered ideal in ring
     subset: tuple = ()
-    s: Polynomial = None
-    yprime: dict = dc_field(default_factory=dict)
-    H: list = dc_field(default_factory=list)
-    G: list = dc_field(default_factory=list)
+    s: Polynomial = None         # the unit W inverts: s, or M*N if short
     h: list = dc_field(default_factory=list)
     g: list = dc_field(default_factory=list)
     wvar: str = None
@@ -409,25 +410,30 @@ class GndCertificate:
     def subset_relations(self):
         return [self.relations[i] for i in self.subset]
 
+    def minor(self):
+        """M: the Jacobian minor of the subset relations in [data] columns."""
+        fs, cols = self.subset_relations(), self.data.columns
+        return matrix_det(jacobian(fs, [self.yvars[self.permutation.index(j)]
+                                        for j in cols])) if fs else \
+            Polynomial.one(self.ring, self.field)
+
     def bprime(self):
         """B' = k[ring, W]/(mu, relations, h, g, W*s - 1), its relations in
         that order; a short circuit has W*M*N - 1 for its last, and no mu."""
         bring = tuple(self.ring) + (self.wvar,)
-        head, last = self.bprime_ends()
+        W = Polynomial.variable(bring, self.field, self.wvar)
         return AlgebraPresentation(
             base_var=self.base_var, variables=bring[1:], field=self.field,
-            relations=head + [q.embed(bring) for q in self.h + self.g]
-            + [last])
+            relations=self.bprime_head()
+            + [q.embed(bring) for q in self.h + self.g]
+            + [W * self.s.embed(bring) - Polynomial.one(bring, self.field)])
 
-    def bprime_ends(self):
-        """The relations of B' before h and g (mu and the relations), and
-        the one after them (W*s - 1), in k[ring, W]."""
+    def bprime_head(self):
+        """The relations of B' before h and g, mu and the relations, in
+        k[ring, W]."""
         bring = tuple(self.ring) + (self.wvar,)
-        unit = self.data.pprime if self.short_circuit else self.s
         mu = [self.D.mu] if self.D.ext_var and not self.short_circuit else []
-        return ([r.embed(bring) for r in mu + self.relations],
-                Polynomial.variable(bring, self.field, self.wvar)
-                * unit.embed(bring) - Polynomial.one(bring, self.field))
+        return [r.embed(bring) for r in mu + self.relations]
 
     def report_lines(self):
         return [r.line() for r in self.report]
@@ -437,13 +443,12 @@ class GndCertificate:
 
 
 def assemble_certificate(step, D, permutation, ring, yvars, tvars, frame,
-                         s, H, G, Gy, h, g, p):
+                         s, H, Gy, h, g, p):
     """Package the pipeline output and compute the series images of T.
-    [hat] and [t] keep what checks 4-6 read: [hat] below x^(N - 4c), N
-    the precision of v, and each T as ``t_precisions`` says."""
-    B1 = step.algebra
-    c = step.data.c
-    v1 = step.morphism
+    [hat] and [t] keep what is read of them: [hat] below x^(N - 4c), N
+    the precision of v, for checks 4-6, and below x^(6c) for y'; each T
+    as ``t_precisions`` says."""
+    B1, v1, c = step.algebra, step.morphism, step.data.c
     N = v1.precision
     hat = {yv: v1.images[yv].truncate(N) for yv in yvars}
     # t = H(y') (yhat - y') / d^2, entrywise exact series division, with
@@ -453,49 +458,50 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, frame,
     xF = v1.field
     d2 = TruncatedSeries((v1.base_var,), xF, {(4 * c,): xF.one()}, N)
     precisions = t_precisions(Gy, len(step.data.subset), N - 4 * c, c)
-    t = {}
-    for j, tv in enumerate(tvars):
-        acc = TruncatedSeries.zero((v1.base_var,), xF, N)
-        for k in range(len(yvars)):
-            acc = acc + Hy[j][k] * deltas[k]
-        t[tv] = acc.divide_exact(d2).truncate(precisions[j])
+    zero = TruncatedSeries.zero((v1.base_var,), xF, N)
+    t = {tv: sum((a * b for a, b in zip(row, deltas)), zero).divide_exact(
+        d2).truncate(k) for tv, row, k in zip(tvars, Hy, precisions)}
     data = DesingData(subset=step.data.subset, columns=step.data.columns,
-                      minor=step.data.minor.embed(ring),
-                      witness=step.data.witness.embed(ring), c=c,
-                      dprime=step.data.dprime.embed(ring), z=step.data.z,
-                      pprime=step.data.pprime.embed(ring))
+                      minor=None, witness=step.data.witness.embed(ring), c=c,
+                      dprime=None, z=step.data.z)
     return GndCertificate(
         base_var=B1.base_var, field=D.field, series_field=v1.field, D=D,
         data=data, c=c, p=p, short_circuit=False, ring=ring,
         yvars=yvars, tvars=tvars, zvar=step.zvar, permutation=permutation,
         relations=[r.embed(ring) for r in B1.relations],
-        subset=step.data.subset, s=s, yprime=frame.yprime, H=H, G=G, h=h,
-        g=g, wvar=_fresh_name("W", ring), t=t,
-        hat_images={yv: x.truncate(N - 4 * c) for yv, x in hat.items()},
+        subset=step.data.subset, s=s, h=h, g=g, wvar=_fresh_name("W", ring),
+        t=t, hat_images={yv: x.truncate(max(N - 4 * c, 6 * c))
+                         for yv, x in hat.items()},
         precision=N)
 
 
-def verify_certificate(cert, B, v):
+def verify_certificate(cert, B, v, derived=None):
     """Re-run the six certificate checks; failures become report entries.
-    A [t] image printed to another precision than check 4 reads is a
-    ConsistencyError."""
-    report = []
+    M (``GndCertificate.minor``), y', H, G and s (``derive_frame``) are
+    derived first, unless ``derived`` holds them, (M, frame, H, G, s), as
+    desingularize built them; the unit W inverts in [bprime] must be s
+    (M*N in a short circuit), and a [t] image must be printed to the
+    precision check 4 reads it to: either mismatch is a ConsistencyError."""
+    M = cert.minor() if derived is None else derived[0]
+    P = M * cert.data.witness
     if cert.short_circuit:
-        report.append(CheckResult("GH = HG = P*Id", True, "vacuous",
-                                  "smooth short-circuit"))
-        report.append(CheckResult("s^p f = d^2 g mod (h)", True, "vacuous",
-                                  "smooth short-circuit"))
-        report.append(CheckResult("I(y') = 0 mod d^3", True, "vacuous",
-                                  "smooth short-circuit"))
-        report.append(CheckResult("h and g vanish on (yhat, t)", True,
-                                  "vacuous", "no h, g"))
+        if cert.s != P:
+            raise ConsistencyError(
+                "certificate [bprime] does not end with W*M*N - 1, M the "
+                "Jacobian minor of the subset relations in [data] columns")
+        report = [CheckResult(name, True, "vacuous", detail)
+                  for name, detail in (
+                      ("GH = HG = P*Id", "smooth short-circuit"),
+                      ("s^p f = d^2 g mod (h)", "smooth short-circuit"),
+                      ("I(y') = 0 mod d^3", "smooth short-circuit"),
+                      ("h and g vanish on (yhat, t)", "no h, g"))]
         ok = _hat_is_v(cert, B, v, v.precision) and all(
             v.eval(rel).is_zero() for rel in B.relations)
         report.append(CheckResult("composite factors v", ok,
                                   f"O({v.base_var}^{v.precision})"))
-        # z v(pprime) = 1 shows v(pprime) is a unit and binds z, which
+        # z v(M*N) = 1 shows v(M*N) is a unit and binds z, which
         # find_desing_data computes as that inverse
-        img = v.eval(cert.data.pprime)
+        img = v.eval(P)
         one = TruncatedSeries.one((v.base_var,), v.field, v.precision)
         try:
             ok6 = (cert.data.z * img).truncate(v.precision) == one
@@ -506,20 +512,27 @@ def verify_certificate(cert, B, v):
         cert.report = report
         return report
 
-    ring, F, D = cert.ring, cert.field, cert.D
+    ring, F, D, c = cert.ring, cert.field, cert.D, cert.c
     n = len(cert.yvars)
-    c = cert.c
+    # p bounds the power of s that check 2 takes: refuse one past the
+    # reader's budget before any value is derived
+    check_power_budget(cert.s, cert.p, "s^p")
+    frame, H, G, s = derived[1:] if derived else derive_frame(
+        {yv: cert.hat_images[yv] for yv in cert.yvars}, c, D, ring,
+        cert.subset_relations(), cert.yvars, cert.data.witness, M)
+    if cert.s != s:
+        raise ConsistencyError("certificate [bprime] does not end with "
+                               "W*s - 1, s = P(y')/d")
+    Gy = [[frame(entry) for entry in row] for row in G]
+    report = []
     # (1) exact matrix identity
-    P = (cert.data.minor * cert.data.witness).embed(ring)
     target = matrix_scale(identity_matrix(n, ring, F), P)
-    ok1 = (matrix_equal(matrix_mul(cert.G, cert.H), target)
-           and matrix_equal(matrix_mul(cert.H, cert.G), target))
+    ok1 = (matrix_equal(matrix_mul(G, H), target)
+           and matrix_equal(matrix_mul(H, G), target))
     report.append(CheckResult("GH = HG = P*Id", ok1, "exact"))
 
     # (2) membership by substitution
-    frame = FramePoint(D, cert.yprime)
-    Gy = frame_values(frame, cert.G)
-    ok2 = _check_membership(cert, Gy)
+    ok2 = _check_membership(cert, frame.yprime, Gy)
     report.append(CheckResult("s^p f = d^2 g mod (h)", ok2, "exact"))
 
     # (3) the frame solves the ideal modulo d^3
@@ -563,7 +576,7 @@ def verify_certificate(cert, B, v):
     return report
 
 
-def _check_membership(cert, Gy):
+def _check_membership(cert, yprime, Gy):
     """Check 2: s^p f_i = d^2 g_i mod (h) for every subset relation f_i.
 
     Each h_j must be exactly s(Y_j - y'_j) - d w_j with w = G(y')T, so that
@@ -571,18 +584,15 @@ def _check_membership(cert, Gy):
     has |beta| <= p, so s^p c m Y^beta = c m s^(p-|beta|) (s Y)^beta, and
     s^p f_i - Phi_i lies in (h), where Phi_i replaces every s Y_j by
     s y'_j + d w_j.  The membership then holds when Phi_i - d^2 g_i
-    vanishes modulo mu.  A wrong number of h or g, or a missing y', fails.
-    ``Gy`` is G(y'), read off the point at y' that check 3 shares.
+    vanishes modulo mu.  A wrong number of h or g fails.  ``yprime`` is the
+    frame y' and ``Gy`` G(y'), read off the point at y' that check 3
+    shares.
     """
-    ring, F, D = cert.ring, cert.field, cert.D
-    n = len(cert.yvars)
-    fs = cert.subset_relations()
-    if (len(cert.h) != n or len(cert.g) != len(fs)
-            or any(yv not in cert.yprime for yv in cert.yvars)):
+    D, fs = cert.D, cert.subset_relations()
+    if len(cert.h) != len(cert.yvars) or len(cert.g) != len(fs):
         return False
     s, d = cert.s, cert.d
-    tpolys = [Polynomial.variable(ring, F, t) for t in cert.tvars]
-    h, sY = _h_and_sY(cert.yprime, cert.yvars, tpolys, s, d, Gy)
+    h, sY = _h_and_sY(yprime, cert.yvars, cert.tvars, s, d, Gy)
     if h != cert.h:
         return False
     check_power_budget(s, cert.p, "s^p")
@@ -612,7 +622,7 @@ def _short_circuit_certificate(B, v, data, D):
         data=data, c=0, p=0, short_circuit=True, ring=ring,
         yvars=B.variables, tvars=(), permutation=tuple(range(len(B.variables))),
         relations=[r.embed(ring) for r in B.relations], subset=data.subset,
-        wvar=_fresh_name("W", ring),
+        s=data.pprime, wvar=_fresh_name("W", ring),
         hat_images={yv: v.images[yv] for yv in B.variables},
         precision=v.precision)
 
@@ -641,14 +651,14 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     rels = [r.embed(ring) for r in B1.relations]
     fs = [rels[i] for i in step.data.subset]
     p = max(r.total_degree() for r in rels)
-    frame = FramePoint(D, truncate_lift(v1, data.c, D, yvars, ring))
-    d = step.d.embed(ring)
-    s = compute_s_b(step.P.embed(ring), frame, data.c, D)
-    H, G = build_H_G(fs, yvars, step.data.witness.embed(ring),
-                     step.data.minor.embed(ring))
-    Gy = frame_values(frame, G)
-    h, g = build_h_g(fs, frame.yprime, yvars, tvars, d, s, Gy, p, D)
+    M = step.data.minor.embed(ring)
+    frame, H, G, s = derive_frame(
+        {yv: v1.images[yv] for yv in yvars}, data.c, D, ring, fs, yvars,
+        step.data.witness.embed(ring), M)
+    Gy = [[frame(entry) for entry in row] for row in G]
+    h, g = build_h_g(fs, frame.yprime, yvars, tvars, step.d.embed(ring), s,
+                     Gy, p, D)
     cert = assemble_certificate(step, D, permutation, ring, yvars, tvars,
-                                frame, s, H, G, Gy, h, g, p)
-    verify_certificate(cert, B0, v)
+                                frame, s, H, Gy, h, g, p)
+    verify_certificate(cert, B0, v, (M, frame, H, G, s))
     return cert

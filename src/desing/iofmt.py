@@ -10,7 +10,7 @@ from .fields import QQ, PrimeField, SimpleExtension
 from .poly import (Polynomial, alpha_polynomial, format_polynomial,
                    order_from_name, parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
-from .smooth import AlgebraPresentation, DesingData, jacobian, matrix_det
+from .smooth import AlgebraPresentation, DesingData
 from . import gnd as _gnd
 
 KNOWN_SECTIONS = {
@@ -151,8 +151,6 @@ def _written(reader, values, fmt):
     """The lines from which ``reader`` reads ``values`` back."""
     if reader is _named:
         return [f"{name} = {fmt(v)}" for name, v in values.items()]
-    if reader is _rows:
-        return [" ; ".join(fmt(v) for v in row) for row in values]
     return [fmt(v) for v in values]
 
 
@@ -255,17 +253,12 @@ def emit_groebner(gb, variables, F):
 
 
 # ---------------------------------------------------------------------------
-# certificates
-
 # The polynomial and series sections, in the order they are written:
 # (section, GndCertificate attribute, reader, format of one value).  [t] and
-# [hat] hold series in the base variable, the others polynomials in the ring.
-# h and g live in [bprime] alone.
+# [hat] hold series in the base variable, [relations] polynomials in the
+# ring.  h and g live in [bprime] alone, and verify derives y', H, G, M and s.
 CERT_VALUES = (
     ("relations", "relations", _items, format_polynomial),
-    ("yprime", "yprime", _named, format_polynomial),
-    ("H", "H", _rows, format_polynomial),
-    ("G", "G", _rows, format_polynomial),
     ("t", "t", _named, format_series),
     ("hat", "hat_images", _named, format_series),
 )
@@ -273,7 +266,7 @@ CERT_VALUES = (
 
 def emit_certificate(cert):
     lines = ["[meta]",
-             "version 2",
+             "version 3",
              f"base {cert.base_var}",
              f"c {cert.c}",
              f"p {cert.p}",
@@ -293,11 +286,9 @@ def emit_certificate(cert):
               if cert.D.ext_var else ["ext -"])
     lines += ["[data]",
               "columns " + " ".join(str(i) for i in cert.data.columns),
-              f"minor {format_polynomial(cert.data.minor)}",
               f"witness {format_polynomial(cert.data.witness)}"]
     if cert.short_circuit:
         lines.append(f"z {format_series(cert.data.z)}")
-    lines += ["[s]", format_polynomial(cert.s) if cert.s is not None else "-"]
     for tag, attr, reader, fmt in CERT_VALUES:
         lines.append(f"[{tag}]")
         lines += _written(reader, getattr(cert, attr), fmt)
@@ -305,13 +296,12 @@ def emit_certificate(cert):
     lines += ["[bprime]", "variables " + " ".join(Bprime.variables)]
     lines += [format_polynomial(p) for p in Bprime.relations]
     lines.append("[report]")
-    for r in cert.report:
-        status = "pass" if r.passed else "FAIL"
-        lines.append(f"{status};{r.precision};{r.name};{r.detail}")
+    lines += [f"{'pass' if r.passed else 'FAIL'};{r.precision};{r.name};"
+              f"{r.detail}" for r in cert.report]
     return "\n".join(lines) + "\n"
 
 
-CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "s", "bprime",
+CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "bprime",
                  "report"} | {tag for tag, *_ in CERT_VALUES}
 
 
@@ -347,17 +337,24 @@ def _require(ok, what):
 def parse_certificate(text):
     sections = _Required(split_sections(text), "section")
 
-    def keyed(tag):
-        return _Required(_keyed(tag, sections[tag]), f"[{tag}] key")
+    def keyed(tag, known):
+        """[tag]'s keys, each one of ``known``, else a ParseError."""
+        keys = _Required(_keyed(tag, sections[tag]), f"[{tag}] key")
+        for key, (lineno, _) in keys.items():
+            if key not in known.split():
+                raise ParseError(f"[{tag}] has unknown key {key!r}", lineno,
+                                 1)
+        return keys
 
     def read(keys, key, parse=lambda text, lineno: text):
         lineno, text = keys[key]
         return parse(text, lineno)
 
-    meta = keyed("meta")
+    meta = keyed("meta", "version base c p precision short-circuit "
+                 "permutation ring yvars tvars zvar wvar subset")
     lineno, version = meta["version"]
-    if version != "2":
-        raise ParseError(f"[meta] version must be 2, found {version!r}",
+    if version != "3":
+        raise ParseError(f"[meta] version must be 3, found {version!r}",
                          lineno, 1)
     # read after the version, so that an old certificate is refused by it
     for name, lines in sections.items():
@@ -375,11 +372,13 @@ def parse_certificate(text):
     if short_circuit not in (0, 1):
         raise ParseError("[meta] short-circuit must be 0 or 1",
                          meta["short-circuit"][0], 1)
-    dkeys, ext = keyed("D"), {}
+    dkeys, ext = keyed("D", "ext mu"), {}
     if dkeys.get("ext", (0, "-"))[1] != "-":
         U = read(dkeys, "ext")
         ext = dict(ext_var=U, mu=read(dkeys, "mu", lambda text, lineno:
                                       parse_polynomial(text, (U,), QQ, lineno)))
+    if "mu" in dkeys and not ext:
+        raise ParseError("[D] has mu without ext", dkeys["mu"][0], 1)
     D = _gnd.DPresentation(base_var=base, field=F, series_field=Fs, **ext)
 
     def poly(text, lineno):
@@ -392,15 +391,14 @@ def parse_certificate(text):
                            ser if fmt is format_series else poly)
               for tag, attr, reader, fmt in CERT_VALUES}
     # [data] prints what the checks read, z only in a short circuit (else
-    # it is zvar's [hat] image); no check reads d' = x^c
-    datakeys = keyed("data")
+    # it is zvar's [hat] image); verify derives M, and no check reads
+    # d' = x^c
+    datakeys = keyed("data", "columns witness" + " z" * short_circuit)
     z = (read(datakeys, "z", ser) if short_circuit
          else values["hat_images"].get(zvar))
-    data = DesingData(subset=subset, c=c, dprime=None, z=z, **{
-        key: read(datakeys, key, parse) for key, parse in (
-            ("columns", _ints), ("minor", poly), ("witness", poly))})
-    s = _one("s", sections["s"], lambda text, lineno:
-             None if text == "-" else poly(text, lineno))
+    data = DesingData(subset=subset, columns=read(datakeys, "columns", _ints),
+                      minor=None, witness=read(datakeys, "witness", poly),
+                      c=c, dprime=None, z=z)
     # [bprime]: variables, mu (with an ext, outside a short circuit), the
     # relations, h (one per yvar), g (one per subset relation), W*s - 1;
     # h and g, in the ring, come from these lines alone (none when the
@@ -435,8 +433,8 @@ def parse_certificate(text):
         base_var=base, field=F, series_field=Fs, D=D, data=data, c=c,
         p=read(meta, "p", _int), short_circuit=bool(short_circuit), ring=ring,
         yvars=yvars, tvars=tvars, zvar=zvar,
-        permutation=read(meta, "permutation", _ints), subset=subset, s=s,
-        h=h, g=g, wvar=wvar, precision=read(meta, "precision", _int),
+        permutation=read(meta, "permutation", _ints), subset=subset, h=h,
+        g=g, wvar=wvar, precision=read(meta, "precision", _int),
         report=report, **values)
     _check_derived(cert, bvars, fixed)
     return cert
@@ -444,10 +442,10 @@ def parse_certificate(text):
 
 def _check_derived(cert, bvars, fixed):
     """Whatever the certificate prints and no check reads must be what the
-    rest determines, so that each fact is printed once and bound; ``bvars``
-    and ``fixed`` are the [bprime] variables and its lines other than h and
-    g.  verify_certificate binds the [t] markers, which need G(y').  A
-    mismatch is a ConsistencyError."""
+    rest determines; ``bvars`` and ``fixed`` are the [bprime] variables and
+    its lines other than h and g.  ``cert.s`` is read off W*s - 1, the last
+    of them, for verify_certificate to bind.  A mismatch is a
+    ConsistencyError."""
     D, Fs, require = cert.D, cert.series_field, _require
 
     # B' maps to the completion only through U -> alpha, so mu is bound too
@@ -458,33 +456,18 @@ def _check_derived(cert, bvars, fixed):
             "[D] has ext without [series-field] Q(alpha), or the reverse")
     require(not extension or D.mu == alpha_polynomial(Fs.mu, (D.ext_var,)),
             "[D] mu is not the minimal polynomial of [series-field]")
-    # every honest value is printed reduced, so no reduction below meets
-    # a high power of U
-    if extension and D.ext_var in cert.ring:
-        values = [cert.s] if cert.s is not None else []
-        values += list(cert.yprime.values()) + cert.h + cert.g
-        require(all(q.degree_in(D.ext_var) < Fs.degree for q in values),
-                f"[s], [yprime], h or g has {D.ext_var}-degree at or above "
-                f"that of mu")
-
-    def within(polys, names):
-        return all(v in names for q in polys for m in q.terms
-                   for v, e in zip(q.variables, m) if e)
 
     prefix = D.ring_prefix()
     require(cert.ring == (prefix[:1] if cert.short_circuit else prefix)
             + cert.yvars + cert.tvars,
             "[meta] ring is not x [, ext], the yvars and the tvars")
-    require(within(cert.yprime.values(), prefix),
-            f"[yprime] has a value outside {' '.join(prefix)}")
-    require(within([q for mat in (cert.H, cert.G) for row in mat
-                    for q in row], prefix + cert.yvars),
-            f"[H] or [G] has an entry outside {' '.join(prefix)} "
-            f"and the yvars")
-
-    for tag, named, names in (
-            ("yprime", cert.yprime, () if cert.short_circuit else cert.yvars),
-            ("hat", cert.hat_images, cert.yvars), ("t", cert.t, cert.tvars)):
+    # the frame point maps x [, U] and the yvars only, and H, G and P are
+    # built from these
+    require(all(q.degree_in(t) < 1 for t in cert.tvars
+                for q in cert.relations + [cert.data.witness]),
+            "[relations] or [data] witness has a term in a tvar")
+    for tag, named, names in (("hat", cert.hat_images, cert.yvars),
+                              ("t", cert.t, cert.tvars)):
         require(sorted(named) == sorted(names),
                 f"[{tag}] does not name exactly {' '.join(names) or 'nothing'}")
 
@@ -503,40 +486,46 @@ def _check_derived(cert, bvars, fixed):
     degree = max([0] + [r.total_degree() for r in cert.relations])
     require(cert.p == (0 if cert.short_circuit else degree),
             "[meta] p is not the degree of [relations]")
-    cut = cert.precision - 4 * cert.c
+    # checks 4-6 read [hat] below x^(precision - 4c), y' below x^(6c)
+    cut = max(cert.precision - 4 * cert.c, 6 * cert.c)
     require(all(x.precision == cut for x in cert.hat_images.values()) and (
         not cert.short_circuit or cert.data.z.precision == cut),
             f"[hat] or z is not printed to O({cert.base_var}^{cut})")
     if cert.short_circuit:
         require(cert.c == 0 and cert.zvar is None,
                 "[meta] c is not 0, or zvar not -, in a short circuit")
-        # no bordered H carries the minor here, so recompute it
-        fs = cert.subset_relations()
-        minor = matrix_det(jacobian(fs, [cert.yvars[j] for j in columns])) \
-            if fs else Polynomial.one(cert.ring, cert.field)
-        require(minor == cert.data.minor, "[data] minor is not the Jacobian "
-                "minor of the subset relations in [data] columns")
     else:
-        # Z borders last: original_problem drops it and its relation
-        require(cert.c >= 1 and cert.zvar == cert.yvars[
-            cert.permutation.index(n - 1)], "[meta] c is below 1, or zvar "
-                "is not the last variable of the permutation")
+        # Z borders last: original_problem drops it and its relation, which
+        # ends the subset
+        require(cert.c >= 1
+                and cert.zvar == cert.yvars[cert.permutation.index(n - 1)]
+                and cert.subset[-1:] == (len(cert.relations) - 1,),
+                "[meta] c is below 1, zvar is not the last variable of the "
+                "permutation, or its relation does not end the subset")
         require(cert.permutation[:len(columns)] == columns,
                 "[data] columns do not lead the permutation")
-        require(cert.s is not None, "[s] is missing")
-        require(len(cert.tvars) == n and all(
-            len(mat) == n and all(len(row) == n for row in mat)
-            for mat in (cert.H, cert.G)),
-            "[H] or [G] is not square in the yvars and tvars")
+        require(len(cert.tvars) == n, "[meta] tvars are not one per yvar")
     require(cert.wvar not in cert.ring and bvars == cert.ring[1:] + (
         cert.wvar,), "[bprime] variables are not the ring's and wvar")
     require((len(cert.h), len(cert.g)) == ((0, 0) if cert.short_circuit else
                                            (n, len(cert.subset))),
             "[bprime] does not hold one h per yvar and one g per subset "
             "relation")
-    head, last = cert.bprime_ends()
-    require(fixed == head + [last],
+    *head, last = fixed or [None]
+    require(head == cert.bprime_head() and last is not None,
             "[bprime] is not mu, [relations], h, g and W*s - 1")
+    unit = last + Polynomial.one(last.variables, last.field)
+    require(all(m[-1] == 1 for m in unit.terms),
+            "[bprime] does not end with W*s - 1")
+    cert.s = Polynomial(cert.ring, cert.field,
+                        {m[:-1]: a for m, a in unit.terms.items()})
+    # every honest value is printed reduced, so no reduction by mu meets a
+    # high power of U
+    if extension and D.ext_var in cert.ring:
+        require(all(q.degree_in(D.ext_var) < Fs.degree for q in
+                    cert.h + cert.g + [cert.s, cert.data.witness]),
+                f"h, g, s or [data] witness has {D.ext_var}-degree at or "
+                f"above that of mu")
 
 
 def original_problem(cert):

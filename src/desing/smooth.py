@@ -206,7 +206,7 @@ class DesingData:
 
     subset: tuple             # indices into the relation list
     columns: tuple            # algebra-variable indices of the minor columns
-    minor: Polynomial         # M
+    minor: Polynomial         # M; None where verify derives it
     witness: Polynomial       # N in ((f):I)
     c: int
     dprime: Polynomial        # x^c in the ambient ring
@@ -214,7 +214,7 @@ class DesingData:
     pprime: Polynomial = None     # M·N
 
     def __post_init__(self):
-        if self.pprime is None:
+        if self.pprime is None and self.minor is not None:
             self.pprime = self.minor * self.witness
 
 

@@ -165,14 +165,10 @@ def test_cli_gnd_verify_flag(tmp_path):
 
 
 def test_cli_gnd_verify_checks_emitted_text(tmp_path, monkeypatch):
-    # the in-memory certificate is sound; only its text is corrupted
+    # the in-memory certificate is sound; only its text is corrupted, in
+    # the witness N that verify derives G = N*adj(H) and s = M*N(y')/d from
     def corrupt(cert):
-        lines = cli_emit(cert).split("\n")
-        row = lines.index("[H]") + 1
-        entries = lines[row].split(" ; ")
-        entries[0] += " + 1"
-        lines[row] = " ; ".join(entries)
-        return "\n".join(lines)
+        return _edit_line(cli_emit(cert), "data", "witness ", _plus_one)
 
     cli_emit = cli.emit_certificate
     monkeypatch.setattr(cli, "emit_certificate", corrupt)
@@ -237,10 +233,9 @@ def _value(tag, key, value):
 
 MALFORMED_CERTIFICATES = {
     "empty-bprime": _empty_bprime,
-    "yprime-without-equals": _no_equals("yprime"),
     "t-without-equals": _no_equals("t"),
     "hat-without-equals": _no_equals("hat"),
-    "meta-version": _value("meta", "version", "3"),
+    "meta-version": _value("meta", "version", "4"),
     "meta-c": _value("meta", "c", "one"),
     "meta-p": _value("meta", "p", "2.5"),
     "meta-precision": _value("meta", "precision", "x^2"),
@@ -260,13 +255,10 @@ MALFORMED_CERTIFICATES = {
                          ConsistencyError),
     "series-field-gf32003": (_edit_line_to("series-field", "GF 32003"),
                              ConsistencyError),
-    # the frame point maps x and the yvars only: a [yprime] value in a Y,
-    # or a [G] entry in a T, is inconsistent
-    "yprime-in-a-yvar": (lambda text: _edit_line(
-        text, "yprime", "", lambda l: l + " + Y2"), ConsistencyError),
-    "G-in-a-tvar": (lambda text: _edit_line(
-        text, "G", "", lambda l: l.replace(" ; ", " + T1 ; ", 1)),
-        ConsistencyError),
+    # the frame point maps x and the yvars only: a witness in a T, which
+    # would put T1 in G = N*adj(H), is inconsistent
+    "witness-in-a-tvar": (lambda text: _edit_line(
+        text, "data", "witness ", lambda l: l + " + T1"), ConsistencyError),
     # c is bound by the [hat] markers, at precision - 4c, and is at least
     # 1: at c = 0 check 3 would read nothing
     **{f"c-{c}": (_value("meta", "c", c), ConsistencyError) for c in (0, 2)},
@@ -303,6 +295,16 @@ def _edit_bprime(kind, index, edit):
         k = (lines.index("[bprime]") + 2 + bool(cert.D.ext_var)
              + len(cert.relations) + (len(cert.h) if kind == "g" else 0)
              + index % len(getattr(cert, kind)))
+        lines[k] = edit(lines[k])
+        return "\n".join(lines)
+    return apply
+
+
+def _edit_unit(edit):
+    """Apply ``edit`` to W*s - 1, the last line of [bprime]."""
+    def apply(text):
+        lines = text.split("\n")
+        k = lines.index("[report]") - 1
         lines[k] = edit(lines[k])
         return "\n".join(lines)
     return apply
@@ -347,16 +349,14 @@ VALUE_LINES = {
     "field": _break_value("field", ""),
     "series-field": _break_value("series-field", ""),
     "D-mu": lambda text: text.replace("[D]\next -", "[D]\next U\nmu U^2 - @"),
-    "s": _break_value("s", ""),
     "bprime": _break_value("bprime", "x^10*W"),
     **{f"meta-{key}": _break_value("meta", key + " ")
        for key in ("c", "p", "precision", "short-circuit", "permutation",
                    "subset")},
     **{f"data-{key}": _break_value("data", key + " ")
-       for key in ("columns", "minor", "witness")},
+       for key in ("columns", "witness")},
     "data-z": ("short", _break_value("data", "z ")),
-    **{tag: _break_value(tag, "") for tag in (
-        "relations", "yprime", "H", "G", "t", "hat")},
+    **{tag: _break_value(tag, "") for tag in ("relations", "t", "hat")},
     "hpolys": _edit_bprime("h", 0, _break),
     "b": _edit_bprime("h", -1, _break),
     "gpolys": _edit_bprime("g", 0, _break),
@@ -401,7 +401,6 @@ DERIVED_TAMPERING = {
     "bprime-W": ("bprime", "x^10*W", _plus_one),
     "bprime-variables": ("bprime", "variables", lambda l: l + " V"),
     "data-columns": ("data", "columns ", _reversed_ints),
-    "G-shape": ("G", "", lambda l: l.rsplit(" ; ", 1)[0]),
     "hat-marker": ("hat", "Y1 ", lambda l: l.replace("O(x^19)", "O(x^20)")),
     "meta-precision": ("meta", "precision ", lambda l: "precision 24"),
     "meta-subset": ("meta", "subset ", _reversed_ints),
@@ -461,13 +460,13 @@ def test_cli_verify_refuses_a_version_1_certificate(tmp_path, capsys,
                                                     node_certificate):
     # version 1 printed h and g three times, in [hpolys], [gpolys] (with
     # [qpolys]) and [bprime]; it is refused at its version line, before
-    # any of the sections version 2 dropped
-    old = node_certificate.replace("version 2", "version 1").replace(
-        "[s]\n", "[d]\nx^2\n[s]\n")
+    # any of the sections versions 2 and 3 dropped
+    old = node_certificate.replace("version 3", "version 1").replace(
+        "[relations]\n", "[d]\nx^2\n[relations]\n")
     path = write(tmp_path, "v1.txt", old)
     assert main(["verify", "--input", path]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: line 2, column 1: [meta] version must be 2, found '1'"]
+        "error: line 2, column 1: [meta] version must be 3, found '1'"]
 
 
 @pytest.fixture(scope="module")
@@ -509,26 +508,27 @@ def test_cli_verify_binds_ext_to_the_series_field(tmp_path, node_certificate,
         bad = _edit_line(node_certificate, "D", "ext ",
                          lambda l: "ext U\nmu U^2 - 2")
     else:
-        bad = _edit_line(sqrt2_node_certificate, "D", "ext ",
-                         lambda l: "ext -")
+        bad = _edit_line(_drop("D", "mu ")(sqrt2_node_certificate), "D",
+                         "ext ", lambda l: "ext -")
     with pytest.raises(ConsistencyError, match="ext"):
         parse_certificate(bad)
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
 
 
-@pytest.mark.parametrize("tags", [("g",), ("yprime",), ("s",), ("h",)])
+@pytest.mark.parametrize("tags", [("g",), ("witness",), ("s",), ("h",)])
 def test_cli_verify_refuses_unreduced_values_fast(tmp_path,
                                                   sqrt2_node_certificate,
                                                   tags):
     # every honest certificate prints these values reduced modulo mu; a
-    # U^1000000 on the first g or h line of [bprime], on the first
-    # [yprime] value or on [s] is refused before any reduction by mu, exit 5
+    # U^1000000 on the first g or h line of [bprime], on [data] witness or
+    # on s (in W*s - 1, the last line of [bprime]) is refused before any
+    # reduction by mu, exit 5
     bad = sqrt2_node_certificate
     for tag in tags:
-        edit = (_edit_bprime(tag, 0, lambda l: l + " + U^1000000")
-                if tag in ("g", "h") else
-                lambda text: _edit_line(text, tag, "",
-                                        lambda l: l + " + U^1000000"))
+        edit = {"witness": lambda text: _edit_line(
+                    text, "data", "witness ", lambda l: l + " + U^1000000"),
+                "s": _edit_unit(lambda l: l + " + U^1000000*W")}.get(tag) or _edit_bprime(tag, 0,
+                                           lambda l: l + " + U^1000000")
         bad = edit(bad)
     run = _cli_subprocess(["verify", "--input",
                            write(tmp_path, "bad.txt", bad)], timeout=10)
@@ -539,13 +539,11 @@ def test_cli_verify_refuses_unreduced_values_fast(tmp_path,
 
 def test_cli_verify_refuses_a_value_at_yprime_past_max_precision(
         tmp_path, node_certificate):
-    # G(y') with a Y1^100000 on the first [G] entry has x-degree up to
-    # 100000*e, past MAX_PRECISION: refused before packing, exit 4
-    def huge(line):
-        head, sep, rest = line.partition(" ;")
-        return head + " + Y1^100000" + sep + rest
-
-    bad = _edit_line(node_certificate, "G", "", huge)
+    # P(y') with a Y1^100000 added to [data] witness N (P = M*N, from
+    # which verify derives s) has x-degree up to 100000*e, past
+    # MAX_PRECISION: refused before packing, exit 4
+    bad = _edit_line(node_certificate, "data", "witness ",
+                     lambda l: l + " + Y1^100000")
     run = _cli_subprocess(["verify", "--input",
                            write(tmp_path, "bad.txt", bad)], timeout=10)
     assert run.returncode == 4
@@ -566,15 +564,13 @@ def _repeat(tag, key):
     return lambda text: _edit_line(text, tag, key, lambda l: f"{l}\n{l}")
 
 
-# [yprime] and [hat] must name exactly the [meta] yvars and [t] the tvars,
-# each once; a key of [meta], [D] or [data] may not repeat
+# [hat] must name exactly the [meta] yvars and [t] the tvars, each once; a
+# key of [meta], [D] or [data] may not repeat
 NAMED_SECTION_MUTATIONS = {
     "t-drops-T1": _drop("t", "T1 "),
     "hat-drops-Y2": _drop("hat", "Y2 "),
     "t-extra-name": _insert("t", "Q9 = x + O(x^19)"),
     "hat-extra-name": _insert("hat", "Q9 = x + O(x^19)"),
-    "yprime-repeated": _repeat("yprime", ""),
-    "yprime-extra-name": _insert("yprime", "Q9 = x"),
     "meta-repeated-key": _repeat("meta", "c "),
     "D-repeated-key": _repeat("D", "ext "),
     "data-repeated-key": _repeat("data", "columns "),
@@ -617,11 +613,10 @@ def test_cli_short_circuit_certificate_sections(tmp_path,
     bad = _edit_line(text, "bprime", "W", _plus_one)
     with pytest.raises(ConsistencyError, match="bprime"):
         parse_certificate(bad)
-    # a short circuit has no frame: its [yprime] and [t] stay empty
-    for tag, entry in (("yprime", "Y1 = x^2"), ("t", "T1 = x + O(x^5)")):
-        bad = text.replace(f"\n[{tag}]\n", f"\n[{tag}]\n{entry}\n")
-        with pytest.raises(ConsistencyError, match=tag):
-            parse_certificate(bad)
+    # a short circuit has no frame: its [t] stays empty
+    bad = text.replace("\n[t]\n", "\n[t]\nT1 = x + O(x^5)\n")
+    with pytest.raises(ConsistencyError, match="t"):
+        parse_certificate(bad)
 
 
 def test_cli_verify_huge_p_fails_fast(tmp_path, node_certificate):
@@ -678,11 +673,11 @@ def test_cli_short_circuit_binds_z(tmp_path, short_circuit_certificate):
             parse_certificate(bad)
 
 
-# a short circuit has no bordered H to carry its minor, so verify takes
-# the Jacobian minor of the subset relations in [data] columns itself:
-# d(Y1 - x^2)/dY2 = 0 is not the minor 1; and (Y2, Y1^2) reduces to the
-# short circuit (Y1, Y2) with minor 1, which Y1 -> Y1^2 in [relations] and
-# [bprime] turns into (Y1^2, Y2), of minor 2*Y1
+# verify derives M as the Jacobian minor of the subset relations in [data]
+# columns and binds the last [bprime] line of a short circuit, W*M*N - 1,
+# to it: d(Y1 - x^2)/dY2 = 0 is not the minor 1; and (Y2, Y1^2) reduces to
+# the short circuit (Y1, Y2) with minor 1, which Y1 -> Y1^2 in [relations]
+# and [bprime] turns into (Y1^2, Y2), of minor 2*Y1
 SHORT_CIRCUIT_FORGERIES = {
     "columns": ("Y1 - x^2", "Y1 = x^2 + O(x^12)\nY2 = x + O(x^12)",
                 "\ncolumns 0\n", "\ncolumns 1\n", 1),
@@ -702,12 +697,11 @@ def test_cli_verify_binds_the_short_circuit_minor(tmp_path, capsys, case):
     text = open(cert_path).read()
     assert parse_certificate(text).short_circuit and text.count(old) == count
     bad = text.replace(old, new)
-    with pytest.raises(ConsistencyError, match="minor"):
-        parse_certificate(bad)
     capsys.readouterr()
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: certificate [data] minor")
+    assert err.startswith("error: certificate [bprime] does not end with "
+                          "W*M*N - 1, M the Jacobian minor")
     assert "Traceback" not in err
 
 

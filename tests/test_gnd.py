@@ -8,8 +8,8 @@ from desing import gnd, series
 from desing.errors import ConsistencyError, DomainError, ResourceError
 from desing.fields import QQ, PrimeField, SimpleExtension
 from desing.gnd import (FramePoint, _check_membership, border_step,
-                        build_H_G, build_h_g, desingularize, frame_values,
-                        make_D, truncate_lift, verify_certificate)
+                        build_H_G, build_h_g, desingularize, make_D,
+                        truncate_lift, verify_certificate)
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import CompletionMorphism, TruncatedSeries, parse_series
 from desing.smooth import AlgebraPresentation, find_desing_data
@@ -83,7 +83,7 @@ def test_truncate_lift_cuts_below_six_c():
         images={"Y1": parse_series("1 + x^5 + x^6 + x^7 + O(x^12)",
                                    ("x",), QQ)})
     D = make_D(v, ("x", "Y1"))
-    out = truncate_lift(v, 1, D, ("Y1",), ("x", "Y1"))
+    out = truncate_lift(v.images, 1, D, ("x", "Y1"))
     assert out["Y1"] == parse_polynomial("1 + x^5", ("x", "Y1"), QQ)
 
 
@@ -111,7 +111,7 @@ def test_build_h_g_linear_relation():
     one = Polynomial.one(ring, QQ)
     frame = FramePoint(D, {"Y1": parse_polynomial("x", ring, QQ)})
     h, g = build_h_g([f], frame.yprime, ("Y1",), ("T1",), one, one,
-                     frame_values(frame, [[one]]), 1, D)
+                     [[frame(one)]], 1, D)
     assert h == [parse_polynomial("Y1 - x - T1", ring, QQ)]
     assert g == [parse_polynomial("T1", ring, QQ)]
 
@@ -169,9 +169,13 @@ def test_desingularize_node_frozen_values():
     # x^(19 - 2c - 1)
     assert {x.precision for x in cert.hat_images.values()} == {19}
     assert [cert.t[tv].precision for tv in cert.tvars] == [19, 19, 16]
+    # M and H are derived from the subset relations and [data] columns
+    assert cert.minor() == parse_polynomial("Y2^2", ring, QQ)
     expect_H = [["Y2", "0", "Y1"], ["0", "Y2", "Z"], ["0", "0", "1"]]
-    assert cert.H == [[parse_polynomial(e, ring, QQ) for e in row]
-                      for row in expect_H]
+    H, _ = build_H_G(cert.subset_relations(), cert.yvars, cert.data.witness,
+                     cert.minor())
+    assert H == [[parse_polynomial(e, ring, QQ) for e in row]
+                 for row in expect_H]
     # t = H(y')(yhat - y') / d^2
     t1, t2, t3 = (cert.t[tv] for tv in cert.tvars)
     assert t1.to_polynomial() == parse_polynomial("-x^3", ("x",), QQ)
@@ -337,10 +341,23 @@ def test_desingularize_rejects_positive_characteristic():
         desingularize(B, v)
 
 
-def check_2(cert):
-    """Check 2 at the point Y -> y' that verify shares with check 3."""
+def derived(cert):
+    """The frame y' and the matrix G that verify derives for ``cert``."""
+    yprime = truncate_lift({yv: cert.hat_images[yv] for yv in cert.yvars},
+                           cert.c, cert.D, cert.ring)
+    _, G = build_H_G(cert.subset_relations(), cert.yvars, cert.data.witness,
+                     cert.minor())
+    return yprime, G
+
+
+def check_2(cert, yprime=None, G=None):
+    """Check 2 at the point Y -> y' that verify shares with check 3, with
+    y' and G as verify derives them unless given."""
+    if yprime is None:
+        yprime, G = derived(cert)
+    frame = FramePoint(cert.D, yprime)
     return _check_membership(
-        cert, frame_values(FramePoint(cert.D, cert.yprime), cert.G))
+        cert, yprime, [[frame(e) for e in row] for row in G])
 
 
 def test_membership_check_direct():
@@ -459,12 +476,11 @@ def reference_congruence_holds(f, i, yassign, yvars, d, s, g, h, w, p, D):
     return D.reduce(lhs - rhs).is_zero()
 
 
-def reference_check_2(cert):
+def reference_check_2(cert, yprime, G):
     """(the cofactor identity holds, every h_j = s(Y_j - y'_j) - d w_j)"""
     ring, D, n = cert.ring, cert.D, len(cert.yvars)
     tpolys = [Polynomial.variable(ring, cert.field, t) for t in cert.tvars]
-    Gy = [[D.reduce(substitute(e, cert.yprime)) for e in row]
-          for row in cert.G]
+    Gy = [[D.reduce(substitute(e, yprime)) for e in row] for row in G]
     w = []
     for j in range(n):
         acc = Polynomial.zero(ring, cert.field)
@@ -473,13 +489,13 @@ def reference_check_2(cert):
         w.append(acc)
     fs = cert.subset_relations()
     identity = all(
-        reference_congruence_holds(fs[i], i, cert.yprime, cert.yvars, cert.d,
+        reference_congruence_holds(fs[i], i, yprime, cert.yvars, cert.d,
                                    cert.s, cert.g, cert.h, w, cert.p,
                                    D)
         for i in range(len(fs)))
     shape = all(
         h == cert.s * (Polynomial.variable(ring, cert.field, yv)
-                       - cert.yprime[yv]) - cert.d * wj
+                       - yprime[yv]) - cert.d * wj
         for h, yv, wj in zip(cert.h, cert.yvars, w))
     return identity, shape
 
@@ -497,30 +513,31 @@ def _bump(poly, index, delta):
 
 
 def _changed(cert, section, k, index, delta):
-    """cert with one coefficient of one polynomial of a section changed."""
+    """cert, y' and G with one coefficient of one polynomial of s, y', G,
+    h or g changed."""
+    yprime, G = derived(cert)
     if section == "s":
-        return dataclasses.replace(cert, s=_bump(cert.s, index, delta))
-    if section == "yprime":
+        cert = dataclasses.replace(cert, s=_bump(cert.s, index, delta))
+    elif section == "yprime":
         yv = cert.yvars[k % len(cert.yvars)]
-        yprime = dict(cert.yprime, **{yv: _bump(cert.yprime[yv], index,
-                                                delta)})
-        return dataclasses.replace(cert, yprime=yprime)
-    if section == "G":
-        cells = [(j, l) for j, row in enumerate(cert.G)
+        yprime = dict(yprime, **{yv: _bump(yprime[yv], index, delta)})
+    elif section == "G":
+        cells = [(j, l) for j, row in enumerate(G)
                  for l, e in enumerate(row) if not e.is_zero()]
         j, l = cells[k % len(cells)]
-        G = [list(row) for row in cert.G]
+        G = [list(row) for row in G]
         G[j][l] = _bump(G[j][l], index, delta)
-        return dataclasses.replace(cert, G=G)
-    seq = list(getattr(cert, section))
-    seq[k % len(seq)] = _bump(seq[k % len(seq)], index, delta)
-    return dataclasses.replace(cert, **{section: seq})
+    else:
+        seq = list(getattr(cert, section))
+        seq[k % len(seq)] = _bump(seq[k % len(seq)], index, delta)
+        cert = dataclasses.replace(cert, **{section: seq})
+    return cert, yprime, G
 
 
 def test_membership_check_honest_certificates():
     for cert in HONEST.values():
         assert check_2(cert)
-        assert reference_check_2(cert) == (True, True)
+        assert reference_check_2(cert, *derived(cert)) == (True, True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -531,14 +548,14 @@ def test_membership_check_honest_certificates():
                         Fraction(1, 2), Fraction(-3, 7)]))
 def test_membership_check_agrees_with_cofactor_identity(name, section, k,
                                                         index, delta):
-    cert = _changed(HONEST[name], section, k, index, delta)
-    identity, shape = reference_check_2(cert)
+    cert, yprime, G = _changed(HONEST[name], section, k, index, delta)
+    identity, shape = reference_check_2(cert, yprime, G)
     if section in ("s", "h", "g"):
-        assert check_2(cert) == identity
+        assert check_2(cert, yprime, G) == identity
     else:
         # the identity never reads y' or G where Y_j enters f only
         # linearly (Y3 of chain-k2); the shape test binds them to h
-        assert check_2(cert) == (identity and shape)
+        assert check_2(cert, yprime, G) == (identity and shape)
 
 
 def test_membership_check_bounds_the_power_of_s():

@@ -334,17 +334,17 @@ c 1
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
-        "9d5ed64a00648e9b16eb16485bf68b76aa6410312c383f31f9aabe4742e46ffa",
+        "9aba02ca5b9660803ade07ec57f6d6f2b54eaec5ee2980851776694934dec735",
     ("gnd", "CHAIN_K2"):
-        "44d41c804f31c595a28bd234f2f6821072ff47300346c443e4e642de752fbb20",
+        "ab3ef27fb34737caee6539592c43e8c8c75726cd6bd9b0420642cb244d21be74",
     ("gnd", "SQRT2_NODE"):
-        "9c07dc2d6df463c60091f2cf0e71aeffe58140fc8c62d8bc1f639f8a78637892",
+        "c874263a14aaad3b768bb41cab9a50e638474892f0f5431e87b66e417596293c",
     ("gnd", "CUBIC_NODE"):
-        "5beae6a14e6945bc6dae07e5644aa62c77d20ae78b2a31698c5b244ac8b6e830",
+        "52c1498f425ca17c36daf55300d276656bd2f0906187f62b1c26967ee29228b0",
     ("gnd", "SMOOTH"):
-        "fe35890c9cbb922225235d31b3f773c19c1bf91952f17e6c7f9fd58d45c795de",
+        "6256afe251997ab53f5522965aeb65e7d5f868af17e640438b8e02ae8e0d7ea4",
     ("gnd", "REDUCTION"):
-        "d411b82e6d38cdbf6a065638f69e4ad91d3de8866c478d6a21c01d055a877e34",
+        "d48d5bff98f6526bf494b3d7378a829103df97579e5172009a5b1eba167ab8da",
     ("lift", "LIFT_Q"):
         "1b0c01f97579ad1f495eaabedfb8458c944ee342a3e0161e2a3d2c1bb5091f45",
     ("lift", "LIFT_NODE"):

@@ -1,0 +1,222 @@
+"""Certificate version 3: what ``verify`` derives instead of reading.
+
+A version-3 certificate prints no y', H, G, M or s.  ``verify`` takes y'
+from [hat] below x^(6c), H and G from the subset relations and the
+witness, M from the Jacobian of the subset relations in [data] columns
+and s = P(y')/d, and binds the last [bprime] line, W*s - 1 (W*M*N - 1 in a
+short circuit), to them.  These tests rebuild the seed-1 certify
+certificates of the benchmark and change what is printed: a forged
+witness, s or stray key must be refused, and ``verify`` must reach no
+Groebner code.
+"""
+
+import os
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from desing import cli, groebner
+from desing.cli import main
+from desing.errors import ConsistencyError, DesingError
+from desing.fields import QQ, SimpleExtension
+from desing.gnd import DPresentation, FramePoint, truncate_lift
+from desing.groebner import division
+from desing.iofmt import parse_certificate
+from desing.poly import DEGREVLEX, Polynomial, alpha_polynomial, \
+    format_polynomial
+
+PERFBENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+NAMES = ("node-c1", "node-c2", "node-c3", "chain-k1", "chain-k2", "chain-k3",
+         "chain-k4", "sqrt2-node")
+
+
+@pytest.fixture(scope="module")
+def certificates(tmp_path_factory):
+    """The seed-1 certify certificates of the benchmark, by name."""
+    tmp = tmp_path_factory.mktemp("certify")
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+        files = workloads.certify(1, str(tmp)).files
+    finally:
+        sys.path.remove(PERFBENCH)
+    out = {}
+    for name in NAMES:
+        problem, cert = tmp / f"{name}.problem", tmp / f"{name}.cert"
+        problem.write_text(files[f"{tmp}/{name}.problem"])
+        assert main(["gnd", "--input", str(problem),
+                     "--output", str(cert)]) == 0
+        out[name] = cert.read_text()
+    return out
+
+
+def _verify_exit(text):
+    """The exit code of ``desing verify`` on a certificate text; any other
+    exception is a traceback and fails the test."""
+    try:
+        return cli.run_verify(None, None, text)[1]
+    except DesingError as exc:
+        return exc.exit_code
+
+
+def _replace_line(text, start, line):
+    lines = text.split("\n")
+    k = next(i for i, old in enumerate(lines) if old.startswith(start))
+    lines[k] = line
+    return "\n".join(lines)
+
+
+def test_verify_reaches_no_groebner_code(certificates):
+    # D.reduce takes the remainder by mu with the univariate kit of fields,
+    # so no code object of groebner.py runs while a certificate is read
+    # and checked, over Q(sqrt 2) too
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    for name, text in certificates.items():
+        sys.setprofile(record)
+        try:
+            code = _verify_exit(text)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, name
+    files = {os.path.basename(c.co_filename) for c in reached}
+    assert {"gnd.py", "iofmt.py", "series.py", "smooth.py"} <= files
+    assert [c.co_name for c in reached
+            if c.co_filename == groebner.__file__] == []
+
+
+def _polynomial(ring, names):
+    """Polynomials in ``names`` (x and the yvars) with small exponents and
+    coefficients, as polynomials of ``ring``."""
+    index = [ring.index(v) for v in names]
+    monomial = st.tuples(*[st.integers(0, 3) for _ in names])
+    coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                             Fraction(1, 2), Fraction(-3, 7)])
+
+    def build(terms):
+        out = {}
+        for exps, c in terms.items():
+            m = [0] * len(ring)
+            for i, e in zip(index, exps):
+                m[i] = e
+            out[tuple(m)] = c
+        return Polynomial(ring, QQ, out)
+
+    return st.dictionaries(monomial, coeff, max_size=4).map(build)
+
+
+@pytest.mark.parametrize("name", ["node-c1", "chain-k2", "sqrt2-node"])
+def test_a_forged_witness_is_refused(certificates, name):
+    # [data] witness swapped for a random polynomial in x and the yvars
+    # whose value at y' differs from the honest N's: s = M*N(y')/d then
+    # differs from the s of W*s - 1, or is no unit mod d, so verify exits
+    # 5 (or 2), never 0 and never with a traceback
+    text = certificates[name]
+    cert = parse_certificate(text)
+    frame = FramePoint(cert.D, truncate_lift(
+        {yv: cert.hat_images[yv] for yv in cert.yvars}, cert.c, cert.D,
+        cert.ring))
+    honest = frame(cert.data.witness)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_polynomial(cert.ring, (cert.base_var,) + cert.yvars))
+    def run(witness):
+        assume(frame(witness) != honest)
+        forged = _replace_line(text, "witness ",
+                               f"witness {format_polynomial(witness)}")
+        assert _verify_exit(forged) in (5, 2)
+
+    run()
+
+
+@pytest.mark.parametrize("section", ["yprime", "H", "G", "s"])
+def test_a_retired_section_exits_2(certificates, section):
+    # version 2 printed y', H, G and s; a version-3 certificate that still
+    # has one of these sections is refused at its header
+    text = certificates["node-c1"]
+    bad = text.replace("[relations]\n", f"[{section}]\nx\n[relations]\n")
+    line = bad.split("\n").index(f"[{section}]") + 1
+    with pytest.raises(DesingError,
+                       match=f"^line {line}, column 1: unknown section"):
+        parse_certificate(bad)
+    assert _verify_exit(bad) == 2
+
+
+def test_a_version_2_header_exits_2(certificates):
+    bad = certificates["node-c1"].replace("version 3", "version 2")
+    with pytest.raises(DesingError, match="version must be 3, found '2'"):
+        parse_certificate(bad)
+    assert _verify_exit(bad) == 2
+
+
+@pytest.mark.parametrize("section, before, line", [
+    ("meta", "base ", "foo 17"),
+    ("D", "ext ", "foo 17"),
+    ("data", "columns ", "bogus 3"),
+    # a stale version-2 line cannot ride along
+    ("data", "columns ", "minor Y2^2"),
+    # z is printed in a short circuit only
+    ("data", "columns ", "z 2 + O(x^19)"),
+], ids=["meta", "D", "data", "data-minor", "data-z"])
+def test_an_unknown_key_exits_2(certificates, section, before, line):
+    text = certificates["node-c1"]
+    lines = text.split("\n")
+    k = next(i for i in range(lines.index(f"[{section}]"), len(lines))
+             if lines[i].startswith(before))
+    bad = "\n".join(lines[:k] + [line] + lines[k:])
+    key = line.split()[0]
+    with pytest.raises(DesingError, match=f"^line {k + 1}, column 1: "
+                       f"\\[{section}\\] has unknown key '{key}'"):
+        parse_certificate(bad)
+    assert _verify_exit(bad) == 2
+
+
+def test_w_s_minus_one_is_bound_to_the_derived_s(certificates):
+    # s' = 1 is 1 modulo d, so W*s' - 1 has the layout of B', but s' is
+    # not P(y')/d = 1 + 2x^5 + x^10: refused before any check runs
+    text = certificates["node-c1"]
+    assert "\nx^10*W + 2*x^5*W + W - 1\n" in text
+    bad = text.replace("\nx^10*W + 2*x^5*W + W - 1\n", "\nW - 1\n")
+    assert parse_certificate(bad).s == Polynomial.one(
+        parse_certificate(text).ring, QQ)
+    with pytest.raises(ConsistencyError, match="does not end with W\\*s - "
+                       "1, s = P\\(y'\\)/d"):
+        cli.run_verify(None, None, bad)
+    assert _verify_exit(bad) == 5
+
+
+def _with_u(F):
+    """Polynomials in x, U and Y1 with U-degrees past that of mu."""
+    ring = ("x", "U", "Y1")
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3 * (F.degree + 1)),
+                     st.integers(0, 2))
+    coeff = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 7)])
+    return st.dictionaries(exps, coeff, max_size=8).map(
+        lambda terms: Polynomial(ring, QQ, terms))
+
+
+CUBIC = SimpleExtension(QQ, (Fraction(1, 3), Fraction(-1, 2), 0, 1), gen="s")
+SQRT2 = SimpleExtension(QQ, (-2, 0, 1), gen="r")
+
+
+@pytest.mark.parametrize("F", [SQRT2, CUBIC], ids=["sqrt2", "cubic"])
+def test_reduce_by_mu_matches_the_groebner_division(F):
+    D = DPresentation(base_var="x", field=QQ, series_field=F, ext_var="U",
+                      mu=alpha_polynomial(F.mu, ("U",)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_with_u(F))
+    def run(poly):
+        want = division(poly, [D.mu.embed(poly.variables)], DEGREVLEX)
+        got = D.reduce(poly)
+        assert got == want
+        assert format_polynomial(got) == format_polynomial(want)
+
+    run()
