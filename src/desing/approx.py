@@ -131,7 +131,7 @@ def newton_lift(req):
     r, n = len(fs), len(req.yvars)
     perm = list(cols) + [j for j in range(n) if j not in cols]
     pvars = tuple(req.yvars[j] for j in perm)
-    _, G = bordered_jacobian(fs, pvars, witness)
+    _, G, _ = bordered_jacobian(fs, pvars, witness)
     P = minor * witness
 
     trace = []

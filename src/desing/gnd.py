@@ -9,10 +9,12 @@ standard smooth and factors the morphism.  g comes from the identity check
 2 reads: s^p f with every s*Y_j replaced by s*y'_j + d*w_j, divided by d^2,
 so no partial derivative of f is taken.  Every value at the frame y' (s,
 G(y'), H(y') and check 3's I(y')) is read off one packed series point
-(``FramePoint``), exactly, with mu applied at decode.  Each identity is
-checked once, by ``verify_certificate`` before ``desingularize`` returns:
-exactly where possible and to a recorded precision otherwise.  A
-construction fault shows as a FAIL in the report (``gnd`` exits 5).
+(``FramePoint``), exactly, with mu applied at decode; ``derive_frame``
+takes y', H, G, M, s and G(y') for the construction and verify alike.
+Each identity is checked once, by ``verify_certificate`` before
+``desingularize`` returns: exactly where possible and to a recorded
+precision otherwise.  A construction fault shows as a FAIL in the report
+(``gnd`` exits 5).
 
 The certificate claims that v factors through B' = A[Y, T, W]/(mu, I, h,
 g, W*s - 1), standard smooth where the check-6 determinant is a unit
@@ -21,9 +23,10 @@ dimensional local rings", JSC 80 (2017); Swan (1998) defines standard
 smooth).  The argument rests on these facts, each with the check that
 discharges it:
 
-- M is the Jacobian minor of the subset relations f in [data] columns,
-  H their bordered Jacobian and G = N*adj(H): not printed, derived by
-  verify (``GndCertificate.minor``, ``build_H_G``);
+- H is the bordered Jacobian of the subset relations f, G = N*adj(H) and
+  M = det H (the Jacobian minor of f in [data] columns, which lead the
+  permutation) from the same Berkowitz run: derived by verify, not printed
+  (``build_H_G``; ``GndCertificate.minor`` in a short circuit);
 - G*H = H*G = P*Id with P = M*N (check 1, exact);
 - N*I lies in (f), so that I = (f) where N is a unit: NOT CHECKED yet;
 - s^p f_i = d^2 g_i modulo (h), each h_j = s(Y_j - y'_j) - d (G(y')T)_j
@@ -40,7 +43,9 @@ discharges it:
   localized at it is standard smooth and still holds the point.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import (ConsistencyError, DomainError, PrecisionError,
                      ResourceError)
@@ -184,14 +189,8 @@ class CheckResult:
         return f"[{status}] {self.name} @ {self.precision}{extra}"
 
 
-@dataclass
-class BorderStep:
-    algebra: AlgebraPresentation
-    morphism: CompletionMorphism
-    data: DesingData
-    zvar: str
-    frp1: Polynomial
-    d: Polynomial                # the square of d'
+# The bordered algebra and morphism, their DesingData and the new variable.
+BorderStep = namedtuple("BorderStep", "algebra morphism data zvar")
 
 
 def border_step(B, v, data):
@@ -201,7 +200,8 @@ def border_step(B, v, data):
     Z = _fresh_name("Z", B.ring_variables())
     ring1 = (B.base_var,) + B.variables + (Z,)
     zpoly = Polynomial.variable(ring1, B.field, Z)
-    dprime, pprime = data.dprime.embed(ring1), data.pprime.embed(ring1)
+    dprime = Polynomial.variable(ring1, B.field, B.base_var, data.c)
+    pprime = (data.minor * data.witness).embed(ring1)
     pprime_z = pprime * zpoly
     frp1 = -dprime + pprime_z
     B1 = AlgebraPresentation(base_var=B.base_var, variables=B.variables + (Z,),
@@ -222,10 +222,8 @@ def border_step(B, v, data):
         raise ConsistencyError("d - P is not in the bordered ideal")
     data1 = DesingData(subset=data.subset + (len(B1.relations) - 1,),
                        columns=data.columns + (len(B.variables),),
-                       minor=minor1, witness=witness1, c=data.c,
-                       dprime=dprime, z=z, pprime=P)
-    return BorderStep(algebra=B1, morphism=v1, data=data1, zvar=Z,
-                      frp1=frp1, d=d)
+                       minor=minor1, witness=witness1, c=data.c, z=z)
+    return BorderStep(algebra=B1, morphism=v1, data=data1, zvar=Z)
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +261,48 @@ def compute_s_b(P, frame, c, D):
     return s
 
 
-def build_H_G(fs, yvars, witness, minor):
-    """H = Jacobian block over (0 | Id), G = N*adj(H); checks det H = M,
-    the determinant of H's leading block of the subset rows."""
-    H, G = bordered_jacobian(fs, yvars, witness)
-    if matrix_det([row[:len(fs)] for row in H[:len(fs)]]) != minor:
-        raise ConsistencyError("determinant of H differs from the minor")
-    return H, G
+def build_H_G(fs, yvars, witness):
+    """H = Jacobian block over (0 | Id), G = N*adj(H) and M = det H, the
+    determinant of H's leading block of the subset rows."""
+    return bordered_jacobian(fs, yvars, witness)
 
 
-def derive_frame(images, c, D, ring, fs, yvars, witness, minor):
-    """The frame y' (``images`` below x^(6c)), H, G and s = P(y')/d for
+@dataclass
+class FrameRecord:
+    """What ``derive_frame`` derives, all desingularize hands to verify:
+    y' (``frame``), H, G, M, s, and G(y') once, after verify binds s."""
+
+    frame: FramePoint
+    H: list
+    G: list
+    M: Polynomial
+    s: Polynomial
+
+    @cached_property
+    def Gy(self):
+        return [[self.frame(entry) for entry in row] for row in self.G]
+
+
+def derive_frame(images, c, D, ring, fs, yvars, witness):
+    """The frame y' (``images`` below x^(6c)), H, G, M and s = P(y')/d for
     P = M*N: what the construction builds, and what verify derives from a
     certificate."""
     frame = FramePoint(D, truncate_lift(images, c, D, ring))
-    H, G = build_H_G(fs, yvars, witness, minor)
-    return frame, H, G, compute_s_b(minor * witness, frame, c, D)
+    H, G, M = build_H_G(fs, yvars, witness)
+    return FrameRecord(frame, H, G, M, compute_s_b(M * witness, frame, c, D))
 
 
-def build_h_g(fs, yprime, yvars, tvars, d, s, Gy, p, D):
+def build_h_g(fs, yprime, yvars, tvars, c, s, Gy, p, D):
     """h = s(Y - y') - d G(y')T; g_i = s^p f_i / d^2 with every s*Y_j
-    replaced by s*y'_j + d*w_j, the identity check 2 reads."""
-    h, sY = _h_and_sY(yprime, yvars, tvars, s, d, Gy)
-    s_pow = _s_powers(s, p, D)
-    powers = [[s_pow[0]] for _ in sY]
+    replaced by s*y'_j + d*w_j, the identity check 2 reads; d = x^(2c)."""
     x = D.base_var
-    k = 2 * d.degree_in(x)                  # d = x^(2c), d^2 = x^k
+    d = Polynomial.variable(s.variables, s.field, x, 2 * c)
+    h, sY = _h_and_sY(yprime, yvars, tvars, s, d, Gy)
     g = []
-    for f in fs:
-        phi = _substituted_power(f, yvars, sY, powers, s_pow, D)
+    for phi in _phis(fs, yvars, sY, s, p, D):
         if phi is None:
             raise ConsistencyError("generator degree exceeds p")
-        g.append(_x_shift(D.reduce(phi), x, k, "s^p f_i"))
+        g.append(_x_shift(D.reduce(phi), x, 4 * c, "s^p f_i"))
     return h, g
 
 
@@ -331,12 +339,16 @@ def t_precisions(Gy, m, precision, c):
     return out
 
 
-def _s_powers(s, p, D):
-    """[1, s, ..., s^p], each reduced modulo mu."""
+def _phis(fs, yvars, sY, s, p, D):
+    """Phi_i = s^p f_i with every s*Y_j replaced by sY[j], for each f_i of
+    ``fs`` in turn (None for one of Y-degree above p); the powers of s
+    and of each sY[j] are reduced modulo mu and shared."""
     s_pow = [Polynomial.one(s.variables, s.field)]
     for _ in range(p):
         s_pow.append(D.reduce(s_pow[-1] * s))
-    return s_pow
+    powers = [[s_pow[0]] for _ in sY]
+    for f in fs:
+        yield _substituted_power(f, yvars, sY, powers, s_pow, D)
 
 
 def _substituted_power(f, yvars, sY, powers, s_pow, D):
@@ -381,7 +393,8 @@ class GndCertificate:
     field: object
     series_field: object
     D: DPresentation
-    data: DesingData             # minor None when read from text
+    columns: tuple               # [data] columns: the minor's, in the yvars
+    witness: Polynomial          # N
     c: int
     p: int
     short_circuit: bool
@@ -393,6 +406,7 @@ class GndCertificate:
     relations: list = dc_field(default_factory=list)   # bordered ideal in ring
     subset: tuple = ()
     s: Polynomial = None         # the unit W inverts: s, or M*N if short
+    z: TruncatedSeries = None    # 1/v(M*N), in a short circuit only
     h: list = dc_field(default_factory=list)
     g: list = dc_field(default_factory=list)
     wvar: str = None
@@ -411,10 +425,11 @@ class GndCertificate:
         return [self.relations[i] for i in self.subset]
 
     def minor(self):
-        """M: the Jacobian minor of the subset relations in [data] columns."""
-        fs, cols = self.subset_relations(), self.data.columns
+        """M of a short circuit: the Jacobian minor of the subset relations
+        in [data] columns (det H, from ``derive_frame``, if bordered)."""
+        fs = self.subset_relations()
         return matrix_det(jacobian(fs, [self.yvars[self.permutation.index(j)]
-                                        for j in cols])) if fs else \
+                                        for j in self.columns])) if fs else \
             Polynomial.one(self.ring, self.field)
 
     def bprime(self):
@@ -442,49 +457,47 @@ class GndCertificate:
         return all(r.passed for r in self.report)
 
 
-def assemble_certificate(step, D, permutation, ring, yvars, tvars, frame,
-                         s, H, Gy, h, g, p):
+def assemble_certificate(step, D, permutation, ring, yvars, tvars, rec, h,
+                         g, p):
     """Package the pipeline output and compute the series images of T.
     [hat] and [t] keep what is read of them: [hat] below x^(N - 4c), N
     the precision of v, for checks 4-6, and below x^(6c) for y'; each T
     as ``t_precisions`` says."""
-    B1, v1, c = step.algebra, step.morphism, step.data.c
+    B1, v1, c, frame = step.algebra, step.morphism, step.data.c, rec.frame
     N = v1.precision
     hat = {yv: v1.images[yv].truncate(N) for yv in yvars}
     # t = H(y') (yhat - y') / d^2, entrywise exact series division, with
     # y' and H(y') read off the frame's point
     deltas = [hat[yv] - frame.point.images[yv].truncate(N) for yv in yvars]
-    Hy = [[frame.series(entry, N) for entry in row] for row in H]
+    Hy = [[frame.series(entry, N) for entry in row] for row in rec.H]
     xF = v1.field
     d2 = TruncatedSeries((v1.base_var,), xF, {(4 * c,): xF.one()}, N)
-    precisions = t_precisions(Gy, len(step.data.subset), N - 4 * c, c)
+    precisions = t_precisions(rec.Gy, len(step.data.subset), N - 4 * c, c)
     zero = TruncatedSeries.zero((v1.base_var,), xF, N)
     t = {tv: sum((a * b for a, b in zip(row, deltas)), zero).divide_exact(
         d2).truncate(k) for tv, row, k in zip(tvars, Hy, precisions)}
-    data = DesingData(subset=step.data.subset, columns=step.data.columns,
-                      minor=None, witness=step.data.witness.embed(ring), c=c,
-                      dprime=None, z=step.data.z)
     return GndCertificate(
         base_var=B1.base_var, field=D.field, series_field=v1.field, D=D,
-        data=data, c=c, p=p, short_circuit=False, ring=ring,
+        columns=step.data.columns, witness=step.data.witness.embed(ring),
+        c=c, p=p, short_circuit=False, ring=ring,
         yvars=yvars, tvars=tvars, zvar=step.zvar, permutation=permutation,
         relations=[r.embed(ring) for r in B1.relations],
-        subset=step.data.subset, s=s, h=h, g=g, wvar=_fresh_name("W", ring),
-        t=t, hat_images={yv: x.truncate(max(N - 4 * c, 6 * c))
-                         for yv, x in hat.items()},
+        subset=step.data.subset, s=rec.s, h=h, g=g,
+        wvar=_fresh_name("W", ring), t=t,
+        hat_images={yv: x.truncate(max(N - 4 * c, 6 * c))
+                    for yv, x in hat.items()},
         precision=N)
 
 
 def verify_certificate(cert, B, v, derived=None):
     """Re-run the six certificate checks; failures become report entries.
-    M (``GndCertificate.minor``), y', H, G and s (``derive_frame``) are
-    derived first, unless ``derived`` holds them, (M, frame, H, G, s), as
-    desingularize built them; the unit W inverts in [bprime] must be s
-    (M*N in a short circuit), and a [t] image must be printed to the
-    precision check 4 reads it to: either mismatch is a ConsistencyError."""
-    M = cert.minor() if derived is None else derived[0]
-    P = M * cert.data.witness
+    y', H, G, M and s (``derive_frame``; ``GndCertificate.minor`` in a
+    short circuit) are derived first, unless ``derived`` is the record
+    desingularize built; the unit W inverts in [bprime] must be s (M*N in
+    a short circuit), and a [t] image must be printed to the precision
+    check 4 reads it to: either mismatch is a ConsistencyError."""
     if cert.short_circuit:
+        P = cert.minor() * cert.witness
         if cert.s != P:
             raise ConsistencyError(
                 "certificate [bprime] does not end with W*M*N - 1, M the "
@@ -504,7 +517,7 @@ def verify_certificate(cert, B, v, derived=None):
         img = v.eval(P)
         one = TruncatedSeries.one((v.base_var,), v.field, v.precision)
         try:
-            ok6 = (cert.data.z * img).truncate(v.precision) == one
+            ok6 = (cert.z * img).truncate(v.precision) == one
         except DomainError:                 # z known too coarsely
             ok6 = False
         report.append(CheckResult("smoothness witness is a unit", ok6,
@@ -517,26 +530,26 @@ def verify_certificate(cert, B, v, derived=None):
     # p bounds the power of s that check 2 takes: refuse one past the
     # reader's budget before any value is derived
     check_power_budget(cert.s, cert.p, "s^p")
-    frame, H, G, s = derived[1:] if derived else derive_frame(
+    rec = derived or derive_frame(
         {yv: cert.hat_images[yv] for yv in cert.yvars}, c, D, ring,
-        cert.subset_relations(), cert.yvars, cert.data.witness, M)
-    if cert.s != s:
+        cert.subset_relations(), cert.yvars, cert.witness)
+    if cert.s != rec.s:
         raise ConsistencyError("certificate [bprime] does not end with "
                                "W*s - 1, s = P(y')/d")
-    Gy = [[frame(entry) for entry in row] for row in G]
     report = []
     # (1) exact matrix identity
-    target = matrix_scale(identity_matrix(n, ring, F), P)
-    ok1 = (matrix_equal(matrix_mul(G, H), target)
-           and matrix_equal(matrix_mul(H, G), target))
+    target = matrix_scale(identity_matrix(n, ring, F), rec.M * cert.witness)
+    ok1 = (matrix_equal(matrix_mul(rec.G, rec.H), target)
+           and matrix_equal(matrix_mul(rec.H, rec.G), target))
     report.append(CheckResult("GH = HG = P*Id", ok1, "exact"))
 
     # (2) membership by substitution
-    ok2 = _check_membership(cert, frame.yprime, Gy)
+    ok2 = _check_membership(cert, rec.frame.yprime, rec.Gy)
     report.append(CheckResult("s^p f = d^2 g mod (h)", ok2, "exact"))
 
     # (3) the frame solves the ideal modulo d^3
-    ok3 = all(frame.series(rel, 6 * c).is_zero() for rel in cert.relations)
+    ok3 = all(rec.frame.series(rel, 6 * c).is_zero()
+              for rel in cert.relations)
     report.append(CheckResult("I(y') = 0 mod d^3", ok3, "exact"))
 
     # (4) h and g vanish on the series point (yhat, t), which checks 5
@@ -544,7 +557,7 @@ def verify_certificate(cert, B, v, derived=None):
     # it to, and is extended by zeros above that
     prec4 = cert.precision - 4 * c
     images = dict(cert.hat_images)
-    for tv, want in zip(cert.tvars, t_precisions(Gy, len(cert.subset),
+    for tv, want in zip(cert.tvars, t_precisions(rec.Gy, len(cert.subset),
                                                  prec4, c)):
         t = cert.t[tv]
         if t.precision != want:
@@ -596,14 +609,10 @@ def _check_membership(cert, yprime, Gy):
     if h != cert.h:
         return False
     check_power_budget(s, cert.p, "s^p")
-    s_pow = _s_powers(s, cert.p, D)
-    powers = [[s_pow[0]] for _ in sY]
     d2 = d * d
-    for f, g in zip(fs, cert.g):
-        phi = _substituted_power(f, cert.yvars, sY, powers, s_pow, D)
-        if phi is None or not D.reduce(phi - d2 * g).is_zero():
-            return False
-    return True
+    return all(phi is not None and D.reduce(phi - d2 * g).is_zero()
+               for phi, g in zip(_phis(fs, cert.yvars, sY, s, cert.p, D),
+                                 cert.g))
 
 
 def _hat_is_v(cert, B, v, precision):
@@ -619,10 +628,11 @@ def _short_circuit_certificate(B, v, data, D):
     ring = B.ring_variables()
     return GndCertificate(
         base_var=B.base_var, field=B.field, series_field=v.field, D=D,
-        data=data, c=0, p=0, short_circuit=True, ring=ring,
+        columns=data.columns, witness=data.witness, c=0, p=0,
+        short_circuit=True, ring=ring,
         yvars=B.variables, tvars=(), permutation=tuple(range(len(B.variables))),
         relations=[r.embed(ring) for r in B.relations], subset=data.subset,
-        s=data.pprime, wvar=_fresh_name("W", ring),
+        s=data.minor * data.witness, z=data.z, wvar=_fresh_name("W", ring),
         hat_images={yv: v.images[yv] for yv in B.variables},
         precision=v.precision)
 
@@ -651,14 +661,13 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     rels = [r.embed(ring) for r in B1.relations]
     fs = [rels[i] for i in step.data.subset]
     p = max(r.total_degree() for r in rels)
-    M = step.data.minor.embed(ring)
-    frame, H, G, s = derive_frame(
-        {yv: v1.images[yv] for yv in yvars}, data.c, D, ring, fs, yvars,
-        step.data.witness.embed(ring), M)
-    Gy = [[frame(entry) for entry in row] for row in G]
-    h, g = build_h_g(fs, frame.yprime, yvars, tvars, step.d.embed(ring), s,
-                     Gy, p, D)
+    rec = derive_frame({yv: v1.images[yv] for yv in yvars}, data.c, D, ring,
+                       fs, yvars, step.data.witness.embed(ring))
+    if rec.M != step.data.minor.embed(ring):
+        raise ConsistencyError("determinant of H differs from the minor")
+    h, g = build_h_g(fs, rec.frame.yprime, yvars, tvars, data.c, rec.s,
+                     rec.Gy, p, D)
     cert = assemble_certificate(step, D, permutation, ring, yvars, tvars,
-                                frame, s, H, Gy, h, g, p)
-    verify_certificate(cert, B0, v, (M, frame, H, G, s))
+                                rec, h, g, p)
+    verify_certificate(cert, B0, v, rec)
     return cert

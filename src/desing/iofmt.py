@@ -10,7 +10,7 @@ from .fields import QQ, PrimeField, SimpleExtension
 from .poly import (Polynomial, alpha_polynomial, format_polynomial,
                    order_from_name, parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
-from .smooth import AlgebraPresentation, DesingData
+from .smooth import AlgebraPresentation
 from . import gnd as _gnd
 
 KNOWN_SECTIONS = {
@@ -285,10 +285,10 @@ def emit_certificate(cert):
     lines += ([f"ext {cert.D.ext_var}", f"mu {format_polynomial(cert.D.mu)}"]
               if cert.D.ext_var else ["ext -"])
     lines += ["[data]",
-              "columns " + " ".join(str(i) for i in cert.data.columns),
-              f"witness {format_polynomial(cert.data.witness)}"]
+              "columns " + " ".join(str(i) for i in cert.columns),
+              f"witness {format_polynomial(cert.witness)}"]
     if cert.short_circuit:
-        lines.append(f"z {format_series(cert.data.z)}")
+        lines.append(f"z {format_series(cert.z)}")
     for tag, attr, reader, fmt in CERT_VALUES:
         lines.append(f"[{tag}]")
         lines += _written(reader, getattr(cert, attr), fmt)
@@ -391,14 +391,11 @@ def parse_certificate(text):
                            ser if fmt is format_series else poly)
               for tag, attr, reader, fmt in CERT_VALUES}
     # [data] prints what the checks read, z only in a short circuit (else
-    # it is zvar's [hat] image); verify derives M, and no check reads
-    # d' = x^c
+    # it is zvar's [hat] image, which no check reads); verify derives M
     datakeys = keyed("data", "columns witness" + " z" * short_circuit)
-    z = (read(datakeys, "z", ser) if short_circuit
-         else values["hat_images"].get(zvar))
-    data = DesingData(subset=subset, columns=read(datakeys, "columns", _ints),
-                      minor=None, witness=read(datakeys, "witness", poly),
-                      c=c, dprime=None, z=z)
+    z = read(datakeys, "z", ser) if short_circuit else None
+    columns, witness = (read(datakeys, "columns", _ints),
+                        read(datakeys, "witness", poly))
     # [bprime]: variables, mu (with an ext, outside a short circuit), the
     # relations, h (one per yvar), g (one per subset relation), W*s - 1;
     # h and g, in the ring, come from these lines alone (none when the
@@ -430,11 +427,12 @@ def parse_certificate(text):
         report.append(_gnd.CheckResult(name=name, passed=status == "pass",
                                        precision=precision, detail=detail))
     cert = _gnd.GndCertificate(
-        base_var=base, field=F, series_field=Fs, D=D, data=data, c=c,
+        base_var=base, field=F, series_field=Fs, D=D, columns=columns,
+        witness=witness, c=c,
         p=read(meta, "p", _int), short_circuit=bool(short_circuit), ring=ring,
         yvars=yvars, tvars=tvars, zvar=zvar,
         permutation=read(meta, "permutation", _ints), subset=subset, h=h,
-        g=g, wvar=wvar, precision=read(meta, "precision", _int),
+        g=g, wvar=wvar, z=z, precision=read(meta, "precision", _int),
         report=report, **values)
     _check_derived(cert, bvars, fixed)
     return cert
@@ -464,7 +462,7 @@ def _check_derived(cert, bvars, fixed):
     # the frame point maps x [, U] and the yvars only, and H, G and P are
     # built from these
     require(all(q.degree_in(t) < 1 for t in cert.tvars
-                for q in cert.relations + [cert.data.witness]),
+                for q in cert.relations + [cert.witness]),
             "[relations] or [data] witness has a term in a tvar")
     for tag, named, names in (("hat", cert.hat_images, cert.yvars),
                               ("t", cert.t, cert.tvars)):
@@ -474,7 +472,7 @@ def _check_derived(cert, bvars, fixed):
     def increasing(seq, n):
         return list(seq) == sorted(set(seq)) and all(0 <= i < n for i in seq)
 
-    n, columns = len(cert.yvars), cert.data.columns
+    n, columns = len(cert.yvars), cert.columns
     require(increasing(cert.subset, len(cert.relations)),
             "[meta] subset is not increasing within [relations]")
     require(sorted(cert.permutation) == list(range(n)),
@@ -489,7 +487,7 @@ def _check_derived(cert, bvars, fixed):
     # checks 4-6 read [hat] below x^(precision - 4c), y' below x^(6c)
     cut = max(cert.precision - 4 * cert.c, 6 * cert.c)
     require(all(x.precision == cut for x in cert.hat_images.values()) and (
-        not cert.short_circuit or cert.data.z.precision == cut),
+        not cert.short_circuit or cert.z.precision == cut),
             f"[hat] or z is not printed to O({cert.base_var}^{cut})")
     if cert.short_circuit:
         require(cert.c == 0 and cert.zvar is None,
@@ -523,7 +521,7 @@ def _check_derived(cert, bvars, fixed):
     # high power of U
     if extension and D.ext_var in cert.ring:
         require(all(q.degree_in(D.ext_var) < Fs.degree for q in
-                    cert.h + cert.g + [cert.s, cert.data.witness]),
+                    cert.h + cert.g + [cert.s, cert.witness]),
                 f"h, g, s or [data] witness has {D.ext_var}-degree at or "
                 f"above that of mu")
 

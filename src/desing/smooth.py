@@ -206,16 +206,10 @@ class DesingData:
 
     subset: tuple             # indices into the relation list
     columns: tuple            # algebra-variable indices of the minor columns
-    minor: Polynomial         # M; None where verify derives it
+    minor: Polynomial         # M
     witness: Polynomial       # N in ((f):I)
     c: int
-    dprime: Polynomial        # x^c in the ambient ring
     z: TruncatedSeries
-    pprime: Polynomial = None     # M·N
-
-    def __post_init__(self):
-        if self.pprime is None and self.minor is not None:
-            self.pprime = self.minor * self.witness
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +233,13 @@ def jacobian_minors(relations, variables):
 
 
 def bordered_jacobian(fs, yvars, witness):
-    """H = the Jacobian of fs in yvars over (0 | Id), and G = N·adj(H).
+    """H = the Jacobian of fs in yvars over (0 | Id), G = N·adj(H), and
+    det(H) = M, the minor of the first r columns.
 
-    With the first r columns carrying the minor M, det(H) = M and
     GH = HG = M·N·Id.  H = [[A, C], [0, Id]] has
     adj(H) = [[adj A, -adj(A)·C], [0, det(A)·Id]], so only the r x r
-    block A needs an adjugate.
+    block A needs an adjugate, and the Berkowitz run that gives it gives
+    M = det(A) too.
     """
     r, n = len(fs), len(yvars)
     eye = identity_matrix(n, fs[0].variables, fs[0].field)
@@ -253,7 +248,7 @@ def bordered_jacobian(fs, yvars, witness):
     adj_AC = matrix_mul(adj_A, [row[r:] for row in H[:r]])
     adj = [a + [-e for e in c] for a, c in zip(adj_A, adj_AC)]
     adj += [eye[i][:i] + [det_A] + eye[i][i + 1:] for i in range(r, n)]
-    return H, [[witness * entry for entry in row] for row in adj]
+    return H, [[witness * entry for entry in row] for row in adj], det_A
 
 
 def _subset_stream(count, n_vars):
@@ -333,23 +328,19 @@ def find_desing_data(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     if v.precision < 10 * c:
         raise PrecisionError(
             f"need precision >= {10 * c} for c = {c}, have {v.precision}")
-    ring = B.ring_variables()
-    dprime = Polynomial.variable(ring, B.field, B.base_var, c) if c else \
-        Polynomial.one(ring, B.field)
     xc = TruncatedSeries(
         (v.base_var,), v.field,
         {(c,): v.field.one()}, v.precision)
     z = xc.divide_exact(img)
     return DesingData(subset=tuple(subset), columns=tuple(cols), minor=minor,
-                      witness=witness, c=c, dprime=dprime, z=z)
+                      witness=witness, c=c, z=z)
 
 
 def _trivial_data(B, v):
     ring = B.ring_variables()
     one = Polynomial.one(ring, B.field)
     z = TruncatedSeries.one((v.base_var,), v.field, v.precision)
-    return DesingData(subset=(), columns=(), minor=one, witness=one, c=0,
-                      dprime=one, z=z)
+    return DesingData(subset=(), columns=(), minor=one, witness=one, c=0, z=z)
 
 
 def reduce_until_nonvanishing(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):

@@ -728,8 +728,8 @@ def test_cli_gnd_reports_wrong_G(tmp_path, monkeypatch):
     real = gnd.build_H_G
 
     def wrong_G(*args):
-        H, G = real(*args)
-        return H, [[G[0][0] + G[0][0]] + G[0][1:]] + G[1:]
+        H, G, M = real(*args)
+        return H, [[G[0][0] + G[0][0]] + G[0][1:]] + G[1:], M
 
     monkeypatch.setattr(gnd, "build_H_G", wrong_G)
     inp = write(tmp_path, "in.problem", node_problem())
@@ -745,9 +745,9 @@ def test_cli_gnd_reports_G_that_leaves_d_squared(tmp_path, monkeypatch,
     real = gnd.build_H_G
 
     def wrong_G(*args):
-        H, G = real(*args)
+        H, G, M = real(*args)
         one = Polynomial.one(G[0][0].variables, G[0][0].field)
-        return H, [[G[0][0] + one] + G[0][1:]] + G[1:]
+        return H, [[G[0][0] + one] + G[0][1:]] + G[1:], M
 
     monkeypatch.setattr(gnd, "build_H_G", wrong_G)
     inp = write(tmp_path, "in.problem", node_problem())

@@ -58,8 +58,9 @@ def test_border_step_node():
     step = border_step(B, v, data)
     ring1 = step.algebra.ring_variables()
     assert step.zvar == "Z"
-    assert step.frp1 == parse_polynomial("-x + Y2*Z", ring1, QQ)
-    assert step.d == parse_polynomial("x^2", ring1, QQ)
+    assert step.algebra.relations[-1] == parse_polynomial("-x + Y2*Z", ring1,
+                                                          QQ)
+    assert step.data.c == 1             # d = d'^2 = x^(2c) = x^2
     # v(Z) = z = 1 + x
     z = step.morphism.images["Z"]
     assert z.coefficient((0,)) == 1 and z.coefficient((1,)) == 1
@@ -87,17 +88,27 @@ def test_truncate_lift_cuts_below_six_c():
     assert out["Y1"] == parse_polynomial("1 + x^5", ("x", "Y1"), QQ)
 
 
-def test_build_H_G_identity():
+def test_build_H_G_identity(monkeypatch):
     ring = ("x", "Y1", "Y2")
     fs = [parse_polynomial("Y1*Y2 - x^2", ring, QQ)]
     one = Polynomial.one(ring, QQ)
-    H, G = build_H_G(fs, ("Y1", "Y2"), one,
-                     parse_polynomial("Y2", ring, QQ))
+    H, G, M = build_H_G(fs, ("Y1", "Y2"), one)
     assert H == [[parse_polynomial("Y2", ring, QQ),
                   parse_polynomial("Y1", ring, QQ)],
                  [Polynomial.zero(ring, QQ), one]]
-    with pytest.raises(ConsistencyError):
-        build_H_G(fs, ("Y1", "Y2"), one, parse_polynomial("Y1", ring, QQ))
+    assert M == parse_polynomial("Y2", ring, QQ)
+    # desingularize requires det H to be the bordering's minor M*P'
+    real = gnd.border_step
+
+    def wrong_minor(*args):
+        step = real(*args)
+        return step._replace(data=dataclasses.replace(
+            step.data, minor=step.data.minor + step.data.minor))
+
+    monkeypatch.setattr(gnd, "border_step", wrong_minor)
+    with pytest.raises(ConsistencyError,
+                       match="determinant of H differs from the minor"):
+        desingularize(node_algebra(), node_morphism())
 
 
 def test_build_h_g_linear_relation():
@@ -110,7 +121,7 @@ def test_build_h_g_linear_relation():
     D = make_D(v, ring)
     one = Polynomial.one(ring, QQ)
     frame = FramePoint(D, {"Y1": parse_polynomial("x", ring, QQ)})
-    h, g = build_h_g([f], frame.yprime, ("Y1",), ("T1",), one, one,
+    h, g = build_h_g([f], frame.yprime, ("Y1",), ("T1",), 0, one,
                      [[frame(one)]], 1, D)
     assert h == [parse_polynomial("Y1 - x - T1", ring, QQ)]
     assert g == [parse_polynomial("T1", ring, QQ)]
@@ -172,10 +183,10 @@ def test_desingularize_node_frozen_values():
     # M and H are derived from the subset relations and [data] columns
     assert cert.minor() == parse_polynomial("Y2^2", ring, QQ)
     expect_H = [["Y2", "0", "Y1"], ["0", "Y2", "Z"], ["0", "0", "1"]]
-    H, _ = build_H_G(cert.subset_relations(), cert.yvars, cert.data.witness,
-                     cert.minor())
+    H, _, M = build_H_G(cert.subset_relations(), cert.yvars, cert.witness)
     assert H == [[parse_polynomial(e, ring, QQ) for e in row]
                  for row in expect_H]
+    assert M == cert.minor()
     # t = H(y')(yhat - y') / d^2
     t1, t2, t3 = (cert.t[tv] for tv in cert.tvars)
     assert t1.to_polynomial() == parse_polynomial("-x^3", ("x",), QQ)
@@ -282,7 +293,7 @@ def test_desingularize_codimension_five_chain():
         images[f"Y{j}"] = images[f"Y{j - 1}"] ** 2
     v = CompletionMorphism(base_var="x", field=QQ, images=images)
     cert = desingularize(B, v)
-    assert cert.data.subset == (0, 1, 2, 3, 4, 5)
+    assert cert.subset == (0, 1, 2, 3, 4, 5)
     assert all(r.passed for r in verify_certificate(cert, B, v))
 
 
@@ -345,8 +356,7 @@ def derived(cert):
     """The frame y' and the matrix G that verify derives for ``cert``."""
     yprime = truncate_lift({yv: cert.hat_images[yv] for yv in cert.yvars},
                            cert.c, cert.D, cert.ring)
-    _, G = build_H_G(cert.subset_relations(), cert.yvars, cert.data.witness,
-                     cert.minor())
+    _, G, _ = build_H_G(cert.subset_relations(), cert.yvars, cert.witness)
     return yprime, G
 
 

@@ -192,8 +192,10 @@ def test_s_polynomial_matches_textbook(case):
 
 
 def _textbook_buchberger(gens, order):
-    """All pairs in the order they arise, no criteria, remainders by the
-    textbook loop; then minimize, tail-reduce, make monic and sort."""
+    """All pairs in the order they arise, remainders by the textbook loop,
+    skipping only pairs whose leading monomials are coprime (Buchberger's
+    first criterion: their S-polynomial reduces to zero, so the reduced
+    basis is the same); then minimize, tail-reduce, make monic and sort."""
     def monic(g):
         return g.monic(order)
 
@@ -201,6 +203,9 @@ def _textbook_buchberger(gens, order):
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
+        if not any(a and b for a, b in zip(G[i].leading(order)[0],
+                                           G[j].leading(order)[0])):
+            continue
         r = _textbook_division(_textbook_s_polynomial(G[i], G[j], order),
                                G, order)[1]
         if not r.is_zero():

@@ -150,7 +150,7 @@ def test_matrix_algebra():
 def test_bordered_jacobian_block_adjugate():
     # G from the r x r block adjugate equals N·adj(H) over the whole of H,
     # with adj(H) from the cofactor reference, and det(H) is the minor M
-    # of the first r columns
+    # of the first r columns, which it returns from the same Berkowitz run
     rng = random.Random(7)
     for n in range(2, 5):
         ring = ("x",) + tuple(f"Y{i + 1}" for i in range(n))
@@ -162,12 +162,13 @@ def test_bordered_jacobian_block_adjugate():
                     for _ in range(r)]
                 witness = Polynomial(ring, QQ, {
                     tuple(rng.randrange(2) for _ in ring): Fraction(2)})
-                H, G = bordered_jacobian(fs, ring[1:], witness)
+                H, G, M = bordered_jacobian(fs, ring[1:], witness)
                 assert len(H) == n and all(len(row) == n for row in H)
                 full = matrix_scale(cofactor_adjugate(H), witness)
                 assert matrix_equal(G, full)
                 assert matrix_det(H) == laplace_det([row[:r]
                                                      for row in H[:r]])
+                assert M == matrix_det([row[:r] for row in H[:r]])
 
 
 def test_matrix_det_truncated_series():
@@ -244,7 +245,9 @@ def test_find_desing_data_node():
     assert data.subset == (0,)
     assert data.minor == pp("Y2")
     assert data.witness == pp("1")
-    assert data.dprime == pp("x")
+    # d' = x^c enters the bordering relation -d' + M*N*Z
+    assert border_step(B, v, data).algebra.relations[-1] == parse_polynomial(
+        "-x + Y2*Z", RING + ("Z",), QQ)
     # z = x / v(Y2) = 1 / (1 - x + x^2 - ...) = 1 + x
     z = data.z
     assert z.coefficient((0,)) == 1 and z.coefficient((1,)) == 1
@@ -282,7 +285,9 @@ def test_find_desing_data_smooth_case():
         images={"Y1": parse_series("x^2 + O(x^12)", ("x",), QQ)})
     data = find_desing_data(B, v)
     assert data.c == 0
-    assert data.dprime == parse_polynomial("1", ("x", "Y1"), QQ)
+    # d' = x^0 = v(M*N)*z
+    assert v.eval(data.minor * data.witness) * data.z == parse_series(
+        "1 + O(x^12)", ("x",), QQ)
 
 
 def test_trivial_data_polynomial_algebra():
@@ -411,7 +416,11 @@ def test_witness_search_makes_no_groebner_call(monkeypatch):
     assert (best[0], best[3], best[4]) == (data.c, data.minor, data.witness)
     assert data.c == 1
     step = border_step(B, v, data)
-    assert step.algebra.relations[-1] == step.frp1
+    ring1 = step.algebra.ring_variables()
+    assert step.algebra.relations[-1] == (
+        (data.minor * data.witness).embed(ring1)
+        * Polynomial.variable(ring1, QQ, step.zvar)
+        - Polynomial.variable(ring1, QQ, "x"))
     monkeypatch.undo()
     # H has members of I, which the reduction skipped by their zero images
     assert any(ideal_member(g, B.ideal()) for g in H.generators)

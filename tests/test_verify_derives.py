@@ -2,12 +2,14 @@
 
 A version-3 certificate prints no y', H, G, M or s.  ``verify`` takes y'
 from [hat] below x^(6c), H and G from the subset relations and the
-witness, M from the Jacobian of the subset relations in [data] columns
-and s = P(y')/d, and binds the last [bprime] line, W*s - 1 (W*M*N - 1 in a
-short circuit), to them.  These tests rebuild the seed-1 certify
-certificates of the benchmark and change what is printed: a forged
-witness, s or stray key must be refused, and ``verify`` must reach no
-Groebner code.
+witness, M as det H (the Jacobian minor of the subset relations in
+[data] columns, which lead the permutation; in a short circuit that
+minor itself) and s = P(y')/d, and binds the last [bprime] line, W*s - 1
+(W*M*N - 1 in a short circuit), to them.  These tests rebuild the seed-1
+certify certificates of the benchmark and change what is printed: a
+forged witness, s or stray key must be refused, and ``verify`` must reach
+no Groebner code.  The construction hands verify what it derived; verify
+of the printed text must derive the same.
 """
 
 import os
@@ -17,13 +19,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from desing import cli, groebner
+from desing import cli, gnd, groebner
 from desing.cli import main
 from desing.errors import ConsistencyError, DesingError
 from desing.fields import QQ, SimpleExtension
-from desing.gnd import DPresentation, FramePoint, truncate_lift
+from desing.gnd import DPresentation, FramePoint, derive_frame, \
+    truncate_lift
 from desing.groebner import division
-from desing.iofmt import parse_certificate
+from desing.iofmt import emit_certificate, parse_certificate
 from desing.poly import DEGREVLEX, Polynomial, alpha_polynomial, \
     format_polynomial
 
@@ -34,8 +37,8 @@ NAMES = ("node-c1", "node-c2", "node-c3", "chain-k1", "chain-k2", "chain-k3",
 
 
 @pytest.fixture(scope="module")
-def certificates(tmp_path_factory):
-    """The seed-1 certify certificates of the benchmark, by name."""
+def problems(tmp_path_factory):
+    """The seed-1 certify problem files of the benchmark, by name."""
     tmp = tmp_path_factory.mktemp("certify")
     sys.path.insert(0, PERFBENCH)
     try:
@@ -43,10 +46,18 @@ def certificates(tmp_path_factory):
         files = workloads.certify(1, str(tmp)).files
     finally:
         sys.path.remove(PERFBENCH)
+    out = {name: tmp / f"{name}.problem" for name in NAMES}
+    for name, problem in out.items():
+        problem.write_text(files[str(problem)])
+    return out
+
+
+@pytest.fixture(scope="module")
+def certificates(problems):
+    """The seed-1 certify certificates of the benchmark, by name."""
     out = {}
-    for name in NAMES:
-        problem, cert = tmp / f"{name}.problem", tmp / f"{name}.cert"
-        problem.write_text(files[f"{tmp}/{name}.problem"])
+    for name, problem in problems.items():
+        cert = problem.with_suffix(".cert")
         assert main(["gnd", "--input", str(problem),
                      "--output", str(cert)]) == 0
         out[name] = cert.read_text()
@@ -92,6 +103,33 @@ def test_verify_reaches_no_groebner_code(certificates):
             if c.co_filename == groebner.__file__] == []
 
 
+@pytest.mark.parametrize("name", ["node-c1", "chain-k2", "sqrt2-node"])
+def test_verify_given_the_record_agrees_with_verify_deriving_it(
+        problems, name, tmp_path, monkeypatch):
+    # desingularize hands its FrameRecord to verify_certificate; verify of
+    # the emitted text derives its own, with the same report, and
+    # derive_frame on that text gives the record's M, G, G(y') and s
+    handed, real = [], gnd.verify_certificate
+
+    def verify(cert, B, v, derived=None):
+        handed.append((cert, B, v, derived))
+        return real(cert, B, v, derived)
+
+    monkeypatch.setattr(gnd, "verify_certificate", verify)
+    assert main(["gnd", "--input", str(problems[name]),
+                 "--output", str(tmp_path / "cert.txt")]) == 0
+    (cert, B, v, rec), = handed
+    assert rec is not None
+    parsed = parse_certificate(emit_certificate(cert))
+    assert [r.line() for r in real(parsed, B, v)] == \
+        [r.line() for r in real(cert, B, v, rec)]
+    own = derive_frame({yv: parsed.hat_images[yv] for yv in parsed.yvars},
+                       parsed.c, parsed.D, parsed.ring,
+                       parsed.subset_relations(), parsed.yvars,
+                       parsed.witness)
+    assert (own.M, own.G, own.Gy, own.s) == (rec.M, rec.G, rec.Gy, rec.s)
+
+
 def _polynomial(ring, names):
     """Polynomials in ``names`` (x and the yvars) with small exponents and
     coefficients, as polynomials of ``ring``."""
@@ -123,7 +161,7 @@ def test_a_forged_witness_is_refused(certificates, name):
     frame = FramePoint(cert.D, truncate_lift(
         {yv: cert.hat_images[yv] for yv in cert.yvars}, cert.c, cert.D,
         cert.ring))
-    honest = frame(cert.data.witness)
+    honest = frame(cert.witness)
 
     @settings(max_examples=40, deadline=None)
     @given(_polynomial(cert.ring, (cert.base_var,) + cert.yvars))
