@@ -19,9 +19,13 @@ from .groebner import kernel_basis
 from .series import (MAX_PRECISION, TruncatedSeries, series_eval,
                      series_point)
 from .smooth import (DEFAULT_SUBSET_BUDGET, AlgebraPresentation, best_witness,
-                     bordered_jacobian, matrix_det, matrix_mul)
+                     bordered_jacobian, columns_first, matrix_det,
+                     matrix_mul)
 
 MAX_NEWTON_ITERATIONS = 200
+# linear_factor solves for its z in one dense system of rows x unknowns
+# entries; a larger one is refused before it is built
+MAX_DENSE_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +103,17 @@ def newton_lift(req):
     if req.target > MAX_PRECISION:
         raise ResourceError(f"lift target {req.target} is above "
                             f"{MAX_PRECISION}")
+    if req.c < 0:
+        raise DomainError(f"lift option c must be at least 0, found {req.c}")
+    # generous working precision: each step costs c, convergence is fast
+    work = req.target + req.c * (req.target.bit_length() + 8)
+    if work > MAX_PRECISION:
+        raise ResourceError(f"lift working precision {work} (target "
+                            f"{req.target}, c {req.c}) is above "
+                            f"{MAX_PRECISION}")
     base = (req.base_var,)
     sample = next(iter(req.y0.values()))
     F = sample.field
-    # generous working precision: each step costs c, convergence is fast
-    iters_bound = req.target.bit_length() + 6
-    work = req.target + req.c * (iters_bound + 2)
     xs = TruncatedSeries.variable(base, F, req.base_var, work)
     current = {yv: TruncatedSeries(base, F, dict(req.y0[yv].terms), work)
                for yv in req.yvars}
@@ -129,8 +138,7 @@ def newton_lift(req):
     _, subset, cols, minor, witness, _ = best
     fs = [B.relations[i] for i in subset]
     r, n = len(fs), len(req.yvars)
-    perm = list(cols) + [j for j in range(n) if j not in cols]
-    pvars = tuple(req.yvars[j] for j in perm)
+    pvars = tuple(req.yvars[j] for j in columns_first(cols, n))
     _, G, _ = bordered_jacobian(fs, pvars, witness)
     P = minor * witness
 
@@ -198,6 +206,11 @@ def _solve_by_degrees(matrix, targets, unknown_degrees, F):
     the i-th row must meet. Returns one term dict per c_j (free coefficients
     0), or None when the system is inconsistent."""
     cols = len(matrix[0])
+    size = sum(map(len, targets)), cols * unknown_degrees
+    if size[0] * size[1] > MAX_DENSE_ENTRIES:
+        raise ResourceError(f"the coefficient system has {size[0]} rows and "
+                            f"{size[1]} unknowns, past the budget of "
+                            f"{MAX_DENSE_ENTRIES} entries")
     unknowns = [(j, d) for j in range(cols) for d in range(unknown_degrees)]
     rows, rhs = [], []
     for row, target in zip(matrix, targets):

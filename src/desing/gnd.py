@@ -17,16 +17,19 @@ precision otherwise.  A construction fault shows as a FAIL in the report
 (``gnd`` exits 5).
 
 The certificate claims that v factors through B' = A[Y, T, W]/(mu, I, h,
-g, W*s - 1), standard smooth where the check-6 determinant is a unit
-(Pfister-Popescu, "Constructive General Neron Desingularization for one
-dimensional local rings", JSC 80 (2017); Swan (1998) defines standard
-smooth).  The argument rests on these facts, each with the check that
-discharges it:
+g, W*s - 1), with I its [relations] and h, g, W*s - 1 its [bprime]
+(B[W]/(W*M*N - 1) in a short circuit), standard smooth where the check-6
+determinant is a unit (Pfister-Popescu, "Constructive General Neron
+Desingularization for one dimensional local rings", JSC 80 (2017); Swan
+(1998) defines standard smooth).  The argument rests on these facts,
+each with the check that discharges it:
 
 - H is the bordered Jacobian of the subset relations f, G = N*adj(H) and
-  M = det H (the Jacobian minor of f in [data] columns, which lead the
-  permutation) from the same Berkowitz run: derived by verify, not printed
-  (``build_H_G``; ``GndCertificate.minor`` in a short circuit);
+  M = det H (the Jacobian minor of f in the minor's columns, which come
+  first in the permutation in both kinds of certificate, so that they are
+  the first len(subset) yvars) from the same Berkowitz run: derived by
+  verify, not printed (``build_H_G``; ``GndCertificate.minor`` in a short
+  circuit);
 - G*H = H*G = P*Id with P = M*N (check 1, exact);
 - N*I lies in (f), so that I = (f) where N is a unit: NOT CHECKED yet;
 - s^p f_i = d^2 g_i modulo (h), each h_j = s(Y_j - y'_j) - d (G(y')T)_j
@@ -35,7 +38,7 @@ discharges it:
 - I(y') = 0 modulo d^3 (check 3, exact);
 - s = P(y')/d with s = 1 modulo d, derived by verify (``compute_s_b``)
   and bound to the last [bprime] relation W*s - 1, so s is a unit of B';
-  d = x^(2c) with c >= 1 ([meta] c, bound when the certificate is read);
+  d = x^(2c) with c >= 1 ([meta] c; c = 0 marks a short circuit);
 - h and g vanish at (yhat, t), so the point factors through B' (check 4,
   to the precision the certificate records);
 - that point restricts to v on B (check 5, to the same precision);
@@ -56,9 +59,10 @@ from .poly import (Polynomial, alpha_polynomial, check_power_budget,
 from .series import (MAX_PRECISION, CompletionMorphism, TruncatedSeries,
                      series_eval, series_point)
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
-                     find_desing_data, identity_matrix, jacobian,
-                     matrix_det, matrix_equal, matrix_mul, matrix_scale,
-                     reduce_until_nonvanishing, DEFAULT_SUBSET_BUDGET)
+                     columns_first, find_desing_data, identity_matrix,
+                     jacobian, matrix_det, matrix_equal, matrix_mul,
+                     matrix_scale, reduce_until_nonvanishing,
+                     DEFAULT_SUBSET_BUDGET)
 
 
 @dataclass
@@ -70,7 +74,12 @@ class DPresentation:
     field: object                # coefficient field of all polynomial rings
     series_field: object         # equals field, or a simple extension of it
     ext_var: str = None
-    mu: Polynomial = None
+
+    @cached_property
+    def mu(self):
+        """The minimal polynomial of the series field's generator, in U."""
+        return self.ext_var and alpha_polynomial(self.series_field.mu,
+                                                 (self.ext_var,))
 
     def ring_prefix(self):
         if self.ext_var is None:
@@ -171,8 +180,7 @@ def make_D(v, taken):
     if isinstance(F, SimpleExtension):
         U = _fresh_name("U", taken)
         return DPresentation(base_var=v.base_var, field=F.base,
-                             series_field=F, ext_var=U,
-                             mu=alpha_polynomial(F.mu, (U,)))
+                             series_field=F, ext_var=U)
     return DPresentation(base_var=v.base_var, field=F, series_field=F)
 
 
@@ -387,21 +395,24 @@ def _substituted_power(f, yvars, sY, powers, s_pow, D):
 # ---------------------------------------------------------------------------
 # the certificate
 
+def working_ring(D, c, yvars, tvars):
+    """x, then U (bordered only: a short circuit, c = 0, lives in B's
+    ring), then the yvars, then the tvars."""
+    prefix = D.ring_prefix()
+    return (prefix[:1] if c == 0 else prefix) + tuple(yvars) + tuple(tvars)
+
+
 @dataclass
 class GndCertificate:
-    base_var: str
-    field: object
-    series_field: object
+    """What a certificate prints; the short circuit (c = 0), p, the ring,
+    zvar and the minor's columns (the first len(subset) yvars) are derived
+    from it."""
+
     D: DPresentation
-    columns: tuple               # [data] columns: the minor's, in the yvars
     witness: Polynomial          # N
-    c: int
-    p: int
-    short_circuit: bool
-    ring: tuple                  # working ring (x [, U], Y permuted, T)
+    c: int                       # d = x^(2c); 0 in a short circuit
     yvars: tuple                 # permuted algebra variables (with Z)
     tvars: tuple
-    zvar: str = None
     permutation: tuple = ()      # yvars[i] = original_variables[permutation[i]]
     relations: list = dc_field(default_factory=list)   # bordered ideal in ring
     subset: tuple = ()
@@ -416,6 +427,39 @@ class GndCertificate:
     report: list = dc_field(default_factory=list)
 
     @property
+    def base_var(self):
+        return self.D.base_var
+
+    @property
+    def field(self):
+        return self.D.field
+
+    @property
+    def series_field(self):
+        return self.D.series_field
+
+    @property
+    def short_circuit(self):
+        return self.c == 0
+
+    @property
+    def ring(self):
+        return working_ring(self.D, self.c, self.yvars, self.tvars)
+
+    @property
+    def zvar(self):
+        """Z, which bordering adjoins last; none in a short circuit."""
+        return None if self.short_circuit else self.yvars[
+            self.permutation.index(len(self.yvars) - 1)]
+
+    @property
+    def p(self):
+        """The power of s that check 2 takes: the largest total degree of
+        the relations, 0 in a short circuit."""
+        return 0 if self.short_circuit else max(
+            (r.total_degree() for r in self.relations), default=0)
+
+    @property
     def d(self):
         """d = d'^2 = x^(2c), 1 in a short circuit."""
         return Polynomial.variable(self.ring, self.field, self.base_var,
@@ -426,29 +470,10 @@ class GndCertificate:
 
     def minor(self):
         """M of a short circuit: the Jacobian minor of the subset relations
-        in [data] columns (det H, from ``derive_frame``, if bordered)."""
+        in the leading yvars (det H, from ``derive_frame``, if bordered)."""
         fs = self.subset_relations()
-        return matrix_det(jacobian(fs, [self.yvars[self.permutation.index(j)]
-                                        for j in self.columns])) if fs else \
+        return matrix_det(jacobian(fs, self.yvars[:len(fs)])) if fs else \
             Polynomial.one(self.ring, self.field)
-
-    def bprime(self):
-        """B' = k[ring, W]/(mu, relations, h, g, W*s - 1), its relations in
-        that order; a short circuit has W*M*N - 1 for its last, and no mu."""
-        bring = tuple(self.ring) + (self.wvar,)
-        W = Polynomial.variable(bring, self.field, self.wvar)
-        return AlgebraPresentation(
-            base_var=self.base_var, variables=bring[1:], field=self.field,
-            relations=self.bprime_head()
-            + [q.embed(bring) for q in self.h + self.g]
-            + [W * self.s.embed(bring) - Polynomial.one(bring, self.field)])
-
-    def bprime_head(self):
-        """The relations of B' before h and g, mu and the relations, in
-        k[ring, W]."""
-        bring = tuple(self.ring) + (self.wvar,)
-        mu = [self.D.mu] if self.D.ext_var and not self.short_circuit else []
-        return [r.embed(bring) for r in mu + self.relations]
 
     def report_lines(self):
         return [r.line() for r in self.report]
@@ -457,12 +482,11 @@ class GndCertificate:
         return all(r.passed for r in self.report)
 
 
-def assemble_certificate(step, D, permutation, ring, yvars, tvars, rec, h,
-                         g, p):
-    """Package the pipeline output and compute the series images of T.
-    [hat] and [t] keep what is read of them: [hat] below x^(N - 4c), N
-    the precision of v, for checks 4-6, and below x^(6c) for y'; each T
-    as ``t_precisions`` says."""
+def assemble_certificate(step, D, permutation, yvars, tvars, rec):
+    """Package the pipeline output but h and g, which ``desingularize``
+    adds, and compute the series images of T.  [hat] and [t] keep what is
+    read of them: [hat] below x^(N - 4c), N the precision of v, for checks
+    4-6, and below x^(6c) for y'; each T as ``t_precisions`` says."""
     B1, v1, c, frame = step.algebra, step.morphism, step.data.c, rec.frame
     N = v1.precision
     hat = {yv: v1.images[yv].truncate(N) for yv in yvars}
@@ -476,14 +500,12 @@ def assemble_certificate(step, D, permutation, ring, yvars, tvars, rec, h,
     zero = TruncatedSeries.zero((v1.base_var,), xF, N)
     t = {tv: sum((a * b for a, b in zip(row, deltas)), zero).divide_exact(
         d2).truncate(k) for tv, row, k in zip(tvars, Hy, precisions)}
+    ring = working_ring(D, c, yvars, tvars)
     return GndCertificate(
-        base_var=B1.base_var, field=D.field, series_field=v1.field, D=D,
-        columns=step.data.columns, witness=step.data.witness.embed(ring),
-        c=c, p=p, short_circuit=False, ring=ring,
-        yvars=yvars, tvars=tvars, zvar=step.zvar, permutation=permutation,
+        D=D, witness=step.data.witness.embed(ring), c=c, yvars=yvars,
+        tvars=tvars, permutation=permutation,
         relations=[r.embed(ring) for r in B1.relations],
-        subset=step.data.subset, s=rec.s, h=h, g=g,
-        wvar=_fresh_name("W", ring), t=t,
+        subset=step.data.subset, s=rec.s, wvar=_fresh_name("W", ring), t=t,
         hat_images={yv: x.truncate(max(N - 4 * c, 6 * c))
                     for yv, x in hat.items()},
         precision=N)
@@ -501,7 +523,7 @@ def verify_certificate(cert, B, v, derived=None):
         if cert.s != P:
             raise ConsistencyError(
                 "certificate [bprime] does not end with W*M*N - 1, M the "
-                "Jacobian minor of the subset relations in [data] columns")
+                "Jacobian minor of the subset relations in the leading yvars")
         report = [CheckResult(name, True, "vacuous", detail)
                   for name, detail in (
                       ("GH = HG = P*Id", "smooth short-circuit"),
@@ -625,15 +647,16 @@ def _hat_is_v(cert, B, v, precision):
 
 
 def _short_circuit_certificate(B, v, data, D):
-    ring = B.ring_variables()
+    permutation = columns_first(data.columns, len(B.variables))
+    yvars = tuple(B.variables[j] for j in permutation)
+    ring = working_ring(D, 0, yvars, ())
     return GndCertificate(
-        base_var=B.base_var, field=B.field, series_field=v.field, D=D,
-        columns=data.columns, witness=data.witness, c=0, p=0,
-        short_circuit=True, ring=ring,
-        yvars=B.variables, tvars=(), permutation=tuple(range(len(B.variables))),
+        D=D, witness=data.witness.embed(ring), c=0, yvars=yvars, tvars=(),
+        permutation=permutation,
         relations=[r.embed(ring) for r in B.relations], subset=data.subset,
-        s=data.minor * data.witness, z=data.z, wvar=_fresh_name("W", ring),
-        hat_images={yv: v.images[yv] for yv in B.variables},
+        s=(data.minor * data.witness).embed(ring), z=data.z,
+        wvar=_fresh_name("W", ring),
+        hat_images={yv: v.images[yv] for yv in yvars},
         precision=v.precision)
 
 
@@ -650,24 +673,18 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
         return cert
     step = border_step(B0, v, data)
     B1, v1 = step.algebra, step.morphism
-    # permute the algebra variables so the minor columns come first
-    cols = list(step.data.columns)
-    rest = [j for j in range(len(B1.variables)) if j not in cols]
-    permutation = tuple(cols + rest)
+    permutation = columns_first(step.data.columns, len(B1.variables))
     yvars = tuple(B1.variables[j] for j in permutation)
     tvars = tuple(_fresh_name(f"T{j + 1}", (B1.base_var,) + yvars)
                   for j in range(len(yvars)))
-    ring = (B1.base_var,) + D.ring_prefix()[1:] + yvars + tvars
-    rels = [r.embed(ring) for r in B1.relations]
-    fs = [rels[i] for i in step.data.subset]
-    p = max(r.total_degree() for r in rels)
+    ring = working_ring(D, data.c, yvars, tvars)
+    fs = [B1.relations[i].embed(ring) for i in step.data.subset]
     rec = derive_frame({yv: v1.images[yv] for yv in yvars}, data.c, D, ring,
                        fs, yvars, step.data.witness.embed(ring))
     if rec.M != step.data.minor.embed(ring):
         raise ConsistencyError("determinant of H differs from the minor")
-    h, g = build_h_g(fs, rec.frame.yprime, yvars, tvars, data.c, rec.s,
-                     rec.Gy, p, D)
-    cert = assemble_certificate(step, D, permutation, ring, yvars, tvars,
-                                rec, h, g, p)
+    cert = assemble_certificate(step, D, permutation, yvars, tvars, rec)
+    cert.h, cert.g = build_h_g(fs, rec.frame.yprime, yvars, tvars, data.c,
+                               rec.s, rec.Gy, cert.p, D)
     verify_certificate(cert, B0, v, rec)
     return cert

@@ -256,7 +256,8 @@ def emit_groebner(gb, variables, F):
 # The polynomial and series sections, in the order they are written:
 # (section, GndCertificate attribute, reader, format of one value).  [t] and
 # [hat] hold series in the base variable, [relations] polynomials in the
-# ring.  h and g live in [bprime] alone, and verify derives y', H, G, M and s.
+# ring.  [bprime] holds what B' adds to mu and the relations: h, g and
+# W*s - 1; verify derives y', H, G, M and s.
 CERT_VALUES = (
     ("relations", "relations", _items, format_polynomial),
     ("t", "t", _named, format_series),
@@ -264,38 +265,36 @@ CERT_VALUES = (
 )
 
 
+def _list(items):
+    """A [meta] list: its items, or '-' for none."""
+    return " ".join(str(i) for i in items) or "-"
+
+
 def emit_certificate(cert):
     lines = ["[meta]",
-             "version 3",
+             "version 4",
              f"base {cert.base_var}",
              f"c {cert.c}",
-             f"p {cert.p}",
              f"precision {cert.precision}",
-             f"short-circuit {int(cert.short_circuit)}",
-             "permutation " + " ".join(str(i) for i in cert.permutation),
-             "ring " + " ".join(cert.ring),
-             "yvars " + " ".join(cert.yvars),
-             "tvars " + (" ".join(cert.tvars) if cert.tvars else "-"),
-             f"zvar {cert.zvar or '-'}",
-             f"wvar {cert.wvar or '-'}",
-             "subset " + " ".join(str(i) for i in cert.subset),
+             "permutation " + _list(cert.permutation),
+             "yvars " + _list(cert.yvars),
+             "tvars " + _list(cert.tvars),
+             f"wvar {cert.wvar}",
+             "subset " + _list(cert.subset),
              "[field]", format_field(cert.field),
              "[series-field]", format_field(cert.series_field),
-             "[D]"]
-    lines += ([f"ext {cert.D.ext_var}", f"mu {format_polynomial(cert.D.mu)}"]
-              if cert.D.ext_var else ["ext -"])
-    lines += ["[data]",
-              "columns " + " ".join(str(i) for i in cert.columns),
-              f"witness {format_polynomial(cert.witness)}"]
+             "[D]", f"ext {cert.D.ext_var or '-'}",
+             "[data]", f"witness {format_polynomial(cert.witness)}"]
     if cert.short_circuit:
         lines.append(f"z {format_series(cert.z)}")
     for tag, attr, reader, fmt in CERT_VALUES:
         lines.append(f"[{tag}]")
         lines += _written(reader, getattr(cert, attr), fmt)
-    Bprime = cert.bprime()
-    lines += ["[bprime]", "variables " + " ".join(Bprime.variables)]
-    lines += [format_polynomial(p) for p in Bprime.relations]
-    lines.append("[report]")
+    bring = cert.ring + (cert.wvar,)
+    unit = (Polynomial.variable(bring, cert.field, cert.wvar)
+            * cert.s.embed(bring) - Polynomial.one(bring, cert.field))
+    lines += ["[bprime]"] + [format_polynomial(q)
+                             for q in cert.h + cert.g + [unit]] + ["[report]"]
     lines += [f"{'pass' if r.passed else 'FAIL'};{r.precision};{r.name};"
               f"{r.detail}" for r in cert.report]
     return "\n".join(lines) + "\n"
@@ -326,7 +325,11 @@ def _int(text, lineno):
 
 
 def _ints(text, lineno):
-    return tuple(_int(t, lineno) for t in text.split())
+    return tuple(_int(t, lineno) for t in _names(text, lineno))
+
+
+def _names(text, lineno):
+    return () if text == "-" else tuple(text.split())
 
 
 def _require(ok, what):
@@ -338,48 +341,45 @@ def parse_certificate(text):
     sections = _Required(split_sections(text), "section")
 
     def keyed(tag, known):
-        """[tag]'s keys, each one of ``known``, else a ParseError."""
+        """[tag]'s keys, each one of ``known`` and with a value, else a
+        ParseError."""
         keys = _Required(_keyed(tag, sections[tag]), f"[{tag}] key")
-        for key, (lineno, _) in keys.items():
+        for key, (lineno, value) in keys.items():
             if key not in known.split():
                 raise ParseError(f"[{tag}] has unknown key {key!r}", lineno,
                                  1)
+            if not value:
+                raise ParseError(f"[{tag}] lines look like 'key value'",
+                                 lineno, 1)
         return keys
 
     def read(keys, key, parse=lambda text, lineno: text):
         lineno, text = keys[key]
         return parse(text, lineno)
 
-    meta = keyed("meta", "version base c p precision short-circuit "
-                 "permutation ring yvars tvars zvar wvar subset")
-    lineno, version = meta["version"]
-    if version != "3":
-        raise ParseError(f"[meta] version must be 3, found {version!r}",
+    # the version is read first, so that an old certificate is refused by it
+    lineno, version = _Required(_keyed("meta", sections["meta"]),
+                                "[meta] key")["version"]
+    if version != "4":
+        raise ParseError(f"[meta] version must be 4, found {version!r}",
                          lineno, 1)
-    # read after the version, so that an old certificate is refused by it
+    meta = keyed("meta", "version base c precision permutation yvars tvars "
+                 "wvar subset")
     for name, lines in sections.items():
         if name not in CERT_SECTIONS:
             raise ParseError(f"unknown section [{name}]", lines.header, 1)
     F = _one("field", sections["field"], parse_field)
     Fs = _one("series-field", sections["series-field"], parse_field)
-    base = read(meta, "base")
-    ring, yvars = (tuple(read(meta, key).split()) for key in ("ring", "yvars"))
-    tvars, zvar, wvar = (None if read(meta, key) == "-" else read(meta, key)
-                         for key in ("tvars", "zvar", "wvar"))
-    tvars = tuple(tvars.split()) if tvars else ()
-    c, subset = read(meta, "c", _int), read(meta, "subset", _ints)
-    short_circuit = read(meta, "short-circuit", _int)
-    if short_circuit not in (0, 1):
-        raise ParseError("[meta] short-circuit must be 0 or 1",
-                         meta["short-circuit"][0], 1)
-    dkeys, ext = keyed("D", "ext mu"), {}
-    if dkeys.get("ext", (0, "-"))[1] != "-":
-        U = read(dkeys, "ext")
-        ext = dict(ext_var=U, mu=read(dkeys, "mu", lambda text, lineno:
-                                      parse_polynomial(text, (U,), QQ, lineno)))
-    if "mu" in dkeys and not ext:
-        raise ParseError("[D] has mu without ext", dkeys["mu"][0], 1)
-    D = _gnd.DPresentation(base_var=base, field=F, series_field=Fs, **ext)
+    base, wvar = read(meta, "base"), read(meta, "wvar")
+    yvars, tvars = (read(meta, key, _names) for key in ("yvars", "tvars"))
+    c, precision = (read(meta, key, _int) for key in ("c", "precision"))
+    subset, permutation = (read(meta, key, _ints)
+                           for key in ("subset", "permutation"))
+    ext = read(keyed("D", "ext"), "ext")
+    D = _gnd.DPresentation(base_var=base, field=F, series_field=Fs,
+                           ext_var=None if ext == "-" else ext)
+    ring = _gnd.working_ring(D, c, yvars, tvars)
+    _check_meta(D, c, ring, yvars, tvars, permutation, subset, wvar)
 
     def poly(text, lineno):
         return parse_polynomial(text, ring, F, lineno)
@@ -387,78 +387,67 @@ def parse_certificate(text):
     def ser(text, lineno):
         return parse_series(text, (base,), Fs, lineno)
 
-    values = {attr: reader(tag, sections.get(tag, []),
+    values = {attr: reader(tag, sections[tag],
                            ser if fmt is format_series else poly)
               for tag, attr, reader, fmt in CERT_VALUES}
     # [data] prints what the checks read, z only in a short circuit (else
     # it is zvar's [hat] image, which no check reads); verify derives M
-    datakeys = keyed("data", "columns witness" + " z" * short_circuit)
-    z = read(datakeys, "z", ser) if short_circuit else None
-    columns, witness = (read(datakeys, "columns", _ints),
-                        read(datakeys, "witness", poly))
-    # [bprime]: variables, mu (with an ext, outside a short circuit), the
-    # relations, h (one per yvar), g (one per subset relation), W*s - 1;
-    # h and g, in the ring, come from these lines alone (none when the
-    # count of lines is off, which _check_derived refuses)
+    datakeys = keyed("data", "witness" + " z" * (c == 0))
+    z = read(datakeys, "z", ser) if c == 0 else None
+    # [bprime]: h (one per yvar), g (one per subset relation), W*s - 1;
+    # _check_shape binds the counts
     lines = sections["bprime"]
     if not lines:
         raise ParseError("section [bprime] is empty", lines.header, 1)
-    (lineno, head), *rows = lines
-    keyword, *rest = head.split(None, 1)
-    if keyword != "variables":
-        raise ParseError("[bprime] must start with a 'variables' line",
-                         lineno, 1)
-    bvars = tuple(rest[0].split()) if rest else ()
-    nh, ng = (0, 0) if short_circuit else (len(yvars), len(subset))
-    start = len(values["relations"]) + bool(ext and not short_circuit)
-    if len(rows) != start + nh + ng + 1:
-        start, nh, ng = len(rows) - 1, 0, 0
-    h, g = (_items("bprime", rows[i:j], poly) for i, j in (
-        (start, start + nh), (start + nh, start + nh + ng)))
-    fixed = _items("bprime", rows[:start] + rows[-1:], lambda text, lineno:
-                   parse_polynomial(text, (base,) + bvars, F, lineno))
+    *rows, (lineno, last) = lines
+    hg = _items("bprime", rows, poly)
+    unit = parse_polynomial(last, ring + (wvar,), F, lineno)
+    nh = len(yvars) if c else 0
     report = []
-    for lineno, line in sections.get("report", []):
+    for lineno, line in sections["report"]:
         fields = line.split(";", 3)
         if len(fields) != 4 or fields[0] not in ("pass", "FAIL"):
             raise ParseError("[report] lines look like 'pass;precision;"
                              "name;detail' (or 'FAIL;...')", lineno, 1)
-        status, precision, name, detail = fields
+        status, where, name, detail = fields
         report.append(_gnd.CheckResult(name=name, passed=status == "pass",
-                                       precision=precision, detail=detail))
+                                       precision=where, detail=detail))
     cert = _gnd.GndCertificate(
-        base_var=base, field=F, series_field=Fs, D=D, columns=columns,
-        witness=witness, c=c,
-        p=read(meta, "p", _int), short_circuit=bool(short_circuit), ring=ring,
-        yvars=yvars, tvars=tvars, zvar=zvar,
-        permutation=read(meta, "permutation", _ints), subset=subset, h=h,
-        g=g, wvar=wvar, z=z, precision=read(meta, "precision", _int),
-        report=report, **values)
-    _check_derived(cert, bvars, fixed)
+        D=D, witness=read(datakeys, "witness", poly), c=c, yvars=yvars,
+        tvars=tvars, permutation=permutation, subset=subset, z=z,
+        h=hg[:nh], g=hg[nh:], wvar=wvar, precision=precision, report=report,
+        **values)
+    _check_shape(cert, unit)
     return cert
 
 
-def _check_derived(cert, bvars, fixed):
-    """Whatever the certificate prints and no check reads must be what the
-    rest determines; ``bvars`` and ``fixed`` are the [bprime] variables and
-    its lines other than h and g.  ``cert.s`` is read off W*s - 1, the last
-    of them, for verify_certificate to bind.  A mismatch is a
-    ConsistencyError."""
+def _check_meta(D, c, ring, yvars, tvars, permutation, subset, wvar):
+    """What the reader of the values assumes of [meta], the fields and [D];
+    a mismatch is a ConsistencyError."""
+    extension = isinstance(D.series_field, SimpleExtension)
+    _require(D.field == QQ and (D.series_field == QQ or extension),
+             "[field] is not Q, or [series-field] neither Q nor a Q(alpha)")
+    _require((D.ext_var is not None) == extension,
+             "[D] has ext without [series-field] Q(alpha), or the reverse")
+    _require(len(set(ring + (wvar,))) == len(ring) + 1,
+             "[meta] names a variable twice, or wvar is in the ring")
+    _require(c >= 0, "[meta] c is negative")
+    _require(len(tvars) == (len(yvars) if c else 0),
+             "[meta] tvars are not one per yvar (none in a short circuit)")
+    _require(sorted(permutation) == list(range(len(yvars))),
+             "[meta] permutation does not permute the yvars")
+    columns = permutation[:len(subset)]
+    _require(list(columns) == sorted(columns) and len(columns) == len(subset),
+             "[meta] permutation does not start with the minor's columns "
+             "in increasing order")
+
+
+def _check_shape(cert, unit):
+    """What the checks assume of the values they read; ``unit`` is the last
+    [bprime] line, W*s - 1, off which ``cert.s`` is read for
+    verify_certificate to bind.  A mismatch is a ConsistencyError."""
     D, Fs, require = cert.D, cert.series_field, _require
-
-    # B' maps to the completion only through U -> alpha, so mu is bound too
-    extension = isinstance(Fs, SimpleExtension)
-    require(Fs == cert.field or (extension and Fs.base == cert.field),
-            "[series-field] is neither [field] nor a Q(alpha) over it")
-    require((D.ext_var is not None) == extension,
-            "[D] has ext without [series-field] Q(alpha), or the reverse")
-    require(not extension or D.mu == alpha_polynomial(Fs.mu, (D.ext_var,)),
-            "[D] mu is not the minimal polynomial of [series-field]")
-
-    prefix = D.ring_prefix()
-    require(cert.ring == (prefix[:1] if cert.short_circuit else prefix)
-            + cert.yvars + cert.tvars,
-            "[meta] ring is not x [, ext], the yvars and the tvars")
+    n = len(cert.yvars)
     # the frame point maps x [, U] and the yvars only, and H, G and P are
     # built from these
     require(all(q.degree_in(t) < 1 for t in cert.tvars
@@ -468,58 +457,31 @@ def _check_derived(cert, bvars, fixed):
                               ("t", cert.t, cert.tvars)):
         require(sorted(named) == sorted(names),
                 f"[{tag}] does not name exactly {' '.join(names) or 'nothing'}")
-
-    def increasing(seq, n):
-        return list(seq) == sorted(set(seq)) and all(0 <= i < n for i in seq)
-
-    n, columns = len(cert.yvars), cert.columns
-    require(increasing(cert.subset, len(cert.relations)),
+    require(list(cert.subset) == sorted(set(cert.subset))
+            and all(0 <= i < len(cert.relations) for i in cert.subset),
             "[meta] subset is not increasing within [relations]")
-    require(sorted(cert.permutation) == list(range(n)),
-            "[meta] permutation does not permute the yvars")
-    require(increasing(columns, n) and len(columns) == len(cert.subset),
-            "[data] columns are not increasing within the yvars, one per "
-            "subset relation")
-    # p bounds every power of s that verify takes, so bind it before any
-    degree = max([0] + [r.total_degree() for r in cert.relations])
-    require(cert.p == (0 if cert.short_circuit else degree),
-            "[meta] p is not the degree of [relations]")
     # checks 4-6 read [hat] below x^(precision - 4c), y' below x^(6c)
     cut = max(cert.precision - 4 * cert.c, 6 * cert.c)
     require(all(x.precision == cut for x in cert.hat_images.values()) and (
         not cert.short_circuit or cert.z.precision == cut),
             f"[hat] or z is not printed to O({cert.base_var}^{cut})")
-    if cert.short_circuit:
-        require(cert.c == 0 and cert.zvar is None,
-                "[meta] c is not 0, or zvar not -, in a short circuit")
-    else:
-        # Z borders last: original_problem drops it and its relation, which
-        # ends the subset
-        require(cert.c >= 1
-                and cert.zvar == cert.yvars[cert.permutation.index(n - 1)]
-                and cert.subset[-1:] == (len(cert.relations) - 1,),
-                "[meta] c is below 1, zvar is not the last variable of the "
-                "permutation, or its relation does not end the subset")
-        require(cert.permutation[:len(columns)] == columns,
-                "[data] columns do not lead the permutation")
-        require(len(cert.tvars) == n, "[meta] tvars are not one per yvar")
-    require(cert.wvar not in cert.ring and bvars == cert.ring[1:] + (
-        cert.wvar,), "[bprime] variables are not the ring's and wvar")
+    # Z borders last: original_problem drops it and its relation, which
+    # ends the subset
+    require(cert.short_circuit
+            or cert.subset[-1:] == (len(cert.relations) - 1,),
+            "[meta] subset does not end with the bordering relation")
     require((len(cert.h), len(cert.g)) == ((0, 0) if cert.short_circuit else
                                            (n, len(cert.subset))),
-            "[bprime] does not hold one h per yvar and one g per subset "
-            "relation")
-    *head, last = fixed or [None]
-    require(head == cert.bprime_head() and last is not None,
-            "[bprime] is not mu, [relations], h, g and W*s - 1")
-    unit = last + Polynomial.one(last.variables, last.field)
+            "[bprime] does not hold one h per yvar, one g per subset "
+            "relation and W*s - 1")
+    unit = unit + Polynomial.one(unit.variables, unit.field)
     require(all(m[-1] == 1 for m in unit.terms),
             "[bprime] does not end with W*s - 1")
     cert.s = Polynomial(cert.ring, cert.field,
                         {m[:-1]: a for m, a in unit.terms.items()})
     # every honest value is printed reduced, so no reduction by mu meets a
     # high power of U
-    if extension and D.ext_var in cert.ring:
+    if D.ext_var in cert.ring:
         require(all(q.degree_in(D.ext_var) < Fs.degree for q in
                     cert.h + cert.g + [cert.s, cert.witness]),
                 f"h, g, s or [data] witness has {D.ext_var}-degree at or "

@@ -232,6 +232,12 @@ def jacobian_minors(relations, variables):
     return out
 
 
+def columns_first(columns, n):
+    """The permutation of range(n) that puts a minor's columns first, in
+    their order, and the other indices after them, in increasing order."""
+    return tuple(columns) + tuple(j for j in range(n) if j not in columns)
+
+
 def bordered_jacobian(fs, yvars, witness):
     """H = the Jacobian of fs in yvars over (0 | Id), G = N·adj(H), and
     det(H) = M, the minor of the first r columns.

@@ -16,8 +16,8 @@ from desing.fields import QQ, PrimeField
 from desing.groebner import GroebnerBasis, IdealPresentation
 from desing.iofmt import (emit_certificate, parse_certificate, parse_field,
                           parse_problem, split_sections)
-from desing.poly import (DEGREVLEX, Polynomial, order_from_name,
-                         parse_polynomial)
+from desing.poly import (DEGREVLEX, Polynomial, format_polynomial,
+                         order_from_name, parse_polynomial)
 
 
 def parse_ideal_output(text, header="ideal"):
@@ -213,6 +213,19 @@ def _edit_line(text, tag, key, edit):
     return "\n".join(lines)
 
 
+def _drop(tag, key):
+    # split_sections skips blank lines, so an emptied line is a dropped one
+    return lambda text: _edit_line(text, tag, key, lambda l: "")
+
+
+def _insert(tag, line):
+    return lambda text: _edit_line(text, tag, "", lambda l: f"{line}\n{l}")
+
+
+def _repeat(tag, key):
+    return lambda text: _edit_line(text, tag, key, lambda l: f"{l}\n{l}")
+
+
 def _empty_bprime(text):
     head, rest = text.split("[bprime]\n", 1)
     return head + "[bprime]\n[report]\n" + rest.split("[report]\n", 1)[1]
@@ -235,9 +248,10 @@ MALFORMED_CERTIFICATES = {
     "empty-bprime": _empty_bprime,
     "t-without-equals": _no_equals("t"),
     "hat-without-equals": _no_equals("hat"),
-    "meta-version": _value("meta", "version", "4"),
+    "meta-version": _value("meta", "version", "5"),
     "meta-c": _value("meta", "c", "one"),
-    "meta-p": _value("meta", "p", "2.5"),
+    # p is derived from [relations]; version 4 has no p key
+    "meta-p": _insert("meta", "p 2.5"),
     "meta-precision": _value("meta", "precision", "x^2"),
     "meta-subset": _value("meta", "subset", "0 a"),
     "meta-permutation": _value("meta", "permutation", "0 2 one"),
@@ -287,13 +301,12 @@ def short_circuit_certificate(tmp_path_factory):
 
 
 def _edit_bprime(kind, index, edit):
-    """Apply ``edit`` to the index-th h or g line of [bprime], which
-    follow its variables line, mu (with an ext) and the relations."""
+    """Apply ``edit`` to the index-th h or g line of [bprime], which holds
+    h, then g, then W*s - 1."""
     def apply(text):
         cert = parse_certificate(text)
         lines = text.split("\n")
-        k = (lines.index("[bprime]") + 2 + bool(cert.D.ext_var)
-             + len(cert.relations) + (len(cert.h) if kind == "g" else 0)
+        k = (lines.index("[bprime]") + 1 + (len(cert.h) if kind == "g" else 0)
              + index % len(getattr(cert, kind)))
         lines[k] = edit(lines[k])
         return "\n".join(lines)
@@ -343,18 +356,20 @@ def _break(line):
 
 # one value of each kind in every section that holds values, in the node
 # certificate (z: in a short circuit, the one kind that prints it); h and
-# g are the [bprime] lines between the relations and W*s - 1 ("hpolys",
-# "b": its first and last h, "gpolys", "qpolys": its first and last g)
+# g are the [bprime] lines before W*s - 1 ("hpolys", "b": its first and
+# last h, "gpolys", "qpolys": its first and last g); a key that version 4
+# no longer prints (mu, p, short-circuit, columns) is refused at its line
 VALUE_LINES = {
     "field": _break_value("field", ""),
     "series-field": _break_value("series-field", ""),
     "D-mu": lambda text: text.replace("[D]\next -", "[D]\next U\nmu U^2 - @"),
     "bprime": _break_value("bprime", "x^10*W"),
     **{f"meta-{key}": _break_value("meta", key + " ")
-       for key in ("c", "p", "precision", "short-circuit", "permutation",
-                   "subset")},
-    **{f"data-{key}": _break_value("data", key + " ")
-       for key in ("columns", "witness")},
+       for key in ("c", "precision", "permutation", "subset")},
+    "meta-p": _insert("meta", "p @2"),
+    "meta-short-circuit": _insert("meta", "short-circuit @0"),
+    "data-columns": _insert("data", "columns @0 2"),
+    "data-witness": _break_value("data", "witness "),
     "data-z": ("short", _break_value("data", "z ")),
     **{tag: _break_value(tag, "") for tag in ("relations", "t", "hat")},
     "hpolys": _edit_bprime("h", 0, _break),
@@ -397,10 +412,14 @@ def _reversed_ints(line):
 DERIVED_TAMPERING = {
     "data-z": ("data", "z ", lambda l: l.replace("O(x^12)", "O(x^13)"),
                "short"),
-    "bprime": ("bprime", "-x^2", _plus_one),
+    # version 3 repeated the relations in [bprime]: one more line than h,
+    # g and W*s - 1
+    "bprime": ("bprime", "", lambda l: "-x^2 + Y1*Y2\n" + l),
     "bprime-W": ("bprime", "x^10*W", _plus_one),
-    "bprime-variables": ("bprime", "variables", lambda l: l + " V"),
-    "data-columns": ("data", "columns ", _reversed_ints),
+    # B' has the ring's variables and W, each once
+    "bprime-variables": ("meta", "wvar ", lambda l: "wvar T1"),
+    # the minor's columns lead the permutation, in increasing order
+    "data-columns": ("meta", "permutation ", lambda l: "permutation 2 0 1"),
     "hat-marker": ("hat", "Y1 ", lambda l: l.replace("O(x^19)", "O(x^20)")),
     "meta-precision": ("meta", "precision ", lambda l: "precision 24"),
     "meta-subset": ("meta", "subset ", _reversed_ints),
@@ -460,13 +479,13 @@ def test_cli_verify_refuses_a_version_1_certificate(tmp_path, capsys,
                                                     node_certificate):
     # version 1 printed h and g three times, in [hpolys], [gpolys] (with
     # [qpolys]) and [bprime]; it is refused at its version line, before
-    # any of the sections versions 2 and 3 dropped
-    old = node_certificate.replace("version 3", "version 1").replace(
+    # any of the sections and keys later versions dropped
+    old = node_certificate.replace("version 4", "version 1").replace(
         "[relations]\n", "[d]\nx^2\n[relations]\n")
     path = write(tmp_path, "v1.txt", old)
     assert main(["verify", "--input", path]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: line 2, column 1: [meta] version must be 3, found '1'"]
+        "error: line 2, column 1: [meta] version must be 4, found '1'"]
 
 
 @pytest.fixture(scope="module")
@@ -484,20 +503,17 @@ def sqrt2_node_certificate(tmp_path_factory):
 def test_cli_verify_binds_mu_to_the_series_field(tmp_path, capsys,
                                                  sqrt2_node_certificate,
                                                  forged):
-    # B' maps to the completion only through U -> sqrt 2, so a [D] mu (and
-    # the [bprime] relation that repeats it) other than U^2 - 2 is refused
-    assert main(["verify", "--input", write(tmp_path, "good.txt",
-                                            sqrt2_node_certificate)]) == 0
-    bad = sqrt2_node_certificate.replace(
-        "\nmu U^2 - 2\n", f"\nmu {forged}\n").replace(
-        "\nU^2 - 2\n", f"\n{forged}\n")
-    assert bad.count(f"\n{forged}\n") == 1
-    assert f"\nmu {forged}\n" in bad
-    with pytest.raises(ConsistencyError, match="mu is not the minimal"):
-        parse_certificate(bad)
+    # B' maps to the completion only through U -> sqrt 2: mu is read off
+    # [series-field], and a [D] mu line (version 3 printed one) is refused
+    # at its line, whatever it says
+    assert format_polynomial(
+        parse_certificate(sqrt2_node_certificate).D.mu) == "U^2 - 2"
+    bad = _insert("D", f"mu {forged}")(sqrt2_node_certificate)
+    line = bad.split("\n").index(f"mu {forged}") + 1
     capsys.readouterr()
-    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
-    assert "[D] mu is not the minimal polynomial" in capsys.readouterr().err
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {line}, column 1: [D] has unknown key 'mu'\n")
 
 
 @pytest.mark.parametrize("case", ["ext-over-Q", "no-ext-over-Q(alpha)"])
@@ -505,11 +521,10 @@ def test_cli_verify_binds_ext_to_the_series_field(tmp_path, node_certificate,
                                                   sqrt2_node_certificate,
                                                   case):
     if case == "ext-over-Q":
-        bad = _edit_line(node_certificate, "D", "ext ",
-                         lambda l: "ext U\nmu U^2 - 2")
+        bad = _edit_line(node_certificate, "D", "ext ", lambda l: "ext U")
     else:
-        bad = _edit_line(_drop("D", "mu ")(sqrt2_node_certificate), "D",
-                         "ext ", lambda l: "ext -")
+        bad = _edit_line(sqrt2_node_certificate, "D", "ext ",
+                         lambda l: "ext -")
     with pytest.raises(ConsistencyError, match="ext"):
         parse_certificate(bad)
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
@@ -551,19 +566,6 @@ def test_cli_verify_refuses_a_value_at_yprime_past_max_precision(
     assert "Traceback" not in run.stderr
 
 
-def _drop(tag, key):
-    # split_sections skips blank lines, so an emptied line is a dropped one
-    return lambda text: _edit_line(text, tag, key, lambda l: "")
-
-
-def _insert(tag, line):
-    return lambda text: _edit_line(text, tag, "", lambda l: f"{line}\n{l}")
-
-
-def _repeat(tag, key):
-    return lambda text: _edit_line(text, tag, key, lambda l: f"{l}\n{l}")
-
-
 # [hat] must name exactly the [meta] yvars and [t] the tvars, each once; a
 # key of [meta], [D] or [data] may not repeat
 NAMED_SECTION_MUTATIONS = {
@@ -573,7 +575,7 @@ NAMED_SECTION_MUTATIONS = {
     "hat-extra-name": _insert("hat", "Q9 = x + O(x^19)"),
     "meta-repeated-key": _repeat("meta", "c "),
     "D-repeated-key": _repeat("D", "ext "),
-    "data-repeated-key": _repeat("data", "columns "),
+    "data-repeated-key": _repeat("data", "witness "),
 }
 
 
@@ -620,25 +622,23 @@ def test_cli_short_circuit_certificate_sections(tmp_path,
 
 
 def test_cli_verify_huge_p_fails_fast(tmp_path, node_certificate):
-    # p is bound to the degree of [relations] before any power of s
-    bad = _edit_line(node_certificate, "meta", "p ", lambda l: "p 200000")
-    path = write(tmp_path, "bad.txt", bad)
-    src = os.path.dirname(os.path.dirname(desing.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-m", "desing.cli", "verify",
-                          "--input", path], env=env, capture_output=True,
-                         text=True, timeout=10)
-    assert run.returncode == 5
-    assert "[meta] p" in run.stderr
+    # p is derived from the degree of [relations]: a [meta] p line, which
+    # version 3 printed, is refused at its line before any power of s
+    bad = _insert("meta", "p 200000")(node_certificate)
+    line = bad.split("\n").index("p 200000") + 1
+    run = _cli_subprocess(["verify", "--input",
+                           write(tmp_path, "bad.txt", bad)], timeout=10)
+    assert run.returncode == 2
+    assert run.stderr == (f"error: line {line}, column 1: [meta] has "
+                          "unknown key 'p'\n")
 
 
 def test_cli_verify_huge_power_of_s_fails_fast(tmp_path, node_certificate):
-    # a relation of degree 200001 makes p = 200001 honest, and s^p would
-    # have two million terms: verify refuses to expand it, exit 4
+    # a relation of degree 200001 makes p = 200001, and s^p would have two
+    # million terms: verify refuses to expand it, exit 4
     bad = node_certificate.replace("\n-x^2 + Y1*Y2\n",
                                    "\n-x^2 + Y1*Y2 + x^200000*Y1\n")
-    assert bad.count("x^200000*Y1") == 2        # [relations] and [bprime]
-    bad = _edit_line(bad, "meta", "p ", lambda l: "p 200001")
+    assert bad.count("x^200000*Y1") == 1        # in [relations] alone
     run = _cli_subprocess(["verify", "--input",
                            write(tmp_path, "bad.txt", bad)], timeout=5)
     assert run.returncode == 4
@@ -647,7 +647,7 @@ def test_cli_verify_huge_power_of_s_fails_fast(tmp_path, node_certificate):
 
 
 def test_cli_verify_subset_beyond_relations(tmp_path, node_certificate):
-    # drop the last relation from [relations] and [bprime] alike
+    # drop the last relation from [relations]
     bad = node_certificate.replace("Z*Y2 - x\n", "")
     assert "Z*Y2 - x" not in bad
     with pytest.raises(ConsistencyError, match="subset"):
@@ -673,16 +673,17 @@ def test_cli_short_circuit_binds_z(tmp_path, short_circuit_certificate):
             parse_certificate(bad)
 
 
-# verify derives M as the Jacobian minor of the subset relations in [data]
-# columns and binds the last [bprime] line of a short circuit, W*M*N - 1,
-# to it: d(Y1 - x^2)/dY2 = 0 is not the minor 1; and (Y2, Y1^2) reduces to
-# the short circuit (Y1, Y2) with minor 1, which Y1 -> Y1^2 in [relations]
-# and [bprime] turns into (Y1^2, Y2), of minor 2*Y1
+# verify derives M as the Jacobian minor of the subset relations in the
+# leading yvars and binds the last [bprime] line of a short circuit,
+# W*M*N - 1, to it: with Y2 swapped to the front, d(Y1 - x^2)/dY2 = 0 is
+# not the minor 1; and (Y2, Y1^2) reduces to the short circuit (Y1, Y2)
+# with minor 1, which Y1 -> Y1^2 in [relations] turns into (Y1^2, Y2), of
+# minor 2*Y1
 SHORT_CIRCUIT_FORGERIES = {
     "columns": ("Y1 - x^2", "Y1 = x^2 + O(x^12)\nY2 = x + O(x^12)",
-                "\ncolumns 0\n", "\ncolumns 1\n", 1),
+                "\nyvars Y1 Y2\n", "\nyvars Y2 Y1\n", 1),
     "relation": ("Y2\nY1^2", "Y1 = 0 + O(x^30)\nY2 = 0 + O(x^30)",
-                 "\nY1\n", "\nY1^2\n", 2),
+                 "\nY1\n", "\nY1^2\n", 1),
 }
 
 
@@ -772,12 +773,21 @@ def test_cli_parse_error_exit(tmp_path):
     assert main(["groebner", "--input", inp]) == 2
 
 
-def _cli_subprocess(args, timeout):
+def _cli_subprocess(args, timeout, address_space=None):
+    """Run the CLI in a child process; ``address_space`` caps the child's
+    virtual memory in bytes, so that a runaway allocation fails there with
+    a MemoryError rather than exhausting the host."""
     src = os.path.dirname(os.path.dirname(desing.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run([sys.executable, "-m", "desing.cli", *args],
                           env=env, capture_output=True, text=True,
-                          timeout=timeout)
+                          timeout=timeout,
+                          preexec_fn=cap if address_space else None)
 
 
 def _ideal_problem(text):
@@ -885,6 +895,24 @@ def test_cli_lift_target_above_bound_fails_fast(tmp_path):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("c, code, message", [
+    ("100000000", 4, "lift working precision 1200000008 (target 8, c "
+                     "100000000) is above 65536"),
+    ("-1", 3, "lift option c must be at least 0, found -1")])
+def test_cli_lift_working_precision_is_bounded(tmp_path, c, code, message):
+    # the point is built at target + c*(bit length of target + 8): a c
+    # that puts it past MAX_PRECISION, or a negative c, is refused before
+    # any series is built, with one error line
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra Y\n"
+                "[ideal]\nY^2 - (1 + x)\n[start]\nY = 1 + O(x)\n"
+                f"[options]\ntarget 8\nc {c}\n")
+    run = _cli_subprocess(["lift", "--input", inp], timeout=20,
+                          address_space=2 << 30)
+    assert run.returncode == code
+    assert run.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("algebra,start,message", [
     ("Y Z", "Y = 1 + O(x)", "[start] lacks the algebra variable Z"),
     ("Y", "Y = 1 + O(x)\nW = 1 + O(x)",
@@ -949,6 +977,22 @@ def test_cli_weierstrass(tmp_path):
     assert main(["weierstrass", "--input", inp, "--output", out]) == 0
     text = open(out).read()
     assert "p 2" in text
+
+
+def test_cli_linear_factor_budget(tmp_path):
+    # the z of a linear factorization solve one dense system of 2N rows
+    # and N unknowns here (one kernel generator, (1, 1)); at N = 12000 it
+    # is refused before it is built, exit 4 with one error line
+    series = " + ".join(f"x^{k}" for k in range(1, 40)) + " + O(x^12000)"
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\n[matrix]\n1 ; -1\n"
+                f"[rhs]\n0\n[solution]\n{series}\n{series}\n")
+    run = _cli_subprocess(["linear-factor", "--input", inp], timeout=20,
+                          address_space=2 << 30)
+    assert run.returncode == 4
+    assert run.stderr == (
+        "error: the coefficient system has 24000 rows and 12000 unknowns, "
+        "past the budget of 1048576 entries\n")
 
 
 def test_cli_linear_factor(tmp_path):
@@ -1159,16 +1203,34 @@ def _verify_exit(text):
 EXPONENT = re.compile(r"(?<=\^)(\d+)")
 
 
-@pytest.mark.parametrize("name", ["node-c1", "chain-k2", "sqrt2-node"])
+# two short circuits besides: the CI problem Y1 - x^2, and Y1*Y2 - 1 - x
+# over Q(sqrt 2), whose minor Y2 is a unit at v
+SHORT_CIRCUITS = {
+    "short-Y1-x2": "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
+                   "[ideal]\nY1 - x^2\n[morphism]\nY1 = x^2 + O(x^12)\n"
+                   "Y2 = x + O(x^12)\n",
+    "short-sqrt2": "[field]\nQ\n[series-field]\nQ(r) r^2 - 2\n[variables]\n"
+                   "base x\nalgebra Y1 Y2\n[ideal]\nY1*Y2 - 1 - x\n"
+                   "[morphism]\nY1 = r + O(x^12)\n"
+                   "Y2 = 1/2*r + 1/2*r*x + O(x^12)\n",
+}
+
+
+# the number of integers each certificate holds, at least
+MUTANT_FLOORS = {"node-c1": 328, "chain-k2": 510, "sqrt2-node": 634,
+                 "short-Y1-x2": 19, "short-sqrt2": 31}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANT_FLOORS))
 def test_certificate_mutants_are_refused(tmp_path, monkeypatch, name):
-    # every integer of a seed-1 certify certificate raised by 1, one at a
-    # time, in every section: each coefficient the benchmark's tamper
-    # picks from, and each exponent and precision marker besides; verify
-    # must refuse every mutant with exit 5 or 2, with no exception list
+    # every integer of a certificate raised by 1, one at a time, in every
+    # section: each coefficient the benchmark's tamper picks from, and each
+    # exponent and precision marker besides; verify must refuse every
+    # mutant with exit 5 or 2, with no exception list
     monkeypatch.syspath_prepend(PERFBENCH)
     import workloads
-    problem = workloads.certify(1, str(tmp_path)).files[
-        f"{tmp_path}/{name}.problem"]
+    problem = SHORT_CIRCUITS.get(name) or workloads.certify(
+        1, str(tmp_path)).files[f"{tmp_path}/{name}.problem"]
     cert_path = str(tmp_path / "cert.txt")
     assert main(["gnd", "--input", write(tmp_path, "in.problem", problem),
                  "--output", cert_path]) == 0
@@ -1181,7 +1243,7 @@ def test_certificate_mutants_are_refused(tmp_path, monkeypatch, name):
                       for pattern in (workloads.COEFF, EXPONENT)
                       for m in pattern.finditer(line)]
         offset += len(line)
-    assert len(spans) > 300
+    assert len(spans) >= MUTANT_FLOORS[name]
     accepted = []
     for start, end in spans:
         mutant = text[:start] + str(int(text[start:end]) + 1) + text[end:]

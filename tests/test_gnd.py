@@ -180,7 +180,7 @@ def test_desingularize_node_frozen_values():
     # x^(19 - 2c - 1)
     assert {x.precision for x in cert.hat_images.values()} == {19}
     assert [cert.t[tv].precision for tv in cert.tvars] == [19, 19, 16]
-    # M and H are derived from the subset relations and [data] columns
+    # M and H are derived from the subset relations in the leading yvars
     assert cert.minor() == parse_polynomial("Y2^2", ring, QQ)
     expect_H = [["Y2", "0", "Y1"], ["0", "Y2", "Z"], ["0", "0", "1"]]
     H, _, M = build_H_G(cert.subset_relations(), cert.yvars, cert.witness)
@@ -569,10 +569,16 @@ def test_membership_check_agrees_with_cofactor_identity(name, section, k,
 
 
 def test_membership_check_bounds_the_power_of_s():
-    # check 2 takes s^p only within the reader's power budget
-    cert = dataclasses.replace(HONEST["node"], p=200_001)
+    # check 2 takes s^p, p the largest degree of the relations, only
+    # within the reader's power budget
+    honest = HONEST["node"]
+    ring, F = honest.ring, honest.field
+    big = (Polynomial.variable(ring, F, "x", 200_000)
+           * Polynomial.variable(ring, F, "Y1"))
+    cert = dataclasses.replace(honest, relations=honest.relations + [big])
+    assert cert.p == 200_001
     with pytest.raises(ResourceError, match="s\\^p with exponent 200001"):
-        check_2(cert)
+        check_2(cert, *derived(honest))
 
 
 def test_desingularize_one_quotient_per_subset(monkeypatch):

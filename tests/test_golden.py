@@ -334,17 +334,17 @@ c 1
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
-        "9aba02ca5b9660803ade07ec57f6d6f2b54eaec5ee2980851776694934dec735",
+        "71d178014994c932feff968d4774cfa6e387208a312c1de86ab314322548289d",
     ("gnd", "CHAIN_K2"):
-        "ab3ef27fb34737caee6539592c43e8c8c75726cd6bd9b0420642cb244d21be74",
+        "2dd9a9c2a778a87e4fd1ae316e243fb8bf91987143ad6322ebb5966ec4bacf08",
     ("gnd", "SQRT2_NODE"):
-        "c874263a14aaad3b768bb41cab9a50e638474892f0f5431e87b66e417596293c",
+        "23a645c44eb168f95e22d4c169e797c525f92cb09cea68fb371182144a0d9ac0",
     ("gnd", "CUBIC_NODE"):
-        "52c1498f425ca17c36daf55300d276656bd2f0906187f62b1c26967ee29228b0",
+        "a07dd15000e9fdc4738376abc7fbfa9e0bd0c4806958fe5ad24a0536f583bda6",
     ("gnd", "SMOOTH"):
-        "6256afe251997ab53f5522965aeb65e7d5f868af17e640438b8e02ae8e0d7ea4",
+        "4da6ad83b536342926816e9a899b4199e175d2c2b943095302d2066305266293",
     ("gnd", "REDUCTION"):
-        "d48d5bff98f6526bf494b3d7378a829103df97579e5172009a5b1eba167ab8da",
+        "b2a1fb5244bb5fbdbcfd3f8c0e2e491c5ab69a20ab5860dbdf6ea559fbbe4509",
     ("lift", "LIFT_Q"):
         "1b0c01f97579ad1f495eaabedfb8458c944ee342a3e0161e2a3d2c1bb5091f45",
     ("lift", "LIFT_NODE"):

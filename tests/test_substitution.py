@@ -16,7 +16,7 @@ from desing.errors import StructuralError
 from desing.fields import QQ, PrimeField, SimpleExtension
 from desing.gnd import DPresentation, FramePoint
 from desing.groebner import division
-from desing.poly import DEGREVLEX, Polynomial, alpha_polynomial
+from desing.poly import DEGREVLEX, Polynomial
 from desing.series import TruncatedSeries, series_eval, series_point
 
 RING = ("x", "Y1", "Y2")
@@ -102,7 +102,7 @@ def _frame_cases(draw):
         D = DPresentation(base_var="x", field=QQ, series_field=QQ)
     else:
         D = DPresentation(base_var="x", field=QQ, series_field=K,
-                          ext_var="U", mu=alpha_polynomial(K.mu, ("U",)))
+                          ext_var="U")
     ring = D.ring_prefix() + ("Y1", "Y2", "T1")
     u = st.integers(0, K.degree - 1 if D.ext_var else 0)
 

@@ -1,15 +1,16 @@
-"""Certificate version 3: what ``verify`` derives instead of reading.
+"""Certificate version 4: what ``verify`` derives instead of reading.
 
-A version-3 certificate prints no y', H, G, M or s.  ``verify`` takes y'
-from [hat] below x^(6c), H and G from the subset relations and the
-witness, M as det H (the Jacobian minor of the subset relations in
-[data] columns, which lead the permutation; in a short circuit that
-minor itself) and s = P(y')/d, and binds the last [bprime] line, W*s - 1
-(W*M*N - 1 in a short circuit), to them.  These tests rebuild the seed-1
-certify certificates of the benchmark and change what is printed: a
-forged witness, s or stray key must be refused, and ``verify`` must reach
-no Groebner code.  The construction hands verify what it derived; verify
-of the printed text must derive the same.
+A version-4 certificate prints no y', H, G, M or s, and no fact twice.
+``verify`` takes y' from [hat] below x^(6c), H and G from the subset
+relations and the witness, M as det H (the Jacobian minor of the subset
+relations in the leading yvars; in a short circuit that minor itself)
+and s = P(y')/d, and binds the last [bprime] line, W*s - 1 (W*M*N - 1 in
+a short circuit), to them; p, the ring, zvar, mu and the minor's columns
+come from the rest.  These tests rebuild the seed-1 certify certificates
+of the benchmark and change what is printed: a forged witness, s, stray
+or retired key must be refused, and ``verify`` must reach no Groebner
+code.  The construction hands verify what it derived; verify of the
+printed text must derive the same.
 """
 
 import os
@@ -27,8 +28,7 @@ from desing.gnd import DPresentation, FramePoint, derive_frame, \
     truncate_lift
 from desing.groebner import division
 from desing.iofmt import emit_certificate, parse_certificate
-from desing.poly import DEGREVLEX, Polynomial, alpha_polynomial, \
-    format_polynomial
+from desing.poly import DEGREVLEX, Polynomial, format_polynomial
 
 PERFBENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -176,7 +176,7 @@ def test_a_forged_witness_is_refused(certificates, name):
 
 @pytest.mark.parametrize("section", ["yprime", "H", "G", "s"])
 def test_a_retired_section_exits_2(certificates, section):
-    # version 2 printed y', H, G and s; a version-3 certificate that still
+    # version 2 printed y', H, G and s; a version-4 certificate that still
     # has one of these sections is refused at its header
     text = certificates["node-c1"]
     bad = text.replace("[relations]\n", f"[{section}]\nx\n[relations]\n")
@@ -188,8 +188,85 @@ def test_a_retired_section_exits_2(certificates, section):
 
 
 def test_a_version_2_header_exits_2(certificates):
-    bad = certificates["node-c1"].replace("version 3", "version 2")
-    with pytest.raises(DesingError, match="version must be 3, found '2'"):
+    bad = certificates["node-c1"].replace("version 4", "version 2")
+    with pytest.raises(DesingError, match="version must be 4, found '2'"):
+        parse_certificate(bad)
+    assert _verify_exit(bad) == 2
+
+
+# what gnd wrote at version 3 for Y1 - x^2 at Y1 = x^2, Y2 = x
+VERSION_3_SHORT_CIRCUIT = """\
+[meta]
+version 3
+base x
+c 0
+p 0
+precision 12
+short-circuit 1
+permutation 0 1
+ring x Y1 Y2
+yvars Y1 Y2
+tvars -
+zvar -
+wvar W
+subset 0
+[field]
+Q
+[series-field]
+Q
+[D]
+ext -
+[data]
+columns 0
+witness 1
+z 1 + O(x^12)
+[relations]
+-x^2 + Y1
+[t]
+[hat]
+Y1 = x^2 + O(x^12)
+Y2 = x + O(x^12)
+[bprime]
+variables Y1 Y2 W
+-x^2 + Y1
+W - 1
+[report]
+pass;vacuous;GH = HG = P*Id;smooth short-circuit
+pass;vacuous;s^p f = d^2 g mod (h);smooth short-circuit
+pass;vacuous;I(y') = 0 mod d^3;smooth short-circuit
+pass;vacuous;h and g vanish on (yhat, t);no h, g
+pass;O(x^12);composite factors v;
+pass;O(x^12);smoothness witness is a unit;
+"""
+
+
+def test_a_version_3_certificate_exits_2_at_its_version_line():
+    with pytest.raises(DesingError, match="^line 2, column 1: \\[meta\\] "
+                       "version must be 4, found '3'"):
+        parse_certificate(VERSION_3_SHORT_CIRCUIT)
+    assert _verify_exit(VERSION_3_SHORT_CIRCUIT) == 2
+
+
+# the lines version 3 printed and version 4 derives, each put back into
+# the seed-1 certificate it belongs in: (key, section, line)
+RETIRED = {
+    "p": ("meta", "p 2"),
+    "short-circuit": ("meta", "short-circuit 0"),
+    "ring": ("meta", "ring x Y1 Z Y2 T1 T2 T3"),
+    "zvar": ("meta", "zvar Z"),
+    "mu": ("D", "mu U^2 - 2"),
+    "columns": ("data", "columns 0 2"),
+    "variables": ("bprime", "variables Y1 Z Y2 T1 T2 T3 W"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_a_retired_key_exits_2_at_its_line(certificates, key):
+    section, line = RETIRED[key]
+    text = certificates["sqrt2-node" if key == "mu" else "node-c1"]
+    bad = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+    lineno = bad.split("\n").index(line) + 1
+    with pytest.raises(DesingError, match=f"^line {lineno}, column 1: "):
         parse_certificate(bad)
     assert _verify_exit(bad) == 2
 
@@ -197,11 +274,11 @@ def test_a_version_2_header_exits_2(certificates):
 @pytest.mark.parametrize("section, before, line", [
     ("meta", "base ", "foo 17"),
     ("D", "ext ", "foo 17"),
-    ("data", "columns ", "bogus 3"),
+    ("data", "witness ", "bogus 3"),
     # a stale version-2 line cannot ride along
-    ("data", "columns ", "minor Y2^2"),
+    ("data", "witness ", "minor Y2^2"),
     # z is printed in a short circuit only
-    ("data", "columns ", "z 2 + O(x^19)"),
+    ("data", "witness ", "z 2 + O(x^19)"),
 ], ids=["meta", "D", "data", "data-minor", "data-z"])
 def test_an_unknown_key_exits_2(certificates, section, before, line):
     text = certificates["node-c1"]
@@ -212,6 +289,32 @@ def test_an_unknown_key_exits_2(certificates, section, before, line):
     key = line.split()[0]
     with pytest.raises(DesingError, match=f"^line {k + 1}, column 1: "
                        f"\\[{section}\\] has unknown key '{key}'"):
+        parse_certificate(bad)
+    assert _verify_exit(bad) == 2
+
+
+SHORT_CIRCUIT = ("[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n[ideal]\n"
+                 "Y1 - x^2\n[morphism]\nY1 = x^2 + O(x^12)\n"
+                 "Y2 = x + O(x^12)\n")
+
+
+@pytest.mark.parametrize("case", ["D-without-ext", "bare-tvars"])
+def test_every_key_is_printed_in_one_spelling(certificates, tmp_path, case):
+    # every key is required, and "none" is spelled "-": a bordered [D]
+    # without its "ext -" line, and a short circuit's "tvars -" written as
+    # a bare "tvars", are refused with exit 2
+    if case == "D-without-ext":
+        text, old, new = certificates["node-c1"], "\n[D]\next -\n", "\n[D]\n"
+    else:
+        problem = tmp_path / "short.problem"
+        problem.write_text(SHORT_CIRCUIT)
+        cert = tmp_path / "short.cert"
+        assert main(["gnd", "--input", str(problem),
+                     "--output", str(cert)]) == 0
+        text, old, new = cert.read_text(), "\ntvars -\n", "\ntvars\n"
+    assert text.count(old) == 1
+    bad = text.replace(old, new)
+    with pytest.raises(DesingError):
         parse_certificate(bad)
     assert _verify_exit(bad) == 2
 
@@ -246,8 +349,7 @@ SQRT2 = SimpleExtension(QQ, (-2, 0, 1), gen="r")
 
 @pytest.mark.parametrize("F", [SQRT2, CUBIC], ids=["sqrt2", "cubic"])
 def test_reduce_by_mu_matches_the_groebner_division(F):
-    D = DPresentation(base_var="x", field=QQ, series_field=F, ext_var="U",
-                      mu=alpha_polynomial(F.mu, ("U",)))
+    D = DPresentation(base_var="x", field=QQ, series_field=F, ext_var="U")
 
     @settings(max_examples=100, deadline=None)
     @given(_with_u(F))
