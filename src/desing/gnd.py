@@ -4,25 +4,29 @@ truncated power-series ring.
 
 Pipeline: border the presentation so the square of the local parameter lies
 in the right ideal, truncate the series solution to an exact polynomial
-frame, then build the polynomials h and g whose localized quotient is
-standard smooth and factors the morphism.  g comes from the identity check
-2 reads: s^p f with every s*Y_j replaced by s*y'_j + d*w_j, divided by d^2,
-so no partial derivative of f is taken.  Every value at the frame y' (s,
-G(y'), H(y') and check 3's I(y')) is read off one packed series point
-(``FramePoint``), exactly, with mu applied at decode; ``derive_frame``
-takes y', H, G, M, s and G(y') for the construction and verify alike.
-Each identity is checked once, by ``verify_certificate`` before
-``desingularize`` returns: exactly where possible and to a recorded
+frame, and read off the frame everything that fixes B' below.  Every value
+at the frame y' (s, G(y'), H(y') and check 3's I(y')) is read off one
+packed series point (``FramePoint``), exactly, with mu applied at decode;
+``derive_frame`` takes y', H, G, M, s and G(y') for the construction and
+verify alike.  Each identity is checked once, by ``verify_certificate``
+before ``desingularize`` returns: exactly where possible and to a recorded
 precision otherwise.  A construction fault shows as a FAIL in the report
 (``gnd`` exits 5).
 
-The certificate claims that v factors through B' = A[Y, T, W]/(mu, I, h,
-g, W*s - 1), with I its [relations] and h, g, W*s - 1 its [bprime]
-(B[W]/(W*M*N - 1) in a short circuit), standard smooth where the check-6
-determinant is a unit (Pfister-Popescu, "Constructive General Neron
-Desingularization for one dimensional local rings", JSC 80 (2017); Swan
-(1998) defines standard smooth).  The argument rests on these facts,
-each with the check that discharges it:
+The certificate claims that v factors through
+
+    B' = A[Y, T, W]/(mu, I, h, g, W*s - 1),
+    h_j = s(Y_j - y'_j) - d (G(y')T)_j,
+    g_i = s^p f_i(y' + (d/s) G(y')T) / d^2,
+
+with I its [relations], f the subset relations, p the largest total degree
+of I and d = x^(2c) (B[W]/(W*M*N - 1) in a short circuit), standard
+smooth where the check-6 determinant is a unit (Pfister-Popescu,
+"Constructive General Neron Desingularization for one dimensional local
+rings", JSC 80 (2017); Swan (1998) defines standard smooth).  h, g and s
+are given by this formula and never printed or expanded: the certificate
+fixes B' through y', c, G, s, the subset and p.  The argument rests on
+these facts, each with the check that discharges it:
 
 - H is the bordered Jacobian of the subset relations f, G = N*adj(H) and
   M = det H (the Jacobian minor of f in the minor's columns, which come
@@ -31,16 +35,22 @@ each with the check that discharges it:
   verify, not printed (``build_H_G``; ``GndCertificate.minor`` in a short
   circuit);
 - G*H = H*G = P*Id with P = M*N (check 1, exact);
+- P = (R + x^c)^2 for the bordering relation R = -x^c + P'Z, last in I,
+  so that d - P = -R(x^c + P'Z) lies in I (exact, by verify before the
+  checks: a ConsistencyError otherwise);
 - N*I lies in (f), so that I = (f) where N is a unit: NOT CHECKED yet;
-- s^p f_i = d^2 g_i modulo (h), each h_j = s(Y_j - y'_j) - d (G(y')T)_j
-  (check 2, exact), so that f = 0 and g = 0 agree in B'; y' is [hat]
-  below x^(6c) (``truncate_lift``);
+- g is a polynomial (check 2, which follows from checks 1 and 3): in
+  s^p f_i(y' + (d/s)w), w = G(y')T, the constant term s^p f_i(y') is
+  divisible by d^2 by check 3, the T-linear term s^(p-1) d grad f_i(y') w
+  is s^p d^2 T_i as HG = P*Id and P(y') = s*d, and every term of T-degree
+  at least 2 carries d^2; where h = 0 and s is a unit, Y = y' + (d/s)w, so
+  f = 0 and g = 0 agree in B'; y' is [hat] below x^(6c) (``truncate_lift``);
 - I(y') = 0 modulo d^3 (check 3, exact);
-- s = P(y')/d with s = 1 modulo d, derived by verify (``compute_s_b``)
-  and bound to the last [bprime] relation W*s - 1, so s is a unit of B';
-  d = x^(2c) with c >= 1 ([meta] c; c = 0 marks a short circuit);
+- s = P(y')/d with s = 1 modulo d, derived by verify (``compute_s_b``), so
+  s is a unit of B'; d = x^(2c) with c >= 1 ([meta] c; c = 0 marks a short
+  circuit);
 - h and g vanish at (yhat, t), so the point factors through B' (check 4,
-  to the precision the certificate records);
+  to the precision the certificate records, ``build_h_g``);
 - that point restricts to v on B (check 5, to the same precision);
 - det(dg/dT) over the subset's T is a unit at the point (check 6), so B'
   localized at it is standard smooth and still holds the point.
@@ -52,10 +62,10 @@ from functools import cached_property
 
 from .errors import (ConsistencyError, DomainError, PrecisionError,
                      ResourceError)
-from .fields import QQ, RationalField, SimpleExtension, _integral
+from .fields import QQ, RationalField, SimpleExtension
 from .groebner import _fresh_name
-from .poly import (Polynomial, alpha_polynomial, check_power_budget,
-                   fold_extension, unfold_extension)
+from .poly import (Polynomial, alpha_polynomial, fold_extension,
+                   unfold_extension)
 from .series import (MAX_PRECISION, CompletionMorphism, TruncatedSeries,
                      series_eval, series_point)
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
@@ -85,22 +95,6 @@ class DPresentation:
         if self.ext_var is None:
             return (self.base_var,)
         return (self.base_var, self.ext_var)
-
-    def reduce(self, poly):
-        """Normal form with the extension-generator degree below deg(mu):
-        the terms that share their U-free monomial form a polynomial in U,
-        reduced by mu as the series field reduces its elements."""
-        if self.ext_var is None or self.ext_var not in poly.variables:
-            return poly
-        i, K = poly.variables.index(self.ext_var), self.series_field
-        rows, terms = {}, {}
-        for m, c in poly.terms.items():
-            rows.setdefault(m[:i] + (0,) + m[i + 1:], {})[m[i]] = c
-        for m, row in rows.items():
-            coeffs = K._reduce(row.get(e, 0) for e in range(max(row) + 1))
-            terms.update((m[:i] + (e,) + m[i + 1:], _integral(c))
-                         for e, c in enumerate(coeffs) if c)
-        return Polynomial._nonzero(poly.variables, poly.field, terms)
 
     def point(self, precision, images):
         """The series point that sends x to itself, U to the generator of
@@ -182,6 +176,10 @@ def make_D(v, taken):
         return DPresentation(base_var=v.base_var, field=F.base,
                              series_field=F, ext_var=U)
     return DPresentation(base_var=v.base_var, field=F, series_field=F)
+
+
+# check 2's report name, in bordered and short-circuit certificates alike
+CHECK_2 = "g = s^p f(y' + (d/s)G(y')T)/d^2 is a polynomial"
 
 
 @dataclass
@@ -278,7 +276,7 @@ def build_H_G(fs, yvars, witness):
 @dataclass
 class FrameRecord:
     """What ``derive_frame`` derives, all desingularize hands to verify:
-    y' (``frame``), H, G, M, s, and G(y') once, after verify binds s."""
+    y' (``frame``), H, G, M, s, and G(y') once, when first read."""
 
     frame: FramePoint
     H: list
@@ -298,33 +296,6 @@ def derive_frame(images, c, D, ring, fs, yvars, witness):
     frame = FramePoint(D, truncate_lift(images, c, D, ring))
     H, G, M = build_H_G(fs, yvars, witness)
     return FrameRecord(frame, H, G, M, compute_s_b(M * witness, frame, c, D))
-
-
-def build_h_g(fs, yprime, yvars, tvars, c, s, Gy, p, D):
-    """h = s(Y - y') - d G(y')T; g_i = s^p f_i / d^2 with every s*Y_j
-    replaced by s*y'_j + d*w_j, the identity check 2 reads; d = x^(2c)."""
-    x = D.base_var
-    d = Polynomial.variable(s.variables, s.field, x, 2 * c)
-    h, sY = _h_and_sY(yprime, yvars, tvars, s, d, Gy)
-    g = []
-    for phi in _phis(fs, yvars, sY, s, p, D):
-        if phi is None:
-            raise ConsistencyError("generator degree exceeds p")
-        g.append(_x_shift(D.reduce(phi), x, 4 * c, "s^p f_i"))
-    return h, g
-
-
-def _h_and_sY(yprime, yvars, tvars, s, d, Gy):
-    """h_j = s(Y_j - y'_j) - d w_j and s y'_j + d w_j, with w = G(y')T."""
-    ring, F = s.variables, s.field
-    tpolys = [Polynomial.variable(ring, F, t) for t in tvars]
-    h, sY = [], []
-    for row, yv in zip(Gy, yvars):
-        w = sum((e * t for e, t in zip(row, tpolys)), Polynomial.zero(ring, F))
-        yp, dw = yprime[yv], d * w
-        h.append(s * (Polynomial.variable(ring, F, yv) - yp) - dw)
-        sY.append(s * yp + dw)
-    return h, sY
 
 
 def t_precisions(Gy, m, precision, c):
@@ -347,49 +318,36 @@ def t_precisions(Gy, m, precision, c):
     return out
 
 
-def _phis(fs, yvars, sY, s, p, D):
-    """Phi_i = s^p f_i with every s*Y_j replaced by sY[j], for each f_i of
-    ``fs`` in turn (None for one of Y-degree above p); the powers of s
-    and of each sY[j] are reduced modulo mu and shared."""
-    s_pow = [Polynomial.one(s.variables, s.field)]
-    for _ in range(p):
-        s_pow.append(D.reduce(s_pow[-1] * s))
-    powers = [[s_pow[0]] for _ in sY]
-    for f in fs:
-        yield _substituted_power(f, yvars, sY, powers, s_pow, D)
+def build_h_g(fs, rec, hat, t, c, precision):
+    """The values of h and g at the point (yhat, t), from B''s formula;
+    checks 4 and 6 read them, on the gnd path and the verify path alike,
+    and ``perfbench/tracing.py`` times this step by its name.
 
-
-def _substituted_power(f, yvars, sY, powers, s_pow, D):
-    """s^p f with every s*Y_j replaced by sY[j], where p = len(s_pow) - 1:
-    each term c*m*Y^beta (m free of Y) becomes c*m*s^(p-|beta|)*sY^beta.
-    ``powers[j]`` caches the powers of sY[j].  None when f has Y-degree
-    above p."""
-    ring, F = f.variables, f.field
-    p = len(s_pow) - 1
-    yidx = [ring.index(y) for y in yvars]
-    groups = {}                  # beta -> the Y-free terms of f at Y^beta
-    for m, c in f.terms.items():
-        beta = tuple(m[i] for i in yidx)
-        if sum(beta) > p:
-            return None
-        rest = list(m)
-        for i in yidx:
-            rest[i] = 0
-        groups.setdefault(beta, {})[tuple(rest)] = c
-    by_degree = {}               # |beta| -> sum of the terms' sY^beta parts
-    for beta, terms in groups.items():
-        part = Polynomial(ring, F, terms)
-        for j, e in enumerate(beta):
-            while len(powers[j]) <= e:
-                powers[j].append(D.reduce(powers[j][-1] * sY[j]))
-            if e:
-                part = powers[j][e] * part
-        k = sum(beta)
-        by_degree[k] = by_degree[k] + part if k in by_degree else part
-    phi = Polynomial.zero(ring, F)
-    for k, part in by_degree.items():
-        phi = phi + part * s_pow[p - k]
-    return phi
+    Each image of ``t`` (in tvar order) is extended by zeros, so that
+    Y* = y' + (d/s) G(y')t is exact to O(x^N), N = ``precision``, that
+    of v.  Returns the values h_j(yhat, t) = s(yhat_j - y'_j) - d (G(y')t)_j
+    to O(x^(N - 4c)); the values f_i(Y*) = d^2 g_i(t) / s^p to O(x^N) of
+    the relations ``fs``, which vanish exactly where those of g do to
+    O(x^(N - 4c)), with no division by d^2 and no power of s taken; and
+    the series point at Y*."""
+    D, cut, wcut = rec.frame.D, precision - 4 * c, precision - 2 * c
+    x, Fs, yprime = D.base_var, D.series_field, rec.frame.point.images
+    t = [TruncatedSeries(s.variables, s.field, s.terms, wcut) for s in t]
+    zero = TruncatedSeries.zero((x,), Fs, wcut)
+    dw = {}                                     # d (G(y')t)_j
+    for yv, row in zip(rec.frame.yprime, rec.Gy):
+        w = sum((D.series(e, wcut) * tk for e, tk in zip(row, t) if e.terms),
+                zero)
+        dw[yv] = TruncatedSeries((x,), Fs, {(e + 2 * c,): a for (e,), a
+                                           in w.terms.items()}, precision)
+    s = D.series(rec.s, precision)
+    h = [s.truncate(cut) * (hat[yv].truncate(cut) - yprime[yv].truncate(cut))
+         - dw[yv].truncate(cut) for yv in dw]
+    inverse = s.invert()
+    star = D.point(precision, {yv: yprime[yv].truncate(precision) + e * inverse
+                               for yv, e in dw.items()})
+    g = [series_eval(f.restrict(rec.frame.variables), star) for f in fs]
+    return h, g, star
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +362,9 @@ def working_ring(D, c, yvars, tvars):
 
 @dataclass
 class GndCertificate:
-    """What a certificate prints; the short circuit (c = 0), p, the ring,
-    zvar and the minor's columns (the first len(subset) yvars) are derived
-    from it."""
+    """What a certificate prints; the short circuit (c = 0), the ring, zvar
+    and the minor's columns (the first len(subset) yvars) are derived from
+    it, and h, g and s of B' by its formula (module docstring)."""
 
     D: DPresentation
     witness: Polynomial          # N
@@ -416,11 +374,8 @@ class GndCertificate:
     permutation: tuple = ()      # yvars[i] = original_variables[permutation[i]]
     relations: list = dc_field(default_factory=list)   # bordered ideal in ring
     subset: tuple = ()
-    s: Polynomial = None         # the unit W inverts: s, or M*N if short
     z: TruncatedSeries = None    # 1/v(M*N), in a short circuit only
-    h: list = dc_field(default_factory=list)
-    g: list = dc_field(default_factory=list)
-    wvar: str = None
+    wvar: str = None             # W of B', which inverts s (M*N if short)
     t: dict = dc_field(default_factory=dict)            # tvar -> series
     hat_images: dict = dc_field(default_factory=dict)   # yvar -> series
     precision: int = 0           # of v; checks 4-6 read precision - 4c
@@ -452,19 +407,6 @@ class GndCertificate:
         return None if self.short_circuit else self.yvars[
             self.permutation.index(len(self.yvars) - 1)]
 
-    @property
-    def p(self):
-        """The power of s that check 2 takes: the largest total degree of
-        the relations, 0 in a short circuit."""
-        return 0 if self.short_circuit else max(
-            (r.total_degree() for r in self.relations), default=0)
-
-    @property
-    def d(self):
-        """d = d'^2 = x^(2c), 1 in a short circuit."""
-        return Polynomial.variable(self.ring, self.field, self.base_var,
-                                   2 * self.c)
-
     def subset_relations(self):
         return [self.relations[i] for i in self.subset]
 
@@ -483,10 +425,10 @@ class GndCertificate:
 
 
 def assemble_certificate(step, D, permutation, yvars, tvars, rec):
-    """Package the pipeline output but h and g, which ``desingularize``
-    adds, and compute the series images of T.  [hat] and [t] keep what is
-    read of them: [hat] below x^(N - 4c), N the precision of v, for checks
-    4-6, and below x^(6c) for y'; each T as ``t_precisions`` says."""
+    """Package the pipeline output and compute the series images of T.
+    [hat] and [t] keep what is read of them: [hat] below x^(N - 4c), N the
+    precision of v, for checks 4-6, and below x^(6c) for y'; each T as
+    ``t_precisions`` says."""
     B1, v1, c, frame = step.algebra, step.morphism, step.data.c, rec.frame
     N = v1.precision
     hat = {yv: v1.images[yv].truncate(N) for yv in yvars}
@@ -505,7 +447,7 @@ def assemble_certificate(step, D, permutation, yvars, tvars, rec):
         D=D, witness=step.data.witness.embed(ring), c=c, yvars=yvars,
         tvars=tvars, permutation=permutation,
         relations=[r.embed(ring) for r in B1.relations],
-        subset=step.data.subset, s=rec.s, wvar=_fresh_name("W", ring), t=t,
+        subset=step.data.subset, wvar=_fresh_name("W", ring), t=t,
         hat_images={yv: x.truncate(max(N - 4 * c, 6 * c))
                     for yv, x in hat.items()},
         precision=N)
@@ -515,19 +457,14 @@ def verify_certificate(cert, B, v, derived=None):
     """Re-run the six certificate checks; failures become report entries.
     y', H, G, M and s (``derive_frame``; ``GndCertificate.minor`` in a
     short circuit) are derived first, unless ``derived`` is the record
-    desingularize built; the unit W inverts in [bprime] must be s (M*N in
-    a short circuit), and a [t] image must be printed to the precision
-    check 4 reads it to: either mismatch is a ConsistencyError."""
+    desingularize built, and h and g are read through B''s formula
+    (``build_h_g``); a [t] image printed to another precision than check 4
+    reads it to is a ConsistencyError."""
     if cert.short_circuit:
-        P = cert.minor() * cert.witness
-        if cert.s != P:
-            raise ConsistencyError(
-                "certificate [bprime] does not end with W*M*N - 1, M the "
-                "Jacobian minor of the subset relations in the leading yvars")
         report = [CheckResult(name, True, "vacuous", detail)
                   for name, detail in (
                       ("GH = HG = P*Id", "smooth short-circuit"),
-                      ("s^p f = d^2 g mod (h)", "smooth short-circuit"),
+                      (CHECK_2, "smooth short-circuit"),
                       ("I(y') = 0 mod d^3", "smooth short-circuit"),
                       ("h and g vanish on (yhat, t)", "no h, g"))]
         ok = _hat_is_v(cert, B, v, v.precision) and all(
@@ -536,7 +473,7 @@ def verify_certificate(cert, B, v, derived=None):
                                   f"O({v.base_var}^{v.precision})"))
         # z v(M*N) = 1 shows v(M*N) is a unit and binds z, which
         # find_desing_data computes as that inverse
-        img = v.eval(P)
+        img = v.eval(cert.minor() * cert.witness)
         one = TruncatedSeries.one((v.base_var,), v.field, v.precision)
         try:
             ok6 = (cert.z * img).truncate(v.precision) == one
@@ -548,93 +485,74 @@ def verify_certificate(cert, B, v, derived=None):
         return report
 
     ring, F, D, c = cert.ring, cert.field, cert.D, cert.c
-    n = len(cert.yvars)
-    # p bounds the power of s that check 2 takes: refuse one past the
-    # reader's budget before any value is derived
-    check_power_budget(cert.s, cert.p, "s^p")
+    n, r, N = len(cert.yvars), len(cert.subset), cert.precision
+    fs = cert.subset_relations()
     rec = derived or derive_frame(
-        {yv: cert.hat_images[yv] for yv in cert.yvars}, c, D, ring,
-        cert.subset_relations(), cert.yvars, cert.witness)
-    if cert.s != rec.s:
-        raise ConsistencyError("certificate [bprime] does not end with "
-                               "W*s - 1, s = P(y')/d")
+        {yv: cert.hat_images[yv] for yv in cert.yvars}, c, D, ring, fs,
+        cert.yvars, cert.witness)
+    # the bordering relation R = -x^c + P'Z, last in [relations], puts
+    # d - P = -R (x^c + P'Z) in I; P = (R + x^c)^2 binds the witness to it
+    P = rec.M * cert.witness
+    if P != (cert.relations[-1] + Polynomial.variable(ring, F, D.base_var,
+                                                      c)) ** 2:
+        raise ConsistencyError(
+            "certificate [data] witness does not give P = M*N = (R + x^c)^2, "
+            "R the bordering relation")
     report = []
     # (1) exact matrix identity
-    target = matrix_scale(identity_matrix(n, ring, F), rec.M * cert.witness)
+    target = matrix_scale(identity_matrix(n, ring, F), P)
     ok1 = (matrix_equal(matrix_mul(rec.G, rec.H), target)
            and matrix_equal(matrix_mul(rec.H, rec.G), target))
     report.append(CheckResult("GH = HG = P*Id", ok1, "exact"))
 
-    # (2) membership by substitution
-    ok2 = _check_membership(cert, rec.frame.yprime, rec.Gy)
-    report.append(CheckResult("s^p f = d^2 g mod (h)", ok2, "exact"))
-
-    # (3) the frame solves the ideal modulo d^3
+    # (3) the frame solves the ideal modulo d^3, and with (1) it makes g a
+    # polynomial, (2): see the module docstring
     ok3 = all(rec.frame.series(rel, 6 * c).is_zero()
               for rel in cert.relations)
+    report.append(CheckResult(CHECK_2, ok1 and ok3, "exact",
+                              "by checks 1 and 3"))
     report.append(CheckResult("I(y') = 0 mod d^3", ok3, "exact"))
 
-    # (4) h and g vanish on the series point (yhat, t), which checks 5
-    # and 6 share; a T image is printed to the precision this check reads
-    # it to, and is extended by zeros above that
-    prec4 = cert.precision - 4 * c
-    images = dict(cert.hat_images)
-    for tv, want in zip(cert.tvars, t_precisions(rec.Gy, len(cert.subset),
-                                                 prec4, c)):
-        t = cert.t[tv]
-        if t.precision != want:
+    # (4) h and g vanish on the series point (yhat, t); a T image is
+    # printed to the precision this check reads it to, and is extended by
+    # zeros above that
+    prec4 = N - 4 * c
+    t = []
+    for tv, want in zip(cert.tvars, t_precisions(rec.Gy, r, prec4, c)):
+        image = cert.t[tv]
+        if image.precision != want:
             raise ConsistencyError(
                 f"certificate [t] {tv} is printed to O({cert.base_var}^"
-                f"{t.precision}); check 4 reads it to O({cert.base_var}^"
-                f"{want})")
-        images[tv] = TruncatedSeries(t.variables, t.field, t.terms, prec4)
-    point = D.point(prec4, images)
-    ok4 = all(series_eval(q, point).is_zero() for q in cert.h + cert.g)
+                f"{image.precision}); check 4 reads it to O("
+                f"{cert.base_var}^{want})")
+        t.append(image)
+    h, g, star = build_h_g(fs, rec, cert.hat_images, t, c, N)
+    ok4 = all(q.is_zero() for q in h + g)
     report.append(CheckResult("h and g vanish on (yhat, t)", ok4,
                               f"O({cert.base_var}^{prec4})"))
 
     # (5) the composite agrees with v
+    point = D.point(prec4, cert.hat_images)
     ok5 = _hat_is_v(cert, B, v, prec4) and all(
         series_eval(rel, point).is_zero() for rel in B.relations)
     report.append(CheckResult("composite factors v", ok5,
                               f"O({cert.base_var}^{prec4})"))
 
-    # (6) det of the leading T-block of the Jacobian of g is a unit
-    tvars = cert.tvars[:len(cert.g)]
-    mat = [[series_eval(g.derivative(tv), point) for tv in tvars]
-           for g in cert.g]
-    det = matrix_det(mat) if mat else point.one
-    ok6 = det.order() == 0
-    report.append(CheckResult("smoothness witness is a unit", ok6,
-                              f"O({cert.base_var}^{prec4})"))
+    # (6) dg_i/dT_k = (s^(p-1)/d) (J_f(Y*) G(y'))_ik at Y* = y' + (d/s)
+    # G(y')t, which is yhat to O(x^prec4) by (4): det(dg/dT) over the
+    # subset's T is a unit exactly when det(J_f(Y*) G(y')[:, :r]) has order
+    # 2cr.  G(y')[:, :r] is N(y') (adj A(y') over 0), A the minor's block
+    # of H, so that determinant is N(y')^r M(Y*) M(y')^(r-1), and M(y')
+    # N(y') = s d has order 2c: it has order 2cr exactly when M(Y*) has
+    # the order of M(y'), at most 2c
+    M = rec.M.restrict(rec.frame.variables)
+    order = rec.frame.series(M, 2 * c + 1).order()
+    report.append(CheckResult(
+        "smoothness witness is a unit",
+        order is not None and series_eval(M, star, 2 * c + 1).order() == order,
+        f"O({cert.base_var}^{prec4})"))
     cert.report = report
     return report
-
-
-def _check_membership(cert, yprime, Gy):
-    """Check 2: s^p f_i = d^2 g_i mod (h) for every subset relation f_i.
-
-    Each h_j must be exactly s(Y_j - y'_j) - d w_j with w = G(y')T, so that
-    s Y_j = s y'_j + d w_j mod (h).  A term c m Y^beta of f_i (m free of Y)
-    has |beta| <= p, so s^p c m Y^beta = c m s^(p-|beta|) (s Y)^beta, and
-    s^p f_i - Phi_i lies in (h), where Phi_i replaces every s Y_j by
-    s y'_j + d w_j.  The membership then holds when Phi_i - d^2 g_i
-    vanishes modulo mu.  A wrong number of h or g fails.  ``yprime`` is the
-    frame y' and ``Gy`` G(y'), read off the point at y' that check 3
-    shares.
-    """
-    D, fs = cert.D, cert.subset_relations()
-    if len(cert.h) != len(cert.yvars) or len(cert.g) != len(fs):
-        return False
-    s, d = cert.s, cert.d
-    h, sY = _h_and_sY(yprime, cert.yvars, cert.tvars, s, d, Gy)
-    if h != cert.h:
-        return False
-    check_power_budget(s, cert.p, "s^p")
-    d2 = d * d
-    return all(phi is not None and D.reduce(phi - d2 * g).is_zero()
-               for phi, g in zip(_phis(fs, cert.yvars, sY, s, cert.p, D),
-                                 cert.g))
 
 
 def _hat_is_v(cert, B, v, precision):
@@ -654,8 +572,7 @@ def _short_circuit_certificate(B, v, data, D):
         D=D, witness=data.witness.embed(ring), c=0, yvars=yvars, tvars=(),
         permutation=permutation,
         relations=[r.embed(ring) for r in B.relations], subset=data.subset,
-        s=(data.minor * data.witness).embed(ring), z=data.z,
-        wvar=_fresh_name("W", ring),
+        z=data.z, wvar=_fresh_name("W", ring),
         hat_images={yv: v.images[yv] for yv in yvars},
         precision=v.precision)
 
@@ -684,7 +601,5 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     if rec.M != step.data.minor.embed(ring):
         raise ConsistencyError("determinant of H differs from the minor")
     cert = assemble_certificate(step, D, permutation, yvars, tvars, rec)
-    cert.h, cert.g = build_h_g(fs, rec.frame.yprime, yvars, tvars, data.c,
-                               rec.s, rec.Gy, cert.p, D)
     verify_certificate(cert, B0, v, rec)
     return cert

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ConsistencyError, ParseError, StructuralError
 from .fields import QQ, PrimeField, SimpleExtension
-from .poly import (Polynomial, alpha_polynomial, format_polynomial,
-                   order_from_name, parse_polynomial)
+from .poly import (alpha_polynomial, format_polynomial, order_from_name,
+                   parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
 from .smooth import AlgebraPresentation
 from . import gnd as _gnd
@@ -256,8 +256,8 @@ def emit_groebner(gb, variables, F):
 # The polynomial and series sections, in the order they are written:
 # (section, GndCertificate attribute, reader, format of one value).  [t] and
 # [hat] hold series in the base variable, [relations] polynomials in the
-# ring.  [bprime] holds what B' adds to mu and the relations: h, g and
-# W*s - 1; verify derives y', H, G, M and s.
+# ring.  B' is given by its formula (``gnd``): verify derives y', H, G, M
+# and s, and reads h and g through it.
 CERT_VALUES = (
     ("relations", "relations", _items, format_polynomial),
     ("t", "t", _named, format_series),
@@ -272,7 +272,7 @@ def _list(items):
 
 def emit_certificate(cert):
     lines = ["[meta]",
-             "version 4",
+             "version 5",
              f"base {cert.base_var}",
              f"c {cert.c}",
              f"precision {cert.precision}",
@@ -290,18 +290,14 @@ def emit_certificate(cert):
     for tag, attr, reader, fmt in CERT_VALUES:
         lines.append(f"[{tag}]")
         lines += _written(reader, getattr(cert, attr), fmt)
-    bring = cert.ring + (cert.wvar,)
-    unit = (Polynomial.variable(bring, cert.field, cert.wvar)
-            * cert.s.embed(bring) - Polynomial.one(bring, cert.field))
-    lines += ["[bprime]"] + [format_polynomial(q)
-                             for q in cert.h + cert.g + [unit]] + ["[report]"]
+    lines.append("[report]")
     lines += [f"{'pass' if r.passed else 'FAIL'};{r.precision};{r.name};"
               f"{r.detail}" for r in cert.report]
     return "\n".join(lines) + "\n"
 
 
-CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "bprime",
-                 "report"} | {tag for tag, *_ in CERT_VALUES}
+CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "report"} | {
+    tag for tag, *_ in CERT_VALUES}
 
 
 class _Required(dict):
@@ -360,8 +356,8 @@ def parse_certificate(text):
     # the version is read first, so that an old certificate is refused by it
     lineno, version = _Required(_keyed("meta", sections["meta"]),
                                 "[meta] key")["version"]
-    if version != "4":
-        raise ParseError(f"[meta] version must be 4, found {version!r}",
+    if version != "5":
+        raise ParseError(f"[meta] version must be 5, found {version!r}",
                          lineno, 1)
     meta = keyed("meta", "version base c precision permutation yvars tvars "
                  "wvar subset")
@@ -394,15 +390,6 @@ def parse_certificate(text):
     # it is zvar's [hat] image, which no check reads); verify derives M
     datakeys = keyed("data", "witness" + " z" * (c == 0))
     z = read(datakeys, "z", ser) if c == 0 else None
-    # [bprime]: h (one per yvar), g (one per subset relation), W*s - 1;
-    # _check_shape binds the counts
-    lines = sections["bprime"]
-    if not lines:
-        raise ParseError("section [bprime] is empty", lines.header, 1)
-    *rows, (lineno, last) = lines
-    hg = _items("bprime", rows, poly)
-    unit = parse_polynomial(last, ring + (wvar,), F, lineno)
-    nh = len(yvars) if c else 0
     report = []
     for lineno, line in sections["report"]:
         fields = line.split(";", 3)
@@ -414,10 +401,9 @@ def parse_certificate(text):
                                        precision=where, detail=detail))
     cert = _gnd.GndCertificate(
         D=D, witness=read(datakeys, "witness", poly), c=c, yvars=yvars,
-        tvars=tvars, permutation=permutation, subset=subset, z=z,
-        h=hg[:nh], g=hg[nh:], wvar=wvar, precision=precision, report=report,
-        **values)
-    _check_shape(cert, unit)
+        tvars=tvars, permutation=permutation, subset=subset, z=z, wvar=wvar,
+        precision=precision, report=report, **values)
+    _check_shape(cert)
     return cert
 
 
@@ -442,12 +428,10 @@ def _check_meta(D, c, ring, yvars, tvars, permutation, subset, wvar):
              "in increasing order")
 
 
-def _check_shape(cert, unit):
-    """What the checks assume of the values they read; ``unit`` is the last
-    [bprime] line, W*s - 1, off which ``cert.s`` is read for
-    verify_certificate to bind.  A mismatch is a ConsistencyError."""
+def _check_shape(cert):
+    """What the checks assume of the values they read; a mismatch is a
+    ConsistencyError."""
     D, Fs, require = cert.D, cert.series_field, _require
-    n = len(cert.yvars)
     # the frame point maps x [, U] and the yvars only, and H, G and P are
     # built from these
     require(all(q.degree_in(t) < 1 for t in cert.tvars
@@ -470,21 +454,12 @@ def _check_shape(cert, unit):
     require(cert.short_circuit
             or cert.subset[-1:] == (len(cert.relations) - 1,),
             "[meta] subset does not end with the bordering relation")
-    require((len(cert.h), len(cert.g)) == ((0, 0) if cert.short_circuit else
-                                           (n, len(cert.subset))),
-            "[bprime] does not hold one h per yvar, one g per subset "
-            "relation and W*s - 1")
-    unit = unit + Polynomial.one(unit.variables, unit.field)
-    require(all(m[-1] == 1 for m in unit.terms),
-            "[bprime] does not end with W*s - 1")
-    cert.s = Polynomial(cert.ring, cert.field,
-                        {m[:-1]: a for m, a in unit.terms.items()})
-    # every honest value is printed reduced, so no reduction by mu meets a
+    # every honest value is printed reduced, so no value at a point meets a
     # high power of U
     if D.ext_var in cert.ring:
-        require(all(q.degree_in(D.ext_var) < Fs.degree for q in
-                    cert.h + cert.g + [cert.s, cert.witness]),
-                f"h, g, s or [data] witness has {D.ext_var}-degree at or "
+        require(all(q.degree_in(D.ext_var) < Fs.degree
+                    for q in cert.relations + [cert.witness]),
+                f"[relations] or [data] witness has {D.ext_var}-degree at or "
                 f"above that of mu")
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import repeat
 from sys import byteorder
 
-from .errors import DomainError, ParseError, ResourceError, StructuralError
+from .errors import DomainError, ParseError, StructuralError
 from .fields import (QQ, RationalField, SimpleExtension, _integral,
                      parse_decimal, read_back, scaled_to_ints)
 
@@ -638,16 +638,3 @@ def _height(p):
     the integers, and an estimate with denominators."""
     return max((max(c.numerator.bit_length(), c.denominator.bit_length())
                 for c in p.terms.values()), default=0)
-
-
-def check_power_budget(base, e, what):
-    """Raise ResourceError unless base^e fits the budget of the reader's
-    ``^``: coefficients of at most _MAX_BITS bits by the bound of
-    ``_height``, and for a sum at most _MAX_EXPONENT + 1 terms, estimated as
-    e*deg(base) + 1 (the count for a sum in one variable, and that of
-    (x + y)^e)."""
-    n = len(base.terms)
-    if (e * (_height(base) + (n - 1).bit_length()) > _MAX_BITS
-            or n > 1 and e * base.total_degree() > _MAX_EXPONENT):
-        raise ResourceError(f"{what} with exponent {e} is too large to "
-                            "expand")

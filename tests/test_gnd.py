@@ -1,18 +1,24 @@
 import dataclasses
+import os
+import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from desing import gnd, series
-from desing.errors import ConsistencyError, DomainError, ResourceError
-from desing.fields import QQ, PrimeField, SimpleExtension
-from desing.gnd import (FramePoint, _check_membership, border_step,
-                        build_H_G, build_h_g, desingularize, make_D,
+from desing.cli import main
+from desing.errors import ConsistencyError, DomainError
+from desing.fields import QQ, PrimeField, SimpleExtension, _integral
+from desing.gnd import (FramePoint, FrameRecord, border_step, build_H_G,
+                        build_h_g, derive_frame, desingularize, make_D,
                         truncate_lift, verify_certificate)
+from desing.iofmt import parse_certificate
 from desing.poly import Polynomial, parse_polynomial
-from desing.series import CompletionMorphism, TruncatedSeries, parse_series
-from desing.smooth import AlgebraPresentation, find_desing_data
+from desing.series import (CompletionMorphism, TruncatedSeries, parse_series,
+                           series_eval)
+from desing.smooth import AlgebraPresentation, find_desing_data, matrix_det
 
 
 def geometric(precision, start=1, sign=1):
@@ -112,7 +118,9 @@ def test_build_H_G_identity(monkeypatch):
 
 
 def test_build_h_g_linear_relation():
-    # smooth-style frame: c = 0, d = s = 1, so h = (Y1 - x) - T1, g = T1
+    # smooth-style frame: c = 0, d = s = 1, G = (1), so h = (Y1 - x) - T1
+    # and g = Y1 - x at Y1 = x + T1, that is T1: at yhat = x + x^3 and
+    # t = x^2, h = x^3 - x^2 and g = x^2
     ring = ("x", "Y1", "T1")
     f = parse_polynomial("Y1 - x", ring, QQ)
     v = CompletionMorphism(
@@ -121,15 +129,22 @@ def test_build_h_g_linear_relation():
     D = make_D(v, ring)
     one = Polynomial.one(ring, QQ)
     frame = FramePoint(D, {"Y1": parse_polynomial("x", ring, QQ)})
-    h, g = build_h_g([f], frame.yprime, ("Y1",), ("T1",), 0, one,
-                     [[frame(one)]], 1, D)
-    assert h == [parse_polynomial("Y1 - x - T1", ring, QQ)]
-    assert g == [parse_polynomial("T1", ring, QQ)]
+    rec = FrameRecord(frame, [[one]], [[one]], one, one)
+
+    def ser(text):
+        return parse_series(text, ("x",), QQ)
+
+    h, g, star = build_h_g([f], rec, {"Y1": ser("x + x^3 + O(x^12)")},
+                           [ser("x^2 + O(x^12)")], 0, 12)
+    assert h == [ser("-x^2 + x^3 + O(x^12)")]
+    assert g == [ser("x^2 + O(x^12)")]
+    assert star.images["Y1"] == ser("x + x^2 + O(x^12)")
 
 
 def test_build_h_g_takes_no_partials(monkeypatch):
-    # g is s^p f with s*Y replaced by s*y' + d*w, divided by d^2; a Taylor
-    # expansion of this one-term relation would take 4^4 - 1 partials
+    # g is s^p f(y' + (d/s)G(y')T)/d^2, read at the point as f(Y*); a
+    # Taylor expansion of this one-term relation would take 4^4 - 1
+    # partials
     ring = ("x", "Y1", "Y2", "Y3", "Y4")
     B = AlgebraPresentation(base_var="x", variables=ring[1:], field=QQ,
                             relations=[parse_polynomial(
@@ -169,12 +184,12 @@ def test_desingularize_node_frozen_values():
     cert = desingularize(B, v)
     assert cert.all_passed(), "\n".join(cert.report_lines())
     assert not cert.short_circuit
-    assert cert.c == 1 and cert.p == 2
+    assert cert.c == 1 and p_of(cert) == 2
     assert cert.permutation == (0, 2, 1)
     assert cert.yvars == ("Y1", "Z", "Y2")
     ring = cert.ring
     assert ring == ("x", "Y1", "Z", "Y2", "T1", "T2", "T3")
-    assert cert.s == parse_polynomial("1 + 2*x^5 + x^10", ring, QQ)
+    assert record(cert).s == parse_polynomial("1 + 2*x^5 + x^10", ring, QQ)
     # [hat] keeps what checks 4-6 read, x^(N - 4c) = x^19; so do T1 and
     # T2, which g reads, and T3, whose G(y') column has x-order 1, to
     # x^(19 - 2c - 1)
@@ -211,13 +226,15 @@ def test_desingularize_node_deterministic():
 
 
 def test_verify_detects_tampering():
+    # T1's image enters g through s^p t_1: one more x^3 fails check 4
     B = node_algebra()
     v = node_morphism()
     cert = desingularize(B, v)
-    cert.g[0] = cert.g[0] + Polynomial.one(cert.ring, QQ)
+    t1 = cert.t["T1"]
+    cert.t["T1"] = t1 + TruncatedSeries(("x",), QQ, {(3,): 1}, t1.precision)
     report = verify_certificate(cert, B, v)
     failed = {r.name for r in report if not r.passed}
-    assert "s^p f = d^2 g mod (h)" in failed
+    assert "h and g vanish on (yhat, t)" in failed
 
 
 def test_verify_check_5_compares_hat_with_v():
@@ -360,39 +377,165 @@ def derived(cert):
     return yprime, G
 
 
-def check_2(cert, yprime=None, G=None):
-    """Check 2 at the point Y -> y' that verify shares with check 3, with
-    y' and G as verify derives them unless given."""
-    if yprime is None:
-        yprime, G = derived(cert)
-    frame = FramePoint(cert.D, yprime)
-    return _check_membership(
-        cert, yprime, [[frame(e) for e in row] for row in G])
+def record(cert):
+    """The FrameRecord verify derives for ``cert``: y', H, G, M and s."""
+    return derive_frame({yv: cert.hat_images[yv] for yv in cert.yvars},
+                        cert.c, cert.D, cert.ring, cert.subset_relations(),
+                        cert.yvars, cert.witness)
 
 
-def test_membership_check_direct():
-    # the node certificate passes check 2; breaking the shape of one h, or
-    # dropping an h or a g, fails it
-    cert = desingularize(node_algebra(), node_morphism())
-    assert check_2(cert)
-    one = Polynomial.one(cert.ring, QQ)
-    for change in ({"h": [cert.h[0] + one] + cert.h[1:]},
-                   {"h": cert.h[:-1]}, {"g": cert.g[:-1]}):
-        assert not check_2(dataclasses.replace(cert, **change))
-
-
-def test_membership_check_degree_above_p():
-    cert = desingularize(node_algebra(), node_morphism())
-    assert cert.p == 2
-    ring = cert.ring
-    cubic = parse_polynomial("Y1^3", ring, QQ)
-    relations = [cert.relations[0] + cubic] + cert.relations[1:]
-    assert not check_2(dataclasses.replace(cert,
-                                                     relations=relations))
+def p_of(cert):
+    """p of B''s formula: the largest total degree of [relations]."""
+    return max(r.total_degree() for r in cert.relations)
 
 
 # ---------------------------------------------------------------------------
-# check 2 against the Taylor-telescoping cofactor identity it replaced
+# the expansion of h and g that certificate version 4 printed, kept as an
+# oracle for B''s formula: h_j = s(Y_j - y'_j) - d w_j, w = G(y')T, and
+# g_i = s^p f_i with every s*Y_j replaced by s*y'_j + d*w_j, over d^2
+
+def reduce_mod_mu(D, poly):
+    """Normal form with the U-degree below deg(mu): the terms that share
+    their U-free monomial form a polynomial in U, reduced by mu as the
+    series field reduces its elements."""
+    if D.ext_var is None or D.ext_var not in poly.variables:
+        return poly
+    i, K = poly.variables.index(D.ext_var), D.series_field
+    rows, terms = {}, {}
+    for m, c in poly.terms.items():
+        rows.setdefault(m[:i] + (0,) + m[i + 1:], {})[m[i]] = c
+    for m, row in rows.items():
+        coeffs = K._reduce(row.get(e, 0) for e in range(max(row) + 1))
+        terms.update((m[:i] + (e,) + m[i + 1:], _integral(c))
+                     for e, c in enumerate(coeffs) if c)
+    return Polynomial._nonzero(poly.variables, poly.field, terms)
+
+
+def h_and_sY(yprime, yvars, tvars, s, d, Gy):
+    """h_j = s(Y_j - y'_j) - d w_j and s y'_j + d w_j, with w = G(y')T."""
+    ring, F = s.variables, s.field
+    tpolys = [Polynomial.variable(ring, F, t) for t in tvars]
+    h, sY = [], []
+    for row, yv in zip(Gy, yvars):
+        w = sum((e * t for e, t in zip(row, tpolys)), Polynomial.zero(ring, F))
+        yp, dw = yprime[yv], d * w
+        h.append(s * (Polynomial.variable(ring, F, yv) - yp) - dw)
+        sY.append(s * yp + dw)
+    return h, sY
+
+
+def phis(fs, yvars, sY, s, p, D):
+    """Phi_i = s^p f_i with every s*Y_j replaced by sY[j], for each f_i of
+    ``fs`` in turn (None for one of Y-degree above p); the powers of s
+    and of each sY[j] are reduced modulo mu and shared."""
+    s_pow = [Polynomial.one(s.variables, s.field)]
+    for _ in range(p):
+        s_pow.append(reduce_mod_mu(D, s_pow[-1] * s))
+    powers = [[s_pow[0]] for _ in sY]
+    for f in fs:
+        yield substituted_power(f, yvars, sY, powers, s_pow, D)
+
+
+def substituted_power(f, yvars, sY, powers, s_pow, D):
+    """s^p f with every s*Y_j replaced by sY[j], where p = len(s_pow) - 1:
+    each term c*m*Y^beta (m free of Y) becomes c*m*s^(p-|beta|)*sY^beta.
+    ``powers[j]`` caches the powers of sY[j].  None when f has Y-degree
+    above p."""
+    ring, F = f.variables, f.field
+    p = len(s_pow) - 1
+    yidx = [ring.index(y) for y in yvars]
+    groups = {}                  # beta -> the Y-free terms of f at Y^beta
+    for m, c in f.terms.items():
+        beta = tuple(m[i] for i in yidx)
+        if sum(beta) > p:
+            return None
+        rest = list(m)
+        for i in yidx:
+            rest[i] = 0
+        groups.setdefault(beta, {})[tuple(rest)] = c
+    by_degree = {}               # |beta| -> sum of the terms' sY^beta parts
+    for beta, terms in groups.items():
+        part = Polynomial(ring, F, terms)
+        for j, e in enumerate(beta):
+            while len(powers[j]) <= e:
+                powers[j].append(reduce_mod_mu(D, powers[j][-1] * sY[j]))
+            if e:
+                part = powers[j][e] * part
+        k = sum(beta)
+        by_degree[k] = by_degree[k] + part if k in by_degree else part
+    phi = Polynomial.zero(ring, F)
+    for k, part in by_degree.items():
+        phi = phi + part * s_pow[p - k]
+    return phi
+
+
+def d_of(cert):
+    return Polynomial.variable(cert.ring, cert.field, cert.base_var,
+                               2 * cert.c)
+
+
+def G_at(cert, yprime, G):
+    frame = FramePoint(cert.D, yprime)
+    return [[frame(e) for e in row] for row in G]
+
+
+def over_d2(cert, poly):
+    """poly reduced modulo mu and divided by d^2 = x^(4c), or None where
+    d^2 does not divide it (or poly is None)."""
+    if poly is None:
+        return None
+    poly, c = reduce_mod_mu(cert.D, poly), cert.c
+    i = poly.variables.index(cert.base_var)
+    if any(m[i] < 4 * c for m in poly.terms):
+        return None
+    return Polynomial(poly.variables, poly.field, {
+        m[:i] + (m[i] - 4 * c,) + m[i + 1:]: a for m, a in poly.terms.items()})
+
+
+def expand_h_g(cert, yprime, G, s, p):
+    """h and g as version 4 printed them; a g of Y-degree above p, or one
+    that d^2 does not divide, is None."""
+    h, sY = h_and_sY(yprime, cert.yvars, cert.tvars, s, d_of(cert),
+                     G_at(cert, yprime, G))
+    return h, [over_d2(cert, phi) for phi in phis(
+        cert.subset_relations(), cert.yvars, sY, s, p, cert.D)]
+
+
+# what version 4 printed of B': s (in W*s - 1), h and g
+Printed = namedtuple("Printed", "s h g")
+
+
+def printed(cert):
+    yprime, G = derived(cert)
+    s = record(cert).s
+    return Printed(s, *expand_h_g(cert, yprime, G, s, p_of(cert)))
+
+
+def membership(cert, yprime, G, pr):
+    """Version 4's check 2 on printed s, h and g: s^p f_i = d^2 g_i mod (h).
+
+    Each h_j must be exactly s(Y_j - y'_j) - d w_j with w = G(y')T, so that
+    s Y_j = s y'_j + d w_j mod (h).  A term c m Y^beta of f_i (m free of Y)
+    has |beta| <= p, so s^p c m Y^beta = c m s^(p-|beta|) (s Y)^beta, and
+    s^p f_i - Phi_i lies in (h), where Phi_i replaces every s Y_j by
+    s y'_j + d w_j.  The membership then holds when Phi_i - d^2 g_i
+    vanishes modulo mu.  A wrong number of h or g fails."""
+    D, fs = cert.D, cert.subset_relations()
+    if len(pr.h) != len(cert.yvars) or len(pr.g) != len(fs):
+        return False
+    d = d_of(cert)
+    h, sY = h_and_sY(yprime, cert.yvars, cert.tvars, pr.s, d,
+                     G_at(cert, yprime, G))
+    if h != pr.h:
+        return False
+    return all(phi is not None and reduce_mod_mu(D, phi - d * d * g).is_zero()
+               for phi, g in zip(phis(fs, cert.yvars, sY, pr.s, p_of(cert),
+                                      D), pr.g))
+
+
+# ---------------------------------------------------------------------------
+# version 4's check 2 against the Taylor-telescoping cofactor identity it
+# replaced
 
 def substitute(poly, images):
     """poly with each variable named in ``images`` replaced by its image, a
@@ -457,7 +600,7 @@ def reference_congruence_holds(f, i, yassign, yvars, d, s, g, h, w, p, D):
         m = sum(alpha)
         if m < 1:
             continue
-        base = D.reduce(substitute(df, yassign))
+        base = reduce_mod_mu(D, substitute(df, yassign))
         base = base.scale(_alpha_factorial_inverse(alpha, F))
         base = base * s_pow[p - m]
         for j in range(n):
@@ -483,31 +626,52 @@ def reference_congruence_holds(f, i, yassign, yvars, d, s, g, h, w, p, D):
     rhs = Polynomial.zero(ring, F)
     for j in range(n):
         rhs = rhs + C[j] * h[j]
-    return D.reduce(lhs - rhs).is_zero()
+    return reduce_mod_mu(D, lhs - rhs).is_zero()
 
 
-def reference_check_2(cert, yprime, G):
-    """(the cofactor identity holds, every h_j = s(Y_j - y'_j) - d w_j)"""
-    ring, D, n = cert.ring, cert.D, len(cert.yvars)
+def _w(cert, yprime, G):
+    """w = G(y')T, with G(y') by substitution."""
+    ring, n = cert.ring, len(cert.yvars)
     tpolys = [Polynomial.variable(ring, cert.field, t) for t in cert.tvars]
-    Gy = [[D.reduce(substitute(e, yprime)) for e in row] for row in G]
-    w = []
-    for j in range(n):
-        acc = Polynomial.zero(ring, cert.field)
-        for k in range(n):
-            acc = acc + Gy[j][k] * tpolys[k]
-        w.append(acc)
+    Gy = [[reduce_mod_mu(cert.D, substitute(e, yprime)) for e in row]
+          for row in G]
+    return [sum((Gy[j][k] * tpolys[k] for k in range(n)),
+                Polynomial.zero(ring, cert.field)) for j in range(n)]
+
+
+def reference_check_2(cert, yprime, G, pr):
+    """(the cofactor identity holds, every h_j = s(Y_j - y'_j) - d w_j)"""
+    ring, D, d = cert.ring, cert.D, d_of(cert)
+    w = _w(cert, yprime, G)
     fs = cert.subset_relations()
     identity = all(
-        reference_congruence_holds(fs[i], i, yprime, cert.yvars, cert.d,
-                                   cert.s, cert.g, cert.h, w, cert.p,
-                                   D)
+        reference_congruence_holds(fs[i], i, yprime, cert.yvars, d, pr.s,
+                                   pr.g, pr.h, w, p_of(cert), D)
         for i in range(len(fs)))
     shape = all(
-        h == cert.s * (Polynomial.variable(ring, cert.field, yv)
-                       - yprime[yv]) - cert.d * wj
-        for h, yv, wj in zip(cert.h, cert.yvars, w))
+        h == pr.s * (Polynomial.variable(ring, cert.field, yv)
+                     - yprime[yv]) - d * wj
+        for h, yv, wj in zip(pr.h, cert.yvars, w))
     return identity, shape
+
+
+def taylor_g(cert, yprime, G, s, p):
+    """g of B''s formula by Taylor's expansion of f at y': the sum over
+    alpha of s^(p-|alpha|) d^|alpha| (d^alpha f)(y')/alpha! w^alpha, over
+    d^2, which takes partials and factorials; None where d^2 does not
+    divide it."""
+    d, w = d_of(cert), _w(cert, yprime, G)
+    out = []
+    for f in cert.subset_relations():
+        total = Polynomial.zero(cert.ring, cert.field)
+        for alpha, df in _taylor_partials(f, cert.yvars).items():
+            term = reduce_mod_mu(cert.D, substitute(df, yprime)).scale(
+                _alpha_factorial_inverse(alpha, cert.field))
+            for wj, a in zip(w, alpha):
+                term = term * (d * wj) ** a
+            total = total + term * s ** (p - sum(alpha))
+        out.append(over_d2(cert, total))
+    return out
 
 
 HONEST = {"node": desingularize(node_algebra(), node_morphism()),
@@ -523,11 +687,12 @@ def _bump(poly, index, delta):
 
 
 def _changed(cert, section, k, index, delta):
-    """cert, y' and G with one coefficient of one polynomial of s, y', G,
-    h or g changed."""
+    """y', G and the printed s, h and g of cert, with one coefficient of
+    one polynomial of s, y', G, h or g changed."""
     yprime, G = derived(cert)
+    pr = printed(cert)
     if section == "s":
-        cert = dataclasses.replace(cert, s=_bump(cert.s, index, delta))
+        pr = pr._replace(s=_bump(pr.s, index, delta))
     elif section == "yprime":
         yv = cert.yvars[k % len(cert.yvars)]
         yprime = dict(yprime, **{yv: _bump(yprime[yv], index, delta)})
@@ -538,16 +703,62 @@ def _changed(cert, section, k, index, delta):
         G = [list(row) for row in G]
         G[j][l] = _bump(G[j][l], index, delta)
     else:
-        seq = list(getattr(cert, section))
+        seq = list(getattr(pr, section))
         seq[k % len(seq)] = _bump(seq[k % len(seq)], index, delta)
-        cert = dataclasses.replace(cert, **{section: seq})
-    return cert, yprime, G
+        pr = pr._replace(**{section: seq})
+    return yprime, G, pr
+
+
+def test_membership_check_direct():
+    # version 4's check 2 passes on the node certificate's h and g, which
+    # B''s formula gives; a changed h, or a dropped h or g, fails it.  A G
+    # that breaks HG = P*Id leaves g no polynomial: d^2 does not divide the
+    # expansion, and verify fails checks 1 and 2
+    cert = HONEST["node"]
+    yprime, G = derived(cert)
+    pr = printed(cert)
+    assert membership(cert, yprime, G, pr)
+    one = Polynomial.one(cert.ring, QQ)
+    for change in ({"h": [pr.h[0] + one] + pr.h[1:]},
+                   {"h": pr.h[:-1]}, {"g": pr.g[:-1]}):
+        assert not membership(cert, yprime, G, pr._replace(**change))
+    rec = record(cert)
+    bad = dataclasses.replace(rec, G=[[rec.G[0][0] + one] + rec.G[0][1:]]
+                              + rec.G[1:])
+    assert expand_h_g(cert, yprime, bad.G, rec.s, p_of(cert))[1][0] is None
+    report = verify_certificate(dataclasses.replace(cert), node_algebra(),
+                                node_morphism(), bad)
+    assert [r.passed for r in report[:3]] == [False, False, True]
+
+
+def test_membership_check_degree_above_p():
+    # p is the largest total degree of [relations]: x^6*Y2^3, which keeps
+    # f(y') = 0 mod d^3 and M (Y2 is no column of the minor), raises it to
+    # 9.  The expansion at the old p = 2
+    # meets a term of degree above p; at p = 9, g is a polynomial, the
+    # expansion agrees with Taylor's, and verify passes checks 1-3
+    cert = HONEST["node"]
+    cubic = dataclasses.replace(cert, relations=[
+        cert.relations[0] + parse_polynomial("x^6*Y2^3", cert.ring, QQ)]
+        + cert.relations[1:])
+    assert (p_of(cert), p_of(cubic)) == (2, 9)
+    yprime, G = derived(cubic)
+    s = record(cubic).s
+    assert expand_h_g(cubic, yprime, G, s, 2)[1][0] is None
+    g = expand_h_g(cubic, yprime, G, s, 9)[1]
+    assert None not in g and g == taylor_g(cubic, yprime, G, s, 9)
+    report = verify_certificate(cubic, node_algebra(), node_morphism())
+    assert all(r.passed for r in report[:3])
 
 
 def test_membership_check_honest_certificates():
+    # on honest certificates the expansion of B''s formula passes version
+    # 4's check 2 and the Taylor cofactor identity
     for cert in HONEST.values():
-        assert check_2(cert)
-        assert reference_check_2(cert, *derived(cert)) == (True, True)
+        yprime, G = derived(cert)
+        pr = printed(cert)
+        assert membership(cert, yprime, G, pr)
+        assert reference_check_2(cert, yprime, G, pr) == (True, True)
 
 
 @settings(max_examples=200, deadline=None)
@@ -558,27 +769,120 @@ def test_membership_check_honest_certificates():
                         Fraction(1, 2), Fraction(-3, 7)]))
 def test_membership_check_agrees_with_cofactor_identity(name, section, k,
                                                         index, delta):
-    cert, yprime, G = _changed(HONEST[name], section, k, index, delta)
-    identity, shape = reference_check_2(cert, yprime, G)
+    # the oracle's check 2 (``membership``) against the identity it replaced
+    cert = HONEST[name]
+    yprime, G, pr = _changed(cert, section, k, index, delta)
+    identity, shape = reference_check_2(cert, yprime, G, pr)
     if section in ("s", "h", "g"):
-        assert check_2(cert, yprime, G) == identity
+        assert membership(cert, yprime, G, pr) == identity
     else:
         # the identity never reads y' or G where Y_j enters f only
         # linearly (Y3 of chain-k2); the shape test binds them to h
-        assert check_2(cert, yprime, G) == (identity and shape)
+        assert membership(cert, yprime, G, pr) == (identity and shape)
 
 
-def test_membership_check_bounds_the_power_of_s():
-    # check 2 takes s^p, p the largest degree of the relations, only
-    # within the reader's power budget
+def test_membership_check_bounds_the_power_of_s(monkeypatch):
+    # verify takes no power of s: a relation x^200000*Y1 outside the subset
+    # makes p = 200001, and all six checks pass without a power past the
+    # reader's bound on exponents
     honest = HONEST["node"]
     ring, F = honest.ring, honest.field
     big = (Polynomial.variable(ring, F, "x", 200_000)
            * Polynomial.variable(ring, F, "Y1"))
-    cert = dataclasses.replace(honest, relations=honest.relations + [big])
-    assert cert.p == 200_001
-    with pytest.raises(ResourceError, match="s\\^p with exponent 200001"):
-        check_2(cert, *derived(honest))
+    first, bordering = honest.relations
+    cert = dataclasses.replace(honest, relations=[first, big, bordering],
+                               subset=(0, 2))
+    assert p_of(cert) == 200_001
+    exponents = []
+    for cls in (Polynomial, TruncatedSeries):
+        real = cls.__pow__
+        monkeypatch.setattr(cls, "__pow__", lambda self, e, real=real: (
+            exponents.append(e), real(self, e))[1])
+    report = verify_certificate(cert, node_algebra(), node_morphism())
+    assert all(r.passed for r in report)
+    assert max(exponents, default=0) <= 1000
+
+
+# ---------------------------------------------------------------------------
+# B''s formula against the expansion, on the seed 1-3 certify certificates
+# of the benchmark and the golden ones
+
+PERFBENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+CERTIFY = ("node-c1", "node-c2", "node-c3", "chain-k1", "chain-k2",
+           "chain-k3", "chain-k4", "chain-k5", "sqrt2-node")
+GOLDEN_BORDERED = ("NODE", "CHAIN_K2", "SQRT2_NODE", "CUBIC_NODE")
+
+
+def _problem_text(name, tmp_path):
+    if name in GOLDEN_BORDERED:
+        import test_golden
+        return getattr(test_golden, name)
+    seed, problem = name.split("-", 1)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+        files = workloads.certify(int(seed[1:]), str(tmp_path)).files
+    finally:
+        sys.path.remove(PERFBENCH)
+    return files[f"{tmp_path}/{problem}.problem"]
+
+
+def _point_values(cert, rec, t):
+    """h and g of the expansion at (yhat, t) to O(x^(N - 4c)), as version
+    4's check 4 read them, the same of B''s formula (``build_h_g``), and
+    the point of the former."""
+    prec4 = cert.precision - 4 * cert.c
+    images = dict(cert.hat_images, **{
+        tv: TruncatedSeries(s.variables, s.field, s.terms, prec4)
+        for tv, s in zip(cert.tvars, t)})
+    point = cert.D.point(prec4, images)
+    h, g = expand_h_g(cert, rec.frame.yprime, rec.G, rec.s, p_of(cert))
+    old = [series_eval(q, point).is_zero() for q in h + g]
+    new_h, new_g, _ = build_h_g(cert.subset_relations(), rec,
+                                cert.hat_images, t, cert.c, cert.precision)
+    return old, [q.is_zero() for q in new_h + new_g], point, g
+
+
+@pytest.mark.parametrize("name", [f"s{seed}-{problem}" for seed in (1, 2, 3)
+                                  for problem in CERTIFY]
+                         + list(GOLDEN_BORDERED))
+def test_formula_g_matches_the_expansion(tmp_path, name):
+    # three facts on each honest certificate: the expansion's g is the
+    # formula's (by Taylor's expansion); it vanishes at (yhat, t) exactly
+    # where check 4 says so, also with the top coefficient of one [t] image
+    # raised; and the order of det(dg/dT) at the point is that of
+    # det(J_f(yhat) G(y')[:, :r]) less 2cr
+    path = tmp_path / "in.problem"
+    path.write_text(_problem_text(name, tmp_path))
+    out = tmp_path / "cert.txt"
+    assert main(["gnd", "--input", str(path), "--output", str(out)]) == 0
+    cert = parse_certificate(out.read_text())
+    rec, p, c, r = record(cert), p_of(cert), cert.c, len(cert.subset)
+    yprime, G = rec.frame.yprime, rec.G
+    assert expand_h_g(cert, yprime, G, rec.s, p)[1] == \
+        taylor_g(cert, yprime, G, rec.s, p)
+    t = [cert.t[tv] for tv in cert.tvars]
+    old, new, point, g = _point_values(cert, rec, t)
+    assert old == new == [True] * len(new)
+    x = cert.base_var
+    for k, s in enumerate(t):
+        top = TruncatedSeries((x,), s.field,
+                              {(s.precision - 1,): s.field.one()}, s.precision)
+        old, new, _, _ = _point_values(cert, rec, t[:k] + [s + top]
+                                       + t[k + 1:])
+        assert old == new and False in new
+    prec4 = cert.precision - 4 * c
+    dg = [[series_eval(q.derivative(tv), point) for tv in cert.tvars[:r]]
+          for q in g]
+    at_hat = cert.D.point(prec4, cert.hat_images)
+    jac = [[series_eval(e.restrict(rec.frame.variables), at_hat)
+            for e in row] for row in rec.H[:r]]
+    Gy = [[cert.D.series(e, prec4) for e in row[:r]] for row in rec.Gy]
+    zero = TruncatedSeries.zero((x,), cert.series_field, prec4)
+    JG = [[sum((a * b[m] for a, b in zip(row, Gy)), zero) for m in range(r)]
+          for row in jac]
+    assert matrix_det(dg).order() == matrix_det(JG).order() - 2 * c * r == 0
 
 
 def test_desingularize_one_quotient_per_subset(monkeypatch):
@@ -609,9 +913,9 @@ def sqrt2_node():
 
 
 def test_verify_computes_each_power_of_its_point_once(monkeypatch):
-    # checks 4-6 share one point: every (variable, exponent) power of it is
-    # built once for each precision, however many of h, g, dg/dT and B's
-    # relations use it, over Q(sqrt 2) as over Q
+    # every (variable, exponent) power of a point of checks 4-6 (Y* for g
+    # and M, yhat for B's relations) is built once for each precision,
+    # however many polynomials use it, over Q(sqrt 2) as over Q
     for problem, cert in ((sqrt2_node(), desingularize(*sqrt2_node())),
                           (chain_k2(), HONEST["chain-k2"])):
         built = []

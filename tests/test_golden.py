@@ -334,17 +334,17 @@ c 1
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
-        "71d178014994c932feff968d4774cfa6e387208a312c1de86ab314322548289d",
+        "82a0a6f2814ba4deadf29201393f4c94ef3b7533b6a8d4cbe1c88fcb04b983cd",
     ("gnd", "CHAIN_K2"):
-        "2dd9a9c2a778a87e4fd1ae316e243fb8bf91987143ad6322ebb5966ec4bacf08",
+        "7d44a1c85109e131d00bcc98a1bb168b1ed5b5ddd8eed28d5883aea760c3a0ed",
     ("gnd", "SQRT2_NODE"):
-        "23a645c44eb168f95e22d4c169e797c525f92cb09cea68fb371182144a0d9ac0",
+        "dc8b0e1b7f1abe429517c5d6fb159dd507c6fc4c15ad63510e392350e301f45c",
     ("gnd", "CUBIC_NODE"):
-        "a07dd15000e9fdc4738376abc7fbfa9e0bd0c4806958fe5ad24a0536f583bda6",
+        "959c99111663d2fad902ec39aef82876f849556558f724c0034c4b6d3382ac49",
     ("gnd", "SMOOTH"):
-        "4da6ad83b536342926816e9a899b4199e175d2c2b943095302d2066305266293",
+        "caafe51bffc6545074a58c63d81cbde043bf365541e6ee3c901d3414e018816e",
     ("gnd", "REDUCTION"):
-        "b2a1fb5244bb5fbdbcfd3f8c0e2e491c5ab69a20ab5860dbdf6ea559fbbe4509",
+        "5dcf85f2f47a25cf1b1bc738dd04955e9adbdae5f9eb5d722578a655c4eab749",
     ("lift", "LIFT_Q"):
         "1b0c01f97579ad1f495eaabedfb8458c944ee342a3e0161e2a3d2c1bb5091f45",
     ("lift", "LIFT_NODE"):
@@ -379,7 +379,7 @@ GOLDEN = {
         "a603a949a4a675695e83dae8b109aef887f8d373d063b6d7121f8155b03f54cb",
 }
 VERIFY_CHAIN_K2 = (
-    "836a5699ac2a9e81eafc5595695b5fcd790795a0a0e4fc497a242165aa471f24")
+    "cf1e4d63820aa95df2dedb6c39219b2b6232f326565d4df8461b55b7ac275bd9")
 
 
 def _stdout(capsys, tmp_path, subcommand, text):

@@ -7,13 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from desing.errors import (DesingError, ParseError, ResourceError,
-                           StructuralError)
+from desing.errors import DesingError, ParseError, StructuralError
 from desing.fields import QQ, PrimeField, SimpleExtension, format_decimal
 from desing.iofmt import parse_problem
-from desing.poly import (DEGREVLEX, LEX, Polynomial, block_order,
-                         check_power_budget, compare, format_polynomial,
-                         monomial_degree, parse_polynomial)
+from desing.poly import (DEGREVLEX, LEX, Polynomial, block_order, compare,
+                         format_polynomial, monomial_degree, parse_polynomial)
 
 VARS = ("x", "y", "z")
 
@@ -522,25 +520,6 @@ def _no_digit_limit():
         yield
     finally:
         sys.set_int_max_str_digits(saved)
-
-
-def test_power_budget_matches_the_reader():
-    # s^p in verify is held to the budget of the reader's ^: coefficient
-    # bits by _height, and for a sum e*deg + 1 terms at most 1001
-    R = ("x", "y")
-    x1 = parse_polynomial("x + 1", R, QQ)
-    check_power_budget(x1, 1000, "s^p")
-    with pytest.raises(ResourceError, match="s\\^p with exponent 1001"):
-        check_power_budget(x1, 1001, "s^p")
-    with pytest.raises(ResourceError):
-        check_power_budget(parse_polynomial("x^10 + 2*x^5 + 1", R, QQ),
-                           200_001, "s^p")
-    check_power_budget(parse_polynomial("x^10 + 2*x^5 + 1", R, QQ), 100, "")
-    check_power_budget(parse_polynomial("x^10", R, QQ), 200_001, "")
-    with pytest.raises(ResourceError):
-        check_power_budget(parse_polynomial("3*x^10", R, QQ), 400_000, "")
-    with pytest.raises(ParseError, match="power too large"):
-        parse_polynomial("(x + 1)^1001", R, QQ)
 
 
 def test_parse_repeated_variable_name():

@@ -1,15 +1,15 @@
-"""Certificate version 4: what ``verify`` derives instead of reading.
+"""Certificate version 5: what ``verify`` derives instead of reading.
 
-A version-4 certificate prints no y', H, G, M or s, and no fact twice.
-``verify`` takes y' from [hat] below x^(6c), H and G from the subset
-relations and the witness, M as det H (the Jacobian minor of the subset
-relations in the leading yvars; in a short circuit that minor itself)
-and s = P(y')/d, and binds the last [bprime] line, W*s - 1 (W*M*N - 1 in
-a short circuit), to them; p, the ring, zvar, mu and the minor's columns
-come from the rest.  These tests rebuild the seed-1 certify certificates
-of the benchmark and change what is printed: a forged witness, s, stray
-or retired key must be refused, and ``verify`` must reach no Groebner
-code.  The construction hands verify what it derived; verify of the
+A version-5 certificate prints no y', H, G, M or s, no h or g, and no
+fact twice.  ``verify`` takes y' from [hat] below x^(6c), H and G from the
+subset relations and the witness, M as det H (the Jacobian minor of the
+subset relations in the leading yvars; in a short circuit that minor
+itself) and s = P(y')/d, and reads h, g and W*s - 1 (W*M*N - 1 in a short
+circuit) of B' through their formula; p, the ring, zvar, mu and the
+minor's columns come from the rest.  These tests rebuild the seed-1
+certify certificates of the benchmark and change what is printed: a
+forged witness, a retired section or a stray or retired key must be
+refused, and ``verify`` must reach no Groebner code.  The construction hands verify what it derived; verify of the
 printed text must derive the same.
 """
 
@@ -22,13 +22,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from desing import cli, gnd, groebner
 from desing.cli import main
-from desing.errors import ConsistencyError, DesingError
+from desing.errors import DesingError
 from desing.fields import QQ, SimpleExtension
 from desing.gnd import DPresentation, FramePoint, derive_frame, \
     truncate_lift
 from desing.groebner import division
 from desing.iofmt import emit_certificate, parse_certificate
 from desing.poly import DEGREVLEX, Polynomial, format_polynomial
+from test_gnd import reduce_mod_mu
 
 PERFBENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -153,9 +154,10 @@ def _polynomial(ring, names):
 @pytest.mark.parametrize("name", ["node-c1", "chain-k2", "sqrt2-node"])
 def test_a_forged_witness_is_refused(certificates, name):
     # [data] witness swapped for a random polynomial in x and the yvars
-    # whose value at y' differs from the honest N's: s = M*N(y')/d then
-    # differs from the s of W*s - 1, or is no unit mod d, so verify exits
-    # 5 (or 2), never 0 and never with a traceback
+    # whose value at y' differs from the honest N's: P = M*N is then not
+    # (R + x^c)^2 for the bordering relation R, which binds the witness as
+    # W*s - 1 did up to version 4, so verify exits 5 (or 2), never 0 and
+    # never with a traceback
     text = certificates[name]
     cert = parse_certificate(text)
     frame = FramePoint(cert.D, truncate_lift(
@@ -176,7 +178,7 @@ def test_a_forged_witness_is_refused(certificates, name):
 
 @pytest.mark.parametrize("section", ["yprime", "H", "G", "s"])
 def test_a_retired_section_exits_2(certificates, section):
-    # version 2 printed y', H, G and s; a version-4 certificate that still
+    # version 2 printed y', H, G and s; a version-5 certificate that still
     # has one of these sections is refused at its header
     text = certificates["node-c1"]
     bad = text.replace("[relations]\n", f"[{section}]\nx\n[relations]\n")
@@ -188,8 +190,8 @@ def test_a_retired_section_exits_2(certificates, section):
 
 
 def test_a_version_2_header_exits_2(certificates):
-    bad = certificates["node-c1"].replace("version 4", "version 2")
-    with pytest.raises(DesingError, match="version must be 4, found '2'"):
+    bad = certificates["node-c1"].replace("version 5", "version 2")
+    with pytest.raises(DesingError, match="version must be 5, found '2'"):
         parse_certificate(bad)
     assert _verify_exit(bad) == 2
 
@@ -242,13 +244,14 @@ pass;O(x^12);smoothness witness is a unit;
 
 def test_a_version_3_certificate_exits_2_at_its_version_line():
     with pytest.raises(DesingError, match="^line 2, column 1: \\[meta\\] "
-                       "version must be 4, found '3'"):
+                       "version must be 5, found '3'"):
         parse_certificate(VERSION_3_SHORT_CIRCUIT)
     assert _verify_exit(VERSION_3_SHORT_CIRCUIT) == 2
 
 
-# the lines version 3 printed and version 4 derives, each put back into
-# the seed-1 certificate it belongs in: (key, section, line)
+# the lines version 3 printed and versions 4 and 5 derive, each put back
+# into the seed-1 certificate it belongs in (B''s variables, which version
+# 3 printed in [bprime], into [meta]): (key, section, line)
 RETIRED = {
     "p": ("meta", "p 2"),
     "short-circuit": ("meta", "short-circuit 0"),
@@ -256,7 +259,7 @@ RETIRED = {
     "zvar": ("meta", "zvar Z"),
     "mu": ("D", "mu U^2 - 2"),
     "columns": ("data", "columns 0 2"),
-    "variables": ("bprime", "variables Y1 Z Y2 T1 T2 T3 W"),
+    "variables": ("meta", "variables Y1 Z Y2 T1 T2 T3 W"),
 }
 
 
@@ -320,17 +323,21 @@ def test_every_key_is_printed_in_one_spelling(certificates, tmp_path, case):
 
 
 def test_w_s_minus_one_is_bound_to_the_derived_s(certificates):
-    # s' = 1 is 1 modulo d, so W*s' - 1 has the layout of B', but s' is
-    # not P(y')/d = 1 + 2x^5 + x^10: refused before any check runs
+    # the s of W*s - 1 is P(y')/d = 1 + 2x^5 + x^10 by B''s formula, and no
+    # line can name another: version 4's [bprime] with W*s' - 1, s' = 1
+    # (which is 1 modulo d), is refused at its header, exit 2
     text = certificates["node-c1"]
-    assert "\nx^10*W + 2*x^5*W + W - 1\n" in text
-    bad = text.replace("\nx^10*W + 2*x^5*W + W - 1\n", "\nW - 1\n")
-    assert parse_certificate(bad).s == Polynomial.one(
-        parse_certificate(text).ring, QQ)
-    with pytest.raises(ConsistencyError, match="does not end with W\\*s - "
-                       "1, s = P\\(y'\\)/d"):
-        cli.run_verify(None, None, bad)
-    assert _verify_exit(bad) == 5
+    cert = parse_certificate(text)
+    rec = derive_frame({yv: cert.hat_images[yv] for yv in cert.yvars},
+                       cert.c, cert.D, cert.ring, cert.subset_relations(),
+                       cert.yvars, cert.witness)
+    assert format_polynomial(rec.s) == "x^10 + 2*x^5 + 1"
+    bad = text.replace("\n[report]\n", "\n[bprime]\nW - 1\n[report]\n")
+    line = bad.split("\n").index("[bprime]") + 1
+    with pytest.raises(DesingError, match=f"^line {line}, column 1: "
+                       "unknown section \\[bprime\\]"):
+        parse_certificate(bad)
+    assert _verify_exit(bad) == 2
 
 
 def _with_u(F):
@@ -355,7 +362,7 @@ def test_reduce_by_mu_matches_the_groebner_division(F):
     @given(_with_u(F))
     def run(poly):
         want = division(poly, [D.mu.embed(poly.variables)], DEGREVLEX)
-        got = D.reduce(poly)
+        got = reduce_mod_mu(D, poly)
         assert got == want
         assert format_polynomial(got) == format_polynomial(want)
 
