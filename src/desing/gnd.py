@@ -8,10 +8,10 @@ frame, and read off the frame everything that fixes B' below.  Every value
 at the frame y' (s, G(y'), H(y') and check 3's I(y')) is read off one
 packed series point (``FramePoint``), exactly, with mu applied at decode;
 ``derive_frame`` takes y', H, G, M, s and G(y') for the construction and
-verify alike.  Each identity is checked once, by ``verify_certificate``
-before ``desingularize`` returns: exactly where possible and to a recorded
-precision otherwise.  A construction fault shows as a FAIL in the report
-(``gnd`` exits 5).
+verify alike.  Each identity is checked once, before ``desingularize``
+returns (by ``verify_certificate``, or ``derive_frame`` for the witness):
+exactly where possible and to a recorded precision otherwise.  A
+construction fault shows as a FAIL in the report (``gnd`` exits 5).
 
 The certificate claims that v factors through
 
@@ -20,13 +20,17 @@ The certificate claims that v factors through
     g_i = s^p f_i(y' + (d/s) G(y')T) / d^2,
 
 with I its [relations], f the subset relations, p the largest total degree
-of I and d = x^(2c) (B[W]/(W*M*N - 1) in a short circuit), standard
-smooth where the check-6 determinant is a unit (Pfister-Popescu,
-"Constructive General Neron Desingularization for one dimensional local
-rings", JSC 80 (2017); Swan (1998) defines standard smooth).  h, g and s
-are given by this formula and never printed or expanded: the certificate
-fixes B' through y', c, G, s, the subset and p.  The argument rests on
-these facts, each with the check that discharges it:
+of I and d = x^(2c) (B[W]/(W*M*N - 1) in a short circuit, with N monic,
+and 1 where the subset is I), standard smooth where the check-6
+determinant is a unit (Pfister-Popescu, "Constructive General Neron
+Desingularization for one dimensional local rings", JSC 80 (2017); Swan
+(1998) defines standard smooth).  h, g and s are given by this formula
+and never printed or expanded: the certificate fixes B' through y', c,
+G, s, the subset and p.  U, T and W are bound variables of B' and A's
+field is the base field of the series field, so none of them is printed
+either: ``bound_names`` names U and the T's after the yvars, for the
+construction and the reader alike.  The argument rests on these facts,
+each with the check that discharges it:
 
 - H is the bordered Jacobian of the subset relations f, G = N*adj(H) and
   M = det H (the Jacobian minor of f in the minor's columns, which come
@@ -34,10 +38,13 @@ these facts, each with the check that discharges it:
   the first len(subset) yvars) from the same Berkowitz run: derived by
   verify, not printed (``build_H_G``; ``GndCertificate.minor`` in a short
   circuit);
-- G*H = H*G = P*Id with P = M*N (check 1, exact);
+- G*H = H*G = P*Id with P = M*N (check 1, exact).  Check 1 forms G*H
+  alone: P is nonzero (P(y') = s*d with s = 1 modulo d), so over the
+  domain k[x, U, Y] G*H = P*Id makes G/P the inverse of H over the
+  fraction field, and H*G = P*Id follows;
 - P = (R + x^c)^2 for the bordering relation R = -x^c + P'Z, last in I,
-  so that d - P = -R(x^c + P'Z) lies in I (exact, by verify before the
-  checks: a ConsistencyError otherwise);
+  so that d - P = -R(x^c + P'Z) lies in I (exact, by ``derive_frame``
+  before any value at y': a ConsistencyError otherwise);
 - N*I lies in (f), so that I = (f) where N is a unit: NOT CHECKED yet;
 - g is a polynomial (check 2, which follows from checks 1 and 3): in
   s^p f_i(y' + (d/s)w), w = G(y')T, the constant term s^p f_i(y') is
@@ -63,9 +70,8 @@ from functools import cached_property
 from .errors import (ConsistencyError, DomainError, PrecisionError,
                      ResourceError)
 from .fields import QQ, RationalField, SimpleExtension
-from .groebner import _fresh_name
-from .poly import (Polynomial, alpha_polynomial, fold_extension,
-                   unfold_extension)
+from .poly import (DEGREVLEX, Polynomial, alpha_polynomial, fold_extension,
+                   fresh_name, unfold_extension)
 from .series import (MAX_PRECISION, CompletionMorphism, TruncatedSeries,
                      series_eval, series_point)
 from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
@@ -169,13 +175,21 @@ class FramePoint:
         return self.D.polynomial(self.series(poly).terms, poly.variables)
 
 
-def make_D(v, taken):
-    F = v.field
-    if isinstance(F, SimpleExtension):
-        U = _fresh_name("U", taken)
-        return DPresentation(base_var=v.base_var, field=F.base,
-                             series_field=F, ext_var=U)
-    return DPresentation(base_var=v.base_var, field=F, series_field=F)
+def bound_names(base_var, series_field, yvars, c):
+    """D and the tvars, which no certificate prints, as gnd and the reader
+    both take them: A's field is the base field of the series field; U,
+    over a Q(alpha) only, is fresh against x and the yvars (so against B's
+    variables: the bordering's Z never starts with U); each T_j, one per
+    yvar and none in a short circuit (c = 0), is fresh against x, the
+    yvars and the T's before it."""
+    taken = (base_var,) + tuple(yvars)
+    tvars = ()
+    for j in range(len(yvars) if c else 0):
+        tvars += (fresh_name(f"T{j + 1}", taken + tvars),)
+    if isinstance(series_field, SimpleExtension):
+        return DPresentation(base_var, series_field.base, series_field,
+                             fresh_name("U", taken)), tvars
+    return DPresentation(base_var, series_field, series_field), tvars
 
 
 # check 2's report name, in bordered and short-circuit certificates alike
@@ -203,13 +217,12 @@ def border_step(B, v, data):
     """Adjoin Z with -d' + P'Z = 0 so that d = d'^2 lands in the new ideal."""
     if data.c < 1:
         raise DomainError("bordering applies only to the non-smooth case")
-    Z = _fresh_name("Z", B.ring_variables())
+    Z = fresh_name("Z", B.ring_variables())
     ring1 = (B.base_var,) + B.variables + (Z,)
     zpoly = Polynomial.variable(ring1, B.field, Z)
     dprime = Polynomial.variable(ring1, B.field, B.base_var, data.c)
     pprime = (data.minor * data.witness).embed(ring1)
-    pprime_z = pprime * zpoly
-    frp1 = -dprime + pprime_z
+    frp1 = -dprime + pprime * zpoly
     B1 = AlgebraPresentation(base_var=B.base_var, variables=B.variables + (Z,),
                              field=B.field, relations=B.relations + [frp1])
     z = data.z
@@ -219,16 +232,11 @@ def border_step(B, v, data):
                             images=dict(v.images, **{Z: z}))
     if not v1.eval(frp1).is_zero():
         raise PrecisionError("bordered relation does not vanish on the images")
-    minor1 = data.minor.embed(ring1) * pprime
-    witness1 = data.witness.embed(ring1) * zpoly * zpoly
-    d = dprime * dprime
-    P = minor1 * witness1
-    # d - P = d'^2 - (P'Z)^2 = -frp1·(d' + P'Z) puts d - P in the ideal
-    if d - P != -frp1 * (dprime + pprime_z):
-        raise ConsistencyError("d - P is not in the bordered ideal")
     data1 = DesingData(subset=data.subset + (len(B1.relations) - 1,),
                        columns=data.columns + (len(B.variables),),
-                       minor=minor1, witness=witness1, c=data.c, z=z)
+                       minor=data.minor.embed(ring1) * pprime,
+                       witness=data.witness.embed(ring1) * zpoly * zpoly,
+                       c=data.c, z=z)
     return BorderStep(algebra=B1, morphism=v1, data=data1, zvar=Z)
 
 
@@ -292,10 +300,18 @@ class FrameRecord:
 def derive_frame(images, c, D, ring, fs, yvars, witness):
     """The frame y' (``images`` below x^(6c)), H, G, M and s = P(y')/d for
     P = M*N: what the construction builds, and what verify derives from a
-    certificate."""
-    frame = FramePoint(D, truncate_lift(images, c, D, ring))
+    certificate.  P is bound to the bordering relation before any value
+    at y' is taken."""
     H, G, M = build_H_G(fs, yvars, witness)
-    return FrameRecord(frame, H, G, M, compute_s_b(M * witness, frame, c, D))
+    P = M * witness
+    # the bordering relation R = -x^c + P'Z, last in the subset, puts
+    # d - P = -R (x^c + P'Z) in I; P = (R + x^c)^2 binds the witness to it
+    if P != (fs[-1] + Polynomial.variable(ring, D.field, D.base_var, c)) ** 2:
+        raise ConsistencyError(
+            "certificate [data] witness does not give P = M*N = (R + x^c)^2, "
+            "R the bordering relation")
+    frame = FramePoint(D, truncate_lift(images, c, D, ring))
+    return FrameRecord(frame, H, G, M, compute_s_b(P, frame, c, D))
 
 
 def t_precisions(Gy, m, precision, c):
@@ -362,11 +378,12 @@ def working_ring(D, c, yvars, tvars):
 
 @dataclass
 class GndCertificate:
-    """What a certificate prints; the short circuit (c = 0), the ring, zvar
-    and the minor's columns (the first len(subset) yvars) are derived from
-    it, and h, g and s of B' by its formula (module docstring)."""
+    """What a certificate prints, with D and the tvars (``bound_names``);
+    the short circuit (c = 0), the ring, zvar and the minor's columns (the
+    first len(subset) yvars) are derived from it, and h, g and s of B' by
+    its formula (module docstring)."""
 
-    D: DPresentation
+    D: DPresentation             # from [series-field] and U
     witness: Polynomial          # N
     c: int                       # d = x^(2c); 0 in a short circuit
     yvars: tuple                 # permuted algebra variables (with Z)
@@ -374,8 +391,6 @@ class GndCertificate:
     permutation: tuple = ()      # yvars[i] = original_variables[permutation[i]]
     relations: list = dc_field(default_factory=list)   # bordered ideal in ring
     subset: tuple = ()
-    z: TruncatedSeries = None    # 1/v(M*N), in a short circuit only
-    wvar: str = None             # W of B', which inverts s (M*N if short)
     t: dict = dc_field(default_factory=dict)            # tvar -> series
     hat_images: dict = dc_field(default_factory=dict)   # yvar -> series
     precision: int = 0           # of v; checks 4-6 read precision - 4c
@@ -447,7 +462,7 @@ def assemble_certificate(step, D, permutation, yvars, tvars, rec):
         D=D, witness=step.data.witness.embed(ring), c=c, yvars=yvars,
         tvars=tvars, permutation=permutation,
         relations=[r.embed(ring) for r in B1.relations],
-        subset=step.data.subset, wvar=_fresh_name("W", ring), t=t,
+        subset=step.data.subset, t=t,
         hat_images={yv: x.truncate(max(N - 4 * c, 6 * c))
                     for yv, x in hat.items()},
         precision=N)
@@ -471,38 +486,25 @@ def verify_certificate(cert, B, v, derived=None):
             v.eval(rel).is_zero() for rel in B.relations)
         report.append(CheckResult("composite factors v", ok,
                                   f"O({v.base_var}^{v.precision})"))
-        # z v(M*N) = 1 shows v(M*N) is a unit and binds z, which
-        # find_desing_data computes as that inverse
-        img = v.eval(cert.minor() * cert.witness)
-        one = TruncatedSeries.one((v.base_var,), v.field, v.precision)
-        try:
-            ok6 = (cert.z * img).truncate(v.precision) == one
-        except DomainError:                 # z known too coarsely
-            ok6 = False
+        # v(M*N) is a unit: its order is 0
+        ok6 = v.eval(cert.minor() * cert.witness).order() == 0
         report.append(CheckResult("smoothness witness is a unit", ok6,
                                   f"O({v.base_var}^{v.precision})"))
         cert.report = report
         return report
 
-    ring, F, D, c = cert.ring, cert.field, cert.D, cert.c
+    ring, D, c = cert.ring, cert.D, cert.c
     n, r, N = len(cert.yvars), len(cert.subset), cert.precision
     fs = cert.subset_relations()
     rec = derived or derive_frame(
         {yv: cert.hat_images[yv] for yv in cert.yvars}, c, D, ring, fs,
         cert.yvars, cert.witness)
-    # the bordering relation R = -x^c + P'Z, last in [relations], puts
-    # d - P = -R (x^c + P'Z) in I; P = (R + x^c)^2 binds the witness to it
-    P = rec.M * cert.witness
-    if P != (cert.relations[-1] + Polynomial.variable(ring, F, D.base_var,
-                                                      c)) ** 2:
-        raise ConsistencyError(
-            "certificate [data] witness does not give P = M*N = (R + x^c)^2, "
-            "R the bordering relation")
     report = []
-    # (1) exact matrix identity
-    target = matrix_scale(identity_matrix(n, ring, F), P)
-    ok1 = (matrix_equal(matrix_mul(rec.G, rec.H), target)
-           and matrix_equal(matrix_mul(rec.H, rec.G), target))
+    # (1) exact matrix identity; G*H = P*Id alone gives H*G = P*Id (module
+    # docstring)
+    target = matrix_scale(identity_matrix(n, ring, cert.field),
+                          rec.M * cert.witness)
+    ok1 = matrix_equal(matrix_mul(rec.G, rec.H), target)
     report.append(CheckResult("GH = HG = P*Id", ok1, "exact"))
 
     # (3) the frame solves the ideal modulo d^3, and with (1) it makes g a
@@ -564,15 +566,15 @@ def _hat_is_v(cert, B, v, precision):
         return False
 
 
-def _short_circuit_certificate(B, v, data, D):
+def _short_circuit_certificate(B, v, data):
     permutation = columns_first(data.columns, len(B.variables))
     yvars = tuple(B.variables[j] for j in permutation)
-    ring = working_ring(D, 0, yvars, ())
+    D, tvars = bound_names(v.base_var, v.field, yvars, 0)
+    ring = working_ring(D, 0, yvars, tvars)
     return GndCertificate(
-        D=D, witness=data.witness.embed(ring), c=0, yvars=yvars, tvars=(),
-        permutation=permutation,
+        D=D, witness=data.witness.embed(ring).monic(DEGREVLEX), c=0,
+        yvars=yvars, tvars=tvars, permutation=permutation,
         relations=[r.embed(ring) for r in B.relations], subset=data.subset,
-        z=data.z, wvar=_fresh_name("W", ring),
         hat_images={yv: v.images[yv] for yv in yvars},
         precision=v.precision)
 
@@ -583,23 +585,19 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
         raise DomainError("gnd needs [field] Q, [series-field] Q or Q(alpha)")
     B0 = reduce_until_nonvanishing(B, v, subset_budget=subset_budget)
     data = find_desing_data(B0, v, subset_budget)
-    D = make_D(v, B0.ring_variables())
     if data.c == 0:
-        cert = _short_circuit_certificate(B0, v, data, D)
+        cert = _short_circuit_certificate(B0, v, data)
         verify_certificate(cert, B0, v)
         return cert
     step = border_step(B0, v, data)
     B1, v1 = step.algebra, step.morphism
     permutation = columns_first(step.data.columns, len(B1.variables))
     yvars = tuple(B1.variables[j] for j in permutation)
-    tvars = tuple(_fresh_name(f"T{j + 1}", (B1.base_var,) + yvars)
-                  for j in range(len(yvars)))
+    D, tvars = bound_names(v.base_var, v.field, yvars, data.c)
     ring = working_ring(D, data.c, yvars, tvars)
     fs = [B1.relations[i].embed(ring) for i in step.data.subset]
     rec = derive_frame({yv: v1.images[yv] for yv in yvars}, data.c, D, ring,
                        fs, yvars, step.data.witness.embed(ring))
-    if rec.M != step.data.minor.embed(ring):
-        raise ConsistencyError("determinant of H differs from the minor")
     cert = assemble_certificate(step, D, permutation, yvars, tvars, rec)
     verify_certificate(cert, B0, v, rec)
     return cert

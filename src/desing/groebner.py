@@ -51,7 +51,7 @@ from .errors import DomainError, ResourceError, StructuralError
 from .fields import (QQ, PrimeField, RationalField, SimpleExtension,
                      read_back, scaled_to_ints)
 from .poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial, block_order,
-                   fold_extension, unfold_extension)
+                   fold_extension, fresh_name, unfold_extension)
 
 SPAIR_BUDGET = 100000
 
@@ -345,7 +345,7 @@ def _over_q(polys, order):
     alpha a fresh last variable; the order with alpha's block last; and the
     map that folds a result back to Q(alpha)."""
     F, variables = polys[0].field, polys[0].variables
-    ring = variables + (_fresh_name(F.gen, variables),)
+    ring = variables + (fresh_name(F.gen, variables),)
     terms = [p.terms for p in polys] + [{(0,) * len(variables): F.mu}]
     return ([Polynomial._nonzero(ring, QQ, unfold_extension(t))
              for t in terms], block_order(len(variables), order),
@@ -533,15 +533,6 @@ def ideal_equal(I, J, order=DEGREVLEX):
 # ---------------------------------------------------------------------------
 # elimination-based ideal operations
 
-def _fresh_name(base, taken):
-    name = base
-    k = 0
-    while name in taken:
-        k += 1
-        name = f"{base}{k}"
-    return name
-
-
 def eliminate(ideal, drop, order=DEGREVLEX):
     """Generators of I intersected with the subring without the ``drop`` vars."""
     drop = [v for v in ideal.variables if v in set(drop)]
@@ -564,7 +555,7 @@ def ideal_intersection(I, J, order=DEGREVLEX):
     """I ∩ J via elimination of t from t·I + (1−t)·J."""
     if I.variables != J.variables or I.field != J.field:
         raise StructuralError("ideals live in different rings")
-    t = _fresh_name("t_", I.variables)
+    t = fresh_name("t_", I.variables)
     work_vars = (t,) + I.variables
     F = I.field
     tp = Polynomial.variable(work_vars, F, t)
@@ -615,7 +606,7 @@ def saturate(I, f, order=DEGREVLEX):
     """(I : f^∞) by eliminating the Rabinowitsch variable from I + (1 − w·f)."""
     if f.is_zero():
         raise DomainError("saturation by zero")
-    w = _fresh_name("w_", I.variables)
+    w = fresh_name("w_", I.variables)
     work_vars = (w,) + I.variables
     F = I.field
     wp = Polynomial.variable(work_vars, F, w)
@@ -655,7 +646,7 @@ def vec_leading(v, order):
 
 def _position_ring(n, variables, order):
     # e{p}_ and its fresh variants e{p}_{k} are distinct for distinct p
-    evars = tuple(_fresh_name(f"e{p}_", variables) for p in range(n))
+    evars = tuple(fresh_name(f"e{p}_", variables) for p in range(n))
     return evars + tuple(variables), block_order(n, LEX, order)
 
 

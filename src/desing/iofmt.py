@@ -7,8 +7,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ConsistencyError, ParseError, StructuralError
 from .fields import QQ, PrimeField, SimpleExtension
-from .poly import (alpha_polynomial, format_polynomial, order_from_name,
-                   parse_polynomial)
+from .poly import (DEGREVLEX, Polynomial, alpha_polynomial,
+                   format_polynomial, order_from_name, parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
 from .smooth import AlgebraPresentation
 from . import gnd as _gnd
@@ -257,7 +257,8 @@ def emit_groebner(gb, variables, F):
 # (section, GndCertificate attribute, reader, format of one value).  [t] and
 # [hat] hold series in the base variable, [relations] polynomials in the
 # ring.  B' is given by its formula (``gnd``): verify derives y', H, G, M
-# and s, and reads h and g through it.
+# and s, and reads h and g through it; A's field, U and the T's come from
+# [series-field] and the yvars (``gnd.bound_names``).
 CERT_VALUES = (
     ("relations", "relations", _items, format_polynomial),
     ("t", "t", _named, format_series),
@@ -272,21 +273,15 @@ def _list(items):
 
 def emit_certificate(cert):
     lines = ["[meta]",
-             "version 5",
+             "version 6",
              f"base {cert.base_var}",
              f"c {cert.c}",
              f"precision {cert.precision}",
              "permutation " + _list(cert.permutation),
              "yvars " + _list(cert.yvars),
-             "tvars " + _list(cert.tvars),
-             f"wvar {cert.wvar}",
              "subset " + _list(cert.subset),
-             "[field]", format_field(cert.field),
              "[series-field]", format_field(cert.series_field),
-             "[D]", f"ext {cert.D.ext_var or '-'}",
              "[data]", f"witness {format_polynomial(cert.witness)}"]
-    if cert.short_circuit:
-        lines.append(f"z {format_series(cert.z)}")
     for tag, attr, reader, fmt in CERT_VALUES:
         lines.append(f"[{tag}]")
         lines += _written(reader, getattr(cert, attr), fmt)
@@ -296,7 +291,7 @@ def emit_certificate(cert):
     return "\n".join(lines) + "\n"
 
 
-CERT_SECTIONS = {"meta", "field", "series-field", "D", "data", "report"} | {
+CERT_SECTIONS = {"meta", "series-field", "data", "report"} | {
     tag for tag, *_ in CERT_VALUES}
 
 
@@ -356,29 +351,24 @@ def parse_certificate(text):
     # the version is read first, so that an old certificate is refused by it
     lineno, version = _Required(_keyed("meta", sections["meta"]),
                                 "[meta] key")["version"]
-    if version != "5":
-        raise ParseError(f"[meta] version must be 5, found {version!r}",
+    if version != "6":
+        raise ParseError(f"[meta] version must be 6, found {version!r}",
                          lineno, 1)
-    meta = keyed("meta", "version base c precision permutation yvars tvars "
-                 "wvar subset")
+    meta = keyed("meta", "version base c precision permutation yvars subset")
     for name, lines in sections.items():
         if name not in CERT_SECTIONS:
             raise ParseError(f"unknown section [{name}]", lines.header, 1)
-    F = _one("field", sections["field"], parse_field)
     Fs = _one("series-field", sections["series-field"], parse_field)
-    base, wvar = read(meta, "base"), read(meta, "wvar")
-    yvars, tvars = (read(meta, key, _names) for key in ("yvars", "tvars"))
+    base, yvars = read(meta, "base"), read(meta, "yvars", _names)
     c, precision = (read(meta, key, _int) for key in ("c", "precision"))
     subset, permutation = (read(meta, key, _ints)
                            for key in ("subset", "permutation"))
-    ext = read(keyed("D", "ext"), "ext")
-    D = _gnd.DPresentation(base_var=base, field=F, series_field=Fs,
-                           ext_var=None if ext == "-" else ext)
+    _check_meta(base, Fs, c, yvars, permutation, subset)
+    D, tvars = _gnd.bound_names(base, Fs, yvars, c)
     ring = _gnd.working_ring(D, c, yvars, tvars)
-    _check_meta(D, c, ring, yvars, tvars, permutation, subset, wvar)
 
     def poly(text, lineno):
-        return parse_polynomial(text, ring, F, lineno)
+        return parse_polynomial(text, ring, D.field, lineno)
 
     def ser(text, lineno):
         return parse_series(text, (base,), Fs, lineno)
@@ -386,10 +376,8 @@ def parse_certificate(text):
     values = {attr: reader(tag, sections[tag],
                            ser if fmt is format_series else poly)
               for tag, attr, reader, fmt in CERT_VALUES}
-    # [data] prints what the checks read, z only in a short circuit (else
-    # it is zvar's [hat] image, which no check reads); verify derives M
-    datakeys = keyed("data", "witness" + " z" * (c == 0))
-    z = read(datakeys, "z", ser) if c == 0 else None
+    # [data] prints the witness, which the checks read; verify derives M
+    datakeys = keyed("data", "witness")
     report = []
     for lineno, line in sections["report"]:
         fields = line.split(";", 3)
@@ -401,25 +389,21 @@ def parse_certificate(text):
                                        precision=where, detail=detail))
     cert = _gnd.GndCertificate(
         D=D, witness=read(datakeys, "witness", poly), c=c, yvars=yvars,
-        tvars=tvars, permutation=permutation, subset=subset, z=z, wvar=wvar,
+        tvars=tvars, permutation=permutation, subset=subset,
         precision=precision, report=report, **values)
     _check_shape(cert)
     return cert
 
 
-def _check_meta(D, c, ring, yvars, tvars, permutation, subset, wvar):
-    """What the reader of the values assumes of [meta], the fields and [D];
-    a mismatch is a ConsistencyError."""
-    extension = isinstance(D.series_field, SimpleExtension)
-    _require(D.field == QQ and (D.series_field == QQ or extension),
-             "[field] is not Q, or [series-field] neither Q nor a Q(alpha)")
-    _require((D.ext_var is not None) == extension,
-             "[D] has ext without [series-field] Q(alpha), or the reverse")
-    _require(len(set(ring + (wvar,))) == len(ring) + 1,
-             "[meta] names a variable twice, or wvar is in the ring")
+def _check_meta(base, Fs, c, yvars, permutation, subset):
+    """What the reader of the values assumes of [meta] and [series-field];
+    a mismatch is a ConsistencyError.  U and the T's are fresh against x
+    and the yvars, so the ring names each variable once when these do."""
+    _require(Fs == QQ or isinstance(Fs, SimpleExtension),
+             "[series-field] is neither Q nor a Q(alpha)")
+    _require(len(set((base,) + yvars)) == len(yvars) + 1,
+             "[meta] names a variable twice")
     _require(c >= 0, "[meta] c is negative")
-    _require(len(tvars) == (len(yvars) if c else 0),
-             "[meta] tvars are not one per yvar (none in a short circuit)")
     _require(sorted(permutation) == list(range(len(yvars))),
              "[meta] permutation does not permute the yvars")
     columns = permutation[:len(subset)]
@@ -444,11 +428,21 @@ def _check_shape(cert):
     require(list(cert.subset) == sorted(set(cert.subset))
             and all(0 <= i < len(cert.relations) for i in cert.subset),
             "[meta] subset is not increasing within [relations]")
+    # no bordering relation fixes a short circuit's N, and B[W]/(W*M*N - 1)
+    # depends on it only up to a nonzero scalar: N is printed monic, and
+    # is 1 where the subset holds every relation, as ((f):I) is then (1)
+    N = cert.witness
+    if cert.short_circuit and len(cert.subset) == len(cert.relations):
+        require(N == Polynomial.one(N.variables, N.field),
+                "[data] witness of a short circuit with every relation in "
+                "its subset is not 1")
+    require(not cert.short_circuit
+            or N.terms and N.leading(DEGREVLEX)[1] == 1,
+            "[data] witness of a short circuit is not monic")
     # checks 4-6 read [hat] below x^(precision - 4c), y' below x^(6c)
     cut = max(cert.precision - 4 * cert.c, 6 * cert.c)
-    require(all(x.precision == cut for x in cert.hat_images.values()) and (
-        not cert.short_circuit or cert.z.precision == cut),
-            f"[hat] or z is not printed to O({cert.base_var}^{cut})")
+    require(all(x.precision == cut for x in cert.hat_images.values()),
+            f"[hat] is not printed to O({cert.base_var}^{cut})")
     # Z borders last: original_problem drops it and its relation, which
     # ends the subset
     require(cert.short_circuit

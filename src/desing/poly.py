@@ -421,6 +421,16 @@ def fold_extension(F, items):
     return {m: c for m, c in terms if not F.is_zero(c)}
 
 
+def fresh_name(base, taken):
+    """``base``, or ``base`` followed by the least k >= 1, not in ``taken``."""
+    name = base
+    k = 0
+    while name in taken:
+        k += 1
+        name = f"{base}{k}"
+    return name
+
+
 def alpha_polynomial(coeffs, variables):
     """An element of Q(alpha), or mu, as a polynomial over Q in
     ``variables``, alpha the last."""

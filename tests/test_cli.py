@@ -195,11 +195,11 @@ def test_cli_verify_truncated_certificate(tmp_path):
     inp = write(tmp_path, "in.problem", node_problem())
     cert_path = str(tmp_path / "cert.txt")
     assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
-    meta_only = open(cert_path).read().split("[field]", 1)[0]
+    meta_only = open(cert_path).read().split("[series-field]", 1)[0]
     assert meta_only.startswith("[meta]")
     bad_path = write(tmp_path, "meta.txt", meta_only)
     assert main(["verify", "--input", bad_path]) == 2
-    with pytest.raises(ParseError, match="section 'field'"):
+    with pytest.raises(ParseError, match="section 'series-field'"):
         parse_certificate(meta_only)
 
 
@@ -344,16 +344,18 @@ def _break_value(tag, key):
 
 
 # one value of each kind in every section that holds values, in the node
-# certificate (z: in a short circuit, the one kind that prints it), first
-# and last: "hpolys", "b", "gpolys" and "qpolys", which named version 4's h
-# and g lines, now break the last line of [t], [hat], [relations] and
-# [report]; version 5 prints no [bprime], and a header for it ("bprime")
-# is refused at its line, as is a key that version 4 no longer printed
-# (mu, p, short-circuit, columns)
+# certificate, first and last: "hpolys", "b", "gpolys" and "qpolys", which
+# named version 4's h and g lines, now break the last line of [t], [hat],
+# [relations] and [report]; version 5 prints no [bprime] and version 6 no
+# [field] or [D], and a header for one ("bprime", "field", "D-mu") is
+# refused at its line, as is a key that an earlier version printed (mu,
+# p, short-circuit, columns, and z in a short circuit)
 VALUE_LINES = {
-    "field": _break_value("field", ""),
+    "field": lambda text: text.replace("\n[series-field]\n",
+                                       "\n[field@]\nQ\n[series-field]\n"),
     "series-field": _break_value("series-field", ""),
-    "D-mu": lambda text: text.replace("[D]\next -", "[D]\next U\nmu U^2 - @"),
+    "D-mu": lambda text: text.replace("\n[data]\n",
+                                      "\n[D@]\next U\nmu U^2 - 2\n[data]\n"),
     "bprime": lambda text: text.replace("\n[report]\n",
                                         "\n[bprime@]\n[report]\n"),
     **{f"meta-{key}": _break_value("meta", key + " ")
@@ -362,7 +364,7 @@ VALUE_LINES = {
     "meta-short-circuit": _insert("meta", "short-circuit @0"),
     "data-columns": _insert("data", "columns @0 2"),
     "data-witness": _break_value("data", "witness "),
-    "data-z": ("short", _break_value("data", "z ")),
+    "data-z": ("short", _insert("data", "z @1 + O(x^12)")),
     **{tag: _break_value(tag, "") for tag in ("relations", "t", "hat")},
     "hpolys": _edit_last("t", _at_value),
     "b": _edit_last("hat", _at_value),
@@ -399,17 +401,14 @@ def _reversed_ints(line):
     return " ".join([key] + ints[::-1])
 
 
-# what no verify check reads, each bound to the rest at parse time (z: in
-# a short circuit, the one kind that prints it)
+# what no verify check reads, each bound to the rest at parse time
 DERIVED_TAMPERING = {
-    "data-z": ("data", "z ", lambda l: l.replace("O(x^12)", "O(x^13)"),
-               "short"),
     # version 3 repeated the relations in [bprime]; a relation repeated in
     # [relations] moves the bordering relation off the end of the subset
     "bprime": ("relations", "", lambda l: "-x^2 + Y1*Y2\n" + l),
-    # B' has the ring's variables and W, each once
-    "bprime-W": ("meta", "wvar ", lambda l: "wvar x"),
-    "bprime-variables": ("meta", "wvar ", lambda l: "wvar T1"),
+    # B' has the ring's variables each once: U and the T's are fresh
+    # against x and the yvars, which must be distinct
+    "bprime-variables": ("meta", "yvars ", lambda l: "yvars Y1 Z Y1"),
     # the minor's columns lead the permutation, in increasing order
     "data-columns": ("meta", "permutation ", lambda l: "permutation 2 0 1"),
     "hat-marker": ("hat", "Y1 ", lambda l: l.replace("O(x^19)", "O(x^20)")),
@@ -482,12 +481,12 @@ def test_cli_verify_refuses_a_version_1_certificate(tmp_path, capsys,
     # version 1 printed h and g three times, in [hpolys], [gpolys] (with
     # [qpolys]) and [bprime]; it is refused at its version line, before
     # any of the sections and keys later versions dropped
-    old = node_certificate.replace("version 5", "version 1").replace(
+    old = node_certificate.replace("version 6", "version 1").replace(
         "[relations]\n", "[d]\nx^2\n[relations]\n")
     path = write(tmp_path, "v1.txt", old)
     assert main(["verify", "--input", path]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: line 2, column 1: [meta] version must be 5, found '1'"]
+        "error: line 2, column 1: [meta] version must be 6, found '1'"]
 
 
 @pytest.fixture(scope="module")
@@ -506,30 +505,35 @@ def test_cli_verify_binds_mu_to_the_series_field(tmp_path, capsys,
                                                  sqrt2_node_certificate,
                                                  forged):
     # B' maps to the completion only through U -> sqrt 2: mu is read off
-    # [series-field], and a [D] mu line (version 3 printed one) is refused
-    # at its line, whatever it says
+    # [series-field], and a [D] mu line (version 3 printed one; version 6
+    # prints no [D]) is refused at its section's header, whatever it says
     assert format_polynomial(
         parse_certificate(sqrt2_node_certificate).D.mu) == "U^2 - 2"
-    bad = _insert("D", f"mu {forged}")(sqrt2_node_certificate)
-    line = bad.split("\n").index(f"mu {forged}") + 1
+    bad = sqrt2_node_certificate.replace("\n[data]\n",
+                                         f"\n[D]\nmu {forged}\n[data]\n")
+    line = bad.split("\n").index("[D]") + 1
     capsys.readouterr()
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
     assert capsys.readouterr().err == (
-        f"error: line {line}, column 1: [D] has unknown key 'mu'\n")
+        f"error: line {line}, column 1: unknown section [D]\n")
 
 
 @pytest.mark.parametrize("case", ["ext-over-Q", "no-ext-over-Q(alpha)"])
 def test_cli_verify_binds_ext_to_the_series_field(tmp_path, node_certificate,
                                                   sqrt2_node_certificate,
                                                   case):
+    # U is there exactly when [series-field] is a Q(alpha), named by
+    # gnd.bound_names; a [D] ext line, which version 5 printed, is refused
+    # at its section's header, whatever it says
     if case == "ext-over-Q":
-        bad = _edit_line(node_certificate, "D", "ext ", lambda l: "ext U")
+        text, ext, line = node_certificate, None, "ext U"
     else:
-        bad = _edit_line(sqrt2_node_certificate, "D", "ext ",
-                         lambda l: "ext -")
-    with pytest.raises(ConsistencyError, match="ext"):
+        text, ext, line = sqrt2_node_certificate, "U", "ext -"
+    assert parse_certificate(text).D.ext_var == ext
+    bad = text.replace("\n[data]\n", f"\n[D]\n{line}\n[data]\n")
+    with pytest.raises(ParseError, match="unknown section \\[D\\]"):
         parse_certificate(bad)
-    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
 
 
 @pytest.mark.parametrize("tags", [("relations",), ("witness",),
@@ -562,27 +566,35 @@ def test_cli_verify_refuses_unreduced_values_fast(tmp_path,
 
 def test_cli_verify_refuses_a_value_at_yprime_past_max_precision(
         tmp_path, node_certificate):
-    # P(y') with a Y1^100000 added to [data] witness N (P = M*N, from
-    # which verify derives s) has x-degree up to 100000*e, past
-    # MAX_PRECISION: refused before packing, exit 4
-    bad = _edit_line(node_certificate, "data", "witness ",
-                     lambda l: l + " + Y1^100000")
-    run = _cli_subprocess(["verify", "--input",
-                           write(tmp_path, "bad.txt", bad)], timeout=10)
-    assert run.returncode == 4
-    assert "needs precision above 65536" in run.stderr
-    assert "Traceback" not in run.stderr
+    # a Y2^100000 added to the first relation leaves its derivatives in
+    # the minor's columns Y1 and Z, and with them M and P, as they were,
+    # but puts Y2^99999 into H and G: G(y') has x-degree up to 500000,
+    # past MAX_PRECISION, and is refused before packing, exit 4.  A
+    # Y1^100000 added to [data] witness N changes P = M*N, and is refused
+    # by the binding before any value at y', exit 5
+    for tag, key, term, code, message in (
+            ("relations", "", "Y2^100000", 4, "needs precision above 65536"),
+            ("data", "witness ", "Y1^100000", 5, "does not give P = M*N")):
+        bad = _edit_line(node_certificate, tag, key,
+                         lambda l: f"{l} + {term}")
+        run = _cli_subprocess(["verify", "--input",
+                               write(tmp_path, "bad.txt", bad)], timeout=10)
+        assert run.returncode == code
+        assert message in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 # [hat] must name exactly the [meta] yvars and [t] the tvars, each once; a
-# key of [meta], [D] or [data] may not repeat
+# key of [meta] or [data] may not repeat, and a [D] section that repeats
+# version 5's key is refused as the retired section it is
 NAMED_SECTION_MUTATIONS = {
     "t-drops-T1": _drop("t", "T1 "),
     "hat-drops-Y2": _drop("hat", "Y2 "),
     "t-extra-name": _insert("t", "Q9 = x + O(x^19)"),
     "hat-extra-name": _insert("hat", "Q9 = x + O(x^19)"),
     "meta-repeated-key": _repeat("meta", "c "),
-    "D-repeated-key": _repeat("D", "ext "),
+    "D-repeated-key": lambda text: text.replace(
+        "\n[data]\n", "\n[D]\next -\next -\n[data]\n"),
     "data-repeated-key": _repeat("data", "witness "),
 }
 
@@ -643,18 +655,23 @@ def test_cli_verify_huge_p_fails_fast(tmp_path, node_certificate):
 
 
 def test_cli_verify_huge_power_of_s_fails_fast(tmp_path, node_certificate):
-    # a relation of degree 200001 makes p = 200001; verify takes no power
-    # of s, and the x^200000 that the relation puts into H and P makes
-    # s = P(y')/d a value at y' past MAX_PRECISION: refused before
-    # packing, exit 4
-    bad = node_certificate.replace("\n-x^2 + Y1*Y2\n",
-                                   "\n-x^2 + Y1*Y2 + x^200000*Y1\n")
-    assert bad.count("x^200000*Y1") == 1        # in [relations] alone
-    run = _cli_subprocess(["verify", "--input",
-                           write(tmp_path, "bad.txt", bad)], timeout=5)
-    assert run.returncode == 4
-    assert "needs precision above 65536" in run.stderr
-    assert "Traceback" not in run.stderr
+    # a relation of degree 200001 makes p = 200001, and verify takes no
+    # power of s.  x^200000*Y2 puts x^200000 into H and G but not into M
+    # (the minor's columns are Y1 and Z), so G(y') is a value at y' past
+    # MAX_PRECISION: refused before packing, exit 4; x^200000*Y1 puts it
+    # into M and P, which the binding refuses before any value at y',
+    # exit 5
+    for term, code, message in (
+            ("x^200000*Y2", 4, "needs precision above 65536"),
+            ("x^200000*Y1", 5, "does not give P = M*N")):
+        bad = node_certificate.replace("\n-x^2 + Y1*Y2\n",
+                                       f"\n-x^2 + Y1*Y2 + {term}\n")
+        assert bad.count(term) == 1             # in [relations] alone
+        run = _cli_subprocess(["verify", "--input",
+                               write(tmp_path, "bad.txt", bad)], timeout=5)
+        assert run.returncode == code
+        assert message in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 def test_cli_verify_subset_beyond_relations(tmp_path, node_certificate):
@@ -666,26 +683,43 @@ def test_cli_verify_subset_beyond_relations(tmp_path, node_certificate):
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
 
 
-def test_cli_short_circuit_binds_z(tmp_path, short_circuit_certificate):
-    # z must satisfy z*v(pprime) = 1; the one check reading it is check 6,
-    # which reads it to the precision its marker must state
+def test_cli_short_circuit_reads_the_unit_at_v(tmp_path,
+                                               short_circuit_certificate):
+    # check 6 reads ord v(M*N) = 0 itself (SHORT_CIRCUIT_FORGERIES below
+    # fail it): the z = 1/v(M*N) that version 5 printed is refused at its
+    # line, exit 2.  z also fixed N, which nothing else fixes in a short
+    # circuit: N is 1 where the subset holds every relation, as here, and
+    # monic otherwise (as beside Y1*Y2 - x^2*Y2, which the subset leaves
+    # out), so witness 2 and witness Y1 + 1, whose values at v are units,
+    # are inconsistent, exit 5, and so is witness 2 in the second case
     text = short_circuit_certificate
-    assert "\nz 1 + O(x^12)\n" in text
-    for z in ("2 + O(x^12)", "1 + x + O(x^12)"):
-        bad = text.replace("\nz 1 + O(x^12)\n", f"\nz {z}\n")
-        report = str(tmp_path / "report.txt")
-        assert main(["verify", "--input", write(tmp_path, "bad.txt", bad),
-                     "--output", report]) == 5
-        last = open(report).read().splitlines()[-1]
-        assert last == "failed: smoothness witness is a unit"
-    for z in ("1 + O(x^5)", "1 + O(x^13)"):
-        bad = text.replace("\nz 1 + O(x^12)\n", f"\nz {z}\n")
-        with pytest.raises(ConsistencyError, match="z is not printed"):
+    bad = _insert("data", "z 1 + O(x^12)")(text)
+    line = bad.split("\n").index("z 1 + O(x^12)") + 1
+    with pytest.raises(ParseError, match=f"^line {line}, column 1: \\[data\\] "
+                       "has unknown key 'z'"):
+        parse_certificate(bad)
+    assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 2
+    assert "\nwitness 1\n" in text
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n[ideal]\n"
+                "Y1 - x^2\nY1*Y2 - x^2*Y2\n[morphism]\nY1 = x^2 + O(x^12)\n"
+                "Y2 = x + O(x^12)\n")
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
+    proper = open(cert_path).read()
+    assert "\nsubset 0\n" in proper and "\nwitness 1\n" in proper
+    for cert, witness, message in ((text, "2", "is not 1"),
+                                   (text, "Y1 + 1", "is not 1"),
+                                   (proper, "2", "is not monic")):
+        bad = cert.replace("\nwitness 1\n", f"\nwitness {witness}\n")
+        with pytest.raises(ConsistencyError, match=message):
             parse_certificate(bad)
+        assert main(["verify", "--input",
+                     write(tmp_path, "bad.txt", bad)]) == 5
 
 
 # verify derives M as the Jacobian minor of the subset relations in the
-# leading yvars, and check 6 binds z to 1/v(M*N): with Y2 swapped to the
+# leading yvars, and check 6 reads ord v(M*N) = 0: with Y2 swapped to the
 # front, d(Y1 - x^2)/dY2 = 0 is not the minor 1; and (Y2, Y1^2) reduces to
 # the short circuit (Y1, Y2) with minor 1, which Y1 -> Y1^2 in [relations]
 # turns into (Y1^2, Y2), of minor 2*Y1, which vanishes at v
@@ -767,6 +801,24 @@ def test_cli_gnd_reports_G_that_leaves_d_squared(tmp_path, monkeypatch,
     assert "error" not in capsys.readouterr().err
     assert [line.split(";")[:3] for line in _report(cert_path)[:2]] == [
         ["FAIL", "exact", "GH = HG = P*Id"], ["FAIL", "exact", gnd.CHECK_2]]
+
+
+def test_cli_gnd_names_each_t_once(tmp_path):
+    # T_j is fresh against x, the yvars and the T's before it: beside an
+    # algebra variable T1, T_1 is T11, and T_11 is not T11 again
+    names = ["T1"] + [f"Y{i}" for i in range(2, 11)]
+    images = {"T1": "x", "Y2": "x"}
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra " + " ".join(names)
+                + "\n[ideal]\nT1*Y2 - x^2\n[morphism]\n" + "".join(
+                    f"{n} = {images.get(n, '0')} + O(x^24)\n" for n in names))
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--verify", "--input", inp, "--output", cert_path]) \
+        == 0
+    assert main(["verify", "--input", cert_path]) == 0
+    cert = parse_certificate(open(cert_path).read())
+    assert (cert.tvars[0], cert.tvars[10]) == ("T11", "T111")
+    assert len(set(cert.ring)) == len(cert.ring)
 
 
 def test_cli_gnd_deterministic(tmp_path):
@@ -1228,9 +1280,9 @@ SHORT_CIRCUITS = {
 
 
 # the number of integers each certificate holds, at least (version 5
-# prints no [bprime])
+# prints no [bprime], version 6 no short-circuit z)
 MUTANT_FLOORS = {"node-c1": 94, "chain-k2": 162, "sqrt2-node": 71,
-                 "short-Y1-x2": 18, "short-sqrt2": 30}
+                 "short-Y1-x2": 16, "short-sqrt2": 19}
 
 
 def integer_sweep(text):

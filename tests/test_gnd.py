@@ -12,7 +12,7 @@ from desing.cli import main
 from desing.errors import ConsistencyError, DomainError
 from desing.fields import QQ, PrimeField, SimpleExtension, _integral
 from desing.gnd import (FramePoint, FrameRecord, border_step, build_H_G,
-                        build_h_g, derive_frame, desingularize, make_D,
+                        bound_names, build_h_g, derive_frame, desingularize,
                         truncate_lift, verify_certificate)
 from desing.iofmt import parse_certificate
 from desing.poly import Polynomial, parse_polynomial
@@ -89,7 +89,7 @@ def test_truncate_lift_cuts_below_six_c():
         base_var="x", field=QQ,
         images={"Y1": parse_series("1 + x^5 + x^6 + x^7 + O(x^12)",
                                    ("x",), QQ)})
-    D = make_D(v, ("x", "Y1"))
+    D, _ = bound_names("x", QQ, ("Y1",), 1)
     out = truncate_lift(v.images, 1, D, ("x", "Y1"))
     assert out["Y1"] == parse_polynomial("1 + x^5", ("x", "Y1"), QQ)
 
@@ -103,17 +103,19 @@ def test_build_H_G_identity(monkeypatch):
                   parse_polynomial("Y1", ring, QQ)],
                  [Polynomial.zero(ring, QQ), one]]
     assert M == parse_polynomial("Y2", ring, QQ)
-    # desingularize requires det H to be the bordering's minor M*P'
+    # desingularize requires det H * N = (R + x^c)^2 for the bordering
+    # relation R = -x^c + P'Z: with N = N0*Z^2 != 0, det H is then the
+    # bordering's minor M*P'; a doubled bordered witness breaks it
     real = gnd.border_step
 
-    def wrong_minor(*args):
+    def wrong_witness(*args):
         step = real(*args)
         return step._replace(data=dataclasses.replace(
-            step.data, minor=step.data.minor + step.data.minor))
+            step.data, witness=step.data.witness + step.data.witness))
 
-    monkeypatch.setattr(gnd, "border_step", wrong_minor)
+    monkeypatch.setattr(gnd, "border_step", wrong_witness)
     with pytest.raises(ConsistencyError,
-                       match="determinant of H differs from the minor"):
+                       match="witness does not give P = M\\*N"):
         desingularize(node_algebra(), node_morphism())
 
 
@@ -126,7 +128,7 @@ def test_build_h_g_linear_relation():
     v = CompletionMorphism(
         base_var="x", field=QQ,
         images={"Y1": parse_series("x + O(x^12)", ("x",), QQ)})
-    D = make_D(v, ring)
+    D, _ = bound_names("x", QQ, ("Y1",), 0)
     one = Polynomial.one(ring, QQ)
     frame = FramePoint(D, {"Y1": parse_polynomial("x", ring, QQ)})
     rec = FrameRecord(frame, [[one]], [[one]], one, one)
@@ -325,7 +327,6 @@ def test_desingularize_smooth_short_circuit():
     assert cert.short_circuit and cert.c == 0
     assert cert.all_passed()
     assert len(cert.report) == 6
-    assert cert.wvar is not None
 
 
 def test_desingularize_extension_field():

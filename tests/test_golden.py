@@ -334,17 +334,17 @@ c 1
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
-        "82a0a6f2814ba4deadf29201393f4c94ef3b7533b6a8d4cbe1c88fcb04b983cd",
+        "4d902ac01cc613f1507bddd451138eb48c76ce08856974a0f4d869664c51f6df",
     ("gnd", "CHAIN_K2"):
-        "7d44a1c85109e131d00bcc98a1bb168b1ed5b5ddd8eed28d5883aea760c3a0ed",
+        "6cce1262d11db55805b5eeb70f857959a48b9a16da6cfbb313a27539df3698fd",
     ("gnd", "SQRT2_NODE"):
-        "dc8b0e1b7f1abe429517c5d6fb159dd507c6fc4c15ad63510e392350e301f45c",
+        "fbcb58c6884a60b467cb729f88892b182fbe3bf564a47d06650c2015f48458c5",
     ("gnd", "CUBIC_NODE"):
-        "959c99111663d2fad902ec39aef82876f849556558f724c0034c4b6d3382ac49",
+        "b3901ea732732b4d15f8a234a0d7f34cd4650e63e6b40ce8eb46d6371f0a9e55",
     ("gnd", "SMOOTH"):
-        "caafe51bffc6545074a58c63d81cbde043bf365541e6ee3c901d3414e018816e",
+        "cd6ed27402c86f0ace1b8c0c8c20b648e76ac29b1ac9a2d5ed4cf65117bd961d",
     ("gnd", "REDUCTION"):
-        "5dcf85f2f47a25cf1b1bc738dd04955e9adbdae5f9eb5d722578a655c4eab749",
+        "4697e6948f1832f97e0582595acf3f48912b6b2fe56087e695727473b39758e9",
     ("lift", "LIFT_Q"):
         "1b0c01f97579ad1f495eaabedfb8458c944ee342a3e0161e2a3d2c1bb5091f45",
     ("lift", "LIFT_NODE"):

@@ -1,16 +1,17 @@
-"""Certificate version 5: what ``verify`` derives instead of reading.
+"""Certificate version 6: what ``verify`` derives instead of reading.
 
-A version-5 certificate prints no y', H, G, M or s, no h or g, and no
-fact twice.  ``verify`` takes y' from [hat] below x^(6c), H and G from the
-subset relations and the witness, M as det H (the Jacobian minor of the
-subset relations in the leading yvars; in a short circuit that minor
-itself) and s = P(y')/d, and reads h, g and W*s - 1 (W*M*N - 1 in a short
-circuit) of B' through their formula; p, the ring, zvar, mu and the
-minor's columns come from the rest.  These tests rebuild the seed-1
-certify certificates of the benchmark and change what is printed: a
-forged witness, a retired section or a stray or retired key must be
-refused, and ``verify`` must reach no Groebner code.  The construction hands verify what it derived; verify of the
-printed text must derive the same.
+A version-6 certificate prints no y', H, G, M or s, no h or g, no name
+that B' binds (U, the T's, W) and no fact twice.  ``verify`` takes y'
+from [hat] below x^(6c), H and G from the subset relations and the
+witness, M as det H (the Jacobian minor of the subset relations in the
+leading yvars; in a short circuit that minor itself) and s = P(y')/d, and
+reads h, g and W*s - 1 (W*M*N - 1 in a short circuit) of B' through their
+formula; p, the ring, zvar, mu, the minor's columns, A's field, U and the
+T's come from the rest.  These tests rebuild the seed-1 certify
+certificates of the benchmark and change what is printed: a forged
+witness, a retired section or a stray or retired key must be refused, and
+``verify`` must reach no Groebner code.  The construction hands verify
+what it derived; verify of the printed text must derive the same.
 """
 
 import os
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from desing import cli, gnd, groebner
 from desing.cli import main
-from desing.errors import DesingError
+from desing.errors import ConsistencyError, DesingError
 from desing.fields import QQ, SimpleExtension
 from desing.gnd import DPresentation, FramePoint, derive_frame, \
     truncate_lift
@@ -190,8 +191,8 @@ def test_a_retired_section_exits_2(certificates, section):
 
 
 def test_a_version_2_header_exits_2(certificates):
-    bad = certificates["node-c1"].replace("version 5", "version 2")
-    with pytest.raises(DesingError, match="version must be 5, found '2'"):
+    bad = certificates["node-c1"].replace("version 6", "version 2")
+    with pytest.raises(DesingError, match="version must be 6, found '2'"):
         parse_certificate(bad)
     assert _verify_exit(bad) == 2
 
@@ -244,20 +245,21 @@ pass;O(x^12);smoothness witness is a unit;
 
 def test_a_version_3_certificate_exits_2_at_its_version_line():
     with pytest.raises(DesingError, match="^line 2, column 1: \\[meta\\] "
-                       "version must be 5, found '3'"):
+                       "version must be 6, found '3'"):
         parse_certificate(VERSION_3_SHORT_CIRCUIT)
     assert _verify_exit(VERSION_3_SHORT_CIRCUIT) == 2
 
 
-# the lines version 3 printed and versions 4 and 5 derive, each put back
+# the lines version 3 printed and later versions derive, each put back
 # into the seed-1 certificate it belongs in (B''s variables, which version
-# 3 printed in [bprime], into [meta]): (key, section, line)
+# 3 printed in [bprime], and mu, which it printed in [D], a section
+# version 6 retires, into [meta]): (key, section, line)
 RETIRED = {
     "p": ("meta", "p 2"),
     "short-circuit": ("meta", "short-circuit 0"),
     "ring": ("meta", "ring x Y1 Z Y2 T1 T2 T3"),
     "zvar": ("meta", "zvar Z"),
-    "mu": ("D", "mu U^2 - 2"),
+    "mu": ("meta", "mu U^2 - 2"),
     "columns": ("data", "columns 0 2"),
     "variables": ("meta", "variables Y1 Z Y2 T1 T2 T3 W"),
 }
@@ -276,13 +278,12 @@ def test_a_retired_key_exits_2_at_its_line(certificates, key):
 
 @pytest.mark.parametrize("section, before, line", [
     ("meta", "base ", "foo 17"),
-    ("D", "ext ", "foo 17"),
     ("data", "witness ", "bogus 3"),
     # a stale version-2 line cannot ride along
     ("data", "witness ", "minor Y2^2"),
-    # z is printed in a short circuit only
+    # version 5 printed z in a short circuit only, version 6 nowhere
     ("data", "witness ", "z 2 + O(x^19)"),
-], ids=["meta", "D", "data", "data-minor", "data-z"])
+], ids=["meta", "data", "data-minor", "data-z"])
 def test_an_unknown_key_exits_2(certificates, section, before, line):
     text = certificates["node-c1"]
     lines = text.split("\n")
@@ -301,25 +302,103 @@ SHORT_CIRCUIT = ("[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n[ideal]\n"
                  "Y2 = x + O(x^12)\n")
 
 
+@pytest.fixture(scope="module")
+def short_circuit(tmp_path_factory):
+    """The certificate of SHORT_CIRCUIT."""
+    tmp = tmp_path_factory.mktemp("short")
+    problem, cert = tmp / "short.problem", tmp / "short.cert"
+    problem.write_text(SHORT_CIRCUIT)
+    assert main(["gnd", "--input", str(problem), "--output", str(cert)]) == 0
+    return cert.read_text()
+
+
 @pytest.mark.parametrize("case", ["D-without-ext", "bare-tvars"])
-def test_every_key_is_printed_in_one_spelling(certificates, tmp_path, case):
-    # every key is required, and "none" is spelled "-": a bordered [D]
-    # without its "ext -" line, and a short circuit's "tvars -" written as
-    # a bare "tvars", are refused with exit 2
+def test_every_key_is_printed_in_one_spelling(certificates, short_circuit,
+                                              case):
+    # one text per certificate: every key is required, and "none" is
+    # spelled "-"; version 5's spellings of none, a bordered [D] without
+    # its "ext -" line and a short circuit's "tvars -" written as a bare
+    # "tvars", are refused with exit 2, as version 6 prints neither
     if case == "D-without-ext":
-        text, old, new = certificates["node-c1"], "\n[D]\next -\n", "\n[D]\n"
+        text, old, new = (certificates["node-c1"], "\n[data]\n",
+                          "\n[D]\n[data]\n")
     else:
-        problem = tmp_path / "short.problem"
-        problem.write_text(SHORT_CIRCUIT)
-        cert = tmp_path / "short.cert"
-        assert main(["gnd", "--input", str(problem),
-                     "--output", str(cert)]) == 0
-        text, old, new = cert.read_text(), "\ntvars -\n", "\ntvars\n"
+        text, old, new = short_circuit, "\nsubset 0\n", "\ntvars\nsubset 0\n"
     assert text.count(old) == 1
     bad = text.replace(old, new)
     with pytest.raises(DesingError):
         parse_certificate(bad)
     assert _verify_exit(bad) == 2
+
+
+def test_a_version_5_header_exits_2(certificates):
+    bad = certificates["node-c1"].replace("version 6", "version 5")
+    with pytest.raises(DesingError, match="^line 2, column 1: \\[meta\\] "
+                       "version must be 6, found '5'"):
+        parse_certificate(bad)
+    assert _verify_exit(bad) == 2
+
+
+# the lines version 5 printed and version 6 does not, each put back where
+# version 5 printed it, in node-c1 (z: in the short circuit): the ground
+# field is the base field of [series-field], U and the T's are named after
+# the yvars, no polynomial names W, and check 6 of a short circuit reads
+# ord v(M*N) = 0 itself; (the text the lines go before, the lines)
+VERSION_5_LINES = {
+    "field": ("\n[series-field]\n", "[field]\nQ"),
+    "D": ("\n[data]\n", "[D]\next -"),
+    "tvars": ("\nsubset ", "tvars T1 T2 T3"),
+    "wvar": ("\nsubset ", "wvar W"),
+    "z": ("\n[relations]\n", "z 1 + O(x^12)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERSION_5_LINES))
+def test_a_version_5_line_exits_2_at_its_line(certificates, short_circuit,
+                                              name):
+    before, lines = VERSION_5_LINES[name]
+    text = short_circuit if name == "z" else certificates["node-c1"]
+    assert text.count(before) == 1
+    bad = text.replace(before, f"\n{lines}{before}")
+    lineno = bad.split("\n").index(lines.split("\n")[0]) + 1
+    with pytest.raises(DesingError, match=f"^line {lineno}, column 1: "):
+        parse_certificate(bad)
+    assert _verify_exit(bad) == 2
+
+
+def test_the_witness_is_bound_before_any_value_at_yprime(certificates,
+                                                         monkeypatch):
+    # Z^2 + Y1^2000 in place of node-c1's witness Z^2: P = M*N is not
+    # (R + x^c)^2, and derive_frame refuses it before it builds the frame
+    # or takes s = P(y')/d, where P(y') alone took seconds
+    def refuse(*args):
+        raise AssertionError("a value at y' before the witness is bound")
+
+    monkeypatch.setattr(gnd, "compute_s_b", refuse)
+    monkeypatch.setattr(gnd, "FramePoint", refuse)
+    text = certificates["node-c1"]
+    assert "\nwitness Z^2\n" in text
+    bad = text.replace("\nwitness Z^2\n", "\nwitness Z^2 + Y1^2000\n")
+    with pytest.raises(ConsistencyError,
+                       match="witness does not give P = M\\*N"):
+        cli.run_verify(None, None, bad)
+
+
+def test_check_1_forms_one_product(certificates, monkeypatch):
+    # G*H = P*Id with P != 0 gives H*G = P*Id over the domain k[x, U, Y],
+    # so check 1 forms G*H alone; on every seed-1 certificate H*G is G*H
+    products, real = [], gnd.matrix_mul
+
+    def mul(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(gnd, "matrix_mul", mul)
+    for name, text in certificates.items():
+        products.clear()
+        assert _verify_exit(text) == 0, name
+        (G, H), = products
+        assert real(H, G) == real(G, H), name
 
 
 def test_w_s_minus_one_is_bound_to_the_derived_s(certificates):
