@@ -5,13 +5,14 @@ truncated power-series ring.
 Pipeline: border the presentation so the square of the local parameter lies
 in the right ideal, truncate the series solution to an exact polynomial
 frame, and read off the frame everything that fixes B' below.  Every value
-at the frame y' (s, G(y'), H(y') and check 3's I(y')) is read off one
-packed series point (``FramePoint``), exactly, with mu applied at decode;
-``derive_frame`` takes y', H, G, M, s and G(y') for the construction and
-verify alike.  Each identity is checked once, before ``desingularize``
-returns (by ``verify_certificate``, or ``derive_frame`` for the witness):
-exactly where possible and to a recorded precision otherwise.  A
-construction fault shows as a FAIL in the report (``gnd`` exits 5).
+at the frame y' (s, check 3's I(y'), check 6's M(y') and the J_f(y') that
+sets the [hat] markers) is read off one packed series point
+(``FramePoint``), with mu applied at decode; ``derive_frame`` takes y', H,
+G, M and s for the construction and verify alike.  Each identity is
+checked once, before ``desingularize`` returns (by ``verify_certificate``,
+or ``derive_frame`` for the witness): exactly where possible and to a
+recorded precision otherwise.  A construction fault shows as a FAIL in the
+report (``gnd`` exits 5).
 
 The certificate claims that v factors through
 
@@ -29,8 +30,10 @@ and never printed or expanded: the certificate fixes B' through y', c,
 G, s, the subset and p.  U, T and W are bound variables of B' and A's
 field is the base field of the series field, so none of them is printed
 either: ``bound_names`` names U and the T's after the yvars, for the
-construction and the reader alike.  The argument rests on these facts,
-each with the check that discharges it:
+construction and the reader alike.  The point of B' over v is (yhat, t)
+with t = H(y')(yhat - y')/d^2, fixed by yhat alone, so t is not printed
+either: y' is yhat below x^(6c), so d^2 = x^(4c) divides yhat - y'.  The
+argument rests on these facts, each with the check that discharges it:
 
 - H is the bordered Jacobian of the subset relations f, G = N*adj(H) and
   M = det H (the Jacobian minor of f in the minor's columns, which come
@@ -56,9 +59,20 @@ each with the check that discharges it:
 - s = P(y')/d with s = 1 modulo d, derived by verify (``compute_s_b``), so
   s is a unit of B'; d = x^(2c) with c >= 1 ([meta] c; c = 0 marks a short
   circuit);
-- h and g vanish at (yhat, t), so the point factors through B' (check 4,
-  to the precision the certificate records, ``build_h_g``);
-- that point restricts to v on B (check 5, to the same precision);
+- h and g vanish at (yhat, t), so the point factors through B' (check 4):
+  by check 1, G(y')H(y') = P(y') Id = s d Id, so d G(y')t = s(yhat - y'),
+  h(yhat, t) = 0 exactly, Y* = y' + (d/s)G(y')t is yhat and
+  g(t) = s^p f(yhat)/d^2.  Check 4 is check 1 and f(yhat) = 0 to O(x^N),
+  N = [meta] precision, which is g(t) = 0 to O(x^(N - 4c)) (``build_h_g``);
+- each [hat] image yhat_j is printed to the precision check 4 reads it to,
+  max(N - o_j, 6c) with o_j = min(4c, the least x-order in column j of
+  J_f(y')) (``hat_precisions``), and extended by zeros above it.  That is
+  exact: a coefficient at x^e of yhat_j, e at least the marker, moves
+  f(yhat) by column j of J_f(yhat) (equal to J_f(y') below x^(6c)) times
+  it, at x^(e + o_j) or above, which is x^N or above, and by terms with a
+  second factor of order 6c or more (e is at least 6c), at x^(N + 2c) or
+  above;
+- that point restricts to v on B (check 5, to O(x^(N - 4c)));
 - det(dg/dT) over the subset's T is a unit at the point (check 6), so B'
   localized at it is standard smooth and still holds the point.
 """
@@ -74,7 +88,7 @@ from .poly import (DEGREVLEX, Polynomial, alpha_polynomial, fold_extension,
                    fresh_name, unfold_extension)
 from .series import (MAX_PRECISION, CompletionMorphism, TruncatedSeries,
                      series_eval, series_point)
-from .smooth import (AlgebraPresentation, DesingData, bordered_jacobian,
+from .smooth import (AlgebraPresentation, bordered_jacobian,
                      columns_first, find_desing_data, identity_matrix,
                      jacobian, matrix_det, matrix_equal, matrix_mul,
                      matrix_scale, reduce_until_nonvanishing,
@@ -209,8 +223,11 @@ class CheckResult:
         return f"[{status}] {self.name} @ {self.precision}{extra}"
 
 
-# The bordered algebra and morphism, their DesingData and the new variable.
+# The bordered algebra and morphism, their witness data and the new variable.
 BorderStep = namedtuple("BorderStep", "algebra morphism data zvar")
+# The bordered witness: the subset and the minor's columns, each with the
+# bordering relation and Z last, N*Z^2 and c.
+BorderedData = namedtuple("BorderedData", "subset columns witness c")
 
 
 def border_step(B, v, data):
@@ -232,11 +249,10 @@ def border_step(B, v, data):
                             images=dict(v.images, **{Z: z}))
     if not v1.eval(frp1).is_zero():
         raise PrecisionError("bordered relation does not vanish on the images")
-    data1 = DesingData(subset=data.subset + (len(B1.relations) - 1,),
-                       columns=data.columns + (len(B.variables),),
-                       minor=data.minor.embed(ring1) * pprime,
-                       witness=data.witness.embed(ring1) * zpoly * zpoly,
-                       c=data.c, z=z)
+    data1 = BorderedData(subset=data.subset + (len(B1.relations) - 1,),
+                         columns=data.columns + (len(B.variables),),
+                         witness=data.witness.embed(ring1) * zpoly * zpoly,
+                         c=data.c)
     return BorderStep(algebra=B1, morphism=v1, data=data1, zvar=Z)
 
 
@@ -284,17 +300,13 @@ def build_H_G(fs, yvars, witness):
 @dataclass
 class FrameRecord:
     """What ``derive_frame`` derives, all desingularize hands to verify:
-    y' (``frame``), H, G, M, s, and G(y') once, when first read."""
+    y' (``frame``), H, G, M and s."""
 
     frame: FramePoint
     H: list
     G: list
     M: Polynomial
     s: Polynomial
-
-    @cached_property
-    def Gy(self):
-        return [[self.frame(entry) for entry in row] for row in self.G]
 
 
 def derive_frame(images, c, D, ring, fs, yvars, witness):
@@ -314,56 +326,39 @@ def derive_frame(images, c, D, ring, fs, yvars, witness):
     return FrameRecord(frame, H, G, M, compute_s_b(P, frame, c, D))
 
 
-def t_precisions(Gy, m, precision, c):
-    """The precision to which check 4 reads each T's image, at a point of
-    precision ``precision``: all of it for the first m T (the subset's,
-    which g reads through the unit Jacobian of check 6).  Any other T_k
-    enters h_j = s(Y_j - y'_j) - d (G(y')T)_j linearly, so a coefficient
-    of its image at x^e first meets h at x^(e + 2c + o_k), o_k the least
-    x-order in column k of G(y'); it reaches g only above the precision
-    (from x^(precision + 2c) on when the precision is at least 4c).  Such
-    a T is read below precision - 2c - o_k, and at least below x^1."""
-    out = []
-    for k in range(len(Gy)):
-        if k < m:
-            out.append(precision)
-            continue
-        o = min((mono[0] for row in Gy for mono in row[k].terms),
-                default=precision)
-        out.append(max(1, precision - 2 * c - o))
-    return out
+def hat_precisions(rec, r, precision, c):
+    """The precision to which check 4 reads each [hat] image, by yvar, at a
+    point of precision N = ``precision``: max(N - o_j, 6c), o_j = min(4c,
+    the least x-order in column j of J_f(y')), J_f the first r rows of H.
+    A coefficient of yhat_j at x^e first meets f(yhat) at x^(e + o_j), so
+    none above the marker reaches check 4 (module docstring), and y' reads
+    yhat below x^(6c)."""
+    cut = 4 * c
+    orders = [cut] * len(rec.H)
+    for row in rec.H[:r]:
+        for j, entry in enumerate(row):
+            o = rec.frame.series(entry, cut).order()
+            if o is not None:
+                orders[j] = min(orders[j], o)
+    return {yv: max(precision - o, 6 * c)
+            for yv, o in zip(rec.frame.yprime, orders)}
 
 
-def build_h_g(fs, rec, hat, t, c, precision):
-    """The values of h and g at the point (yhat, t), from B''s formula;
-    checks 4 and 6 read them, on the gnd path and the verify path alike,
-    and ``perfbench/tracing.py`` times this step by its name.
-
-    Each image of ``t`` (in tvar order) is extended by zeros, so that
-    Y* = y' + (d/s) G(y')t is exact to O(x^N), N = ``precision``, that
-    of v.  Returns the values h_j(yhat, t) = s(yhat_j - y'_j) - d (G(y')t)_j
-    to O(x^(N - 4c)); the values f_i(Y*) = d^2 g_i(t) / s^p to O(x^N) of
-    the relations ``fs``, which vanish exactly where those of g do to
-    O(x^(N - 4c)), with no division by d^2 and no power of s taken; and
-    the series point at Y*."""
-    D, cut, wcut = rec.frame.D, precision - 4 * c, precision - 2 * c
-    x, Fs, yprime = D.base_var, D.series_field, rec.frame.point.images
-    t = [TruncatedSeries(s.variables, s.field, s.terms, wcut) for s in t]
-    zero = TruncatedSeries.zero((x,), Fs, wcut)
-    dw = {}                                     # d (G(y')t)_j
-    for yv, row in zip(rec.frame.yprime, rec.Gy):
-        w = sum((D.series(e, wcut) * tk for e, tk in zip(row, t) if e.terms),
-                zero)
-        dw[yv] = TruncatedSeries((x,), Fs, {(e + 2 * c,): a for (e,), a
-                                           in w.terms.items()}, precision)
-    s = D.series(rec.s, precision)
-    h = [s.truncate(cut) * (hat[yv].truncate(cut) - yprime[yv].truncate(cut))
-         - dw[yv].truncate(cut) for yv in dw]
-    inverse = s.invert()
-    star = D.point(precision, {yv: yprime[yv].truncate(precision) + e * inverse
-                               for yv, e in dw.items()})
-    g = [series_eval(f.restrict(rec.frame.variables), star) for f in fs]
-    return h, g, star
+def build_h_g(fs, D, hat, precision):
+    """g of B''s formula at the [hat] point, which check 4 reads on the
+    gnd path and the verify path alike; ``perfbench/tracing.py`` times
+    this step by its name.  At t = H(y')(yhat - y')/d^2, h is 0 and Y* is
+    yhat once check 1 holds, so g_i(t) = s^p f_i(yhat)/d^2 (module
+    docstring).  Each image of ``hat`` is extended by zeros to O(x^N), N =
+    ``precision``.  Returns the values f_i(yhat) to O(x^N) of the
+    relations ``fs``, which vanish exactly where those of g do to
+    O(x^(N - 4c)), with no t built, no division by d^2 and no power of s
+    taken; and the series point at yhat."""
+    point = D.point(precision, {yv: TruncatedSeries(s.variables, s.field,
+                                                    s.terms, precision)
+                                for yv, s in hat.items()})
+    ring = D.ring_prefix() + tuple(hat)
+    return [series_eval(f.restrict(ring), point) for f in fs], point
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +386,6 @@ class GndCertificate:
     permutation: tuple = ()      # yvars[i] = original_variables[permutation[i]]
     relations: list = dc_field(default_factory=list)   # bordered ideal in ring
     subset: tuple = ()
-    t: dict = dc_field(default_factory=dict)            # tvar -> series
     hat_images: dict = dc_field(default_factory=dict)   # yvar -> series
     precision: int = 0           # of v; checks 4-6 read precision - 4c
     report: list = dc_field(default_factory=list)
@@ -440,41 +434,27 @@ class GndCertificate:
 
 
 def assemble_certificate(step, D, permutation, yvars, tvars, rec):
-    """Package the pipeline output and compute the series images of T.
-    [hat] and [t] keep what is read of them: [hat] below x^(N - 4c), N the
-    precision of v, for checks 4-6, and below x^(6c) for y'; each T as
-    ``t_precisions`` says."""
-    B1, v1, c, frame = step.algebra, step.morphism, step.data.c, rec.frame
-    N = v1.precision
-    hat = {yv: v1.images[yv].truncate(N) for yv in yvars}
-    # t = H(y') (yhat - y') / d^2, entrywise exact series division, with
-    # y' and H(y') read off the frame's point
-    deltas = [hat[yv] - frame.point.images[yv].truncate(N) for yv in yvars]
-    Hy = [[frame.series(entry, N) for entry in row] for row in rec.H]
-    xF = v1.field
-    d2 = TruncatedSeries((v1.base_var,), xF, {(4 * c,): xF.one()}, N)
-    precisions = t_precisions(rec.Gy, len(step.data.subset), N - 4 * c, c)
-    zero = TruncatedSeries.zero((v1.base_var,), xF, N)
-    t = {tv: sum((a * b for a, b in zip(row, deltas)), zero).divide_exact(
-        d2).truncate(k) for tv, row, k in zip(tvars, Hy, precisions)}
-    ring = working_ring(D, c, yvars, tvars)
+    """Package the pipeline output.  [hat] keeps of each image of v what
+    check 4 reads of it (``hat_precisions``), y' below x^(6c) included."""
+    B1, v1, data = step.algebra, step.morphism, step.data
+    marks = hat_precisions(rec, len(data.subset), v1.precision, data.c)
+    ring = working_ring(D, data.c, yvars, tvars)
     return GndCertificate(
-        D=D, witness=step.data.witness.embed(ring), c=c, yvars=yvars,
+        D=D, witness=data.witness.embed(ring), c=data.c, yvars=yvars,
         tvars=tvars, permutation=permutation,
         relations=[r.embed(ring) for r in B1.relations],
-        subset=step.data.subset, t=t,
-        hat_images={yv: x.truncate(max(N - 4 * c, 6 * c))
-                    for yv, x in hat.items()},
-        precision=N)
+        subset=data.subset,
+        hat_images={yv: v1.images[yv].truncate(marks[yv]) for yv in yvars},
+        precision=v1.precision)
 
 
 def verify_certificate(cert, B, v, derived=None):
     """Re-run the six certificate checks; failures become report entries.
     y', H, G, M and s (``derive_frame``; ``GndCertificate.minor`` in a
     short circuit) are derived first, unless ``derived`` is the record
-    desingularize built, and h and g are read through B''s formula
-    (``build_h_g``); a [t] image printed to another precision than check 4
-    reads it to is a ConsistencyError."""
+    desingularize built, and g is read through B''s formula at the [hat]
+    point (``build_h_g``); a [hat] image printed to another precision than
+    check 4 reads it to is a ConsistencyError."""
     if cert.short_circuit:
         report = [CheckResult(name, True, "vacuous", detail)
                   for name, detail in (
@@ -493,12 +473,20 @@ def verify_certificate(cert, B, v, derived=None):
         cert.report = report
         return report
 
-    ring, D, c = cert.ring, cert.D, cert.c
-    n, r, N = len(cert.yvars), len(cert.subset), cert.precision
+    ring, D, c, x = cert.ring, cert.D, cert.c, cert.base_var
+    n, N = len(cert.yvars), cert.precision
     fs = cert.subset_relations()
     rec = derived or derive_frame(
         {yv: cert.hat_images[yv] for yv in cert.yvars}, c, D, ring, fs,
         cert.yvars, cert.witness)
+    # each [hat] image is printed to the precision check 4 reads it to, and
+    # is extended by zeros above that
+    for yv, want in hat_precisions(rec, len(fs), N, c).items():
+        have = cert.hat_images[yv].precision
+        if have != want:
+            raise ConsistencyError(
+                f"certificate [hat] {yv} is printed to O({x}^{have}); "
+                f"check 4 reads it to O({x}^{want})")
     report = []
     # (1) exact matrix identity; G*H = P*Id alone gives H*G = P*Id (module
     # docstring)
@@ -515,44 +503,33 @@ def verify_certificate(cert, B, v, derived=None):
                               "by checks 1 and 3"))
     report.append(CheckResult("I(y') = 0 mod d^3", ok3, "exact"))
 
-    # (4) h and g vanish on the series point (yhat, t); a T image is
-    # printed to the precision this check reads it to, and is extended by
-    # zeros above that
+    # (4) at t = H(y')(yhat - y')/d^2, (1) gives h = 0 and
+    # g = s^p f(yhat)/d^2
     prec4 = N - 4 * c
-    t = []
-    for tv, want in zip(cert.tvars, t_precisions(rec.Gy, r, prec4, c)):
-        image = cert.t[tv]
-        if image.precision != want:
-            raise ConsistencyError(
-                f"certificate [t] {tv} is printed to O({cert.base_var}^"
-                f"{image.precision}); check 4 reads it to O("
-                f"{cert.base_var}^{want})")
-        t.append(image)
-    h, g, star = build_h_g(fs, rec, cert.hat_images, t, c, N)
-    ok4 = all(q.is_zero() for q in h + g)
+    values, at_hat = build_h_g(fs, D, cert.hat_images, N)
+    ok4 = ok1 and all(q.is_zero() for q in values)
     report.append(CheckResult("h and g vanish on (yhat, t)", ok4,
-                              f"O({cert.base_var}^{prec4})"))
+                              f"O({x}^{prec4})"))
 
     # (5) the composite agrees with v
     point = D.point(prec4, cert.hat_images)
     ok5 = _hat_is_v(cert, B, v, prec4) and all(
         series_eval(rel, point).is_zero() for rel in B.relations)
-    report.append(CheckResult("composite factors v", ok5,
-                              f"O({cert.base_var}^{prec4})"))
+    report.append(CheckResult("composite factors v", ok5, f"O({x}^{prec4})"))
 
     # (6) dg_i/dT_k = (s^(p-1)/d) (J_f(Y*) G(y'))_ik at Y* = y' + (d/s)
-    # G(y')t, which is yhat to O(x^prec4) by (4): det(dg/dT) over the
-    # subset's T is a unit exactly when det(J_f(Y*) G(y')[:, :r]) has order
-    # 2cr.  G(y')[:, :r] is N(y') (adj A(y') over 0), A the minor's block
-    # of H, so that determinant is N(y')^r M(Y*) M(y')^(r-1), and M(y')
-    # N(y') = s d has order 2c: it has order 2cr exactly when M(Y*) has
-    # the order of M(y'), at most 2c
+    # G(y')t, which is yhat by (4): det(dg/dT) over the subset's T is a
+    # unit exactly when det(J_f(yhat) G(y')[:, :r]) has order 2cr.
+    # G(y')[:, :r] is N(y') (adj A(y') over 0), A the minor's block of H,
+    # so that determinant is N(y')^r M(yhat) M(y')^(r-1), and M(y') N(y')
+    # = s d has order 2c: it has order 2cr exactly when M(yhat) has the
+    # order of M(y'), at most 2c
     M = rec.M.restrict(rec.frame.variables)
     order = rec.frame.series(M, 2 * c + 1).order()
     report.append(CheckResult(
-        "smoothness witness is a unit",
-        order is not None and series_eval(M, star, 2 * c + 1).order() == order,
-        f"O({cert.base_var}^{prec4})"))
+        "smoothness witness is a unit", order is not None
+        and series_eval(M, at_hat, 2 * c + 1).order() == order,
+        f"O({x}^{prec4})"))
     cert.report = report
     return report
 
@@ -575,7 +552,7 @@ def _short_circuit_certificate(B, v, data):
         D=D, witness=data.witness.embed(ring).monic(DEGREVLEX), c=0,
         yvars=yvars, tvars=tvars, permutation=permutation,
         relations=[r.embed(ring) for r in B.relations], subset=data.subset,
-        hat_images={yv: v.images[yv] for yv in yvars},
+        hat_images={yv: v.images[yv].truncate(v.precision) for yv in yvars},
         precision=v.precision)
 
 

@@ -254,14 +254,13 @@ def emit_groebner(gb, variables, F):
 
 # ---------------------------------------------------------------------------
 # The polynomial and series sections, in the order they are written:
-# (section, GndCertificate attribute, reader, format of one value).  [t] and
-# [hat] hold series in the base variable, [relations] polynomials in the
-# ring.  B' is given by its formula (``gnd``): verify derives y', H, G, M
-# and s, and reads h and g through it; A's field, U and the T's come from
-# [series-field] and the yvars (``gnd.bound_names``).
+# (section, GndCertificate attribute, reader, format of one value).  [hat]
+# holds series in the base variable, [relations] polynomials in the ring.
+# B' is given by its formula (``gnd``): verify derives y', H, G, M and s,
+# takes the point's t from [hat], and reads h and g through it; A's field,
+# U and the T's come from [series-field] and the yvars (``gnd.bound_names``).
 CERT_VALUES = (
     ("relations", "relations", _items, format_polynomial),
-    ("t", "t", _named, format_series),
     ("hat", "hat_images", _named, format_series),
 )
 
@@ -273,7 +272,7 @@ def _list(items):
 
 def emit_certificate(cert):
     lines = ["[meta]",
-             "version 6",
+             "version 7",
              f"base {cert.base_var}",
              f"c {cert.c}",
              f"precision {cert.precision}",
@@ -351,8 +350,8 @@ def parse_certificate(text):
     # the version is read first, so that an old certificate is refused by it
     lineno, version = _Required(_keyed("meta", sections["meta"]),
                                 "[meta] key")["version"]
-    if version != "6":
-        raise ParseError(f"[meta] version must be 6, found {version!r}",
+    if version != "7":
+        raise ParseError(f"[meta] version must be 7, found {version!r}",
                          lineno, 1)
     meta = keyed("meta", "version base c precision permutation yvars subset")
     for name, lines in sections.items():
@@ -421,10 +420,9 @@ def _check_shape(cert):
     require(all(q.degree_in(t) < 1 for t in cert.tvars
                 for q in cert.relations + [cert.witness]),
             "[relations] or [data] witness has a term in a tvar")
-    for tag, named, names in (("hat", cert.hat_images, cert.yvars),
-                              ("t", cert.t, cert.tvars)):
-        require(sorted(named) == sorted(names),
-                f"[{tag}] does not name exactly {' '.join(names) or 'nothing'}")
+    require(sorted(cert.hat_images) == sorted(cert.yvars),
+            f"[hat] does not name exactly "
+            f"{' '.join(cert.yvars) or 'nothing'}")
     require(list(cert.subset) == sorted(set(cert.subset))
             and all(0 <= i < len(cert.relations) for i in cert.subset),
             "[meta] subset is not increasing within [relations]")
@@ -439,10 +437,14 @@ def _check_shape(cert):
     require(not cert.short_circuit
             or N.terms and N.leading(DEGREVLEX)[1] == 1,
             "[data] witness of a short circuit is not monic")
-    # checks 4-6 read [hat] below x^(precision - 4c), y' below x^(6c)
-    cut = max(cert.precision - 4 * cert.c, 6 * cert.c)
-    require(all(x.precision == cut for x in cert.hat_images.values()),
-            f"[hat] is not printed to O({cert.base_var}^{cut})")
+    # y' is [hat] below x^(6c); a short circuit prints [hat] to the
+    # precision of v, and verify binds each marker of a bordered one to
+    # what check 4 reads (gnd.hat_precisions)
+    x, marks = cert.base_var, [s.precision for s in cert.hat_images.values()]
+    require(all(m >= 6 * cert.c for m in marks),
+            f"[hat] is printed below O({x}^{6 * cert.c})")
+    require(not cert.short_circuit or set(marks) <= {cert.precision},
+            f"[hat] is not printed to O({x}^{cert.precision})")
     # Z borders last: original_problem drops it and its relation, which
     # ends the subset
     require(cert.short_circuit

@@ -415,9 +415,10 @@ class SeriesPoint:
         An image n*alpha^i*x^k of one term (x -> x, U -> alpha) is a shift:
         v^e scales the coefficient by n^e and moves it e*k powers of x and
         e*i of alpha up.  The terms with the same other factors form one
-        row and take one product with their powers.  A term shifted to
-        x^precision or past is 0, and the sum is decoded only up to the
-        highest x-degree a row reaches.
+        row and take one product with their powers.  A term whose least
+        x-order, sum e*ord(v), reaches the precision is 0: it is skipped
+        before any power of it is taken or its slot width sized, and the
+        sum is decoded only up to the highest x-degree a row reaches.
 
         With each image v = A_v / d_v (A_v integral) and each term
         c*prod v^(e_v), D is the lcm of the term denominators
@@ -442,15 +443,18 @@ class SeriesPoint:
         for mono, c in poly.terms.items():
             den, row = _row(K, c)
             key, bits, longest, reach, degree = (), 0, 0, 0, len(row) - 1
-            shift = lift = 0
+            shift = lift = low = 0
             for name, e in compress(zip(poly.variables, mono), mono):
                 image = powers.image(name)
-                if image and e * image[4] > 2 * d - 2:
-                    name, e = (name, e), 1          # v^e is its own image
-                    image = powers.image(name)
                 if image is None:           # a zero image: the term is 0
                     break
-                nums, dv, hbits, lbits, alpha, high = image
+                low += e * image[6]
+                if low >= precision:        # the term is 0 to the precision
+                    break
+                if e * image[4] > 2 * d - 2:
+                    name, e = (name, e), 1          # v^e is its own image
+                    image = powers.image(name)
+                nums, dv, hbits, lbits, alpha, high, _ = image
                 den, degree = den * dv ** e, degree + e * alpha
                 if len(nums) == 1:          # n*alpha^i*x^k: a row shift
                     (k, n), = nums.items()
@@ -461,14 +465,13 @@ class SeriesPoint:
                     bits += e * (hbits + lbits)
                     longest, reach = max(longest, lbits), reach + e * high
             else:
-                if shift < precision:
-                    rows.setdefault(key, []).append((row, den, shift, lift))
-                    stride = max(stride, degree + 1)
-                    size = max(size, shift + reach + 1)
-                    # |c * D / den| < 2^(bits(c) + bits(D) - bits(den) + 1)
-                    top = max(top, max(map(abs, row)).bit_length() + bits
-                              - longest + (len(row) - 1).bit_length()
-                              - den.bit_length())
+                rows.setdefault(key, []).append((row, den, shift, lift))
+                stride = max(stride, degree + 1)
+                size = max(size, shift + reach + 1)
+                # |c * D / den| < 2^(bits(c) + bits(D) - bits(den) + 1)
+                top = max(top, max(map(abs, row)).bit_length() + bits
+                          - longest + (len(row) - 1).bit_length()
+                          - den.bit_length())
         D = lcm(*(t[1] for terms in rows.values() for t in terms))
         # every term is below 2^(top + bits(D) + 1), the sum n times that
         top += D.bit_length() + 1 + sum(map(len, rows.values())).bit_length()
@@ -515,12 +518,13 @@ class _PackedPowers:
         self.series, self.field, self.size = series, field, size
         self.degree = field.degree if type(field) is SimpleExtension else 1
         self.width, self.stride, self.mask = 0, 1, 0
-        self.images = {}    # name -> (numerators, den, bits, bits, degrees)
+        self.images = {}    # name -> the tuple ``image`` returns
         self.powers = {}    # (name, e) -> packed image^e modulo x^size
 
     def image(self, name):
         """An image's int numerators below x^size (alpha^i x^k at k*d + i),
-        their den, bits of height and number, alpha- and x-degree; or None."""
+        their den, bits of height and number, alpha- and x-degree, and
+        x-order; or None."""
         if name in self.images:
             return self.images[name]
         F, d = self.field, self.degree
@@ -533,7 +537,8 @@ class _PackedPowers:
         nums, den = _ints(F, terms, self.size * d)
         out = None if not nums else (
             nums, den, max(map(abs, nums.values())).bit_length(),
-            len(nums).bit_length(), max(p % d for p in nums), max(nums) // d)
+            len(nums).bit_length(), max(p % d for p in nums), max(nums) // d,
+            min(nums) // d)
         self.images[name] = out
         return out
 

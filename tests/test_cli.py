@@ -185,7 +185,7 @@ def test_cli_verify_rejects_tampering(tmp_path):
     cert_path = str(tmp_path / "cert.txt")
     assert main(["gnd", "--input", inp, "--output", cert_path]) == 0
     text = open(cert_path).read()
-    bad = text.replace("T1 = -x^3 + ", "T1 = -2*x^3 + ")
+    bad = text.replace(" + x^9 - ", " + 2*x^9 - ")
     assert bad != text
     bad_path = write(tmp_path, "bad.txt", bad)
     assert main(["verify", "--input", bad_path]) == 5
@@ -247,7 +247,6 @@ def _value(tag, key, value):
 
 MALFORMED_CERTIFICATES = {
     "empty-bprime": _empty_bprime,
-    "t-without-equals": _no_equals("t"),
     "hat-without-equals": _no_equals("hat"),
     "meta-version": _value("meta", "version", "4"),
     "meta-c": _value("meta", "c", "one"),
@@ -260,9 +259,10 @@ MALFORMED_CERTIFICATES = {
         text, "report", "", lambda l: l.rsplit(";", 2)[0]),
     "report-status": lambda text: _edit_line(
         text, "report", "", lambda l: l.replace("pass", "ok", 1)),
-    # T1 = -x^3 + O(x^19) becomes -x^19 + O(x^19): the marker would drop it
-    "t-term-above-marker": lambda text: _edit_line(
-        text, "t", "T1 ", lambda l: re.sub(
+    # Y2 = x - ... - x^22 + O(x^23) becomes ... - x^23 + O(x^23): the
+    # marker would drop it
+    "hat-term-above-marker": lambda text: _edit_line(
+        text, "hat", "Y2 ", lambda l: re.sub(
             r"x\^\d+ \+ O\(x\^(\d+)\)", r"x^\1 + O(x^\1)", l)),
     # a [series-field] that is not [field] nor an extension of it parses,
     # and is refused as inconsistent
@@ -274,10 +274,14 @@ MALFORMED_CERTIFICATES = {
     # would put T1 in G = N*adj(H), is inconsistent
     "witness-in-a-tvar": (lambda text: _edit_line(
         text, "data", "witness ", lambda l: l + " + T1"), ConsistencyError),
-    # c is bound by the [hat] markers, at precision - 4c, and is at least
-    # 1: at c = 0 check 3 would read nothing
+    # c is at least 1: at c = 0 check 3 would read nothing, and the
+    # certificate reads as a short circuit, whose [hat] markers and witness
+    # the node's are not.  c = 2 parses, and verify refuses it: P = M*N is
+    # not (R + x^c)^2 for the bordering relation R
     **{f"c-{c}": (_value("meta", "c", c), ConsistencyError) for c in (0, 2)},
 }
+# the cases that parse and that verify refuses
+REFUSED_BY_VERIFY = {"c-2"}
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +326,10 @@ def test_cli_verify_malformed_certificate(tmp_path, capsys, node_certificate,
     bad = edit(node_certificate)
     assert bad != node_certificate
     with pytest.raises(error):
-        parse_certificate(bad)
+        if case in REFUSED_BY_VERIFY:
+            cli.run_verify(None, None, bad)
+        else:
+            parse_certificate(bad)
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == \
         error.exit_code
     err = capsys.readouterr().err
@@ -345,11 +352,12 @@ def _break_value(tag, key):
 
 # one value of each kind in every section that holds values, in the node
 # certificate, first and last: "hpolys", "b", "gpolys" and "qpolys", which
-# named version 4's h and g lines, now break the last line of [t], [hat],
-# [relations] and [report]; version 5 prints no [bprime] and version 6 no
-# [field] or [D], and a header for one ("bprime", "field", "D-mu") is
-# refused at its line, as is a key that an earlier version printed (mu,
-# p, short-circuit, columns, and z in a short circuit)
+# named version 4's h and g lines, now break the middle line of [hat] and
+# the last line of [hat], [relations] and [report]; version 5 prints no
+# [bprime], version 6 no [field] or [D] and version 7 no [t], and a header
+# for one ("bprime", "field", "D-mu", "t") is refused at its line, as is a
+# key that an earlier version printed (mu, p, short-circuit, columns, and
+# z in a short circuit)
 VALUE_LINES = {
     "field": lambda text: text.replace("\n[series-field]\n",
                                        "\n[field@]\nQ\n[series-field]\n"),
@@ -365,8 +373,10 @@ VALUE_LINES = {
     "data-columns": _insert("data", "columns @0 2"),
     "data-witness": _break_value("data", "witness "),
     "data-z": ("short", _insert("data", "z @1 + O(x^12)")),
-    **{tag: _break_value(tag, "") for tag in ("relations", "t", "hat")},
-    "hpolys": _edit_last("t", _at_value),
+    **{tag: _break_value(tag, "") for tag in ("relations", "hat")},
+    "t": lambda text: text.replace("\n[hat]\n",
+                                   "\n[t@]\nT1 = -x^3 + O(x^19)\n[hat]\n"),
+    "hpolys": lambda text: _edit_line(text, "hat", "Z ", _at_value),
     "b": _edit_last("hat", _at_value),
     "gpolys": _edit_last("relations", _at_value),
     "qpolys": _edit_last("report", _at_value),
@@ -411,7 +421,9 @@ DERIVED_TAMPERING = {
     "bprime-variables": ("meta", "yvars ", lambda l: "yvars Y1 Z Y1"),
     # the minor's columns lead the permutation, in increasing order
     "data-columns": ("meta", "permutation ", lambda l: "permutation 2 0 1"),
-    "hat-marker": ("hat", "Y1 ", lambda l: l.replace("O(x^19)", "O(x^20)")),
+    "hat-marker": ("hat", "Y1 ", lambda l: l.replace("O(x^22)", "O(x^23)")),
+    # y' is [hat] below x^(6c), so no marker lies below it
+    "hat-below-yprime": ("hat", "Y1 ", lambda l: "Y1 = x + x^2 + O(x^5)"),
     "meta-precision": ("meta", "precision ", lambda l: "precision 24"),
     "meta-subset": ("meta", "subset ", _reversed_ints),
     "meta-permutation": ("meta", "permutation ",
@@ -427,20 +439,26 @@ def test_cli_verify_rejects_inconsistent_sections(tmp_path, node_certificate,
     text = short_circuit_certificate if short else node_certificate
     bad = _edit_line(text, tag, key, edit)
     assert bad != text
+    # verify binds the [hat] markers of a bordered certificate, and with
+    # them [meta] precision, to what check 4 reads (gnd.hat_precisions)
     with pytest.raises(ConsistencyError):
-        parse_certificate(bad)
+        if case in ("hat-marker", "meta-precision"):
+            cli.run_verify(None, None, bad)
+        else:
+            parse_certificate(bad)
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
 
 
-# h and g are given by their formula and read at the point (yhat, t): h
-# through the first and last [hat] image above y' (x^(6c)), g through the
-# first and last [t] image, which enter Y* = y' + (d/s)G(y')t; each edit is
-# (section, key, old, new)
+# h and g are given by their formula and read at the point (yhat, t), t =
+# H(y')(yhat - y')/d^2, where check 1 makes h = 0 and g = s^p f(yhat)/d^2:
+# a coefficient of the first and last [hat] image above y' (x^(6c)), one
+# inside the image ("h-") and its top one, just below its marker ("g-"),
+# each fails check 4; each edit is (section, key, old, new)
 EDITED_H_AND_G = {
-    "h-first": ("hat", "Y1 ", " + O(x^19)", " + x^10 + O(x^19)"),
-    "h-last": ("hat", "Y2 ", " x^18 + O(", " 2*x^18 + O("),
-    "g-first": ("t", "T1 ", "-x^3", "-2*x^3"),
-    "g-last": ("t", "T3 ", " x^15 + O(", " 2*x^15 + O("),
+    "h-first": ("hat", "Y1 ", " + O(x^22)", " + x^10 + O(x^22)"),
+    "h-last": ("hat", "Y2 ", " - x^18 ", " - 2*x^18 "),
+    "g-first": ("hat", "Y1 ", " + O(x^22)", " + x^21 + O(x^22)"),
+    "g-last": ("hat", "Y2 ", " - x^22 + O(", " - 2*x^22 + O("),
 }
 
 
@@ -457,22 +475,22 @@ def test_cli_verify_rejects_edited_h_and_g(tmp_path, node_certificate, case):
     assert last.startswith("failed: h and g vanish on (yhat, t)")
 
 
-@pytest.mark.parametrize("tvar, old, new", [
-    ("T3", " + O(x^16)", " + O(x^17)"),
-    ("T3", " + x^15 + O(x^16)", " + O(x^15)"),
-    ("T1", " + O(x^19)", " + O(x^20)"), ("T1", " + O(x^19)", " + O(x^18)")])
-def test_cli_verify_binds_the_t_markers(tmp_path, capsys, node_certificate,
-                                        tvar, old, new):
-    # check 4 reads T1 (a subset T, which g reads) below x^19 and T3 only
-    # below x^16: its G(y') column has x-order 1, so h meets a coefficient
-    # of T3 at x^e first at x^(e + 3); every [t] marker must say so
-    bad = _edit_line(node_certificate, "t", tvar + " ",
+@pytest.mark.parametrize("yvar, old, new", [
+    ("Y2", " + O(x^23)", " + O(x^24)"),
+    ("Y2", " - x^22 + O(x^23)", " + O(x^22)"),
+    ("Y1", " + O(x^22)", " + O(x^23)"), ("Y1", " + O(x^22)", " + O(x^21)")])
+def test_cli_verify_binds_the_hat_markers(tmp_path, capsys, node_certificate,
+                                          yvar, old, new):
+    # check 4 reads f(yhat) below x^N, N = 23: Y1 and Z only below x^22, as
+    # their columns of J_f(y') have x-order 1, and Y2 below x^23, as Z(y')
+    # = 1 + x is in its column; every [hat] marker must say so
+    bad = _edit_line(node_certificate, "hat", yvar + " ",
                      lambda l: l.replace(old, new))
     assert bad != node_certificate
     assert main(["verify", "--input", write(tmp_path, "bad.txt", bad)]) == 5
     printed, want = (text.rsplit("+ ", 1)[1] for text in (new, old))
     assert capsys.readouterr().err == (
-        f"error: certificate [t] {tvar} is printed to {printed}; check 4 "
+        f"error: certificate [hat] {yvar} is printed to {printed}; check 4 "
         f"reads it to {want}\n")
 
 
@@ -481,12 +499,12 @@ def test_cli_verify_refuses_a_version_1_certificate(tmp_path, capsys,
     # version 1 printed h and g three times, in [hpolys], [gpolys] (with
     # [qpolys]) and [bprime]; it is refused at its version line, before
     # any of the sections and keys later versions dropped
-    old = node_certificate.replace("version 6", "version 1").replace(
+    old = node_certificate.replace("version 7", "version 1").replace(
         "[relations]\n", "[d]\nx^2\n[relations]\n")
     path = write(tmp_path, "v1.txt", old)
     assert main(["verify", "--input", path]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: line 2, column 1: [meta] version must be 6, found '1'"]
+        "error: line 2, column 1: [meta] version must be 7, found '1'"]
 
 
 @pytest.fixture(scope="module")
@@ -537,26 +555,28 @@ def test_cli_verify_binds_ext_to_the_series_field(tmp_path, node_certificate,
 
 
 @pytest.mark.parametrize("tags", [("relations",), ("witness",),
-                                  ("relations", "witness"), ("t",)])
+                                  ("relations", "witness"), ("hat",)])
 def test_cli_verify_refuses_unreduced_values_fast(tmp_path,
                                                   sqrt2_node_certificate,
                                                   tags):
     # every honest certificate prints its polynomials reduced modulo mu: a
     # U^1000000 on the first line of [relations] or on [data] witness is
-    # refused before any value at a point, exit 5; in a [t] image, a series
-    # over Q(r), U is no variable at all, exit 2
+    # refused before any value at a point, exit 5; in the first [hat]
+    # image, a series over Q(r), U is no variable at all, exit 2 at its line
     bad = sqrt2_node_certificate
     for tag in tags:
         key, old, new = {"relations": ("", "Y1*Y2", "Y1*Y2 + U^1000000"),
                          "witness": ("witness ", "Z^2", "Z^2 + U^1000000"),
-                         "t": ("T1 ", " + O(", " + U^1000000 + O(")}[tag]
+                         "hat": ("Y1 ", " + O(", " + U^1000000 + O(")}[tag]
         bad = _edit_line(bad, tag if tag != "witness" else "data", key,
                          lambda l: l.replace(old, new))
     assert bad.count("U^1000000") == len(tags)
     run = _cli_subprocess(["verify", "--input",
                            write(tmp_path, "bad.txt", bad)], timeout=10)
-    if tags == ("t",):
+    if tags == ("hat",):
+        line = bad.split("\n").index("[hat]") + 2
         assert run.returncode == 2
+        assert run.stderr.startswith(f"error: line {line}, ")
         assert "undeclared variable 'U'" in run.stderr
     else:
         assert run.returncode == 5
@@ -566,17 +586,22 @@ def test_cli_verify_refuses_unreduced_values_fast(tmp_path,
 
 def test_cli_verify_refuses_a_value_at_yprime_past_max_precision(
         tmp_path, node_certificate):
-    # a Y2^100000 added to the first relation leaves its derivatives in
-    # the minor's columns Y1 and Z, and with them M and P, as they were,
-    # but puts Y2^99999 into H and G: G(y') has x-degree up to 500000,
-    # past MAX_PRECISION, and is refused before packing, exit 4.  A
-    # Y1^100000 added to [data] witness N changes P = M*N, and is refused
-    # by the binding before any value at y', exit 5
-    for tag, key, term, code, message in (
-            ("relations", "", "Y2^100000", 4, "needs precision above 65536"),
-            ("data", "witness ", "Y1^100000", 5, "does not give P = M*N")):
-        bad = _edit_line(node_certificate, tag, key,
-                         lambda l: f"{l} + {term}")
+    # the one exact value at y' is P(y'), with P = M*N = (R + x^c)^2 bound
+    # to the bordering relation R = Z*Y2 - x: R + Y2^7000 with witness
+    # (Z + Y2^6999)^2 keeps M = Y2^2 (the minor's columns are Y1 and Z)
+    # and the binding, and puts Y2^14000 into P, so P(y') has x-degree up
+    # to 70000 (y'_Y2 has degree 5), past MAX_PRECISION: refused before
+    # packing, exit 4.  A Y1^100000 added to [data] witness N changes
+    # P = M*N, and is refused by the binding before any value at y', exit 5
+    big = node_certificate.replace("\nZ*Y2 - x\n", "\nZ*Y2 - x + Y2^7000\n")
+    for bad, code, message in (
+            (big.replace("\nwitness Z^2\n",
+                         "\nwitness Z^2 + 2*Z*Y2^6999 + Y2^13998\n"),
+             4, "needs precision above 65536"),
+            (node_certificate.replace("\nwitness Z^2\n",
+                                      "\nwitness Z^2 + Y1^100000\n"),
+             5, "does not give P = M*N")):
+        assert bad != node_certificate
         run = _cli_subprocess(["verify", "--input",
                                write(tmp_path, "bad.txt", bad)], timeout=10)
         assert run.returncode == code
@@ -584,13 +609,11 @@ def test_cli_verify_refuses_a_value_at_yprime_past_max_precision(
         assert "Traceback" not in run.stderr
 
 
-# [hat] must name exactly the [meta] yvars and [t] the tvars, each once; a
-# key of [meta] or [data] may not repeat, and a [D] section that repeats
-# version 5's key is refused as the retired section it is
+# [hat] must name exactly the [meta] yvars, each once; a key of [meta] or
+# [data] may not repeat, and a [D] section that repeats version 5's key is
+# refused as the retired section it is
 NAMED_SECTION_MUTATIONS = {
-    "t-drops-T1": _drop("t", "T1 "),
     "hat-drops-Y2": _drop("hat", "Y2 "),
-    "t-extra-name": _insert("t", "Q9 = x + O(x^19)"),
     "hat-extra-name": _insert("hat", "Q9 = x + O(x^19)"),
     "meta-repeated-key": _repeat("meta", "c "),
     "D-repeated-key": lambda text: text.replace(
@@ -636,10 +659,28 @@ def test_cli_short_circuit_certificate_sections(tmp_path,
     bad = text.replace("\n[report]\n", "\n[bprime]\nW - 1\n[report]\n")
     with pytest.raises(ParseError, match="unknown section \\[bprime\\]"):
         parse_certificate(bad)
-    # a short circuit has no frame: its [t] stays empty
-    bad = text.replace("\n[t]\n", "\n[t]\nT1 = x + O(x^5)\n")
-    with pytest.raises(ConsistencyError, match="t"):
+    # no certificate prints t, which [hat] fixes (version 6 printed an
+    # empty [t] in a short circuit): the section is refused at its header
+    bad = text.replace("\n[hat]\n", "\n[t]\n[hat]\n")
+    line = bad.split("\n").index("[t]") + 1
+    with pytest.raises(ParseError, match=f"^line {line}, column 1: unknown "
+                       "section \\[t\\]"):
         parse_certificate(bad)
+
+
+def test_cli_short_circuit_prints_hat_to_the_precision_of_v(tmp_path):
+    # v's precision is the least of its images': Y1 known to O(x^30) is
+    # printed to O(x^20), that of Y2, as the reader requires
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nbase x\nalgebra Y1 Y2\n"
+                "[ideal]\nY1 - x^2\n[morphism]\nY1 = x^2 + O(x^30)\n"
+                "Y2 = x + O(x^20)\n")
+    cert_path = str(tmp_path / "cert.txt")
+    assert main(["gnd", "--verify", "--input", inp,
+                 "--output", cert_path]) == 0
+    text = open(cert_path).read()
+    assert "\nY1 = x^2 + O(x^20)\nY2 = x + O(x^20)\n" in text
+    assert main(["verify", "--input", cert_path]) == 0
 
 
 def test_cli_verify_huge_p_fails_fast(tmp_path, node_certificate):
@@ -657,12 +698,13 @@ def test_cli_verify_huge_p_fails_fast(tmp_path, node_certificate):
 def test_cli_verify_huge_power_of_s_fails_fast(tmp_path, node_certificate):
     # a relation of degree 200001 makes p = 200001, and verify takes no
     # power of s.  x^200000*Y2 puts x^200000 into H and G but not into M
-    # (the minor's columns are Y1 and Z), so G(y') is a value at y' past
-    # MAX_PRECISION: refused before packing, exit 4; x^200000*Y1 puts it
-    # into M and P, which the binding refuses before any value at y',
-    # exit 5
+    # (the minor's columns are Y1 and Z), and no value at y' of G is
+    # taken: every value that meets it reads it at or past its precision,
+    # and verify certifies the relations, which v kills, exit 0.
+    # x^200000*Y1 puts it into M and P, which the binding refuses before
+    # any value at y', exit 5
     for term, code, message in (
-            ("x^200000*Y2", 4, "needs precision above 65536"),
+            ("x^200000*Y2", 0, ""),
             ("x^200000*Y1", 5, "does not give P = M*N")):
         bad = node_certificate.replace("\n-x^2 + Y1*Y2\n",
                                        f"\n-x^2 + Y1*Y2 + {term}\n")
@@ -758,8 +800,8 @@ def test_cli_gnd_reports_wrong_g(tmp_path, monkeypatch):
     real = gnd.build_h_g
 
     def wrong_g(*args):
-        h, g, star = real(*args)
-        return h, [g[0] + star.one.truncate(g[0].precision)] + g[1:], star
+        g, point = real(*args)
+        return [g[0] + point.one.truncate(g[0].precision)] + g[1:], point
 
     monkeypatch.setattr(gnd, "build_h_g", wrong_g)
     inp = write(tmp_path, "in.problem", node_problem())
@@ -1280,8 +1322,8 @@ SHORT_CIRCUITS = {
 
 
 # the number of integers each certificate holds, at least (version 5
-# prints no [bprime], version 6 no short-circuit z)
-MUTANT_FLOORS = {"node-c1": 94, "chain-k2": 162, "sqrt2-node": 71,
+# prints no [bprime], version 6 no short-circuit z, version 7 no [t])
+MUTANT_FLOORS = {"node-c1": 69, "chain-k2": 114, "sqrt2-node": 73,
                  "short-Y1-x2": 16, "short-sqrt2": 19}
 
 

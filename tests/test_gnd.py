@@ -11,14 +11,16 @@ from desing import gnd, series
 from desing.cli import main
 from desing.errors import ConsistencyError, DomainError
 from desing.fields import QQ, PrimeField, SimpleExtension, _integral
-from desing.gnd import (FramePoint, FrameRecord, border_step, build_H_G,
-                        bound_names, build_h_g, derive_frame, desingularize,
-                        truncate_lift, verify_certificate)
+from desing.gnd import (FramePoint, border_step, build_H_G, bound_names,
+                        build_h_g, derive_frame, desingularize, truncate_lift,
+                        verify_certificate)
 from desing.iofmt import parse_certificate
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import (CompletionMorphism, TruncatedSeries, parse_series,
                            series_eval)
-from desing.smooth import AlgebraPresentation, find_desing_data, matrix_det
+from desing.smooth import (AlgebraPresentation, find_desing_data,
+                           identity_matrix, matrix_det, matrix_equal,
+                           matrix_mul, matrix_scale)
 
 
 def geometric(precision, start=1, sign=1):
@@ -110,8 +112,8 @@ def test_build_H_G_identity(monkeypatch):
 
     def wrong_witness(*args):
         step = real(*args)
-        return step._replace(data=dataclasses.replace(
-            step.data, witness=step.data.witness + step.data.witness))
+        return step._replace(data=step.data._replace(
+            witness=step.data.witness + step.data.witness))
 
     monkeypatch.setattr(gnd, "border_step", wrong_witness)
     with pytest.raises(ConsistencyError,
@@ -120,27 +122,18 @@ def test_build_H_G_identity(monkeypatch):
 
 
 def test_build_h_g_linear_relation():
-    # smooth-style frame: c = 0, d = s = 1, G = (1), so h = (Y1 - x) - T1
-    # and g = Y1 - x at Y1 = x + T1, that is T1: at yhat = x + x^3 and
-    # t = x^2, h = x^3 - x^2 and g = x^2
-    ring = ("x", "Y1", "T1")
-    f = parse_polynomial("Y1 - x", ring, QQ)
-    v = CompletionMorphism(
-        base_var="x", field=QQ,
-        images={"Y1": parse_series("x + O(x^12)", ("x",), QQ)})
-    D, _ = bound_names("x", QQ, ("Y1",), 0)
-    one = Polynomial.one(ring, QQ)
-    frame = FramePoint(D, {"Y1": parse_polynomial("x", ring, QQ)})
-    rec = FrameRecord(frame, [[one]], [[one]], one, one)
+    # at t = H(y')(yhat - y')/d^2, h is 0 and g is s^p f(yhat)/d^2, so
+    # build_h_g returns f at yhat: f = Y1 - x at yhat = x + x^3 is x^3,
+    # with yhat extended by zeros from its marker x^8 to x^12
+    f = parse_polynomial("Y1 - x", ("x", "Y1", "T1"), QQ)
+    D, _ = bound_names("x", QQ, ("Y1",), 1)
 
     def ser(text):
         return parse_series(text, ("x",), QQ)
 
-    h, g, star = build_h_g([f], rec, {"Y1": ser("x + x^3 + O(x^12)")},
-                           [ser("x^2 + O(x^12)")], 0, 12)
-    assert h == [ser("-x^2 + x^3 + O(x^12)")]
-    assert g == [ser("x^2 + O(x^12)")]
-    assert star.images["Y1"] == ser("x + x^2 + O(x^12)")
+    values, point = build_h_g([f], D, {"Y1": ser("x + x^3 + O(x^8)")}, 12)
+    assert values == [ser("x^3 + O(x^12)")]
+    assert point.images["Y1"] == ser("x + x^3 + O(x^12)")
 
 
 def test_build_h_g_takes_no_partials(monkeypatch):
@@ -192,11 +185,12 @@ def test_desingularize_node_frozen_values():
     ring = cert.ring
     assert ring == ("x", "Y1", "Z", "Y2", "T1", "T2", "T3")
     assert record(cert).s == parse_polynomial("1 + 2*x^5 + x^10", ring, QQ)
-    # [hat] keeps what checks 4-6 read, x^(N - 4c) = x^19; so do T1 and
-    # T2, which g reads, and T3, whose G(y') column has x-order 1, to
-    # x^(19 - 2c - 1)
-    assert {x.precision for x in cert.hat_images.values()} == {19}
-    assert [cert.t[tv].precision for tv in cert.tvars] == [19, 19, 16]
+    # [hat] keeps what check 4 reads of f(yhat), to x^N = x^23: Y1 and Z,
+    # whose columns of J_f(y') have x-order 1, below x^22, and Y2 below
+    # x^23 (Z(y') = 1 + x is in its column)
+    assert cert.precision == 23
+    assert {yv: x.precision for yv, x in cert.hat_images.items()} == {
+        "Y1": 22, "Z": 22, "Y2": 23}
     # M and H are derived from the subset relations in the leading yvars
     assert cert.minor() == parse_polynomial("Y2^2", ring, QQ)
     expect_H = [["Y2", "0", "Y1"], ["0", "Y2", "Z"], ["0", "0", "1"]]
@@ -204,8 +198,8 @@ def test_desingularize_node_frozen_values():
     assert H == [[parse_polynomial(e, ring, QQ) for e in row]
                  for row in expect_H]
     assert M == cert.minor()
-    # t = H(y')(yhat - y') / d^2
-    t1, t2, t3 = (cert.t[tv] for tv in cert.tvars)
+    # t = H(y')(yhat - y') / d^2, which no certificate prints
+    t1, t2, t3 = derived_t(cert, record(cert), cert.hat_images)
     assert t1.to_polynomial() == parse_polynomial("-x^3", ("x",), QQ)
     assert t2.to_polynomial() == parse_polynomial("-x^2", ("x",), QQ)
     # t3 = -x^2 / (1 + x)
@@ -228,12 +222,14 @@ def test_desingularize_node_deterministic():
 
 
 def test_verify_detects_tampering():
-    # T1's image enters g through s^p t_1: one more x^3 fails check 4
+    # a [hat] coefficient above y' enters g = s^p f(yhat)/d^2 at the point
+    # t = H(y')(yhat - y')/d^2: one more x^10 in Y2 fails check 4
     B = node_algebra()
     v = node_morphism()
     cert = desingularize(B, v)
-    t1 = cert.t["T1"]
-    cert.t["T1"] = t1 + TruncatedSeries(("x",), QQ, {(3,): 1}, t1.precision)
+    y2 = cert.hat_images["Y2"]
+    cert.hat_images["Y2"] = y2 + TruncatedSeries(("x",), QQ, {(10,): 1},
+                                                 y2.precision)
     report = verify_certificate(cert, B, v)
     failed = {r.name for r in report if not r.passed}
     assert "h and g vanish on (yhat, t)" in failed
@@ -383,6 +379,20 @@ def record(cert):
     return derive_frame({yv: cert.hat_images[yv] for yv in cert.yvars},
                         cert.c, cert.D, cert.ring, cert.subset_relations(),
                         cert.yvars, cert.witness)
+
+
+def derived_t(cert, rec, hat):
+    """t = H(y')(yhat - y')/d^2 to O(x^(N - 4c)), each image of ``hat``
+    extended by zeros to x^N: the T's images at the point, which no
+    certificate prints."""
+    N, c, x, F = cert.precision, cert.c, cert.base_var, cert.series_field
+    deltas = [TruncatedSeries((x,), F, hat[yv].terms, N)
+              - rec.frame.point.images[yv].truncate(N) for yv in cert.yvars]
+    d2 = TruncatedSeries((x,), F, {(4 * c,): F.one()}, N)
+    zero = TruncatedSeries.zero((x,), F, N)
+    return [sum((rec.frame.series(e, N) * delta
+                 for e, delta in zip(row, deltas)), zero).divide_exact(d2)
+            for row in rec.H]
 
 
 def p_of(cert):
@@ -829,20 +839,22 @@ def _problem_text(name, tmp_path):
     return files[f"{tmp_path}/{problem}.problem"]
 
 
-def _point_values(cert, rec, t):
-    """h and g of the expansion at (yhat, t) to O(x^(N - 4c)), as version
-    4's check 4 read them, the same of B''s formula (``build_h_g``), and
-    the point of the former."""
+def _point_values(cert, rec, hat):
+    """h and g of the expansion at (yhat, t), t = H(y')(yhat - y')/d^2
+    (``derived_t``), to O(x^(N - 4c)), as version 4's check 4 read them;
+    check 4 of B''s formula (check 1, h = 0, and f(yhat) to O(x^N) by
+    ``build_h_g``) for the same [hat] images ``hat``; and the point of the
+    former and the expansion's g."""
     prec4 = cert.precision - 4 * cert.c
-    images = dict(cert.hat_images, **{
-        tv: TruncatedSeries(s.variables, s.field, s.terms, prec4)
-        for tv, s in zip(cert.tvars, t)})
-    point = cert.D.point(prec4, images)
+    t = derived_t(cert, rec, hat)
+    point = cert.D.point(prec4, dict(hat, **dict(zip(cert.tvars, t))))
     h, g = expand_h_g(cert, rec.frame.yprime, rec.G, rec.s, p_of(cert))
     old = [series_eval(q, point).is_zero() for q in h + g]
-    new_h, new_g, _ = build_h_g(cert.subset_relations(), rec,
-                                cert.hat_images, t, cert.c, cert.precision)
-    return old, [q.is_zero() for q in new_h + new_g], point, g
+    values, _ = build_h_g(cert.subset_relations(), cert.D, hat,
+                          cert.precision)
+    ok1 = matrix_equal(matrix_mul(rec.G, rec.H), matrix_scale(
+        identity_matrix(len(h), cert.ring, cert.field), rec.M * cert.witness))
+    return old, [ok1] * len(h) + [q.is_zero() for q in values], point, g
 
 
 @pytest.mark.parametrize("name", [f"s{seed}-{problem}" for seed in (1, 2, 3)
@@ -850,10 +862,11 @@ def _point_values(cert, rec, t):
                          + list(GOLDEN_BORDERED))
 def test_formula_g_matches_the_expansion(tmp_path, name):
     # three facts on each honest certificate: the expansion's g is the
-    # formula's (by Taylor's expansion); it vanishes at (yhat, t) exactly
-    # where check 4 says so, also with the top coefficient of one [t] image
-    # raised; and the order of det(dg/dT) at the point is that of
-    # det(J_f(yhat) G(y')[:, :r]) less 2cr
+    # formula's (by Taylor's expansion); at (yhat, t), t derived from
+    # [hat], its h vanishes and its g vanishes exactly where check 4 says
+    # so, also with the top coefficient of one [hat] image raised; and the
+    # order of det(dg/dT) at the point is that of det(J_f(yhat) G(y')[:, :r])
+    # less 2cr
     path = tmp_path / "in.problem"
     path.write_text(_problem_text(name, tmp_path))
     out = tmp_path / "cert.txt"
@@ -863,15 +876,15 @@ def test_formula_g_matches_the_expansion(tmp_path, name):
     yprime, G = rec.frame.yprime, rec.G
     assert expand_h_g(cert, yprime, G, rec.s, p)[1] == \
         taylor_g(cert, yprime, G, rec.s, p)
-    t = [cert.t[tv] for tv in cert.tvars]
-    old, new, point, g = _point_values(cert, rec, t)
+    old, new, point, g = _point_values(cert, rec, cert.hat_images)
     assert old == new == [True] * len(new)
     x = cert.base_var
-    for k, s in enumerate(t):
+    for yv, s in cert.hat_images.items():
         top = TruncatedSeries((x,), s.field,
                               {(s.precision - 1,): s.field.one()}, s.precision)
-        old, new, _, _ = _point_values(cert, rec, t[:k] + [s + top]
-                                       + t[k + 1:])
+        assert s.precision > 6 * c          # the top coefficient is not y''s
+        old, new, _, _ = _point_values(cert, rec,
+                                       dict(cert.hat_images, **{yv: s + top}))
         assert old == new and False in new
     prec4 = cert.precision - 4 * c
     dg = [[series_eval(q.derivative(tv), point) for tv in cert.tvars[:r]]
@@ -879,7 +892,7 @@ def test_formula_g_matches_the_expansion(tmp_path, name):
     at_hat = cert.D.point(prec4, cert.hat_images)
     jac = [[series_eval(e.restrict(rec.frame.variables), at_hat)
             for e in row] for row in rec.H[:r]]
-    Gy = [[cert.D.series(e, prec4) for e in row[:r]] for row in rec.Gy]
+    Gy = [[rec.frame.series(e, prec4) for e in row[:r]] for row in rec.G]
     zero = TruncatedSeries.zero((x,), cert.series_field, prec4)
     JG = [[sum((a * b[m] for a, b in zip(row, Gy)), zero) for m in range(r)]
           for row in jac]
@@ -934,10 +947,10 @@ def test_verify_computes_each_power_of_its_point_once(monkeypatch):
 
 
 def test_verify_on_q_takes_the_packed_path(monkeypatch):
-    # every point packs: checks 4-6 take no TruncatedSeries power, and the
-    # y' point takes one only over Q(sqrt 2), for a power past
-    # alpha-degree 2d - 2 = 2, an image of its own reduced by mu (Z^3 in
-    # [G], at y'_Z = r/2 + r/2*x)
+    # every point packs: verify takes no TruncatedSeries power, over
+    # Q(sqrt 2) as over Q.  At y' a power past alpha-degree 2d - 2 = 2 is
+    # an image of its own, reduced by mu: Z^3 at y'_Z = r/2 + r/2*x (which
+    # version 6 met in G(y'), a value verify no longer takes)
     calls, inside = [], [False]
     real_pow, real_series = TruncatedSeries.__pow__, FramePoint.series
 
@@ -955,9 +968,14 @@ def test_verify_on_q_takes_the_packed_path(monkeypatch):
     sqrt2 = desingularize(*sqrt2_node())
     monkeypatch.setattr(TruncatedSeries, "__pow__", power)
     monkeypatch.setattr(FramePoint, "series", at_yprime)
-    for cert, problem, want in ((HONEST["chain-k2"], chain_k2(), []),
-                                (sqrt2, sqrt2_node(), [(True, 3)])):
+    for cert, problem in ((HONEST["chain-k2"], chain_k2()),
+                          (sqrt2, sqrt2_node())):
         del calls[:]
         report = verify_certificate(cert, *problem)
         assert all(r.passed for r in report)
-        assert calls == want
+        assert calls == []
+    frame = record(sqrt2).frame
+    assert frame.yprime["Z"] == parse_polynomial("1/2*U + 1/2*U*x",
+                                                 sqrt2.ring, QQ)
+    frame(Polynomial.variable(sqrt2.ring, QQ, "Z") ** 3)
+    assert calls == [(True, 3)]

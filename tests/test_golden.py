@@ -334,17 +334,17 @@ c 1
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
-        "4d902ac01cc613f1507bddd451138eb48c76ce08856974a0f4d869664c51f6df",
+        "7fe133d31919a2db757bd4417a80d988c22cc385628d76ba41ba8d85c0c669ab",
     ("gnd", "CHAIN_K2"):
-        "6cce1262d11db55805b5eeb70f857959a48b9a16da6cfbb313a27539df3698fd",
+        "12ba1fcd9d380bc1078cf0aa1907876c05ceec09beea8a9b3bcfac50f3950133",
     ("gnd", "SQRT2_NODE"):
-        "fbcb58c6884a60b467cb729f88892b182fbe3bf564a47d06650c2015f48458c5",
+        "8aac774137b475a2947725d6125c4441ee622778693c172de412a599964a7dbf",
     ("gnd", "CUBIC_NODE"):
-        "b3901ea732732b4d15f8a234a0d7f34cd4650e63e6b40ce8eb46d6371f0a9e55",
+        "a82da2843baa11ea1d7e1568f368107e5871c87323505981cb7b740466ee1411",
     ("gnd", "SMOOTH"):
-        "cd6ed27402c86f0ace1b8c0c8c20b648e76ac29b1ac9a2d5ed4cf65117bd961d",
+        "66256bb823fcd76e06ce16cc9c104ae33f9ddf3469effbb4ebf01d1936741f48",
     ("gnd", "REDUCTION"):
-        "4697e6948f1832f97e0582595acf3f48912b6b2fe56087e695727473b39758e9",
+        "0ea23871377a2af991e13b445040ac828038e60046514af90dccb6a3dc5e9d61",
     ("lift", "LIFT_Q"):
         "1b0c01f97579ad1f495eaabedfb8458c944ee342a3e0161e2a3d2c1bb5091f45",
     ("lift", "LIFT_NODE"):

@@ -1113,3 +1113,32 @@ def test_eval_decodes_only_the_slots_a_value_reaches(monkeypatch):
         poly = parse_polynomial(text, ("x", "Y1"), QQ)
         assert series_eval(poly, point) == _applied(poly, images, None)
     assert sizes == [1, 9]
+
+
+@pytest.mark.parametrize("field", [QQ, SQRT2], ids=["Q", "sqrt2"])
+def test_eval_skips_a_term_of_order_past_the_precision(monkeypatch, field):
+    # Y1 = 1/3*x + 2*x^2 has x-order 1: Y1^100000 and x*Y1^10*Y2^9 reach
+    # x^20 or past and are 0 below x^20, so no power of them is built and
+    # no slot is sized for them, and the value is that of the rest
+    built = []
+    real = _PackedPowers._build
+
+    def counted(self, key):
+        built.append(key)
+        return real(self, key)
+
+    monkeypatch.setattr(_PackedPowers, "_build", counted)
+    one, q = field.one(), field.from_fraction
+    y1 = TruncatedSeries(("x",), field, {(1,): q(Fraction(1, 3)),
+                                         (2,): q(Fraction(2))}, 20)
+    y2 = TruncatedSeries(("x",), field, {(1,): one, (3,): one}, 20)
+    images = {"x": TruncatedSeries.variable(("x",), field, "x", 20),
+              "Y1": y1, "Y2": y2}
+    point, alone = series_point(images), series_point(images)
+    rest = parse_polynomial("Y1^3*Y2 - x", EVAL_VARS, QQ)
+    poly = rest + parse_polynomial("Y1^100000 + x*Y1^10*Y2^9", EVAL_VARS,
+                                   QQ)
+    assert series_eval(poly, point) == _applied(rest, images, None)
+    assert max(e for _, e in built) <= 3
+    series_eval(rest, alone)
+    assert point._packed[20].width == alone._packed[20].width

@@ -1,13 +1,13 @@
-"""Certificate version 6: what ``verify`` derives instead of reading.
+"""Certificate version 7: what ``verify`` derives instead of reading.
 
-A version-6 certificate prints no y', H, G, M or s, no h or g, no name
-that B' binds (U, the T's, W) and no fact twice.  ``verify`` takes y'
+A version-7 certificate prints no y', H, G, M or s, no h or g, no t, no
+name that B' binds (U, the T's, W) and no fact twice.  ``verify`` takes y'
 from [hat] below x^(6c), H and G from the subset relations and the
 witness, M as det H (the Jacobian minor of the subset relations in the
-leading yvars; in a short circuit that minor itself) and s = P(y')/d, and
-reads h, g and W*s - 1 (W*M*N - 1 in a short circuit) of B' through their
-formula; p, the ring, zvar, mu, the minor's columns, A's field, U and the
-T's come from the rest.  These tests rebuild the seed-1 certify
+leading yvars; in a short circuit that minor itself), s = P(y')/d and the
+point's t = H(y')(yhat - y')/d^2, and reads h, g and W*s - 1 (W*M*N - 1 in
+a short circuit) of B' through their formula; p, the ring, zvar, mu, the
+minor's columns, A's field, U and the T's come from the rest.  These tests rebuild the seed-1 certify
 certificates of the benchmark and change what is printed: a forged
 witness, a retired section or a stray or retired key must be refused, and
 ``verify`` must reach no Groebner code.  The construction hands verify
@@ -30,6 +30,7 @@ from desing.gnd import DPresentation, FramePoint, derive_frame, \
 from desing.groebner import division
 from desing.iofmt import emit_certificate, parse_certificate
 from desing.poly import DEGREVLEX, Polynomial, format_polynomial
+from test_cli import _cli_subprocess
 from test_gnd import reduce_mod_mu
 
 PERFBENCH = os.path.join(
@@ -110,7 +111,7 @@ def test_verify_given_the_record_agrees_with_verify_deriving_it(
         problems, name, tmp_path, monkeypatch):
     # desingularize hands its FrameRecord to verify_certificate; verify of
     # the emitted text derives its own, with the same report, and
-    # derive_frame on that text gives the record's M, G, G(y') and s
+    # derive_frame on that text gives the record's M, G and s
     handed, real = [], gnd.verify_certificate
 
     def verify(cert, B, v, derived=None):
@@ -129,7 +130,7 @@ def test_verify_given_the_record_agrees_with_verify_deriving_it(
                        parsed.c, parsed.D, parsed.ring,
                        parsed.subset_relations(), parsed.yvars,
                        parsed.witness)
-    assert (own.M, own.G, own.Gy, own.s) == (rec.M, rec.G, rec.Gy, rec.s)
+    assert (own.M, own.G, own.s) == (rec.M, rec.G, rec.s)
 
 
 def _polynomial(ring, names):
@@ -191,8 +192,8 @@ def test_a_retired_section_exits_2(certificates, section):
 
 
 def test_a_version_2_header_exits_2(certificates):
-    bad = certificates["node-c1"].replace("version 6", "version 2")
-    with pytest.raises(DesingError, match="version must be 6, found '2'"):
+    bad = certificates["node-c1"].replace("version 7", "version 2")
+    with pytest.raises(DesingError, match="version must be 7, found '2'"):
         parse_certificate(bad)
     assert _verify_exit(bad) == 2
 
@@ -245,7 +246,7 @@ pass;O(x^12);smoothness witness is a unit;
 
 def test_a_version_3_certificate_exits_2_at_its_version_line():
     with pytest.raises(DesingError, match="^line 2, column 1: \\[meta\\] "
-                       "version must be 6, found '3'"):
+                       "version must be 7, found '3'"):
         parse_certificate(VERSION_3_SHORT_CIRCUIT)
     assert _verify_exit(VERSION_3_SHORT_CIRCUIT) == 2
 
@@ -332,9 +333,9 @@ def test_every_key_is_printed_in_one_spelling(certificates, short_circuit,
 
 
 def test_a_version_5_header_exits_2(certificates):
-    bad = certificates["node-c1"].replace("version 6", "version 5")
+    bad = certificates["node-c1"].replace("version 7", "version 5")
     with pytest.raises(DesingError, match="^line 2, column 1: \\[meta\\] "
-                       "version must be 6, found '5'"):
+                       "version must be 7, found '5'"):
         parse_certificate(bad)
     assert _verify_exit(bad) == 2
 
@@ -364,6 +365,45 @@ def test_a_version_5_line_exits_2_at_its_line(certificates, short_circuit,
     with pytest.raises(DesingError, match=f"^line {lineno}, column 1: "):
         parse_certificate(bad)
     assert _verify_exit(bad) == 2
+
+
+# what version 6 printed and version 7 derives: the [t] section, as [hat]
+# fixes t = H(y')(yhat - y')/d^2, and the version line itself
+VERSION_6_LINES = {
+    "version": lambda text: text.replace("\nversion 7\n", "\nversion 6\n"),
+    "t": lambda text: text.replace(
+        "\n[hat]\n", "\n[t]\nT1 = -2*x^3 + O(x^19)\n[hat]\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERSION_6_LINES))
+def test_a_version_6_line_exits_2_at_its_line(certificates, name):
+    text = certificates["node-c1"]
+    bad = VERSION_6_LINES[name](text)
+    assert bad != text
+    lineno = 2 if name == "version" else bad.split("\n").index("[t]") + 1
+    with pytest.raises(DesingError, match=f"^line {lineno}, column 1: "):
+        parse_certificate(bad)
+    assert _verify_exit(bad) == 2
+
+
+@pytest.mark.parametrize("power", [2000, 100000])
+def test_a_high_power_off_the_minor_verifies_fast(tmp_path, certificates,
+                                                  power):
+    # + Y2^k on node-c1's first relation leaves M and P as they were (the
+    # minor's columns are Y1 and Z), and v kills it to precision: verify
+    # takes no value at y' of G, and every value at a point skips the
+    # terms of x-order at or past its precision, so the certificate
+    # verifies, exit 0, well within 5 s (Y2^2000 ran past 120 s while
+    # verify took G(y'))
+    text = certificates["node-c1"]
+    bad = text.replace("\n-x^2 + Y1*Y2\n", f"\n-x^2 + Y1*Y2 + Y2^{power}\n")
+    assert bad.count(f"Y2^{power}") == 1
+    path = tmp_path / "bad.cert"
+    path.write_text(bad)
+    run = _cli_subprocess(["verify", "--input", str(path)], timeout=5)
+    assert run.returncode == 0
+    assert "Traceback" not in run.stderr
 
 
 def test_the_witness_is_bound_before_any_value_at_yprime(certificates,
