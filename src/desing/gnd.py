@@ -29,9 +29,10 @@ Desingularization for one dimensional local rings", JSC 80 (2017); Swan
 and never printed or expanded: the certificate fixes B' through y', c,
 G, s, the subset and p.  U, T and W are bound variables of B' and A's
 field is the base field of the series field, so none of them is printed
-either: ``bound_names`` names U and the T's after the yvars, for the
-construction and the reader alike.  The point of B' over v is (yhat, t)
-with t = H(y')(yhat - y')/d^2, fixed by yhat alone, so t is not printed
+either: ``bound_names`` names U, for the construction and the reader
+alike, and no check reads a polynomial in a T or in W, so the working
+ring has neither.  The point of B' over v is (yhat, t) with
+t = H(y')(yhat - y')/d^2, fixed by yhat alone, so t is not printed
 either: y' is yhat below x^(6c), so d^2 = x^(4c) divides yhat - y'.  The
 argument rests on these facts, each with the check that discharges it:
 
@@ -189,21 +190,15 @@ class FramePoint:
         return self.D.polynomial(self.series(poly).terms, poly.variables)
 
 
-def bound_names(base_var, series_field, yvars, c):
-    """D and the tvars, which no certificate prints, as gnd and the reader
-    both take them: A's field is the base field of the series field; U,
-    over a Q(alpha) only, is fresh against x and the yvars (so against B's
-    variables: the bordering's Z never starts with U); each T_j, one per
-    yvar and none in a short circuit (c = 0), is fresh against x, the
-    yvars and the T's before it."""
-    taken = (base_var,) + tuple(yvars)
-    tvars = ()
-    for j in range(len(yvars) if c else 0):
-        tvars += (fresh_name(f"T{j + 1}", taken + tvars),)
+def bound_names(base_var, series_field, yvars):
+    """D, which no certificate prints, as gnd and the reader both take it:
+    A's field is the base field of the series field; U, over a Q(alpha)
+    only, is fresh against x and the yvars (so against B's variables: the
+    bordering's Z never starts with U)."""
     if isinstance(series_field, SimpleExtension):
         return DPresentation(base_var, series_field.base, series_field,
-                             fresh_name("U", taken)), tvars
-    return DPresentation(base_var, series_field, series_field), tvars
+                             fresh_name("U", (base_var,) + tuple(yvars)))
+    return DPresentation(base_var, series_field, series_field)
 
 
 # check 2's report name, in bordered and short-circuit certificates alike
@@ -300,18 +295,21 @@ def build_H_G(fs, yvars, witness):
 @dataclass
 class FrameRecord:
     """What ``derive_frame`` derives, all desingularize hands to verify:
-    y' (``frame``), H, G, M and s."""
+    y' (``frame``), H, G, M, s and the [hat] markers (``hat_precisions``)
+    by yvar."""
 
     frame: FramePoint
     H: list
     G: list
     M: Polynomial
     s: Polynomial
+    marks: dict
 
 
-def derive_frame(images, c, D, ring, fs, yvars, witness):
-    """The frame y' (``images`` below x^(6c)), H, G, M and s = P(y')/d for
-    P = M*N: what the construction builds, and what verify derives from a
+def derive_frame(images, c, D, ring, fs, yvars, witness, precision):
+    """The frame y' (``images`` below x^(6c)), H, G, M, s = P(y')/d for
+    P = M*N and the [hat] markers at a point of precision ``precision``:
+    what the construction builds, and what verify derives from a
     certificate.  P is bound to the bordering relation before any value
     at y' is taken."""
     H, G, M = build_H_G(fs, yvars, witness)
@@ -323,25 +321,26 @@ def derive_frame(images, c, D, ring, fs, yvars, witness):
             "certificate [data] witness does not give P = M*N = (R + x^c)^2, "
             "R the bordering relation")
     frame = FramePoint(D, truncate_lift(images, c, D, ring))
-    return FrameRecord(frame, H, G, M, compute_s_b(P, frame, c, D))
+    return FrameRecord(frame, H, G, M, compute_s_b(P, frame, c, D),
+                       hat_precisions(frame, H[:len(fs)], precision, c))
 
 
-def hat_precisions(rec, r, precision, c):
+def hat_precisions(frame, jacobian_rows, precision, c):
     """The precision to which check 4 reads each [hat] image, by yvar, at a
     point of precision N = ``precision``: max(N - o_j, 6c), o_j = min(4c,
-    the least x-order in column j of J_f(y')), J_f the first r rows of H.
-    A coefficient of yhat_j at x^e first meets f(yhat) at x^(e + o_j), so
-    none above the marker reaches check 4 (module docstring), and y' reads
-    yhat below x^(6c)."""
+    the least x-order in column j of J_f(y')), J_f the ``jacobian_rows``
+    (the first r rows of H).  A coefficient of yhat_j at x^e first meets
+    f(yhat) at x^(e + o_j), so none above the marker reaches check 4
+    (module docstring), and y' reads yhat below x^(6c)."""
     cut = 4 * c
-    orders = [cut] * len(rec.H)
-    for row in rec.H[:r]:
+    orders = [cut] * len(frame.yprime)
+    for row in jacobian_rows:
         for j, entry in enumerate(row):
-            o = rec.frame.series(entry, cut).order()
+            o = frame.series(entry, cut).order()
             if o is not None:
                 orders[j] = min(orders[j], o)
     return {yv: max(precision - o, 6 * c)
-            for yv, o in zip(rec.frame.yprime, orders)}
+            for yv, o in zip(frame.yprime, orders)}
 
 
 def build_h_g(fs, D, hat, precision):
@@ -364,16 +363,16 @@ def build_h_g(fs, D, hat, precision):
 # ---------------------------------------------------------------------------
 # the certificate
 
-def working_ring(D, c, yvars, tvars):
+def working_ring(D, c, yvars):
     """x, then U (bordered only: a short circuit, c = 0, lives in B's
-    ring), then the yvars, then the tvars."""
+    ring), then the yvars."""
     prefix = D.ring_prefix()
-    return (prefix[:1] if c == 0 else prefix) + tuple(yvars) + tuple(tvars)
+    return (prefix[:1] if c == 0 else prefix) + tuple(yvars)
 
 
 @dataclass
 class GndCertificate:
-    """What a certificate prints, with D and the tvars (``bound_names``);
+    """What a certificate prints, with D (``bound_names``);
     the short circuit (c = 0), the ring, zvar and the minor's columns (the
     first len(subset) yvars) are derived from it, and h, g and s of B' by
     its formula (module docstring)."""
@@ -382,7 +381,6 @@ class GndCertificate:
     witness: Polynomial          # N
     c: int                       # d = x^(2c); 0 in a short circuit
     yvars: tuple                 # permuted algebra variables (with Z)
-    tvars: tuple
     permutation: tuple = ()      # yvars[i] = original_variables[permutation[i]]
     relations: list = dc_field(default_factory=list)   # bordered ideal in ring
     subset: tuple = ()
@@ -408,7 +406,7 @@ class GndCertificate:
 
     @property
     def ring(self):
-        return working_ring(self.D, self.c, self.yvars, self.tvars)
+        return working_ring(self.D, self.c, self.yvars)
 
     @property
     def zvar(self):
@@ -433,28 +431,28 @@ class GndCertificate:
         return all(r.passed for r in self.report)
 
 
-def assemble_certificate(step, D, permutation, yvars, tvars, rec):
+def assemble_certificate(step, D, permutation, yvars, rec):
     """Package the pipeline output.  [hat] keeps of each image of v what
-    check 4 reads of it (``hat_precisions``), y' below x^(6c) included."""
+    check 4 reads of it (``rec.marks``), y' below x^(6c) included."""
     B1, v1, data = step.algebra, step.morphism, step.data
-    marks = hat_precisions(rec, len(data.subset), v1.precision, data.c)
-    ring = working_ring(D, data.c, yvars, tvars)
+    ring = working_ring(D, data.c, yvars)
     return GndCertificate(
         D=D, witness=data.witness.embed(ring), c=data.c, yvars=yvars,
-        tvars=tvars, permutation=permutation,
+        permutation=permutation,
         relations=[r.embed(ring) for r in B1.relations],
         subset=data.subset,
-        hat_images={yv: v1.images[yv].truncate(marks[yv]) for yv in yvars},
+        hat_images={yv: v1.images[yv].truncate(rec.marks[yv])
+                    for yv in yvars},
         precision=v1.precision)
 
 
 def verify_certificate(cert, B, v, derived=None):
     """Re-run the six certificate checks; failures become report entries.
-    y', H, G, M and s (``derive_frame``; ``GndCertificate.minor`` in a
-    short circuit) are derived first, unless ``derived`` is the record
-    desingularize built, and g is read through B''s formula at the [hat]
-    point (``build_h_g``); a [hat] image printed to another precision than
-    check 4 reads it to is a ConsistencyError."""
+    y', H, G, M, s and the [hat] markers (``derive_frame``;
+    ``GndCertificate.minor`` in a short circuit) are derived first, unless
+    ``derived`` is the record desingularize built, and g is read through
+    B''s formula at the [hat] point (``build_h_g``); a [hat] image printed
+    to another precision than check 4 reads it to is a ConsistencyError."""
     if cert.short_circuit:
         report = [CheckResult(name, True, "vacuous", detail)
                   for name, detail in (
@@ -478,10 +476,10 @@ def verify_certificate(cert, B, v, derived=None):
     fs = cert.subset_relations()
     rec = derived or derive_frame(
         {yv: cert.hat_images[yv] for yv in cert.yvars}, c, D, ring, fs,
-        cert.yvars, cert.witness)
+        cert.yvars, cert.witness, N)
     # each [hat] image is printed to the precision check 4 reads it to, and
     # is extended by zeros above that
-    for yv, want in hat_precisions(rec, len(fs), N, c).items():
+    for yv, want in rec.marks.items():
         have = cert.hat_images[yv].precision
         if have != want:
             raise ConsistencyError(
@@ -546,11 +544,11 @@ def _hat_is_v(cert, B, v, precision):
 def _short_circuit_certificate(B, v, data):
     permutation = columns_first(data.columns, len(B.variables))
     yvars = tuple(B.variables[j] for j in permutation)
-    D, tvars = bound_names(v.base_var, v.field, yvars, 0)
-    ring = working_ring(D, 0, yvars, tvars)
+    D = bound_names(v.base_var, v.field, yvars)
+    ring = working_ring(D, 0, yvars)
     return GndCertificate(
         D=D, witness=data.witness.embed(ring).monic(DEGREVLEX), c=0,
-        yvars=yvars, tvars=tvars, permutation=permutation,
+        yvars=yvars, permutation=permutation,
         relations=[r.embed(ring) for r in B.relations], subset=data.subset,
         hat_images={yv: v.images[yv].truncate(v.precision) for yv in yvars},
         precision=v.precision)
@@ -570,11 +568,11 @@ def desingularize(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     B1, v1 = step.algebra, step.morphism
     permutation = columns_first(step.data.columns, len(B1.variables))
     yvars = tuple(B1.variables[j] for j in permutation)
-    D, tvars = bound_names(v.base_var, v.field, yvars, data.c)
-    ring = working_ring(D, data.c, yvars, tvars)
+    D = bound_names(v.base_var, v.field, yvars)
+    ring = working_ring(D, data.c, yvars)
     fs = [B1.relations[i].embed(ring) for i in step.data.subset]
     rec = derive_frame({yv: v1.images[yv] for yv in yvars}, data.c, D, ring,
-                       fs, yvars, step.data.witness.embed(ring))
-    cert = assemble_certificate(step, D, permutation, yvars, tvars, rec)
+                       fs, yvars, step.data.witness.embed(ring), v1.precision)
+    cert = assemble_certificate(step, D, permutation, yvars, rec)
     verify_certificate(cert, B0, v, rec)
     return cert

@@ -12,7 +12,10 @@ is popped); see ``_divide``.  Bases, division and S-polynomials over
 Q(alpha) = Q[alpha]/(mu) run over Q, alpha a last variable in a block of
 its own and mu one more generator (``_over_q``).  Reduced bases are the
 canonical form for ideal equality.  ``ideal_quotient`` skips the generators
-of J that already lie in I, whose quotient is (1).  Module Groebner bases
+of J that already lie in I, whose quotient is (1), and stops at its lower
+bound I: once a one-generator quotient (I : h), or the running
+intersection of them, lies in I (normal forms against I's basis), it
+returns I's reduced basis and takes no further h.  Module Groebner bases
 come from the same ``buchberger``: a vector is a polynomial linear in fresh
 position variables, under a block order that is position-over-term.  They
 supply kernels of polynomial matrices via the syzygy construction.
@@ -579,11 +582,18 @@ def ideal_quotient(I, J, order=DEGREVLEX):
     """(I : J) as the intersection of the one-generator quotients (I : h).
 
     A generator h that already lies in I has (I : h) = (1) and is skipped;
-    when every h lies in I, the quotient is (1).
+    when every h lies in I, the quotient is (1).  I lies in (I : J), which
+    lies in each (I : h) and in each running intersection of them, so once
+    one of these lies in I the quotient is I: its reduced basis is
+    returned, and no further h is taken.
     """
     if not J.generators:
         raise DomainError("quotient by zero ideal is the unit ideal")
     I_gb = buchberger(I, order)
+
+    def within_I(ideal):
+        return all(ideal_member(g, I_gb) for g in ideal.generators)
+
     result = None
     for h in J.generators:
         if ideal_member(h, I_gb):
@@ -592,14 +602,20 @@ def ideal_quotient(I, J, order=DEGREVLEX):
             I, IdealPresentation(I.variables, I.field, [h]), order)
         gens = [divide_exact_poly(g, h, order) for g in inter.generators]
         part = IdealPresentation(I.variables, I.field, gens)
+        if within_I(part):
+            break
         if result is None:
             result = part
         else:
             result = ideal_intersection(result, part, order)
-    if result is None:
-        return IdealPresentation(I.variables, I.field, [I.ring_one()])
-    gb = buchberger(result, order)
-    return IdealPresentation(I.variables, I.field, gb.elements)
+            if within_I(result):
+                break
+    else:
+        if result is None:
+            return IdealPresentation(I.variables, I.field, [I.ring_one()])
+        gb = buchberger(result, order)
+        return IdealPresentation(I.variables, I.field, gb.elements)
+    return IdealPresentation(I.variables, I.field, I_gb.elements)
 
 
 def saturate(I, f, order=DEGREVLEX):

@@ -257,8 +257,9 @@ def emit_groebner(gb, variables, F):
 # (section, GndCertificate attribute, reader, format of one value).  [hat]
 # holds series in the base variable, [relations] polynomials in the ring.
 # B' is given by its formula (``gnd``): verify derives y', H, G, M and s,
-# takes the point's t from [hat], and reads h and g through it; A's field,
-# U and the T's come from [series-field] and the yvars (``gnd.bound_names``).
+# takes the point's t from [hat], and reads h and g through it; A's field
+# and U come from [series-field] and the yvars (``gnd.bound_names``), and
+# the ring has no T, which no check reads.
 CERT_VALUES = (
     ("relations", "relations", _items, format_polynomial),
     ("hat", "hat_images", _named, format_series),
@@ -363,8 +364,8 @@ def parse_certificate(text):
     subset, permutation = (read(meta, key, _ints)
                            for key in ("subset", "permutation"))
     _check_meta(base, Fs, c, yvars, permutation, subset)
-    D, tvars = _gnd.bound_names(base, Fs, yvars, c)
-    ring = _gnd.working_ring(D, c, yvars, tvars)
+    D = _gnd.bound_names(base, Fs, yvars)
+    ring = _gnd.working_ring(D, c, yvars)
 
     def poly(text, lineno):
         return parse_polynomial(text, ring, D.field, lineno)
@@ -388,7 +389,7 @@ def parse_certificate(text):
                                        precision=where, detail=detail))
     cert = _gnd.GndCertificate(
         D=D, witness=read(datakeys, "witness", poly), c=c, yvars=yvars,
-        tvars=tvars, permutation=permutation, subset=subset,
+        permutation=permutation, subset=subset,
         precision=precision, report=report, **values)
     _check_shape(cert)
     return cert
@@ -396,8 +397,8 @@ def parse_certificate(text):
 
 def _check_meta(base, Fs, c, yvars, permutation, subset):
     """What the reader of the values assumes of [meta] and [series-field];
-    a mismatch is a ConsistencyError.  U and the T's are fresh against x
-    and the yvars, so the ring names each variable once when these do."""
+    a mismatch is a ConsistencyError.  U is fresh against x and the
+    yvars, so the ring names each variable once when these do."""
     _require(Fs == QQ or isinstance(Fs, SimpleExtension),
              "[series-field] is neither Q nor a Q(alpha)")
     _require(len(set((base,) + yvars)) == len(yvars) + 1,
@@ -415,11 +416,6 @@ def _check_shape(cert):
     """What the checks assume of the values they read; a mismatch is a
     ConsistencyError."""
     D, Fs, require = cert.D, cert.series_field, _require
-    # the frame point maps x [, U] and the yvars only, and H, G and P are
-    # built from these
-    require(all(q.degree_in(t) < 1 for t in cert.tvars
-                for q in cert.relations + [cert.witness]),
-            "[relations] or [data] witness has a term in a tvar")
     require(sorted(cert.hat_images) == sorted(cert.yvars),
             f"[hat] does not name exactly "
             f"{' '.join(cert.yvars) or 'nothing'}")

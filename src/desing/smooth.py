@@ -10,11 +10,13 @@ division-free characteristic polynomial, Berkowitz's, O(n^4) ring operations.
 The witness search and the reduction test candidates by evaluation alone:
 v factors through B = A[Y]/I, so a member of I has image zero and is
 skipped like any candidate whose image vanishes.  Groebner bases appear
-only in the subset table's ((f):I) and in a reduction step.  That step
-reduces the generators of the smoothing ideal H modulo the reduced basis
-of I; none left is H = I (I lies in H), no progress, and otherwise the
-basis of I with the remainders, whose reduced basis is that of H,
-replaces I.
+only in the subset table's ((f):I) and in a reduction step.  Each ((f):I)
+stops at its lower bound (f) (``ideal_quotient``): for a proper subset
+the first ((f):h) is most often (f) itself, and then it takes one
+elimination.  The reduction step reduces the generators of the smoothing
+ideal H modulo the reduced basis of I; none left is H = I (I lies in H),
+no progress, and otherwise the basis of I with the remainders, whose
+reduced basis is that of H, replaces I.
 
 Generator subsets run up to the number of algebra variables; the subset
 budget counts Jacobian minors, C(n, r) for a subset of r relations in n

@@ -270,10 +270,12 @@ MALFORMED_CERTIFICATES = {
                          ConsistencyError),
     "series-field-gf32003": (_edit_line_to("series-field", "GF 32003"),
                              ConsistencyError),
-    # the frame point maps x and the yvars only: a witness in a T, which
-    # would put T1 in G = N*adj(H), is inconsistent
-    "witness-in-a-tvar": (lambda text: _edit_line(
-        text, "data", "witness ", lambda l: l + " + T1"), ConsistencyError),
+    # the ring is x and the yvars, with no T (no check reads one): a T in
+    # the witness or in a relation names no variable of it
+    "witness-in-a-tvar": lambda text: _edit_line(
+        text, "data", "witness ", lambda l: l + " + T1"),
+    "relation-in-a-tvar": lambda text: _edit_line(
+        text, "relations", "", lambda l: l + " + T1"),
     # c is at least 1: at c = 0 check 3 would read nothing, and the
     # certificate reads as a short circuit, whose [hat] markers and witness
     # the node's are not.  c = 2 parses, and verify refuses it: P = M*N is
@@ -845,9 +847,10 @@ def test_cli_gnd_reports_G_that_leaves_d_squared(tmp_path, monkeypatch,
         ["FAIL", "exact", "GH = HG = P*Id"], ["FAIL", "exact", gnd.CHECK_2]]
 
 
-def test_cli_gnd_names_each_t_once(tmp_path):
-    # T_j is fresh against x, the yvars and the T's before it: beside an
-    # algebra variable T1, T_1 is T11, and T_11 is not T11 again
+def test_cli_gnd_ring_holds_no_t(tmp_path):
+    # no check reads a T, so the working ring is x and the yvars alone;
+    # an algebra variable named T1 is one of the yvars, and no other
+    # variable of the ring starts with T
     names = ["T1"] + [f"Y{i}" for i in range(2, 11)]
     images = {"T1": "x", "Y2": "x"}
     inp = write(tmp_path, "in.problem",
@@ -859,8 +862,9 @@ def test_cli_gnd_names_each_t_once(tmp_path):
         == 0
     assert main(["verify", "--input", cert_path]) == 0
     cert = parse_certificate(open(cert_path).read())
-    assert (cert.tvars[0], cert.tvars[10]) == ("T11", "T111")
-    assert len(set(cert.ring)) == len(cert.ring)
+    assert not cert.short_circuit
+    assert cert.ring == ("x",) + cert.yvars
+    assert [v for v in cert.ring if v.startswith("T")] == ["T1"]
 
 
 def test_cli_gnd_deterministic(tmp_path):

@@ -15,7 +15,7 @@ from desing.gnd import (FramePoint, border_step, build_H_G, bound_names,
                         build_h_g, derive_frame, desingularize, truncate_lift,
                         verify_certificate)
 from desing.iofmt import parse_certificate
-from desing.poly import Polynomial, parse_polynomial
+from desing.poly import Polynomial, fresh_name, parse_polynomial
 from desing.series import (CompletionMorphism, TruncatedSeries, parse_series,
                            series_eval)
 from desing.smooth import (AlgebraPresentation, find_desing_data,
@@ -91,7 +91,7 @@ def test_truncate_lift_cuts_below_six_c():
         base_var="x", field=QQ,
         images={"Y1": parse_series("1 + x^5 + x^6 + x^7 + O(x^12)",
                                    ("x",), QQ)})
-    D, _ = bound_names("x", QQ, ("Y1",), 1)
+    D = bound_names("x", QQ, ("Y1",))
     out = truncate_lift(v.images, 1, D, ("x", "Y1"))
     assert out["Y1"] == parse_polynomial("1 + x^5", ("x", "Y1"), QQ)
 
@@ -126,7 +126,7 @@ def test_build_h_g_linear_relation():
     # build_h_g returns f at yhat: f = Y1 - x at yhat = x + x^3 is x^3,
     # with yhat extended by zeros from its marker x^8 to x^12
     f = parse_polynomial("Y1 - x", ("x", "Y1", "T1"), QQ)
-    D, _ = bound_names("x", QQ, ("Y1",), 1)
+    D = bound_names("x", QQ, ("Y1",))
 
     def ser(text):
         return parse_series(text, ("x",), QQ)
@@ -183,7 +183,7 @@ def test_desingularize_node_frozen_values():
     assert cert.permutation == (0, 2, 1)
     assert cert.yvars == ("Y1", "Z", "Y2")
     ring = cert.ring
-    assert ring == ("x", "Y1", "Z", "Y2", "T1", "T2", "T3")
+    assert ring == ("x", "Y1", "Z", "Y2")
     assert record(cert).s == parse_polynomial("1 + 2*x^5 + x^10", ring, QQ)
     # [hat] keeps what check 4 reads of f(yhat), to x^N = x^23: Y1 and Z,
     # whose columns of J_f(y') have x-order 1, below x^22, and Y2 below
@@ -375,10 +375,11 @@ def derived(cert):
 
 
 def record(cert):
-    """The FrameRecord verify derives for ``cert``: y', H, G, M and s."""
+    """The FrameRecord verify derives for ``cert``: y', H, G, M, s and the
+    [hat] markers."""
     return derive_frame({yv: cert.hat_images[yv] for yv in cert.yvars},
                         cert.c, cert.D, cert.ring, cert.subset_relations(),
-                        cert.yvars, cert.witness)
+                        cert.yvars, cert.witness, cert.precision)
 
 
 def derived_t(cert, rec, hat):
@@ -403,7 +404,30 @@ def p_of(cert):
 # ---------------------------------------------------------------------------
 # the expansion of h and g that certificate version 4 printed, kept as an
 # oracle for B''s formula: h_j = s(Y_j - y'_j) - d w_j, w = G(y')T, and
-# g_i = s^p f_i with every s*Y_j replaced by s*y'_j + d*w_j, over d^2
+# g_i = s^p f_i with every s*Y_j replaced by s*y'_j + d*w_j, over d^2.
+# Neither gnd nor verify names a T, so the oracle names its own: it works
+# in ``t_ring``, and embeds what it is given there
+
+def t_ring(cert):
+    """cert's ring, then the T's, one per yvar: T_j is fresh against x [, U],
+    the yvars and the T's before it."""
+    ring = cert.ring
+    for j in range(len(cert.yvars)):
+        ring += (fresh_name(f"T{j + 1}", ring),)
+    return ring
+
+
+def tvars_of(cert):
+    return t_ring(cert)[len(cert.ring):]
+
+
+def in_t_ring(cert, yprime, G, *polys):
+    """y', G and ``polys``, embedded in ``t_ring``."""
+    ring = t_ring(cert)
+    return ({yv: y.embed(ring) for yv, y in yprime.items()},
+            [[e.embed(ring) for e in row] for row in G],
+            *[q.embed(ring) for q in polys])
+
 
 def reduce_mod_mu(D, poly):
     """Normal form with the U-degree below deg(mu): the terms that share
@@ -481,7 +505,7 @@ def substituted_power(f, yvars, sY, powers, s_pow, D):
 
 
 def d_of(cert):
-    return Polynomial.variable(cert.ring, cert.field, cert.base_var,
+    return Polynomial.variable(t_ring(cert), cert.field, cert.base_var,
                                2 * cert.c)
 
 
@@ -506,10 +530,12 @@ def over_d2(cert, poly):
 def expand_h_g(cert, yprime, G, s, p):
     """h and g as version 4 printed them; a g of Y-degree above p, or one
     that d^2 does not divide, is None."""
-    h, sY = h_and_sY(yprime, cert.yvars, cert.tvars, s, d_of(cert),
+    yprime, G, s, *fs = in_t_ring(cert, yprime, G, s,
+                                  *cert.subset_relations())
+    h, sY = h_and_sY(yprime, cert.yvars, tvars_of(cert), s, d_of(cert),
                      G_at(cert, yprime, G))
     return h, [over_d2(cert, phi) for phi in phis(
-        cert.subset_relations(), cert.yvars, sY, s, p, cert.D)]
+        fs, cert.yvars, sY, s, p, cert.D)]
 
 
 # what version 4 printed of B': s (in W*s - 1), h and g
@@ -519,7 +545,8 @@ Printed = namedtuple("Printed", "s h g")
 def printed(cert):
     yprime, G = derived(cert)
     s = record(cert).s
-    return Printed(s, *expand_h_g(cert, yprime, G, s, p_of(cert)))
+    return Printed(s.embed(t_ring(cert)),
+                   *expand_h_g(cert, yprime, G, s, p_of(cert)))
 
 
 def membership(cert, yprime, G, pr):
@@ -531,11 +558,12 @@ def membership(cert, yprime, G, pr):
     s^p f_i - Phi_i lies in (h), where Phi_i replaces every s Y_j by
     s y'_j + d w_j.  The membership then holds when Phi_i - d^2 g_i
     vanishes modulo mu.  A wrong number of h or g fails."""
-    D, fs = cert.D, cert.subset_relations()
+    D = cert.D
+    yprime, G, *fs = in_t_ring(cert, yprime, G, *cert.subset_relations())
     if len(pr.h) != len(cert.yvars) or len(pr.g) != len(fs):
         return False
     d = d_of(cert)
-    h, sY = h_and_sY(yprime, cert.yvars, cert.tvars, pr.s, d,
+    h, sY = h_and_sY(yprime, cert.yvars, tvars_of(cert), pr.s, d,
                      G_at(cert, yprime, G))
     if h != pr.h:
         return False
@@ -642,8 +670,10 @@ def reference_congruence_holds(f, i, yassign, yvars, d, s, g, h, w, p, D):
 
 def _w(cert, yprime, G):
     """w = G(y')T, with G(y') by substitution."""
-    ring, n = cert.ring, len(cert.yvars)
-    tpolys = [Polynomial.variable(ring, cert.field, t) for t in cert.tvars]
+    ring, n = t_ring(cert), len(cert.yvars)
+    yprime, G = in_t_ring(cert, yprime, G)
+    tpolys = [Polynomial.variable(ring, cert.field, t)
+              for t in tvars_of(cert)]
     Gy = [[reduce_mod_mu(cert.D, substitute(e, yprime)) for e in row]
           for row in G]
     return [sum((Gy[j][k] * tpolys[k] for k in range(n)),
@@ -652,9 +682,9 @@ def _w(cert, yprime, G):
 
 def reference_check_2(cert, yprime, G, pr):
     """(the cofactor identity holds, every h_j = s(Y_j - y'_j) - d w_j)"""
-    ring, D, d = cert.ring, cert.D, d_of(cert)
+    ring, D, d = t_ring(cert), cert.D, d_of(cert)
     w = _w(cert, yprime, G)
-    fs = cert.subset_relations()
+    yprime, G, *fs = in_t_ring(cert, yprime, G, *cert.subset_relations())
     identity = all(
         reference_congruence_holds(fs[i], i, yprime, cert.yvars, d, pr.s,
                                    pr.g, pr.h, w, p_of(cert), D)
@@ -672,9 +702,11 @@ def taylor_g(cert, yprime, G, s, p):
     d^2, which takes partials and factorials; None where d^2 does not
     divide it."""
     d, w = d_of(cert), _w(cert, yprime, G)
+    yprime, G, s, *fs = in_t_ring(cert, yprime, G, s,
+                                  *cert.subset_relations())
     out = []
-    for f in cert.subset_relations():
-        total = Polynomial.zero(cert.ring, cert.field)
+    for f in fs:
+        total = Polynomial.zero(t_ring(cert), cert.field)
         for alpha, df in _taylor_partials(f, cert.yvars).items():
             term = reduce_mod_mu(cert.D, substitute(df, yprime)).scale(
                 _alpha_factorial_inverse(alpha, cert.field))
@@ -729,11 +761,12 @@ def test_membership_check_direct():
     yprime, G = derived(cert)
     pr = printed(cert)
     assert membership(cert, yprime, G, pr)
-    one = Polynomial.one(cert.ring, QQ)
+    one = Polynomial.one(t_ring(cert), QQ)
     for change in ({"h": [pr.h[0] + one] + pr.h[1:]},
                    {"h": pr.h[:-1]}, {"g": pr.g[:-1]}):
         assert not membership(cert, yprime, G, pr._replace(**change))
     rec = record(cert)
+    one = Polynomial.one(cert.ring, QQ)
     bad = dataclasses.replace(rec, G=[[rec.G[0][0] + one] + rec.G[0][1:]]
                               + rec.G[1:])
     assert expand_h_g(cert, yprime, bad.G, rec.s, p_of(cert))[1][0] is None
@@ -847,7 +880,7 @@ def _point_values(cert, rec, hat):
     former and the expansion's g."""
     prec4 = cert.precision - 4 * cert.c
     t = derived_t(cert, rec, hat)
-    point = cert.D.point(prec4, dict(hat, **dict(zip(cert.tvars, t))))
+    point = cert.D.point(prec4, dict(hat, **dict(zip(tvars_of(cert), t))))
     h, g = expand_h_g(cert, rec.frame.yprime, rec.G, rec.s, p_of(cert))
     old = [series_eval(q, point).is_zero() for q in h + g]
     values, _ = build_h_g(cert.subset_relations(), cert.D, hat,
@@ -887,7 +920,8 @@ def test_formula_g_matches_the_expansion(tmp_path, name):
                                        dict(cert.hat_images, **{yv: s + top}))
         assert old == new and False in new
     prec4 = cert.precision - 4 * c
-    dg = [[series_eval(q.derivative(tv), point) for tv in cert.tvars[:r]]
+    dg = [[series_eval(q.derivative(tv), point)
+           for tv in tvars_of(cert)[:r]]
           for q in g]
     at_hat = cert.D.point(prec4, cert.hat_images)
     jac = [[series_eval(e.restrict(rec.frame.variables), at_hat)
@@ -909,6 +943,25 @@ def test_desingularize_one_quotient_per_subset(monkeypatch):
     cert = desingularize(*chain_k2())
     assert cert.all_passed(), "\n".join(cert.report_lines())
     assert 0 < len(calls) <= 3
+
+
+def test_gnd_takes_the_hat_markers_once(monkeypatch):
+    # the [hat] markers read J_f(y'): derive_frame takes them once and holds
+    # them on the FrameRecord, which assemble_certificate and the gnd-path
+    # verify_certificate both read; a standalone verify takes its own
+    from desing.iofmt import emit_certificate
+
+    calls = []
+    real = gnd.hat_precisions
+    monkeypatch.setattr(gnd, "hat_precisions",
+                        lambda *a: calls.append(a) or real(*a))
+    for problem in (chain_k2(), (node_algebra(), node_morphism())):
+        del calls[:]
+        cert = desingularize(*problem)
+        assert cert.all_passed() and len(calls) == 1
+        parsed = parse_certificate(emit_certificate(cert))
+        assert all(r.passed for r in verify_certificate(parsed, *problem))
+        assert len(calls) == 2
 
 
 def sqrt2_node():

@@ -2,7 +2,8 @@
 
 The digests pin certificates, verify reports, lifts, a Weierstrass
 preparation, module-isomorphism verdicts, a linear factorization,
-reduced Groebner bases over Q and outputs over Q(sqrt 2) byte for byte, so a refactor that claims
+reduced Groebner bases over Q, ideal quotients, a smoothing ideal and
+outputs over Q(sqrt 2) byte for byte, so a refactor that claims
 identical output is checked here.  A deliberate change of output must
 update a digest and say so in the changelog.
 """
@@ -331,6 +332,50 @@ target 32
 c 1
 """
 
+# ideal quotients: over Q, (f) : (h1, h2) with h1 a nonzerodivisor modulo
+# (f), so that (f) : h1 = (f) ends the loop at its first generator; over
+# GF(p), the groebner workload's quotient shape, where no one-generator
+# quotient nor their intersection lies in I
+QUOTIENT_AT_I = """\
+[field]
+Q
+[variables]
+ring x Y1 Y2 Y3 Y4
+[ideal]
+Y1*Y2 - x^2
+[ideal2]
+Y3 - Y1^2
+Y4 - Y3^2
+"""
+
+QUOTIENT_GF = """\
+[field]
+GF 32059
+[variables]
+ring x y z
+[ideal]
+x^2*y + 14181*z^2
+x*z + 19905*y^2
+24979*x^3 + y*z^2
+[ideal2]
+x + 25139*y
+70*y + z
+"""
+
+# the smoothing ideal of the chain k = 3, whose generators are I and the
+# products ((f):I)*Delta_f over the subset table, in its order
+SMOOTH_LOCUS_CHAIN_K3 = """\
+[field]
+Q
+[variables]
+base x
+algebra Y1 Y2 Y3 Y4
+[ideal]
+Y1*Y2 - x^2
+Y3 - Y2^2
+Y4 - Y3^2
+"""
+
 # (subcommand, problem) -> sha256 of standard output
 GOLDEN = {
     ("gnd", "NODE"):
@@ -373,6 +418,12 @@ GOLDEN = {
         "e0496a13a110d225c498bd7db2423981e2cbe374da52ea2d6be722f91599616f",
     ("quotient", "QUOTIENT_SQRT2"):
         "463977b89c1f11c04be069a0e21324ebb508b68c80ead5279b1fe70231e794f9",
+    ("quotient", "QUOTIENT_AT_I"):
+        "0f4fb73bfc40039b7a04181b5b349c1cb6aec1415aa5ece756c6b45dc6563285",
+    ("quotient", "QUOTIENT_GF"):
+        "bc31d0830232eef569ba0cf469fead292ac6251f58b9989e3e5ab8d8d4fe7fea",
+    ("smooth-locus", "SMOOTH_LOCUS_CHAIN_K3"):
+        "462804dcbf62c0afd802dea0ed2821293b8f5b60afa7b0d5a09130926bd9f2b8",
     ("weierstrass", "W24"):
         "d7d2c8e75f1336dae14a6f7a15298f5a26f6b870f7d777f9f9b9a39e429d5e97",
     ("lift", "LIFT_SQRT2"):

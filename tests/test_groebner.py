@@ -497,6 +497,76 @@ def test_quotient_by_zero_ideal():
         ideal_quotient(I, IdealPresentation(VARS, QQ, []))
 
 
+def _quotient_full_loop(I, J, order=DEGREVLEX):
+    """The reduced basis of (I : J) by the full loop: every one-generator
+    quotient (I : h) of an h outside I, intersected, with no stop at I."""
+    I_gb = buchberger(I, order)
+    result = None
+    for h in J.generators:
+        if ideal_member(h, I_gb):
+            continue
+        inter = ideal_intersection(
+            I, IdealPresentation(I.variables, I.field, [h]), order)
+        part = IdealPresentation(I.variables, I.field, [
+            divide_exact_poly(g, h, order) for g in inter.generators])
+        result = part if result is None else \
+            ideal_intersection(result, part, order)
+    if result is None:
+        return [I.ring_one()]
+    return buchberger(result, order).elements
+
+
+@st.composite
+def _quotient_cases(draw):
+    """I = (a*b) with a and b nonconstant and with a constant term, so that
+    no monomial m lies in I and (I : a*m) = (b) is not I; and J, by case:
+    "first", (I : h) = I for the first h (a monomial); "later", for the
+    second h only; "never", (I : J) = (b).  The number of eliminations
+    each case takes is returned with it."""
+    field = draw(st.sampled_from((QQ, PrimeField(32003), _SQRT2)))
+    one = Polynomial.one(VARS, field)
+
+    def factor():
+        rest = draw(_polys(field, 1, max_exp=2, max_terms=2).filter(
+            lambda p: (0, 0, 0) not in p.terms))
+        return rest + one.scale(draw(_coeffs(field)))
+
+    def monomial():
+        e = draw(st.tuples(*[st.integers(0, 2)] * len(VARS)))
+        return Polynomial(VARS, field, {e: field.one()})
+
+    a, b = factor(), factor()
+    case = draw(st.sampled_from(("first", "later", "never")))
+    J = {"first": [monomial(), a * monomial()],
+         "later": [a * monomial(), monomial()],
+         "never": [a * monomial(), a * monomial()]}[case]
+    I = IdealPresentation(VARS, field, [a * b])
+    calls = {"first": 1, "later": 2, "never": 3}[case]
+    return I, IdealPresentation(VARS, field, J), calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quotient_cases())
+def test_quotient_stops_at_i_as_the_full_loop_finds(case):
+    # I lies in (I : J), which lies in each (I : h): once one lies in I, the
+    # quotient is I; the reduced basis is that of the full loop either way
+    I, J, calls = case
+    made = []
+    real = groebner.ideal_intersection
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    groebner.ideal_intersection = counted
+    try:
+        Q = ideal_quotient(I, J)
+    finally:
+        groebner.ideal_intersection = real
+    assert Q.generators == _quotient_full_loop(I, J)
+    assert len(made) == calls
+
+
 def test_saturation_idempotent():
     I = ideal("x^2*y", "x*z^2")
     f = pp("x")

@@ -392,6 +392,38 @@ def test_subset_budget_counts_minors():
     assert len(B._rows) == 7
 
 
+def chain_algebra(k):
+    """The benchmark's chain of k relations: Y1*Y2 - x^2 and Y_j -
+    Y_(j-1)^2 for j = 3..k+1."""
+    ring = ("x",) + tuple(f"Y{i}" for i in range(1, k + 2))
+    return AlgebraPresentation(
+        base_var="x", variables=ring[1:], field=QQ,
+        relations=[parse_polynomial(f, ring, QQ) for f in
+                   ["Y1*Y2 - x^2"] + [f"Y{j} - Y{j - 1}^2"
+                                      for j in range(3, k + 2)]])
+
+
+@pytest.mark.parametrize("k,subsets,eliminations",
+                         [(3, 7, 6), (4, 15, 14)])
+def test_subset_table_stops_each_quotient_at_i(monkeypatch, k, subsets,
+                                               eliminations):
+    # for every proper subset f, ((f):h) = (f) for the first h outside
+    # (f), and (f) lies in ((f):I): each such quotient takes one
+    # elimination, and the whole subset takes none (every h lies in I).
+    # The full loop took 12 at k = 3 and 42 at k = 4
+    calls = []
+    real = groebner.ideal_intersection
+    monkeypatch.setattr(groebner, "ideal_intersection",
+                        lambda *a: calls.append(a) or real(*a))
+    B = chain_algebra(k)
+    assert len(list(B.subset_table())) == subsets
+    assert len(calls) == eliminations
+    for row in B._rows[:-1]:
+        f = [B.relations[i] for i in row.subset]
+        assert row.quotient == groebner.buchberger(f).elements
+    assert B._rows[-1].quotient == [Polynomial.one(B.ring_variables(), QQ)]
+
+
 def test_witness_search_makes_no_groebner_call(monkeypatch):
     # chain k = 3.  Once the subset table holds every minor and ((f):I),
     # nothing on the success path computes a basis or tests membership: v

@@ -111,7 +111,8 @@ def test_verify_given_the_record_agrees_with_verify_deriving_it(
         problems, name, tmp_path, monkeypatch):
     # desingularize hands its FrameRecord to verify_certificate; verify of
     # the emitted text derives its own, with the same report, and
-    # derive_frame on that text gives the record's M, G and s
+    # derive_frame on that text gives the record's M, G, s and [hat]
+    # markers
     handed, real = [], gnd.verify_certificate
 
     def verify(cert, B, v, derived=None):
@@ -129,8 +130,9 @@ def test_verify_given_the_record_agrees_with_verify_deriving_it(
     own = derive_frame({yv: parsed.hat_images[yv] for yv in parsed.yvars},
                        parsed.c, parsed.D, parsed.ring,
                        parsed.subset_relations(), parsed.yvars,
-                       parsed.witness)
-    assert (own.M, own.G, own.s) == (rec.M, rec.G, rec.s)
+                       parsed.witness, parsed.precision)
+    assert (own.M, own.G, own.s, own.marks) == (rec.M, rec.G, rec.s,
+                                                rec.marks)
 
 
 def _polynomial(ring, names):
@@ -449,7 +451,7 @@ def test_w_s_minus_one_is_bound_to_the_derived_s(certificates):
     cert = parse_certificate(text)
     rec = derive_frame({yv: cert.hat_images[yv] for yv in cert.yvars},
                        cert.c, cert.D, cert.ring, cert.subset_relations(),
-                       cert.yvars, cert.witness)
+                       cert.yvars, cert.witness, cert.precision)
     assert format_polynomial(rec.s) == "x^10 + 2*x^5 + 1"
     bad = text.replace("\n[report]\n", "\n[bprime]\nW - 1\n[report]\n")
     line = bad.split("\n").index("[bprime]") + 1
