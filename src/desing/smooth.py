@@ -10,17 +10,21 @@ division-free characteristic polynomial, Berkowitz's, O(n^4) ring operations.
 The witness search and the reduction test candidates by evaluation alone:
 v factors through B = A[Y]/I, so a member of I has image zero and is
 skipped like any candidate whose image vanishes.  Groebner bases appear
-only in the subset table's ((f):I) and in a reduction step.  Each ((f):I)
-stops at its lower bound (f) (``ideal_quotient``): for a proper subset
-the first ((f):h) is most often (f) itself, and then it takes one
-elimination.  The reduction step reduces the generators of the smoothing
-ideal H modulo the reduced basis of I; none left is H = I (I lies in H),
-no progress, and otherwise the basis of I with the remainders, whose
-reduced basis is that of H, replaces I.
+only in the subset table's ((f):I), in the reduced basis of I, and in a
+reduction step.  Each ((f):I) stops at its lower bound (f)
+(``ideal_quotient``): for a proper subset the first ((f):h) is most often
+(f) itself, and then it takes one elimination.  A proper subset whose
+((f):I) lies in I adds only members of I to H and to the witness search,
+so its row takes no minor past the first nonzero one and keeps none; the
+basis of I for that test is computed on first need and kept on the
+presentation.  The reduction step reduces the generators of the smoothing
+ideal H modulo that basis; none left is H = I (I lies in H), no progress,
+and otherwise the basis of I with the remainders, whose reduced basis is
+that of H, replaces I.
 
 Generator subsets run up to the number of algebra variables; the subset
 budget counts Jacobian minors, C(n, r) for a subset of r relations in n
-variables, the work ``jacobian_minors`` does for it.
+variables, the most a row computes.
 """
 
 import itertools
@@ -144,6 +148,9 @@ class AlgebraPresentation:
     # one SubsetRow per generator subset visited so far, see subset_table
     _rows: list = dc_field(default_factory=list, init=False, repr=False,
                            compare=False)
+    # the reduced degrevlex basis of I, see ideal_basis
+    _basis: object = dc_field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
@@ -169,14 +176,24 @@ class AlgebraPresentation:
         return IdealPresentation(self.ring_variables(), self.field,
                                  list(self.relations))
 
+    def ideal_basis(self):
+        """The reduced degrevlex Groebner basis of I, computed on first
+        need and kept, for the subset table and the reduction step."""
+        if self._basis is None:
+            self._basis = buchberger(self.ideal(), DEGREVLEX)
+        return self._basis
+
     def subset_table(self, subset_budget=DEFAULT_SUBSET_BUDGET):
         """Yield one SubsetRow per generator subset f, in search order.
 
         Rows are computed on first demand and kept on the presentation, so
         the smoothing ideal and the witness search share every minor and
-        every ((f):I).  A subset of r relations costs its C(n, r) Jacobian
-        minors; reaching one that takes the total past ``subset_budget``
-        raises.
+        every ((f):I).  A subset of r relations counts its C(n, r) Jacobian
+        minors, the most its row computes; reaching one that takes the
+        total past ``subset_budget`` raises.  A row stops at its first
+        nonzero minor to take ((f):I); where f is a proper subset and
+        ((f):I) lies in I, every M·N lies in I, so it computes no further
+        minor and keeps none.
         """
         n = len(self.variables)
         spent = 0
@@ -187,18 +204,30 @@ class AlgebraPresentation:
                     f"subset budget of {subset_budget} minors exhausted "
                     f"after {k} subsets")
             if k == len(self._rows):
-                fs = [self.relations[i] for i in subset]
-                minors = jacobian_minors(fs, self.variables)
-                quotient = ideal_quotient(
-                    IdealPresentation(self.ring_variables(), self.field, fs),
-                    self.ideal()).generators if minors else []
-                self._rows.append(SubsetRow(subset, minors, quotient))
+                self._rows.append(self._row(subset))
             yield self._rows[k]
+
+    def _row(self, subset):
+        fs = [self.relations[i] for i in subset]
+        minors = jacobian_minors(fs, self.variables)
+        first = next(minors, None)
+        if first is None:
+            return SubsetRow(subset, [], [])
+        quotient = ideal_quotient(
+            IdealPresentation(self.ring_variables(), self.field, fs),
+            self.ideal()).generators
+        if len(fs) < len(self.relations) and all(
+                normal_form(q, self.ideal_basis()).is_zero()
+                for q in quotient):
+            return SubsetRow(subset, [], quotient)
+        return SubsetRow(subset, [first, *minors], quotient)
 
 
 # One generator subset f (indices into the relation list), its nonzero
 # Jacobian minors as (columns, minor) pairs, and the generators of ((f):I),
-# left empty when no minor is nonzero.
+# left empty when no minor is nonzero.  The minors are left empty too when
+# f is a proper subset and ((f):I) lies in I: each M·N then lies in I, adds
+# nothing to H beyond I and has image zero at every point that kills I.
 SubsetRow = namedtuple("SubsetRow", "subset minors quotient")
 
 
@@ -223,15 +252,14 @@ def jacobian(relations, variables):
 
 
 def jacobian_minors(relations, variables):
-    """(columns, minor) for every nonzero r x r minor of the Jacobian in Y."""
+    """(columns, minor) for each nonzero r x r minor of the Jacobian in Y,
+    in column order, each computed when it is asked for."""
     r = len(relations)
     jac = jacobian(relations, variables)
-    out = []
     for cols in itertools.combinations(range(len(variables)), r):
         m = matrix_det([[row[j] for j in cols] for row in jac])
         if not m.is_zero():
-            out.append((cols, m))
-    return out
+            yield cols, m
 
 
 def columns_first(columns, n):
@@ -355,16 +383,17 @@ def reduce_until_nonvanishing(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     """Replace B by B/(smoothing ideal) while its image under v vanishes.
     v kills I (checked first), so a member of I has image zero and the
     first generator with a nonzero image ends the search.  Otherwise the
-    generators of H are reduced modulo the basis of I: none left is H = I,
-    no progress; else the basis of I and those remainders, whose reduced
-    basis is that of H, present the next algebra."""
+    generators of H are reduced modulo the basis of I, the one the subset
+    table kept: none left is H = I, no progress; else the basis of I and
+    those remainders, whose reduced basis is that of H, present the next
+    algebra."""
     check_morphism(B, v)
     current = B
     for step in itertools.count():
         H = smoothing_ideal(current, subset_budget)
         if any(not v.eval(g).is_zero() for g in H.generators):
             return current
-        GI = buchberger(current.ideal(), DEGREVLEX)
+        GI = current.ideal_basis()
         extra = [r for r in (normal_form(g, GI) for g in H.generators)
                  if not r.is_zero()]
         if not extra:

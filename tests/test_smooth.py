@@ -14,10 +14,10 @@ from desing.poly import Polynomial, parse_polynomial
 from desing.gnd import border_step
 from desing.series import (CompletionMorphism, TruncatedSeries, parse_series,
                            series_eval, series_point)
-from desing.smooth import (AlgebraPresentation, best_witness,
+from desing.smooth import (AlgebraPresentation, SubsetRow, best_witness,
                            bordered_jacobian, check_morphism, find_desing_data, identity_matrix,
-                           jacobian, matrix_adjugate, matrix_det, matrix_equal,
-                           matrix_mul, matrix_scale,
+                           jacobian, jacobian_minors, matrix_adjugate,
+                           matrix_det, matrix_equal, matrix_mul, matrix_scale,
                            reduce_until_nonvanishing, smoothing_ideal)
 
 RING = ("x", "Y1", "Y2")
@@ -410,18 +410,39 @@ def test_subset_table_stops_each_quotient_at_i(monkeypatch, k, subsets,
     # for every proper subset f, ((f):h) = (f) for the first h outside
     # (f), and (f) lies in ((f):I): each such quotient takes one
     # elimination, and the whole subset takes none (every h lies in I).
-    # The full loop took 12 at k = 3 and 42 at k = 4
-    calls = []
-    real = groebner.ideal_intersection
+    # The full loop took 12 at k = 3 and 42 at k = 4.  ((f):I) = (f) lies
+    # in I, so a proper subset's row takes its minors only up to the first
+    # nonzero one and keeps none; computing every row's minors took 34 at
+    # k = 3 and 125 at k = 4
+    minors = {3: 17, 4: 54}[k]
+    calls, dets = [], []
+    real, real_det = groebner.ideal_intersection, smooth.matrix_det
     monkeypatch.setattr(groebner, "ideal_intersection",
                         lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(smooth, "matrix_det",
+                        lambda A: dets.append(A) or real_det(A))
     B = chain_algebra(k)
     assert len(list(B.subset_table())) == subsets
     assert len(calls) == eliminations
+    assert len(dets) == minors
     for row in B._rows[:-1]:
         f = [B.relations[i] for i in row.subset]
         assert row.quotient == groebner.buchberger(f).elements
+        assert row.minors == []
     assert B._rows[-1].quotient == [Polynomial.one(B.ring_variables(), QQ)]
+    assert len(B._rows[-1].minors) == k + 1
+
+
+def test_one_relation_builds_no_basis_of_i(monkeypatch):
+    # a single relation has no proper subset, so neither the subset table
+    # nor the witness search asks for the basis of I
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis of I built for one relation")
+
+    monkeypatch.setattr(smooth, "buchberger", refuse)
+    B = node_algebra()
+    smoothing_ideal(B)
+    assert find_desing_data(B, node_morphism()).c == 1
 
 
 def test_witness_search_makes_no_groebner_call(monkeypatch):
@@ -510,18 +531,23 @@ def _witness_problems(draw):
     return B, series_point(images), newton
 
 
-@settings(max_examples=150, deadline=None)
-@given(_witness_problems())
-def test_best_witness_matches_the_membership_filtered_reference(problem):
-    B, point, newton = problem
-    evaluate = lambda p: series_eval(p, point)
-    want = reference_best_witness(B, evaluate)
-    got = best_witness(B, evaluate)
-    if not newton:
-        assert got == want
-        return
-    # newton_lift searches only when every residue has order >= 2c + 1 and
-    # takes a witness only of order <= c
+class FullTable(AlgebraPresentation):
+    """The subset table that computes every minor of each row with a
+    nonzero one, whether or not ((f):I) lies in I, as the reference."""
+
+    def _row(self, subset):
+        fs = [self.relations[i] for i in subset]
+        minors = list(jacobian_minors(fs, self.variables))
+        quotient = groebner.ideal_quotient(
+            groebner.IdealPresentation(self.ring_variables(), self.field,
+                                       fs),
+            self.ideal()).generators if minors else []
+        return SubsetRow(subset, minors, quotient)
+
+
+def _agree_where_newton_reads(got, want, B, evaluate):
+    """newton_lift searches only when every residue has order >= 2c + 1
+    and takes a witness only of order <= c: there the two agree."""
     orders = [o for o in (evaluate(f).order() for f in B.relations)
               if o is not None]
     c = (min(orders) - 1) // 2 if orders else 12
@@ -529,6 +555,41 @@ def test_best_witness_matches_the_membership_filtered_reference(problem):
         assert got == want
     else:
         assert got is None or got[0] > c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_witness_problems())
+def test_subset_table_matches_the_full_table(problem):
+    # a row whose ((f):I) lies in I adds members of I only: the smoothing
+    # ideal keeps its reduced basis, and the witness is the same where I
+    # is killed and wherever newton_lift reads it.  Beyond c a tie between
+    # an I-member and a full-row candidate can go either way: (Y1^2,
+    # Y2^2) at Y = x^3, x^6 ties M*N = 2*Y1 * Y1^2 with 4*Y1*Y2 * 1 at
+    # order 9, and only the full table takes the first
+    B, point, newton = problem
+    full = FullTable(base_var="x", variables=B.variables, field=QQ,
+                     relations=B.relations)
+    evaluate = lambda p: series_eval(p, point)
+    got, want = best_witness(B, evaluate), best_witness(full, evaluate)
+    if newton:
+        _agree_where_newton_reads(got, want, B, evaluate)
+    else:
+        assert got == want
+    assert groebner.buchberger(smoothing_ideal(B)).elements == \
+        groebner.buchberger(smoothing_ideal(full)).elements
+
+
+@settings(max_examples=150, deadline=None)
+@given(_witness_problems())
+def test_best_witness_matches_the_membership_filtered_reference(problem):
+    B, point, newton = problem
+    evaluate = lambda p: series_eval(p, point)
+    want = reference_best_witness(B, evaluate)
+    got = best_witness(B, evaluate)
+    if newton:
+        _agree_where_newton_reads(got, want, B, evaluate)
+    else:
+        assert got == want
 
 
 def test_reduce_until_nonvanishing_checks_morphism():
@@ -550,8 +611,12 @@ def test_algebra_presentation_validation():
 
 
 def test_reduction_never_bases_the_smoothing_ideal(monkeypatch):
-    # a step reduces H's generators modulo the basis of I and bases I and
-    # the remainders; buchberger never sees the generator list of H
+    # a step reduces H's generators modulo the basis of I that the subset
+    # table kept and bases I and the remainders, never H's own generator
+    # list where it holds members of I past that basis.  Each presentation
+    # bases its I once: 5 squares, then those and Y1*...*Y5 twice, once as
+    # the next relations and once as that presentation's I.  H has 6 and
+    # 36 generators (81 and 326 when every row kept its minors)
     ring = ("x", "Y1", "Y2", "Y3", "Y4", "Y5")
     B = AlgebraPresentation(
         base_var="x", variables=ring[1:], field=QQ,
@@ -559,22 +624,30 @@ def test_reduction_never_bases_the_smoothing_ideal(monkeypatch):
     v = CompletionMorphism(
         base_var="x", field=QQ,
         images={y: parse_series("O(x^12)", ("x",), QQ) for y in ring[1:]})
-    H_sizes, handed = [], []
+    H_lists, handed = [], []
     real_H, real_bb = smooth.smoothing_ideal, smooth.buchberger
 
     def counted_H(*args):
         H = real_H(*args)
-        H_sizes.append(len(H.generators))
+        H_lists.append(list(H.generators))
         return H
 
     def counted_bb(ideal, *args):
         gens = ideal.generators if hasattr(ideal, "generators") else ideal
-        handed.append(len(gens))
+        handed.append(list(gens))
         return real_bb(ideal, *args)
 
     monkeypatch.setattr(smooth, "smoothing_ideal", counted_H)
     monkeypatch.setattr(smooth, "buchberger", counted_bb)
     with pytest.raises(DomainError, match="no progress"):
         reduce_until_nonvanishing(B, v)
-    assert 326 in H_sizes
-    assert max(handed) < min(H_sizes)
+    assert [len(H) for H in H_lists] == [6, 36]
+    # the first H is I's basis and 32*Y1*...*Y5, which is its own
+    # remainder, so the step bases a list equal to it; every generator of
+    # the second H lies in I, so that step stops with no progress
+    GI = groebner.buchberger(B.relations)
+    extra = [r for r in (groebner.normal_form(g, GI) for g in H_lists[0])
+             if not r.is_zero()]
+    assert extra == [pp("32*Y1*Y2*Y3*Y4*Y5", ring)]
+    step = GI.elements + extra
+    assert handed == [B.relations, step, groebner.buchberger(step).elements]
