@@ -99,7 +99,10 @@ class LiftResult:
 
 def newton_lift(req):
     """Lift y0 to a solution modulo x^target; quadratic convergence up to
-    the fixed loss 2c per step."""
+    the fixed loss 2c per step.  Each step inverts the unit u = P(y)/x^k
+    once, to the most any ``divide_exact`` of its corrections reads, going
+    on from the last step's inverse below ord(u - u_last), where that
+    still inverts u: exact, so every quotient is the one from scratch."""
     if req.target > MAX_PRECISION:
         raise ResourceError(f"lift target {req.target} is above "
                             f"{MAX_PRECISION}")
@@ -143,6 +146,7 @@ def newton_lift(req):
     P = minor * witness
 
     trace = []
+    inverse = inverted = None
     for it in range(MAX_NEWTON_ITERATIONS):
         if it:
             at_y = series_point({req.base_var: xs, **current})
@@ -166,17 +170,32 @@ def newton_lift(req):
         at_dp = series_point({name: image.truncate(dp)
                               for name, image in at_y.images.items()})
         Pval = series_eval(P, at_dp)
-        if Pval.order() is None or Pval.order() > req.c:
+        k = Pval.order()
+        if k is None or k > req.c:
             raise DomainError("witness residue degenerated during lifting")
         pad = [s.truncate(dp) for s in sub_res] + \
             [TruncatedSeries.zero(base, F, dp) for _ in range(n - r)]
+        nums = {}
         for j, yv in enumerate(pvars):
             num = TruncatedSeries.zero(base, F, dp)
             for i in range(n):
                 num = num + series_eval(G[j][i], at_dp) * pad[i]
-            if num.is_zero():
-                continue
-            delta = num.divide_exact(Pval)
+            if not num.is_zero():
+                nums[yv] = num
+        if not nums:
+            continue
+        # each quotient reads 1/u, u = P(y)/x^k, below dp - ord(num) <= dp - k
+        unit = TruncatedSeries(base, F, {(e - k,): c for (e,), c
+                                         in Pval.terms.items()}, dp - k)
+        need = min(dp - min(num.order() for num in nums.values()), dp - k)
+        if inverse is not None:
+            gap = unit - inverted
+            valid = gap.precision if gap.is_zero() else gap.order()
+            inverse = inverse.truncate(valid) if valid else None
+        inverted = unit.truncate(need)
+        inverse = inverted.invert(inverse)
+        for yv, num in nums.items():
+            delta = num.divide_exact(Pval, inverse)
             padded = TruncatedSeries(base, F, delta.terms,
                                      work - (dp - delta.precision))
             current[yv] = current[yv] - padded

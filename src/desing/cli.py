@@ -5,6 +5,7 @@ budget exceeded, 5 internal consistency failure.
 """
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -189,7 +190,9 @@ def run_module_iso(pf, args):
     return "\n".join(lines) + "\n", 0
 
 
+@functools.cache
 def build_parser():
+    """One parser a process: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="desing",
         description="exact commutative-algebra engine with "

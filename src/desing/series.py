@@ -23,8 +23,8 @@ balanced residues.
   pair whose degrees sum to the precision or more.
 - ``invert`` is Newton's iteration, e = 1 - ab and b <- b + be, which
   doubles the precision each step on these two products (total-degree
-  truncation keeps it valid in several variables); a unit that is only
-  its constant term inverts at once.
+  truncation keeps it valid in several variables), from a partial inverse
+  when given one; a unit that is only its constant term inverts at once.
 - Weierstrass preparation solves its recurrence on rows: level k maps
   each head of degree k to a row in the last variable, and the products
   by the level-0 unit and its inverse are one-variable products.
@@ -91,12 +91,12 @@ class TruncatedSeries:
     @classmethod
     def _trusted(cls, variables, field, terms, precision):
         """A series from terms that this module's arithmetic built: exponent
-        tuples of the right length, every degree below ``precision``.  Only
-        zero coefficients are dropped; ``__init__`` checks terms from outside."""
+        tuples of the right length, every degree below ``precision`` and no
+        zero coefficient (each kernel drops the zeros it makes), taken as
+        they are; ``__init__`` checks terms from outside."""
         s = object.__new__(cls)
         s.variables, s.field, s.precision = variables, field, precision
-        is_zero = field.is_zero
-        s.terms = {m: c for m, c in terms.items() if not is_zero(c)}
+        s.terms = terms
         return s
 
     # -- constructors -------------------------------------------------------
@@ -144,6 +144,8 @@ class TruncatedSeries:
         """Least total degree of a nonzero term; None means >= precision."""
         if not self.terms:
             return None
+        if len(self.variables) == 1:
+            return min(self.terms)[0]
         return min(monomial_degree(m) for m in self.terms)
 
     def constant_coefficient(self):
@@ -155,10 +157,13 @@ class TruncatedSeries:
     def truncate(self, precision):
         if precision > self.precision:
             raise DomainError("cannot raise precision by truncation")
-        return TruncatedSeries._trusted(
-            self.variables, self.field,
-            {m: c for m, c in self.terms.items()
-             if monomial_degree(m) < precision}, precision)
+        if len(self.variables) == 1:
+            terms = {m: c for m, c in self.terms.items() if m[0] < precision}
+        else:
+            terms = {m: c for m, c in self.terms.items()
+                     if monomial_degree(m) < precision}
+        return TruncatedSeries._trusted(self.variables, self.field, terms,
+                                        precision)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -166,12 +171,16 @@ class TruncatedSeries:
         self._check(other)
         F = self.field
         prec = min(self.precision, other.precision)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = F.add(terms[m], c) if m in terms else c
-        if self.precision != other.precision:
-            terms = {m: c for m, c in terms.items()
-                     if monomial_degree(m) < prec}
+        a, b = (s if s.precision == prec else s.truncate(prec)
+                for s in (self, other))
+        terms = dict(a.terms)
+        for m, c in b.terms.items():
+            if m not in terms:
+                terms[m] = c
+            elif F.is_zero(c := F.add(terms[m], c)):
+                del terms[m]
+            else:
+                terms[m] = c
         return TruncatedSeries._trusted(self.variables, F, terms, prec)
 
     def __sub__(self, other):
@@ -218,21 +227,26 @@ class TruncatedSeries:
 
     # -- inversion and division --------------------------------------------
 
-    def invert(self):
+    def invert(self, start=None):
         """Multiplicative inverse of a unit series, to the same precision.
 
         Newton's iteration: if b inverts a modulo degree k, then with
         e = 1 - ab (of order >= k), b + be inverts it modulo degree 2k.
         Total-degree truncation keeps the iteration valid in several
-        variables.  A unit that is only its constant term inverts at once."""
+        variables.  It begins at ``start``, taken to invert self modulo its
+        own precision, or at the inverse of the constant term; a unit that
+        is only its constant term inverts at once."""
         F = self.field
         a0 = self.constant_coefficient()
         if F.is_zero(a0):
             raise NonUnitError("series has zero constant term")
         variables, N = self.variables, self.precision
-        b = TruncatedSeries._trusted(
-            variables, F, {(0,) * len(variables): F.invert(a0)},
-            N if len(self.terms) == 1 else 1)
+        if start is not None:
+            b = start.truncate(min(start.precision, N))
+        else:
+            b = TruncatedSeries._trusted(
+                variables, F, {(0,) * len(variables): F.invert(a0)},
+                N if len(self.terms) == 1 else 1)
         while b.precision < N:
             k = min(2 * b.precision, N)
             b = TruncatedSeries._trusted(variables, F, b.terms, k)
@@ -240,18 +254,19 @@ class TruncatedSeries:
             b = b + b * e
         return b
 
-    def divide_exact(self, other):
+    def divide_exact(self, other, inverse=None):
         """Exact quotient q with self = other * q; precision drops by ord(other).
 
         After the valuation monomial of ``other`` is factored out, q is
         a * b^-1 for a unit b, and b is inverted only to the precision the
-        quotient reads (``_times_inverse``)."""
+        quotient reads (``_times_inverse``), from ``inverse`` when given:
+        a series that inverts b modulo its own precision."""
         self._check(other)
         k = other.order()
         if k is None:
             raise DivisibilityError("division by a series that is zero to precision")
         if k == 0:
-            return _times_inverse(self, other)
+            return _times_inverse(self, other, inverse)
         # factor out the valuation monomial; only a monomial times a unit is
         # supported for multivariate divisors (all the pipeline needs)
         low = [m for m in other.terms if monomial_degree(m) == k]
@@ -278,7 +293,7 @@ class TruncatedSeries:
                                      self.precision - k)
         b = TruncatedSeries._trusted(self.variables, self.field, den,
                                      other.precision - k)
-        return _times_inverse(a, b)
+        return _times_inverse(a, b, inverse)
 
     # -- formatting ---------------------------------------------------------
 
@@ -289,17 +304,18 @@ class TruncatedSeries:
         return f"<series {format_series(self)}>"
 
 
-def _times_inverse(a, b):
+def _times_inverse(a, b, start=None):
     """a * b^-1 for a unit b, at the lesser precision P of the two.  Every
     term of a has total degree >= s = ord(a), so the terms of b^-1 of
     degree >= P - s only reach degree >= P: b is inverted to precision
-    P - s, and the inverse's terms are stamped at P for the product.  A
-    zero dividend (or one of order >= P) gives zero at P."""
+    P - s (from ``start``, see ``invert``), and the inverse's terms are
+    stamped at P for the product.  A zero dividend (or one of order >= P)
+    gives zero at P."""
     prec = min(a.precision, b.precision)
     s = a.order()
     if s is None or s >= prec:
         return TruncatedSeries._trusted(a.variables, a.field, {}, prec)
-    inverse = b.truncate(prec - s).invert()
+    inverse = b.truncate(prec - s).invert(start)
     return a * TruncatedSeries._trusted(a.variables, a.field, inverse.terms,
                                         prec)
 
@@ -712,7 +728,8 @@ def weierstrass_prepare(f):
 
     def row(terms, length):
         return TruncatedSeries._trusted(x, F, {(e,): c for e, c in
-                                               terms.items()}, length)
+                                               terms.items()
+                                               if not F.is_zero(c)}, length)
 
     # unit part of f(0,..,0,x_m) and its inverse, series in x_m; level k of
     # f is u_k x_m^p + sum_(j=1..k) u_(k-j) z_j, solved for z_k and u_k row

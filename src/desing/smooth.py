@@ -386,7 +386,7 @@ def reduce_until_nonvanishing(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
     generators of H are reduced modulo the basis of I, the one the subset
     table kept: none left is H = I, no progress; else the basis of I and
     those remainders, whose reduced basis is that of H, present the next
-    algebra."""
+    algebra, and that basis is the next step's basis of I."""
     check_morphism(B, v)
     current = B
     for step in itertools.count():
@@ -402,7 +402,8 @@ def reduce_until_nonvanishing(B, v, subset_budget=DEFAULT_SUBSET_BUDGET):
                 "non-reduced")
         if step >= MAX_REDUCTIONS:
             raise ResourceError(f"reduction cap {MAX_REDUCTIONS} reached")
+        basis = buchberger(GI.elements + extra, DEGREVLEX)
         current = AlgebraPresentation(
             base_var=current.base_var, variables=current.variables,
-            field=current.field,
-            relations=buchberger(GI.elements + extra, DEGREVLEX).elements)
+            field=current.field, relations=basis.elements)
+        current._basis = basis

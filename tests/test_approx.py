@@ -3,15 +3,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from desing.approx import (LiftRequest, LinearFactorization, ModuleIsoSystem,
+from desing.approx import (MAX_NEWTON_ITERATIONS, LiftRequest,
+                           LinearFactorization, ModuleIsoSystem,
                            check_candidate, linear_factor, module_iso_system,
                            newton_lift, solve_linear)
 from desing.errors import DomainError, ResourceError
 from desing.fields import QQ, PrimeField
 from desing.groebner import kernel_basis
 from desing.poly import Polynomial, parse_polynomial
-from desing.series import TruncatedSeries, parse_series, series_eval
-from desing.smooth import matrix_det, matrix_mul
+from desing.series import (TruncatedSeries, parse_series, series_eval,
+                           series_point)
+from desing.smooth import (AlgebraPresentation, best_witness,
+                           bordered_jacobian, columns_first, matrix_det,
+                           matrix_mul)
 
 BASE = ("x",)
 
@@ -200,6 +204,106 @@ def test_newton_lift_squares_to_target(field, c):
         assert y.precision == target
         want = [field.from_int(u.get(k - 2 * c, 0)) for k in range(target)]
         assert _plain_square(y, field, target) == want
+
+
+def _reference_lift(req):
+    """The Newton loop with each correction divided from scratch: every
+    ``divide_exact`` inverts P(y) from its constant term.  Validation and
+    the errors of ``newton_lift`` are left out."""
+    work = req.target + req.c * (req.target.bit_length() + 8)
+    base = (req.base_var,)
+    F = next(iter(req.y0.values())).field
+    xs = TruncatedSeries.variable(base, F, req.base_var, work)
+    current = {yv: TruncatedSeries(base, F, dict(req.y0[yv].terms), work)
+               for yv in req.yvars}
+    B = AlgebraPresentation(base_var=req.base_var, variables=req.yvars,
+                            field=F, relations=list(req.system))
+    at_y = series_point({req.base_var: xs, **current})
+    _, subset, cols, minor, witness, _ = best_witness(
+        B, lambda p: series_eval(p, at_y), req.subset_budget)
+    fs = [B.relations[i] for i in subset]
+    r, n = len(fs), len(req.yvars)
+    pvars = tuple(req.yvars[j] for j in columns_first(cols, n))
+    _, G, _ = bordered_jacobian(fs, pvars, witness)
+    P = minor * witness
+    trace = []
+    for it in range(MAX_NEWTON_ITERATIONS):
+        at_y = series_point({req.base_var: xs, **current})
+        residues = [series_eval(f, at_y) for f in B.relations]
+        finite = [o for o in (s.order() for s in residues) if o is not None]
+        cur_ord = min(finite) if finite else None
+        trace.append(cur_ord)
+        if cur_ord is None or cur_ord >= req.target:
+            return ({yv: current[yv].truncate(req.target)
+                     for yv in req.yvars}, trace, it)
+        dp = min([2 * cur_ord + 1]
+                 + [s.precision for s in at_y.images.values()])
+        at_dp = series_point({name: image.truncate(dp)
+                              for name, image in at_y.images.items()})
+        Pval = series_eval(P, at_dp)
+        pad = [residues[i].truncate(dp) for i in subset] + \
+            [TruncatedSeries.zero(base, F, dp) for _ in range(n - r)]
+        for j, yv in enumerate(pvars):
+            num = TruncatedSeries.zero(base, F, dp)
+            for i in range(n):
+                num = num + series_eval(G[j][i], at_dp) * pad[i]
+            if num.is_zero():
+                continue
+            delta = num.divide_exact(Pval)
+            current[yv] = current[yv] - TruncatedSeries(
+                base, F, delta.terms, work - (dp - delta.precision))
+    raise AssertionError("no convergence")
+
+
+def _lift_case(field, relations, c):
+    """One relation Y^2 - x^(2c)*u from Y = x^c, where P(y) = 2Y has order
+    c; or that relation in Y1 and Y2^2 - Y1 - v from Y2 = 1, where
+    P(y) = 4*Y1*Y2 has order c and both variables are corrected."""
+    u = "(1 + x - 2*x^2 + 3*x^5 - x^7)"
+    if relations == 1:
+        ring, texts, start = ("x", "Y"), [f"Y^2 - x^{2 * c}*{u}"], {
+            "Y": {(c,): 1}}
+    else:
+        v = f"(1 - x^{c} + x^{2 * c + 1})" if c else "(x - x^2)"
+        ring = ("x", "Y1", "Y2")
+        texts = [f"Y1^2 - x^{2 * c}*{u}", f"Y2^2 - Y1 - {v}"]
+        start = {"Y1": {(c,): 1}, "Y2": {(0,): 1}}
+    system = [parse_polynomial(t, ring, field) for t in texts]
+    y0 = {yv: TruncatedSeries(BASE, field, terms, c + 1)
+          for yv, terms in start.items()}
+    return system, ring[1:], y0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
+                         ids=["Q", "GF32003"])
+@pytest.mark.parametrize("relations", [1, 2])
+@pytest.mark.parametrize("c", [0, 1, 2])
+def test_carried_inverse_matches_division_from_scratch(field, relations, c,
+                                                      monkeypatch):
+    # the inverse of P(y) carried from step to step gives every quotient,
+    # the values, the trace and the iteration count of dividing from
+    # scratch
+    real, carried = TruncatedSeries.divide_exact, []
+
+    def checked(self, other, inverse=None):
+        q = real(self, other, inverse)
+        assert q == real(self, other)
+        carried.append(inverse is not None)
+        return q
+
+    monkeypatch.setattr(TruncatedSeries, "divide_exact", checked)
+    system, yvars, y0 = _lift_case(field, relations, c)
+    for target in (2 * c + 3, 23, 64, 100):
+        req = LiftRequest(system=system, base_var="x", yvars=yvars, y0=y0,
+                          c=c, target=target)
+        del carried[:]
+        res = newton_lift(req)
+        assert all(carried)
+        values, trace, iterations = _reference_lift(req)
+        assert res.values == values
+        assert res.trace == trace
+        assert res.iterations == iterations
+        assert res.iterations >= 2 or target <= 2 * c + 3
 
 
 def test_newton_zero_relation():

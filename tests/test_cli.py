@@ -1264,6 +1264,32 @@ def test_cli_unknown_subcommand():
     assert main(["frobnicate", "--input", "x"]) == 2
 
 
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys):
+    # usage errors, a valid call between them and --version give the exit
+    # codes and messages of a parser built afresh for each call
+    assert cli.build_parser() is cli.build_parser()
+    inp = write(tmp_path, "in.problem",
+                "[field]\nQ\n[variables]\nring x y\n[ideal]\nx*y - 1\n")
+    bad = (["frobnicate", "--input", inp], ["groebner"],
+           ["groebner", "--input", inp, "--precision", "two"])
+    wants = ["desing: error: argument subcommand: invalid choice: "
+             "'frobnicate'",
+             "desing: error: the following arguments are required: --input",
+             "desing: error: argument --precision: invalid int value: "
+             "'two'"]
+    for _ in range(2):
+        for argv, want in zip(bad, wants):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: desing ")
+            assert want in err
+        assert main(["groebner", "--input", inp]) == 0
+        out, err = capsys.readouterr()
+        assert "x*y - 1" in out and "subcommand: groebner" in err
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == desing.__version__ + "\n"
+
+
 # ---------------------------------------------------------------------------
 # certificate serialization
 

@@ -335,6 +335,41 @@ target 32
 c 1
 """
 
+# the benchmark's seed-1 lifts of two relations, whose two corrected
+# variables share one inverse of P(y) a step, and of a node with c = 1,
+# where P(y) = 2Y has order 1
+LIFT_SYSTEM_64 = """\
+[field]
+Q
+[variables]
+base x
+algebra Y1 Y2
+[ideal]
+Y1^2 - (-2*x^2 - x + 1)
+Y2^2 - Y1 - (-x^2 + x)
+[start]
+Y1 = 1 + O(x)
+Y2 = 1 + O(x)
+[options]
+target 64
+c 0
+"""
+
+LIFT_NODE_C1_128 = """\
+[field]
+Q
+[variables]
+base x
+algebra Y
+[ideal]
+Y^2 - (-2*x^4 + 2*x^3 + x^2)
+[start]
+Y = x^2 + x + O(x^3)
+[options]
+target 128
+c 1
+"""
+
 # ideal quotients: over Q, (f) : (h1, h2) with h1 a nonzerodivisor modulo
 # (f), so that (f) : h1 = (f) ends the loop at its first generator; over
 # GF(p), the groebner workload's quotient shape, where no one-generator
@@ -435,6 +470,10 @@ GOLDEN = {
         "d7d2c8e75f1336dae14a6f7a15298f5a26f6b870f7d777f9f9b9a39e429d5e97",
     ("lift", "LIFT_SQRT2"):
         "a603a949a4a675695e83dae8b109aef887f8d373d063b6d7121f8155b03f54cb",
+    ("lift", "LIFT_SYSTEM_64"):
+        "4d96f4e878697384e5a3386d236ec98e594732b5e4797202c18ad9afbc28556c",
+    ("lift", "LIFT_NODE_C1_128"):
+        "98fb694ccda91091f035a9308a6f7874d06cef51abcfdc8a9df98c3f11037033",
 }
 VERIFY_CHAIN_K2 = (
     "cf1e4d63820aa95df2dedb6c39219b2b6232f326565d4df8461b55b7ac275bd9")

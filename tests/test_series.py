@@ -202,9 +202,9 @@ def test_divide_exact_matches_full_inverse(monkeypatch):
     inverted = []
     real = TruncatedSeries.invert
 
-    def spied(self):
+    def spied(self, start=None):
         inverted.append(self.precision)
-        return real(self)
+        return real(self, start)
 
     monkeypatch.setattr(TruncatedSeries, "invert", spied)
 
@@ -747,6 +747,38 @@ def test_newton_invert_matches_recurrence(u):
     inverse = u.invert()
     assert inverse.precision == u.precision
     assert inverse.terms == _recurrence_invert(u)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_units(), st.data())
+def test_invert_from_a_start_matches_invert(u, data):
+    # Newton from any prefix of the inverse ends where it ends from the
+    # constant term; a start that inverts u to more than its precision is
+    # cut to it
+    full = u.invert()
+    start = full.truncate(data.draw(st.integers(1, u.precision)))
+    assert u.invert(start) == full
+    low = data.draw(st.integers(1, u.precision))
+    assert u.truncate(low).invert(full) == full.truncate(low)
+
+
+@pytest.mark.parametrize("field", [QQ, GF, SQRT2], ids=["Q", "GF32003",
+                                                      "Q(sqrt2)"])
+def test_add_drops_a_sum_that_cancels(field):
+    one, two = field.one(), field.from_int(2)
+    a = TruncatedSeries(("x",), field, {(0,): one, (1,): one, (3,): two}, 6)
+    b = TruncatedSeries(("x",), field, {(1,): field.neg(one), (2,): one,
+                                        (3,): field.neg(two), (7,): one}, 9)
+    assert (a + b).terms == {(0,): one, (2,): one}
+    assert (a + b).precision == 6
+    assert (b + a).terms == (a + b).terms
+    assert (a - a).terms == {}
+    # in two variables, where the precision cut reads total degrees
+    c = TruncatedSeries(VARS, field, {(1, 1): one, (2, 3): one}, 6)
+    d = TruncatedSeries(VARS, field, {(1, 1): field.neg(one), (0, 2): one},
+                        5)
+    assert (c + d).terms == {(0, 2): one}
+    assert (c + d).precision == 5
 
 
 def test_graded_ring_products_match_reference():

@@ -613,10 +613,10 @@ def test_algebra_presentation_validation():
 def test_reduction_never_bases_the_smoothing_ideal(monkeypatch):
     # a step reduces H's generators modulo the basis of I that the subset
     # table kept and bases I and the remainders, never H's own generator
-    # list where it holds members of I past that basis.  Each presentation
-    # bases its I once: 5 squares, then those and Y1*...*Y5 twice, once as
-    # the next relations and once as that presentation's I.  H has 6 and
-    # 36 generators (81 and 326 when every row kept its minors)
+    # list where it holds members of I past that basis.  I is based once a
+    # step: 5 squares, then those and Y1*...*Y5, whose reduced basis is
+    # both the next relations and that presentation's basis of I.  H has 6
+    # and 36 generators (81 and 326 when every row kept its minors)
     ring = ("x", "Y1", "Y2", "Y3", "Y4", "Y5")
     B = AlgebraPresentation(
         base_var="x", variables=ring[1:], field=QQ,
@@ -650,4 +650,7 @@ def test_reduction_never_bases_the_smoothing_ideal(monkeypatch):
              if not r.is_zero()]
     assert extra == [pp("32*Y1*Y2*Y3*Y4*Y5", ring)]
     step = GI.elements + extra
-    assert handed == [B.relations, step, groebner.buchberger(step).elements]
+    assert handed == [B.relations, step]
+    # the handed basis is the one basing the next relations again gives
+    basis = groebner.buchberger(step).elements
+    assert groebner.buchberger(basis).elements == basis
