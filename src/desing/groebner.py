@@ -1,6 +1,7 @@
 """Groebner bases and the ideal operations the pipeline needs.
 
-Buchberger with the coprime and chain criteria; the open pairs sit in one
+Buchberger with the coprime and chain criteria, and no reduction of a pair
+of two monomials (its S-polynomial is 0); the open pairs sit in one
 heap keyed on (sugar, lcm, i, j), so ties break deterministically.  Under
 degrevlex the sugar key is 0 and selection is the normal strategy; under
 lex and block orders it is the sugar strategy (Giovini, Mora, Niesi,
@@ -8,7 +9,13 @@ Robbiano, Traverso, "One sugar cube, please", ISSAC 1991).  Division holds
 the dividend as a term dict with a max-heap of its monomials and reduces it
 in place, on ints over Q (content form: integer numerators over one
 denominator) and over GF(p) (each sum reduced mod p once, when its monomial
-is popped); see ``_divide``.  Bases, division and S-polynomials over
+is popped); see ``_divide``.  A step reduces by the first divisor whose
+lead divides the popped monomial; a Buchberger run only appends divisors,
+so it keeps that first divisor per monomial in one index (``_Basis``).  The
+interreduction divides only the tail of each element g by the whole
+minimal list, through one index, and puts lt(g) back: no term below lt(g)
+is divisible by it, so the first divisor in the list is the first among
+the others.  Both are exact.  Bases, division and S-polynomials over
 Q(alpha) = Q[alpha]/(mu) run over Q, alpha a last variable in a block of
 its own and mu one more generator (``_over_q``).  Reduced bases are the
 canonical form for ideal equality.  ``ideal_quotient`` skips the generators
@@ -231,13 +238,29 @@ class _Packed:
 # ---------------------------------------------------------------------------
 # division and normal forms
 
-def _divide(ring, terms, divisors, quotients=None):
+class _Basis(list):
+    """The divisors of one ``_buchberger`` run, with their first-divisor
+    ``index``: a plain monomial (XORed with CM) -> the position of the first
+    divisor whose lead divides it, or ~n when none of the first n does.  The
+    list only grows by appends, so an entry found stays true, and a miss
+    needs a scan of the later divisors only."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, divisors=()):
+        super().__init__(divisors)
+        self.index = {}
+
+
+def _divide(ring, terms, divisors, quotients=None, index=None):
     """The remainder of the packed term dict ``terms`` by the packed
     ``divisors``.  A max-heap holds the monomials of ``terms``; one cancelled
     after it was pushed is skipped when popped.  Each step cancels the
     largest term against the first divisor whose leading monomial divides
     it, or moves that term to the remainder.  With ``quotients``, a dict for
-    each divisor, the quotient terms go there.
+    each divisor, the quotient terms go there.  The first divisor of a
+    monomial is read from ``index`` (see ``_Basis``), a dict shared by calls
+    on one list of divisors that only grows; with none, a local one.
 
     The loop runs on ints.  Over GF(p) a sum stays unreduced until its
     monomial is popped, and a sum that cancels is skipped then like a stale
@@ -254,7 +277,9 @@ def _divide(ring, terms, divisors, quotients=None):
         terms = dict(zip(terms, values))
     push, pop = heapq.heappush, heapq.heappop
     cm, guard = ring.cm, ring.guard
-    leads = [(d.lead ^ cm, d, k) for k, d in enumerate(divisors)]
+    first = {} if index is None else index
+    plain = [d.lead ^ cm for d in divisors]
+    n = len(plain)
     heap = [-m for m in terms]
     heapq.heapify(heap)
     rem = {}
@@ -268,10 +293,13 @@ def _divide(ring, terms, divisors, quotients=None):
         if not w:
             continue
         x = mono ^ cm
-        for lx, d, k in leads:
-            diff = x - lx
+        k = first.get(x, -1)    # its first divisor, or ~(divisors scanned)
+        for k in range(k if k >= 0 else ~k, n):
+            diff = x - plain[k]
             if diff < 0 or diff & guard:
                 continue
+            first[x] = k
+            d = divisors[k]
             lead, top, tail = d.tail()
             q = mono - d.lead           # the quotient, less the monomial 1
             if (q + top) & guard:
@@ -304,6 +332,7 @@ def _divide(ring, terms, divisors, quotients=None):
                     terms[m] = old + qc * c
             break
         else:
+            first[x] = ~n
             rem[mono] = w
     return read_back(F, rem.items(), den)
 
@@ -320,7 +349,8 @@ def division(f, basis, order, with_quotients=False):
     division over Q(alpha) would; the quotients are then scaled back.
     """
     if isinstance(f, _Packed):
-        return _Packed(f.ring, _divide(f.ring, dict(f.terms), basis))
+        return _Packed(f.ring, _divide(f.ring, dict(f.terms), basis,
+                                       index=getattr(basis, "index", None)))
     F = f.field
     if isinstance(F, SimpleExtension):
         (f, *lifted), work_order, fold = _over_q(
@@ -441,6 +471,7 @@ def _buchberger(G, order):
     of a generator is its total degree; that of a pair, the larger of its
     two sugars raised by the degree the lcm adds; a remainder keeps the
     sugar of its pair."""
+    G = _Basis(G)
     ring = G[0].ring
     cm, guard = ring.cm, ring.guard
     graded = order.kind == "degrevlex"
@@ -470,6 +501,8 @@ def _buchberger(G, order):
         done.add((i, j))
         if lcm == leads[i] + leads[j] - cm:
             continue  # coprime leading terms
+        if len(G[i].terms) == 1 == len(G[j].terms):
+            continue  # two monomials: the S-polynomial is 0
         if _chain_criterion(i, j, lcm ^ cm, plain, guard, done):
             continue
         reductions += 1
@@ -510,14 +543,15 @@ def _reduce_basis(G):
             for j, lx in enumerate(plain))
         if not redundant:
             minimal.append(g)
-    # tail-reduce each against the others
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        if others:
-            g = _Packed(ring, _divide(ring, dict(g.terms), others))
-        if not g.is_zero():
-            reduced.append(g.monic())
+    # tail-reduce each against the others: a multiple of lt(g) is >= lt(g),
+    # so no term of g's tail division is divisible by lt(g), and the first
+    # divisor in ``minimal`` is the first among the others; one index serves
+    index, reduced = {}, []
+    for g in minimal:
+        tail = dict(g.terms)
+        lc = tail.pop(g.lead)
+        tail = _divide(ring, tail, minimal, index=index)
+        reduced.append(_Packed(ring, {g.lead: lc, **tail}).monic())
     reduced.sort(key=lambda g: g.lead, reverse=True)
     return reduced
 

@@ -211,6 +211,15 @@ def _textbook_buchberger(gens, order):
         if not r.is_zero():
             G.append(monic(r))
             pairs += [(k, len(G) - 1) for k in range(len(G) - 1)]
+    return _textbook_interreduce(G, order)
+
+
+def _textbook_interreduce(G, order):
+    """Drop each element whose lead a kept lead divides, divide each kept
+    one by all the others, make monic and sort."""
+    def monic(g):
+        return g.monic(order)
+
     leads = [g.leading(order)[0] for g in G]
     minimal = [g for i, g in enumerate(G) if not any(
         j != i and monomial_divides(leads[j], leads[i])
@@ -238,6 +247,68 @@ def test_buchberger_matches_textbook_loop(case):
     gens, order = case
     assert buchberger(gens, order).elements == \
         _textbook_buchberger(gens, order)
+
+
+@st.composite
+def _index_cases(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    order = draw(st.sampled_from(_ORDERS))
+    scales = draw(_SCALES)
+    fs = draw(st.lists(_polys(field, 0, scales), min_size=1, max_size=3))
+    G = draw(st.lists(_polys(field, 1, scales), min_size=1, max_size=4))
+    return fs, G, order
+
+
+def _as_divided(fs, G, order):
+    """fs, G and the order as the packed division sees them: over Q(alpha)
+    over Q, alpha a last variable, with mu the first divisor."""
+    if not isinstance(G[0].field, SimpleExtension):
+        return fs, G, order
+    lifted, order, _ = groebner._over_q(fs + G, order)
+    return lifted[:len(fs)], [lifted[-1]] + lifted[len(fs):-1], order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_index_cases())
+def test_shared_divisor_index_matches_textbook_loop(case):
+    # a Buchberger run divides by one list that grows by appends, through
+    # one first-divisor index: each prefix G[:1], G[:2], ... divides every f
+    fs, G, order = _as_divided(*case)
+
+    def run(ring):
+        basis = groebner._Basis()
+        for g in G:
+            basis.append(ring.pack(g))
+            for f in fs:
+                rem = division(ring.pack(f), basis, order)
+                assert ring.unpack(rem.terms, f.variables) == \
+                    _textbook_division(f, G[:len(basis)], order)[1]
+
+    groebner._on_packed(order, fs + G, run)
+
+
+@st.composite
+def _interreduction_cases(draw):
+    # low degrees, so that many leads divide tail terms
+    field = draw(st.sampled_from(_FIELDS))
+    order = draw(st.sampled_from(_ORDERS))
+    scales = draw(_SCALES)
+    G = draw(st.lists(_polys(field, 1, scales, max_exp=2), min_size=2,
+                      max_size=6))
+    return [], G, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_interreduction_cases())
+def test_tail_interreduction_matches_the_others_loop(case):
+    # _reduce_basis divides only each tail, by the whole minimal list through
+    # one index; the textbook divides each element by all the others
+    _, G, order = _as_divided(*case)
+    variables = G[0].variables
+    reduced = groebner._on_packed(order, G, lambda ring: [
+        ring.unpack(g.terms, variables)
+        for g in groebner._reduce_basis([ring.pack(g) for g in G])])
+    assert reduced == _textbook_interreduce(G, order)
 
 
 def test_wide_exponents_basis_pinned():
@@ -292,10 +363,10 @@ def _count_division_field_calls(monkeypatch):
     calls, inside = [], []
     real_divide = groebner._divide
 
-    def divide(*args):
+    def divide(*args, **kwargs):
         inside.append(True)
         try:
-            return real_divide(*args)
+            return real_divide(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -325,21 +396,37 @@ def test_division_over_q_and_gf_p_runs_on_ints(monkeypatch):
         assert calls == []
 
 
-def test_buchberger_pair_order_pinned(monkeypatch):
-    # cyclic-4 mod 32003: 11 S-pairs reach reduction and 5 of them reduce
-    # to zero; a different pair order changes these counts
-    names = ("a", "b", "c", "d")
+def _cyclic(n):
+    """cyclic-n mod 32003 in the variables a, b, c, ..."""
+    names = "abcdefgh"[:n]
     F = PrimeField(32003)
-    cyclic4 = [pp(t, names, F) for t in (
-        "a + b + c + d", "a*b + b*c + c*d + d*a",
-        "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1")]
+    sums = [" + ".join("*".join(names[(i + j) % n] for j in range(k))
+                       for i in range(n)) for k in range(1, n)]
+    return [pp(t, tuple(names), F) for t in sums + ["*".join(names) + " - 1"]]
+
+
+def _pair_counts(monkeypatch, gens):
+    """(S-pairs reduced, zero reductions, basis size) of ``buchberger``."""
     spolys = _count_calls(monkeypatch, "s_polynomial")
     divisions = _count_calls(monkeypatch, "division")
-    gb = buchberger(cyclic4)
+    gb = buchberger(gens)
     reduced = {id(s) for _, s in spolys}
     zeros = [r for (f, *_), r in divisions
              if id(f) in reduced and r.is_zero()]
-    assert (len(spolys), len(zeros), len(gb.elements)) == (11, 5, 7)
+    return len(spolys), len(zeros), len(gb.elements)
+
+
+def test_buchberger_pair_order_pinned(monkeypatch):
+    # cyclic-4 mod 32003: 11 S-pairs reach reduction and 5 of them reduce
+    # to zero; a different pair order changes these counts
+    assert _pair_counts(monkeypatch, _cyclic(4)) == (11, 5, 7)
+
+
+def test_buchberger_pair_order_pinned_cyclic5(monkeypatch):
+    # cyclic-5 mod 32003: 107 S-pairs reach reduction and 66 of them reduce
+    # to zero (recorded before divisors were looked up through a
+    # first-divisor index); a different pair order or reducer changes these
+    assert _pair_counts(monkeypatch, _cyclic(5)) == (107, 66, 20)
 
 
 def test_module_groebner_basis_pinned():
