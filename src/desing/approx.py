@@ -4,23 +4,23 @@ one syzygy module, with no degree bound), and the module-isomorphism
 equation systems, checked at a candidate by matrix arithmetic over
 truncated series.
 
-The Newton step reuses the bordered-Jacobian trick of ``smooth``: the witness
-search (``smooth.best_witness``) picks a subsystem and a minor, and with H its
-Jacobian bordered by (0 | Id) and G = N*adj(H), the linearization
+The Newton step reuses the bordered Jacobian of ``check.build_H_G``: the
+witness search (``smooth.best_witness``) picks a subsystem and a minor, and
+with H its Jacobian bordered by (0 | Id) and G = N*adj(H), the linearization
 H*delta = -f(y) is solved as delta = -G(y) f(y) / P(y), paying a fixed
 valuation cost of c per iteration.
 """
 
 from dataclasses import dataclass
 
+from .check import build_H_G, matrix_det, matrix_mul
 from .errors import (DomainError, PrecisionError, ResourceError,
                      StructuralError)
 from .groebner import kernel_basis
 from .series import (MAX_PRECISION, TruncatedSeries, series_eval,
                      series_point)
 from .smooth import (DEFAULT_SUBSET_BUDGET, AlgebraPresentation, best_witness,
-                     bordered_jacobian, columns_first, matrix_det,
-                     matrix_mul)
+                     columns_first)
 
 MAX_NEWTON_ITERATIONS = 200
 # linear_factor solves for its z in one dense system of rows x unknowns
@@ -142,7 +142,7 @@ def newton_lift(req):
     fs = [B.relations[i] for i in subset]
     r, n = len(fs), len(req.yvars)
     pvars = tuple(req.yvars[j] for j in columns_first(cols, n))
-    _, G, _ = bordered_jacobian(fs, pvars, witness)
+    _, G, _ = build_H_G(fs, pvars, witness)
     P = minor * witness
 
     trace = []

@@ -13,12 +13,12 @@ import time
 from . import __version__
 from .approx import (LiftRequest, check_candidate, linear_factor,
                      module_iso_system, newton_lift)
+from .check import original_problem, verify_certificate
 from .errors import ConsistencyError, DesingError, ParseError
-from .gnd import desingularize, verify_certificate
+from .gnd import desingularize
 from .groebner import IdealPresentation, buchberger, ideal_quotient
 from .iofmt import (emit_certificate, emit_groebner, emit_ideal,
-                    format_series, parse_certificate, parse_problem,
-                    original_problem)
+                    format_series, parse_certificate, parse_problem)
 from .poly import format_polynomial
 from .series import CompletionMorphism, weierstrass_prepare
 from .smooth import AlgebraPresentation, smoothing_ideal, DEFAULT_SUBSET_BUDGET

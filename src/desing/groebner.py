@@ -239,28 +239,33 @@ class _Packed:
 # division and normal forms
 
 class _Basis(list):
-    """The divisors of one ``_buchberger`` run, with their first-divisor
-    ``index``: a plain monomial (XORed with CM) -> the position of the first
-    divisor whose lead divides it, or ~n when none of the first n does.  The
-    list only grows by appends, so an entry found stays true, and a miss
-    needs a scan of the later divisors only."""
+    """Packed divisors, with their leads XORed with CM (``plain``) and
+    their first-divisor ``index``: a plain monomial -> the position of the
+    first divisor whose lead divides it, or ~n when none of the first n
+    does.  The list only grows by appends, so an entry found stays true,
+    and a miss needs a scan of the later divisors only."""
 
-    __slots__ = ("index",)
+    __slots__ = ("plain", "index")
 
     def __init__(self, divisors=()):
         super().__init__(divisors)
+        self.plain = [d.lead ^ d.ring.cm for d in self]
         self.index = {}
 
+    def append(self, divisor):
+        super().append(divisor)
+        self.plain.append(divisor.lead ^ divisor.ring.cm)
 
-def _divide(ring, terms, divisors, quotients=None, index=None):
-    """The remainder of the packed term dict ``terms`` by the packed
+
+def _divide(ring, terms, divisors, quotients=None):
+    """The remainder of the packed term dict ``terms`` by the ``_Basis``
     ``divisors``.  A max-heap holds the monomials of ``terms``; one cancelled
     after it was pushed is skipped when popped.  Each step cancels the
     largest term against the first divisor whose leading monomial divides
     it, or moves that term to the remainder.  With ``quotients``, a dict for
     each divisor, the quotient terms go there.  The first divisor of a
-    monomial is read from ``index`` (see ``_Basis``), a dict shared by calls
-    on one list of divisors that only grows; with none, a local one.
+    monomial is read from the basis's index, which every call on one basis
+    shares.
 
     The loop runs on ints.  Over GF(p) a sum stays unreduced until its
     monomial is popped, and a sum that cancels is skipped then like a stale
@@ -277,8 +282,7 @@ def _divide(ring, terms, divisors, quotients=None, index=None):
         terms = dict(zip(terms, values))
     push, pop = heapq.heappush, heapq.heappop
     cm, guard = ring.cm, ring.guard
-    first = {} if index is None else index
-    plain = [d.lead ^ cm for d in divisors]
+    first, plain = divisors.index, divisors.plain
     n = len(plain)
     heap = [-m for m in terms]
     heapq.heapify(heap)
@@ -349,8 +353,7 @@ def division(f, basis, order, with_quotients=False):
     division over Q(alpha) would; the quotients are then scaled back.
     """
     if isinstance(f, _Packed):
-        return _Packed(f.ring, _divide(f.ring, dict(f.terms), basis,
-                                       index=getattr(basis, "index", None)))
+        return _Packed(f.ring, _divide(f.ring, dict(f.terms), basis))
     F = f.field
     if isinstance(F, SimpleExtension):
         (f, *lifted), work_order, fold = _over_q(
@@ -364,7 +367,7 @@ def division(f, basis, order, with_quotients=False):
     def run(ring):
         quotients = [{} for _ in basis] if with_quotients else None
         rem = _divide(ring, ring.pack(f).terms,
-                      [ring.pack(g) for g in basis], quotients)
+                      _Basis(ring.pack(g) for g in basis), quotients)
         rem = ring.unpack(rem, f.variables)
         if not with_quotients:
             return rem
@@ -475,13 +478,11 @@ def _buchberger(G, order):
     ring = G[0].ring
     cm, guard = ring.cm, ring.guard
     graded = order.kind == "degrevlex"
-    leads, plain, exps, sugar = [], [], [], []
+    exps, sugar = [], []
     pairs = []      # heap of (sugar or 0, packed lcm, i, j)
 
     def add(g, s):
-        k = len(leads)
-        leads.append(g.lead)
-        plain.append(g.lead ^ cm)
+        k = len(exps)
         exps.append(ring.unpack_monomial(g.lead))
         sugar.append(s - sum(exps[k]))      # the sugar less the lead degree
         for i in range(k):
@@ -499,11 +500,11 @@ def _buchberger(G, order):
     while pairs:
         s, lcm, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        if lcm == leads[i] + leads[j] - cm:
+        if lcm == G[i].lead + G[j].lead - cm:
             continue  # coprime leading terms
         if len(G[i].terms) == 1 == len(G[j].terms):
             continue  # two monomials: the S-polynomial is 0
-        if _chain_criterion(i, j, lcm ^ cm, plain, guard, done):
+        if _chain_criterion(i, j, lcm ^ cm, G.plain, guard, done):
             continue
         reductions += 1
         if reductions > SPAIR_BUDGET:
@@ -535,7 +536,7 @@ def _reduce_basis(G):
     cm, guard = ring.cm, ring.guard
     # minimize: drop elements whose lead is divisible by another kept lead
     plain = [g.lead ^ cm for g in G]
-    minimal = []
+    minimal = _Basis()
     for i, g in enumerate(G):
         redundant = any(
             j != i and plain[i] - lx >= 0 and not (plain[i] - lx) & guard
@@ -546,11 +547,11 @@ def _reduce_basis(G):
     # tail-reduce each against the others: a multiple of lt(g) is >= lt(g),
     # so no term of g's tail division is divisible by lt(g), and the first
     # divisor in ``minimal`` is the first among the others; one index serves
-    index, reduced = {}, []
+    reduced = []
     for g in minimal:
         tail = dict(g.terms)
         lc = tail.pop(g.lead)
-        tail = _divide(ring, tail, minimal, index=index)
+        tail = _divide(ring, tail, minimal)
         reduced.append(_Packed(ring, {g.lead: lc, **tail}).monic())
     reduced.sort(key=lambda g: g.lead, reverse=True)
     return reduced

@@ -5,13 +5,13 @@ everything exact rational text; parse(emit(x)) reproduces x.
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ConsistencyError, ParseError, StructuralError
+from .check import (CheckResult, GndCertificate, bound_names, working_ring,
+                    _check_meta, _check_shape)
+from .errors import ParseError, StructuralError
 from .fields import QQ, PrimeField, SimpleExtension
-from .poly import (DEGREVLEX, Polynomial, alpha_polynomial,
-                   format_polynomial, order_from_name, parse_polynomial)
+from .poly import (alpha_polynomial, format_polynomial, order_from_name,
+                   parse_polynomial)
 from .series import TruncatedSeries, format_series, parse_series
-from .smooth import AlgebraPresentation
-from . import gnd as _gnd
 
 KNOWN_SECTIONS = {
     "field", "series-field", "variables", "ideal", "ideal2", "morphism",
@@ -255,11 +255,8 @@ def emit_groebner(gb, variables, F):
 # ---------------------------------------------------------------------------
 # The polynomial and series sections, in the order they are written:
 # (section, GndCertificate attribute, reader, format of one value).  [hat]
-# holds series in the base variable, [relations] polynomials in the ring.
-# B' is given by its formula (``gnd``): verify derives y', H, G, M and s,
-# takes the point's t from [hat], and reads h and g through it; A's field
-# and U come from [series-field] and the yvars (``gnd.bound_names``), and
-# the ring has no T, which no check reads.
+# holds series in the base variable, [relations] polynomials in the ring;
+# the rest of B' is derived from these (``check``).
 CERT_VALUES = (
     ("relations", "relations", _items, format_polynomial),
     ("hat", "hat_images", _named, format_series),
@@ -323,11 +320,6 @@ def _names(text, lineno):
     return () if text == "-" else tuple(text.split())
 
 
-def _require(ok, what):
-    if not ok:
-        raise ConsistencyError(f"certificate {what}")
-
-
 def parse_certificate(text):
     sections = _Required(split_sections(text), "section")
 
@@ -364,8 +356,8 @@ def parse_certificate(text):
     subset, permutation = (read(meta, key, _ints)
                            for key in ("subset", "permutation"))
     _check_meta(base, Fs, c, yvars, permutation, subset)
-    D = _gnd.bound_names(base, Fs, yvars)
-    ring = _gnd.working_ring(D, c, yvars)
+    D = bound_names(base, Fs, yvars)
+    ring = working_ring(D, c, yvars)
 
     def poly(text, lineno):
         return parse_polynomial(text, ring, D.field, lineno)
@@ -385,87 +377,10 @@ def parse_certificate(text):
             raise ParseError("[report] lines look like 'pass;precision;"
                              "name;detail' (or 'FAIL;...')", lineno, 1)
         status, where, name, detail = fields
-        report.append(_gnd.CheckResult(name=name, passed=status == "pass",
-                                       precision=where, detail=detail))
-    cert = _gnd.GndCertificate(
+        report.append(CheckResult(name, status == "pass", where, detail))
+    cert = GndCertificate(
         D=D, witness=read(datakeys, "witness", poly), c=c, yvars=yvars,
         permutation=permutation, subset=subset,
         precision=precision, report=report, **values)
     _check_shape(cert)
     return cert
-
-
-def _check_meta(base, Fs, c, yvars, permutation, subset):
-    """What the reader of the values assumes of [meta] and [series-field];
-    a mismatch is a ConsistencyError.  U is fresh against x and the
-    yvars, so the ring names each variable once when these do."""
-    _require(Fs == QQ or isinstance(Fs, SimpleExtension),
-             "[series-field] is neither Q nor a Q(alpha)")
-    _require(len(set((base,) + yvars)) == len(yvars) + 1,
-             "[meta] names a variable twice")
-    _require(c >= 0, "[meta] c is negative")
-    _require(sorted(permutation) == list(range(len(yvars))),
-             "[meta] permutation does not permute the yvars")
-    columns = permutation[:len(subset)]
-    _require(list(columns) == sorted(columns) and len(columns) == len(subset),
-             "[meta] permutation does not start with the minor's columns "
-             "in increasing order")
-
-
-def _check_shape(cert):
-    """What the checks assume of the values they read; a mismatch is a
-    ConsistencyError."""
-    D, Fs, require = cert.D, cert.series_field, _require
-    require(sorted(cert.hat_images) == sorted(cert.yvars),
-            f"[hat] does not name exactly "
-            f"{' '.join(cert.yvars) or 'nothing'}")
-    require(list(cert.subset) == sorted(set(cert.subset))
-            and all(0 <= i < len(cert.relations) for i in cert.subset),
-            "[meta] subset is not increasing within [relations]")
-    # no bordering relation fixes a short circuit's N, and B[W]/(W*M*N - 1)
-    # depends on it only up to a nonzero scalar: N is printed monic, and
-    # is 1 where the subset holds every relation, as ((f):I) is then (1)
-    N = cert.witness
-    if cert.short_circuit and len(cert.subset) == len(cert.relations):
-        require(N == Polynomial.one(N.variables, N.field),
-                "[data] witness of a short circuit with every relation in "
-                "its subset is not 1")
-    require(not cert.short_circuit
-            or N.terms and N.leading(DEGREVLEX)[1] == 1,
-            "[data] witness of a short circuit is not monic")
-    # y' is [hat] below x^(6c); a short circuit prints [hat] to the
-    # precision of v, and verify binds each marker of a bordered one to
-    # what check 4 reads (gnd.hat_precisions)
-    x, marks = cert.base_var, [s.precision for s in cert.hat_images.values()]
-    require(all(m >= 6 * cert.c for m in marks),
-            f"[hat] is printed below O({x}^{6 * cert.c})")
-    require(not cert.short_circuit or set(marks) <= {cert.precision},
-            f"[hat] is not printed to O({x}^{cert.precision})")
-    # Z borders last: original_problem drops it and its relation, which
-    # ends the subset
-    require(cert.short_circuit
-            or cert.subset[-1:] == (len(cert.relations) - 1,),
-            "[meta] subset does not end with the bordering relation")
-    # every honest value is printed reduced, so no value at a point meets a
-    # high power of U
-    if D.ext_var in cert.ring:
-        require(all(q.degree_in(D.ext_var) < Fs.degree
-                    for q in cert.relations + [cert.witness]),
-                f"[relations] or [data] witness has {D.ext_var}-degree at or "
-                f"above that of mu")
-
-
-def original_problem(cert):
-    """Reconstruct (B, v) for re-verification from a parsed certificate."""
-    # yvars[i] is the original variable permutation[i]; Z borders last
-    orig_vars = tuple(y for _, y in sorted(zip(cert.permutation, cert.yvars))
-                      if y != cert.zvar)
-    rels = cert.relations if cert.short_circuit else cert.relations[:-1]
-    ring = (cert.base_var,) + orig_vars
-    relations = [r.restrict(ring) for r in rels]
-    B = AlgebraPresentation(base_var=cert.base_var, variables=orig_vars,
-                            field=cert.field, relations=relations)
-    images = {yv: cert.hat_images[yv] for yv in orig_vars}
-    v = _gnd.CompletionMorphism(base_var=cert.base_var,
-                                field=cert.series_field, images=images)
-    return B, v

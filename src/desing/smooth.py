@@ -3,9 +3,7 @@ the data (f, M, N, d') that seeds the desingularization pipeline.
 
 The base ring is k[x] localized at (x); localization only shows up through
 unit tests on constant terms, so all ideal computations happen in k[x, Y].
-
-Determinants and adjugates (polynomial or series entries) come from one
-division-free characteristic polynomial, Berkowitz's, O(n^4) ring operations.
+Jacobians and their minors come from the matrix kernel of ``check``.
 
 The witness search and the reduction test candidates by evaluation alone:
 v factors through B = A[Y]/I, so a member of I has image zero and is
@@ -32,6 +30,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
+from .check import jacobian, matrix_det
 from .errors import (DomainError, PrecisionError, ResourceError,
                      StructuralError)
 from .groebner import (DEGREVLEX, IdealPresentation, buchberger,
@@ -41,97 +40,6 @@ from .series import TruncatedSeries
 
 DEFAULT_SUBSET_BUDGET = 500
 MAX_REDUCTIONS = 5
-
-
-# ---------------------------------------------------------------------------
-# matrices over polynomials or series
-
-def matrix_mul(A, B):
-    return [[_dot(row, col) for col in zip(*B)] for row in A]
-
-
-def _dot(u, v, acc=None):
-    """acc plus the products u_i·v_i that have no None (zero) factor."""
-    for a, b in zip(u, v):
-        if a is not None and b is not None:
-            acc = a * b if acc is None else acc + a * b
-    return acc
-
-
-def _berkowitz(A, adjugate=False):
-    """(det A, adj A or None), from det(Id + t·A) = sum e_i·t^i, e_0 = 1:
-    det(Id + t·A_(k+1)) is det(Id + t·A_k) times 1 + a·t - R·C·t^2 +
-    R·A_k·C·t^3 - ... mod t^(k+2), where A_k is the leading k x k block,
-    a = A[k][k], R = A[k][:k] and C the column above a; det A = e_n and
-    adj A = sum e_i·(-A)^(n-1-i).  Zeros are skipped, so series entries are
-    first cut to their least precision (Berkowitz, IPL 18, 1984).  Orders 1
-    and 2 take the closed forms.
-    """
-    n = len(A)
-    if n == 0 or any(len(row) != n for row in A):
-        raise StructuralError("determinant of an empty or non-square matrix")
-    a = A[0][0]
-    if isinstance(a, TruncatedSeries):
-        prec = min(x.precision for row in A for x in row)
-        A = [[x if x.precision == prec else x.truncate(prec) for x in row]
-             for row in A]
-        zero = TruncatedSeries.zero(a.variables, a.field, prec)
-    else:
-        zero = Polynomial.zero(a.variables, a.field)
-    M = [[None if x.is_zero() else x for x in row] for row in A]
-    if n < 3:       # closed forms: a, adj [[1]]; ad - bc, adj [[d, -b], [-c, a]]
-        (a, b), (c, d) = M if n == 2 else ((M[0][0], None), (None, None))
-        b, nc = (None if y is None else -y for y in (b, c))
-        det = _dot((a, b), (d, c)) if n == 2 else a
-        det = zero if det is None else det
-        if not adjugate:
-            return det, None
-        B = [[d, b], [nc, a]] if n == 2 else [[zero ** 0]]
-        return det, [[zero if y is None else y for y in row] for row in B]
-    e = [None] * n                      # e[i] = e_(i+1); None for zero
-    for k, row in enumerate(M):
-        col, q = [r[k] for r in M[:k]], [row[k]]
-        for j in range(k):
-            col = [_dot(r, col) for r in M[:k]] if j else col
-            s = _dot(row, col)
-            q.append(-s if s is not None and j % 2 == 0 else s)
-        # the determinant alone needs only e_n of the last step
-        for i in range(k, -1 if adjugate or k < n - 1 else k - 1, -1):
-            c = q[i] if e[i] is None else e[i] if q[i] is None else e[i] + q[i]
-            e[i] = _dot(e[:i], q[i - 1::-1], c)
-    det = zero if e[-1] is None else e[-1]
-    if not adjugate:
-        return det, None
-    minus = [[None if x is None else -x for x in row] for row in M]
-    B = [[zero ** 0 if i == j else None for j in range(n)] for i in range(n)]
-    for c in e[:-1]:                    # Horner: B·(-A) + e_i·Id
-        B = [[_dot(row, col, c if i == j else None) for j, col in
-              enumerate(zip(*minus))] for i, row in enumerate(B)]
-    return det, [[zero if b is None else b for b in row] for row in B]
-
-
-def matrix_det(A):
-    """det A, for polynomial and series entries alike."""
-    return _berkowitz(A)[0]
-
-
-def matrix_adjugate(A):
-    """adj(A) with A·adj(A) = adj(A)·A = det(A)·Id."""
-    return _berkowitz(A, adjugate=True)[1]
-
-
-def identity_matrix(n, variables, fld):
-    one = Polynomial.one(variables, fld)
-    zero = Polynomial.zero(variables, fld)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def matrix_scale(A, p):
-    return [[entry * p for entry in row] for row in A]
-
-
-def matrix_equal(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +154,6 @@ class DesingData:
 # ---------------------------------------------------------------------------
 # Jacobian data
 
-def jacobian(relations, variables):
-    """Rows indexed by relations, columns by the given variables only."""
-    return [[f.derivative(v) for v in variables] for f in relations]
-
-
 def jacobian_minors(relations, variables):
     """(columns, minor) for each nonzero r x r minor of the Jacobian in Y,
     in column order, each computed when it is asked for."""
@@ -266,25 +169,6 @@ def columns_first(columns, n):
     """The permutation of range(n) that puts a minor's columns first, in
     their order, and the other indices after them, in increasing order."""
     return tuple(columns) + tuple(j for j in range(n) if j not in columns)
-
-
-def bordered_jacobian(fs, yvars, witness):
-    """H = the Jacobian of fs in yvars over (0 | Id), G = N·adj(H), and
-    det(H) = M, the minor of the first r columns.
-
-    GH = HG = M·N·Id.  H = [[A, C], [0, Id]] has
-    adj(H) = [[adj A, -adj(A)·C], [0, det(A)·Id]], so only the r x r
-    block A needs an adjugate, and the Berkowitz run that gives it gives
-    M = det(A) too.
-    """
-    r, n = len(fs), len(yvars)
-    eye = identity_matrix(n, fs[0].variables, fs[0].field)
-    H = jacobian(fs, yvars) + eye[r:]
-    det_A, adj_A = _berkowitz([row[:r] for row in H[:r]], adjugate=True)
-    adj_AC = matrix_mul(adj_A, [row[r:] for row in H[:r]])
-    adj = [a + [-e for e in c] for a, c in zip(adj_A, adj_AC)]
-    adj += [eye[i][:i] + [det_A] + eye[i][i + 1:] for i in range(r, n)]
-    return H, [[witness * entry for entry in row] for row in adj], det_A
 
 
 def _subset_stream(count, n_vars):

@@ -13,9 +13,8 @@ from desing.groebner import kernel_basis
 from desing.poly import Polynomial, parse_polynomial
 from desing.series import (TruncatedSeries, parse_series, series_eval,
                            series_point)
-from desing.smooth import (AlgebraPresentation, best_witness,
-                           bordered_jacobian, columns_first, matrix_det,
-                           matrix_mul)
+from desing.check import build_H_G, matrix_det, matrix_mul
+from desing.smooth import AlgebraPresentation, best_witness, columns_first
 
 BASE = ("x",)
 
@@ -224,7 +223,7 @@ def _reference_lift(req):
     fs = [B.relations[i] for i in subset]
     r, n = len(fs), len(req.yvars)
     pvars = tuple(req.yvars[j] for j in columns_first(cols, n))
-    _, G, _ = bordered_jacobian(fs, pvars, witness)
+    _, G, _ = build_H_G(fs, pvars, witness)
     P = minor * witness
     trace = []
     for it in range(MAX_NEWTON_ITERATIONS):

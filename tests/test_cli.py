@@ -9,7 +9,7 @@ import pytest
 
 import desing
 
-from desing import cli, gnd
+from desing import check, cli
 from desing.cli import main
 from desing.errors import ConsistencyError, DesingError, ParseError
 from desing.fields import QQ, PrimeField
@@ -442,7 +442,7 @@ def test_cli_verify_rejects_inconsistent_sections(tmp_path, node_certificate,
     bad = _edit_line(text, tag, key, edit)
     assert bad != text
     # verify binds the [hat] markers of a bordered certificate, and with
-    # them [meta] precision, to what check 4 reads (gnd.hat_precisions)
+    # them [meta] precision, to what check 4 reads (check.hat_precisions)
     with pytest.raises(ConsistencyError):
         if case in ("hat-marker", "meta-precision"):
             cli.run_verify(None, None, bad)
@@ -543,7 +543,7 @@ def test_cli_verify_binds_ext_to_the_series_field(tmp_path, node_certificate,
                                                   sqrt2_node_certificate,
                                                   case):
     # U is there exactly when [series-field] is a Q(alpha), named by
-    # gnd.bound_names; a [D] ext line, which version 5 printed, is refused
+    # check.bound_names; a [D] ext line, which version 5 printed, is refused
     # at its section's header, whatever it says
     if case == "ext-over-Q":
         text, ext, line = node_certificate, None, "ext U"
@@ -799,13 +799,13 @@ def _report(path):
 def test_cli_gnd_reports_wrong_g(tmp_path, monkeypatch):
     # a construction fault is caught once, by the verifier, as a FAIL: a
     # wrong value of g at the point fails check 4
-    real = gnd.build_h_g
+    real = check.build_h_g
 
     def wrong_g(*args):
         g, point = real(*args)
         return [g[0] + point.one.truncate(g[0].precision)] + g[1:], point
 
-    monkeypatch.setattr(gnd, "build_h_g", wrong_g)
+    monkeypatch.setattr(check, "build_h_g", wrong_g)
     inp = write(tmp_path, "in.problem", node_problem())
     cert_path = str(tmp_path / "cert.txt")
     assert main(["gnd", "--input", inp, "--output", cert_path]) == 5
@@ -814,13 +814,13 @@ def test_cli_gnd_reports_wrong_g(tmp_path, monkeypatch):
 
 
 def test_cli_gnd_reports_wrong_G(tmp_path, monkeypatch):
-    real = gnd.build_H_G
+    real = check.build_H_G
 
     def wrong_G(*args):
         H, G, M = real(*args)
         return H, [[G[0][0] + G[0][0]] + G[0][1:]] + G[1:], M
 
-    monkeypatch.setattr(gnd, "build_H_G", wrong_G)
+    monkeypatch.setattr(check, "build_H_G", wrong_G)
     inp = write(tmp_path, "in.problem", node_problem())
     cert_path = str(tmp_path / "cert.txt")
     assert main(["gnd", "--input", inp, "--output", cert_path]) == 5
@@ -831,20 +831,20 @@ def test_cli_gnd_reports_G_that_leaves_d_squared(tmp_path, monkeypatch,
                                                  capsys):
     # g is s^p f(y' + (d/s)G(y')T)/d^2; a G that breaks the divisibility
     # fails check 1, and with it check 2, exit 5
-    real = gnd.build_H_G
+    real = check.build_H_G
 
     def wrong_G(*args):
         H, G, M = real(*args)
         one = Polynomial.one(G[0][0].variables, G[0][0].field)
         return H, [[G[0][0] + one] + G[0][1:]] + G[1:], M
 
-    monkeypatch.setattr(gnd, "build_H_G", wrong_G)
+    monkeypatch.setattr(check, "build_H_G", wrong_G)
     inp = write(tmp_path, "in.problem", node_problem())
     cert_path = str(tmp_path / "cert.txt")
     assert main(["gnd", "--input", inp, "--output", cert_path]) == 5
     assert "error" not in capsys.readouterr().err
     assert [line.split(";")[:3] for line in _report(cert_path)[:2]] == [
-        ["FAIL", "exact", "GH = HG = P*Id"], ["FAIL", "exact", gnd.CHECK_2]]
+        ["FAIL", "exact", "GH = HG = P*Id"], ["FAIL", "exact", check.CHECK_2]]
 
 
 def test_cli_gnd_ring_holds_no_t(tmp_path):

@@ -7,20 +7,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desing import gnd, series
+from desing import check, gnd, series
+from desing.check import (FramePoint, build_H_G, bound_names, build_h_g,
+                          derive_frame, identity_matrix, matrix_det,
+                          matrix_equal, matrix_mul, matrix_scale,
+                          truncate_lift, verify_certificate)
 from desing.cli import main
 from desing.errors import ConsistencyError, DomainError
 from desing.fields import QQ, PrimeField, SimpleExtension, _integral
-from desing.gnd import (FramePoint, border_step, build_H_G, bound_names,
-                        build_h_g, derive_frame, desingularize, truncate_lift,
-                        verify_certificate)
+from desing.gnd import border_step, desingularize
 from desing.iofmt import parse_certificate
 from desing.poly import Polynomial, fresh_name, parse_polynomial
 from desing.series import (CompletionMorphism, TruncatedSeries, parse_series,
                            series_eval)
-from desing.smooth import (AlgebraPresentation, find_desing_data,
-                           identity_matrix, matrix_det, matrix_equal,
-                           matrix_mul, matrix_scale)
+from desing.smooth import AlgebraPresentation, find_desing_data
 
 
 def geometric(precision, start=1, sign=1):
@@ -148,8 +148,8 @@ def test_build_h_g_takes_no_partials(monkeypatch):
         base_var="x", field=QQ,
         images={y: parse_series("x + O(x^120)", ("x",), QQ)
                 for y in ring[1:]})
-    calls, inside = [0], [False]
-    real_derivative, real_build = Polynomial.derivative, gnd.build_h_g
+    calls, inside, builds = [0], [False], [0]
+    real_derivative, real_build = Polynomial.derivative, check.build_h_g
 
     def derivative(self, var):
         calls[0] += inside[0]
@@ -157,15 +157,17 @@ def test_build_h_g_takes_no_partials(monkeypatch):
 
     def build(*args):
         inside[0] = True
+        builds[0] += 1
         try:
             return real_build(*args)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(Polynomial, "derivative", derivative)
-    monkeypatch.setattr(gnd, "build_h_g", build)
+    # verify_certificate reads build_h_g from check, where it is defined
+    monkeypatch.setattr(check, "build_h_g", build)
     cert = desingularize(B, v)
-    assert calls == [0]
+    assert calls == [0] and builds == [1]
     verify_certificate(cert, B, v)
     assert cert.all_passed(), "\n".join(cert.report_lines())
 
@@ -952,8 +954,8 @@ def test_gnd_takes_the_hat_markers_once(monkeypatch):
     from desing.iofmt import emit_certificate
 
     calls = []
-    real = gnd.hat_precisions
-    monkeypatch.setattr(gnd, "hat_precisions",
+    real = check.hat_precisions
+    monkeypatch.setattr(check, "hat_precisions",
                         lambda *a: calls.append(a) or real(*a))
     for problem in (chain_k2(), (node_algebra(), node_morphism())):
         del calls[:]

@@ -14,10 +14,11 @@ from desing.poly import Polynomial, parse_polynomial
 from desing.gnd import border_step
 from desing.series import (CompletionMorphism, TruncatedSeries, parse_series,
                            series_eval, series_point)
+from desing.check import (build_H_G, identity_matrix, jacobian,
+                          matrix_adjugate, matrix_det, matrix_equal,
+                          matrix_mul, matrix_scale)
 from desing.smooth import (AlgebraPresentation, SubsetRow, best_witness,
-                           bordered_jacobian, check_morphism, find_desing_data, identity_matrix,
-                           jacobian, jacobian_minors, matrix_adjugate,
-                           matrix_det, matrix_equal, matrix_mul, matrix_scale,
+                           check_morphism, find_desing_data, jacobian_minors,
                            reduce_until_nonvanishing, smoothing_ideal)
 
 RING = ("x", "Y1", "Y2")
@@ -162,7 +163,7 @@ def test_bordered_jacobian_block_adjugate():
                     for _ in range(r)]
                 witness = Polynomial(ring, QQ, {
                     tuple(rng.randrange(2) for _ in ring): Fraction(2)})
-                H, G, M = bordered_jacobian(fs, ring[1:], witness)
+                H, G, M = build_H_G(fs, ring[1:], witness)
                 assert len(H) == n and all(len(row) == n for row in H)
                 full = matrix_scale(cofactor_adjugate(H), witness)
                 assert matrix_equal(G, full)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from desing.errors import StructuralError
 from desing.fields import QQ, PrimeField, SimpleExtension
-from desing.gnd import DPresentation, FramePoint
+from desing.check import DPresentation, FramePoint
 from desing.groebner import division
 from desing.poly import DEGREVLEX, Polynomial
 from desing.series import TruncatedSeries, series_eval, series_point

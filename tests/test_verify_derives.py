@@ -21,12 +21,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from desing import cli, gnd, groebner
+from desing import check, cli, gnd, groebner
+from desing.check import (DPresentation, FramePoint, derive_frame,
+                          truncate_lift)
 from desing.cli import main
 from desing.errors import ConsistencyError, DesingError
 from desing.fields import QQ, SimpleExtension
-from desing.gnd import DPresentation, FramePoint, derive_frame, \
-    truncate_lift
 from desing.groebner import division
 from desing.iofmt import emit_certificate, parse_certificate
 from desing.poly import DEGREVLEX, Polynomial, format_polynomial
@@ -86,7 +86,7 @@ def _replace_line(text, start, line):
 def test_verify_reaches_no_groebner_code(certificates):
     # D.reduce takes the remainder by mu with the univariate kit of fields,
     # so no code object of groebner.py runs while a certificate is read
-    # and checked, over Q(sqrt 2) too
+    # and checked, over Q(sqrt 2) too; nor does any of the construction
     reached = set()
 
     def record(frame, event, arg):
@@ -100,8 +100,11 @@ def test_verify_reaches_no_groebner_code(certificates):
         finally:
             sys.setprofile(None)
         assert code == 0, name
-    files = {os.path.basename(c.co_filename) for c in reached}
-    assert {"gnd.py", "iofmt.py", "series.py", "smooth.py"} <= files
+    package = os.path.dirname(check.__file__)
+    files = {os.path.basename(c.co_filename) for c in reached
+             if os.path.dirname(c.co_filename) == package}
+    assert files <= {"cli.py", "iofmt.py", "check.py", "series.py",
+                     "poly.py", "fields.py", "errors.py"}
     assert [c.co_name for c in reached
             if c.co_filename == groebner.__file__] == []
 
@@ -416,9 +419,13 @@ def test_the_witness_is_bound_before_any_value_at_yprime(certificates,
     def refuse(*args):
         raise AssertionError("a value at y' before the witness is bound")
 
-    monkeypatch.setattr(gnd, "compute_s_b", refuse)
-    monkeypatch.setattr(gnd, "FramePoint", refuse)
+    # derive_frame reads both from check, where it is defined: the honest
+    # certificate reaches each
     text = certificates["node-c1"]
+    for name in ("compute_s_b", "FramePoint"):
+        monkeypatch.setattr(check, name, refuse)
+        with pytest.raises(AssertionError, match="before the witness"):
+            cli.run_verify(None, None, text)
     assert "\nwitness Z^2\n" in text
     bad = text.replace("\nwitness Z^2\n", "\nwitness Z^2 + Y1^2000\n")
     with pytest.raises(ConsistencyError,
@@ -429,13 +436,15 @@ def test_the_witness_is_bound_before_any_value_at_yprime(certificates,
 def test_check_1_forms_one_product(certificates, monkeypatch):
     # G*H = P*Id with P != 0 gives H*G = P*Id over the domain k[x, U, Y],
     # so check 1 forms G*H alone; on every seed-1 certificate H*G is G*H
-    products, real = [], gnd.matrix_mul
+    products, real = [], check.matrix_mul
 
     def mul(a, b):
-        products.append((a, b))
+        # build_H_G's adj(A)*C goes through matrix_mul too
+        if sys._getframe(1).f_code is check.verify_certificate.__code__:
+            products.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(gnd, "matrix_mul", mul)
+    monkeypatch.setattr(check, "matrix_mul", mul)
     for name, text in certificates.items():
         products.clear()
         assert _verify_exit(text) == 0, name
